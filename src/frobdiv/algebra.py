@@ -54,29 +54,6 @@ class StructureConstantAlgebra:
         self._center = None
         self._regular_character = None
 
-    @classmethod
-    def from_dense(cls, field, tensor, unit, name=""):
-        dim = len(tensor)
-        zero = field.zero
-        table = [[{k: c for k, c in enumerate(row) if c != zero}
-                  for row in plane] for plane in tensor]
-        return cls(field, dim, table, unit, name)
-
-    @classmethod
-    def from_triples(cls, field, dim, triples, unit, name=""):
-        table = [[{} for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in triples:
-            table[i][j][k] = c
-        return cls(field, dim, table, unit, name)
-
-    def triples(self):
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in sorted(self.table[i][j].items()):
-                    out.append((i, j, k, c))
-        return out
-
     # -- elements ---------------------------------------------------------
     def zero_vec(self):
         return [self.field.zero] * self.dim
@@ -85,9 +62,6 @@ class StructureConstantAlgebra:
         v = self.zero_vec()
         v[i] = self.field.one
         return v
-
-    def scalar_vec(self, c):
-        return [c * u for u in self.unit]
 
     def multiply(self, a, b):
         if len(a) != self.dim or len(b) != self.dim:
@@ -108,16 +82,6 @@ class StructureConstantAlgebra:
 
     # alias used by the integrality Krylov iteration
     mult = multiply
-
-    def power(self, a, n):
-        out = list(self.unit)
-        base = a
-        while n:
-            if n & 1:
-                out = self.multiply(out, base)
-            base = self.multiply(base, base)
-            n >>= 1
-        return out
 
     def left_mult(self, a) -> Matrix:
         zero = self.field.zero
@@ -152,21 +116,40 @@ class StructureConstantAlgebra:
 
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
+        """Associativity and both unit laws, on the sparse table."""
         report = VerificationReport(True)
         n = self.dim
-        basis = [self.basis_vec(i) for i in range(n)]
+        table = self.table
         for i in range(n):
+            row_i = table[i]
             for j in range(n):
-                ij = self.multiply(basis[i], basis[j])
+                ij = row_i[j]
+                row_j = table[j]
                 for k in range(n):
-                    lhs = self.multiply(ij, basis[k])
-                    rhs = self.multiply(basis[i], self.multiply(basis[j], basis[k]))
-                    if lhs != rhs:
+                    # (x_i x_j) x_k against x_i (x_j x_k)
+                    lhs = {}
+                    for m, c in ij.items():
+                        for r, d in table[m][k].items():
+                            _add_into(lhs, r, c * d)
+                    rhs = {}
+                    for m, c in row_j[k].items():
+                        for r, d in row_i[m].items():
+                            _add_into(rhs, r, c * d)
+                    if _clean(lhs) != _clean(rhs):
                         report.record(False, ("associativity", i, j, k))
+        unit = _clean(dict(enumerate(self.unit)))
         for i in range(n):
-            if self.multiply(self.unit, basis[i]) != basis[i]:
+            left = {}
+            right = {}
+            for m, u in unit.items():
+                for r, d in table[m][i].items():
+                    _add_into(left, r, u * d)
+                for r, d in table[i][m].items():
+                    _add_into(right, r, u * d)
+            basis = {i: self.field.one}
+            if _clean(left) != basis:
                 report.record(False, ("left-unit", i))
-            if self.multiply(basis[i], self.unit) != basis[i]:
+            if _clean(right) != basis:
                 report.record(False, ("right-unit", i))
         return report
 
@@ -247,8 +230,18 @@ def _combine(field, vectors, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# tensor squares
+# sparse vectors and tensor squares
 # ---------------------------------------------------------------------------
+
+
+def _clean(d):
+    """A sparse vector {index: scalar} without its stored zeros."""
+    return {k: v for k, v in d.items() if bool(v)}
+
+
+def _add_into(out, idx, val):
+    cur = out.get(idx)
+    out[idx] = val if cur is None else cur + val
 
 
 class TensorSquareAlgebra:
@@ -265,34 +258,41 @@ class TensorSquareAlgebra:
     def from_dict(self, d):
         out = [self.field.zero] * self.dim
         for idx, c in d.items():
-            out[idx] = out[idx] + c
+            out[idx] = c
         return out
 
     def to_dict(self, v):
         zero = self.field.zero
         return {i: c for i, c in enumerate(v) if c != zero}
 
-    def mult(self, u, v):
-        ud = self.to_dict(u) if not isinstance(u, dict) else u
-        vd = self.to_dict(v) if not isinstance(v, dict) else v
+    def mult_sparse(self, u, v):
+        """Product of two sparse elements {flat index: scalar}, as a sparse
+        element without zeros."""
         n = self.n
         table = self.base.table
         out = {}
-        for fu, a in ud.items():
+        for fu, a in u.items():
             i, j = divmod(fu, n)
-            for fv, b in vd.items():
+            row_i, row_j = table[i], table[j]
+            for fv, b in v.items():
                 k, l = divmod(fv, n)
                 ab = a * b
-                for r, c1 in table[i][k].items():
-                    for s, c2 in table[j][l].items():
-                        idx = r * n + s
+                right = row_j[l]
+                for r, c1 in row_i[k].items():
+                    abc = ab * c1
+                    base = r * n
+                    for s, c2 in right.items():
+                        idx = base + s
                         cur = out.get(idx)
-                        val = ab * c1 * c2
+                        val = abc * c2
                         out[idx] = val if cur is None else cur + val
-        zero = self.field.zero
-        return self.from_dict({k: c for k, c in out.items() if c != zero})
+        return _clean(out)
 
-    multiply = mult
+    def mult(self, u, v):
+        """Product of flat vectors or sparse elements, as a flat vector."""
+        ud = u if isinstance(u, dict) else self.to_dict(u)
+        vd = v if isinstance(v, dict) else self.to_dict(v)
+        return self.from_dict(self.mult_sparse(ud, vd))
 
     def switch(self, v):
         n = self.n
@@ -478,8 +478,3 @@ def hit_form_left(algebra, a, form):
     return [algebra.apply_form(form, algebra.multiply(algebra.basis_vec(i), a))
             for i in range(algebra.dim)]
 
-
-def hit_form_right(algebra, form, a):
-    """form <- a, the form b |-> <form, a b>."""
-    return [algebra.apply_form(form, algebra.multiply(a, algebra.basis_vec(i)))
-            for i in range(algebra.dim)]

@@ -45,9 +45,6 @@ def main(argv=None):
     pa.add_argument("--format", dest="fmt", choices=("text", "json"),
                     default="text")
     pa.add_argument("--out", default=None)
-    pa.add_argument("--no-parallel", action="store_true",
-                    help="accepted for compatibility; execution is always "
-                         "sequential and deterministic")
 
     pb = sub.add_parser("build", help="emit canonical JSON for a constructor")
     pb.add_argument("--group", default=None,
@@ -200,8 +197,8 @@ def _analyze_hopf(H, R, args, sections):
         if not ok:
             code = max(code, 1)
     if args.check in ("class-equation", "all"):
-        RR = hopf_mod.representation_ring(H, data, I)
-        ce = hopf_mod.class_equation_check(H, data, I, RR, prime=args.prime)
+        RR = hopf_mod.representation_ring(H, data, I, prime=args.prime)
+        ce = hopf_mod.class_equation_check(H, data, I, RR)
         sections.append(Section(
             "class equation",
             "pass" if ce.holds else "fail",
@@ -230,9 +227,9 @@ def _analyze_hopf(H, R, args, sections):
                 code = max(code, 1)
             else:
                 if RR is None:
-                    RR = hopf_mod.representation_ring(H, data, I)
-                sch = hopf_mod.schneider_check(H, Q, data, RR, I,
-                                               prime=args.prime)
+                    RR = hopf_mod.representation_ring(H, data, I,
+                                                      prime=args.prime)
+                sch = hopf_mod.schneider_check(H, Q, data, RR, I)
                 sections.append(Section(
                     "schneider divisibility",
                     "pass" if sch.holds else "fail",

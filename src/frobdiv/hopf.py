@@ -10,8 +10,8 @@ Delta(x_j).
 from __future__ import annotations
 
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
-                      VerificationReport, frobenius_structure,
-                      regular_character_form)
+                      VerificationReport, _add_into, _clean,
+                      frobenius_structure, tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis, relative_divisibility,
                           scalar_certificate)
@@ -80,26 +80,19 @@ class HopfAlgebraData:
         return f"HopfAlgebraData({self.name or 'H'}, dim={self.dim})"
 
 
-def _clean(d):
-    return {k: v for k, v in d.items() if bool(v)}
-
-
-def _add_into(out, idx, val):
-    cur = out.get(idx)
-    out[idx] = val if cur is None else cur + val
-
-
 # ---------------------------------------------------------------------------
 # axiom verification
 # ---------------------------------------------------------------------------
 
 
 def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
-    """All bialgebra and Hopf axioms, plus the involutory condition."""
+    """All bialgebra and Hopf axioms, plus the involutory condition, checked
+    on the sparse structure constants, comultiplication and antipode."""
     report = H.algebra.verify()
     A = H.algebra
     field = H.field
     n = H.dim
+    table = A.table
     T = TensorSquareAlgebra(A)
 
     # coassociativity and counit axioms, per basis element
@@ -127,37 +120,54 @@ def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
         report.record(eps_id == basis, ("counit-left", j))
         report.record(id_eps == basis, ("counit-right", j))
 
-    # Delta and counit are algebra maps
-    report.record(_clean(H.delta_of(A.unit))
-                  == _clean(T.to_dict(T.unit)), ("delta-unit",))
+    # Delta and counit are algebra maps: compare Delta(x_i x_j), summed over
+    # table[i][j], with Delta(x_i) Delta(x_j) in A (x) A
+    report.record(H.delta_of(A.unit) == tensor_dict(field, A.unit, A.unit),
+                  ("delta-unit",))
     report.record(H.counit_of(A.unit) == field.one, ("counit-unit",))
     for i in range(n):
         di = H.delta[i]
         for j in range(n):
-            prod = A.multiply(A.basis_vec(i), A.basis_vec(j))
-            lhs = H.delta_of(prod)
-            rhs = T.to_dict(T.mult(di, H.delta[j]))
-            report.record(lhs == rhs, ("delta-multiplicative", i, j))
-            eps_prod = H.counit_of(prod)
+            lhs = {}
+            eps_prod = field.zero
+            for k, c in table[i][j].items():
+                for idx, d in H.delta[k].items():
+                    _add_into(lhs, idx, c * d)
+                eps_prod = eps_prod + c * H.counit[k]
+            rhs = T.mult_sparse(di, H.delta[j])
+            report.record(_clean(lhs) == rhs, ("delta-multiplicative", i, j))
             report.record(eps_prod == H.counit[i] * H.counit[j],
                           ("counit-multiplicative", i, j))
 
-    # antipode axiom, both sides
+    # antipode axiom, both sides, on the sparse columns S(x_i)
+    scols = [_clean(dict(enumerate(H.antipode.column(i)))) for i in range(n)]
+    unit = _clean(dict(enumerate(A.unit)))
     for j in range(n):
-        left = A.zero_vec()
-        right = A.zero_vec()
+        left = {}
+        right = {}
         for idx, c in H.delta[j].items():
             i, k = divmod(idx, n)
-            t = A.multiply(H.antipode.column(i), A.basis_vec(k))
-            left = [x + c * y for x, y in zip(left, t)]
-            t = A.multiply(A.basis_vec(i), H.antipode.column(k))
-            right = [x + c * y for x, y in zip(right, t)]
-        target = [H.counit[j] * u for u in A.unit]
-        report.record(left == target, ("antipode-left", j))
-        report.record(right == target, ("antipode-right", j))
+            for r, s in scols[i].items():
+                cs = c * s
+                for t, d in table[r][k].items():
+                    _add_into(left, t, cs * d)
+            for r, s in scols[k].items():
+                cs = c * s
+                for t, d in table[i][r].items():
+                    _add_into(right, t, cs * d)
+        target = _clean({t: H.counit[j] * u for t, u in unit.items()})
+        report.record(_clean(left) == target, ("antipode-left", j))
+        report.record(_clean(right) == target, ("antipode-right", j))
 
-    s2 = H.antipode * H.antipode
-    report.record(s2 == Matrix.identity(field, n), ("involutory",))
+    # S(S(x_j)) = x_j for every j
+    involutory = True
+    for j in range(n):
+        s2 = {}
+        for r, s in scols[j].items():
+            for t, d in scols[r].items():
+                _add_into(s2, t, s * d)
+        involutory = involutory and _clean(s2) == {j: field.one}
+    report.record(involutory, ("involutory",))
     return report
 
 
@@ -454,19 +464,25 @@ class RepresentationRing:
     ``ring`` is the StructureConstantAlgebra with the fusion constants,
     ``delta_form`` is the form [V] -> dim V^H, ``chi_matrix`` embeds the
     ring into H* (columns are character vectors), ``dual_index[s]`` is the
-    index of S* with chi_{S*} = chi_S o antipode.
+    index of S* with chi_{S*} = chi_S o antipode.  ``frobenius`` is the
+    ring's Frobenius structure for ``delta_form`` and ``wedderburn`` its
+    split, shared by the class-equation and Schneider checks.
     """
 
-    def __init__(self, ring, fusion, delta_form, chi_matrix, dual_index):
+    def __init__(self, ring, fusion, delta_form, chi_matrix, dual_index,
+                 frobenius, wedderburn):
         self.ring = ring
         self.fusion = fusion
         self.delta_form = delta_form
         self.chi_matrix = chi_matrix
         self.dual_index = dual_index
+        self.frobenius = frobenius
+        self.wedderburn = wedderburn
 
 
 def representation_ring(H: HopfAlgebraData, W: WedderburnData,
-                        I: IntegralData) -> RepresentationRing:
+                        I: IntegralData, prime=None,
+                        seed=0) -> RepresentationRing:
     field = H.field
     n = H.dim
     r = W.num_blocks
@@ -543,8 +559,11 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
         if len(match) != 1:
             raise HopfError(f"chi_{s} o S is not an irreducible character")
         dual_index.append(match[0])
+    frob_R = frobenius_structure(ring, delta_form)
+    data_R = central_primitive_idempotents(ring, frob_R, prime=prime,
+                                           seed=seed)
     return RepresentationRing(ring, fusion, delta_form, chi_matrix,
-                              dual_index)
+                              dual_index, frob_R, data_R)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +581,11 @@ class HopfDivisibilityReport:
 def frobenius_divisibility_hopf(H: HopfAlgebraData, data=None, I=None,
                                 prime=None, seed=0):
     """Full pipeline: integrals, Hopf Casimir (with all cross-checks),
-    Wedderburn data, then the divisibility verdict for lambda."""
+    Wedderburn data, then the divisibility verdict for lambda.
+
+    H must already have passed ``verify_hopf``; like the other checkers,
+    this does not check the axioms again."""
     from .integrality import frobenius_divisibility_verdict
-    report = verify_hopf(H)
-    if not report.passed:
-        raise HopfError(f"Hopf axioms fail: {report.failures[:3]}")
     if I is None:
         I = integrals(H)
     hopf_casimir(H, I)
@@ -645,16 +664,11 @@ def class_equation_check(H: HopfAlgebraData, W: WedderburnData,
     the representation ring; cross-checked through relative_divisibility
     along the character map, with Frobenius forms delta and Lambda0."""
     if RR is None:
-        RR = representation_ring(H, W, I)
-    field = H.field
-    ring = RR.ring
-    frob_R = frobenius_structure(ring, RR.delta_form)
-    data_R = central_primitive_idempotents(ring, frob_R, prime=prime,
-                                           seed=seed)
+        RR = representation_ring(H, W, I, prime=prime, seed=seed)
     dual = dual_algebra(H)
     frob_dual = frobenius_structure(dual, I.Lambda0)
-    rep = relative_divisibility(ring, frob_R, data_R, dual, frob_dual,
-                                RR.chi_matrix)
+    rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, dual,
+                                frob_dual, RR.chi_matrix)
     integral = [c.integral for c in rep.certificates]
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
@@ -694,11 +708,10 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
         for r in range(n):
             if bool(col[r]):
                 _add_into(Rinv, r * n + j, c * col[r])
-    Rinv = _clean(Rinv)
-    prod = T.to_dict(T.mult(Rd, Rinv))
+    prod = T.mult_sparse(Rd, Rinv)
     unit_d = T.to_dict(T.unit)
     report.record(prod == unit_d, ("R-invertible-right",))
-    prod = T.to_dict(T.mult(Rinv, Rd))
+    prod = T.mult_sparse(Rinv, Rd)
     report.record(prod == unit_d, ("R-invertible-left",))
 
     # (eps (x) Id)(R) = 1 = (Id (x) eps)(R)
@@ -747,8 +760,8 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
         for idx, c in H.delta[j].items():
             a, b2 = divmod(idx, n)
             _add_into(tau_d, b2 * n + a, c)
-        lhs = T.to_dict(T.mult(_clean(tau_d), Rd))
-        rhs = T.to_dict(T.mult(Rd, H.delta[j]))
+        lhs = T.mult_sparse(tau_d, Rd)
+        rhs = T.mult_sparse(Rd, H.delta[j])
         report.record(lhs == rhs, ("intertwining", j))
 
     b = T.mult(T.switch(T.from_dict(Rd)), T.from_dict(Rd))
@@ -824,7 +837,7 @@ class SchneiderReport:
 
 def schneider_check(H: HopfAlgebraData, Q: QuasitriangularData,
                     W: WedderburnData, RR: RepresentationRing,
-                    I: IntegralData, prime=None, seed=0):
+                    I: IntegralData):
     """For a factorizable H: Psi = Phi o chi embeds R_k(H) into Z(H),
     Phi(lambda) = Lambda0, and dim Ind of each irreducible of R equals
     d(S)^2, whence (dim S)^2 | dim H."""
@@ -860,11 +873,9 @@ def schneider_check(H: HopfAlgebraData, Q: QuasitriangularData,
     checks["phi-lambda-is-Lambda0"] = (Q.phi_matrix.apply(lam)
                                        == list(I.Lambda0))
 
-    frob_R = frobenius_structure(RR.ring, RR.delta_form)
-    data_R = central_primitive_idempotents(RR.ring, frob_R, prime=prime,
-                                           seed=seed)
     frob_H = frobenius_structure(A, lam)
-    rep = relative_divisibility(RR.ring, frob_R, data_R, A, frob_H, psi)
+    rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, A,
+                                frob_H, psi)
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
     squares = sorted(d * d for d in W.degrees)

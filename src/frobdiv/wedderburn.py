@@ -289,9 +289,6 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None, seed=0,
                           characters, certified, p, prec)
 
 
-wedderburn_data = central_primitive_idempotents
-
-
 def irreducible_characters(algebra, data: WedderburnData | None = None,
                            **kwargs):
     """Characters in canonical order; verifies chi_S(1) = d(S) and

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,8 @@ from frobdiv.scalars import rat
 from frobdiv.serialize import algebra_to_json, canonical_dumps
 
 from conftest import delta_form, group_algebra_plain
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def build(tmp_path, *args, name="in.json"):
@@ -107,6 +113,23 @@ def test_corrupted_input_exit_2(tmp_path, capsys):
     inp2 = tmp_path / "bad2.json"
     inp2.write_text(canonical_dumps(doc))
     assert main(["analyze", str(inp2)]) == 2
+
+
+def test_corrupted_hopf_input_exit_2(tmp_path):
+    inp = build(tmp_path, "--group", "S3")
+    doc = json.loads(inp.read_text())
+    # Delta(x_1) = x_1 (x) x_1 becomes 2 x_1 (x) x_1
+    doc["comultiplication"] = [
+        e if e[1] != 1 else [e[0], 1, "2"] for e in doc["comultiplication"]]
+    bad = tmp_path / "bad_hopf.json"
+    bad.write_text(canonical_dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "analyze",
+                           str(bad)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Hopf axioms fail" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_file_exit_2(tmp_path, capsys):
