@@ -161,7 +161,14 @@ def _check_fd_plain(algebra, lam, args, sections):
 def _analyze_hopf(H, R, args, sections):
     code = 0
     I = hopf_mod.integrals(H)
-    pipe = hopf_mod.frobenius_divisibility_hopf(H, I=I, prime=args.prime)
+    try:
+        pipe = hopf_mod.frobenius_divisibility_hopf(H, I=I, prime=args.prime)
+    except InapplicableHypothesis as err:
+        # every check below reads the split Wedderburn data
+        sections.append(Section("frobenius divisibility (FD)",
+                                 "inapplicable",
+                                 [("dim", str(H.dim)), ("reason", str(err))]))
+        return None, 1
     data = pipe.data
     if args.check in ("fd", "all"):
         verdict = pipe.verdict
@@ -179,7 +186,7 @@ def _analyze_hopf(H, R, args, sections):
             code = 1
     RR = None
     if args.check in ("zhu", "all"):
-        entries = hopf_mod.zhu_check(H, data, I)
+        entries = hopf_mod.zhu_check(H, data, I, pipe.dual)
         ok = all(e.divides for e in entries if e.central) and \
             all(e.identity_ok for e in entries if e.central)
         items = []
@@ -198,7 +205,7 @@ def _analyze_hopf(H, R, args, sections):
             code = max(code, 1)
     if args.check in ("class-equation", "all"):
         RR = hopf_mod.representation_ring(H, data, I, prime=args.prime)
-        ce = hopf_mod.class_equation_check(H, data, I, RR)
+        ce = hopf_mod.class_equation_check(H, data, I, RR, dual=pipe.dual)
         sections.append(Section(
             "class equation",
             "pass" if ce.holds else "fail",
@@ -229,7 +236,8 @@ def _analyze_hopf(H, R, args, sections):
                 if RR is None:
                     RR = hopf_mod.representation_ring(H, data, I,
                                                       prime=args.prime)
-                sch = hopf_mod.schneider_check(H, Q, data, RR, I)
+                sch = hopf_mod.schneider_check(H, Q, data, RR, I,
+                                               pipe.frobenius)
                 sections.append(Section(
                     "schneider divisibility",
                     "pass" if sch.holds else "fail",

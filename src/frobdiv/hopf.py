@@ -249,10 +249,13 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
 # ---------------------------------------------------------------------------
 
 
-def hopf_casimir(H: HopfAlgebraData, I: IntegralData):
+def hopf_casimir(H: HopfAlgebraData, I: IntegralData, frob=None, dual=None):
     """The Casimir element of (H, lambda) from the integral, in all four
     antipode placements, cross-checked against the dual-basis construction;
-    also asserts Gamma^lambda(1) = dim 1 and Gamma^Lambda(eps) = eps."""
+    also asserts Gamma^lambda(1) = dim 1 and Gamma^Lambda(eps) = eps.
+
+    ``frob`` is the Frobenius structure of (H, lambda) and ``dual`` the
+    dual algebra H*; each is built here when not given."""
     A = H.algebra
     field = H.field
     n = H.dim
@@ -284,14 +287,16 @@ def hopf_casimir(H: HopfAlgebraData, I: IntegralData):
     if not (c1 == c2 == c3 == c4):
         raise HopfError("four Casimir expressions disagree")
 
-    frob = frobenius_structure(A, I.lam)
+    if frob is None:
+        frob = frobenius_structure(A, I.lam)
     if frob.casimir != c1:
         raise HopfError("integral Casimir differs from the dual-basis one")
     dim_scalar = field.from_rat(Rat(n))
     if frob.gamma_one() != [dim_scalar * u for u in A.unit]:
         raise HopfError("Gamma^lambda(1) != dim H")
 
-    dual = dual_algebra(H)
+    if dual is None:
+        dual = dual_algebra(H)
     dual_frob = frobenius_structure(dual, I.Lambda)
     if dual_frob.gamma_one() != dual.unit:
         raise HopfError("Gamma^Lambda(eps) != 1")
@@ -488,7 +493,7 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
     r = W.num_blocks
     chars = W.characters
 
-    basis_rows = Matrix(field, [list(chi) for chi in chars])
+    chi_matrix = Matrix.from_columns(field, [list(chi) for chi in chars])
 
     def convolve(f, g):
         out = [field.zero] * n
@@ -501,26 +506,25 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
 
     fusion = [[None] * r for _ in range(r)]
     table = [[{} for _ in range(r)] for _ in range(r)]
-    mat = basis_rows.transpose()
-    for s in range(r):
-        for t in range(r):
-            prod = convolve(chars[s], chars[t])
-            coeffs = mat.solve(prod)
-            if coeffs is None:
-                raise NonIntegralFusion("character product leaves the "
-                                        "character span")
-            ints = []
-            for c in coeffs:
-                if not field.is_rational(c):
-                    raise NonIntegralFusion("non-rational fusion constant")
-                q = field.as_rat(c)
-                if q.denominator != 1 or q < 0:
-                    raise NonIntegralFusion(f"fusion constant {q} at "
-                                            f"({s},{t})")
-                ints.append(int(q))
-            fusion[s][t] = ints
-            table[s][t] = {u: field.from_rat(Rat(c))
-                           for u, c in enumerate(ints) if c}
+    pairs = [(s, t) for s in range(r) for t in range(r)]
+    solved = chi_matrix.solve_many(convolve(chars[s], chars[t])
+                                   for s, t in pairs)
+    for (s, t), coeffs in zip(pairs, solved):
+        if coeffs is None:
+            raise NonIntegralFusion("character product leaves the "
+                                    "character span")
+        ints = []
+        for c in coeffs:
+            if not field.is_rational(c):
+                raise NonIntegralFusion("non-rational fusion constant")
+            q = field.as_rat(c)
+            if q.denominator != 1 or q < 0:
+                raise NonIntegralFusion(f"fusion constant {q} at "
+                                        f"({s},{t})")
+            ints.append(int(q))
+        fusion[s][t] = ints
+        table[s][t] = {u: field.from_rat(Rat(c))
+                       for u, c in enumerate(ints) if c}
 
     # unit of the ring: the trivial character (fusion row acts as identity)
     unit = None
@@ -550,8 +554,6 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
         raise NonIntegralFusion("delta form does not pick out the trivial "
                                 "character")
 
-    chi_matrix = Matrix.from_columns(field, [list(chi) for chi in chars])
-
     dual_index = []
     for s in range(r):
         twisted = H.antipode.transpose().apply(chars[s])
@@ -572,10 +574,16 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
 
 
 class HopfDivisibilityReport:
-    def __init__(self, data, integral_data, verdict):
+    """The pipeline's verdict with the artefacts the other checks reuse:
+    the Wedderburn data, the integrals, the Frobenius structure of
+    (H, lambda) and the dual algebra H*."""
+
+    def __init__(self, data, integral_data, verdict, frobenius, dual):
         self.data = data
         self.integral_data = integral_data
         self.verdict = verdict
+        self.frobenius = frobenius
+        self.dual = dual
 
 
 def frobenius_divisibility_hopf(H: HopfAlgebraData, data=None, I=None,
@@ -588,13 +596,14 @@ def frobenius_divisibility_hopf(H: HopfAlgebraData, data=None, I=None,
     from .integrality import frobenius_divisibility_verdict
     if I is None:
         I = integrals(H)
-    hopf_casimir(H, I)
     frob = frobenius_structure(H.algebra, I.lam)
+    dual = dual_algebra(H)
+    hopf_casimir(H, I, frob, dual)
     if data is None:
         data = central_primitive_idempotents(H.algebra, frob, prime=prime,
                                              seed=seed)
     verdict = frobenius_divisibility_verdict(H.algebra, frob, data)
-    return HopfDivisibilityReport(data, I, verdict)
+    return HopfDivisibilityReport(data, I, verdict, frob, dual)
 
 
 class ZhuEntry:
@@ -609,14 +618,14 @@ class ZhuEntry:
 
 
 def zhu_check(H: HopfAlgebraData, W: WedderburnData, I: IntegralData,
-              RR: RepresentationRing | None = None):
+              dual=None):
     """Per-irreducible check: when chi_S is central in H*, the element
     Lambda <- chi_{S*} equals e(S) dim H / d(S), has integral coefficients,
-    and d(S) | dim H follows."""
-    A = H.algebra
+    and d(S) | dim H follows.  ``dual`` is H*, built when not given."""
     field = H.field
     n = H.dim
-    dual = dual_algebra(H)
+    if dual is None:
+        dual = dual_algebra(H)
     dL = H.delta_of(I.Lambda)
     st = H.antipode.transpose()
     out = []
@@ -659,13 +668,15 @@ class ClassEquationReport:
 def class_equation_check(H: HopfAlgebraData, W: WedderburnData,
                          I: IntegralData,
                          RR: RepresentationRing | None = None,
-                         prime=None, seed=0):
+                         prime=None, seed=0, dual=None):
     """dim Ind from R_k(H) to H* divides dim H, for every irreducible of
     the representation ring; cross-checked through relative_divisibility
-    along the character map, with Frobenius forms delta and Lambda0."""
+    along the character map, with Frobenius forms delta and Lambda0.
+    ``RR`` and the dual algebra ``dual`` are built when not given."""
     if RR is None:
         RR = representation_ring(H, W, I, prime=prime, seed=seed)
-    dual = dual_algebra(H)
+    if dual is None:
+        dual = dual_algebra(H)
     frob_dual = frobenius_structure(dual, I.Lambda0)
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, dual,
                                 frob_dual, RR.chi_matrix)
@@ -837,10 +848,11 @@ class SchneiderReport:
 
 def schneider_check(H: HopfAlgebraData, Q: QuasitriangularData,
                     W: WedderburnData, RR: RepresentationRing,
-                    I: IntegralData):
+                    I: IntegralData, frob=None):
     """For a factorizable H: Psi = Phi o chi embeds R_k(H) into Z(H),
     Phi(lambda) = Lambda0, and dim Ind of each irreducible of R equals
-    d(S)^2, whence (dim S)^2 | dim H."""
+    d(S)^2, whence (dim S)^2 | dim H.  ``frob`` is the Frobenius structure
+    of (H, lambda), built when not given."""
     A = H.algebra
     field = H.field
     n = H.dim
@@ -873,9 +885,10 @@ def schneider_check(H: HopfAlgebraData, Q: QuasitriangularData,
     checks["phi-lambda-is-Lambda0"] = (Q.phi_matrix.apply(lam)
                                        == list(I.Lambda0))
 
-    frob_H = frobenius_structure(A, lam)
+    if frob is None:
+        frob = frobenius_structure(A, lam)
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, A,
-                                frob_H, psi)
+                                frob, psi)
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
     squares = sorted(d * d for d in W.degrees)

@@ -111,8 +111,9 @@ class Matrix:
         return all(a == z for row in self.entries for a in row)
 
     # -- elimination ------------------------------------------------------
-    def rref(self):
-        """Reduced row echelon form with leading-one pivots.
+    def rref(self, pivot_cols=None):
+        """Reduced row echelon form with leading-one pivots, pivoting only
+        in the first ``pivot_cols`` columns (all by default).
 
         Returns (reduced matrix, pivot column list).
         """
@@ -120,7 +121,7 @@ class Matrix:
         m = [list(row) for row in self.entries]
         pivots = []
         r = 0
-        for c in range(self.cols):
+        for c in range(self.cols if pivot_cols is None else pivot_cols):
             pr = None
             for i in range(r, self.rows):
                 if m[i][c] != zero:
@@ -161,15 +162,33 @@ class Matrix:
 
     def solve(self, rhs):
         """Solve self * x = rhs (rhs a vector); None if inconsistent."""
-        zero = self.field.zero
-        aug = Matrix(self.field, [row + [b] for row, b in zip(self.entries, rhs)])
-        red, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return x
+        return next(self.solve_many([rhs]))
+
+    def solve_many(self, rhss):
+        """Yield the solution of self * x = b for each vector b of the
+        iterable ``rhss`` in turn, None for an inconsistent b.
+
+        The matrix is eliminated once, as [self | I]; the pivot rows of the
+        recorded row operations T give x from T b, and x solves the system
+        exactly when self * x = b."""
+        zero, one = self.field.zero, self.field.one
+        n, m = self.cols, self.rows
+        aug = Matrix(self.field, [row + [one if i == j else zero
+                                         for j in range(m)]
+                                  for i, row in enumerate(self.entries)])
+        red, pivots = aug.rref(pivot_cols=n)
+        ops = [row[n:] for row in red.entries[:len(pivots)]]
+        for b in rhss:
+            b = list(b)
+            nz = [(i, v) for i, v in enumerate(b) if v != zero]
+            x = [zero] * n
+            for row, pc in zip(ops, pivots):
+                s = zero
+                for i, v in nz:
+                    if row[i] != zero:
+                        s = s + row[i] * v
+                x[pc] = s
+            yield x if self.apply(x) == b else None
 
     def inverse(self):
         if self.rows != self.cols:

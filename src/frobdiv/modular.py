@@ -151,16 +151,19 @@ def reduce_scalar(field, x, root: int, M: int) -> int:
 
 
 class ComponentAlgebra:
-    """Reduction of a structure-constant algebra to Z/M at one root."""
+    """Reduction of a structure-constant algebra to Z/M at one root.
+
+    The table is read only: its zero products share one empty dict."""
 
     def __init__(self, algebra, root: int, M: int):
         self.M = M
         self.dim = algebra.dim
         self.root = root
+        no_terms = {}
         self.table = [[{k: reduce_scalar(algebra.field, c, root, M)
-                        for k, c in algebra.table[i][j].items()}
-                       for j in range(algebra.dim)]
-                      for i in range(algebra.dim)]
+                        for k, c in cell.items()} if cell else no_terms
+                       for cell in row]
+                      for row in algebra.table]
         self.unit = [reduce_scalar(algebra.field, c, root, M)
                      for c in algebra.unit]
 
@@ -406,33 +409,14 @@ def _int_comb(basis, coords, p):
 
 def _commutative_idempotents(cmult, unit_coords, r, p, rng):
     """Primitive idempotents of a commutative (semisimple) F_p-algebra given
-    by a multiplication callback on coordinate vectors."""
-    gf = PrimeField(p)
-    idems = [unit_coords]
+    by a multiplication callback on coordinate vectors.
 
-    def try_split(e, direction):
-        z = cmult(direction, e)
-        # minimal polynomial of z inside the ideal generated by e
-        mat = _mult_matrix(cmult, z, r, gf)
-        seed_vec = [gf.from_int(x) for x in e]
-        rel = _krylov_relation(mat, seed_vec)
-        if rel.degree() <= 1:
-            return None
-        if rel.gcd(rel.derivative()).degree() > 0:
-            raise BadPrime("center not semisimple mod p")
-        factors = factor_mod_p(rel, p, rng)
-        if len(factors) <= 1:
-            return None
-        pieces = []
-        for fi in factors:
-            cof = rel.divmod(fi)[0]
-            # invert cofactor mod fi
-            inv = _poly_inverse_mod(cof, fi)
-            h = (cof * inv) % rel
-            piece = _poly_eval_in_algebra(cmult, h, z, e, p)
-            pieces.append(piece)
-        return pieces
-
+    Each round tries every piece against the basis directions (three
+    random ones after r rounds) and replaces a piece that splits by its
+    parts.  A piece e whose ideal e Z is 1-dimensional cannot split: it is
+    marked final when it appears and never tried again.  The other pieces
+    stay in the loop until a round splits none of them."""
+    pieces = [(unit_coords, r == 1)]
     changed = True
     rounds = 0
     while changed and rounds < r + 25:
@@ -442,19 +426,50 @@ def _commutative_idempotents(cmult, unit_coords, r, p, rng):
         if rounds > r:
             directions = [[rng.randrange(p) for _ in range(r)] for _ in range(3)]
         new = []
-        for e in idems:
+        for e, final in pieces:
             split = None
-            for d in directions:
-                split = try_split(e, d)
-                if split:
-                    break
+            if not final:
+                for d in directions:
+                    split = _try_split(cmult, e, d, r, p, rng)
+                    if split:
+                        break
             if split:
-                new.extend(split)
+                new.extend((piece, _ideal_dim(cmult, piece, r, p) == 1)
+                           for piece in split)
                 changed = True
             else:
-                new.append(e)
-        idems = new
-    return idems
+                new.append((e, final))
+        pieces = new
+    return [e for e, _ in pieces]
+
+
+def _ideal_dim(cmult, e, r, p):
+    """dim e Z for an idempotent e: the trace of multiplication by e, a
+    projection of Z (exact as an integer, since r < p)."""
+    return sum(cmult(e, _basis_coord(j, r))[j] for j in range(r)) % p
+
+
+def _try_split(cmult, e, direction, r, p, rng):
+    """The pieces of the ideal e Z cut out by the factors of the minimal
+    polynomial of z = direction * e there; None if it has one factor."""
+    gf = PrimeField(p)
+    z = cmult(direction, e)
+    mat = _mult_matrix(cmult, z, r, gf)
+    rel = _krylov_relation(mat, [gf.from_int(x) for x in e])
+    if rel.degree() <= 1:
+        return None
+    if rel.gcd(rel.derivative()).degree() > 0:
+        raise BadPrime("center not semisimple mod p")
+    factors = factor_mod_p(rel, p, rng)
+    if len(factors) <= 1:
+        return None
+    pieces = []
+    for fi in factors:
+        cof = rel.divmod(fi)[0]
+        # h = 1 mod fi and 0 mod the other factors, so h(z) projects onto fi
+        h = (cof * _poly_inverse_mod(cof, fi)) % rel
+        pieces.append(_poly_eval_in_algebra(cmult, h, z, e, p))
+    return pieces
 
 
 def _basis_coord(i, r):

@@ -3,9 +3,14 @@
 The algebra is split mod a good prime in every CRT component of the
 cyclotomic base field, the central primitive idempotents are Hensel-lifted
 to increasing p-power precision, glued across components by interpolation,
-rationally reconstructed, and finally verified by exact arithmetic.  The
-exact verification step is the correctness filter: wrong gluings either
-fail reconstruction or fail the idempotent equations.
+rationally reconstructed, and finally verified by exact arithmetic.
+
+A wrong gluing either fails reconstruction or reconstructs to small
+rationals that are not an idempotent.  Such a candidate is first reduced
+modulo a second good prime q != p at every root of the cyclotomic
+polynomial and rejected there if e e != e; the reduction is a ring map, so
+a true idempotent always passes.  Only candidates that pass reach the
+exact, dense check, which stays the correctness filter.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .scalars import PrimeField, Rat
 
 MAX_PRECISION_EXP = 64
 FALLBACK_PRIMES = 3
+# The idempotent filter's prime lies above this bound, so that it rarely
+# divides a denominator of a spurious reconstruction (those are small).
+CHECK_PRIME_LOWER = 1 << 20
 
 
 class SplitUncertified(Exception):
@@ -73,6 +81,28 @@ def _verify_idempotent(algebra, e):
     if algebra.multiply(e, e) != e:
         return False
     return algebra.is_central(e)
+
+
+def _check_components(algebra, p):
+    """The algebra mod a second good prime q != p, one reduction per root
+    of the cyclotomic polynomial mod q."""
+    q = next(q for q in good_primes(algebra, lower=CHECK_PRIME_LOWER)
+             if q != p)
+    roots, _ = _component_roots(algebra.field.conductor, q, 1)
+    return [ComponentAlgebra(algebra, w, q) for w in roots]
+
+
+def _idempotent_mod_q(algebra, e, check_comps):
+    """False when e e != e in some reduction mod q, which proves e is not
+    an idempotent.  A denominator divisible by q proves nothing: True."""
+    for comp in check_comps:
+        try:
+            v = comp.reduce_vector(algebra, e)
+        except BadPrime:
+            return True
+        if comp.multiply(v, v) != v:
+            return False
+    return True
 
 
 def _raw_idempotents(algebra, prime=None, seed=0,
@@ -143,12 +173,13 @@ def _idempotents_at_prime(algebra, p, seed, max_precision_exp):
     blocks = []
     precision_used = 1
     level_cache = {}
+    check_comps = _check_components(algebra, p)
     for b0 in per_comp_blocks[0]:
         found = None
         for choice in _gluings(per_comp_blocks, b0, used, invariant):
             res = _lift_and_reconstruct(
                 algebra, p, [b.central_idempotent for b in choice],
-                max_precision_exp, level_cache)
+                max_precision_exp, level_cache, check_comps)
             if res is not None:
                 found = (choice,) + res
                 break
@@ -186,14 +217,13 @@ def _gluings(per_comp_blocks, b0, used, invariant):
 
 
 def _lift_and_reconstruct(algebra, p, comp_idems, max_precision_exp,
-                          level_cache=None):
+                          level_cache, check_comps):
     """Lift one gluing through the precision ladder until a reconstruction
-    passes exact verification.  Spurious low-precision reconstructions are
-    rejected by the verification and lifting continues."""
+    passes exact verification.  Spurious reconstructions (wrong gluings,
+    or too little precision) are rejected mod q or by the exact check, and
+    lifting continues."""
     field = algebra.field
     n = field.conductor
-    if level_cache is None:
-        level_cache = {}
     exp = 1
     current = [list(e) for e in comp_idems]
     while exp <= max_precision_exp:
@@ -207,7 +237,8 @@ def _lift_and_reconstruct(algebra, p, comp_idems, max_precision_exp,
             current = [hensel_lift_idempotent(c, e, M)
                        for c, e in zip(comps, current)]
         out = reconstruct_element(field, current, roots, M, p)
-        if out is not None and _verify_idempotent(algebra, out):
+        if (out is not None and _idempotent_mod_q(algebra, out, check_comps)
+                and _verify_idempotent(algebra, out)):
             return out, exp
         exp *= 2
     return None
@@ -259,14 +290,19 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None, seed=0,
     degrees = [b.degree for b in blocks]
     center_dims = [b.center_dim for b in blocks]
     block_dims = []
-    for e in idems:
-        cols = [algebra.multiply(algebra.basis_vec(j), e)
-                for j in range(algebra.dim)]
-        block_dims.append(EchelonSubspace(field, cols).dim)
-    for bd, b in zip(block_dims, blocks):
-        if bd != b.block_dim:
+    certified = []
+    for e, b in zip(idems, blocks):
+        # the block A e: the images x_j e and their span
+        images = [algebra.multiply(algebra.basis_vec(j), e)
+                  for j in range(algebra.dim)]
+        span = EchelonSubspace(field, images)
+        if span.dim != b.block_dim:
             raise PrecisionExceeded("exact block dimension disagrees with "
                                     "the modular one")
+        block_dims.append(span.dim)
+        certified.append(certify and b.center_dim == 1
+                         and certify_split_block(algebra, span, images,
+                                                 b.degree, seed=seed))
     characters = _block_characters(algebra, idems, degrees, center_dims)
 
     order = sorted(range(len(idems)),
@@ -277,13 +313,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None, seed=0,
     center_dims = [center_dims[s] for s in order]
     block_dims = [block_dims[s] for s in order]
     characters = [characters[s] for s in order]
-
-    certified = []
-    for e, d, cd, bd in zip(idems, degrees, center_dims, block_dims):
-        ok = False
-        if certify and cd == 1:
-            ok = certify_split_block(algebra, e, d, seed=seed)
-        certified.append(ok)
+    certified = [certified[s] for s in order]
 
     return WedderburnData(algebra, idems, degrees, block_dims, center_dims,
                           characters, certified, p, prec)
@@ -321,19 +351,23 @@ def _eval_form(field, form, vec):
 # ---------------------------------------------------------------------------
 
 
-def certify_split_block(algebra, e, d, seed=0, tries=12):
-    """Certify that the block A e is a full matrix algebra over the base
-    field by exhibiting an irreducible module of dimension d with
-    d^2 = dim(A e).
+def certify_split_block(algebra, block, images, d, seed=0, tries=12):
+    """Certify that a simple block B = A e is a full matrix algebra over
+    the base field by exhibiting a left ideal of dimension d, where
+    d^2 = dim B.  ``images`` are the products x_j e and ``block`` their
+    span.
 
-    The module is an eigenspace of right multiplication by a block element:
-    such an eigenspace is a left submodule, and in M_d(k) a right-eigenspace
-    for a simple eigenvalue has dimension exactly d.
+    The ideal is an eigenspace of right multiplication by a block element
+    b: ker(R_b - t) is a left ideal for any t.  If B = M_m(D) with
+    dim_k(D) = s^2, then d = m s and every left ideal has a dimension
+    divisible by m s^2 = d s, so one of dimension exactly d forces D = k,
+    whatever the degree of the minimal polynomial of R_b.
+
+    The images x_j e are tried first: for group algebras, duals and
+    doubles their eigenvalues are roots of unity in the base field.  Then
+    the echelon basis, then random combinations.
     """
     field = algebra.field
-    cols = [algebra.multiply(algebra.basis_vec(j), e)
-            for j in range(algebra.dim)]
-    block = EchelonSubspace(field, cols)
     bd = block.dim
     if bd != d * d:
         return False
@@ -341,7 +375,8 @@ def certify_split_block(algebra, e, d, seed=0, tries=12):
         return True
     block_basis = list(block.basis)
     rng = random.Random(seed * 7 + 1)
-    candidates = list(block_basis)
+    candidates = [v for v in images if any(bool(c) for c in v)]
+    candidates.extend(block_basis)
     for _ in range(tries):
         v = algebra.zero_vec()
         for w in block_basis:
@@ -351,8 +386,6 @@ def certify_split_block(algebra, e, d, seed=0, tries=12):
     for b in candidates:
         mat = _restricted_right_mult(algebra, block, block_basis, b)
         minpoly = mat.minimal_polynomial()
-        if minpoly.degree() < d:
-            continue
         for t in field_roots(field, minpoly.coeffs):
             shifted = mat - Matrix.identity(field, bd).scale(t)
             if len(shifted.kernel()) == d:

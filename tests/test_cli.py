@@ -132,6 +132,43 @@ def test_corrupted_hopf_input_exit_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_non_split_hopf_inapplicable_exit_1(tmp_path):
+    # over Q the degree-2 block of kQ8 is the quaternions, not M_2(Q)
+    inp = build(tmp_path, "--group", "Q8", "--conductor", "1")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for check in ("fd", "all"):
+        proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "analyze",
+                               str(inp), "--check", check, "--format",
+                               "json"], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        fd = doc["sections"][-1]
+        assert fd["name"] == "frobenius divisibility (FD)"
+        assert fd["status"] == "inapplicable"
+        assert ["reason", "non-split component present"] in fd["items"]
+
+
+def test_hopf_analysis_builds_each_frobenius_structure_once(tmp_path,
+                                                            monkeypatch):
+    import frobdiv.hopf as hopf_mod
+    built = []
+    original = hopf_mod.frobenius_structure
+
+    def counted(algebra, lam):
+        built.append((algebra.name, tuple(map(str, lam))))
+        return original(algebra, lam)
+
+    monkeypatch.setattr(hopf_mod, "frobenius_structure", counted)
+    inp = build(tmp_path, "--group", "C2", "--as", "double")
+    code = main(["analyze", str(inp), "--check", "all",
+                 "--out", str(tmp_path / "o.txt")])
+    assert code == 0
+    # (H, lambda), (H*, Lambda), (H*, Lambda0) and (R(H), delta)
+    assert len(built) == len(set(built)) == 4
+
+
 def test_missing_file_exit_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 

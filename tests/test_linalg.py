@@ -38,6 +38,22 @@ def test_solve_and_inverse():
     assert s is None
 
 
+def test_solve_many():
+    # rank 2 in Q^3: the third right-hand side leaves the column span
+    m = qmat([[1, 0], [0, 1], [1, 1]])
+    q = lambda *xs: [QQ.from_rat(Rat(x)) for x in xs]
+    rhss = [q(1, 2, 3), q(0, 0, 0), q(1, 1, 1), q(-2, 5, 3)]
+    got = list(m.solve_many(iter(rhss)))
+    assert got == [q(1, 2), q(0, 0), None, q(-2, 5)]
+    assert [m.solve(b) for b in rhss] == got
+    assert list(m.solve_many([])) == []
+    # a singular square system: consistent and inconsistent right sides
+    s = qmat([[1, 2], [2, 4]])
+    x = s.solve(q(3, 6))
+    assert s.apply(x) == q(3, 6)
+    assert s.solve(q(3, 5)) is None
+
+
 def test_det_oracle():
     assert qmat([[2, 1], [1, 1]]).det() == QQ.one
     assert qmat([[1, 2], [2, 4]]).det() == QQ.zero

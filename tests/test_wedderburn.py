@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from frobdiv import (
@@ -5,9 +7,12 @@ from frobdiv import (
     QQ,
     Rat,
     central_primitive_idempotents,
+    drinfeld_double,
     field_roots,
     frobenius_structure,
+    group_algebra,
     irreducible_characters,
+    named_group,
 )
 from frobdiv.wedderburn import (
     casimir_square_components,
@@ -16,6 +21,7 @@ from frobdiv.wedderburn import (
 )
 
 from conftest import delta_form, group_algebra_plain, matrix_algebra_2x2
+from dense_oracle import permute_algebra
 
 
 def rq(x, y=1):
@@ -148,6 +154,55 @@ def test_q8_over_qi_vs_q():
     assert dq.block_dims.count(4) == 1
     assert not all(dq.split_certified)
     assert sum(1 for x in dq.split_certified if not x) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 14, 17])
+def test_split_certified_on_relabelled_ka4(seed):
+    # in the bases of seeds 4, 5, 14 and 17 no echelon basis vector or
+    # random combination of the degree-3 block has an eigenspace of
+    # dimension 3 over Q(zeta_6); the images x_j e of the group elements do
+    G = named_group("A4")
+    A = group_algebra(G, conductor=G.exponent).algebra
+    perm = list(range(A.dim))
+    random.Random(seed).shuffle(perm)
+    data = central_primitive_idempotents(permute_algebra(A, perm))
+    assert data.degrees == [1, 1, 1, 3]
+    assert all(data.split_certified)
+
+
+def test_certificate_found_among_the_images(monkeypatch):
+    import frobdiv.wedderburn as wedderburn
+    tried = []
+    original = wedderburn._restricted_right_mult
+
+    def recording(algebra, block, block_basis, b):
+        tried.append(b)
+        return original(algebra, block, block_basis, b)
+
+    monkeypatch.setattr(wedderburn, "_restricted_right_mult", recording)
+    G = named_group("A4")
+    A = group_algebra(G, conductor=G.exponent).algebra
+    perm = list(range(A.dim))
+    random.Random(4).shuffle(perm)
+    A = permute_algebra(A, perm)
+    data = central_primitive_idempotents(A)
+    e = data.idempotents[data.degrees.index(3)]
+    images = [A.multiply(A.basis_vec(j), e) for j in range(A.dim)]
+    # only the degree-3 block needs a certificate; an image x_j e gave it
+    assert all(data.split_certified)
+    assert tried and tried[-1] in images
+
+
+def test_split_certified_on_relabelled_double_s3():
+    # in this basis each degree-3 block is certified by an element of rank
+    # 1, whose minimal polynomial has degree 2 < 3; no candidate with a
+    # minimal polynomial of degree 3 has a 3-dimensional eigenspace
+    H, _ = drinfeld_double(named_group("S3"), verify=False)
+    perm = list(range(H.dim))
+    random.Random(2).shuffle(perm)
+    data = central_primitive_idempotents(permute_algebra(H.algebra, perm))
+    assert sorted(data.degrees) == [1, 1, 2, 2, 2, 2, 3, 3]
+    assert all(data.split_certified)
 
 
 def test_field_roots_rational():

@@ -1,0 +1,105 @@
+"""Work counts of the Wedderburn pipeline, checked without timing: one
+exact idempotent check per block, wrong gluings stopped by the check mod
+q, and pieces with a 1-dimensional ideal never tried again."""
+
+import frobdiv.modular as modular
+import frobdiv.wedderburn as wedderburn
+from frobdiv import (QQ, central_primitive_idempotents, group_algebra,
+                     named_group)
+
+
+def kc4():
+    """k[C4] over Q(zeta_4): four 1-dimensional blocks, two components."""
+    return group_algebra(named_group("C4"), conductor=4).algebra
+
+
+def test_one_exact_check_per_block(monkeypatch):
+    checked = []
+    original = wedderburn._verify_idempotent
+
+    def counted(algebra, e):
+        checked.append(e)
+        return original(algebra, e)
+
+    monkeypatch.setattr(wedderburn, "_verify_idempotent", counted)
+    data = central_primitive_idempotents(kc4())
+    assert data.num_blocks == 4
+    assert len(checked) == 4
+    assert all(e in checked for e in data.idempotents)
+
+
+def test_wrong_gluing_rejected_mod_q(monkeypatch):
+    A = kc4()
+    p = 13
+    roots, _ = wedderburn._component_roots(4, p, 1)
+    per_comp = [modular.modular_split(A, p, w) for w in roots]
+    check = wedderburn._check_components(A, p)
+    reconstructed, exact = [], []
+    original_rec = wedderburn.reconstruct_element
+    original_verify = wedderburn._verify_idempotent
+
+    def recording_rec(*args):
+        out = original_rec(*args)
+        if out is not None:
+            reconstructed.append(out)
+        return out
+
+    def recording_verify(algebra, e):
+        exact.append(e)
+        return original_verify(algebra, e)
+
+    monkeypatch.setattr(wedderburn, "reconstruct_element", recording_rec)
+    monkeypatch.setattr(wedderburn, "_verify_idempotent", recording_verify)
+    b0 = per_comp[0][0]
+    wrong = []
+    for b1 in per_comp[1]:
+        before = len(reconstructed)
+        res = wedderburn._lift_and_reconstruct(
+            A, p, [b0.central_idempotent, b1.central_idempotent],
+            wedderburn.MAX_PRECISION_EXP, {}, check)
+        if res is None:
+            wrong.extend(reconstructed[before:])
+        else:
+            right = res[0]
+    # one gluing is right; the wrong ones reconstruct to small rationals
+    # that are not idempotents, and not one of them reaches the exact check
+    assert exact == [right]
+    assert wrong
+    for x in wrong:
+        assert not wedderburn._idempotent_mod_q(A, x, check)
+        assert A.multiply(x, x) != x
+    for e in central_primitive_idempotents(A).idempotents:
+        assert wedderburn._idempotent_mod_q(A, e, check)
+
+
+def _recording_try_split(monkeypatch):
+    """Record dim e Z of every piece e handed to the splitter."""
+    tried = []
+    original = modular._try_split
+
+    def recording(cmult, e, direction, r, p, rng):
+        tried.append(modular._ideal_dim(cmult, e, r, p))
+        return original(cmult, e, direction, r, p, rng)
+
+    monkeypatch.setattr(modular, "_try_split", recording)
+    return tried
+
+
+def test_final_pieces_never_split_again(monkeypatch):
+    tried = _recording_try_split(monkeypatch)
+    A = kc4()
+    for w in wedderburn._component_roots(4, 13, 1)[0]:
+        blocks = modular.modular_split(A, 13, w)
+        assert [b.center_dim for b in blocks] == [1, 1, 1, 1]
+    assert tried and all(d > 1 for d in tried)
+
+
+def test_piece_with_larger_ideal_stays_in_the_loop(monkeypatch):
+    # Z(Q[C3]) = Q x Q(zeta_3); mod 11 the second factor is F_121, a piece
+    # with a 2-dimensional ideal that no direction splits
+    tried = _recording_try_split(monkeypatch)
+    A = group_algebra(named_group("C3"), field=QQ).algebra
+    blocks = modular.modular_split(A, 11, 1)
+    assert sorted(b.center_dim for b in blocks) == [1, 2]
+    assert 1 not in tried
+    assert tried.count(2) > len(blocks)
