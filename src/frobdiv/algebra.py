@@ -1,6 +1,12 @@
 """Structure-constant algebras and the symmetric-algebra apparatus:
 Frobenius forms, dual bases, Casimir element and trace, trace formulas,
-centers and commutator spaces."""
+centers and commutator spaces.
+
+Linear conditions are read straight from the sparse structure table
+``table[i][k]``: the center is the joint kernel of the rows
+sum_k a_k (c_ik^r - c_ki^r), solved by ``sparse_kernel`` without forming
+any multiplication operator, ``is_central`` compares a x_i with x_i a on
+the table, and the Gram matrix of a form is sum_r lambda_r c_ij^r."""
 
 from __future__ import annotations
 
@@ -83,19 +89,8 @@ class StructureConstantAlgebra:
     # alias used by the integrality Krylov iteration
     mult = multiply
 
-    def left_mult(self, a) -> Matrix:
-        zero = self.field.zero
-        cols = []
-        for j in range(self.dim):
-            col = self.zero_vec()
-            for i, ai in enumerate(a):
-                if ai != zero:
-                    for k, c in self.table[i][j].items():
-                        col[k] = col[k] + ai * c
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols)
-
-    def right_mult(self, a) -> Matrix:
+    def regular_rep(self, a) -> Matrix:
+        """Matrix of the right regular representation b -> b a."""
         zero = self.field.zero
         cols = []
         for j in range(self.dim):
@@ -106,13 +101,6 @@ class StructureConstantAlgebra:
                         col[k] = col[k] + ai * c
             cols.append(col)
         return Matrix.from_columns(self.field, cols)
-
-    def regular_rep(self, a, side="left") -> Matrix:
-        if side == "left":
-            return self.left_mult(a)
-        if side == "right":
-            return self.right_mult(a)
-        raise ValueError("side must be 'left' or 'right'")
 
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
@@ -155,28 +143,29 @@ class StructureConstantAlgebra:
 
     # -- invariants -------------------------------------------------------
     def is_central(self, a) -> bool:
+        """a x_i = x_i a for every i, compared on the table over the
+        nonzero entries of a."""
+        table = self.table
+        support = [(k, c) for k, c in enumerate(a) if c]
         for i in range(self.dim):
-            b = self.basis_vec(i)
-            if self.multiply(a, b) != self.multiply(b, a):
+            a_x = {}
+            x_a = {}
+            for k, c in support:
+                for r, d in table[k][i].items():
+                    _add_into(a_x, r, c * d)
+                for r, d in table[i][k].items():
+                    _add_into(x_a, r, c * d)
+            if _clean(a_x) != _clean(x_a):
                 return False
         return True
 
     def center_basis(self):
-        """Basis of the center, via kernels of a -> x_i a - a x_i."""
-        if self._center is not None:
-            return self._center
-        # iteratively intersect kernels; keeps intermediate matrices small
-        space = Matrix.identity(self.field, self.dim).columns()
-        for i in range(self.dim):
-            b = self.basis_vec(i)
-            op = self.left_mult(b) - self.right_mult(b)
-            images = Matrix.from_columns(self.field, [op.apply(v) for v in space])
-            ker = images.kernel()
-            space = [_combine(self.field, space, coeffs) for coeffs in ker]
-            if not space:
-                break
-        self._center = space
-        return space
+        """Basis of the center: the kernel of the conditions
+        sum_k a_k (c_ik^r - c_ki^r) = 0 for all i, r."""
+        if self._center is None:
+            self._center = sparse_kernel(self.field, self.dim,
+                                         center_conditions(self.table))
+        return self._center
 
     def commutator_space(self):
         """Basis of the span of all Lie commutators x_i x_j - x_j x_i."""
@@ -219,14 +208,67 @@ class StructureConstantAlgebra:
         return f"<{label}: dim {self.dim} over {self.field!r}>"
 
 
-def _combine(field, vectors, coeffs):
+def center_conditions(table):
+    """The rows {k: c_ik^r - c_ki^r} of the center's linear conditions,
+    streamed one index i at a time.  Entries are whatever scalars the
+    table holds."""
+    n = len(table)
+    for i in range(n):
+        row_i = table[i]
+        rows = {}
+        for k in range(n):
+            for r, c in row_i[k].items():
+                _add_into(rows.setdefault(r, {}), k, c)
+            for r, c in table[k][i].items():
+                _add_into(rows.setdefault(r, {}), k, -c)
+        yield from rows.values()
+
+
+def sparse_kernel(field, n, rows):
+    """Basis of {v in field^n : sum_k row[k] v_k = 0 for every row}, in
+    the order of ``Matrix.kernel``, for an iterable of sparse rows {k: c}.
+
+    The rows kept so far are in reduced echelon form: pivot coefficient 1,
+    and zero in every other pivot column.  An incoming row is cleared at
+    its pivot columns in one pass, takes its least column as pivot, and
+    that column is cleared from the kept rows; so the input may be
+    streamed, at most n rows are ever held, and no row is read after the
+    rank reaches n."""
+    one = field.one
+    echelon = {}
+    for row in rows:
+        v = {k: c for k, c in row.items() if c}
+        for p in [k for k in v if k in echelon]:
+            f = v[p]
+            for k, c in echelon[p].items():
+                _sub_into(v, k, f * c)
+        if not v:
+            continue
+        p = min(v)
+        inv = one / v[p]
+        if inv != one:
+            v = {k: inv * c for k, c in v.items()}
+        for kept in echelon.values():
+            f = kept.get(p)
+            if f is not None:
+                for k, c in v.items():
+                    _sub_into(kept, k, f * c)
+        echelon[p] = v
+        if len(echelon) == n:
+            break
     zero = field.zero
-    out = [zero] * len(vectors[0])
-    for c, v in zip(coeffs, vectors):
-        if c != zero:
-            for i, x in enumerate(v):
-                out[i] = out[i] + c * x
-    return out
+    basis = []
+    for free in range(n):
+        if free in echelon:
+            continue
+        vec = [zero] * n
+        vec[free] = one
+        for p, kept in echelon.items():
+            c = kept.get(free)
+            if c is not None:
+                vec[p] = -c
+        basis.append(vec)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +284,19 @@ def _clean(d):
 def _add_into(out, idx, val):
     cur = out.get(idx)
     out[idx] = val if cur is None else cur + val
+
+
+def _sub_into(out, idx, val):
+    """out[idx] -= val, dropping the entry when it becomes zero."""
+    cur = out.get(idx)
+    if cur is None:
+        out[idx] = -val
+    else:
+        cur = cur - val
+        if cur:
+            out[idx] = cur
+        else:
+            del out[idx]
 
 
 class TensorSquareAlgebra:
@@ -276,9 +331,12 @@ class TensorSquareAlgebra:
             row_i, row_j = table[i], table[j]
             for fv, b in v.items():
                 k, l = divmod(fv, n)
-                ab = a * b
+                left = row_i[k]
                 right = row_j[l]
-                for r, c1 in row_i[k].items():
+                if not left or not right:
+                    continue
+                ab = a * b
+                for r, c1 in left.items():
                     abc = ab * c1
                     base = r * n
                     for s, c2 in right.items():
@@ -370,10 +428,11 @@ class FrobeniusStructure:
         self.algebra = algebra
         self.lam = list(lam)
         n = algebra.dim
-        gram = [[algebra.apply_form(self.lam,
-                                    algebra.multiply(algebra.basis_vec(i),
-                                                     algebra.basis_vec(j)))
-                 for j in range(n)] for i in range(n)]
+        # <lambda, x_i x_j> = sum_r lambda_r c_ij^r
+        zero = algebra.field.zero
+        lam_d = _clean(dict(enumerate(self.lam)))
+        gram = [[sum((lam_d[r] * c for r, c in cell.items() if r in lam_d),
+                     zero) for cell in row] for row in algebra.table]
         for i in range(n):
             for j in range(i + 1, n):
                 if gram[i][j] != gram[j][i]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
                       VerificationReport, _add_into, _clean,
-                      frobenius_structure, tensor_dict)
+                      frobenius_structure, sparse_kernel, tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis, relative_divisibility,
                           scalar_certificate)
@@ -190,23 +190,9 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
     A = H.algebra
     field = H.field
     n = H.dim
-    space = [[field.one if i == j else field.zero for j in range(n)]
-             for i in range(n)]
-    for h in range(n):
-        op = A.left_mult(A.basis_vec(h)) - Matrix.identity(field, n).scale(
-            H.counit[h])
-        images = Matrix.from_columns(field, [op.apply(v) for v in space])
-        ker = images.kernel()
-        new_space = []
-        for coeffs in ker:
-            v = [field.zero] * n
-            for c, w in zip(coeffs, space):
-                if bool(c):
-                    v = [a + c * b for a, b in zip(v, w)]
-            new_space.append(v)
-        space = new_space
-        if not space:
-            raise NormalizationImpossible("no nonzero left integral")
+    space = sparse_kernel(field, n, _left_integral_conditions(H))
+    if not space:
+        raise NormalizationImpossible("no nonzero left integral")
     if len(space) != 1:
         raise HopfError(f"left integral space has dimension {len(space)}")
     raw = space[0]
@@ -242,6 +228,24 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
             raise HopfError("lambda is not a two-sided integral of the dual")
     Lambda0 = [inv_dim * x for x in Lambda]
     return IntegralData(Lambda, lam, Lambda0)
+
+
+def _left_integral_conditions(H):
+    """Lambda is a left integral iff sum_k Lambda_k c_hk^r = eps(h) Lambda_r
+    for all h, r: the rows of that system, one index h at a time."""
+    table = H.algebra.table
+    n = H.dim
+    for h in range(n):
+        row_h = table[h]
+        rows = {}
+        for k in range(n):
+            for r, c in row_h[k].items():
+                _add_into(rows.setdefault(r, {}), k, c)
+        eps = H.counit[h]
+        if eps:
+            for r in range(n):
+                _add_into(rows.setdefault(r, {}), r, -eps)
+        yield from rows.values()
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +706,10 @@ class QuasitriangularData:
 
 def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
     """The three quasitriangular axioms plus invertibility of R; builds
-    b = tau(R) R and the matrix of Phi(f) = b1 <f, b2>."""
+    b = tau(R) R and the matrix of Phi(f) = b1 <f, b2>.
+
+    H must be a verified Hopf algebra: the R-products (``r_products``)
+    use the unit law instead of expanding the unit into basis terms."""
     A = H.algebra
     field = H.field
     n = H.dim
@@ -730,10 +737,10 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
     right = A.zero_vec()
     for idx, c in Rd.items():
         i, j = divmod(idx, n)
-        left = [x + c * H.counit[i] * y
-                for x, y in zip(left, A.basis_vec(j))]
-        right = [x + c * H.counit[j] * y
-                 for x, y in zip(right, A.basis_vec(i))]
+        if H.counit[i]:
+            left[j] = left[j] + c * H.counit[i]
+        if H.counit[j]:
+            right[i] = right[i] + c * H.counit[j]
     report.record(left == A.unit, ("counit-R-left",))
     report.record(right == A.unit, ("counit-R-right",))
 
@@ -744,26 +751,15 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
         for idx2, d in H.delta[i].items():
             a, b2 = divmod(idx2, n)
             _add_into(dR, (a, b2, j), c * d)
-    r13 = {}
-    r23 = {}
-    r12 = {}
-    for idx, c in Rd.items():
-        i, j = divmod(idx, n)
-        for u, cu in enumerate(A.unit):
-            if bool(cu):
-                _add_into(r13, (i, u, j), c * cu)
-                _add_into(r23, (u, i, j), c * cu)
-                _add_into(r12, (i, j, u), c * cu)
-    report.record(_clean(dR) == _mult3(A, r13, r23),
-                  ("quasitriangular-delta-left",))
+    r13r23, r13r12 = r_products(A, Rd)
+    report.record(_clean(dR) == r13r23, ("quasitriangular-delta-left",))
     idR = {}
     for idx, c in Rd.items():
         i, j = divmod(idx, n)
         for idx2, d in H.delta[j].items():
             a, b2 = divmod(idx2, n)
             _add_into(idR, (i, a, b2), c * d)
-    report.record(_clean(idR) == _mult3(A, r13, r12),
-                  ("quasitriangular-delta-right",))
+    report.record(_clean(idR) == r13r12, ("quasitriangular-delta-right",))
 
     # tau(Delta h) R = R Delta h for every basis h
     for j in range(n):
@@ -784,19 +780,25 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
     return QuasitriangularData(H, T.from_dict(Rd), b, phi_matrix, report)
 
 
-def _mult3(A, u, v):
-    """Product of sparse triple tensors keyed by (i, j, k)."""
-    out = {}
+def r_products(A, Rd):
+    """R13 R23 = sum a (x) c (x) bd and R13 R12 = sum ac (x) d (x) b over
+    pairs of terms a (x) b, c (x) d of R (a sparse flat dict), as sparse
+    triple tensors keyed (i, j, k).  They use the unit law 1 c = c = c 1,
+    so A must satisfy it."""
+    n = A.dim
     table = A.table
-    for (i1, j1, k1), a in u.items():
-        for (i2, j2, k2), c in v.items():
-            ac = a * c
-            for r, c1 in table[i1][i2].items():
-                for s, c2 in table[j1][j2].items():
-                    f = ac * c1 * c2
-                    for t, c3 in table[k1][k2].items():
-                        _add_into(out, (r, s, t), f * c3)
-    return _clean(out)
+    terms = [(divmod(idx, n), c) for idx, c in Rd.items()]
+    r13r23 = {}
+    r13r12 = {}
+    for (a, b), c1 in terms:
+        row_a, row_b = table[a], table[b]
+        for (c, d), c2 in terms:
+            f = c1 * c2
+            for t, e in row_b[d].items():
+                _add_into(r13r23, (a, c, t), f * e)
+            for t, e in row_a[c].items():
+                _add_into(r13r12, (t, d, b), f * e)
+    return _clean(r13r23), _clean(r13r12)
 
 
 class FactorizableVerdict:

@@ -9,7 +9,7 @@ never materialized.
 
 from __future__ import annotations
 
-from .linalg import Poly
+from .algebra import TensorSquareAlgebra
 from .scalars import QQ, Rat, is_integer_rat, rat_str
 
 
@@ -65,11 +65,6 @@ def _flatten(field, vec):
     return out
 
 
-def _unflatten(field, qvec, dim):
-    phi = field.phi
-    return [field.from_qvec(qvec[i * phi:(i + 1) * phi]) for i in range(dim)]
-
-
 def minimal_polynomial_over_Q(carrier, a):
     """Monic minimal polynomial over Q of an element, given as ascending
     Rat coefficients.  ``carrier`` needs field, dim, unit and mult."""
@@ -98,17 +93,6 @@ def minimal_polynomial_over_Q(carrier, a):
         reduced.append((pidx, [inv * x for x in row], [inv * x for x in cmb]))
         vec = carrier.mult(a, vec)
         comb = [zero] + comb
-
-
-def evaluate_in_carrier(carrier, coeffs, a):
-    field = carrier.field
-    acc = [field.zero] * carrier.dim
-    for c in reversed(coeffs):
-        acc = carrier.mult(acc, a) if any(bool(x) for x in acc) else acc
-        if c != QQ.zero:
-            cc = field.from_rat(c)
-            acc = [x + cc * u for x, u in zip(acc, carrier.unit)]
-    return acc
 
 
 def is_integral_over_Z(carrier, a, description="element"):
@@ -167,7 +151,6 @@ def frobenius_divisibility_verdict(algebra, frobenius, data):
     """Divides-verdict with both routes computed independently: direct
     division tests d(S) | Gamma(1), and integrality of the Casimir element
     in A (x) A.  The routes must agree."""
-    from .algebra import TensorSquareAlgebra
     if not all(data.split_certified):
         raise InapplicableHypothesis("non-split component present")
     u = _gamma_one_integer(algebra, frobenius)
@@ -228,7 +211,7 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
     from .wedderburn import gamma_one_eigenvalue
     field = A.field
     verify_symmetric_homomorphism(A, frob_A.lam, B, frob_B.lam, phi)
-    cas_cert = is_integral_over_Z(_tensor_square(A), frob_A.casimir,
+    cas_cert = is_integral_over_Z(TensorSquareAlgebra(A), frob_A.casimir,
                                   "casimir element of the source")
     if not cas_cert.integral:
         raise InapplicableHypothesis("source Casimir element is not "
@@ -245,7 +228,7 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
     induced_dims, scalars, certs, ratio_checks = [], [], [], []
     for s, e in enumerate(data_A.idempotents):
         img = phi.apply(e)
-        rank = B.regular_rep(img, side="right").rank()
+        rank = B.regular_rep(img).rank()
         d = data_A.degrees[s]
         if rank == 0 or rank % d != 0:
             raise InapplicableHypothesis(
@@ -260,8 +243,3 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
         ratio_checks.append(
             scal == gam_s / field.from_rat(Rat(d)))
     return RelativeReport(induced_dims, scalars, certs, ratio_checks)
-
-
-def _tensor_square(A):
-    from .algebra import TensorSquareAlgebra
-    return TensorSquareAlgebra(A)

@@ -332,9 +332,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_one(self):
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
-
     def leading(self):
         return self.coeffs[-1]
 
@@ -446,10 +443,6 @@ class Poly:
             base = (base * base) % modulus
             k >>= 1
         return out
-
-    def shift(self, n: int) -> "Poly":
-        """Multiply by x^n."""
-        return Poly(self.field, [self.field.zero] * n + self.coeffs)
 
     def __repr__(self):
         return f"Poly({[self.field.format(c) for c in self.coeffs]})"

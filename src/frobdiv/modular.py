@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 
+from .algebra import center_conditions, sparse_kernel
 from .linalg import Matrix, Poly, _krylov_relation
 from .scalars import (Cyc, PrimeField, Rat, cyclotomic_polynomial,
                       rational_reconstruct)
@@ -183,28 +184,6 @@ class ComponentAlgebra:
                             out[k] = (out[k] + f * c) % M
         return out
 
-    def left_mult_matrix(self, a, gf):
-        cols = []
-        for j in range(self.dim):
-            col = [0] * self.dim
-            for i, ai in enumerate(a):
-                if ai:
-                    for k, c in self.table[i][j].items():
-                        col[k] = (col[k] + ai * c) % self.M
-            cols.append([gf.from_int(x) for x in col])
-        return Matrix.from_columns(gf, cols)
-
-    def right_mult_matrix(self, a, gf):
-        cols = []
-        for j in range(self.dim):
-            col = [0] * self.dim
-            for i, ai in enumerate(a):
-                if ai:
-                    for k, c in self.table[j][i].items():
-                        col[k] = (col[k] + ai * c) % self.M
-            cols.append([gf.from_int(x) for x in col])
-        return Matrix.from_columns(gf, cols)
-
 
 # ---------------------------------------------------------------------------
 # polynomial factorization over F_p
@@ -314,14 +293,6 @@ class EchelonSubspace:
     def contains(self, vec):
         return self.coords(vec) is not None
 
-    def from_coords(self, coords):
-        zero = self.field.zero
-        out = [zero] * (len(self.basis[0]) if self.basis else 0)
-        for c, row in zip(coords, self.basis):
-            if c != zero:
-                out = [a + c * b for a, b in zip(out, row)]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # modular splitting of one component
@@ -341,34 +312,21 @@ class ModularBlock:
         self.primitive_idempotent = primitive_idempotent
 
 
+def center_mod_p(comp, gf):
+    """The center of a reduction mod p, solved from its table."""
+    rows = ({k: gf.from_int(c) for k, c in row.items()}
+            for row in center_conditions(comp.table))
+    return EchelonSubspace(gf, sparse_kernel(gf, comp.dim, rows))
+
+
 def modular_split(algebra, p: int, root: int, seed: int = 0):
     """Central primitive idempotents, block degrees and per-block primitive
     idempotents of the reduction of ``algebra`` at ``zeta -> root`` mod p."""
     gf = PrimeField(p)
     comp = ComponentAlgebra(algebra, root, p)
     rng = random.Random(seed * 1000003 + p)
-    n = comp.dim
 
-    # center mod p
-    space = [[gf.one if i == j else gf.zero for j in range(n)] for i in range(n)]
-    for i in range(n):
-        basis = [0] * n
-        basis[i] = 1
-        op = (comp.left_mult_matrix(basis, gf)
-              - comp.right_mult_matrix(basis, gf))
-        images = Matrix.from_columns(gf, [op.apply(v) for v in space])
-        ker = images.kernel()
-        new_space = []
-        for coeffs in ker:
-            v = [gf.zero] * n
-            for c, w in zip(coeffs, space):
-                if c:
-                    v = [a + c * b for a, b in zip(v, w)]
-            new_space.append(v)
-        space = new_space
-        if len(space) <= 1:
-            break
-    center = EchelonSubspace(gf, space)
+    center = center_mod_p(comp, gf)
     r = center.dim
     if r == 0:
         raise BadPrime("trivial center mod p")

@@ -51,12 +51,6 @@ def is_integer_rat(x) -> bool:
 # integer polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
 
-def _zpoly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _zpoly_div_exact(num, den):
     """Exact division of integer polynomials; den monic up to sign handling."""
     num = list(num)

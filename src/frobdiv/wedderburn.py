@@ -21,11 +21,11 @@ import random
 from .algebra import contract_right, hit_form_left
 from .linalg import Matrix, Poly
 from .modular import (BadPrime, ComponentAlgebra, EchelonSubspace,
-                      PrecisionExceeded, component_units, good_primes,
-                      hensel_lift_idempotent, interpolate_mod, is_prime,
-                      lift_cyclotomic_root, modular_split, primitive_root,
-                      reconstruct_element, reduce_scalar, roots_mod_p,
-                      scalar_denominators)
+                      PrecisionExceeded, _int_poly_eval, component_units,
+                      good_primes, hensel_lift_idempotent, interpolate_mod,
+                      is_prime, lift_cyclotomic_root, modular_split,
+                      primitive_root, reconstruct_element, reduce_scalar,
+                      roots_mod_p, scalar_denominators)
 from .scalars import PrimeField, Rat
 
 MAX_PRECISION_EXP = 64
@@ -476,9 +476,9 @@ def _lift_root_combo(field, coeffs, combo, p, max_precision_exp=32):
         red = [[reduce_scalar(field, c, w, M) for c in coeffs] for w in roots]
         lifted = []
         for rcoeffs, t in zip(red, current):
-            ft = _eval_mod(rcoeffs, t, M)
-            dft = _eval_mod([i * c % M for i, c in enumerate(rcoeffs)][1:],
-                            t, M)
+            ft = _int_poly_eval(rcoeffs, t, M)
+            dft = _int_poly_eval(
+                [i * c % M for i, c in enumerate(rcoeffs)][1:], t, M)
             if math.gcd(dft, p) != 1:
                 return None
             lifted.append((t - ft * pow(dft, -1, M)) % M)
@@ -488,13 +488,6 @@ def _lift_root_combo(field, coeffs, combo, p, max_precision_exp=32):
             return vec[0]
         exp *= 2
     return None
-
-
-def _eval_mod(coeffs, x, M):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % M
-    return acc
 
 
 def _poly_value_is_zero(field, coeffs, t):

@@ -1,12 +1,14 @@
-"""Dense reference implementations of the axiom checks.
+"""Dense reference implementations of the axiom checks and of the linear
+conditions the library now reads off the structure table.
 
-These multiply dense basis vectors with ``StructureConstantAlgebra.multiply``
-and compare whole coefficient vectors, as the library did before its checks
-moved onto the sparse structure table.  The tests use them as a
-differential oracle: on every input both must report the same verdict and
-the same failure labels in the same order.  They never touch the sparse
-product of ``TensorSquareAlgebra``; products in A (x) A are built factor by
-factor with the dense ``multiply``.
+The axiom checks multiply dense basis vectors with
+``StructureConstantAlgebra.multiply`` and compare whole coefficient vectors,
+as the library did before its checks moved onto the sparse structure table.
+The tests use them as a differential oracle: on every input both must report
+the same verdict and the same failure labels in the same order.  They never
+touch the sparse product of ``TensorSquareAlgebra``; products in A (x) A are
+built factor by factor with the dense ``multiply``.  The centre, integral,
+centrality, Gram and R-product oracles are described in their own section.
 """
 
 from frobdiv import Matrix, StructureConstantAlgebra, VerificationReport
@@ -160,3 +162,280 @@ def permute_hopf(H, perm):
             rows[perm[i]][perm[j]] = H.antipode.entries[i][j]
     return HopfAlgebraData(permute_algebra(H.algebra, perm), delta, counit,
                            Matrix(H.field, rows), name=H.name)
+
+
+# ---------------------------------------------------------------------------
+# dense linear conditions: centre, integral, centrality, Gram, R-products
+# ---------------------------------------------------------------------------
+#
+# These are the loops the library ran before it read these conditions off
+# the structure table: kernels of dense n x n multiplication operators,
+# intersected one basis element at a time, and 3-way products of R-matrix
+# tensors with the unit expanded into basis terms.
+
+
+def _mult_matrix(field, n, cell, side, a):
+    """Matrix of b -> a b (side "left") or b -> b a (side "right"), where
+    cell(i, j) is the product x_i x_j as a sparse dict."""
+    zero = field.zero
+    cols = []
+    for j in range(n):
+        col = [zero] * n
+        for i, ai in enumerate(a):
+            if ai != zero:
+                prod = cell(i, j) if side == "left" else cell(j, i)
+                for k, c in prod.items():
+                    col[k] = col[k] + ai * c
+        cols.append(col)
+    return Matrix.from_columns(field, cols)
+
+
+def _intersect_kernels(field, n, operators, stop_dim=0):
+    """Basis of the joint kernel, one operator at a time, each kernel taken
+    inside the space left by the ones before."""
+    space = Matrix.identity(field, n).columns()
+    for op in operators:
+        images = Matrix.from_columns(field, [op.apply(v) for v in space])
+        new_space = []
+        for coeffs in images.kernel():
+            v = [field.zero] * n
+            for c, w in zip(coeffs, space):
+                if c != field.zero:
+                    v = [x + c * y for x, y in zip(v, w)]
+            new_space.append(v)
+        space = new_space
+        if len(space) <= stop_dim:
+            break
+    return space
+
+
+def _basis(field, n, i):
+    v = [field.zero] * n
+    v[i] = field.one
+    return v
+
+
+def dense_center_basis(A):
+    """Kernels of a -> x_i a - a x_i over the base field."""
+    n = A.dim
+    cell = lambda i, j: A.table[i][j]  # noqa: E731
+    ops = (_mult_matrix(A.field, n, cell, "left", _basis(A.field, n, i))
+           - _mult_matrix(A.field, n, cell, "right", _basis(A.field, n, i))
+           for i in range(n))
+    return _intersect_kernels(A.field, n, ops)
+
+
+def dense_mod_p_center(comp, gf):
+    """The same kernels on a reduction mod p (``ComponentAlgebra``),
+    stopping, as the library did, once one dimension is left."""
+    n = comp.dim
+    cell = lambda i, j: {k: gf.from_int(c)  # noqa: E731
+                         for k, c in comp.table[i][j].items()}
+    ops = (_mult_matrix(gf, n, cell, "left", _basis(gf, n, i))
+           - _mult_matrix(gf, n, cell, "right", _basis(gf, n, i))
+           for i in range(n))
+    return _intersect_kernels(gf, n, ops, stop_dim=1)
+
+
+def dense_integral(H):
+    """The left integral as the joint kernel of L_{x_h} - eps(h), scaled so
+    that <eps, Lambda> = dim H."""
+    A = H.algebra
+    field = H.field
+    n = H.dim
+    cell = lambda i, j: A.table[i][j]  # noqa: E731
+    ops = (_mult_matrix(field, n, cell, "left", _basis(field, n, h))
+           - Matrix.identity(field, n).scale(H.counit[h]) for h in range(n))
+    space = _intersect_kernels(field, n, ops)
+    assert len(space) == 1
+    raw = space[0]
+    scale = field.from_int(n) / H.counit_of(raw)
+    return [scale * x for x in raw]
+
+
+def dense_is_central(A, a):
+    for i in range(A.dim):
+        b = A.basis_vec(i)
+        if A.multiply(a, b) != A.multiply(b, a):
+            return False
+    return True
+
+
+def dense_gram(A, lam):
+    """<lambda, x_i x_j> from products of basis vectors."""
+    n = A.dim
+    return [[A.apply_form(lam, A.multiply(A.basis_vec(i), A.basis_vec(j)))
+             for j in range(n)] for i in range(n)]
+
+
+def _mult3(A, u, v):
+    """Product of sparse triple tensors keyed by (i, j, k)."""
+    out = {}
+    table = A.table
+    for (i1, j1, k1), a in u.items():
+        for (i2, j2, k2), c in v.items():
+            ac = a * c
+            for r, c1 in table[i1][i2].items():
+                for s, c2 in table[j1][j2].items():
+                    f = ac * c1 * c2
+                    for t, c3 in table[k1][k2].items():
+                        _add_into(out, (r, s, t), f * c3)
+    return _clean(out)
+
+
+def dense_r_products(A, Rd):
+    """R13 R23 and R13 R12 for R a sparse flat dict, as products of the
+    triple tensors R13, R23 and R12 with the unit expanded."""
+    n = A.dim
+    r13 = {}
+    r23 = {}
+    r12 = {}
+    for idx, c in Rd.items():
+        i, j = divmod(idx, n)
+        for u, cu in enumerate(A.unit):
+            if cu != A.field.zero:
+                _add_into(r13, (i, u, j), c * cu)
+                _add_into(r23, (u, i, j), c * cu)
+                _add_into(r12, (i, j, u), c * cu)
+    return _mult3(A, r13, r23), _mult3(A, r13, r12)
+
+
+def dense_quasitriangular_report(H, R):
+    """The failure report of ``quasitriangular_verify`` with R13 R23 and
+    R13 R12 formed as products of R13, R23 and R12, each with the unit
+    expanded into its basis terms.  The other checks are computed as the
+    library computes them, with ``TensorSquareAlgebra.mult_sparse``."""
+    from frobdiv.algebra import TensorSquareAlgebra
+    A = H.algebra
+    n = H.dim
+    T = TensorSquareAlgebra(A)
+    report = VerificationReport(True)
+    Rd = _clean(dict(enumerate(R)))
+
+    Rinv = {}
+    for idx, c in Rd.items():
+        i, j = divmod(idx, n)
+        for r, s in enumerate(H.antipode.column(i)):
+            if s != H.field.zero:
+                _add_into(Rinv, r * n + j, c * s)
+    unit_d = T.to_dict(T.unit)
+    report.record(T.mult_sparse(Rd, Rinv) == unit_d, ("R-invertible-right",))
+    report.record(T.mult_sparse(Rinv, Rd) == unit_d, ("R-invertible-left",))
+
+    left = A.zero_vec()
+    right = A.zero_vec()
+    for idx, c in Rd.items():
+        i, j = divmod(idx, n)
+        left = [x + c * H.counit[i] * y
+                for x, y in zip(left, A.basis_vec(j))]
+        right = [x + c * H.counit[j] * y
+                 for x, y in zip(right, A.basis_vec(i))]
+    report.record(left == A.unit, ("counit-R-left",))
+    report.record(right == A.unit, ("counit-R-right",))
+
+    dR = {}
+    idR = {}
+    for idx, c in Rd.items():
+        i, j = divmod(idx, n)
+        for idx2, d in H.delta[i].items():
+            a, b = divmod(idx2, n)
+            _add_into(dR, (a, b, j), c * d)
+        for idx2, d in H.delta[j].items():
+            a, b = divmod(idx2, n)
+            _add_into(idR, (i, a, b), c * d)
+    r13r23, r13r12 = dense_r_products(A, Rd)
+    report.record(_clean(dR) == r13r23, ("quasitriangular-delta-left",))
+    report.record(_clean(idR) == r13r12, ("quasitriangular-delta-right",))
+
+    for j in range(n):
+        tau_d = {}
+        for idx, c in H.delta[j].items():
+            a, b = divmod(idx, n)
+            _add_into(tau_d, b * n + a, c)
+        lhs = T.mult_sparse(tau_d, Rd)
+        report.record(lhs == T.mult_sparse(Rd, H.delta[j]),
+                      ("intertwining", j))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# changes of basis
+# ---------------------------------------------------------------------------
+
+
+def permute_r(R, perm):
+    """An element of H (x) H (flat list) after the relabelling ``perm``."""
+    n = len(perm)
+    out = [None] * (n * n)
+    for idx, c in enumerate(R):
+        i, j = divmod(idx, n)
+        out[perm[i] * n + perm[j]] = c
+    return out
+
+
+def change_basis_hopf(H, P, R=None):
+    """H on the basis y_j = sum_i P[i][j] x_i, for an invertible matrix P,
+    with R (a flat element of H (x) H) rewritten on the new basis.
+    Returns (H', R')."""
+    field = H.field
+    A = H.algebra
+    n = H.dim
+    zero = field.zero
+    Q = P.inverse()
+    cols = P.columns()
+
+    def to_new(vec):
+        return Q.apply(vec)
+
+    def tensor_to_new(flat):
+        # Q M Q^T for the n x n coefficient matrix M of a flat tensor
+        M = Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
+        N = Q * M * Q.transpose()
+        return {i * n + j: c for i, row in enumerate(N.entries)
+                for j, c in enumerate(row) if c != zero}
+
+    table = [[{k: c for k, c in enumerate(to_new(A.multiply(cols[i],
+                                                           cols[j])))
+               if c != zero}
+              for j in range(n)] for i in range(n)]
+    B = StructureConstantAlgebra(field, n, table, to_new(A.unit),
+                                 name=A.name)
+    delta = []
+    for j in range(n):
+        flat = [zero] * (n * n)
+        for idx, c in H.delta_of(cols[j]).items():
+            flat[idx] = c
+        delta.append(tensor_to_new(flat))
+    counit = [H.counit_of(col) for col in cols]
+    antipode = Q * H.antipode * P
+    H2 = HopfAlgebraData(B, delta, counit, antipode, name=H.name)
+    if R is None:
+        return H2, None
+    Rn = tensor_to_new(list(R))
+    return H2, [Rn.get(idx, zero) for idx in range(n * n)]
+
+
+def unimodular_matrix(field, n, seed):
+    """L U for random unit lower and upper triangular integer matrices with
+    entries in {-1, 0, 1}: dense, with determinant 1."""
+    import random
+    rng = random.Random(seed)
+
+    def tri(lower):
+        return Matrix(field, [[field.one if i == j else
+                               field.from_int(rng.choice((-1, 0, 1)))
+                               if (i > j) == lower else field.zero
+                               for j in range(n)] for i in range(n)])
+
+    return tri(True) * tri(False)
+
+
+def shear_matrix(field, n, entries):
+    """The identity with a one added at each (i, j), i < j: determinant 1,
+    and only a few basis vectors change."""
+    rows = [[field.one if i == j else field.zero for j in range(n)]
+            for i in range(n)]
+    for i, j in entries:
+        assert i < j
+        rows[i][j] = field.one
+    return Matrix(field, rows)

@@ -1,0 +1,210 @@
+"""The centre, the left integral, the mod-p centre, centrality, the Gram
+matrix and the R-products, read off the structure table, against the dense
+loops of ``dense_oracle`` on relabelled bases and on two unimodular changes
+of basis of D(C4): a dense one, where the unit is not a basis vector and
+most products have several terms, and a shear with four changed basis
+vectors, small enough for the unit-expanded R-products of the oracle."""
+
+import random
+
+import pytest
+
+from frobdiv import (FrobeniusStructure, NotATraceForm, drinfeld_double,
+                     dual_hopf, group_algebra, named_group)
+from frobdiv.hopf import (integrals, quasitriangular_verify, r_products,
+                         verify_hopf)
+from frobdiv.modular import (ComponentAlgebra, EchelonSubspace,
+                             center_mod_p, good_primes)
+from frobdiv.scalars import PrimeField
+from frobdiv.wedderburn import _component_roots
+
+from dense_oracle import (change_basis_hopf, dense_center_basis, dense_gram,
+                          dense_integral, dense_is_central,
+                          dense_mod_p_center, dense_quasitriangular_report,
+                          dense_r_products,
+                          permute_hopf, permute_r, shear_matrix,
+                          unimodular_matrix)
+
+_BASE = {}
+_CASES = {}
+
+
+def base(name):
+    """(H, R) for kS3, kA4, k^S3, D(S3) and D(C4); R is None for the
+    group algebras and the dual."""
+    if name not in _BASE:
+        if name == "k^S3":
+            _BASE[name] = (dual_hopf(group_algebra(named_group("S3"))), None)
+        elif name.startswith("D("):
+            H, Q = drinfeld_double(named_group(name[2:-1]))
+            assert Q.report.passed
+            _BASE[name] = (H, Q.R)
+        else:
+            _BASE[name] = (group_algebra(named_group(name[1:])), None)
+    return _BASE[name]
+
+
+def case(key):
+    """A base input relabelled by seed, or on a dense or sheared basis."""
+    if key not in _CASES:
+        name, seed = key
+        H, R = base(name)
+        if seed == "dense":
+            P = unimodular_matrix(H.field, H.dim, 0)
+            H, R = change_basis_hopf(H, P, R)
+        elif seed == "shear":
+            P = shear_matrix(H.field, H.dim, SHEAR)
+            H, R = change_basis_hopf(H, P, R)
+        else:
+            perm = list(range(H.dim))
+            random.Random(seed).shuffle(perm)
+            R = None if R is None else permute_r(R, perm)
+            H = permute_hopf(H, perm)
+        _CASES[key] = (H, R)
+    return _CASES[key]
+
+
+SHEAR = [(0, 5), (2, 7), (3, 9), (1, 12)]
+KEYS = [(name, seed) for name in ("kS3", "kA4", "k^S3", "D(S3)", "D(C4)")
+        for seed in (0, 1)] + [("D(C4)", "dense"), ("D(C4)", "shear")]
+IDS = [f"{name}-{seed}" for name, seed in KEYS]
+
+
+def span(field, vectors):
+    return EchelonSubspace(field, [list(v) for v in vectors]).basis
+
+
+def test_sheared_basis_is_a_hopf_algebra_with_its_r_matrix():
+    H, R = case(("D(C4)", "shear"))
+    assert verify_hopf(H).passed
+    assert quasitriangular_verify(H, R).report.passed
+    assert sum(1 for c in H.algebra.unit if c) > 1
+
+
+def test_dense_basis_keeps_the_unit_law():
+    """The full axiom check is too slow on dense products; the unit law,
+    which the table-read conditions use, is checked here."""
+    A = case(("D(C4)", "dense"))[0].algebra
+    assert sum(1 for c in A.unit if c) > A.dim // 2
+    assert sum(1 for row in A.table for cell in row
+               if len(cell) > 1) > A.dim ** 2 // 2
+    for i in range(A.dim):
+        x = A.basis_vec(i)
+        assert A.multiply(A.unit, x) == x == A.multiply(x, A.unit)
+
+
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_center_matches_dense_oracle(key):
+    A = case(key)[0].algebra
+    assert span(A.field, A.center_basis()) == \
+        span(A.field, dense_center_basis(A))
+
+
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_integral_matches_dense_oracle(key):
+    H = case(key)[0]
+    assert integrals(H).Lambda == dense_integral(H)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_mod_p_center_matches_dense_oracle(key, which):
+    A = case(key)[0].algebra
+    primes = good_primes(A)
+    p = [next(primes) for _ in range(2)][which]
+    roots, _ = _component_roots(A.field.conductor, p, 1)
+    gf = PrimeField(p)
+    comp = ComponentAlgebra(A, roots[-1], p)
+    assert center_mod_p(comp, gf).basis == \
+        EchelonSubspace(gf, dense_mod_p_center(comp, gf)).basis
+
+
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_is_central_matches_dense_oracle(key):
+    A = case(key)[0].algebra
+    field = A.field
+    rng = random.Random(7)
+    center = A.center_basis()
+    vectors = [list(v) for v in center] + [A.basis_vec(i) for i in range(4)]
+    vectors.append([sum(col, field.zero) for col in zip(*center)])
+    vectors.append(A.unit)
+    vectors.append(A.zero_vec())
+    for _ in range(3):
+        vectors.append([field.from_int(rng.choice((0, 0, 1, -2)))
+                        for _ in range(A.dim)])
+    # a central vector plus one non-central basis vector
+    vectors.append([x + y for x, y in zip(center[0], A.basis_vec(1))])
+    verdicts = [A.is_central(v) for v in vectors]
+    assert verdicts == [dense_is_central(A, v) for v in vectors]
+    assert all(verdicts[:len(center)])
+
+
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_gram_matches_dense_oracle(key):
+    H = case(key)[0]
+    A = H.algebra
+    lam = integrals(H).lam
+    assert FrobeniusStructure(A, lam).gram.entries == dense_gram(A, lam)
+
+
+NONCOMMUTATIVE = [k for k in KEYS if k[0] in ("kS3", "kA4", "D(S3)")]
+
+
+@pytest.mark.parametrize("key", NONCOMMUTATIVE,
+                         ids=[f"{n}-{seed}" for n, seed in NONCOMMUTATIVE])
+def test_non_trace_form_witness_matches_dense_oracle(key):
+    A = case(key)[0].algebra
+    rng = random.Random(3)
+    lam = [A.field.from_int(rng.randrange(-3, 4)) for _ in range(A.dim)]
+    gram = dense_gram(A, lam)
+    n = A.dim
+    first = next((i, j) for i in range(n) for j in range(i + 1, n)
+                 if gram[i][j] != gram[j][i])
+    with pytest.raises(NotATraceForm) as err:
+        FrobeniusStructure(A, lam)
+    assert err.value.witness == first
+
+
+# the oracle's unit-expanded products are too slow on the dense basis
+DOUBLES = [k for k in KEYS if k[0].startswith("D(") and k[1] != "dense"]
+DOUBLE_IDS = [f"{name}-{seed}" for name, seed in DOUBLES]
+
+
+@pytest.mark.parametrize("key", DOUBLES, ids=DOUBLE_IDS)
+def test_r_products_match_dense_oracle(key):
+    H, R = case(key)
+    rep = quasitriangular_verify(H, R).report
+    assert rep.passed
+    oracle = dense_quasitriangular_report(H, R)
+    assert (rep.passed, rep.failures) == (oracle.passed, oracle.failures)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+@pytest.mark.parametrize("key", DOUBLES, ids=DOUBLE_IDS)
+def test_r_products_match_dense_oracle_on_broken_r(key, pos):
+    """One entry of R changed: on its support (pos 0, 1) or off it."""
+    H, R = case(key)
+    field = H.field
+    support = [i for i, c in enumerate(R) if c]
+    off = [i for i, c in enumerate(R) if not c]
+    rng = random.Random(pos)
+    idx = rng.choice(support) if pos < 2 else rng.choice(off)
+    broken = list(R)
+    broken[idx] = broken[idx] + field.one
+    rep = quasitriangular_verify(H, broken).report
+    assert not rep.passed
+    oracle = dense_quasitriangular_report(H, broken)
+    assert (rep.passed, rep.failures) == (oracle.passed, oracle.failures)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("key", DOUBLES, ids=DOUBLE_IDS)
+def test_r_products_of_random_tensors_match_dense_oracle(key, seed):
+    """Random sparse tensors, whose first legs need not commute, unlike
+    those of the canonical R-matrix."""
+    A = case(key)[0].algebra
+    n = A.dim
+    rng = random.Random(seed)
+    Rd = {rng.randrange(n * n): A.field.from_int(rng.choice((1, -1, 2)))
+          for _ in range(6)}
+    assert r_products(A, Rd) == dense_r_products(A, Rd)
