@@ -20,7 +20,7 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           frobenius_divisibility_verdict, is_integral_over_Z,
                           minimal_polynomial_over_Q, relative_divisibility,
                           scalar_certificate)
-from .linalg import Matrix, Poly, kronecker_product, rref_and_kernel
+from .linalg import Matrix, Poly
 from .modular import BadPrime, PrecisionExceeded, hensel_lift_idempotent
 from .scalars import (CyclotomicField, PrimeField, QQ, Rat,
                       cyclotomic_polynomial, rational_reconstruct)

@@ -138,7 +138,15 @@ def _check_fd_plain(algebra, lam, args, sections):
             [("degenerate", "yes"),
              ("ideal witness", _vec_str(field, err.witness))]))
         return 1
-    data = central_primitive_idempotents(algebra, frob, prime=args.prime)
+    try:
+        data = central_primitive_idempotents(algebra, frob, prime=args.prime)
+    except DegenerateForm as err:
+        # a nondegenerate form on a non-semisimple algebra
+        sections.append(Section(
+            "frobenius divisibility", "inapplicable",
+            [("semisimple", "no"),
+             ("radical witness", _vec_str(field, err.witness))]))
+        return 1
     items = [("degrees", " ".join(map(str, data.degrees))),
              ("split certified", " ".join("yes" if f else "no"
                                           for f in data.split_certified))]
@@ -163,7 +171,7 @@ def _analyze_hopf(H, R, args, sections):
     I = hopf_mod.integrals(H)
     try:
         pipe = hopf_mod.frobenius_divisibility_hopf(H, I=I, prime=args.prime)
-    except InapplicableHypothesis as err:
+    except (InapplicableHypothesis, DegenerateForm) as err:
         # every check below reads the split Wedderburn data
         sections.append(Section("frobenius divisibility (FD)",
                                  "inapplicable",

@@ -296,15 +296,6 @@ def _krylov_relation(mat, v):
         comb = [zero] + comb
 
 
-def kronecker_product(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
-def rref_and_kernel(m: Matrix):
-    red, pivots = m.rref()
-    return red, len(pivots), m.kernel()
-
-
 class Poly:
     """Dense polynomial over a field; coefficients ascending."""
 
@@ -410,6 +401,20 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
+
+    def inverse_mod(self, m: "Poly") -> "Poly":
+        """The inverse of self modulo m by the extended Euclidean algorithm;
+        ZeroDivisionError when gcd(self, m) is not a constant."""
+        field = self.field
+        r0, r1 = m, self % m
+        t0, t1 = Poly(field, []), Poly(field, [field.one])
+        while not r1.is_zero():
+            q, rem = r0.divmod(r1)
+            r0, r1 = r1, rem
+            t0, t1 = t1, t0 - q * t1
+        if r0.degree() != 0:
+            raise ZeroDivisionError("polynomial not invertible modulo m")
+        return (t0 * (field.one / r0.coeffs[0])) % m
 
     def lcm(self, other):
         if self.is_zero() or other.is_zero():

@@ -3,20 +3,27 @@
 The base field Q(zeta_n) is reduced at a good prime p = 1 (mod n): the
 cyclotomic polynomial splits into distinct linear factors, so the reduction
 has one F_p-component per primitive n-th root of unity mod p.  Splitting is
-done per component; results are glued back into (Z/p^m)[x]/Phi_n by CRT
-interpolation, Hensel-lifted by doubling the precision, and handed to
-rational reconstruction.
+done per component.
+
+Results come back to Q(zeta_n) along one path, ``lift_and_reconstruct``:
+per-component residue vectors are lifted from p to p^2, p^4, ... by a step
+the caller supplies (Hensel's e -> 3e^2 - 2e^3 for idempotents, Newton's
+t -> t - f(t)/f'(t) for roots of a polynomial), glued at each precision by
+CRT interpolation into (Z/p^m)[x]/Phi_n and rationally reconstructed, until
+the caller accepts a reconstruction.  The lifted roots of unity and the
+interpolation basis depend only on (n, p, m) and are computed once per
+process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
 from .algebra import center_conditions, sparse_kernel
 from .linalg import Matrix, Poly, _krylov_relation
-from .scalars import (Cyc, PrimeField, Rat, cyclotomic_polynomial,
-                      rational_reconstruct)
+from .scalars import PrimeField, cyclotomic_polynomial, rational_reconstruct
 
 
 class BadPrime(Exception):
@@ -77,11 +84,11 @@ def scalar_denominators(field, scalars):
     return dens
 
 
-def good_primes(algebra, forms=(), lower=None):
+def good_primes(algebra, lower=None):
     """Yield candidate good primes for the modular pipeline.
 
     Policy: p = 1 (mod conductor), p > 2 dim, p does not divide dim or any
-    structure-constant / form denominator.  Semisimplicity conditions (Gram
+    structure-constant denominator.  Semisimplicity conditions (Gram
     nondegenerate mod p, Gamma(1) nonzero mod p) are checked downstream and
     reported as BadPrime.
     """
@@ -89,8 +96,6 @@ def good_primes(algebra, forms=(), lower=None):
     scalars = [c for i in range(algebra.dim) for j in range(algebra.dim)
                for c in algebra.table[i][j].values()]
     scalars.extend(algebra.unit)
-    for form in forms:
-        scalars.extend(form)
     dens = scalar_denominators(algebra.field, scalars)
     p = max(2 * algebra.dim, lower or 0, n, 2)
     while True:
@@ -127,6 +132,16 @@ def lift_cyclotomic_root(n: int, p: int, target_modulus: int) -> int:
         dfz = _int_poly_eval(dphi, z, M)
         z = (z - fz * pow(dfz, -1, M)) % M
     return z % target_modulus
+
+
+@functools.lru_cache(maxsize=None)
+def component_roots(n: int, p: int, exp: int):
+    """The primitive n-th roots mod p^exp, one per CRT component in the
+    order of ``component_units``, and the modulus p^exp.  Computed once
+    per (n, p, exp) in a process."""
+    M = p ** exp
+    z = lift_cyclotomic_root(n, p, M)
+    return tuple(pow(z, u, M) for u in component_units(n)), M
 
 
 def _int_poly_eval(coeffs, x, M):
@@ -300,16 +315,13 @@ class EchelonSubspace:
 
 
 class ModularBlock:
-    __slots__ = ("central_idempotent", "degree", "block_dim", "center_dim",
-                 "primitive_idempotent")
+    __slots__ = ("central_idempotent", "degree", "block_dim", "center_dim")
 
-    def __init__(self, central_idempotent, degree, block_dim, center_dim,
-                 primitive_idempotent):
+    def __init__(self, central_idempotent, degree, block_dim, center_dim):
         self.central_idempotent = central_idempotent
         self.degree = degree
         self.block_dim = block_dim
         self.center_dim = center_dim
-        self.primitive_idempotent = primitive_idempotent
 
 
 def center_mod_p(comp, gf):
@@ -320,8 +332,8 @@ def center_mod_p(comp, gf):
 
 
 def modular_split(algebra, p: int, root: int, seed: int = 0):
-    """Central primitive idempotents, block degrees and per-block primitive
-    idempotents of the reduction of ``algebra`` at ``zeta -> root`` mod p."""
+    """Central primitive idempotents and block invariants of the reduction
+    of ``algebra`` at ``zeta -> root`` mod p."""
     gf = PrimeField(p)
     comp = ComponentAlgebra(algebra, root, p)
     rng = random.Random(seed * 1000003 + p)
@@ -351,7 +363,7 @@ def modular_split(algebra, p: int, root: int, seed: int = 0):
     blocks = []
     for e_coords in idems:
         e_vec = _int_comb(center_int, e_coords, p)
-        blocks.append(_block_data(comp, gf, center, e_vec, p, rng))
+        blocks.append(_block_data(comp, gf, center, e_vec))
     blocks.sort(key=lambda b: (b.degree, b.block_dim, b.central_idempotent))
     return blocks
 
@@ -425,7 +437,7 @@ def _try_split(cmult, e, direction, r, p, rng):
     for fi in factors:
         cof = rel.divmod(fi)[0]
         # h = 1 mod fi and 0 mod the other factors, so h(z) projects onto fi
-        h = (cof * _poly_inverse_mod(cof, fi)) % rel
+        h = (cof * cof.inverse_mod(fi)) % rel
         pieces.append(_poly_eval_in_algebra(cmult, h, z, e, p))
     return pieces
 
@@ -444,20 +456,6 @@ def _mult_matrix(cmult, z, r, gf):
     return Matrix.from_columns(gf, cols)
 
 
-def _poly_inverse_mod(a: Poly, m: Poly) -> Poly:
-    field = a.field
-    r0, r1 = m, a % m
-    t0, t1 = Poly(field, []), Poly(field, [field.one])
-    while not r1.is_zero():
-        q, rem = r0.divmod(r1)
-        r0, r1 = r1, rem
-        t0, t1 = t1, t0 - q * t1
-    if r0.degree() != 0:
-        raise BadPrime("cofactor not invertible in CRT split")
-    inv = field.one / r0.coeffs[0]
-    return Poly(field, [inv * c for c in t0.coeffs]) % m
-
-
 def _poly_eval_in_algebra(cmult, poly: Poly, z, unit_e, p):
     """Evaluate a polynomial at z inside the ideal with unit unit_e."""
     acc = [0] * len(z)
@@ -469,7 +467,7 @@ def _poly_eval_in_algebra(cmult, poly: Poly, z, unit_e, p):
     return acc
 
 
-def _block_data(comp, gf, center, e_vec, p, rng):
+def _block_data(comp, gf, center, e_vec):
     n = comp.dim
     # block basis: span of x_j * e
     cols = []
@@ -492,57 +490,7 @@ def _block_data(comp, gf, center, e_vec, p, rng):
     d = math.isqrt(d2)
     if d * d != d2:
         raise BadPrime("block dimension is not a square over its center")
-    prim = None
-    if cdim == 1:
-        prim = _find_primitive_idempotent(comp, gf, block, e_vec, d, p, rng)
-    return ModularBlock(e_vec, d, bdim, cdim, prim)
-
-
-def _find_primitive_idempotent(comp, gf, block, e_vec, d, p, rng, tries=30):
-    if d == 1:
-        return list(e_vec)
-    n = comp.dim
-    bdim = block.dim
-    block_int = [[c.residue for c in v] for v in block.basis]
-    for _ in range(tries):
-        coords = [rng.randrange(p) for _ in range(bdim)]
-        b = _int_comb(block_int, coords, p)
-        mat = _block_mult_matrix(comp, gf, block, block_int, b)
-        rel = _krylov_relation(mat, block.coords([gf.from_int(x) for x in e_vec]))
-        if rel.degree() != d or rel.gcd(rel.derivative()).degree() > 0:
-            continue
-        roots = roots_mod_p(rel, p, rng)
-        if len(roots) != d:
-            continue
-        t0 = roots[0]
-        u = list(e_vec)
-        for t in roots[1:]:
-            inv = pow((t0 - t) % p, -1, p)
-            shifted = [(x - t * y) % p for x, y in zip(b, e_vec)]
-            u = comp.multiply(u, [x * inv % p for x in shifted])
-        # u should be idempotent of rank 1: check u A u has dimension 1
-        if comp.multiply(u, u) != u:
-            continue
-        uau = []
-        for j in range(n):
-            basis = [0] * n
-            basis[j] = 1
-            v = comp.multiply(comp.multiply(u, basis), u)
-            uau.append([gf.from_int(x) for x in v])
-        if EchelonSubspace(gf, uau).dim == 1:
-            return u
-    return None
-
-
-def _block_mult_matrix(comp, gf, block, block_int, b):
-    cols = []
-    for v in block_int:
-        img = comp.multiply(v, b)
-        coords = block.coords([gf.from_int(x) for x in img])
-        if coords is None:
-            raise BadPrime("block not closed under multiplication")
-        cols.append(coords)
-    return Matrix.from_columns(gf, cols)
+    return ModularBlock(e_vec, d, bdim, cdim)
 
 
 # ---------------------------------------------------------------------------
@@ -557,25 +505,55 @@ def hensel_lift_idempotent(comp_M, e, M):
     return [(3 * a - 2 * b) % M for a, b in zip(e2, e3)]
 
 
-def interpolate_mod(points, M, p):
-    """Coefficients (deg < len(points)) of the polynomial through the given
-    (node, value) pairs over Z/M; node differences must be units mod p."""
-    nodes = [x for x, _ in points]
-    k = len(points)
-    # Lagrange: sum_j r_j prod_{l != j} (x - w_l) / (w_j - w_l)
-    coeffs = [0] * k
-    for j, (wj, rj) in enumerate(points):
+def lift_and_reconstruct(field, p, residues, step, accept, max_exp):
+    """Lift per-component residue vectors mod p through the precisions
+    p, p^2, p^4, ... up to p^max_exp, glue and reconstruct each level, and
+    return (x, exp) for the first reconstruction x with ``accept(x)``;
+    None if there is none.
+
+    ``residues`` holds one vector per CRT component, in the order of
+    ``component_roots``; ``step(residues, exp)`` lifts them to p^exp."""
+    n = field.conductor
+    exp = 1
+    while exp <= max_exp:
+        roots, M = component_roots(n, p, exp)
+        if exp > 1:
+            residues = step(residues, exp)
+        x = reconstruct_element(field, residues, roots, M)
+        if x is not None and accept(x):
+            return x, exp
+        exp *= 2
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def lagrange_basis(nodes, M):
+    """Coefficient tuples of the Lagrange polynomials
+    prod_{l != j} (x - w_l) / (w_j - w_l) over Z/M, one per node w_j;
+    node differences must be units mod M.  Computed once per (nodes, M)
+    in a process."""
+    basis = []
+    for j, wj in enumerate(nodes):
         num = [1]
         denom = 1
-        for l, (wl, _) in enumerate(points):
-            if l == j:
-                continue
-            num = _poly_mul_mod(num, [(-wl) % M, 1], M)
-            denom = denom * (wj - wl) % M
-        f = rj * pow(denom, -1, M) % M
-        for i, c in enumerate(num):
-            coeffs[i] = (coeffs[i] + f * c) % M
-    return coeffs
+        for l, wl in enumerate(nodes):
+            if l != j:
+                num = _poly_mul_mod(num, [(-wl) % M, 1], M)
+                denom = denom * (wj - wl) % M
+        inv = pow(denom, -1, M)
+        basis.append(tuple(c * inv % M for c in num))
+    return tuple(basis)
+
+
+def interpolate_mod(nodes, values, M):
+    """Coefficients (deg < len(nodes)) of the polynomial over Z/M that
+    takes values[j] at nodes[j]."""
+    coeffs = [0] * len(nodes)
+    for v, poly in zip(values, lagrange_basis(tuple(nodes), M)):
+        if v:
+            for i, c in enumerate(poly):
+                coeffs[i] += v * c
+    return [c % M for c in coeffs]
 
 
 def _poly_mul_mod(a, b, M):
@@ -587,21 +565,14 @@ def _poly_mul_mod(a, b, M):
     return out
 
 
-def reconstruct_element(field, per_component, roots, M, p):
+def reconstruct_element(field, per_component, roots, M):
     """Glue per-component residue vectors and rationally reconstruct a vector
     of field scalars; None if any coefficient fails to reconstruct."""
-    dim = len(per_component[0])
-    phi = field.phi
     out = []
-    for i in range(dim):
-        residues = [vec[i] for vec in per_component]
-        if phi == 1:
-            poly = [residues[0] % M]
-        else:
-            poly = interpolate_mod(list(zip(roots, residues)), M, p)
+    for residues in zip(*per_component):
         qcoeffs = []
-        for c in poly:
-            q = rational_reconstruct(c % M, M)
+        for c in interpolate_mod(roots, residues, M):
+            q = rational_reconstruct(c, M)
             if q is None:
                 return None
             qcoeffs.append(q)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 import re
 
+from .linalg import Poly
+
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # supported fallback when gmpy2 cannot be imported
@@ -90,57 +92,6 @@ def cyclotomic_polynomial(n: int):
 
 def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
-
-
-# ---------------------------------------------------------------------------
-# rational polynomial helpers for cyclotomic inversion
-# ---------------------------------------------------------------------------
-
-def _qpoly_trim(p):
-    while p and p[-1] == RAT_ZERO:
-        p.pop()
-    return p
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [RAT_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = RAT_ONE / b[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = a[k + len(b) - 1] * inv_lead
-        q[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[k + j] -= c * bj
-    return _qpoly_trim(q), _qpoly_trim(a[: len(b) - 1])
-
-
-def _qpoly_xgcd(a, b):
-    """Return (g, s, t) with s*a + t*b = g over Q (lists ascending)."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [RAT_ONE], []
-    t0, t1 = [], [RAT_ONE]
-
-    def sub_scaled(p, q, quo):
-        # p - quo*q
-        prod = [RAT_ZERO] * (len(quo) + len(q) - 1) if quo and q else []
-        for i, qi in enumerate(quo):
-            if qi:
-                for j, cj in enumerate(q):
-                    prod[i + j] += qi * cj
-        out = list(p) + [RAT_ZERO] * max(0, len(prod) - len(p))
-        for i, ci in enumerate(prod):
-            out[i] -= ci
-        return _qpoly_trim(out)
-
-    while r1:
-        quo, rem = _qpoly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub_scaled(s0, s1, quo)
-        t0, t1 = t1, sub_scaled(t0, t1, quo)
-    return r0, s0, t0
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +171,11 @@ class Cyc:
     def inv(self):
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero cyclotomic number")
-        phi_poly = [rat(c) for c in cyclotomic_polynomial(self.field.conductor)]
-        g, s, _ = _qpoly_xgcd(_qpoly_trim(list(self.coeffs)), phi_poly)
-        # g is a nonzero constant since Phi_n is irreducible over Q
-        ginv = RAT_ONE / g[0]
-        coeffs = [c * ginv for c in s]
-        coeffs += [RAT_ZERO] * (2 * self.field.phi - 1 - len(coeffs))
-        return Cyc(self.field, self.field._reduce(coeffs))
+        field = self.field
+        # Phi_n is irreducible over Q, so every nonzero residue is a unit
+        phi_poly = Poly.from_ints(QQ, cyclotomic_polynomial(field.conductor))
+        s = Poly(QQ, self.coeffs).inverse_mod(phi_poly)
+        return Cyc(field, s.coeffs + [RAT_ZERO] * (field.phi - len(s.coeffs)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -605,17 +554,3 @@ def rational_reconstruct(residue: int, modulus: int):
         return None
     return Rat(a, b)
 
-
-def cyclotomic_arithmetic(a: Cyc, b, op: str):
-    """Uniform entry point for field operations on cyclotomic numbers."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "inv":
-        return a.inv()
-    raise ValueError(f"unknown operation {op!r}")

@@ -1,9 +1,11 @@
 """Characteristic-zero Wedderburn decomposition via modular splitting.
 
 The algebra is split mod a good prime in every CRT component of the
-cyclotomic base field, the central primitive idempotents are Hensel-lifted
-to increasing p-power precision, glued across components by interpolation,
-rationally reconstructed, and finally verified by exact arithmetic.
+cyclotomic base field.  Each gluing of one block per component is brought
+back along the one lifting path of ``modular.lift_and_reconstruct``, with
+Hensel's step e -> 3e^2 - 2e^3, and verified by exact arithmetic.  The
+eigenvalues behind split certificates come back along the same path:
+``field_roots`` lifts the roots mod p of a polynomial by Newton's step.
 
 A wrong gluing either fails reconstruction or reconstructs to small
 rationals that are not an idempotent.  Such a candidate is first reduced
@@ -15,20 +17,21 @@ exact, dense check, which stays the correctness filter.
 
 from __future__ import annotations
 
-import math
+import functools
+import itertools
 import random
 
-from .algebra import contract_right, hit_form_left
+from .algebra import frobenius_structure, hit_form_left
 from .linalg import Matrix, Poly
 from .modular import (BadPrime, ComponentAlgebra, EchelonSubspace,
-                      PrecisionExceeded, _int_poly_eval, component_units,
-                      good_primes, hensel_lift_idempotent, interpolate_mod,
-                      is_prime, lift_cyclotomic_root, modular_split,
-                      primitive_root, reconstruct_element, reduce_scalar,
+                      PrecisionExceeded, _int_poly_eval, component_roots,
+                      good_primes, hensel_lift_idempotent, is_prime,
+                      lift_and_reconstruct, modular_split, reduce_scalar,
                       roots_mod_p, scalar_denominators)
 from .scalars import PrimeField, Rat
 
 MAX_PRECISION_EXP = 64
+ROOT_PRECISION_EXP = 32
 FALLBACK_PRIMES = 3
 # The idempotent filter's prime lies above this bound, so that it rarely
 # divides a denominator of a spurious reconstruction (those are small).
@@ -70,13 +73,6 @@ class WedderburnData:
                 f"degrees={self.degrees}, p={self.prime_used})")
 
 
-def _component_roots(n, p, exp):
-    """Lifted primitive n-th roots mod p^exp, one per CRT component."""
-    M = p ** exp
-    z = lift_cyclotomic_root(n, p, M)
-    return [pow(z, u, M) for u in component_units(n)], M
-
-
 def _verify_idempotent(algebra, e):
     if algebra.multiply(e, e) != e:
         return False
@@ -88,7 +84,7 @@ def _check_components(algebra, p):
     of the cyclotomic polynomial mod q."""
     q = next(q for q in good_primes(algebra, lower=CHECK_PRIME_LOWER)
              if q != p)
-    roots, _ = _component_roots(algebra.field.conductor, q, 1)
+    roots, _ = component_roots(algebra.field.conductor, q, 1)
     return [ComponentAlgebra(algebra, w, q) for w in roots]
 
 
@@ -105,8 +101,7 @@ def _idempotent_mod_q(algebra, e, check_comps):
     return True
 
 
-def _raw_idempotents(algebra, prime=None, seed=0,
-                     max_precision_exp=MAX_PRECISION_EXP):
+def _raw_idempotents(algebra, prime=None, seed=0):
     """Central primitive idempotents over the algebra's cyclotomic base
     field, plus per-block modular invariants.
 
@@ -117,20 +112,16 @@ def _raw_idempotents(algebra, prime=None, seed=0,
         _check_explicit_prime(algebra, prime)
         primes = [prime]
     else:
-        primes = _take(good_primes(algebra), FALLBACK_PRIMES)
+        primes = list(itertools.islice(good_primes(algebra), FALLBACK_PRIMES))
     last_err = None
     for p in primes:
         try:
-            return _idempotents_at_prime(algebra, p, seed, max_precision_exp)
+            return _idempotents_at_prime(algebra, p, seed)
         except (BadPrime, PrecisionExceeded) as err:
             last_err = err
             continue
     raise PrecisionExceeded(
         f"no prime in {primes} yielded verified idempotents: {last_err}")
-
-
-def _take(gen, k):
-    return [next(gen) for _ in range(k)]
 
 
 def _check_explicit_prime(algebra, p):
@@ -151,17 +142,12 @@ def _check_explicit_prime(algebra, p):
         raise BadPrime(f"{p} divides a structure-constant denominator")
 
 
-def _idempotents_at_prime(algebra, p, seed, max_precision_exp):
-    field = algebra.field
-    n = field.conductor
-    units = component_units(n)
-    roots_p, _ = _component_roots(n, p, 1)
-
+def _idempotents_at_prime(algebra, p, seed):
+    roots_p, _ = component_roots(algebra.field.conductor, p, 1)
     per_comp_blocks = [modular_split(algebra, p, w, seed) for w in roots_p]
     counts = {len(bl) for bl in per_comp_blocks}
     if len(counts) != 1:
         raise BadPrime("component block counts disagree")
-    r = counts.pop()
 
     invariant = lambda b: (b.degree, b.block_dim, b.center_dim)
     sigs = [sorted(invariant(b) for b in bl) for bl in per_comp_blocks]
@@ -172,21 +158,18 @@ def _idempotents_at_prime(algebra, p, seed, max_precision_exp):
     idempotents = []
     blocks = []
     precision_used = 1
-    level_cache = {}
-    check_comps = _check_components(algebra, p)
+    lift = _idempotent_lift(algebra, p, _check_components(algebra, p))
     for b0 in per_comp_blocks[0]:
         found = None
         for choice in _gluings(per_comp_blocks, b0, used, invariant):
-            res = _lift_and_reconstruct(
-                algebra, p, [b.central_idempotent for b in choice],
-                max_precision_exp, level_cache, check_comps)
+            res = lift([b.central_idempotent for b in choice])
             if res is not None:
                 found = (choice,) + res
                 break
         if found is None:
             raise PrecisionExceeded(
                 f"block of degree {b0.degree}: no gluing reconstructed at "
-                f"p={p} up to precision p^{max_precision_exp}")
+                f"p={p} up to precision p^{MAX_PRECISION_EXP}")
         choice, e, prec = found
         precision_used = max(precision_used, prec)
         for comp_idx, b in enumerate(choice):
@@ -200,48 +183,36 @@ def _idempotents_at_prime(algebra, p, seed, max_precision_exp):
 
 def _gluings(per_comp_blocks, b0, used, invariant):
     """Candidate choices of one block per component, component 0 fixed."""
-    pools = [[b0]]
-    for comp_idx in range(1, len(per_comp_blocks)):
-        pool = [b for b in per_comp_blocks[comp_idx]
-                if invariant(b) == invariant(b0)
-                and id(b) not in used[comp_idx]]
-        pools.append(pool)
-    def rec(i):
-        if i == len(pools):
-            yield []
-            return
-        for b in pools[i]:
-            for rest in rec(i + 1):
-                yield [b] + rest
-    return rec(0)
+    pools = [[b for b in blocks
+              if invariant(b) == invariant(b0) and id(b) not in used[k]]
+             for k, blocks in enumerate(per_comp_blocks[1:], 1)]
+    return itertools.product([b0], *pools)
 
 
-def _lift_and_reconstruct(algebra, p, comp_idems, max_precision_exp,
-                          level_cache, check_comps):
-    """Lift one gluing through the precision ladder until a reconstruction
-    passes exact verification.  Spurious reconstructions (wrong gluings,
-    or too little precision) are rejected mod q or by the exact check, and
-    lifting continues."""
+def _idempotent_lift(algebra, p, check_comps):
+    """The lift of one gluing: a function that takes the mod-p central
+    idempotents of the chosen blocks, one per component, and returns
+    (e, exp) for the first reconstruction e at precision p^exp that
+    passes the check mod q and the exact check, or None.  Spurious
+    reconstructions (wrong gluings, or too little precision) are rejected
+    and lifting continues."""
     field = algebra.field
-    n = field.conductor
-    exp = 1
-    current = [list(e) for e in comp_idems]
-    while exp <= max_precision_exp:
-        if exp not in level_cache:
-            roots, M = _component_roots(n, p, exp)
-            comps = ([ComponentAlgebra(algebra, w, M) for w in roots]
-                     if exp > 1 else None)
-            level_cache[exp] = (roots, M, comps)
-        roots, M, comps = level_cache[exp]
-        if exp > 1:
-            current = [hensel_lift_idempotent(c, e, M)
-                       for c, e in zip(comps, current)]
-        out = reconstruct_element(field, current, roots, M, p)
-        if (out is not None and _idempotent_mod_q(algebra, out, check_comps)
-                and _verify_idempotent(algebra, out)):
-            return out, exp
-        exp *= 2
-    return None
+
+    @functools.lru_cache(maxsize=None)
+    def components(exp):
+        roots, M = component_roots(field.conductor, p, exp)
+        return [ComponentAlgebra(algebra, w, M) for w in roots]
+
+    def hensel(idems, exp):
+        return [hensel_lift_idempotent(c, e, c.M)
+                for c, e in zip(components(exp), idems)]
+
+    def accept(e):
+        return (_idempotent_mod_q(algebra, e, check_comps)
+                and _verify_idempotent(algebra, e))
+
+    return lambda idems: lift_and_reconstruct(
+        field, p, idems, hensel, accept, MAX_PRECISION_EXP)
 
 
 def _verify_system(algebra, idempotents):
@@ -273,19 +244,19 @@ def _block_characters(algebra, idempotents, degrees, center_dims):
     return out
 
 
-def central_primitive_idempotents(algebra, frobenius=None, prime=None, seed=0,
-                                  max_precision_exp=MAX_PRECISION_EXP,
-                                  certify=True):
+def central_primitive_idempotents(algebra, frobenius=None, prime=None,
+                                  seed=0):
     """Full decomposition: idempotents, degrees, characters, certification,
     in canonical block order (degree, then character sort key).
 
     Semisimplicity is certified up front by nondegeneracy of the regular
-    trace form (DegenerateForm carries a radical witness otherwise)."""
-    if frobenius is None:
-        from .algebra import frobenius_structure, regular_character_form
-        frobenius_structure(algebra, regular_character_form(algebra))
-    idems, blocks, p, prec = _raw_idempotents(
-        algebra, prime=prime, seed=seed, max_precision_exp=max_precision_exp)
+    trace form chi_reg (DegenerateForm carries a radical witness
+    otherwise), whatever Frobenius structure is given; a given structure
+    whose form is a nonzero multiple of chi_reg already certifies it."""
+    chi_reg = algebra.regular_character()
+    if frobenius is None or not _is_multiple(frobenius.lam, chi_reg):
+        frobenius_structure(algebra, chi_reg)
+    idems, blocks, p, prec = _raw_idempotents(algebra, prime=prime, seed=seed)
     field = algebra.field
     degrees = [b.degree for b in blocks]
     center_dims = [b.center_dim for b in blocks]
@@ -300,7 +271,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None, seed=0,
             raise PrecisionExceeded("exact block dimension disagrees with "
                                     "the modular one")
         block_dims.append(span.dim)
-        certified.append(certify and b.center_dim == 1
+        certified.append(b.center_dim == 1
                          and certify_split_block(algebra, span, images,
                                                  b.degree, seed=seed))
     characters = _block_characters(algebra, idems, degrees, center_dims)
@@ -317,6 +288,13 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None, seed=0,
 
     return WedderburnData(algebra, idems, degrees, block_dims, center_dims,
                           characters, certified, p, prec)
+
+
+def _is_multiple(form, chi):
+    """Whether form = c chi for a nonzero scalar c (chi is nonzero)."""
+    i = next(i for i, x in enumerate(chi) if x)
+    c = form[i] / chi[i]
+    return bool(c) and all(f == c * x for f, x in zip(form, chi))
 
 
 def irreducible_characters(algebra, data: WedderburnData | None = None,
@@ -403,98 +381,79 @@ def _restricted_right_mult(algebra, block, block_basis, b):
     return Matrix.from_columns(algebra.field, cols)
 
 
-def field_roots(field, coeffs, expected=None, seed=0):
+def field_roots(field, coeffs, seed=0):
     """Roots in the cyclotomic base field of a polynomial with coefficients
-    there (ascending list), found modularly and verified exactly."""
-    coeffs = list(coeffs)
-    while coeffs and not bool(coeffs[-1]):
-        coeffs.pop()
-    if len(coeffs) <= 1:
+    there (ascending list), found modularly and verified exactly.
+
+    They are the roots of the squarefree part g = f / gcd(f, f'), which are
+    simple, so Newton's step lifts them.  The prime used is the first good
+    prime p = 1 (mod n) at which g stays squarefree in every CRT component;
+    every choice of one root of g mod p per component is lifted along
+    ``lift_and_reconstruct`` to its first reconstruction, which is kept if
+    it is a root of g."""
+    f = Poly(field, coeffs)
+    if f.degree() < 1:
         return []
+    g = (f // f.gcd(f.derivative())).monic()
     n = field.conductor
-    deg = len(coeffs) - 1
-    dens = scalar_denominators(field, coeffs)
-    rng = random.Random(seed * 131 + deg)
-
-    p = max(2 * deg + 1, n, 20)
-    attempts = 0
-    roots_found = []
-    while attempts < FALLBACK_PRIMES:
+    dens = scalar_denominators(field, g.coeffs)
+    rng = random.Random(seed * 131 + f.degree())
+    p = max(2 * f.degree() + 1, n, 20)
+    while True:
         p += 1
-        if p % n != 1 % n or not is_prime(p):
+        if (p % n != 1 % n or not is_prime(p)
+                or any(d % p == 0 for d in dens)):
             continue
-        if any(dd % p == 0 for dd in dens):
-            continue
-        if _leading_vanishes(field, coeffs[-1], n, p):
-            continue
-        attempts += 1
-        roots_found = _field_roots_at_prime(field, coeffs, p, rng)
-        if expected is None or len(roots_found) >= expected:
+        comp_roots = _simple_roots_mod_p(field, g, p, rng)
+        if comp_roots is not None:
             break
-    return sorted(set(roots_found), key=field.sort_key)
+    roots = _lift_roots(field, g, p, comp_roots)
+    return sorted(set(roots), key=field.sort_key)
 
 
-def _leading_vanishes(field, lead, n, p):
-    roots, M = _component_roots(n, p, 1)
-    return any(reduce_scalar(field, lead, w, p) == 0 for w in roots)
-
-
-def _field_roots_at_prime(field, coeffs, p, rng):
-    n = field.conductor
+def _simple_roots_mod_p(field, g, p, rng):
+    """The roots of the monic g mod p in each CRT component; None if g is
+    not squarefree mod p in some component."""
     gf = PrimeField(p)
-    roots_p, _ = _component_roots(n, p, 1)
-    comp_lists = []
-    for w in roots_p:
-        f = Poly.from_ints(gf, [reduce_scalar(field, c, w, p) for c in coeffs])
-        g = f.gcd(f.derivative())
-        if g.degree() > 0:
-            f = f.divmod(g)[0]
-        comp_lists.append(roots_mod_p(f.monic(), p, rng))
     out = []
-    for combo in _cartesian(comp_lists):
-        t = _lift_root_combo(field, coeffs, combo, p)
-        if t is not None and _poly_value_is_zero(field, coeffs, t):
-            out.append(t)
+    for w in component_roots(field.conductor, p, 1)[0]:
+        gw = Poly.from_ints(gf, [reduce_scalar(field, c, w, p)
+                                 for c in g.coeffs])
+        if gw.gcd(gw.derivative()).degree() > 0:
+            return None
+        out.append(roots_mod_p(gw, p, rng))
     return out
 
 
-def _cartesian(lists):
-    if not lists:
-        yield []
-        return
-    for x in lists[0]:
-        for rest in _cartesian(lists[1:]):
-            yield [x] + rest
+def _lift_roots(field, g, p, comp_roots):
+    """The roots of g in the field among the lifts of every choice of one
+    simple root mod p per component."""
 
+    @functools.lru_cache(maxsize=None)
+    def reductions(exp):
+        roots, M = component_roots(field.conductor, p, exp)
+        red = []
+        for w in roots:
+            gw = [reduce_scalar(field, c, w, M) for c in g.coeffs]
+            red.append((gw, [i * c % M for i, c in enumerate(gw)][1:]))
+        return red, M
 
-def _lift_root_combo(field, coeffs, combo, p, max_precision_exp=32):
-    n = field.conductor
-    exp = 1
-    current = list(combo)
-    while exp <= max_precision_exp:
-        roots, M = _component_roots(n, p, exp)
-        red = [[reduce_scalar(field, c, w, M) for c in coeffs] for w in roots]
-        lifted = []
-        for rcoeffs, t in zip(red, current):
-            ft = _int_poly_eval(rcoeffs, t, M)
-            dft = _int_poly_eval(
-                [i * c % M for i, c in enumerate(rcoeffs)][1:], t, M)
-            if math.gcd(dft, p) != 1:
-                return None
-            lifted.append((t - ft * pow(dft, -1, M)) % M)
-        current = lifted
-        vec = reconstruct_element(field, [[t] for t in current], roots, M, p)
-        if vec is not None:
-            return vec[0]
-        exp *= 2
-    return None
+    def newton(ts, exp):
+        red, M = reductions(exp)
+        return [[(t - _int_poly_eval(gw, t, M)
+                  * pow(_int_poly_eval(dgw, t, M), -1, M)) % M]
+                for (gw, dgw), (t,) in zip(red, ts)]
 
-
-def _poly_value_is_zero(field, coeffs, t):
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return not bool(acc)
+    # A lift ends at its first reconstruction, kept if it is a root: most
+    # choices are wrong, and lifting those on after a chance reconstruction
+    # costs more than it finds.
+    out = []
+    for choice in itertools.product(*comp_roots):
+        res = lift_and_reconstruct(field, p, [[t] for t in choice], newton,
+                                   lambda x: True, ROOT_PRECISION_EXP)
+        if res is not None and not g(res[0][0]):
+            out.append(res[0][0])
+    return out
 
 
 # ---------------------------------------------------------------------------

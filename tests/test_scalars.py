@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import QQ, CyclotomicField, PrimeField, Rat, rational_reconstruct
-from frobdiv.scalars import (ConductorMismatch, cyclotomic_arithmetic,
-                             cyclotomic_polynomial, euler_phi)
+from frobdiv.scalars import (ConductorMismatch, cyclotomic_polynomial,
+                             euler_phi)
 
 # hand table of cyclotomic polynomials, ascending coefficients
 KNOWN_PHI = {
@@ -103,9 +103,13 @@ def test_format_parse_round_trip():
 def test_cyclotomic_arithmetic_surface():
     K = CyclotomicField(4)
     a, b = K.zeta(), K.one + K.zeta()
-    assert cyclotomic_arithmetic(a, b, "add") == a + b
-    assert cyclotomic_arithmetic(a, b, "mul") == a * b
-    assert cyclotomic_arithmetic(a, b, "div") == a / b
+    # with i = zeta_4: i + (1+i) = 1+2i, i(1+i) = -1+i, i/(1+i) = (1+i)/2
+    half = Rat(1, 2)
+    assert a + b == K.element([1, 2])
+    assert a - b == -K.one
+    assert a * b == K.element([-1, 1])
+    assert a / b == K.element([half, half])
+    assert b.inv() * b == K.one
 
 
 @st.composite

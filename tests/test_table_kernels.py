@@ -14,9 +14,8 @@ from frobdiv import (FrobeniusStructure, NotATraceForm, drinfeld_double,
 from frobdiv.hopf import (integrals, quasitriangular_verify, r_products,
                          verify_hopf)
 from frobdiv.modular import (ComponentAlgebra, EchelonSubspace,
-                             center_mod_p, good_primes)
+                             center_mod_p, component_roots, good_primes)
 from frobdiv.scalars import PrimeField
-from frobdiv.wedderburn import _component_roots
 
 from dense_oracle import (change_basis_hopf, dense_center_basis, dense_gram,
                           dense_integral, dense_is_central,
@@ -112,7 +111,7 @@ def test_mod_p_center_matches_dense_oracle(key, which):
     A = case(key)[0].algebra
     primes = good_primes(A)
     p = [next(primes) for _ in range(2)][which]
-    roots, _ = _component_roots(A.field.conductor, p, 1)
+    roots, _ = component_roots(A.field.conductor, p, 1)
     gf = PrimeField(p)
     comp = ComponentAlgebra(A, roots[-1], p)
     assert center_mod_p(comp, gf).basis == \

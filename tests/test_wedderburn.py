@@ -4,6 +4,7 @@ import pytest
 
 from frobdiv import (
     CyclotomicField,
+    Poly,
     QQ,
     Rat,
     central_primitive_idempotents,
@@ -219,3 +220,33 @@ def test_field_roots_gaussian():
     # x^2 + 1 = (x - i)(x + i) over Q(i)
     roots = field_roots(K, [K.one, K.zero, K.one])
     assert sorted(roots, key=K.sort_key) == sorted([i, -i], key=K.sort_key)
+
+
+def _from_roots(field, roots):
+    """Coefficients of prod (x - t) over the roots, ascending."""
+    f = Poly(field, [field.one])
+    for t in roots:
+        f = f * Poly(field, [-t, field.one])
+    return f.coeffs
+
+
+def test_field_roots_repeated():
+    # repeated roots are roots of the squarefree part f / gcd(f, f')
+    assert field_roots(QQ, _from_roots(QQ, [rq(0), rq(0)])) == [rq(0)]
+    assert field_roots(QQ, _from_roots(QQ, [rq(1), rq(1), rq(2)])) == \
+        [rq(1), rq(2)]
+    assert field_roots(QQ, [rq(1), rq(0), rq(1)]) == []
+    K = CyclotomicField(4)
+    i = K.zeta()
+    assert field_roots(K, _from_roots(K, [i, i])) == [i]
+
+
+def test_field_roots_conductor_24():
+    # two roots, so 2^8 choices of roots mod p over the eight components
+    K = CyclotomicField(24)
+    z = K.zeta()
+    roots = [K.zeta(7) * K.from_rat(Rat(2, 3)) - z, K.from_rat(Rat(-3))]
+    want = sorted(roots, key=K.sort_key)
+    assert field_roots(K, _from_roots(K, roots)) == want
+    # the first with multiplicity three, the second with multiplicity two
+    assert field_roots(K, _from_roots(K, roots * 2 + roots[:1])) == want

@@ -1,6 +1,7 @@
 """Work counts of the Wedderburn pipeline, checked without timing: one
 exact idempotent check per block, wrong gluings stopped by the check mod
-q, and pieces with a 1-dimensional ideal never tried again."""
+q, pieces with a 1-dimensional ideal never tried again, and the lifted
+roots of unity computed once per (conductor, prime, exponent)."""
 
 import frobdiv.modular as modular
 import frobdiv.wedderburn as wedderburn
@@ -31,11 +32,11 @@ def test_one_exact_check_per_block(monkeypatch):
 def test_wrong_gluing_rejected_mod_q(monkeypatch):
     A = kc4()
     p = 13
-    roots, _ = wedderburn._component_roots(4, p, 1)
+    roots, _ = modular.component_roots(4, p, 1)
     per_comp = [modular.modular_split(A, p, w) for w in roots]
     check = wedderburn._check_components(A, p)
     reconstructed, exact = [], []
-    original_rec = wedderburn.reconstruct_element
+    original_rec = modular.reconstruct_element
     original_verify = wedderburn._verify_idempotent
 
     def recording_rec(*args):
@@ -48,15 +49,14 @@ def test_wrong_gluing_rejected_mod_q(monkeypatch):
         exact.append(e)
         return original_verify(algebra, e)
 
-    monkeypatch.setattr(wedderburn, "reconstruct_element", recording_rec)
+    monkeypatch.setattr(modular, "reconstruct_element", recording_rec)
     monkeypatch.setattr(wedderburn, "_verify_idempotent", recording_verify)
+    lift = wedderburn._idempotent_lift(A, p, check)
     b0 = per_comp[0][0]
     wrong = []
     for b1 in per_comp[1]:
         before = len(reconstructed)
-        res = wedderburn._lift_and_reconstruct(
-            A, p, [b0.central_idempotent, b1.central_idempotent],
-            wedderburn.MAX_PRECISION_EXP, {}, check)
+        res = lift([b0.central_idempotent, b1.central_idempotent])
         if res is None:
             wrong.extend(reconstructed[before:])
         else:
@@ -70,6 +70,28 @@ def test_wrong_gluing_rejected_mod_q(monkeypatch):
         assert A.multiply(x, x) != x
     for e in central_primitive_idempotents(A).idempotents:
         assert wedderburn._idempotent_mod_q(A, e, check)
+
+
+def test_roots_of_unity_lifted_once_per_precision(monkeypatch):
+    # kS3 over Q(zeta_24): eight components, and a degree-2 block whose
+    # split certificate lifts field roots as well as idempotents
+    lifted = []
+    original = modular.lift_cyclotomic_root
+
+    def recording(n, p, target_modulus):
+        lifted.append((n, p, target_modulus))
+        return original(n, p, target_modulus)
+
+    monkeypatch.setattr(modular, "lift_cyclotomic_root", recording)
+    modular.component_roots.cache_clear()
+    A = group_algebra(named_group("S3"), conductor=24).algebra
+    data = central_primitive_idempotents(A)
+    assert data.degrees == [1, 1, 2] and all(data.split_certified)
+    assert lifted and len(lifted) == len(set(lifted))
+    # a second split in the same process lifts nothing again
+    before = len(lifted)
+    central_primitive_idempotents(A)
+    assert len(lifted) == before
 
 
 def _recording_try_split(monkeypatch):
@@ -88,7 +110,7 @@ def _recording_try_split(monkeypatch):
 def test_final_pieces_never_split_again(monkeypatch):
     tried = _recording_try_split(monkeypatch)
     A = kc4()
-    for w in wedderburn._component_roots(4, 13, 1)[0]:
+    for w in modular.component_roots(4, 13, 1)[0]:
         blocks = modular.modular_split(A, 13, w)
         assert [b.center_dim for b in blocks] == [1, 1, 1, 1]
     assert tried and all(d > 1 for d in tried)
