@@ -6,12 +6,15 @@ Linear conditions are read straight from the sparse structure table
 ``table[i][k]``: the center is the joint kernel of the rows
 sum_k a_k (c_ik^r - c_ki^r), solved by ``sparse_kernel`` without forming
 any multiplication operator, ``is_central`` compares a x_i with x_i a on
-the table, and the Gram matrix of a form is sum_r lambda_r c_ij^r."""
+the table, and the Gram matrix of a form is sum_r lambda_r c_ij^r.  The
+Casimir element multiplies elements of A (x) A through the swap law, on
+the table of A as well."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .integrality import is_integral_over_Z
 from .linalg import Matrix
 
 
@@ -85,9 +88,6 @@ class StructureConstantAlgebra:
                 for k, c in row[j].items():
                     out[k] = out[k] + f * c
         return out
-
-    # alias used by the integrality Krylov iteration
-    mult = multiply
 
     def regular_rep(self, a) -> Matrix:
         """Matrix of the right regular representation b -> b a."""
@@ -448,7 +448,11 @@ class FrobeniusStructure:
         for j in range(n):
             for r in range(n):
                 self.casimir[j * n + r] = self.gram_inv.entries[r][j]
+        # row r of gram_inv, sparse: the x_r-coefficients of the y_j
+        self._dual_coeffs = [[(j, g) for j, g in enumerate(row) if g]
+                             for row in self.gram_inv.entries]
         self._gamma_one = None
+        self._casimir_cert = None
         self._tensor = None
 
     @property
@@ -479,6 +483,50 @@ class FrobeniusStructure:
         if self._gamma_one is None:
             self._gamma_one = self.casimir_trace(self.algebra.unit)
         return list(self._gamma_one)
+
+    def casimir_times(self, z):
+        """c z for a flat element z of A (x) A, read off the structure table.
+
+        Write z = sum_i x_i (x) w_i.  The swap law c(a (x) 1) = (1 (x) a) c
+        gives c z = sum_j x_j (x) w'_j with w'_j = sum_i x_i y_j w_i, that is
+        w'_j = sum_r gram_inv[r][j] u_r for u_r = sum_i x_i (x_r w_i).  No
+        product in A (x) A is formed."""
+        A = self.algebra
+        n = A.dim
+        table = A.table
+        out = [self.field.zero] * (n * n)
+        rows = []  # (table row of x_i, nonzero terms of w_i)
+        for i in range(n):
+            w = [(m, c) for m, c in enumerate(z[i * n:(i + 1) * n]) if c]
+            if w:
+                rows.append((table[i], w))
+        for row_r, coeffs in zip(table, self._dual_coeffs):
+            u = {}
+            for row_i, w in rows:
+                v = {}  # x_r w_i
+                for m, c in w:
+                    for k, d in row_r[m].items():
+                        _add_into(v, k, c * d)
+                for k, b in v.items():
+                    if b:
+                        for m, d in row_i[k].items():
+                            _add_into(u, m, b * d)
+            u = [(m, c) for m, c in u.items() if c]
+            for j, g in coeffs:
+                base = j * n
+                for m, c in u:
+                    out[base + m] = out[base + m] + g * c
+        return out
+
+    def casimir_certificate(self):
+        """Integrality certificate of the Casimir element, computed once:
+        its powers come from ``casimir_times``, starting at 1 (x) 1."""
+        if self._casimir_cert is None:
+            unit = self.algebra.unit
+            self._casimir_cert = is_integral_over_Z(
+                self.field, tensor_flat(self.field, unit, unit),
+                self.casimir_times, "casimir element")
+        return self._casimir_cert
 
     def trace_via_casimir(self, f: Matrix):
         """trace(f) = sum_i <lambda, f(x_i) y_i>."""

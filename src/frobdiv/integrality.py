@@ -1,15 +1,22 @@
 """Integrality certification over Z and the divisibility verdicts.
 
-An element of a finite-dimensional Q(zeta_n)-algebra is integral over Z
+An element a of a finite-dimensional Q(zeta_n)-algebra is integral over Z
 exactly when its monic minimal polynomial over Q has integer coefficients
-(Gauss).  The minimal polynomial is computed by Krylov iteration on the
-unit vector after restricting scalars to Q; the Q-structure matrix is
-never materialized.
+(Gauss).  The minimal polynomial comes from Krylov iteration: the powers
+1, a, a^2, ... are produced by an operator ``times(v) = a v`` on coordinate
+vectors, written out in rational coordinates, and reduced until the first
+one depends on those before it.  Only vectors are ever formed, never a
+matrix of a.
+
+For the Casimir element c of a symmetric algebra A the operator is
+``FrobeniusStructure.casimir_times``, which multiplies by c through the swap
+law c(a (x) 1) = (1 (x) a) c straight from the structure table of A, with
+no product in A (x) A; each structure computes that certificate once.  A
+scalar x uses ``lambda v: [x * v[0]]`` on the field itself.
 """
 
 from __future__ import annotations
 
-from .algebra import TensorSquareAlgebra
 from .scalars import QQ, Rat, is_integer_rat, rat_str
 
 
@@ -23,18 +30,6 @@ class EquivalenceViolation(Exception):
 
 class NotASymmetricHomomorphism(Exception):
     pass
-
-
-class ScalarCarrier:
-    """The base field viewed as a one-dimensional algebra over itself."""
-
-    def __init__(self, field):
-        self.field = field
-        self.dim = 1
-        self.unit = [field.one]
-
-    def mult(self, a, b):
-        return [a[0] * b[0]]
 
 
 class IntegralityCertificate:
@@ -65,14 +60,14 @@ def _flatten(field, vec):
     return out
 
 
-def minimal_polynomial_over_Q(carrier, a):
-    """Monic minimal polynomial over Q of an element, given as ascending
-    Rat coefficients.  ``carrier`` needs field, dim, unit and mult."""
-    field = carrier.field
+def minimal_polynomial_over_Q(field, unit, times):
+    """Monic minimal polynomial over Q of an element, as ascending Rat
+    coefficients.  ``unit`` is the unit of the algebra over ``field`` and
+    ``times(v)`` is the element times v, both as coordinate vectors."""
     zero, one = QQ.zero, QQ.one
     # Krylov iteration seeded at the unit; rows are Q-flattened powers
     reduced = []  # (pivot, row, combination)
-    vec = list(carrier.unit)
+    vec = list(unit)
     comb = [one]
     while True:
         row = _flatten(field, vec)
@@ -91,12 +86,12 @@ def minimal_polynomial_over_Q(carrier, a):
             return [c / lead for c in cmb]
         inv = one / row[pidx]
         reduced.append((pidx, [inv * x for x in row], [inv * x for x in cmb]))
-        vec = carrier.mult(a, vec)
+        vec = times(vec)
         comb = [zero] + comb
 
 
-def is_integral_over_Z(carrier, a, description="element"):
-    poly = minimal_polynomial_over_Q(carrier, a)
+def is_integral_over_Z(field, unit, times, description="element"):
+    poly = minimal_polynomial_over_Q(field, unit, times)
     witness = None
     for i, c in enumerate(poly):
         if not is_integer_rat(c):
@@ -106,7 +101,8 @@ def is_integral_over_Z(carrier, a, description="element"):
 
 
 def scalar_certificate(field, x, description="scalar"):
-    return is_integral_over_Z(ScalarCarrier(field), [x], description)
+    return is_integral_over_Z(field, [field.one], lambda v: [x * v[0]],
+                              description)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +151,7 @@ def frobenius_divisibility_verdict(algebra, frobenius, data):
         raise InapplicableHypothesis("non-split component present")
     u = _gamma_one_integer(algebra, frobenius)
     direct = [u % d == 0 for d in data.degrees]
-    cert = is_integral_over_Z(TensorSquareAlgebra(algebra),
-                              frobenius.casimir, "casimir element")
+    cert = frobenius.casimir_certificate()
     if all(direct) != cert.integral:
         raise EquivalenceViolation(
             f"direct division {direct} vs casimir integrality "
@@ -211,9 +206,7 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
     from .wedderburn import gamma_one_eigenvalue
     field = A.field
     verify_symmetric_homomorphism(A, frob_A.lam, B, frob_B.lam, phi)
-    cas_cert = is_integral_over_Z(TensorSquareAlgebra(A), frob_A.casimir,
-                                  "casimir element of the source")
-    if not cas_cert.integral:
+    if not frob_A.casimir_certificate().integral:
         raise InapplicableHypothesis("source Casimir element is not "
                                      "integral over Z")
     g1_B = frob_B.gamma_one()

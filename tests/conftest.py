@@ -44,3 +44,24 @@ def matrix_algebra_2x2(field=None):
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+def matrix_blocks(sizes, field=None):
+    """M_{n1}(k) + M_{n2}(k) + ... on the matrix units e_ij of each block."""
+    field = field or QQ
+    offsets, dim = [], 0
+    for n in sizes:
+        offsets.append(dim)
+        dim += n * n
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    unit = [field.zero] * dim
+    for off, n in zip(offsets, sizes):
+        for i in range(n):
+            unit[off + i * n + i] = field.one
+            for j in range(n):
+                for l in range(n):
+                    # e_ij e_jl = e_il
+                    table[off + i * n + j][off + j * n + l] = {
+                        off + i * n + l: field.one}
+    name = "+".join(f"M{n}" for n in sizes)
+    return StructureConstantAlgebra(field, dim, table, unit, name=name)

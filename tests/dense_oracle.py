@@ -9,7 +9,8 @@ the same verdict and the same failure labels in the same order.  They never
 touch the sparse product of ``TensorSquareAlgebra``; products in A (x) A are
 built factor by factor with the dense ``multiply``.  The centre, integral,
 centrality, Gram and R-product oracles are described in their own section,
-and so is the per-point interpolation formula.
+and so are the per-point interpolation formula and the Krylov loop over a
+carrier algebra.
 """
 
 from frobdiv import Matrix, StructureConstantAlgebra, VerificationReport
@@ -379,14 +380,10 @@ def change_basis_hopf(H, P, R=None):
     with R (a flat element of H (x) H) rewritten on the new basis.
     Returns (H', R')."""
     field = H.field
-    A = H.algebra
     n = H.dim
     zero = field.zero
     Q = P.inverse()
     cols = P.columns()
-
-    def to_new(vec):
-        return Q.apply(vec)
 
     def tensor_to_new(flat):
         # Q M Q^T for the n x n coefficient matrix M of a flat tensor
@@ -395,12 +392,7 @@ def change_basis_hopf(H, P, R=None):
         return {i * n + j: c for i, row in enumerate(N.entries)
                 for j, c in enumerate(row) if c != zero}
 
-    table = [[{k: c for k, c in enumerate(to_new(A.multiply(cols[i],
-                                                           cols[j])))
-               if c != zero}
-              for j in range(n)] for i in range(n)]
-    B = StructureConstantAlgebra(field, n, table, to_new(A.unit),
-                                 name=A.name)
+    B = change_basis_algebra(H.algebra, P)
     delta = []
     for j in range(n):
         flat = [zero] * (n * n)
@@ -414,6 +406,20 @@ def change_basis_hopf(H, P, R=None):
         return H2, None
     Rn = tensor_to_new(list(R))
     return H2, [Rn.get(idx, zero) for idx in range(n * n)]
+
+
+def change_basis_algebra(A, P):
+    """A on the basis y_j = sum_i P[i][j] x_i, for an invertible matrix P."""
+    field = A.field
+    n = A.dim
+    Q = P.inverse()
+    cols = P.columns()
+    table = [[{k: c for k, c in enumerate(Q.apply(A.multiply(cols[i],
+                                                            cols[j])))
+               if c != field.zero}
+              for j in range(n)] for i in range(n)]
+    return StructureConstantAlgebra(field, n, table, Q.apply(A.unit),
+                                    name=A.name)
 
 
 def unimodular_matrix(field, n, seed):
@@ -471,3 +477,45 @@ def lagrange_interpolate(points, M):
         for i, c in enumerate(num):
             coeffs[i] = (coeffs[i] + f * c) % M
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# minimal polynomials over a carrier algebra
+# ---------------------------------------------------------------------------
+#
+# The Krylov loop as the library ran it before the Casimir element was
+# multiplied through the swap law: the powers of a are products in a
+# carrier with field, unit and mult, for the Casimir element of A the
+# tensor square ``TensorSquareAlgebra(A)``.
+
+
+def carrier_minimal_polynomial(carrier, a):
+    """Monic minimal polynomial over Q of a, as ascending Rat
+    coefficients, from the powers carrier.mult(a, .) of the unit."""
+    from frobdiv import QQ
+    field = carrier.field
+    zero, one = QQ.zero, QQ.one
+    reduced = []  # (pivot, row, combination)
+    vec = list(carrier.unit)
+    comb = [one]
+    while True:
+        row = []
+        for c in vec:
+            row.extend(field.to_qvec(c))
+        cmb = list(comb)
+        for pidx, prow, pcmb in reduced:
+            c = row[pidx]
+            if c != zero:
+                row = [x - c * y for x, y in zip(row, prow)]
+                width = max(len(cmb), len(pcmb))
+                cmb = [(cmb[i] if i < len(cmb) else zero)
+                       - c * (pcmb[i] if i < len(pcmb) else zero)
+                       for i in range(width)]
+        pidx = next((i for i, x in enumerate(row) if x != zero), None)
+        if pidx is None:
+            lead = cmb[-1] if cmb else one
+            return [c / lead for c in cmb]
+        inv = one / row[pidx]
+        reduced.append((pidx, [inv * x for x in row], [inv * x for x in cmb]))
+        vec = carrier.mult(a, vec)
+        comb = [zero] + comb

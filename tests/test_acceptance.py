@@ -66,8 +66,9 @@ def test_criterion_01_group_algebra_divisibility():
         order = H.dim
         assert sorted(data.degrees) == EXPECTED_DEGREES[name]
         assert all(order % d == 0 for d in data.degrees)
-        cert = is_integral_over_Z(TensorSquareAlgebra(H.algebra),
-                                  frob.casimir)
+        T = TensorSquareAlgebra(H.algebra)
+        cert = is_integral_over_Z(H.field, T.unit,
+                                  lambda z: T.mult(frob.casimir, z))
         assert cert.integral
         # both sides of the divisibility equivalence, cross-checked
         # internally; an EquivalenceViolation would escape the assert

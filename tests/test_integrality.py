@@ -14,7 +14,6 @@ from frobdiv import (
     scalar_certificate,
 )
 from frobdiv.integrality import (
-    ScalarCarrier,
     is_integral_over_Z,
     minimal_polynomial_over_Q,
     verify_symmetric_homomorphism,
@@ -27,10 +26,15 @@ def rq(x, y=1):
     return QQ.from_rat(Rat(x, y))
 
 
+def scalar_times(x):
+    return lambda v: [x * v[0]]
+
+
 def test_minpoly_scalar_rational():
-    assert minimal_polynomial_over_Q(ScalarCarrier(QQ), [rq(3)]) == \
+    assert minimal_polynomial_over_Q(QQ, [QQ.one], scalar_times(rq(3))) == \
         [Rat(-3), Rat(1)]
-    assert minimal_polynomial_over_Q(ScalarCarrier(QQ), [rq(1, 2)]) == \
+    assert minimal_polynomial_over_Q(QQ, [QQ.one],
+                                     scalar_times(rq(1, 2))) == \
         [Rat(-1, 2), Rat(1)]
 
 
@@ -38,7 +42,7 @@ def test_minpoly_cyclotomic_scalar():
     K = CyclotomicField(3)
     z = K.zeta()
     # minimal polynomial of zeta_3 over Q is x^2 + x + 1
-    mp = minimal_polynomial_over_Q(ScalarCarrier(K), [z])
+    mp = minimal_polynomial_over_Q(K, [K.one], scalar_times(z))
     assert mp == [Rat(1), Rat(1), Rat(1)]
     # zeta_3 / 2 is not integral
     cert = scalar_certificate(K, z / K.from_int(2))
@@ -47,13 +51,18 @@ def test_minpoly_cyclotomic_scalar():
 
 def test_minpoly_of_group_element():
     A = group_algebra_plain("C2")
+
+    def times(a):
+        return lambda v: A.multiply(a, v)
+
     # g has minimal polynomial x^2 - 1
-    assert minimal_polynomial_over_Q(A, [rq(0), rq(1)]) == \
+    assert minimal_polynomial_over_Q(QQ, A.unit, times([rq(0), rq(1)])) == \
         [Rat(-1), Rat(0), Rat(1)]
     # (1+g)/2 is idempotent: x^2 - x
     half = [rq(1, 2), rq(1, 2)]
-    assert minimal_polynomial_over_Q(A, half) == [Rat(0), Rat(-1), Rat(1)]
-    cert = is_integral_over_Z(A, half)
+    assert minimal_polynomial_over_Q(QQ, A.unit, times(half)) == \
+        [Rat(0), Rat(-1), Rat(1)]
+    cert = is_integral_over_Z(QQ, A.unit, times(half))
     assert cert.integral  # idempotents are integral even with 1/2 coords
 
 

@@ -1,12 +1,22 @@
-"""Work counts of the Wedderburn pipeline, checked without timing: one
+"""Work counts, checked without timing.  In the Wedderburn pipeline: one
 exact idempotent check per block, wrong gluings stopped by the check mod
 q, pieces with a 1-dimensional ideal never tried again, and the lifted
-roots of unity computed once per (conductor, prime, exponent)."""
+roots of unity computed once per (conductor, prime, exponent).  In the
+integrality layer: one Casimir minimal polynomial per Frobenius structure,
+and no product in A (x) A for the Casimir powers."""
 
+import frobdiv.integrality as integrality
 import frobdiv.modular as modular
 import frobdiv.wedderburn as wedderburn
-from frobdiv import (QQ, central_primitive_idempotents, group_algebra,
-                     named_group)
+from frobdiv import (QQ, central_primitive_idempotents, drinfeld_double,
+                     frobenius_divisibility_verdict, frobenius_structure,
+                     group_algebra, integrals, named_group)
+from frobdiv.algebra import FrobeniusStructure, TensorSquareAlgebra
+from frobdiv.cli import main
+from frobdiv.serialize import canonical_dumps, hopf_to_json
+
+from conftest import matrix_blocks
+from dense_oracle import carrier_minimal_polynomial
 
 
 def kc4():
@@ -125,3 +135,48 @@ def test_piece_with_larger_ideal_stays_in_the_loop(monkeypatch):
     assert sorted(b.center_dim for b in blocks) == [1, 2]
     assert 1 not in tried
     assert tried.count(2) > len(blocks)
+
+
+def test_one_casimir_minimal_polynomial_per_structure(monkeypatch, tmp_path):
+    # D(S3) --check all: the verdict needs the Casimir certificate of D(S3)
+    # (dim 36), the class-equation and Schneider checks both need that of
+    # its representation ring (dim 8)
+    dims = []
+    original = integrality.minimal_polynomial_over_Q
+
+    def recording(field, unit, times):
+        owner = getattr(times, "__self__", None)
+        if isinstance(owner, FrobeniusStructure):
+            dims.append(owner.algebra.dim)
+        return original(field, unit, times)
+
+    monkeypatch.setattr(integrality, "minimal_polynomial_over_Q", recording)
+    G = named_group("S3")
+    H, Q = drinfeld_double(G, conductor=G.exponent)
+    doc = tmp_path / "ds3.json"
+    doc.write_text(canonical_dumps(hopf_to_json(H, lam=integrals(H).lam,
+                                                R=Q.R)))
+    assert main(["analyze", str(doc), "--check", "all",
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    assert sorted(dims) == [8, 36]
+
+
+def test_plain_verdict_forms_no_tensor_products(monkeypatch):
+    calls = []
+    original = TensorSquareAlgebra.mult_sparse
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(TensorSquareAlgebra, "mult_sparse", counted)
+    A = matrix_blocks((3, 2, 1))
+    F = frobenius_structure(A, A.regular_character())
+    data = central_primitive_idempotents(A, F)
+    calls.clear()
+    verdict = frobenius_divisibility_verdict(A, F, data)
+    assert calls == []
+    # the carrier loop makes one product in A (x) A per power of c
+    poly = carrier_minimal_polynomial(TensorSquareAlgebra(A), F.casimir)
+    assert poly == verdict.casimir_cert.min_poly
+    assert len(calls) == len(poly) - 1 == 6
