@@ -271,6 +271,24 @@ def sparse_kernel(field, n, rows):
     return basis
 
 
+def first_non_multiplicative_pair(A, B, phi):
+    """The first basis pair (i, j), in order of i then j, at which the
+    linear map phi: A -> B (columns are the images of the basis of A) has
+    phi(x_i x_j) != phi(x_i) phi(x_j); None when phi is multiplicative.
+    phi(x_i x_j) = sum_k c_ij^k phi(x_k) is read off the table of A."""
+    cols = [phi.column(k) for k in range(A.dim)]
+    for i, row in enumerate(A.table):
+        for j, cell in enumerate(row):
+            lhs = B.zero_vec()
+            for k, c in cell.items():
+                for r, v in enumerate(cols[k]):
+                    if v:
+                        lhs[r] = lhs[r] + c * v
+            if lhs != B.multiply(cols[i], cols[j]):
+                return i, j
+    return None
+
+
 # ---------------------------------------------------------------------------
 # sparse vectors and tensor squares
 # ---------------------------------------------------------------------------
@@ -578,10 +596,3 @@ def frobenius_structure(algebra, lam) -> FrobeniusStructure:
 
 def regular_character_form(algebra):
     return algebra.regular_character()
-
-
-def hit_form_left(algebra, a, form):
-    """a -> form, the form b |-> <form, b a>."""
-    return [algebra.apply_form(form, algebra.multiply(algebra.basis_vec(i), a))
-            for i in range(algebra.dim)]
-

@@ -76,7 +76,7 @@ def cmd_analyze(args):
     digest = input_digest(canonical_dumps(doc))
     sections = []
     try:
-        report, code = _analyze(doc, args, sections)
+        code = _analyze(doc, args, sections)
     except SchemaError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 2
@@ -122,7 +122,7 @@ def _analyze(doc, args, sections):
                              ("field", _field_str(algebra.field))]))
     if args.check not in ("fd", "all"):
         raise SchemaError(f"check {args.check!r} needs Hopf input")
-    return None, _check_fd_plain(algebra, lam, args, sections)
+    return _check_fd_plain(algebra, lam, args, sections)
 
 
 def _check_fd_plain(algebra, lam, args, sections):
@@ -176,7 +176,7 @@ def _analyze_hopf(H, R, args, sections):
         sections.append(Section("frobenius divisibility (FD)",
                                  "inapplicable",
                                  [("dim", str(H.dim)), ("reason", str(err))]))
-        return None, 1
+        return 1
     data = pipe.data
     if args.check in ("fd", "all"):
         verdict = pipe.verdict
@@ -232,7 +232,7 @@ def _analyze_hopf(H, R, args, sections):
                     "schneider divisibility", "fail",
                     [("quasitriangular axioms",
                       str(Q.report.failures[:3]))]))
-                return None, 1
+                return 1
             fv = hopf_mod.factorizable_check(Q)
             if not fv.factorizable:
                 sections.append(Section(
@@ -257,7 +257,7 @@ def _analyze_hopf(H, R, args, sections):
                      ("dim", str(sch.dim))]))
                 if not sch.holds:
                     code = max(code, 1)
-    return None, code
+    return code
 
 
 def _select_lambda(algebra, custom, mode):

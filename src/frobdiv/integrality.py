@@ -17,6 +17,7 @@ scalar x uses ``lambda v: [x * v[0]]`` on the field itself.
 
 from __future__ import annotations
 
+from .linalg import iterates, krylov_relation
 from .scalars import QQ, Rat, is_integer_rat, rat_str
 
 
@@ -53,41 +54,14 @@ class IntegralityCertificate:
         return [rat_str(c) for c in self.min_poly]
 
 
-def _flatten(field, vec):
-    out = []
-    for c in vec:
-        out.extend(field.to_qvec(c))
-    return out
-
-
 def minimal_polynomial_over_Q(field, unit, times):
     """Monic minimal polynomial over Q of an element, as ascending Rat
     coefficients.  ``unit`` is the unit of the algebra over ``field`` and
-    ``times(v)`` is the element times v, both as coordinate vectors."""
-    zero, one = QQ.zero, QQ.one
-    # Krylov iteration seeded at the unit; rows are Q-flattened powers
-    reduced = []  # (pivot, row, combination)
-    vec = list(unit)
-    comb = [one]
-    while True:
-        row = _flatten(field, vec)
-        cmb = list(comb)
-        for pidx, prow, pcmb in reduced:
-            c = row[pidx]
-            if c != zero:
-                row = [x - c * y for x, y in zip(row, prow)]
-                width = max(len(cmb), len(pcmb))
-                cmb = [(cmb[i] if i < len(cmb) else zero)
-                       - c * (pcmb[i] if i < len(pcmb) else zero)
-                       for i in range(width)]
-        pidx = next((i for i, x in enumerate(row) if x != zero), None)
-        if pidx is None:
-            lead = cmb[-1] if cmb else one
-            return [c / lead for c in cmb]
-        inv = one / row[pidx]
-        reduced.append((pidx, [inv * x for x in row], [inv * x for x in cmb]))
-        vec = times(vec)
-        comb = [zero] + comb
+    ``times(v)`` is the element times v, both as coordinate vectors; the
+    powers are reduced in Q-flattened coordinates."""
+    flat = ([q for c in vec for q in field.to_qvec(c)]
+            for vec in iterates(times, list(unit)))
+    return krylov_relation(QQ, flat).coeffs
 
 
 def is_integral_over_Z(field, unit, times, description="element"):
@@ -178,19 +152,19 @@ class RelativeReport:
 
 
 def verify_symmetric_homomorphism(A, lam, B, mu, phi):
-    """phi: columns are images in B of the basis of A; must be an algebra
-    map with unit to unit and mu(phi(a)b') compatible: mu o phi = lam."""
-    field = A.field
+    """Check that phi (columns are the images in B of the basis of A) is a
+    homomorphism of symmetric algebras (A, lambda) -> (B, mu): unit to
+    unit, multiplicative on every basis pair, with phi(x_i x_j) read off
+    the table of A (``algebra.first_non_multiplicative_pair``), and
+    mu o phi = lambda.  Raises NotASymmetricHomomorphism naming the first
+    failure."""
+    from .algebra import first_non_multiplicative_pair
     if phi.apply(A.unit) != B.unit:
         raise NotASymmetricHomomorphism("unit not preserved")
-    for i in range(A.dim):
-        xi = phi.column(i)
-        for j in range(A.dim):
-            lhs = phi.apply(A.multiply(A.basis_vec(i), A.basis_vec(j)))
-            rhs = B.multiply(xi, phi.column(j))
-            if lhs != rhs:
-                raise NotASymmetricHomomorphism(
-                    f"multiplicativity fails at basis pair ({i},{j})")
+    pair = first_non_multiplicative_pair(A, B, phi)
+    if pair is not None:
+        raise NotASymmetricHomomorphism(
+            "multiplicativity fails at basis pair ({},{})".format(*pair))
     for i in range(A.dim):
         pulled = B.apply_form(mu, phi.column(i))
         if pulled != lam[i]:

@@ -258,42 +258,46 @@ class Matrix:
                 break
             v = [zero] * n
             v[seed] = one
-            rel = _krylov_relation(self, v)
-            result = result.lcm(rel)
+            result = result.lcm(krylov_relation(field,
+                                                iterates(self.apply, v)))
         return result
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-def _krylov_relation(mat, v):
-    """Monic least-degree polynomial p with p(mat) v = 0."""
-    field = mat.field
-    zero, one = field.zero, field.one
-    n = len(v)
-    # reduced rows together with the combination producing them
-    reduced = []  # list of (pivot index, row, comb)
-    vec = list(v)
-    comb = [one]
+def iterates(step, v):
+    """v, step(v), step(step(v)), ..., each computed when it is read."""
     while True:
+        yield v
+        v = step(v)
+
+
+def krylov_relation(field, powers):
+    """Monic least-degree polynomial p with sum_k p_k v_k = 0, for the
+    stream of vectors v_0, v_1, ... over ``field`` (the powers of an
+    operator applied to a start vector).
+
+    Each vector is reduced against those before it, tracking the
+    combination of powers that produced it; the stream is read up to its
+    first dependent vector, whose combination is the relation.  The k-th
+    combination has coefficient 1 at v_k, so the relation is monic."""
+    zero, one = field.zero, field.one
+    reduced = []  # (pivot index, row, combination)
+    for k, vec in enumerate(powers):
         row = list(vec)
-        cmb = list(comb)
+        cmb = [zero] * k + [one]
         for pidx, prow, pcmb in reduced:
             c = row[pidx]
             if c != zero:
                 row = [a - c * b for a, b in zip(row, prow)]
-                cmb = [a - c * b for a, b in
-                       zip(cmb + [zero] * (len(pcmb) - len(cmb)),
-                           pcmb + [zero] * (len(cmb) - len(pcmb)))]
+                for i, b in enumerate(pcmb):
+                    cmb[i] = cmb[i] - c * b
         pidx = next((i for i, a in enumerate(row) if a != zero), None)
         if pidx is None:
-            return Poly(field, cmb).monic()
+            return Poly(field, cmb)
         inv = one / row[pidx]
-        row = [inv * a for a in row]
-        cmb = [inv * a for a in cmb]
-        reduced.append((pidx, row, cmb))
-        vec = mat.apply(vec)
-        comb = [zero] + comb
+        reduced.append((pidx, [inv * a for a in row], [inv * a for a in cmb]))
 
 
 class Poly:

@@ -22,7 +22,7 @@ import math
 import random
 
 from .algebra import center_conditions, sparse_kernel
-from .linalg import Matrix, Poly, _krylov_relation
+from .linalg import Matrix, Poly, iterates, krylov_relation
 from .scalars import PrimeField, cyclotomic_polynomial, rational_reconstruct
 
 
@@ -425,7 +425,8 @@ def _try_split(cmult, e, direction, r, p, rng):
     gf = PrimeField(p)
     z = cmult(direction, e)
     mat = _mult_matrix(cmult, z, r, gf)
-    rel = _krylov_relation(mat, [gf.from_int(x) for x in e])
+    rel = krylov_relation(gf, iterates(mat.apply,
+                                       [gf.from_int(x) for x in e]))
     if rel.degree() <= 1:
         return None
     if rel.gcd(rel.derivative()).degree() > 0:

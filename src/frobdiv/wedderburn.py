@@ -13,6 +13,13 @@ modulo a second good prime q != p at every root of the cyclotomic
 polynomial and rejected there if e e != e; the reduction is a ring map, so
 a true idempotent always passes.  Only candidates that pass reach the
 exact, dense check, which stays the correctness filter.
+
+Each block A e is built once, as the images x_j e and their span, and
+dropped before the next.  The characters, the split certificates and the
+system check all read it: chi_S(x_j) is chi_reg(x_j e_S) up to a scalar,
+the images are the first candidates of a certificate, and the idempotents
+are orthogonal exactly when the block dimensions add up to dim A (no two
+idempotents are multiplied).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import functools
 import itertools
 import random
 
-from .algebra import frobenius_structure, hit_form_left
+from .algebra import frobenius_structure
 from .linalg import Matrix, Poly
 from .modular import (BadPrime, ComponentAlgebra, EchelonSubspace,
                       PrecisionExceeded, _int_poly_eval, component_roots,
@@ -177,7 +184,6 @@ def _idempotents_at_prime(algebra, p, seed):
         idempotents.append(e)
         blocks.append(b0)
 
-    _verify_system(algebra, idempotents)
     return idempotents, blocks, p, precision_used
 
 
@@ -215,33 +221,27 @@ def _idempotent_lift(algebra, p, check_comps):
         field, p, idems, hensel, accept, MAX_PRECISION_EXP)
 
 
-def _verify_system(algebra, idempotents):
+def _verify_system(algebra, idempotents, block_dims):
+    """Check that the verified central idempotents e_S sum to 1 and are
+    orthogonal; raise PrecisionExceeded otherwise.
+
+    Orthogonality is read off the block dimensions dim A e_S: since
+    sum e_S = 1, A = sum A e_S, and the sum is direct exactly when the
+    dimensions add up to dim A.  e_S e_T lies in both A e_S and A e_T, so
+    a direct sum makes it 0; conversely orthogonal central idempotents
+    split A into a direct sum.  No two idempotents are multiplied."""
     total = algebra.zero_vec()
     for e in idempotents:
         total = [a + b for a, b in zip(total, e)]
     if total != algebra.unit:
         raise PrecisionExceeded("idempotents do not sum to the unit")
-    for i, e in enumerate(idempotents):
-        for f in idempotents[i + 1:]:
-            if any(c for c in algebra.multiply(e, f)):
-                raise PrecisionExceeded("idempotents are not orthogonal")
+    if sum(block_dims) != algebra.dim:
+        raise PrecisionExceeded("idempotents are not orthogonal")
 
 
 # ---------------------------------------------------------------------------
 # characters and canonical ordering
 # ---------------------------------------------------------------------------
-
-
-def _block_characters(algebra, idempotents, degrees, center_dims):
-    """chi_S(x_j) = chi_reg(x_j e_S) / (d_S * center_dim_S)."""
-    chi_reg = algebra.regular_character()
-    field = algebra.field
-    out = []
-    for e, d, cd in zip(idempotents, degrees, center_dims):
-        denom = field.from_rat(Rat(d * cd))
-        vals = hit_form_left(algebra, e, chi_reg)
-        out.append([v / denom for v in vals])
-    return out
 
 
 def central_primitive_idempotents(algebra, frobenius=None, prime=None,
@@ -261,6 +261,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
     degrees = [b.degree for b in blocks]
     center_dims = [b.center_dim for b in blocks]
     block_dims = []
+    characters = []
     certified = []
     for e, b in zip(idems, blocks):
         # the block A e: the images x_j e and their span
@@ -271,10 +272,14 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
             raise PrecisionExceeded("exact block dimension disagrees with "
                                     "the modular one")
         block_dims.append(span.dim)
+        # chi_S(x_j) = chi_reg(x_j e_S) / (d_S * center_dim_S)
+        denom = field.from_rat(Rat(b.degree * b.center_dim))
+        characters.append([algebra.apply_form(chi_reg, v) / denom
+                           for v in images])
         certified.append(b.center_dim == 1
                          and certify_split_block(algebra, span, images,
                                                  b.degree, seed=seed))
-    characters = _block_characters(algebra, idems, degrees, center_dims)
+    _verify_system(algebra, idems, block_dims)
 
     order = sorted(range(len(idems)),
                    key=lambda s: (degrees[s],
@@ -519,7 +524,7 @@ def casimir_square_components(frobenius, data: WedderburnData,
     from .algebra import AlgebraError, TensorSquareAlgebra, tensor_flat
     Asq = TensorSquareAlgebra(algebra)
     c = frobenius.casimir
-    csq = Asq.mult(c, c)
+    csq = frobenius.casimir_times(c)
 
     def component(z, s, t):
         ef = tensor_flat(field, data.idempotents[s], data.idempotents[t])

@@ -9,8 +9,9 @@ the same verdict and the same failure labels in the same order.  They never
 touch the sparse product of ``TensorSquareAlgebra``; products in A (x) A are
 built factor by factor with the dense ``multiply``.  The centre, integral,
 centrality, Gram and R-product oracles are described in their own section,
-and so are the per-point interpolation formula and the Krylov loop over a
-carrier algebra.
+and so are the per-point interpolation formula, the Krylov loop over a
+carrier algebra, and the dense multiplicativity, orthogonality and
+character loops.
 """
 
 from frobdiv import Matrix, StructureConstantAlgebra, VerificationReport
@@ -519,3 +520,44 @@ def carrier_minimal_polynomial(carrier, a):
         reduced.append((pidx, [inv * x for x in row], [inv * x for x in cmb]))
         vec = carrier.mult(a, vec)
         comb = [zero] + comb
+
+
+# ---------------------------------------------------------------------------
+# homomorphisms, orthogonality and characters from dense products
+# ---------------------------------------------------------------------------
+#
+# The checks as the library ran them before they read the structure table
+# and the block images: phi(x_i x_j) from a dense product in A, every pair
+# of idempotents multiplied, and the character of a block from the
+# products x_i e.
+
+
+def dense_first_non_multiplicative_pair(A, B, phi):
+    """The first pair (i, j), i then j, with phi(x_i x_j) != phi(x_i)
+    phi(x_j), from dense products on both sides; None if there is none."""
+    for i in range(A.dim):
+        xi = phi.column(i)
+        for j in range(A.dim):
+            lhs = phi.apply(A.multiply(A.basis_vec(i), A.basis_vec(j)))
+            if lhs != B.multiply(xi, phi.column(j)):
+                return i, j
+    return None
+
+
+def pairwise_orthogonal(A, idempotents):
+    """e f = 0 for every pair of distinct idempotents."""
+    return all(not any(bool(c) for c in A.multiply(e, f))
+               for s, e in enumerate(idempotents)
+               for f in idempotents[s + 1:])
+
+
+def hit_form_left(A, a, form):
+    """a -> form, the form b |-> <form, b a>."""
+    return [A.apply_form(form, A.multiply(A.basis_vec(i), a))
+            for i in range(A.dim)]
+
+
+def dense_block_dim(A, e):
+    """dim A e, as the rank of the products x_i e."""
+    return Matrix(A.field, [A.multiply(A.basis_vec(i), e)
+                            for i in range(A.dim)]).rank()

@@ -1,0 +1,153 @@
+"""The exact checks that read the structure table and the block images,
+against the dense loops they replaced (``dense_oracle``).
+
+* ``first_non_multiplicative_pair`` reports the same first failing pair as
+  the dense loop, on the class-equation character map and the Schneider
+  map Psi of relabelled D(S3) and D(C4), and on ``double_projection``.
+* Characters, block dimensions and the orthogonality test of the
+  Wedderburn split agree with ``hit_form_left``, the rank of the products
+  x_j e and the pairwise products on every input of the small ladder.
+* A Psi corrupted through the Phi matrix still stops ``schneider_check``,
+  now through ``relative_divisibility`` alone.
+"""
+
+import copy
+import random
+
+import pytest
+
+from frobdiv import (Matrix, central_primitive_idempotents, double_projection,
+                     drinfeld_double, dual_algebra, dual_hopf,
+                     frobenius_structure, group_algebra, integrals,
+                     named_group, quasitriangular_verify, representation_ring)
+from frobdiv.algebra import first_non_multiplicative_pair
+from frobdiv.hopf import schneider_check
+from frobdiv.integrality import NotASymmetricHomomorphism
+from frobdiv.modular import PrecisionExceeded
+from frobdiv.scalars import Rat
+from frobdiv.wedderburn import _verify_system
+
+from dense_oracle import (dense_block_dim,
+                          dense_first_non_multiplicative_pair, hit_form_left,
+                          pairwise_orthogonal, permute_hopf, permute_r)
+
+
+def relabelled_double(gname, seed):
+    """D(G) and its quasitriangular data on a seeded relabelling of the
+    basis, with integrals, Wedderburn data and representation ring."""
+    G = named_group(gname)
+    H, Q = drinfeld_double(G, conductor=G.exponent)
+    perm = list(range(H.dim))
+    random.Random(seed).shuffle(perm)
+    H = permute_hopf(H, perm)
+    Q = quasitriangular_verify(H, permute_r(Q.R, perm))
+    I = integrals(H)
+    F = frobenius_structure(H.algebra, I.lam)
+    W = central_primitive_idempotents(H.algebra, F)
+    return H, Q, I, F, W, representation_ring(H, W, I)
+
+
+@pytest.fixture(scope="module", params=[("S3", 1), ("C4", 2)],
+                ids=["D(S3)", "D(C4)"])
+def double(request):
+    return relabelled_double(*request.param)
+
+
+def corrupted_columns(phi, B, k):
+    """phi with the unit of B added to column k."""
+    rows = [list(row) for row in phi.entries]
+    for r, u in enumerate(B.unit):
+        rows[r][k] = rows[r][k] + u
+    return Matrix(phi.field, rows)
+
+
+def assert_same_first_pair(A, B, phi):
+    assert first_non_multiplicative_pair(A, B, phi) is None
+    assert dense_first_non_multiplicative_pair(A, B, phi) is None
+    for k in sorted({1, A.dim // 2, A.dim - 1}):
+        bad = corrupted_columns(phi, B, k)
+        pair = first_non_multiplicative_pair(A, B, bad)
+        assert pair is not None
+        assert pair == dense_first_non_multiplicative_pair(A, B, bad)
+
+
+def test_character_map_first_failing_pair(double):
+    H, _, _, _, _, RR = double
+    assert_same_first_pair(RR.ring, dual_algebra(H), RR.chi_matrix)
+
+
+def test_schneider_psi_first_failing_pair(double):
+    H, Q, _, _, _, RR = double
+    assert_same_first_pair(RR.ring, H.algebra, Q.phi_matrix * RR.chi_matrix)
+
+
+@pytest.mark.parametrize("gname", ["C2", "S3"])
+def test_double_projection_first_failing_pair(gname):
+    G = named_group(gname)
+    D, _ = drinfeld_double(G, conductor=G.exponent, verify=False)
+    target = group_algebra(G, field=D.field)
+    pi = double_projection(G, D, target)
+    assert_same_first_pair(D.algebra, target.algebra, pi)
+
+
+def test_corrupted_psi_stops_schneider(double):
+    H, Q, I, F, W, RR = double
+    assert schneider_check(H, Q, W, RR, I, F).holds
+    n = H.dim
+    outside = [k for k in range(n) if not H.counit[k]]
+    inside = [k for k in range(n) if H.counit[k]]
+    for k1, k2 in (outside[:2], inside[:2]):
+        # swapping two columns on which the counit agrees keeps Phi(eps) = 1
+        # and the rank of Phi; only multiplicativity breaks
+        rows = [list(row) for row in Q.phi_matrix.entries]
+        for row in rows:
+            row[k1], row[k2] = row[k2], row[k1]
+        bad = copy.copy(Q)
+        bad.phi_matrix = Matrix(H.field, rows)
+        with pytest.raises(NotASymmetricHomomorphism,
+                           match="multiplicativity"):
+            schneider_check(H, bad, W, RR, I, F)
+    bad = copy.copy(Q)
+    bad.phi_matrix = Q.phi_matrix.scale(H.field.from_int(2))
+    with pytest.raises(NotASymmetricHomomorphism, match="unit"):
+        schneider_check(H, bad, W, RR, I, F)
+
+
+# ---------------------------------------------------------------------------
+# characters, block dimensions and orthogonality on the small ladder
+# ---------------------------------------------------------------------------
+
+# (group, "group-algebra" or "dual", conductor or None for the exponent)
+LADDER = [("S3", "group-algebra", None), ("A4", "group-algebra", None),
+          ("S3", "group-algebra", 24), ("Q8", "group-algebra", 24),
+          ("D4", "group-algebra", 24), ("A4", "group-algebra", 12),
+          ("S3", "dual", None), ("A4", "dual", 12), ("Q8", "dual", 24),
+          ("D4", "dual", 8)]
+
+
+def ladder_algebra(gname, kind, conductor):
+    G = named_group(gname)
+    H = group_algebra(G, conductor=conductor or G.exponent)
+    return (dual_hopf(H) if kind == "dual" else H).algebra
+
+
+@pytest.mark.parametrize("gname,kind,conductor", LADDER,
+                         ids=[f"{k}-{g}-{c}" for g, k, c in LADDER])
+def test_block_data_against_dense_products(gname, kind, conductor):
+    A = ladder_algebra(gname, kind, conductor)
+    field = A.field
+    data = central_primitive_idempotents(A)
+    chi_reg = A.regular_character()
+    for s, e in enumerate(data.idempotents):
+        denom = field.from_rat(Rat(data.degrees[s] * data.center_dims[s]))
+        want = [v / denom for v in hit_form_left(A, e, chi_reg)]
+        assert data.characters[s] == want
+        assert data.block_dims[s] == dense_block_dim(A, e)
+    assert pairwise_orthogonal(A, data.idempotents)
+    _verify_system(A, data.idempotents, data.block_dims)
+    # 1, e, -e sums to 1 and is not orthogonal: both tests say so
+    e = data.idempotents[0]
+    broken = [A.unit, e, [-c for c in e]]
+    assert not pairwise_orthogonal(A, broken)
+    with pytest.raises(PrecisionExceeded, match="not orthogonal"):
+        _verify_system(A, broken, [dense_block_dim(A, f) for f in broken])

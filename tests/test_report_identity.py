@@ -1,0 +1,75 @@
+"""Byte identity of ``frobdiv analyze --format json`` reports.
+
+``tests/reports/`` holds the reports of ``analyze --format json`` on the
+documents written by ``frobdiv build`` for D(S3), D(C4), kA4 and k^Q8 (the
+last analysed at ``--conductor 24``), and on M3+M2+M1 over Q on its matrix
+units (``--check fd``).  They were generated at commit cf6821a, before the
+exact checks of the Wedderburn split and of the relative divisibility
+moved onto the block images and the structure table; every report must
+still match them byte for byte, with the same exit code.
+
+A change that means to alter a report regenerates the files with
+
+    PYTHONPATH=src python3 tests/test_report_identity.py
+
+and says in its change log why the reports changed.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from frobdiv.cli import main
+from frobdiv.serialize import algebra_to_json, canonical_dumps
+
+from conftest import matrix_blocks
+
+REPORTS = Path(__file__).resolve().parent / "reports"
+
+# name -> (build arguments, or None for M3+M2+M1; analyze arguments;
+#          exit code)
+CASES = {
+    "double-s3": (["--group", "S3", "--as", "double"], [], 0),
+    "double-c4": (["--group", "C4", "--as", "double"], [], 0),
+    "group-a4": (["--group", "A4"], [], 0),
+    "dual-q8-at-24": (["--group", "Q8", "--as", "dual"],
+                      ["--conductor", "24"], 0),
+    # the regular form gives Gamma(1) = 1: a negative verdict, exit 1
+    "m3-m2-m1": (None, ["--check", "fd"], 1),
+}
+
+
+def analyze(name, workdir):
+    """The exit code and report bytes of one case, run in ``workdir``."""
+    build_args, analyze_args, _ = CASES[name]
+    doc = workdir / f"{name}.in.json"
+    if build_args is None:
+        doc.write_text(canonical_dumps(algebra_to_json(
+            matrix_blocks((3, 2, 1)))) + "\n")
+    else:
+        assert main(["build", *build_args, "--out", str(doc)]) == 0
+    out = workdir / f"{name}.json"
+    code = main(["analyze", str(doc), "--format", "json", "--out", str(out),
+                 *analyze_args])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_byte_identical(name, tmp_path):
+    code, report = analyze(name, tmp_path)
+    assert code == CASES[name][2]
+    assert report == (REPORTS / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    REPORTS.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            code, report = analyze(name, Path(tmp))
+            if code != CASES[name][2]:
+                sys.exit(f"{name}: exit code {code}")
+            (REPORTS / f"{name}.json").write_bytes(report)
+            print(f"wrote {REPORTS / name}.json")

@@ -1,17 +1,22 @@
 """Work counts, checked without timing.  In the Wedderburn pipeline: one
 exact idempotent check per block, wrong gluings stopped by the check mod
-q, pieces with a 1-dimensional ideal never tried again, and the lifted
-roots of unity computed once per (conductor, prime, exponent).  In the
-integrality layer: one Casimir minimal polynomial per Frobenius structure,
-and no product in A (x) A for the Casimir powers."""
+q, pieces with a 1-dimensional ideal never tried again, the lifted roots
+of unity computed once per (conductor, prime, exponent), and no product of
+two different idempotents.  In the integrality layer: one Casimir minimal
+polynomial per Frobenius structure, and no product in A (x) A for the
+Casimir powers.  In the Schneider check: no product of its own."""
 
+import sys
+
+import frobdiv.hopf as hopf
 import frobdiv.integrality as integrality
 import frobdiv.modular as modular
 import frobdiv.wedderburn as wedderburn
 from frobdiv import (QQ, central_primitive_idempotents, drinfeld_double,
                      frobenius_divisibility_verdict, frobenius_structure,
                      group_algebra, integrals, named_group)
-from frobdiv.algebra import FrobeniusStructure, TensorSquareAlgebra
+from frobdiv.algebra import (FrobeniusStructure, StructureConstantAlgebra,
+                             TensorSquareAlgebra)
 from frobdiv.cli import main
 from frobdiv.serialize import canonical_dumps, hopf_to_json
 
@@ -180,3 +185,44 @@ def test_plain_verdict_forms_no_tensor_products(monkeypatch):
     poly = carrier_minimal_polynomial(TensorSquareAlgebra(A), F.casimir)
     assert poly == verdict.casimir_cert.min_poly
     assert len(calls) == len(poly) - 1 == 6
+
+
+def _recording_multiply(monkeypatch):
+    """Record (a, b, calling function) of every ``multiply`` call; a call
+    from a comprehension or lambda counts as one from the function around
+    it."""
+    calls = []
+    original = StructureConstantAlgebra.multiply
+
+    def recording(self, a, b):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):
+            frame = frame.f_back
+        calls.append((a, b, frame.f_code))
+        return original(self, a, b)
+
+    monkeypatch.setattr(StructureConstantAlgebra, "multiply", recording)
+    return calls
+
+
+def test_split_multiplies_no_two_idempotents(monkeypatch):
+    calls = _recording_multiply(monkeypatch)
+    data = central_primitive_idempotents(kc4())
+    idems = data.idempotents
+    assert data.num_blocks == 4 and calls
+    assert not [1 for a, b, _ in calls if a != b and a in idems and b in idems]
+
+
+def test_schneider_check_forms_no_product(monkeypatch):
+    G = named_group("S3")
+    H, Q = drinfeld_double(G, conductor=G.exponent)
+    I = integrals(H)
+    F = frobenius_structure(H.algebra, I.lam)
+    W = central_primitive_idempotents(H.algebra, F)
+    RR = hopf.representation_ring(H, W, I)
+    calls = _recording_multiply(monkeypatch)
+    assert hopf.schneider_check(H, Q, W, RR, I, F).holds
+    # the homomorphism check inside relative_divisibility multiplies
+    assert calls
+    assert not [1 for _, _, code in calls
+                if code is hopf.schneider_check.__code__]
