@@ -2,8 +2,13 @@
 
 The base field Q(zeta_n) is reduced at a good prime p = 1 (mod n): the
 cyclotomic polynomial splits into distinct linear factors, so the reduction
-has one F_p-component per primitive n-th root of unity mod p.  Splitting is
-done per component.
+has one F_p-component per primitive n-th root of unity mod p.  Components
+whose reduced tables and units agree are the same F_p-algebra, and they are
+split once: with rational structure constants, which covers every
+constructor output with or without an embedding into a larger conductor,
+that is one split per prime.  A split works on the multiplication table of
+the mod-p centre, formed once from r(r+1)/2 products in the reduced
+algebra; finding the primitive idempotents then never touches the algebra.
 
 Results come back to Q(zeta_n) along one path, ``lift_and_reconstruct``:
 per-component residue vectors are lifted from p to p^2, p^4, ... by a step
@@ -84,6 +89,15 @@ def scalar_denominators(field, scalars):
     return dens
 
 
+def structure_denominators(algebra):
+    """The denominators other than 1 of the structure constants and of
+    the unit: a good prime divides none of them."""
+    scalars = [c for row in algebra.table for cell in row
+               for c in cell.values()]
+    scalars.extend(algebra.unit)
+    return scalar_denominators(algebra.field, scalars)
+
+
 def good_primes(algebra, lower=None):
     """Yield candidate good primes for the modular pipeline.
 
@@ -93,10 +107,7 @@ def good_primes(algebra, lower=None):
     reported as BadPrime.
     """
     n = algebra.field.conductor
-    scalars = [c for i in range(algebra.dim) for j in range(algebra.dim)
-               for c in algebra.table[i][j].values()]
-    scalars.extend(algebra.unit)
-    dens = scalar_denominators(algebra.field, scalars)
+    dens = structure_denominators(algebra)
     p = max(2 * algebra.dim, lower or 0, n, 2)
     while True:
         p += 1
@@ -344,14 +355,7 @@ def modular_split(algebra, p: int, root: int, seed: int = 0):
         raise BadPrime("trivial center mod p")
 
     center_int = [[x.residue for x in v] for v in center.basis]
-
-    def cmult(u_coords, v_coords):
-        uv = comp.multiply(_int_comb(center_int, u_coords, p),
-                           _int_comb(center_int, v_coords, p))
-        coords = center.coords([gf.from_int(x) for x in uv])
-        if coords is None:
-            raise BadPrime("center not closed under multiplication")
-        return [c.residue for c in coords]
+    cmult = _center_mult(comp, gf, center)
 
     unit_coords = center.coords([gf.from_int(x) for x in comp.unit])
     if unit_coords is None:
@@ -366,6 +370,43 @@ def modular_split(algebra, p: int, root: int, seed: int = 0):
         blocks.append(_block_data(comp, gf, center, e_vec))
     blocks.sort(key=lambda b: (b.degree, b.block_dim, b.central_idempotent))
     return blocks
+
+
+def _center_mult(comp, gf, center):
+    """Multiplication of coordinate vectors on the echelon basis z_1..z_r
+    of the centre Z of ``comp``, read off the r x r x r table of Z.
+
+    Z is commutative, so the table takes r(r+1)/2 products z_i z_j in
+    ``comp``, each solved once for its coordinates; ``table[i][j]`` lists
+    the nonzero ones as (k, c).  A product of two coordinate vectors then
+    combines rows of the table and never touches ``comp``."""
+    p = gf.modulus
+    r = center.dim
+    basis = [[x.residue for x in v] for v in center.basis]
+    table = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            coords = center.coords([gf.from_int(x) for x in
+                                    comp.multiply(basis[i], basis[j])])
+            if coords is None:
+                raise BadPrime("center not closed under multiplication")
+            table[i][j] = table[j][i] = [(k, c.residue)
+                                         for k, c in enumerate(coords)
+                                         if c.residue]
+
+    def cmult(u_coords, v_coords):
+        out = [0] * r
+        for i, ui in enumerate(u_coords):
+            if ui:
+                row = table[i]
+                for j, vj in enumerate(v_coords):
+                    if vj:
+                        f = ui * vj
+                        for k, c in row[j]:
+                            out[k] += f * c
+        return [x % p for x in out]
+
+    return cmult
 
 
 def _int_comb(basis, coords, p):

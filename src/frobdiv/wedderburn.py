@@ -34,7 +34,8 @@ from .modular import (BadPrime, ComponentAlgebra, EchelonSubspace,
                       PrecisionExceeded, _int_poly_eval, component_roots,
                       good_primes, hensel_lift_idempotent, is_prime,
                       lift_and_reconstruct, modular_split, reduce_scalar,
-                      roots_mod_p, scalar_denominators)
+                      roots_mod_p, scalar_denominators,
+                      structure_denominators)
 from .scalars import PrimeField, Rat
 
 MAX_PRECISION_EXP = 64
@@ -142,16 +143,32 @@ def _check_explicit_prime(algebra, p):
         raise BadPrime(f"{p} is not greater than twice the dimension")
     if algebra.dim % p == 0:
         raise BadPrime(f"{p} divides the dimension")
-    scalars = [c for i in range(algebra.dim) for j in range(algebra.dim)
-               for c in algebra.table[i][j].values()]
-    scalars.extend(algebra.unit)
-    if any(d % p == 0 for d in scalar_denominators(algebra.field, scalars)):
+    if any(d % p == 0 for d in structure_denominators(algebra)):
         raise BadPrime(f"{p} divides a structure-constant denominator")
 
 
-def _idempotents_at_prime(algebra, p, seed):
+def _split_components(algebra, p, seed):
+    """The modular blocks of every CRT component mod p, in the order of
+    ``component_roots``.  Components with the same reduced table and unit
+    are the same F_p-algebra: it is split once, and they share its block
+    list.  The split's random choices depend on (seed, p) only, so sharing
+    changes no block."""
     roots_p, _ = component_roots(algebra.field.conductor, p, 1)
-    per_comp_blocks = [modular_split(algebra, p, w, seed) for w in roots_p]
+    splits = []
+    per_comp_blocks = []
+    for w in roots_p:
+        comp = ComponentAlgebra(algebra, w, p)
+        key = (comp.table, comp.unit)
+        blocks = next((bl for k, bl in splits if k == key), None)
+        if blocks is None:
+            blocks = modular_split(algebra, p, w, seed)
+            splits.append((key, blocks))
+        per_comp_blocks.append(blocks)
+    return per_comp_blocks
+
+
+def _idempotents_at_prime(algebra, p, seed):
+    per_comp_blocks = _split_components(algebra, p, seed)
     counts = {len(bl) for bl in per_comp_blocks}
     if len(counts) != 1:
         raise BadPrime("component block counts disagree")
@@ -512,7 +529,9 @@ def casimir_square_components(frobenius, data: WedderburnData,
 
     Returns (c_components, csq_components): matrices indexed by block pairs,
     with entry (S, T) = (chi_S (x) chi_T)((e_S (x) e_T) z) / (d_S d_T) for
-    z = c and z = c^2.
+    z = c and z = c^2.  Since e_S is a central idempotent and
+    chi_S(a) = chi_S(a e_S), that is (chi_S (x) chi_T)(z) / (d_S d_T): no
+    product in A (x) A is formed.
 
     With check=True also asserts the off-diagonal vanishing of c, the
     diagonal formula d(S)^2 (c^2)_{S,S} = Gamma(1)_S^2, and the element
@@ -521,14 +540,11 @@ def casimir_square_components(frobenius, data: WedderburnData,
     algebra = data.algebra
     field = algebra.field
     n = algebra.dim
-    from .algebra import AlgebraError, TensorSquareAlgebra, tensor_flat
-    Asq = TensorSquareAlgebra(algebra)
+    from .algebra import AlgebraError
     c = frobenius.casimir
     csq = frobenius.casimir_times(c)
 
     def component(z, s, t):
-        ef = tensor_flat(field, data.idempotents[s], data.idempotents[t])
-        w = Asq.mult(ef, z)
         chi_s, chi_t = data.characters[s], data.characters[t]
         val = field.zero
         for i in range(n):
@@ -537,9 +553,9 @@ def casimir_square_components(frobenius, data: WedderburnData,
             row = chi_s[i]
             base = i * n
             for j in range(n):
-                wij = w[base + j]
-                if bool(wij):
-                    val = val + row * chi_t[j] * wij
+                zij = z[base + j]
+                if bool(zij):
+                    val = val + row * chi_t[j] * zij
         denom = field.from_rat(Rat(data.degrees[s] * data.degrees[t]))
         return val / denom
 

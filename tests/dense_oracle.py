@@ -10,8 +10,9 @@ touch the sparse product of ``TensorSquareAlgebra``; products in A (x) A are
 built factor by factor with the dense ``multiply``.  The centre, integral,
 centrality, Gram and R-product oracles are described in their own section,
 and so are the per-point interpolation formula, the Krylov loop over a
-carrier algebra, and the dense multiplicativity, orthogonality and
-character loops.
+carrier algebra, the dense multiplicativity, orthogonality and
+character loops, and the centre products of a modular split formed in the
+whole reduced algebra.
 """
 
 from frobdiv import Matrix, StructureConstantAlgebra, VerificationReport
@@ -561,3 +562,29 @@ def dense_block_dim(A, e):
     """dim A e, as the rank of the products x_i e."""
     return Matrix(A.field, [A.multiply(A.basis_vec(i), e)
                             for i in range(A.dim)]).rank()
+
+
+# ---------------------------------------------------------------------------
+# centre products of a modular split in the whole reduced algebra
+# ---------------------------------------------------------------------------
+
+
+def full_algebra_cmult(comp, gf, center):
+    """The centre multiplication of ``modular.modular_split`` as it was
+    before the centre table: each product of two coordinate vectors is
+    formed in the whole reduction ``comp`` and solved for its coordinates
+    in the echelon basis of the centre.  Same signature and callback as
+    ``modular._center_mult``."""
+    from frobdiv.modular import BadPrime, _int_comb
+    p = gf.modulus
+    basis = [[x.residue for x in v] for v in center.basis]
+
+    def cmult(u_coords, v_coords):
+        uv = comp.multiply(_int_comb(basis, u_coords, p),
+                           _int_comb(basis, v_coords, p))
+        coords = center.coords([gf.from_int(x) for x in uv])
+        if coords is None:
+            raise BadPrime("center not closed under multiplication")
+        return [c.residue for c in coords]
+
+    return cmult

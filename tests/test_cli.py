@@ -53,6 +53,22 @@ def test_reports_byte_identical_across_primes(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_dual_reports_byte_identical_across_primes(tmp_path):
+    # k^Q8 over Q(zeta_24): eight blocks and eight CRT components, every
+    # section of --check all
+    inp = build(tmp_path, "--group", "Q8", "--as", "dual")
+    outs = []
+    for i, p in enumerate((73, 97, 193)):
+        out = tmp_path / f"r{i}.json"
+        code = main(["analyze", str(inp), "--conductor", "24", "--check",
+                     "all", "--prime", str(p), "--format", "json",
+                     "--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["status"] == "pass"
+
+
 def test_same_prime_reports_identical(tmp_path):
     inp = build(tmp_path, "--group", "S3")
     texts = []
