@@ -4,18 +4,19 @@ centers and commutator spaces.
 
 Linear conditions are read straight from the sparse structure table
 ``table[i][k]``: the center is the joint kernel of the rows
-sum_k a_k (c_ik^r - c_ki^r), solved by ``sparse_kernel`` without forming
-any multiplication operator, ``is_central`` compares a x_i with x_i a on
-the table, and the Gram matrix of a form is sum_r lambda_r c_ij^r.  The
-Casimir element multiplies elements of A (x) A through the swap law, on
-the table of A as well."""
+sum_k a_k (c_ik^r - c_ki^r), streamed into the sparse echelon form of
+``linalg.EchelonSubspace`` without forming any multiplication operator,
+``is_central`` compares a x_i with x_i a on the table, and the Gram matrix
+of a form is sum_r lambda_r c_ij^r, eliminated once beside the identity for
+its inverse.  The Casimir element multiplies elements of A (x) A through
+the swap law, on the table of A as well."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
 from .integrality import is_integral_over_Z
-from .linalg import Matrix
+from .linalg import EchelonSubspace, Matrix, SingularMatrix, sparse
 
 
 class AlgebraError(Exception):
@@ -62,6 +63,7 @@ class StructureConstantAlgebra:
         self.name = name
         self._center = None
         self._regular_character = None
+        self._right_regular_character = None
 
     # -- elements ---------------------------------------------------------
     def zero_vec(self):
@@ -88,19 +90,6 @@ class StructureConstantAlgebra:
                 for k, c in row[j].items():
                     out[k] = out[k] + f * c
         return out
-
-    def regular_rep(self, a) -> Matrix:
-        """Matrix of the right regular representation b -> b a."""
-        zero = self.field.zero
-        cols = []
-        for j in range(self.dim):
-            col = self.zero_vec()
-            for i, ai in enumerate(a):
-                if ai != zero:
-                    for k, c in self.table[j][i].items():
-                        col[k] = col[k] + ai * c
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols)
 
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
@@ -163,22 +152,17 @@ class StructureConstantAlgebra:
         """Basis of the center: the kernel of the conditions
         sum_k a_k (c_ik^r - c_ki^r) = 0 for all i, r."""
         if self._center is None:
-            self._center = sparse_kernel(self.field, self.dim,
-                                         center_conditions(self.table))
+            self._center = EchelonSubspace(
+                self.field, self.dim,
+                center_conditions(self.table)).kernel().basis
         return self._center
 
     def commutator_space(self):
-        """Basis of the span of all Lie commutators x_i x_j - x_j x_i."""
-        rows = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                v = self.multiply(self.basis_vec(i), self.basis_vec(j))
-                w = self.multiply(self.basis_vec(j), self.basis_vec(i))
-                rows.append([a - b for a, b in zip(v, w)])
-        if not rows:
-            return []
-        red, pivots = Matrix(self.field, rows).rref()
-        return [red.entries[r] for r in range(len(pivots))]
+        """Echelon basis of the span of the commutators x_i x_j - x_j x_i."""
+        mult = lambda i, j: self.multiply(self.basis_vec(i), self.basis_vec(j))
+        rows = (sparse([a - b for a, b in zip(mult(i, j), mult(j, i))])
+                for i in range(self.dim) for j in range(i + 1, self.dim))
+        return EchelonSubspace(self.field, self.dim, rows).basis
 
     def regular_character(self):
         """chi_reg as a vector of values on the basis: trace of left mult."""
@@ -194,6 +178,19 @@ class StructureConstantAlgebra:
                 out.append(s)
             self._regular_character = out
         return list(self._regular_character)
+
+    def right_regular_character(self):
+        """Trace of right multiplication b -> b x_i on the basis,
+        rho_i = sum_j c_ji^j, computed once."""
+        if self._right_regular_character is None:
+            rho = self.zero_vec()
+            for j, row in enumerate(self.table):
+                for i, cell in enumerate(row):
+                    c = cell.get(j)
+                    if c is not None:
+                        rho[i] = rho[i] + c
+            self._right_regular_character = rho
+        return self._right_regular_character
 
     def apply_form(self, form, a):
         """<form, a> for a linear form given by its values on the basis."""
@@ -222,53 +219,6 @@ def center_conditions(table):
             for r, c in table[k][i].items():
                 _add_into(rows.setdefault(r, {}), k, -c)
         yield from rows.values()
-
-
-def sparse_kernel(field, n, rows):
-    """Basis of {v in field^n : sum_k row[k] v_k = 0 for every row}, in
-    the order of ``Matrix.kernel``, for an iterable of sparse rows {k: c}.
-
-    The rows kept so far are in reduced echelon form: pivot coefficient 1,
-    and zero in every other pivot column.  An incoming row is cleared at
-    its pivot columns in one pass, takes its least column as pivot, and
-    that column is cleared from the kept rows; so the input may be
-    streamed, at most n rows are ever held, and no row is read after the
-    rank reaches n."""
-    one = field.one
-    echelon = {}
-    for row in rows:
-        v = {k: c for k, c in row.items() if c}
-        for p in [k for k in v if k in echelon]:
-            f = v[p]
-            for k, c in echelon[p].items():
-                _sub_into(v, k, f * c)
-        if not v:
-            continue
-        p = min(v)
-        inv = one / v[p]
-        if inv != one:
-            v = {k: inv * c for k, c in v.items()}
-        for kept in echelon.values():
-            f = kept.get(p)
-            if f is not None:
-                for k, c in v.items():
-                    _sub_into(kept, k, f * c)
-        echelon[p] = v
-        if len(echelon) == n:
-            break
-    zero = field.zero
-    basis = []
-    for free in range(n):
-        if free in echelon:
-            continue
-        vec = [zero] * n
-        vec[free] = one
-        for p, kept in echelon.items():
-            c = kept.get(free)
-            if c is not None:
-                vec[p] = -c
-        basis.append(vec)
-    return basis
 
 
 def first_non_multiplicative_pair(A, B, phi):
@@ -302,19 +252,6 @@ def _clean(d):
 def _add_into(out, idx, val):
     cur = out.get(idx)
     out[idx] = val if cur is None else cur + val
-
-
-def _sub_into(out, idx, val):
-    """out[idx] -= val, dropping the entry when it becomes zero."""
-    cur = out.get(idx)
-    if cur is None:
-        out[idx] = -val
-    else:
-        cur = cur - val
-        if cur:
-            out[idx] = cur
-        else:
-            del out[idx]
 
 
 class TensorSquareAlgebra:
@@ -456,10 +393,10 @@ class FrobeniusStructure:
                 if gram[i][j] != gram[j][i]:
                     raise NotATraceForm(i, j)
         self.gram = Matrix(algebra.field, gram)
-        ker = self.gram.kernel()
-        if ker:
-            raise DegenerateForm(ker[0])
-        self.gram_inv = self.gram.inverse()
+        try:
+            self.gram_inv = self.gram.inverse()
+        except SingularMatrix as err:
+            raise DegenerateForm(err.witness) from None
         # dual basis: y_j = sum_r gram_inv[r][j] x_r, so <lambda, x_i y_j> = d_ij
         self.dual_basis = [self.gram_inv.column(j) for j in range(n)]
         self.casimir = [self.field.zero] * (n * n)

@@ -244,7 +244,7 @@ def _analyze_hopf(H, R, args, sections):
                 if RR is None:
                     RR = hopf_mod.representation_ring(H, data, I,
                                                       prime=args.prime)
-                sch = hopf_mod.schneider_check(H, Q, data, RR, I,
+                sch = hopf_mod.schneider_check(H, fv, data, RR, I,
                                                pipe.frobenius)
                 sections.append(Section(
                     "schneider divisibility",

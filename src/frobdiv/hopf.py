@@ -12,12 +12,11 @@ from __future__ import annotations
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
                       VerificationReport, _add_into, _clean,
                       first_non_multiplicative_pair, frobenius_structure,
-                      sparse_kernel, tensor_dict)
+                      tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis, relative_divisibility,
                           scalar_certificate)
-from .linalg import Matrix
-from .modular import EchelonSubspace
+from .linalg import EchelonSubspace, Matrix, sparse
 from .scalars import CyclotomicField, QQ, Rat
 from .wedderburn import (WedderburnData, central_primitive_idempotents,
                          gamma_one_eigenvalue)
@@ -191,7 +190,8 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
     A = H.algebra
     field = H.field
     n = H.dim
-    space = sparse_kernel(field, n, _left_integral_conditions(H))
+    space = EchelonSubspace(field, n,
+                            _left_integral_conditions(H)).kernel().basis
     if not space:
         raise NormalizationImpossible("no nonzero left integral")
     if len(space) != 1:
@@ -800,11 +800,15 @@ def r_products(A, Rd):
 
 
 class FactorizableVerdict:
-    def __init__(self, factorizable, rank, dim, proof_identities):
+    """Whether the Phi of ``phi_matrix`` is bijective, with its rank."""
+
+    def __init__(self, factorizable, rank, dim, proof_identities,
+                 phi_matrix):
         self.factorizable = factorizable
         self.rank = rank
         self.dim = dim
         self.proof_identities = proof_identities
+        self.phi_matrix = phi_matrix
 
 
 def factorizable_check(Q: QuasitriangularData) -> FactorizableVerdict:
@@ -827,7 +831,8 @@ def factorizable_check(Q: QuasitriangularData) -> FactorizableVerdict:
     ident1 = contracted == A.unit
     ident2 = all(H.counit_of(Q.phi_matrix.column(j)) == A.unit[j]
                  for j in range(n))
-    return FactorizableVerdict(rank == n, rank, n, (ident1, ident2))
+    return FactorizableVerdict(rank == n, rank, n, (ident1, ident2),
+                               Q.phi_matrix)
 
 
 class SchneiderReport:
@@ -848,13 +853,15 @@ class SchneiderReport:
                 and all(self.scalars_integral))
 
 
-def schneider_check(H: HopfAlgebraData, Q: QuasitriangularData,
+def schneider_check(H: HopfAlgebraData, verdict: FactorizableVerdict,
                     W: WedderburnData, RR: RepresentationRing,
                     I: IntegralData, frob=None):
     """For a factorizable H: Psi = Phi o chi embeds R_k(H) into Z(H),
     Phi(lambda) = Lambda0, and dim Ind of each irreducible of R equals
-    d(S)^2, whence (dim S)^2 | dim H.  ``frob`` is the Frobenius structure
-    of (H, lambda), built when not given.
+    d(S)^2, whence (dim S)^2 | dim H.  ``verdict`` is the
+    ``factorizable_check`` of H's quasitriangular data, whose Phi is used;
+    ``frob`` is the Frobenius structure of (H, lambda), built when not
+    given.
 
     That Psi is a homomorphism of symmetric algebras (R, delta) ->
     (H, lambda) (unit, products, lambda o Psi = delta) is checked once, by
@@ -863,21 +870,18 @@ def schneider_check(H: HopfAlgebraData, Q: QuasitriangularData,
     A = H.algebra
     field = H.field
     n = H.dim
-    verdict = factorizable_check(Q)
     if not verdict.factorizable:
         raise InapplicableHypothesis("Hopf algebra is not factorizable")
-    psi = Q.phi_matrix * RR.chi_matrix
+    phi = verdict.phi_matrix
+    psi = phi * RR.chi_matrix
     r = RR.ring.dim
     lam = I.lam
 
     checks = {}
-    center = A.center_basis()
-    im = EchelonSubspace(field, [psi.column(s) for s in range(r)])
-    zc = EchelonSubspace(field, [list(v) for v in center])
-    checks["image-is-center"] = (im.dim == zc.dim
-                                 and all(zc.contains(b) for b in im.basis))
-    checks["phi-lambda-is-Lambda0"] = (Q.phi_matrix.apply(lam)
-                                       == list(I.Lambda0))
+    im = EchelonSubspace(field, n, (sparse(psi.column(s)) for s in range(r)))
+    checks["image-is-center"] = (im.dim == len(A.center_basis())
+                                 and all(A.is_central(b) for b in im.basis))
+    checks["phi-lambda-is-Lambda0"] = phi.apply(lam) == list(I.Lambda0)
 
     if frob is None:
         frob = frobenius_structure(A, lam)

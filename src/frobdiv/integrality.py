@@ -58,10 +58,13 @@ def minimal_polynomial_over_Q(field, unit, times):
     """Monic minimal polynomial over Q of an element, as ascending Rat
     coefficients.  ``unit`` is the unit of the algebra over ``field`` and
     ``times(v)`` is the element times v, both as coordinate vectors; the
-    powers are reduced in Q-flattened coordinates."""
-    flat = ([q for c in vec for q in field.to_qvec(c)]
+    powers are reduced as sparse rows of their nonzero Q-flattened
+    coordinates."""
+    phi = field.phi
+    flat = ({i * phi + j: q for i, c in enumerate(vec) if c
+             for j, q in enumerate(field.to_qvec(c)) if q}
             for vec in iterates(times, list(unit)))
-    return krylov_relation(QQ, flat).coeffs
+    return krylov_relation(QQ, len(unit) * phi, flat).coeffs
 
 
 def is_integral_over_Z(field, unit, times, description="element"):
@@ -146,10 +149,6 @@ class RelativeReport:
         self.certificates = certificates
         self.ratio_checks = ratio_checks
 
-    @property
-    def all_integral(self):
-        return all(c.integral for c in self.certificates)
-
 
 def verify_symmetric_homomorphism(A, lam, B, mu, phi):
     """Check that phi (columns are the images in B of the basis of A) is a
@@ -192,10 +191,18 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
     if g1_B != [mu_scalar * u for u in B.unit]:
         raise InapplicableHypothesis("Gamma^mu(1) is not scalar")
 
+    # phi(e_S) is an idempotent, so R_phi(e_S) is a projection: its rank is
+    # its trace, the right-regular character rho of B at phi(e_S)
+    rho = B.right_regular_character()
     induced_dims, scalars, certs, ratio_checks = [], [], [], []
     for s, e in enumerate(data_A.idempotents):
-        img = phi.apply(e)
-        rank = B.regular_rep(img).rank()
+        trace = B.apply_form(rho, phi.apply(e))
+        rank = field.as_rat(trace) if field.is_rational(trace) else None
+        if rank is None or not is_integer_rat(rank) or rank < 0:
+            raise InapplicableHypothesis(
+                f"induced module of block {s} has trace "
+                f"{field.format(trace)}, not a rank")
+        rank = int(rank)
         d = data_A.degrees[s]
         if rank == 0 or rank % d != 0:
             raise InapplicableHypothesis(

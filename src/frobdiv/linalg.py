@@ -1,12 +1,26 @@
-"""Exact dense linear algebra over any scalar domain from ``scalars``.
+"""Exact linear algebra over any scalar domain from ``scalars``.
 
-Matrices are dense, row-major, and generic: entries must support the field
-operations and the owning ``field`` object supplies zero/one.  Also hosts a
-generic polynomial type used for minimal polynomials and the modular
-factorization machinery.
+Every elimination runs through one sparse echelon form,
+``EchelonSubspace``: rows are dicts {column: nonzero scalar}, kept fully
+reduced, and the combinations of input rows that a caller must track ride
+along as extra columns that never become pivots.  Ranks, kernels, inverses,
+solutions and Krylov relations are all read off it.  ``Matrix`` is a dense,
+row-major matrix whose elimination methods are entry points over that
+form.  Entries must support the field operations and the owning ``field``
+object supplies zero/one.  Also hosts a generic polynomial type used for
+minimal polynomials and the modular factorization machinery.
 """
 
 from __future__ import annotations
+
+
+class SingularMatrix(ValueError):
+    """A square matrix has no inverse; ``witness`` is a nonzero vector of
+    its right kernel."""
+
+    def __init__(self, witness):
+        super().__init__("singular matrix")
+        self.witness = witness
 
 
 class Matrix:
@@ -110,55 +124,31 @@ class Matrix:
         z = self.field.zero
         return all(a == z for row in self.entries for a in row)
 
-    # -- elimination ------------------------------------------------------
-    def rref(self, pivot_cols=None):
-        """Reduced row echelon form with leading-one pivots, pivoting only
-        in the first ``pivot_cols`` columns (all by default).
+    # -- elimination, over EchelonSubspace --------------------------------
+    def _row_space(self):
+        return EchelonSubspace(self.field, self.cols,
+                               map(sparse, self.entries))
 
-        Returns (reduced matrix, pivot column list).
-        """
-        zero, one = self.field.zero, self.field.one
-        m = [list(row) for row in self.entries]
-        pivots = []
-        r = 0
-        for c in range(self.cols if pivot_cols is None else pivot_cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c] != zero:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = one / m[r][c]
-            if inv != one:
-                m[r] = [inv * a for a in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != zero:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return Matrix(self.field, m), pivots
+    def _with_identity(self):
+        """The echelon form of [self | I]: column cols + i tracks row i."""
+        n, one = self.cols, self.field.one
+        return EchelonSubspace(self.field, n,
+                               ({**sparse(row), n + i: one}
+                                for i, row in enumerate(self.entries)))
+
+    def rref(self):
+        """Reduced row echelon form with leading-one pivots, zero rows
+        last.  Returns (reduced matrix, pivot column list)."""
+        space = self._row_space()
+        zero_rows = [[self.field.zero] * self.cols] * (self.rows - space.dim)
+        return Matrix(self.field, space.basis + zero_rows), space.pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return self._row_space().dim
 
     def kernel(self):
         """Basis of the right kernel, in echelon order."""
-        red, pivots = self.rref()
-        zero, one = self.field.zero, self.field.one
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
-            basis.append(v)
-        return basis
+        return self._row_space().kernel().basis
 
     def solve(self, rhs):
         """Solve self * x = rhs (rhs a vector); None if inconsistent."""
@@ -168,81 +158,35 @@ class Matrix:
         """Yield the solution of self * x = b for each vector b of the
         iterable ``rhss`` in turn, None for an inconsistent b.
 
-        The matrix is eliminated once, as [self | I]; the pivot rows of the
-        recorded row operations T give x from T b, and x solves the system
-        exactly when self * x = b."""
-        zero, one = self.field.zero, self.field.one
-        n, m = self.cols, self.rows
-        aug = Matrix(self.field, [row + [one if i == j else zero
-                                         for j in range(m)]
-                                  for i, row in enumerate(self.entries)])
-        red, pivots = aug.rref(pivot_cols=n)
-        ops = [row[n:] for row in red.entries[:len(pivots)]]
+        The matrix is eliminated once, as [self | I]; the tracked part T of
+        each pivot row gives x from T b, and x solves the system exactly
+        when self * x = b."""
+        zero, n = self.field.zero, self.cols
+        space = self._with_identity()
+        ops = [(p, [(k - n, c) for k, c in space.rows[p].items() if k >= n])
+               for p in space.pivots]
         for b in rhss:
             b = list(b)
-            nz = [(i, v) for i, v in enumerate(b) if v != zero]
             x = [zero] * n
-            for row, pc in zip(ops, pivots):
+            for p, op in ops:
                 s = zero
-                for i, v in nz:
-                    if row[i] != zero:
-                        s = s + row[i] * v
-                x[pc] = s
+                for i, c in op:
+                    if b[i]:
+                        s = s + c * b[i]
+                x[p] = s
             yield x if self.apply(x) == b else None
 
     def inverse(self):
+        """The inverse, from one elimination of [self | I]; SingularMatrix
+        with a kernel vector when there is none."""
         if self.rows != self.cols:
             raise ValueError("not square")
         n = self.rows
-        aug = Matrix(self.field,
-                     [row + Matrix.identity(self.field, n).entries[i]
-                      for i, row in enumerate(self.entries)])
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise ValueError("singular matrix")
-        return Matrix(self.field, [row[n:] for row in red.entries])
-
-    def det(self):
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        zero, one = self.field.zero, self.field.one
-        m = [list(row) for row in self.entries]
-        det = one
-        for c in range(self.cols):
-            pr = None
-            for i in range(c, self.rows):
-                if m[i][c] != zero:
-                    pr = i
-                    break
-            if pr is None:
-                return zero
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = one / m[c][c]
-            for i in range(c + 1, self.rows):
-                if m[i][c] != zero:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
-
-    # -- tensor products --------------------------------------------------
-    def kron(self, other):
-        """Kronecker product; e_i (x) e_j maps to flat index i*dim(b)+j."""
-        zero = self.field.zero
-        out = []
-        for i in range(self.rows):
-            for k in range(other.rows):
-                row = []
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    if a == zero:
-                        row.extend([zero] * other.cols)
-                    else:
-                        row.extend([a * b for b in other.entries[k]])
-                out.append(row)
-        return Matrix(self.field, out)
+        space = self._with_identity()
+        if space.dim < n:
+            raise SingularMatrix(space.kernel().basis[0])
+        return Matrix(self.field, [space.dense(space.rows[p], n)
+                                   for p in range(n)])
 
     def minimal_polynomial(self):
         """Monic minimal polynomial, as the lcm of Krylov relations seeded
@@ -251,19 +195,140 @@ class Matrix:
             raise ValueError("not square")
         n = self.rows
         field = self.field
-        zero, one = field.zero, field.one
-        result = Poly(field, [one])
+        result = Poly(field, [field.one])
         for seed in range(n):
             if result.degree() == n:
                 break
-            v = [zero] * n
-            v[seed] = one
-            result = result.lcm(krylov_relation(field,
-                                                iterates(self.apply, v)))
+            v = [field.zero] * n
+            v[seed] = field.one
+            result = result.lcm(krylov_relation(
+                field, n, map(sparse, iterates(self.apply, v))))
         return result
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
+
+
+def sparse(vec):
+    """A dense vector as a sparse row {index: nonzero entry}."""
+    return {k: c for k, c in enumerate(vec) if c}
+
+
+class EchelonSubspace:
+    """The span of sparse rows {column: scalar} over ``field``, in fully
+    reduced echelon form: ``rows`` maps each pivot column to its row, which
+    has coefficient 1 there and 0 at every other pivot.  Pivots lie in the
+    columns below ``n``; columns from n on carry tracked combinations of
+    the input rows and never become pivots.
+
+    An incoming row is cleared at the pivot columns in its support in one
+    pass (the kept rows vanish at each other's pivots), takes its least
+    column as pivot, and that column is cleared from the kept rows.  Rows
+    may be streamed: at most n are held, and none is read once the rank
+    reaches n."""
+
+    __slots__ = ("field", "n", "rows")
+
+    def __init__(self, field, n, rows=()):
+        self.field = field
+        self.n = n
+        self.rows = {}
+        for row in rows:
+            self.add(row)
+            if len(self.rows) == n:
+                break
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return sorted(self.rows)
+
+    @property
+    def basis(self):
+        """The kept rows in pivot order, as dense vectors of length n."""
+        return [self.dense(self.rows[p]) for p in self.pivots]
+
+    def dense(self, row, start=0):
+        """The n entries of ``row`` from column ``start`` on, as a dense
+        vector: its tracked part when start = n."""
+        zero = self.field.zero
+        return [row.get(k, zero) for k in range(start, start + self.n)]
+
+    def reduce(self, row):
+        """``row`` less the combination of kept rows that clears it at every
+        pivot, as a new row without zeros."""
+        v = {k: c for k, c in row.items() if c}
+        rows = self.rows
+        for p in [k for k in v if k in rows]:
+            _subtract(v, v[p], rows[p])
+        return v
+
+    def add(self, row):
+        """Reduce ``row``.  When a column below n is left, keep the result
+        as a new row and return None; otherwise return it, a relation among
+        the tracked columns (empty when none are tracked)."""
+        v = self.reduce(row)
+        p = min(v, default=self.n)
+        if p >= self.n:
+            return v
+        one = self.field.one
+        inv = one / v[p]
+        if inv != one:
+            v = {k: inv * c for k, c in v.items()}
+        for kept in self.rows.values():
+            f = kept.get(p)
+            if f is not None:
+                _subtract(kept, f, v)
+        self.rows[p] = v
+        return None
+
+    def kernel(self):
+        """The vectors v of field^n with sum_k row[k] v_k = 0 for every kept
+        row, as a subspace whose pivots are the free columns: the basis
+        vector of free column f has 1 at f and 0 at the other free columns
+        (``reduce`` and ``coords`` need no more).  Its basis is in order of
+        f."""
+        one = self.field.one
+        out = EchelonSubspace(self.field, self.n)
+        for free in range(self.n):
+            if free in self.rows:
+                continue
+            vec = {free: one}
+            for p, kept in self.rows.items():
+                c = kept.get(free)
+                if c is not None:
+                    vec[p] = -c
+            out.rows[free] = vec
+        return out
+
+    def coords(self, vec):
+        """Coordinates of a dense vector on ``basis``, None when it is not
+        in the span.  A kept row is 1 at its pivot and 0 at the others, so
+        they are the entries of vec at the pivots."""
+        if self.reduce(sparse(vec)):
+            return None
+        return [vec[p] for p in self.pivots]
+
+    def contains(self, vec):
+        return not self.reduce(sparse(vec))
+
+
+def _subtract(v, f, row):
+    """v -= f * row for sparse rows, in place, dropping the entries that
+    become zero."""
+    for k, c in row.items():
+        x = v.get(k)
+        if x is None:
+            v[k] = -(f * c)
+        else:
+            x = x - f * c
+            if x:
+                v[k] = x
+            else:
+                del v[k]
 
 
 def iterates(step, v):
@@ -273,31 +338,21 @@ def iterates(step, v):
         v = step(v)
 
 
-def krylov_relation(field, powers):
+def krylov_relation(field, n, powers):
     """Monic least-degree polynomial p with sum_k p_k v_k = 0, for the
-    stream of vectors v_0, v_1, ... over ``field`` (the powers of an
+    stream of sparse vectors v_0, v_1, ... in field^n (the powers of an
     operator applied to a start vector).
 
-    Each vector is reduced against those before it, tracking the
-    combination of powers that produced it; the stream is read up to its
-    first dependent vector, whose combination is the relation.  The k-th
-    combination has coefficient 1 at v_k, so the relation is monic."""
+    v_k enters an ``EchelonSubspace`` with tracked column n + k set to 1;
+    the stream is read up to its first dependent vector, whose residue is
+    the relation.  Earlier rows are tracked in columns below n + k only, so
+    the relation has coefficient 1 at v_k: it is monic."""
     zero, one = field.zero, field.one
-    reduced = []  # (pivot index, row, combination)
+    space = EchelonSubspace(field, n)
     for k, vec in enumerate(powers):
-        row = list(vec)
-        cmb = [zero] * k + [one]
-        for pidx, prow, pcmb in reduced:
-            c = row[pidx]
-            if c != zero:
-                row = [a - c * b for a, b in zip(row, prow)]
-                for i, b in enumerate(pcmb):
-                    cmb[i] = cmb[i] - c * b
-        pidx = next((i for i, a in enumerate(row) if a != zero), None)
-        if pidx is None:
-            return Poly(field, cmb)
-        inv = one / row[pidx]
-        reduced.append((pidx, [inv * a for a in row], [inv * a for a in cmb]))
+        rel = space.add({**vec, n + k: one})
+        if rel is not None:
+            return Poly(field, [rel.get(n + i, zero) for i in range(k + 1)])
 
 
 class Poly:
@@ -435,12 +490,6 @@ class Poly:
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, m: Matrix) -> Matrix:
-        acc = Matrix.zeros(m.field, m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            acc = acc * m + Matrix.identity(m.field, m.rows).scale(c)
         return acc
 
     def pow_mod(self, k: int, modulus: "Poly") -> "Poly":

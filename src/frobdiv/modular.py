@@ -26,8 +26,9 @@ import functools
 import math
 import random
 
-from .algebra import center_conditions, sparse_kernel
-from .linalg import Matrix, Poly, iterates, krylov_relation
+from .algebra import center_conditions
+from .linalg import (EchelonSubspace, Matrix, Poly, iterates, krylov_relation,
+                     sparse)
 from .scalars import PrimeField, cyclotomic_polynomial, rational_reconstruct
 
 
@@ -216,13 +217,6 @@ class ComponentAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def squarefree_part(f: Poly) -> Poly:
-    d = f.derivative()
-    if d.is_zero():
-        raise BadPrime("inseparable polynomial mod p")
-    return (f.divmod(f.gcd(d))[0]).monic()
-
-
 def distinct_degree_factor(f: Poly, p: int):
     """[(degree, product of irreducible factors of that degree)], f squarefree."""
     out = []
@@ -288,39 +282,6 @@ def roots_mod_p(f: Poly, p: int, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
-# echelonized subspaces (coordinates in a subspace of F_p^n)
-# ---------------------------------------------------------------------------
-
-
-class EchelonSubspace:
-    def __init__(self, field, vectors):
-        red, pivots = Matrix(field, vectors).rref() if vectors else (None, [])
-        self.field = field
-        self.pivots = pivots
-        self.basis = [red.entries[r] for r in range(len(pivots))] if vectors else []
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def coords(self, vec):
-        zero = self.field.zero
-        v = list(vec)
-        out = []
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            out.append(c)
-            if c != zero:
-                v = [a - c * b for a, b in zip(v, row)]
-        if any(a != zero for a in v):
-            return None
-        return out
-
-    def contains(self, vec):
-        return self.coords(vec) is not None
-
-
-# ---------------------------------------------------------------------------
 # modular splitting of one component
 # ---------------------------------------------------------------------------
 
@@ -336,10 +297,11 @@ class ModularBlock:
 
 
 def center_mod_p(comp, gf):
-    """The center of a reduction mod p, solved from its table."""
+    """The center of a reduction mod p, solved from its table, as the
+    kernel subspace: coordinates are read off at its free columns."""
     rows = ({k: gf.from_int(c) for k, c in row.items()}
             for row in center_conditions(comp.table))
-    return EchelonSubspace(gf, sparse_kernel(gf, comp.dim, rows))
+    return EchelonSubspace(gf, comp.dim, rows).kernel()
 
 
 def modular_split(algebra, p: int, root: int, seed: int = 0):
@@ -367,14 +329,14 @@ def modular_split(algebra, p: int, root: int, seed: int = 0):
     blocks = []
     for e_coords in idems:
         e_vec = _int_comb(center_int, e_coords, p)
-        blocks.append(_block_data(comp, gf, center, e_vec))
+        blocks.append(_block_data(comp, gf, center_int, e_vec))
     blocks.sort(key=lambda b: (b.degree, b.block_dim, b.central_idempotent))
     return blocks
 
 
 def _center_mult(comp, gf, center):
-    """Multiplication of coordinate vectors on the echelon basis z_1..z_r
-    of the centre Z of ``comp``, read off the r x r x r table of Z.
+    """Multiplication of coordinate vectors on the basis z_1..z_r of the
+    centre Z of ``comp``, read off the r x r x r table of Z.
 
     Z is commutative, so the table takes r(r+1)/2 products z_i z_j in
     ``comp``, each solved once for its coordinates; ``table[i][j]`` lists
@@ -466,8 +428,8 @@ def _try_split(cmult, e, direction, r, p, rng):
     gf = PrimeField(p)
     z = cmult(direction, e)
     mat = _mult_matrix(cmult, z, r, gf)
-    rel = krylov_relation(gf, iterates(mat.apply,
-                                       [gf.from_int(x) for x in e]))
+    rel = krylov_relation(gf, r, map(sparse, iterates(
+        mat.apply, [gf.from_int(x) for x in e])))
     if rel.degree() <= 1:
         return None
     if rel.gcd(rel.derivative()).degree() > 0:
@@ -509,23 +471,18 @@ def _poly_eval_in_algebra(cmult, poly: Poly, z, unit_e, p):
     return acc
 
 
-def _block_data(comp, gf, center, e_vec):
+def _block_data(comp, gf, center_int, e_vec):
     n = comp.dim
-    # block basis: span of x_j * e
-    cols = []
-    for j in range(n):
-        basis = [0] * n
-        basis[j] = 1
-        cols.append([gf.from_int(x) for x in comp.multiply(basis, e_vec)])
-    block = EchelonSubspace(gf, cols)
-    bdim = block.dim
-    # center dimension of the block
-    ccols = []
-    for v in center.basis:
-        zv = comp.multiply([c.residue for c in v], e_vec)
-        ccols.append([gf.from_int(x) for x in zv])
-    csub = EchelonSubspace(gf, ccols)
-    cdim = csub.dim
+
+    def span_dim(vectors):
+        return EchelonSubspace(gf, n, ({k: gf.from_int(x)
+                                        for k, x in enumerate(v) if x}
+                                       for v in vectors)).dim
+
+    # the block: span of the x_j e; its center: span of the z e
+    bdim = span_dim(comp.multiply(_basis_coord(j, n), e_vec)
+                    for j in range(n))
+    cdim = span_dim(comp.multiply(z, e_vec) for z in center_int)
     if cdim == 0 or bdim % cdim != 0:
         raise BadPrime("inconsistent block dimensions")
     d2 = bdim // cdim

@@ -90,10 +90,6 @@ def cyclotomic_polynomial(n: int):
     return poly
 
 
-def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic numbers
 # ---------------------------------------------------------------------------
@@ -404,10 +400,16 @@ QQ = RationalField()
 
 
 def field_from_descriptor(desc) -> "RationalField | CyclotomicField":
-    if desc.get("type") == "rational":
+    """The field named by a JSON descriptor; ValueError when malformed."""
+    kind = desc.get("type") if isinstance(desc, dict) else None
+    if kind == "rational":
         return QQ
-    if desc.get("type") == "cyclotomic":
-        return CyclotomicField(int(desc["conductor"]))
+    if kind == "cyclotomic":
+        n = desc.get("conductor")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError("a cyclotomic field needs a positive integer "
+                             f"conductor, not {n!r}")
+        return CyclotomicField(n)
     raise ValueError(f"unknown field descriptor {desc!r}")
 
 

@@ -38,7 +38,10 @@ def algebra_from_json(doc):
         _require(key in doc, f"missing key {key!r}")
     dim = doc["dim"]
     _require(isinstance(dim, int) and dim > 0, "dim must be a positive int")
-    field = field_from_descriptor(doc["field"])
+    try:
+        field = field_from_descriptor(doc["field"])
+    except ValueError as err:
+        raise SchemaError(str(err)) from None
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     for entry in doc["structure_constants"]:
         _require(isinstance(entry, list) and len(entry) == 4,
@@ -46,7 +49,7 @@ def algebra_from_json(doc):
         i, j, k, s = entry
         _require(all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)),
                  f"index out of range in {entry!r}")
-        table[i][j][k] = field.parse(s)
+        table[i][j][k] = _parse_scalar(field, s)
     unit = _parse_vector(field, doc["unit"], dim, "unit")
     lam = (_parse_vector(field, doc["lambda"], dim, "lambda")
            if "lambda" in doc else None)
@@ -57,7 +60,15 @@ def algebra_from_json(doc):
 def _parse_vector(field, raw, dim, what):
     _require(isinstance(raw, list) and len(raw) == dim,
              f"{what} must be a list of {dim} scalars")
-    return [field.parse(s) for s in raw]
+    return [_parse_scalar(field, s) for s in raw]
+
+
+def _parse_scalar(field, s):
+    _require(isinstance(s, str), f"scalar {s!r} is not a string")
+    try:
+        return field.parse(s)
+    except (ValueError, ZeroDivisionError) as err:
+        raise SchemaError(f"bad scalar {s!r}: {err}") from None
 
 
 def algebra_to_json(algebra, lam=None):
@@ -98,7 +109,7 @@ def hopf_from_json(doc):
         _require(isinstance(flat, int) and 0 <= flat < n * n
                  and isinstance(j, int) and 0 <= j < n,
                  f"index out of range in {entry!r}")
-        delta[j][flat] = field.parse(s)
+        delta[j][flat] = _parse_scalar(field, s)
     counit = _parse_vector(field, doc["counit"], n, "counit")
     cols = [[field.zero] * n for _ in range(n)]
     for entry in doc["antipode"]:
@@ -107,7 +118,7 @@ def hopf_from_json(doc):
         i, j, s = entry
         _require(all(isinstance(x, int) and 0 <= x < n for x in (i, j)),
                  f"index out of range in {entry!r}")
-        cols[j][i] = field.parse(s)
+        cols[j][i] = _parse_scalar(field, s)
     antipode = Matrix.from_columns(field, cols)
     H = HopfAlgebraData(algebra, delta, counit, antipode,
                         name=doc.get("name", ""))
@@ -120,7 +131,7 @@ def hopf_from_json(doc):
             flat, s = entry
             _require(isinstance(flat, int) and 0 <= flat < n * n,
                      f"index out of range in {entry!r}")
-            R[flat] = field.parse(s)
+            R[flat] = _parse_scalar(field, s)
     return H, lam, R
 
 

@@ -29,13 +29,12 @@ import itertools
 import random
 
 from .algebra import frobenius_structure
-from .linalg import Matrix, Poly
-from .modular import (BadPrime, ComponentAlgebra, EchelonSubspace,
-                      PrecisionExceeded, _int_poly_eval, component_roots,
-                      good_primes, hensel_lift_idempotent, is_prime,
-                      lift_and_reconstruct, modular_split, reduce_scalar,
-                      roots_mod_p, scalar_denominators,
-                      structure_denominators)
+from .linalg import EchelonSubspace, Matrix, Poly, sparse
+from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
+                      _int_poly_eval, component_roots, good_primes,
+                      hensel_lift_idempotent, is_prime, lift_and_reconstruct,
+                      modular_split, reduce_scalar, roots_mod_p,
+                      scalar_denominators, structure_denominators)
 from .scalars import PrimeField, Rat
 
 MAX_PRECISION_EXP = 64
@@ -284,7 +283,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
         # the block A e: the images x_j e and their span
         images = [algebra.multiply(algebra.basis_vec(j), e)
                   for j in range(algebra.dim)]
-        span = EchelonSubspace(field, images)
+        span = EchelonSubspace(field, algebra.dim, map(sparse, images))
         if span.dim != b.block_dim:
             raise PrecisionExceeded("exact block dimension disagrees with "
                                     "the modular one")
@@ -365,7 +364,8 @@ def certify_split_block(algebra, block, images, d, seed=0, tries=12):
 
     The images x_j e are tried first: for group algebras, duals and
     doubles their eigenvalues are roots of unity in the base field.  Then
-    the echelon basis, then random combinations.
+    the echelon basis, then random combinations.  Each candidate is built
+    only once those before it have failed.
     """
     field = algebra.field
     bd = block.dim
@@ -373,17 +373,20 @@ def certify_split_block(algebra, block, images, d, seed=0, tries=12):
         return False
     if d == 1:
         return True
-    block_basis = list(block.basis)
-    rng = random.Random(seed * 7 + 1)
-    candidates = [v for v in images if any(bool(c) for c in v)]
-    candidates.extend(block_basis)
-    for _ in range(tries):
-        v = algebra.zero_vec()
-        for w in block_basis:
-            c = field.from_rat(Rat(rng.randrange(1, 5)))
-            v = [a + c * b for a, b in zip(v, w)]
-        candidates.append(v)
-    for b in candidates:
+    block_basis = block.basis
+
+    def candidates():
+        yield from (v for v in images if any(bool(c) for c in v))
+        yield from block_basis
+        rng = random.Random(seed * 7 + 1)
+        for _ in range(tries):
+            v = algebra.zero_vec()
+            for w in block_basis:
+                c = field.from_rat(Rat(rng.randrange(1, 5)))
+                v = [a + c * b for a, b in zip(v, w)]
+            yield v
+
+    for b in candidates():
         mat = _restricted_right_mult(algebra, block, block_basis, b)
         minpoly = mat.minimal_polynomial()
         for t in field_roots(field, minpoly.coeffs):

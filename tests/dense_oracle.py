@@ -11,8 +11,9 @@ built factor by factor with the dense ``multiply``.  The centre, integral,
 centrality, Gram and R-product oracles are described in their own section,
 and so are the per-point interpolation formula, the Krylov loop over a
 carrier algebra, the dense multiplicativity, orthogonality and
-character loops, and the centre products of a modular split formed in the
-whole reduced algebra.
+character loops, the centre products of a modular split formed in the
+whole reduced algebra, and the dense eliminations that the sparse echelon
+form replaced.
 """
 
 from frobdiv import Matrix, StructureConstantAlgebra, VerificationReport
@@ -201,7 +202,7 @@ def _intersect_kernels(field, n, operators, stop_dim=0):
     for op in operators:
         images = Matrix.from_columns(field, [op.apply(v) for v in space])
         new_space = []
-        for coeffs in images.kernel():
+        for coeffs in dense_kernel(field, images.entries, len(space)):
             v = [field.zero] * n
             for c, w in zip(coeffs, space):
                 if c != field.zero:
@@ -560,8 +561,8 @@ def hit_form_left(A, a, form):
 
 def dense_block_dim(A, e):
     """dim A e, as the rank of the products x_i e."""
-    return Matrix(A.field, [A.multiply(A.basis_vec(i), e)
-                            for i in range(A.dim)]).rank()
+    return len(dense_rref(A.field, [A.multiply(A.basis_vec(i), e)
+                                    for i in range(A.dim)])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +589,133 @@ def full_algebra_cmult(comp, gf, center):
         return [c.residue for c in coords]
 
     return cmult
+
+
+# ---------------------------------------------------------------------------
+# dense elimination
+# ---------------------------------------------------------------------------
+#
+# The row reductions the library ran on dense rows before every
+# elimination went through ``linalg.EchelonSubspace``: column-by-column
+# Gauss-Jordan with row swaps, the right-hand sides solved through the
+# recorded row operations of [M | I], coordinates by sequential
+# subtraction, and the Krylov loop that tracks the combination of powers in
+# a separate list.  Rows are plain lists, so no library elimination runs.
+
+
+def dense_rref(field, rows, pivot_cols=None):
+    """(reduced rows, pivot columns) of a list of equal-length rows, with
+    leading-one pivots in the first ``pivot_cols`` columns (all by
+    default); the zero rows come last."""
+    zero, one = field.zero, field.one
+    m = [list(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols if pivot_cols is None else pivot_cols):
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = one / m[r][c]
+        m[r] = [inv * a for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != zero:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def dense_kernel(field, rows, n):
+    """Basis of {v in field^n : row . v = 0 for every row}, one vector per
+    free column in increasing order."""
+    zero, one = field.zero, field.one
+    red, pivots = dense_rref(field, rows) if rows else ([], [])
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [zero] * n
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_inverse(field, rows):
+    """The inverse of a square matrix from the rref of [M | I];
+    ValueError when it is singular."""
+    n = len(rows)
+    aug = [list(row) + [field.one if i == j else field.zero
+                        for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = dense_rref(field, aug)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
+
+
+def dense_solve_many(field, rows, rhss):
+    """The solution x of M x = b for each b, None when inconsistent, from
+    the row operations recorded by eliminating [M | I] in the columns of M
+    only."""
+    zero, one = field.zero, field.one
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [list(row) + [one if i == j else zero for j in range(m)]
+           for i, row in enumerate(rows)]
+    red, pivots = dense_rref(field, aug, pivot_cols=n)
+    ops = [row[n:] for row in red[:len(pivots)]]
+    out = []
+    for b in rhss:
+        x = [zero] * n
+        for row, pc in zip(ops, pivots):
+            s = zero
+            for t, v in zip(row, b):
+                s = s + t * v
+            x[pc] = s
+        mx = [sum((a * v for a, v in zip(row, x)), zero) for row in rows]
+        out.append(x if mx == list(b) else None)
+    return out
+
+
+def dense_coords(field, vectors, vec):
+    """Coordinates of vec on the reduced echelon basis of the span of
+    ``vectors``, by subtracting each basis row in turn; None outside."""
+    zero = field.zero
+    red, pivots = dense_rref(field, vectors) if vectors else ([], [])
+    v = list(vec)
+    out = []
+    for row, pc in zip(red, pivots):
+        c = v[pc]
+        out.append(c)
+        if c != zero:
+            v = [a - c * b for a, b in zip(v, row)]
+    return out if all(a == zero for a in v) else None
+
+
+def dense_krylov_relation(field, powers):
+    """Monic least-degree p with sum_k p_k v_k = 0 for a stream of dense
+    vectors, as an ascending coefficient list: each vector is reduced
+    against those before it in order, with its combination of powers
+    tracked in a list of its own."""
+    zero, one = field.zero, field.one
+    reduced = []  # (pivot index, row, combination)
+    for k, vec in enumerate(powers):
+        row = list(vec)
+        cmb = [zero] * k + [one]
+        for pidx, prow, pcmb in reduced:
+            c = row[pidx]
+            if c != zero:
+                row = [a - c * b for a, b in zip(row, prow)]
+                for i, b in enumerate(pcmb):
+                    cmb[i] = cmb[i] - c * b
+        pidx = next((i for i, a in enumerate(row) if a != zero), None)
+        if pidx is None:
+            return cmb
+        inv = one / row[pidx]
+        reduced.append((pidx, [inv * a for a in row], [inv * a for a in cmb]))

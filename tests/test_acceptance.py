@@ -197,7 +197,7 @@ def test_criterion_08_schneider():
     fv = factorizable_check(Q)
     assert fv.factorizable and fv.rank == 36
     RR = representation_ring(H, data, I)
-    sch = schneider_check(H, Q, data, RR, I)
+    sch = schneider_check(H, fv, data, RR, I)
     assert all(sch.psi_checks.values())
     assert sch.holds
     assert time.monotonic() - t0 < 300.0

@@ -211,6 +211,29 @@ def test_missing_file_exit_2(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
 
+MALFORMED = {
+    "cyclotomic-without-conductor": {"field": {"type": "cyclotomic"}},
+    "scalar-not-a-number": {"unit": ["abc"]},
+    "field-as-string": {"field": "rational"},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_document_exit_2(tmp_path, name):
+    doc = {"dim": 1, "field": {"type": "rational"},
+           "structure_constants": [[0, 0, 0, "1"]], "unit": ["1"]}
+    doc.update(MALFORMED[name])
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "analyze",
+                           str(inp)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid input: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
 def test_schneider_needs_r_matrix(tmp_path, capsys):
     inp = build(tmp_path, "--group", "C2")  # no R in a group-algebra build
     assert main(["analyze", str(inp), "--check", "schneider"]) == 2

@@ -21,7 +21,7 @@ from frobdiv import (Matrix, central_primitive_idempotents, double_projection,
                      frobenius_structure, group_algebra, integrals,
                      named_group, quasitriangular_verify, representation_ring)
 from frobdiv.algebra import first_non_multiplicative_pair
-from frobdiv.hopf import schneider_check
+from frobdiv.hopf import factorizable_check, schneider_check
 from frobdiv.integrality import NotASymmetricHomomorphism
 from frobdiv.modular import PrecisionExceeded
 from frobdiv.scalars import Rat
@@ -92,7 +92,7 @@ def test_double_projection_first_failing_pair(gname):
 
 def test_corrupted_psi_stops_schneider(double):
     H, Q, I, F, W, RR = double
-    assert schneider_check(H, Q, W, RR, I, F).holds
+    assert schneider_check(H, factorizable_check(Q), W, RR, I, F).holds
     n = H.dim
     outside = [k for k in range(n) if not H.counit[k]]
     inside = [k for k in range(n) if H.counit[k]]
@@ -106,11 +106,11 @@ def test_corrupted_psi_stops_schneider(double):
         bad.phi_matrix = Matrix(H.field, rows)
         with pytest.raises(NotASymmetricHomomorphism,
                            match="multiplicativity"):
-            schneider_check(H, bad, W, RR, I, F)
+            schneider_check(H, factorizable_check(bad), W, RR, I, F)
     bad = copy.copy(Q)
     bad.phi_matrix = Q.phi_matrix.scale(H.field.from_int(2))
     with pytest.raises(NotASymmetricHomomorphism, match="unit"):
-        schneider_check(H, bad, W, RR, I, F)
+        schneider_check(H, factorizable_check(bad), W, RR, I, F)
 
 
 # ---------------------------------------------------------------------------

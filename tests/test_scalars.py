@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import QQ, CyclotomicField, PrimeField, Rat, rational_reconstruct
-from frobdiv.scalars import (ConductorMismatch, cyclotomic_polynomial,
-                             euler_phi)
+from frobdiv.scalars import ConductorMismatch, cyclotomic_polynomial
 
 # hand table of cyclotomic polynomials, ascending coefficients
 KNOWN_PHI = {
@@ -174,7 +173,8 @@ def test_rational_reconstruct_round_trip(num, den):
 
 
 def test_euler_phi():
-    assert [euler_phi(n) for n in (1, 2, 3, 4, 6, 12, 60)] == \
+    # the degree of Q(zeta_n) is phi(n)
+    assert [CyclotomicField(n).phi for n in (1, 2, 3, 4, 6, 12, 60)] == \
         [1, 1, 2, 2, 2, 4, 16]
 
 

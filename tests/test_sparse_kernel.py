@@ -1,12 +1,14 @@
-"""``sparse_kernel`` against ``Matrix.kernel`` of the dense matrix, list
-for list, over Q, Q(zeta_3) and F_7, with the rows streamed from a
-generator."""
+"""The kernel of ``EchelonSubspace`` against the dense kernel of
+``dense_oracle``, list for list, over Q, Q(zeta_3) and F_7, with the rows
+streamed from a generator."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import CyclotomicField, Matrix, PrimeField, QQ
-from frobdiv.algebra import sparse_kernel
+from frobdiv.linalg import EchelonSubspace
+
+from dense_oracle import dense_kernel
 
 FIELDS = {"Q": QQ, "Q(zeta_3)": CyclotomicField(3), "F_7": PrimeField(7)}
 
@@ -18,10 +20,8 @@ def scalar(field, a, b):
     return field.from_int(a + b)
 
 
-def dense_kernel(field, n, dense_rows):
-    if not dense_rows:
-        return Matrix.zeros(field, 1, n).kernel()
-    return Matrix(field, dense_rows).kernel()
+def sparse_kernel(field, n, rows):
+    return EchelonSubspace(field, n, rows).kernel().basis
 
 
 def streamed(field, dense_rows, keep_zeros):
@@ -34,7 +34,7 @@ def streamed(field, dense_rows, keep_zeros):
 
 def same_kernel(field, n, dense_rows, keep_zeros=False):
     got = sparse_kernel(field, n, streamed(field, dense_rows, keep_zeros))
-    assert got == dense_kernel(field, n, dense_rows)
+    assert got == dense_kernel(field, dense_rows, n)
     return got
 
 

@@ -221,7 +221,8 @@ def test_schneider_check_forms_no_product(monkeypatch):
     W = central_primitive_idempotents(H.algebra, F)
     RR = hopf.representation_ring(H, W, I)
     calls = _recording_multiply(monkeypatch)
-    assert hopf.schneider_check(H, Q, W, RR, I, F).holds
+    fv = hopf.factorizable_check(Q)
+    assert hopf.schneider_check(H, fv, W, RR, I, F).holds
     # the homomorphism check inside relative_divisibility multiplies
     assert calls
     assert not [1 for _, _, code in calls
