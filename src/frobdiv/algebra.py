@@ -1,6 +1,6 @@
 """Structure-constant algebras and the symmetric-algebra apparatus:
 Frobenius forms, dual bases, Casimir element and trace, trace formulas,
-centers and commutator spaces.
+centers and regular characters.
 
 Linear conditions are read straight from the sparse structure table
 ``table[i][k]``: the center is the joint kernel of the rows
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .integrality import is_integral_over_Z
-from .linalg import EchelonSubspace, Matrix, SingularMatrix, sparse
+from .linalg import EchelonSubspace, Matrix, SingularMatrix
 
 
 class AlgebraError(Exception):
@@ -156,13 +156,6 @@ class StructureConstantAlgebra:
                 self.field, self.dim,
                 center_conditions(self.table)).kernel().basis
         return self._center
-
-    def commutator_space(self):
-        """Echelon basis of the span of the commutators x_i x_j - x_j x_i."""
-        mult = lambda i, j: self.multiply(self.basis_vec(i), self.basis_vec(j))
-        rows = (sparse([a - b for a, b in zip(mult(i, j), mult(j, i))])
-                for i in range(self.dim) for j in range(i + 1, self.dim))
-        return EchelonSubspace(self.field, self.dim, rows).basis
 
     def regular_character(self):
         """chi_reg as a vector of values on the basis: trace of left mult."""

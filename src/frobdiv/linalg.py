@@ -42,11 +42,6 @@ class Matrix:
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, field, cols):
         if not cols:
             return cls(field, [])
@@ -55,13 +50,6 @@ class Matrix:
 
     def column(self, j):
         return [row[j] for row in self.entries]
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
@@ -113,12 +101,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix(self.field, [self.column(j) for j in range(self.cols)])
-
-    def trace(self):
-        s = self.field.zero
-        for i in range(min(self.rows, self.cols)):
-            s = s + self.entries[i][i]
-        return s
 
     def is_zero(self):
         z = self.field.zero

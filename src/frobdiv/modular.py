@@ -15,9 +15,10 @@ per-component residue vectors are lifted from p to p^2, p^4, ... by a step
 the caller supplies (Hensel's e -> 3e^2 - 2e^3 for idempotents, Newton's
 t -> t - f(t)/f'(t) for roots of a polynomial), glued at each precision by
 CRT interpolation into (Z/p^m)[x]/Phi_n and rationally reconstructed, until
-the caller accepts a reconstruction.  The lifted roots of unity and the
-interpolation basis depend only on (n, p, m) and are computed once per
-process.
+the caller accepts a reconstruction.  A component's lift does not depend
+on the gluing it is tried in, so ``LiftMemo`` computes it once for all
+of them.  The lifted roots of unity and the interpolation basis depend
+only on (n, p, m) and are computed once per process.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import random
 from .algebra import center_conditions
 from .linalg import (EchelonSubspace, Matrix, Poly, iterates, krylov_relation,
                      sparse)
-from .scalars import PrimeField, cyclotomic_polynomial, rational_reconstruct
+from .scalars import (Cyc, PrimeField, cyclotomic_polynomial,
+                      rational_reconstruct)
 
 
 class BadPrime(Exception):
@@ -81,11 +83,18 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root mod {p}")
 
 
-def scalar_denominators(field, scalars):
-    dens = set()
-    for x in scalars:
-        for c in field.to_qvec(x):
-            dens.add(int(c.denominator))
+def _nums_den(x):
+    """Integer numerators and the common denominator of a scalar of Q or
+    Q(zeta_n)."""
+    if isinstance(x, Cyc):
+        return x.nums, x.den
+    return (int(x.numerator),), int(x.denominator)
+
+
+def scalar_denominators(scalars):
+    """The common denominators other than 1 of the scalars: a prime that
+    divides none of them reduces every scalar."""
+    dens = {_nums_den(x)[1] for x in scalars}
     dens.discard(1)
     return dens
 
@@ -96,7 +105,7 @@ def structure_denominators(algebra):
     scalars = [c for row in algebra.table for cell in row
                for c in cell.values()]
     scalars.extend(algebra.unit)
-    return scalar_denominators(algebra.field, scalars)
+    return scalar_denominators(scalars)
 
 
 def good_primes(algebra, lower=None):
@@ -163,19 +172,19 @@ def _int_poly_eval(coeffs, x, M):
     return acc
 
 
-def reduce_scalar(field, x, root: int, M: int) -> int:
-    """Image of a scalar in Z/M under zeta -> root."""
+def reduce_scalar(x, root: int, M: int) -> int:
+    """Image of a scalar in Z/M under zeta -> root; BadPrime when its
+    denominator is not a unit mod M."""
+    nums, den = _nums_den(x)
     acc = 0
-    power = 1
-    for c in field.to_qvec(x):
-        num, den = int(c.numerator), int(c.denominator)
-        try:
-            term = num % M * pow(den, -1, M) % M
-        except ValueError:
-            raise BadPrime("denominator not invertible mod p^m") from None
-        acc = (acc + term * power) % M
-        power = power * root % M
-    return acc
+    for c in reversed(nums):
+        acc = (acc * root + c) % M
+    if den == 1:
+        return acc
+    try:
+        return acc * pow(den, -1, M) % M
+    except ValueError:
+        raise BadPrime("denominator not invertible mod p^m") from None
 
 
 class ComponentAlgebra:
@@ -188,15 +197,14 @@ class ComponentAlgebra:
         self.dim = algebra.dim
         self.root = root
         no_terms = {}
-        self.table = [[{k: reduce_scalar(algebra.field, c, root, M)
+        self.table = [[{k: reduce_scalar(c, root, M)
                         for k, c in cell.items()} if cell else no_terms
                        for cell in row]
                       for row in algebra.table]
-        self.unit = [reduce_scalar(algebra.field, c, root, M)
-                     for c in algebra.unit]
+        self.unit = [reduce_scalar(c, root, M) for c in algebra.unit]
 
-    def reduce_vector(self, algebra, vec):
-        return [reduce_scalar(algebra.field, c, self.root, self.M) for c in vec]
+    def reduce_vector(self, vec):
+        return [reduce_scalar(c, self.root, self.M) for c in vec]
 
     def multiply(self, a, b):
         M = self.M
@@ -523,6 +531,33 @@ def lift_and_reconstruct(field, p, residues, step, accept, max_exp):
             return x, exp
         exp *= 2
     return None
+
+
+class LiftMemo:
+    """A ``step`` for ``lift_and_reconstruct`` that lifts the residues v
+    of component k to p^exp as lift(k, v, exp), once per (k, v, exp): a
+    component's lift does not depend on the gluing it is tried in."""
+
+    def __init__(self, lift):
+        self.lift = lift
+        self.lifts = {}
+
+    def __call__(self, residues, exp):
+        out = []
+        for k, v in enumerate(residues):
+            key = (k, tuple(v), exp)
+            if key not in self.lifts:
+                self.lifts[key] = self.lift(k, v, exp)
+            out.append(self.lifts[key])
+        return out
+
+    def forget(self, k, v):
+        """Drop the lifts of the residues v mod p of component k, at every
+        precision, once no gluing will try them again."""
+        exp = 2
+        while v is not None:
+            v = self.lifts.pop((k, tuple(v), exp), None)
+            exp *= 2
 
 
 @functools.lru_cache(maxsize=None)

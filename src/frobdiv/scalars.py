@@ -3,8 +3,13 @@
 Every scalar in the toolkit is one of three immutable types:
 
 * ``Rat`` -- arbitrary-precision rational (gmpy2.mpq when available,
-  ``fractions.Fraction`` otherwise);
-* ``Cyc`` -- element of Q(zeta_n) on the power basis 1, z, ..., z^(phi(n)-1);
+  ``fractions.Fraction`` otherwise), the scalars of Q;
+* ``Cyc`` -- element of Q(zeta_n): a tuple of Python ints, the numerators
+  on the power basis 1, z, ..., z^(phi(n)-1), over one positive int
+  denominator, in lowest terms.  Sums, products and equality are integer
+  work; the inverse is the product of the other Galois conjugates over
+  the norm.  ``Rat`` appears only at the boundary (``to_qvec``,
+  ``from_qvec``, ``as_rat``, ``sort_key``, ``format``, ``parse``);
 * ``PrimeFieldElement`` -- residue modulo a prime (or prime power, for the
   lifting rings Z/p^m).
 
@@ -15,10 +20,10 @@ and parse/format the string serialization used by the JSON schemas.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
-
-from .linalg import Poly
 
 try:
     from gmpy2 import mpq as Rat
@@ -99,38 +104,61 @@ class ConductorMismatch(ValueError):
     pass
 
 
+def _lowest(field, nums, den):
+    """The Cyc nums/den, den > 0, in lowest terms; an integral value
+    (den = 1) needs no gcd."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple([a // g for a in nums])
+            den //= g
+    return Cyc(field, nums, den)
+
+
 class Cyc:
-    """Exact element of Q(zeta_n) on the power basis."""
+    """Exact element of Q(zeta_n): integer numerators ``nums`` on the power
+    basis over one positive denominator ``den``, in lowest terms
+    (gcd(den, *nums) = 1, and zero is (0, ..., 0)/1), so equal values
+    have equal representations."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, nums, den=1):
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.nums = nums
+        self.den = den
 
     # -- helpers ----------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Cyc):
-            if other.field.conductor != self.field.conductor:
+            if other.field is not self.field:  # one field per conductor
                 raise ConductorMismatch(
                     f"conductor {other.field.conductor} != {self.field.conductor}")
             return other
         if isinstance(other, (int, Rat)):
-            return self.field.from_rat(rat(other))
+            return self.field.from_rat(other)
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.nums)
+
+    def is_rational(self) -> bool:
+        return not any(self.nums[1:])
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyc(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d, e = self.den, o.den
+        if d == e:
+            return _lowest(self.field,
+                           tuple(map(operator.add, self.nums, o.nums)), d)
+        return _lowest(self.field, tuple([a * e + b * d for a, b
+                                          in zip(self.nums, o.nums)]), d * e)
 
     __radd__ = __add__
 
@@ -138,7 +166,12 @@ class Cyc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Cyc(self.field, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        d, e = self.den, o.den
+        if d == e:
+            return _lowest(self.field,
+                           tuple(map(operator.sub, self.nums, o.nums)), d)
+        return _lowest(self.field, tuple([a * e - b * d for a, b
+                                          in zip(self.nums, o.nums)]), d * e)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -147,31 +180,39 @@ class Cyc:
         return o - self
 
     def __neg__(self):
-        return Cyc(self.field, [-a for a in self.coeffs])
+        return Cyc(self.field, tuple(map(operator.neg, self.nums)), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        phi = self.field.phi
-        prod = [RAT_ZERO] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return Cyc(self.field, self.field._reduce(prod))
+        return _lowest(self.field, self.field._mul_nums(self.nums, o.nums),
+                       self.den * o.den)
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero cyclotomic number")
-        field = self.field
-        # Phi_n is irreducible over Q, so every nonzero residue is a unit
-        phi_poly = Poly.from_ints(QQ, cyclotomic_polynomial(field.conductor))
-        s = Poly(QQ, self.coeffs).inverse_mod(phi_poly)
-        return Cyc(field, s.coeffs + [RAT_ZERO] * (field.phi - len(s.coeffs)))
+        """1/a: the reciprocal of a rational value; otherwise
+        prod_{sigma != 1} sigma(a) / N(a), over the Galois automorphisms
+        sigma, with the norm N(a) = a prod_{sigma != 1} sigma(a)."""
+        field, nums, den = self.field, self.nums, self.den
+        if self.is_rational():
+            a = nums[0]
+            if not a:
+                raise ZeroDivisionError("inversion of zero cyclotomic number")
+            return Cyc(field, (den if a > 0 else -den,) + nums[1:], abs(a))
+        cofactor = None
+        for sigma in field._galois:
+            conj = field._apply(sigma, nums)
+            cofactor = conj if cofactor is None else field._mul_nums(cofactor,
+                                                                     conj)
+        norm = field._mul_nums(nums, cofactor)
+        # the conjugates of a non-rational value pair off as complex
+        # conjugates, so the norm is positive
+        if any(norm[1:]) or norm[0] <= 0:
+            raise ArithmeticError("norm of a cyclotomic number is not a "
+                                  "positive rational")
+        return _lowest(field, tuple([den * c for c in cofactor]), norm[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -202,13 +243,18 @@ class Cyc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.conductor, self.coeffs))
+        return hash((self.field.conductor, self.nums, self.den))
+
+    def rats(self):
+        """The rational coefficients on the power basis."""
+        den = self.den
+        return [Rat(a, den) for a in self.nums]
 
     def sort_key(self):
-        return tuple(self.coeffs)
+        return tuple(self.rats())
 
     def __repr__(self):
         return self.field.format(self)
@@ -228,54 +274,89 @@ class CyclotomicField:
         phi_poly = cyclotomic_polynomial(conductor)
         self.phi = len(phi_poly) - 1
         self.phi_int_coeffs = phi_poly
-        # reduction table: x^(phi+j) on the power basis, integer entries
+        # reduction table: x^(phi+j) on the power basis, sparse integer rows
         table = []
         cur = [-c for c in phi_poly[:-1]]  # x^phi
-        table.append(list(cur))
-        for _ in range(self.phi - 2):
-            nxt = [0] + cur[:-1]
+        for _ in range(self.phi - 1):
+            table.append([(i, t) for i, t in enumerate(cur) if t])
             top = cur[-1]
+            cur = [0] + cur[:-1]
             if top:
-                for i in range(self.phi):
-                    nxt[i] += top * table[0][i]
-            nxt = nxt[: self.phi]
-            table.append(list(nxt))
-            cur = nxt
-        self._red_table = table
-        self.zero = Cyc(self, [RAT_ZERO] * self.phi)
-        self.one = Cyc(self, [RAT_ONE] + [RAT_ZERO] * (self.phi - 1))
+                for i, t in table[0]:
+                    cur[i] += top * t
+        self._red_rows = table
+        self._pad = (0,) * (self.phi - 1)
+        self.zero = Cyc(self, (0,) * self.phi)
+        self.one = Cyc(self, (1,) + self._pad)
         return self
 
-    def _reduce(self, prod):
+    def _mul_nums(self, a, b):
+        """Numerators of the product of two power-basis vectors."""
         phi = self.phi
-        out = [c for c in prod[:phi]] + [RAT_ZERO] * max(0, phi - len(prod))
-        for j in range(len(prod) - 1, phi - 1, -1):
+        prod = [0] * (2 * phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        for j in range(2 * phi - 2, phi - 1, -1):
             c = prod[j]
             if c:
-                for i, t in enumerate(self._red_table[j - phi]):
-                    if t:
-                        out[i] += c * t
-        return out[:phi]
+                for i, t in self._red_rows[j - phi]:
+                    prod[i] += c * t
+        return tuple(prod[:phi])
+
+    @functools.cached_property
+    def _zeta_powers(self):
+        """zeta^j on the power basis for j = 0, ..., n - 1."""
+        zeta = ((0, 1) + self._pad[1:] if self.phi > 1
+                else (-self.phi_int_coeffs[0],))
+        out = [(1,) + self._pad]
+        for _ in range(self.conductor - 1):
+            out.append(self._mul_nums(out[-1], zeta))
+        return out
+
+    @functools.cached_property
+    def _galois(self):
+        """The automorphisms zeta -> zeta^k, k a unit mod n other than 1,
+        each as the sparse images of the power-basis vectors."""
+        n, powers = self.conductor, self._zeta_powers
+        return [[[(i, t) for i, t in enumerate(powers[j * k % n]) if t]
+                 for j in range(self.phi)]
+                for k in range(2, n) if math.gcd(k, n) == 1]
+
+    @staticmethod
+    def _apply(sigma, nums):
+        out = [0] * len(nums)
+        for a, image in zip(nums, sigma):
+            if a:
+                for i, t in image:
+                    out[i] += a * t
+        return tuple(out)
 
     def element(self, coeffs):
         coeffs = [rat(c) for c in coeffs]
         if len(coeffs) != self.phi:
             raise ValueError(f"expected {self.phi} coefficients")
-        return Cyc(self, coeffs)
+        den = math.lcm(*[int(c.denominator) for c in coeffs])
+        return Cyc(self, tuple([int(c.numerator) * (den // int(c.denominator))
+                                for c in coeffs]), den)
 
     def from_rat(self, x):
-        return Cyc(self, [rat(x)] + [RAT_ZERO] * (self.phi - 1))
+        if isinstance(x, int):
+            return Cyc(self, (int(x),) + self._pad)
+        x = rat(x)
+        return Cyc(self, (int(x.numerator),) + self._pad, int(x.denominator))
 
     from_int = from_rat
 
     def zeta(self, power: int = 1):
         power %= self.conductor
         if power < self.phi:
-            mono = [RAT_ZERO] * self.phi
-            mono[power] = RAT_ONE
-            return Cyc(self, mono)
-        gen = Cyc(self, self._reduce([RAT_ZERO, RAT_ONE]))
-        return gen ** power
+            mono = [0] * self.phi
+            mono[power] = 1
+            return Cyc(self, tuple(mono))
+        return Cyc(self, self._zeta_powers[power])
 
     # -- generic field surface -------------------------------------------
     def coerce(self, x):
@@ -284,30 +365,30 @@ class CyclotomicField:
                 raise ConductorMismatch(
                     f"conductor {x.field.conductor} != {self.conductor}")
             return x
-        return self.from_rat(rat(x))
+        return self.from_rat(x)
 
     def to_qvec(self, x):
-        return list(self.coerce(x).coeffs)
+        return self.coerce(x).rats()
 
     def from_qvec(self, v):
         return self.element(v)
 
     def is_rational(self, x) -> bool:
-        return all(c == 0 for c in x.coeffs[1:])
+        return x.is_rational()
 
     def as_rat(self, x):
-        if not self.is_rational(x):
+        if not x.is_rational():
             raise ValueError(f"{self.format(x)} is not rational")
-        return x.coeffs[0]
+        return Rat(x.nums[0], x.den)
 
     def sort_key(self, x):
-        return tuple(x.coeffs)
+        return x.sort_key()
 
     _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
 
     def format(self, x) -> str:
         terms = []
-        for k, c in enumerate(x.coeffs):
+        for k, c in enumerate(x.rats()):
             if c == 0:
                 continue
             if k == 0:
@@ -334,7 +415,7 @@ class CyclotomicField:
             if k >= self.phi:
                 raise ValueError(f"power z^{k} outside power basis in {s!r}")
             coeffs[k] += c
-        return Cyc(self, coeffs)
+        return self.element(coeffs)
 
     def describe(self):
         return {"type": "cyclotomic", "conductor": self.conductor}

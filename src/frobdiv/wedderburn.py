@@ -30,11 +30,12 @@ import random
 
 from .algebra import frobenius_structure
 from .linalg import EchelonSubspace, Matrix, Poly, sparse
-from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
-                      _int_poly_eval, component_roots, good_primes,
-                      hensel_lift_idempotent, is_prime, lift_and_reconstruct,
-                      modular_split, reduce_scalar, roots_mod_p,
-                      scalar_denominators, structure_denominators)
+from .modular import (BadPrime, ComponentAlgebra, LiftMemo,
+                      PrecisionExceeded, _int_poly_eval, component_roots,
+                      good_primes, hensel_lift_idempotent, is_prime,
+                      lift_and_reconstruct, modular_split, reduce_scalar,
+                      roots_mod_p, scalar_denominators,
+                      structure_denominators)
 from .scalars import PrimeField, Rat
 
 MAX_PRECISION_EXP = 64
@@ -100,7 +101,7 @@ def _idempotent_mod_q(algebra, e, check_comps):
     an idempotent.  A denominator divisible by q proves nothing: True."""
     for comp in check_comps:
         try:
-            v = comp.reduce_vector(algebra, e)
+            v = comp.reduce_vector(e)
         except BadPrime:
             return True
         if comp.multiply(v, v) != v:
@@ -217,7 +218,8 @@ def _idempotent_lift(algebra, p, check_comps):
     (e, exp) for the first reconstruction e at precision p^exp that
     passes the check mod q and the exact check, or None.  Spurious
     reconstructions (wrong gluings, or too little precision) are rejected
-    and lifting continues."""
+    and lifting continues.  Each component's lifts are computed once for
+    all gluings, and dropped once a gluing of the block is accepted."""
     field = algebra.field
 
     @functools.lru_cache(maxsize=None)
@@ -225,16 +227,25 @@ def _idempotent_lift(algebra, p, check_comps):
         roots, M = component_roots(field.conductor, p, exp)
         return [ComponentAlgebra(algebra, w, M) for w in roots]
 
-    def hensel(idems, exp):
-        return [hensel_lift_idempotent(c, e, c.M)
-                for c, e in zip(components(exp), idems)]
+    def hensel(k, e, exp):
+        comp = components(exp)[k]
+        return hensel_lift_idempotent(comp, e, comp.M)
+
+    step = LiftMemo(hensel)
 
     def accept(e):
         return (_idempotent_mod_q(algebra, e, check_comps)
                 and _verify_idempotent(algebra, e))
 
-    return lambda idems: lift_and_reconstruct(
-        field, p, idems, hensel, accept, MAX_PRECISION_EXP)
+    def lift(idems):
+        res = lift_and_reconstruct(field, p, idems, step, accept,
+                                   MAX_PRECISION_EXP)
+        if res is not None:  # the blocks are used: no gluing tries them again
+            for k, e in enumerate(idems):
+                step.forget(k, e)
+        return res
+
+    return lift
 
 
 def _verify_system(algebra, idempotents, block_dims):
@@ -421,7 +432,7 @@ def field_roots(field, coeffs, seed=0):
         return []
     g = (f // f.gcd(f.derivative())).monic()
     n = field.conductor
-    dens = scalar_denominators(field, g.coeffs)
+    dens = scalar_denominators(g.coeffs)
     rng = random.Random(seed * 131 + f.degree())
     p = max(2 * f.degree() + 1, n, 20)
     while True:
@@ -442,8 +453,7 @@ def _simple_roots_mod_p(field, g, p, rng):
     gf = PrimeField(p)
     out = []
     for w in component_roots(field.conductor, p, 1)[0]:
-        gw = Poly.from_ints(gf, [reduce_scalar(field, c, w, p)
-                                 for c in g.coeffs])
+        gw = Poly.from_ints(gf, [reduce_scalar(c, w, p) for c in g.coeffs])
         if gw.gcd(gw.derivative()).degree() > 0:
             return None
         out.append(roots_mod_p(gw, p, rng))
@@ -452,29 +462,32 @@ def _simple_roots_mod_p(field, g, p, rng):
 
 def _lift_roots(field, g, p, comp_roots):
     """The roots of g in the field among the lifts of every choice of one
-    simple root mod p per component."""
+    simple root mod p per component.  Each root is lifted once for all
+    the choices it is part of."""
 
     @functools.lru_cache(maxsize=None)
     def reductions(exp):
         roots, M = component_roots(field.conductor, p, exp)
         red = []
         for w in roots:
-            gw = [reduce_scalar(field, c, w, M) for c in g.coeffs]
+            gw = [reduce_scalar(c, w, M) for c in g.coeffs]
             red.append((gw, [i * c % M for i, c in enumerate(gw)][1:]))
         return red, M
 
-    def newton(ts, exp):
+    def newton(k, ts, exp):
         red, M = reductions(exp)
-        return [[(t - _int_poly_eval(gw, t, M)
-                  * pow(_int_poly_eval(dgw, t, M), -1, M)) % M]
-                for (gw, dgw), (t,) in zip(red, ts)]
+        (gw, dgw), (t,) = red[k], ts
+        return [(t - _int_poly_eval(gw, t, M)
+                 * pow(_int_poly_eval(dgw, t, M), -1, M)) % M]
+
+    step = LiftMemo(newton)
 
     # A lift ends at its first reconstruction, kept if it is a root: most
     # choices are wrong, and lifting those on after a chance reconstruction
     # costs more than it finds.
     out = []
     for choice in itertools.product(*comp_roots):
-        res = lift_and_reconstruct(field, p, [[t] for t in choice], newton,
+        res = lift_and_reconstruct(field, p, [[t] for t in choice], step,
                                    lambda x: True, ROOT_PRECISION_EXP)
         if res is not None and not g(res[0][0]):
             out.append(res[0][0])

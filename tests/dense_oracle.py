@@ -12,12 +12,18 @@ centrality, Gram and R-product oracles are described in their own section,
 and so are the per-point interpolation formula, the Krylov loop over a
 carrier algebra, the dense multiplicativity, orthogonality and
 character loops, the centre products of a modular split formed in the
-whole reduced algebra, and the dense eliminations that the sparse echelon
-form replaced.
+whole reduced algebra, the dense eliminations that the sparse echelon
+form replaced, and the scalars of Q(zeta_n) as tuples of rationals.
 """
 
-from frobdiv import Matrix, StructureConstantAlgebra, VerificationReport
+import functools
+import re
+
+from frobdiv import (QQ, Matrix, Poly, Rat, StructureConstantAlgebra,
+                     VerificationReport, cyclotomic_polynomial)
 from frobdiv.hopf import HopfAlgebraData
+from frobdiv.modular import BadPrime
+from frobdiv.scalars import rat_str
 
 
 def dense_verify(A):
@@ -198,7 +204,7 @@ def _mult_matrix(field, n, cell, side, a):
 def _intersect_kernels(field, n, operators, stop_dim=0):
     """Basis of the joint kernel, one operator at a time, each kernel taken
     inside the space left by the ones before."""
-    space = Matrix.identity(field, n).columns()
+    space = matrix_columns(Matrix.identity(field, n))
     for op in operators:
         images = Matrix.from_columns(field, [op.apply(v) for v in space])
         new_space = []
@@ -386,7 +392,7 @@ def change_basis_hopf(H, P, R=None):
     n = H.dim
     zero = field.zero
     Q = P.inverse()
-    cols = P.columns()
+    cols = matrix_columns(P)
 
     def tensor_to_new(flat):
         # Q M Q^T for the n x n coefficient matrix M of a flat tensor
@@ -416,7 +422,7 @@ def change_basis_algebra(A, P):
     field = A.field
     n = A.dim
     Q = P.inverse()
-    cols = P.columns()
+    cols = matrix_columns(P)
     table = [[{k: c for k, c in enumerate(Q.apply(A.multiply(cols[i],
                                                             cols[j])))
                if c != field.zero}
@@ -719,3 +725,165 @@ def dense_krylov_relation(field, powers):
             return cmb
         inv = one / row[pidx]
         reduced.append((pidx, [inv * a for a in row], [inv * a for a in cmb]))
+
+
+# ---------------------------------------------------------------------------
+# Matrix and algebra helpers that only tests use
+# ---------------------------------------------------------------------------
+
+
+def zero_matrix(field, rows, cols):
+    return Matrix(field, [[field.zero] * cols for _ in range(rows)])
+
+
+def matrix_columns(m):
+    return [m.column(j) for j in range(m.cols)]
+
+
+def matrix_trace(m):
+    s = m.field.zero
+    for i in range(min(m.rows, m.cols)):
+        s = s + m.entries[i][i]
+    return s
+
+
+def dense_commutator_space(A):
+    """Echelon basis of the span of the commutators x_i x_j - x_j x_i."""
+    def mult(i, j):
+        return A.multiply(A.basis_vec(i), A.basis_vec(j))
+
+    rows = [[a - b for a, b in zip(mult(i, j), mult(j, i))]
+            for i in range(A.dim) for j in range(i + 1, A.dim)]
+    red, pivots = dense_rref(A.field, rows) if rows else ([], [])
+    return red[:len(pivots)]
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_n) as tuples of rationals
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_table(n):
+    """x^(phi+j) on the power basis 1, ..., x^(phi-1), for j < phi - 1."""
+    phi_poly = cyclotomic_polynomial(n)
+    phi = len(phi_poly) - 1
+    table = []
+    cur = [-c for c in phi_poly[:-1]]  # x^phi
+    table.append(list(cur))
+    for _ in range(phi - 2):
+        nxt = [0] + cur[:-1]
+        top = cur[-1]
+        if top:
+            for i in range(phi):
+                nxt[i] += top * table[0][i]
+        table.append(nxt)
+        cur = nxt
+    return table
+
+
+class RefCyc:
+    """An element of Q(zeta_n) as ``scalars.Cyc`` once stored it: one Rat
+    per power-basis coefficient.  Products are reduced with the rows
+    x^(phi+j), and the inverse is ``Poly.inverse_mod`` modulo Phi_n over
+    Q.  Format, parse and reduction mod p^m read the coefficients one by
+    one."""
+
+    _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
+
+    def __init__(self, n, coeffs):
+        self.n = n
+        self.coeffs = tuple(Rat(c) for c in coeffs)
+
+    @property
+    def phi(self):
+        return len(self.coeffs)
+
+    def _with(self, coeffs):
+        return RefCyc(self.n, coeffs)
+
+    def __add__(self, other):
+        return self._with([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return self._with([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return self._with([-a for a in self.coeffs])
+
+    def __mul__(self, other):
+        phi = self.phi
+        prod = [Rat(0)] * (2 * phi - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        out = prod[:phi]
+        for j in range(len(prod) - 1, phi - 1, -1):
+            for i, t in enumerate(_reduction_table(self.n)[j - phi]):
+                out[i] += prod[j] * t
+        return self._with(out)
+
+    def inv(self):
+        if not any(self.coeffs):
+            raise ZeroDivisionError("inversion of zero")
+        phi_poly = Poly.from_ints(QQ, cyclotomic_polynomial(self.n))
+        s = Poly(QQ, list(self.coeffs)).inverse_mod(phi_poly)
+        return self._with(s.coeffs + [Rat(0)] * (self.phi - len(s.coeffs)))
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inv() ** (-k)
+        out = self._with([Rat(1)] + [Rat(0)] * (self.phi - 1))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.n == other.n and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
+
+    def sort_key(self):
+        return self.coeffs
+
+    def format(self):
+        terms = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                terms.append(rat_str(c))
+            elif k == 1:
+                terms.append(f"{rat_str(c)}*z")
+            else:
+                terms.append(f"{rat_str(c)}*z^{k}")
+        return " + ".join(terms) if terms else "0"
+
+    @classmethod
+    def parse(cls, n, phi, s):
+        coeffs = [Rat(0)] * phi
+        if s.strip() == "0":
+            return cls(n, coeffs)
+        for term in s.strip().split(" + "):
+            m = cls._TERM_RE.match(term.strip())
+            k = (int(m.group(2)) if m.group(2) else 1) if "*z" in term else 0
+            coeffs[k] += Rat(m.group(1))
+        return cls(n, coeffs)
+
+    def reduce(self, root, M):
+        """Image in Z/M under zeta -> root; BadPrime when a coefficient's
+        denominator is not a unit mod M."""
+        acc, power = 0, 1
+        for c in self.coeffs:
+            num, den = int(c.numerator), int(c.denominator)
+            try:
+                term = num % M * pow(den, -1, M) % M
+            except ValueError:
+                raise BadPrime("denominator not invertible mod p^m") from None
+            acc = (acc + term * power) % M
+            power = power * root % M
+        return acc

@@ -16,6 +16,7 @@ from frobdiv import (
 from frobdiv.algebra import TensorSquareAlgebra, contract_left, contract_right
 
 from conftest import delta_form, group_algebra_plain, matrix_algebra_2x2
+from dense_oracle import dense_commutator_space, matrix_trace
 
 
 def rq(x):
@@ -43,12 +44,12 @@ def test_perturbed_constants_rejected():
 def test_center_and_commutator_dims():
     S3 = group_algebra_plain("S3")
     assert len(S3.center_basis()) == 3
-    assert len(S3.commutator_space()) == 3
+    assert len(dense_commutator_space(S3)) == 3
     M2 = matrix_algebra_2x2()
     assert len(M2.center_basis()) == 1
     C6 = group_algebra_plain("C6")
     assert len(C6.center_basis()) == 6
-    assert len(C6.commutator_space()) == 0
+    assert len(dense_commutator_space(C6)) == 0
 
 
 def test_regular_character_oracle():
@@ -94,7 +95,7 @@ def test_trace_formula_random_endomorphisms():
     for _ in range(50):
         ent = [[rq(rng.randint(-9, 9)) for _ in range(6)] for _ in range(6)]
         f = Matrix(QQ, ent)
-        direct = f.trace()
+        direct = matrix_trace(f)
         assert F.trace_via_casimir(f) == direct
 
 

@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from frobdiv import CyclotomicField, Matrix, Poly, PrimeField, QQ, Rat
 
+from dense_oracle import zero_matrix
+
 
 def qmat(rows):
     return Matrix(QQ, [[QQ.from_rat(Rat(x)) for x in row] for row in rows])
@@ -66,7 +68,7 @@ def test_minimal_polynomial_oracles():
     assert diag.minimal_polynomial().coeffs == [
         QQ.from_rat(Rat(2)), QQ.from_rat(Rat(-3)), QQ.one]
     # minimal polynomial annihilates the matrix (Horner)
-    value = Matrix.zeros(QQ, 2, 2)
+    value = zero_matrix(QQ, 2, 2)
     for c in reversed(diag.minimal_polynomial().coeffs):
         value = value * diag + Matrix.identity(QQ, 2).scale(c)
     assert value.is_zero()

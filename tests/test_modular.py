@@ -70,8 +70,8 @@ def test_lift_cyclotomic_root():
 
 def test_reduce_scalar_rational():
     half = QQ.from_rat(Rat(1, 2))
-    assert reduce_scalar(QQ, half, 1, 7) == 4  # 1/2 = 4 mod 7
-    assert reduce_scalar(QQ, half, 1, 49) == 25
+    assert reduce_scalar(half, 1, 7) == 4  # 1/2 = 4 mod 7
+    assert reduce_scalar(half, 1, 49) == 25
 
 
 def test_squarefree_and_factor():

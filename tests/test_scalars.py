@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import QQ, CyclotomicField, PrimeField, Rat, rational_reconstruct
+from frobdiv.modular import BadPrime, component_roots, reduce_scalar
 from frobdiv.scalars import ConductorMismatch, cyclotomic_polynomial
+
+from dense_oracle import RefCyc
 
 # hand table of cyclotomic polynomials, ascending coefficients
 KNOWN_PHI = {
@@ -182,3 +185,151 @@ def test_qvec_round_trip():
     K = CyclotomicField(8)
     x = K.zeta(3) - K.from_rat(Rat(5, 3)) * K.zeta() + K.one
     assert K.from_qvec(K.to_qvec(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# integer-numerator Cyc against the rational-tuple reference
+# ---------------------------------------------------------------------------
+
+CONDUCTORS = (2, 3, 4, 5, 8, 12, 24)
+DIFFERENTIAL = settings(max_examples=150, deadline=None, derandomize=True)
+
+coefficient = st.builds(
+    Rat, st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7, 10 ** 12 + 39]),
+    st.sampled_from([1, 1, 1, 2, 3, 4, 9, 10 ** 6]))
+
+
+@st.composite
+def cyc_pairs(draw):
+    """(n, a, b): two coefficient lists of Q(zeta_n), each sometimes
+    rational, so that both inverse paths run."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    phi = CyclotomicField(n).phi
+
+    def coeffs():
+        cs = draw(st.lists(coefficient, min_size=phi, max_size=phi))
+        if draw(st.integers(0, 3)) == 0:
+            cs[1:] = [Rat(0)] * (phi - 1)
+        return cs
+
+    return n, coeffs(), coeffs()
+
+
+def assert_normal(x):
+    """Integer numerators over one positive denominator, lowest terms."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int for c in x.nums)
+    assert len(x.nums) == x.field.phi
+    assert math.gcd(x.den, *x.nums) == 1
+
+
+def assert_same(K, x, ref):
+    assert_normal(x)
+    assert K.to_qvec(x) == list(ref.coeffs)
+    assert all(isinstance(c, Rat) for c in K.to_qvec(x))
+
+
+@DIFFERENTIAL
+@given(cyc_pairs())
+def test_arithmetic_matches_reference(case):
+    n, a, b = case
+    K = CyclotomicField(n)
+    x, y = K.element(a), K.element(b)
+    rx, ry = RefCyc(n, a), RefCyc(n, b)
+    assert_same(K, x, rx)
+    assert_same(K, x + y, rx + ry)
+    assert_same(K, x - y, rx - ry)
+    assert_same(K, -x, -rx)
+    assert_same(K, x * y, rx * ry)
+    assert_same(K, x ** 3, rx ** 3)
+    assert_same(K, x ** 0, rx ** 0)
+    assert (x == y) == (rx == ry)
+    assert x - x == K.zero and (x - x).den == 1
+    if any(b):
+        assert_same(K, y.inv(), ry.inv())
+        assert_same(K, x / y, rx / ry)
+        assert_same(K, y ** -2, ry ** -2)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y.inv()
+
+
+@DIFFERENTIAL
+@given(cyc_pairs())
+def test_hash_sort_key_format_match_reference(case):
+    n, a, b = case
+    K = CyclotomicField(n)
+    x, y = K.element(a), K.element(b)
+    rx, ry = RefCyc(n, a), RefCyc(n, b)
+    # equal values built along different paths hash alike
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert x * y == y * x and hash(x * y) == hash(y * x)
+    assert (hash(x) == hash(y)) or (rx != ry)
+    assert x.sort_key() == K.sort_key(x) == rx.sort_key()
+    assert (K.sort_key(x) < K.sort_key(y)) == (rx.sort_key() < ry.sort_key())
+    assert K.format(x) == rx.format() == repr(x)
+    assert K.parse(rx.format()) == x
+    assert RefCyc.parse(n, K.phi, K.format(x)) == rx
+    assert K.from_qvec(list(rx.coeffs)) == x
+    if not any(a[1:]):
+        assert K.is_rational(x) and K.as_rat(x) == a[0]
+
+
+def _good_prime(n, above):
+    p = above + 1
+    while p % n != 1 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        p += 1
+    return p
+
+
+@DIFFERENTIAL
+@given(cyc_pairs())
+def test_reduce_scalar_matches_reference(case):
+    n, a, _ = case
+    K = CyclotomicField(n)
+    x, rx = K.element(a), RefCyc(n, a)
+    p = _good_prime(n, 10)
+    for exp in (1, 2, 4):
+        roots, M = component_roots(n, p, exp)
+        for w in roots:
+            try:
+                want = rx.reduce(w, M)
+            except BadPrime:
+                with pytest.raises(BadPrime):
+                    reduce_scalar(x, w, M)
+            else:
+                assert reduce_scalar(x, w, M) == want
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_reduce_scalar_bad_prime(n):
+    K = CyclotomicField(n)
+    p = _good_prime(n, 10)
+    w = component_roots(n, p, 1)[0][0]
+    # the denominator p sits on the last basis vector, or on 1 for phi = 1
+    coeffs = [Rat(1, 2)] * K.phi
+    coeffs[-1] = Rat(3, 5 * p)
+    x = K.element(coeffs)
+    assert x.den % p == 0
+    with pytest.raises(BadPrime):
+        reduce_scalar(x, w, p)
+    with pytest.raises(BadPrime):
+        RefCyc(n, coeffs).reduce(w, p)
+    # a rational has the same residue at every root
+    assert reduce_scalar(K.from_rat(Rat(3, 2)), w, p) == 3 * pow(2, -1, p) % p
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+def test_one_zero_and_rational_embedding(n):
+    K = CyclotomicField(n)
+    three = K.element([3] + [0] * (K.phi - 1))
+    assert K.from_rat(3) == three and hash(K.from_rat(3)) == hash(three)
+    assert K.from_rat(Rat(6, 2)) == three
+    half = K.element([Rat(-1, 2)] + [0] * (K.phi - 1))
+    assert K.from_rat(Rat(-2, 4)) == half
+    zeros = [K.zero, K.element([0] * K.phi), K.from_rat(Rat(0, 7)),
+             K.element([Rat(1, 3)] * K.phi) - K.element([Rat(1, 3)] * K.phi)]
+    for z in zeros:
+        assert_normal(z)
+        assert z.nums == (0,) * K.phi and z.den == 1 and not z
+    assert K.one.inv() == K.one and (-K.one).inv() == -K.one

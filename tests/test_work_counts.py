@@ -4,15 +4,20 @@ q, pieces with a 1-dimensional ideal never tried again, the lifted roots
 of unity computed once per (conductor, prime, exponent), and no product of
 two different idempotents.  In the integrality layer: one Casimir minimal
 polynomial per Frobenius structure, and no product in A (x) A for the
-Casimir powers.  In the Schneider check: no product of its own."""
+Casimir powers.  In the Schneider check: no product of its own.  In the
+scalars: no rational operation inside a product or sum in Q(zeta_n).
+In the lifting: each block is lifted once per component and level,
+however many gluings it is tried in."""
 
 import sys
+from fractions import Fraction
 
 import frobdiv.hopf as hopf
 import frobdiv.integrality as integrality
 import frobdiv.modular as modular
 import frobdiv.wedderburn as wedderburn
-from frobdiv import (QQ, central_primitive_idempotents, drinfeld_double,
+from frobdiv import (QQ, CyclotomicField, Rat,
+                     central_primitive_idempotents, drinfeld_double,
                      frobenius_divisibility_verdict, frobenius_structure,
                      group_algebra, integrals, named_group)
 from frobdiv.algebra import (FrobeniusStructure, StructureConstantAlgebra,
@@ -227,3 +232,49 @@ def test_schneider_check_forms_no_product(monkeypatch):
     assert calls
     assert not [1 for _, _, code in calls
                 if code is hopf.schneider_check.__code__]
+
+
+def test_cyclotomic_product_makes_no_fraction_operation(monkeypatch):
+    K = CyclotomicField(24)
+    a = K.element([Rat(3, 4), 0, -2, Rat(5, 6), 1, 0, Rat(-7, 9), 2])
+    b = K.element([1, Rat(-1, 2), 0, 4, Rat(2, 3), -1, 0, Rat(1, 5)])
+    ops = []
+    for name in ("__mul__", "__add__"):
+        original = getattr(Fraction, name)
+
+        def counted(x, y, original=original, name=name):
+            ops.append(name)
+            return original(x, y)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    assert Rat(1, 2) * Rat(2, 3) == Rat(1, 3) and ops  # the counter works
+    ops.clear()
+    prod = a * b
+    total = a + b
+    assert ops == []
+    monkeypatch.undo()
+    assert prod != total and prod * b.inv() == a
+
+
+def test_double_c4_lifts_each_block_once_per_component(monkeypatch):
+    # D(C4) over Q(i): 16 one-dimensional blocks in 2 components, lifted
+    # through 6 levels (p^2, ..., p^64) at most; its representation ring
+    # (dim 16 too) is the algebra with many wrong gluings
+    G = named_group("C4")
+    H, _ = drinfeld_double(G, conductor=G.exponent)
+    lifts = []
+    original = wedderburn.hensel_lift_idempotent
+
+    def counted(comp, e, M):
+        lifts.append(M)
+        return original(comp, e, M)
+
+    monkeypatch.setattr(wedderburn, "hensel_lift_idempotent", counted)
+    levels = wedderburn.MAX_PRECISION_EXP.bit_length() - 1
+    data = central_primitive_idempotents(H.algebra)
+    assert len(lifts) <= data.num_blocks * H.field.phi * levels
+    lifts.clear()
+    ring = hopf.representation_ring(H, data, integrals(H))
+    blocks = ring.wedderburn.num_blocks
+    assert blocks == 16 and lifts
+    assert len(lifts) <= blocks * H.field.phi * levels
