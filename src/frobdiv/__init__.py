@@ -1,5 +1,5 @@
 """Exact toolkit for symmetric Frobenius algebras, Casimir elements,
-Wedderburn data via modular lifting, integrality certification over Z,
+Wedderburn data via modular splitting, integrality certification over Z,
 and the semisimple Hopf-algebra divisibility theorems."""
 
 from .algebra import (AlgebraError, DegenerateForm, FrobeniusStructure,
@@ -22,8 +22,7 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           scalar_certificate)
 from .linalg import Matrix, Poly
 from .modular import BadPrime, PrecisionExceeded, hensel_lift_idempotent
-from .scalars import (CyclotomicField, PrimeField, QQ, Rat,
-                      cyclotomic_polynomial, rational_reconstruct)
+from .scalars import CyclotomicField, PrimeField, QQ, Rat, cyclotomic_polynomial
 from .wedderburn import (SplitUncertified, WedderburnData,
                          casimir_square_components,
                          central_primitive_idempotents, field_roots,

@@ -432,6 +432,13 @@ class FrobeniusStructure:
             self._gamma_one = self.casimir_trace(self.algebra.unit)
         return list(self._gamma_one)
 
+    def dual_combination(self, coeffs):
+        """sum_j coeffs_j y_j, the element a with <lambda, x_j a> = coeffs_j,
+        read off the sparse rows of gram_inv."""
+        zero = self.field.zero
+        return [sum((g * coeffs[j] for j, g in row if coeffs[j]), zero)
+                for row in self._dual_coeffs]
+
     def casimir_times(self, z):
         """c z for a flat element z of A (x) A, read off the structure table.
 

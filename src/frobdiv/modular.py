@@ -10,15 +10,13 @@ that is one split per prime.  A split works on the multiplication table of
 the mod-p centre, formed once from r(r+1)/2 products in the reduced
 algebra; finding the primitive idempotents then never touches the algebra.
 
-Results come back to Q(zeta_n) along one path, ``lift_and_reconstruct``:
-per-component residue vectors are lifted from p to p^2, p^4, ... by a step
-the caller supplies (Hensel's e -> 3e^2 - 2e^3 for idempotents, Newton's
-t -> t - f(t)/f'(t) for roots of a polynomial), glued at each precision by
-CRT interpolation into (Z/p^m)[x]/Phi_n and rationally reconstructed, until
-the caller accepts a reconstruction.  A component's lift does not depend
-on the gluing it is tried in, so ``LiftMemo`` computes it once for all
-of them.  The lifted roots of unity and the interpolation basis depend
-only on (n, p, m) and are computed once per process.
+Results come back as integers y of Q(zeta_n) whose conjugates the caller
+bounds by R, so that their power-basis coefficients are at most
+B = f_n R (``embedding_factor``).  Residues mod p^k > 2B in every
+component are glued by CRT interpolation and read as symmetric residues
+(``reconstruct_element``): exact for such a y, and a coefficient outside
+[-B, B] rejects the gluing, at one precision and without trial.  Lifted
+roots of unity and interpolation bases are cached per (n, p, k).
 """
 
 from __future__ import annotations
@@ -30,8 +28,8 @@ import random
 from .algebra import center_conditions
 from .linalg import (EchelonSubspace, Matrix, Poly, iterates, krylov_relation,
                      sparse)
-from .scalars import (Cyc, PrimeField, cyclotomic_polynomial,
-                      rational_reconstruct)
+from .scalars import (QQ, Cyc, CyclotomicField, PrimeField,
+                      cyclotomic_polynomial)
 
 
 class BadPrime(Exception):
@@ -39,7 +37,7 @@ class BadPrime(Exception):
 
 
 class PrecisionExceeded(Exception):
-    pass
+    """No gluing of the blocks mod p passed the exact checks."""
 
 
 def is_prime(m: int) -> bool:
@@ -89,6 +87,30 @@ def _nums_den(x):
     if isinstance(x, Cyc):
         return x.nums, x.den
     return (int(x.numerator),), int(x.denominator)
+
+
+def norm1(x, scale):
+    """||scale x||_1, the sum of the absolute power-basis coefficients of
+    scale x; ``scale`` must clear the denominator of x."""
+    nums, den = _nums_den(x)
+    return sum(map(abs, nums)) * (scale // den)
+
+
+@functools.lru_cache(maxsize=None)
+def embedding_factor(n: int):
+    """f_n = phi max_k sum_l |(Tr^-1)_kl| for the trace matrix
+    Tr_kl = Tr(zeta^(k+l)), once per conductor: an integer y of Q(zeta_n)
+    with every conjugate at most R has power-basis coefficients at most
+    f_n R, Tr^-1 applied to the traces of y zeta^k (each at most phi R)."""
+    field = CyclotomicField(n)
+    phi, powers = field.phi, field._zeta_powers
+    units = component_units(n)
+    # the sum of the conjugates of zeta^m is rational: its first coefficient
+    trace = [sum(powers[u * m % n][0] for u in units)
+             for m in range(2 * phi - 1)]
+    inv = Matrix(QQ, [[QQ.from_int(trace[k + l]) for l in range(phi)]
+                      for k in range(phi)]).inverse()
+    return phi * max(sum(map(abs, row)) for row in inv.entries)
 
 
 def scalar_denominators(scalars):
@@ -312,11 +334,12 @@ def center_mod_p(comp, gf):
     return EchelonSubspace(gf, comp.dim, rows).kernel()
 
 
-def modular_split(algebra, p: int, root: int, seed: int = 0):
-    """Central primitive idempotents and block invariants of the reduction
-    of ``algebra`` at ``zeta -> root`` mod p."""
+def modular_split(comp, seed: int = 0):
+    """Central primitive idempotents and block invariants of a reduction
+    ``comp`` of an algebra mod a prime p (a ``ComponentAlgebra`` at
+    modulus p)."""
+    p = comp.M
     gf = PrimeField(p)
-    comp = ComponentAlgebra(algebra, root, p)
     rng = random.Random(seed * 1000003 + p)
 
     center = center_mod_p(comp, gf)
@@ -501,7 +524,7 @@ def _block_data(comp, gf, center_int, e_vec):
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting and gluing
+# Hensel lifting and bounded gluing
 # ---------------------------------------------------------------------------
 
 
@@ -510,54 +533,6 @@ def hensel_lift_idempotent(comp_M, e, M):
     e2 = comp_M.multiply(e, e)
     e3 = comp_M.multiply(e2, e)
     return [(3 * a - 2 * b) % M for a, b in zip(e2, e3)]
-
-
-def lift_and_reconstruct(field, p, residues, step, accept, max_exp):
-    """Lift per-component residue vectors mod p through the precisions
-    p, p^2, p^4, ... up to p^max_exp, glue and reconstruct each level, and
-    return (x, exp) for the first reconstruction x with ``accept(x)``;
-    None if there is none.
-
-    ``residues`` holds one vector per CRT component, in the order of
-    ``component_roots``; ``step(residues, exp)`` lifts them to p^exp."""
-    n = field.conductor
-    exp = 1
-    while exp <= max_exp:
-        roots, M = component_roots(n, p, exp)
-        if exp > 1:
-            residues = step(residues, exp)
-        x = reconstruct_element(field, residues, roots, M)
-        if x is not None and accept(x):
-            return x, exp
-        exp *= 2
-    return None
-
-
-class LiftMemo:
-    """A ``step`` for ``lift_and_reconstruct`` that lifts the residues v
-    of component k to p^exp as lift(k, v, exp), once per (k, v, exp): a
-    component's lift does not depend on the gluing it is tried in."""
-
-    def __init__(self, lift):
-        self.lift = lift
-        self.lifts = {}
-
-    def __call__(self, residues, exp):
-        out = []
-        for k, v in enumerate(residues):
-            key = (k, tuple(v), exp)
-            if key not in self.lifts:
-                self.lifts[key] = self.lift(k, v, exp)
-            out.append(self.lifts[key])
-        return out
-
-    def forget(self, k, v):
-        """Drop the lifts of the residues v mod p of component k, at every
-        precision, once no gluing will try them again."""
-        exp = 2
-        while v is not None:
-            v = self.lifts.pop((k, tuple(v), exp), None)
-            exp *= 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -599,16 +574,29 @@ def _poly_mul_mod(a, b, M):
     return out
 
 
-def reconstruct_element(field, per_component, roots, M):
-    """Glue per-component residue vectors and rationally reconstruct a vector
-    of field scalars; None if any coefficient fails to reconstruct."""
-    out = []
+def reconstruct_element(field, per_component, roots, M, bound, den):
+    """Glue per-component residue vectors of an integral vector y by CRT
+    interpolation and return y / den as field scalars, reading each
+    coefficient as its symmetric residue mod M > 2 bound; None when one
+    exceeds ``bound``, which proves the residues are not those of such a
+    y."""
+    half = M // 2
+    glued = []
     for residues in zip(*per_component):
-        qcoeffs = []
+        nums = []
         for c in interpolate_mod(roots, residues, M):
-            q = rational_reconstruct(c, M)
-            if q is None:
+            if c > half:
+                c -= M
+            if abs(c) > bound:
                 return None
-            qcoeffs.append(q)
-        out.append(field.from_qvec(qcoeffs))
-    return out
+            nums.append(c)
+        glued.append(nums)
+    return [field.from_nums(nums, den) for nums in glued]
+
+
+def precision_for(p: int, bound: int) -> int:
+    """The least exponent k in 1, 2, 4, ... with p^k > 2 bound."""
+    exp = 1
+    while p ** exp <= 2 * bound:
+        exp *= 2
+    return exp

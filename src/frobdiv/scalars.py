@@ -8,8 +8,8 @@ Every scalar in the toolkit is one of three immutable types:
   on the power basis 1, z, ..., z^(phi(n)-1), over one positive int
   denominator, in lowest terms.  Sums, products and equality are integer
   work; the inverse is the product of the other Galois conjugates over
-  the norm.  ``Rat`` appears only at the boundary (``to_qvec``,
-  ``from_qvec``, ``as_rat``, ``sort_key``, ``format``, ``parse``);
+  the norm.  ``Rat`` appears only at the boundary (``element``,
+  ``to_qvec``, ``as_rat``, ``sort_key``, ``format``, ``parse``);
 * ``PrimeFieldElement`` -- residue modulo a prime (or prime power, for the
   lifting rings Z/p^m).
 
@@ -291,7 +291,14 @@ class CyclotomicField:
         return self
 
     def _mul_nums(self, a, b):
-        """Numerators of the product of two power-basis vectors."""
+        """Numerators of the product of two power-basis tuples.  A rational
+        factor scales the other one."""
+        if a[1:] == self._pad:
+            x = a[0]
+            return tuple([x * y for y in b])
+        if b[1:] == self._pad:
+            y = b[0]
+            return tuple([x * y for x in a])
         phi = self.phi
         prod = [0] * (2 * phi - 1)
         for i, x in enumerate(a):
@@ -350,6 +357,10 @@ class CyclotomicField:
 
     from_int = from_rat
 
+    def from_nums(self, nums, den):
+        """The value sum_k nums[k] z^k / den, for ints nums and den > 0."""
+        return _lowest(self, tuple(nums), den)
+
     def zeta(self, power: int = 1):
         power %= self.conductor
         if power < self.phi:
@@ -369,9 +380,6 @@ class CyclotomicField:
 
     def to_qvec(self, x):
         return self.coerce(x).rats()
-
-    def from_qvec(self, v):
-        return self.element(v)
 
     def is_rational(self, x) -> bool:
         return x.is_rational()
@@ -445,15 +453,16 @@ class RationalField:
     from_int = from_rat
     coerce = from_rat
 
+    def from_nums(self, nums, den):
+        (a,) = nums
+        return Rat(a, den)
+
     def element(self, coeffs):
         (c,) = coeffs
         return rat(c)
 
     def to_qvec(self, x):
         return [rat(x)]
-
-    def from_qvec(self, v):
-        return rat(v[0])
 
     def is_rational(self, x) -> bool:
         return True
@@ -609,31 +618,3 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.modulus})"
-
-
-# ---------------------------------------------------------------------------
-# rational reconstruction
-# ---------------------------------------------------------------------------
-
-
-def rational_reconstruct(residue: int, modulus: int):
-    """Recover the unique a/b with |a|, b <= sqrt(M/2), gcd(b, M) = 1 and
-    a = b*residue (mod M); None if no such fraction exists."""
-    if not 0 <= residue < modulus:
-        raise ValueError("residue out of range")
-    bound = math.isqrt(modulus // 2)
-    r0, r1 = modulus, residue
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    a, b = r1, t1
-    if b < 0:
-        a, b = -a, -b
-    if b == 0 or b > bound or abs(a) > bound:
-        return None
-    if math.gcd(b, modulus) != 1 or math.gcd(abs(a) if a else b, b) != 1:
-        return None
-    return Rat(a, b)
-

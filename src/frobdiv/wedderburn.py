@@ -1,48 +1,47 @@
 """Characteristic-zero Wedderburn decomposition via modular splitting.
 
-The algebra is split mod a good prime in every CRT component of the
-cyclotomic base field.  Each gluing of one block per component is brought
-back along the one lifting path of ``modular.lift_and_reconstruct``, with
-Hensel's step e -> 3e^2 - 2e^3, and verified by exact arithmetic.  The
-eigenvalues behind split certificates come back along the same path:
-``field_roots`` lifts the roots mod p of a polynomial by Newton's step.
+The algebra is split mod a good prime p in every CRT component of the
+cyclotomic base field.  A central primitive idempotent e comes back from
+its regular traces v_j = chi_reg(x_j e), as in the paper's formula
+Gamma(1) e(S) = d(S) (chi_S (x) Id)(c).  With D the common denominator of
+the structure constants, D v_j is the trace of D L_{x_j} on A e, so its
+power-basis coefficients obey a bound B known in advance
+(``_trace_bound``).  Each mod-p block is Hensel-lifted (e -> 3e^2 - 2e^3)
+to the one precision p^k > 2B, only when k > 1, and D v is read off the
+sparse table in each component.  A gluing of one block per component is
+interpolated and rejected unless its symmetric residues lie within B;
+one that passes gives e = T^-1 v exactly through the dual basis of
+chi_reg (T_jk = chi_reg(x_j x_k)), the characters v / (d center_dim) and
+the block dimension chi_reg(e).
 
-A wrong gluing either fails reconstruction or reconstructs to small
-rationals that are not an idempotent.  Such a candidate is first reduced
-modulo a second good prime q != p at every root of the cyclotomic
-polynomial and rejected there if e e != e; the reduction is a ring map, so
-a true idempotent always passes.  Only candidates that pass reach the
-exact, dense check, which stays the correctness filter.
-
-Each block A e is built once, as the images x_j e and their span, and
-dropped before the next.  The characters, the split certificates and the
-system check all read it: chi_S(x_j) is chi_reg(x_j e_S) up to a scalar,
-the images are the first candidates of a certificate, and the idempotents
-are orthogonal exactly when the block dimensions add up to dim A (no two
-idempotents are multiplied).
+Such an e is screened modulo a second good prime q != p at every root of
+the cyclotomic polynomial (rejected if e e != e there; a true idempotent
+always passes) before the exact checks: e e = e, central, the block
+dimension, and for the system sum 1 and orthogonality, read off the block
+dimensions.  The images x_j e are built only to certify blocks of degree
+> 1, and the eigenvalues behind those certificates come back the same way:
+``field_roots`` glues D_g t for the roots t of g under a Cauchy bound.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 import random
 
 from .algebra import frobenius_structure
 from .linalg import EchelonSubspace, Matrix, Poly, sparse
-from .modular import (BadPrime, ComponentAlgebra, LiftMemo,
-                      PrecisionExceeded, _int_poly_eval, component_roots,
-                      good_primes, hensel_lift_idempotent, is_prime,
-                      lift_and_reconstruct, modular_split, reduce_scalar,
-                      roots_mod_p, scalar_denominators,
-                      structure_denominators)
+from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
+                      _int_poly_eval, component_roots,
+                      embedding_factor, good_primes, hensel_lift_idempotent,
+                      is_prime, modular_split, norm1, precision_for,
+                      reconstruct_element, reduce_scalar, roots_mod_p,
+                      scalar_denominators, structure_denominators)
 from .scalars import PrimeField, Rat
 
-MAX_PRECISION_EXP = 64
-ROOT_PRECISION_EXP = 32
 FALLBACK_PRIMES = 3
 # The idempotent filter's prime lies above this bound, so that it rarely
-# divides a denominator of a spurious reconstruction (those are small).
+# divides a denominator of a spurious candidate.
 CHECK_PRIME_LOWER = 1 << 20
 
 
@@ -56,7 +55,8 @@ class WedderburnData:
     Blocks are in canonical order: by degree, then by the sort key of the
     character vector.  ``characters[s][j]`` is the trace of x_j on the s-th
     irreducible (for non-split blocks: the reduced trace, and
-    ``split_certified[s]`` is False).
+    ``split_certified[s]`` is False).  ``precision_used`` is the exponent k
+    of the one precision p^k at which the blocks were glued.
     """
 
     def __init__(self, algebra, idempotents, degrees, block_dims,
@@ -109,13 +109,11 @@ def _idempotent_mod_q(algebra, e, check_comps):
     return True
 
 
-def _raw_idempotents(algebra, prime=None, seed=0):
-    """Central primitive idempotents over the algebra's cyclotomic base
-    field, plus per-block modular invariants.
-
-    Returns (idempotents, blocks, prime, precision_exp) where blocks is a
-    list of ModularBlock records aligned with the idempotents.
-    """
+def _raw_idempotents(algebra, dual, prime=None, seed=0):
+    """(idempotents, traces, blocks, prime, precision_exp): the central
+    primitive idempotents over the base field, their regular traces and
+    aligned ModularBlock records.  ``dual`` maps traces v to the element e
+    with chi_reg(x_j e) = v_j."""
     if prime is not None:
         _check_explicit_prime(algebra, prime)
         primes = [prime]
@@ -124,7 +122,7 @@ def _raw_idempotents(algebra, prime=None, seed=0):
     last_err = None
     for p in primes:
         try:
-            return _idempotents_at_prime(algebra, p, seed)
+            return _idempotents_at_prime(algebra, dual, p, seed)
         except (BadPrime, PrecisionExceeded) as err:
             last_err = err
             continue
@@ -148,27 +146,26 @@ def _check_explicit_prime(algebra, p):
 
 
 def _split_components(algebra, p, seed):
-    """The modular blocks of every CRT component mod p, in the order of
-    ``component_roots``.  Components with the same reduced table and unit
-    are the same F_p-algebra: it is split once, and they share its block
-    list.  The split's random choices depend on (seed, p) only, so sharing
-    changes no block."""
+    """The reductions of the algebra mod p, one per CRT component in the
+    order of ``component_roots``, and the modular blocks of each.  Equal
+    reduced tables and units are one F_p-algebra, split once; the split's
+    random choices depend on (seed, p) only, so sharing changes no block."""
     roots_p, _ = component_roots(algebra.field.conductor, p, 1)
+    comps = [ComponentAlgebra(algebra, w, p) for w in roots_p]
     splits = []
     per_comp_blocks = []
-    for w in roots_p:
-        comp = ComponentAlgebra(algebra, w, p)
+    for comp in comps:
         key = (comp.table, comp.unit)
         blocks = next((bl for k, bl in splits if k == key), None)
         if blocks is None:
-            blocks = modular_split(algebra, p, w, seed)
+            blocks = modular_split(comp, seed)
             splits.append((key, blocks))
         per_comp_blocks.append(blocks)
-    return per_comp_blocks
+    return comps, per_comp_blocks
 
 
-def _idempotents_at_prime(algebra, p, seed):
-    per_comp_blocks = _split_components(algebra, p, seed)
+def _idempotents_at_prime(algebra, dual, p, seed):
+    comps, per_comp_blocks = _split_components(algebra, p, seed)
     counts = {len(bl) for bl in per_comp_blocks}
     if len(counts) != 1:
         raise BadPrime("component block counts disagree")
@@ -178,30 +175,27 @@ def _idempotents_at_prime(algebra, p, seed):
     if any(s != sigs[0] for s in sigs[1:]):
         raise BadPrime("component block invariants disagree")
 
+    glue = TraceGluing(algebra, dual, p, comps,
+                       max(b.block_dim for b in per_comp_blocks[0]))
     used = [set() for _ in per_comp_blocks]
     idempotents = []
+    traces = []
     blocks = []
-    precision_used = 1
-    lift = _idempotent_lift(algebra, p, _check_components(algebra, p))
     for b0 in per_comp_blocks[0]:
-        found = None
-        for choice in _gluings(per_comp_blocks, b0, used, invariant):
-            res = lift([b.central_idempotent for b in choice])
-            if res is not None:
-                found = (choice,) + res
-                break
+        found = next(filter(None, map(glue, _gluings(
+            per_comp_blocks, b0, used, invariant))), None)
         if found is None:
             raise PrecisionExceeded(
-                f"block of degree {b0.degree}: no gluing reconstructed at "
-                f"p={p} up to precision p^{MAX_PRECISION_EXP}")
-        choice, e, prec = found
-        precision_used = max(precision_used, prec)
+                f"block of degree {b0.degree}: no gluing at p={p} passed "
+                f"the bound {glue.bound} and the exact checks")
+        choice, e, v = found
         for comp_idx, b in enumerate(choice):
             used[comp_idx].add(id(b))
         idempotents.append(e)
+        traces.append(v)
         blocks.append(b0)
 
-    return idempotents, blocks, p, precision_used
+    return idempotents, traces, blocks, p, glue.exp
 
 
 def _gluings(per_comp_blocks, b0, used, invariant):
@@ -212,40 +206,74 @@ def _gluings(per_comp_blocks, b0, used, invariant):
     return itertools.product([b0], *pools)
 
 
-def _idempotent_lift(algebra, p, check_comps):
-    """The lift of one gluing: a function that takes the mod-p central
-    idempotents of the chosen blocks, one per component, and returns
-    (e, exp) for the first reconstruction e at precision p^exp that
-    passes the check mod q and the exact check, or None.  Spurious
-    reconstructions (wrong gluings, or too little precision) are rejected
-    and lifting continues.  Each component's lifts are computed once for
-    all gluings, and dropped once a gluing of the block is accepted."""
-    field = algebra.field
+def _trace_bound(algebra, block_dim):
+    """(D, B): the common denominator D of the structure constants, and
+    B = f_n block_dim max_{i,j} sum_k ||D c_ji^k||_1, which bounds the
+    power-basis coefficients of D chi_reg(x_j e) for every central
+    idempotent e with dim A e <= block_dim.  D chi_reg(x_j e) is the trace
+    of D L_{x_j} on A e: dim A e eigenvalues of an integral matrix, each at
+    most its largest column 1-norm at every embedding."""
+    cells = [cell.values() for row in algebra.table for cell in row]
+    D = math.lcm(1, *scalar_denominators(c for cell in cells for c in cell))
+    col = max(sum(norm1(c, D) for c in cell) for cell in cells)
+    return D, int(embedding_factor(algebra.field.conductor)
+                  * block_dim * col)
 
-    @functools.lru_cache(maxsize=None)
-    def components(exp):
-        roots, M = component_roots(field.conductor, p, exp)
-        return [ComponentAlgebra(algebra, w, M) for w in roots]
 
-    def hensel(k, e, exp):
-        comp = components(exp)[k]
-        return hensel_lift_idempotent(comp, e, comp.M)
+class TraceGluing:
+    """Gluing of mod-p blocks, one per CRT component, through their
+    regular traces at the one precision p^exp > 2 bound.  A call takes a
+    choice of blocks and returns (choice, e, v) when the glued traces v lie
+    within the bound and e = ``dual(v)`` passes the screen mod q and the
+    exact check; None otherwise."""
 
-    step = LiftMemo(hensel)
+    def __init__(self, algebra, dual, p, comps, block_dim):
+        self.algebra = algebra
+        self.dual = dual
+        self.den, self.bound = _trace_bound(algebra, block_dim)
+        self.exp = precision_for(p, self.bound)
+        self.roots, self.M = component_roots(algebra.field.conductor, p,
+                                             self.exp)
+        if self.exp > 1:
+            comps = [ComponentAlgebra(algebra, w, self.M)
+                     for w in self.roots]
+        self.comps = comps
+        chi_reg = algebra.regular_character()
+        self.rhos = [comp.reduce_vector(chi_reg) for comp in comps]
+        self.check_comps = _check_components(algebra, p)
+        self.traces = {}
 
-    def accept(e):
-        return (_idempotent_mod_q(algebra, e, check_comps)
-                and _verify_idempotent(algebra, e))
+    def trace(self, k, block):
+        """D chi_reg(x_j e) mod p^exp for the block's idempotent e lifted in
+        component k, read off its sparse table as
+        sum_i e_i sum_m c_ji^m chi_reg(x_m); once per block and component,
+        for all the gluings it is tried in."""
+        key = (k, id(block))
+        if key not in self.traces:
+            comp, M, rho = self.comps[k], self.M, self.rhos[k]
+            e, exp = block.central_idempotent, 1
+            while exp < self.exp:
+                e = hensel_lift_idempotent(comp, e, M)
+                exp *= 2
+            support = [(i, x) for i, x in enumerate(e) if x]
+            self.traces[key] = [
+                self.den * sum(x * c * rho[m] for i, x in support
+                               for m, c in row[i].items()) % M
+                for row in comp.table]
+        return self.traces[key]
 
-    def lift(idems):
-        res = lift_and_reconstruct(field, p, idems, step, accept,
-                                   MAX_PRECISION_EXP)
-        if res is not None:  # the blocks are used: no gluing tries them again
-            for k, e in enumerate(idems):
-                step.forget(k, e)
-        return res
-
-    return lift
+    def __call__(self, choice):
+        algebra = self.algebra
+        v = reconstruct_element(
+            algebra.field, [self.trace(k, b) for k, b in enumerate(choice)],
+            self.roots, self.M, self.bound, self.den)
+        if v is None:
+            return None
+        e = self.dual(v)
+        if not (_idempotent_mod_q(algebra, e, self.check_comps)
+                and _verify_idempotent(algebra, e)):
+            return None
+        return choice, e, v
 
 
 def _verify_system(algebra, idempotents, block_dims):
@@ -280,53 +308,61 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
     trace form chi_reg (DegenerateForm carries a radical witness
     otherwise), whatever Frobenius structure is given; a given structure
     whose form is a nonzero multiple of chi_reg already certifies it."""
-    chi_reg = algebra.regular_character()
-    if frobenius is None or not _is_multiple(frobenius.lam, chi_reg):
-        frobenius_structure(algebra, chi_reg)
-    idems, blocks, p, prec = _raw_idempotents(algebra, prime=prime, seed=seed)
     field = algebra.field
+    chi_reg = algebra.regular_character()
+    scale = None if frobenius is None else _multiple(frobenius.lam, chi_reg)
+    if scale is None:
+        frobenius, scale = frobenius_structure(algebra, chi_reg), field.one
+
+    def dual(v):
+        # lambda = scale chi_reg, so chi_reg(x_j e) = v_j for
+        # e = sum_j scale v_j y_j over the dual basis y_j of lambda
+        return frobenius.dual_combination([scale * x for x in v])
+
+    idems, traces, blocks, p, prec = _raw_idempotents(algebra, dual, prime,
+                                                      seed)
     degrees = [b.degree for b in blocks]
     center_dims = [b.center_dim for b in blocks]
     block_dims = []
     characters = []
     certified = []
-    for e, b in zip(idems, blocks):
-        # the block A e: the images x_j e and their span
-        images = [algebra.multiply(algebra.basis_vec(j), e)
-                  for j in range(algebra.dim)]
-        span = EchelonSubspace(field, algebra.dim, map(sparse, images))
-        if span.dim != b.block_dim:
+    for e, v, b in zip(idems, traces, blocks):
+        # dim A e = chi_reg(e), the trace of the projection x -> x e
+        if algebra.apply_form(chi_reg, e) != field.from_int(b.block_dim):
             raise PrecisionExceeded("exact block dimension disagrees with "
                                     "the modular one")
-        block_dims.append(span.dim)
+        block_dims.append(b.block_dim)
         # chi_S(x_j) = chi_reg(x_j e_S) / (d_S * center_dim_S)
         denom = field.from_rat(Rat(b.degree * b.center_dim))
-        characters.append([algebra.apply_form(chi_reg, v) / denom
-                           for v in images])
-        certified.append(b.center_dim == 1
-                         and certify_split_block(algebra, span, images,
+        characters.append([x / denom for x in v])
+        if b.center_dim == 1 and b.degree > 1:
+            # the block A e: the images x_j e and their span
+            images = [algebra.multiply(algebra.basis_vec(j), e)
+                      for j in range(algebra.dim)]
+            span = EchelonSubspace(field, algebra.dim, map(sparse, images))
+            certified.append(certify_split_block(algebra, span, images,
                                                  b.degree, seed=seed))
+        else:
+            certified.append(b.center_dim == 1)
     _verify_system(algebra, idems, block_dims)
 
     order = sorted(range(len(idems)),
                    key=lambda s: (degrees[s],
                                   [field.sort_key(c) for c in characters[s]]))
-    idems = [idems[s] for s in order]
-    degrees = [degrees[s] for s in order]
-    center_dims = [center_dims[s] for s in order]
-    block_dims = [block_dims[s] for s in order]
-    characters = [characters[s] for s in order]
-    certified = [certified[s] for s in order]
-
+    idems, degrees, block_dims, center_dims, characters, certified = (
+        [xs[s] for s in order] for xs in (idems, degrees, block_dims,
+                                          center_dims, characters, certified))
     return WedderburnData(algebra, idems, degrees, block_dims, center_dims,
                           characters, certified, p, prec)
 
 
-def _is_multiple(form, chi):
-    """Whether form = c chi for a nonzero scalar c (chi is nonzero)."""
+def _multiple(form, chi):
+    """The nonzero scalar c with form = c chi, or None (chi is nonzero)."""
     i = next(i for i, x in enumerate(chi) if x)
     c = form[i] / chi[i]
-    return bool(c) and all(f == c * x for f, x in zip(form, chi))
+    if c and all(f == c * x for f, x in zip(form, chi)):
+        return c
+    return None
 
 
 def irreducible_characters(algebra, data: WedderburnData | None = None,
@@ -340,20 +376,13 @@ def irreducible_characters(algebra, data: WedderburnData | None = None,
         if not data.split_certified[s]:
             continue
         d = field.from_rat(Rat(data.degrees[s]))
-        if _eval_form(field, chi, algebra.unit) != d:
+        if algebra.apply_form(chi, algebra.unit) != d:
             raise SplitUncertified(f"chi_{s}(1) != d({s})")
         for t, e in enumerate(data.idempotents):
             want = d if t == s else field.zero
-            if _eval_form(field, chi, e) != want:
+            if algebra.apply_form(chi, e) != want:
                 raise SplitUncertified(f"chi_{s}(e({t})) wrong")
     return data.characters
-
-
-def _eval_form(field, form, vec):
-    val = field.zero
-    for c, v in zip(form, vec):
-        val = val + c * v
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -421,12 +450,14 @@ def field_roots(field, coeffs, seed=0):
     """Roots in the cyclotomic base field of a polynomial with coefficients
     there (ascending list), found modularly and verified exactly.
 
-    They are the roots of the squarefree part g = f / gcd(f, f'), which are
-    simple, so Newton's step lifts them.  The prime used is the first good
-    prime p = 1 (mod n) at which g stays squarefree in every CRT component;
-    every choice of one root of g mod p per component is lifted along
-    ``lift_and_reconstruct`` to its first reconstruction, which is kept if
-    it is a root of g."""
+    They are the simple roots of the monic squarefree part g of degree m,
+    mod the first good prime p = 1 (mod n) at which g stays squarefree in
+    every component.  With D_g the common denominator of the g_i,
+    y = D_g t is a root of the monic integral y^m + sum_i D_g^(m-i) g_i y^i,
+    so (Cauchy) every conjugate of y is at most
+    1 + max_i ||D_g^(m-i) g_i||_1.  Each root mod p is Newton-lifted once
+    to the precision that bound asks for, and each choice of one root per
+    component within the bound is kept if it is a root of g."""
     f = Poly(field, coeffs)
     if f.degree() < 1:
         return []
@@ -443,8 +474,25 @@ def field_roots(field, coeffs, seed=0):
         comp_roots = _simple_roots_mod_p(field, g, p, rng)
         if comp_roots is not None:
             break
-    roots = _lift_roots(field, g, p, comp_roots)
-    return sorted(set(roots), key=field.sort_key)
+    m = g.degree()
+    den = math.lcm(1, *dens)
+    bound = int(embedding_factor(n) * (1 + max(
+        norm1(c, den ** (m - i)) for i, c in enumerate(g.coeffs[:m]))))
+    exp = precision_for(p, bound)
+    roots, M = component_roots(n, p, exp)
+    lifted = []
+    for w, ts in zip(roots, comp_roots):
+        gw = [reduce_scalar(c, w, M) for c in g.coeffs]
+        dgw = [i * c % M for i, c in enumerate(gw)][1:]
+        lifted.append([den * _newton_lift(gw, dgw, t, M, exp) % M
+                       for t in ts])
+    out = []
+    for choice in itertools.product(*lifted):
+        t = reconstruct_element(field, [[y] for y in choice], roots, M,
+                                bound, den)
+        if t is not None and not g(t[0]):
+            out.append(t[0])
+    return sorted(out, key=field.sort_key)
 
 
 def _simple_roots_mod_p(field, g, p, rng):
@@ -460,38 +508,14 @@ def _simple_roots_mod_p(field, g, p, rng):
     return out
 
 
-def _lift_roots(field, g, p, comp_roots):
-    """The roots of g in the field among the lifts of every choice of one
-    simple root mod p per component.  Each root is lifted once for all
-    the choices it is part of."""
-
-    @functools.lru_cache(maxsize=None)
-    def reductions(exp):
-        roots, M = component_roots(field.conductor, p, exp)
-        red = []
-        for w in roots:
-            gw = [reduce_scalar(c, w, M) for c in g.coeffs]
-            red.append((gw, [i * c % M for i, c in enumerate(gw)][1:]))
-        return red, M
-
-    def newton(k, ts, exp):
-        red, M = reductions(exp)
-        (gw, dgw), (t,) = red[k], ts
-        return [(t - _int_poly_eval(gw, t, M)
-                 * pow(_int_poly_eval(dgw, t, M), -1, M)) % M]
-
-    step = LiftMemo(newton)
-
-    # A lift ends at its first reconstruction, kept if it is a root: most
-    # choices are wrong, and lifting those on after a chance reconstruction
-    # costs more than it finds.
-    out = []
-    for choice in itertools.product(*comp_roots):
-        res = lift_and_reconstruct(field, p, [[t] for t in choice], step,
-                                   lambda x: True, ROOT_PRECISION_EXP)
-        if res is not None and not g(res[0][0]):
-            out.append(res[0][0])
-    return out
+def _newton_lift(gw, dgw, t, M, exp):
+    """A simple root t mod p of gw, lifted by Newton's step to p^exp (each
+    step doubles the precision), computed mod M = p^exp."""
+    while exp > 1:
+        t = (t - _int_poly_eval(gw, t, M)
+             * pow(_int_poly_eval(dgw, t, M), -1, M)) % M
+        exp //= 2
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -502,14 +526,9 @@ def _lift_roots(field, g, p, comp_roots):
 def gamma_one_eigenvalue(frobenius, data: WedderburnData, s: int):
     """Scalar by which Gamma(1) acts on the s-th irreducible block."""
     algebra = data.algebra
-    field = algebra.field
-    g1 = frobenius.gamma_one()
-    chi = data.characters[s]
-    val = field.zero
-    for c, x in zip(g1, chi):
-        val = val + c * x
-    denom = field.from_rat(Rat(data.degrees[s] * data.center_dims[s]))
-    return val / denom
+    val = algebra.apply_form(frobenius.gamma_one(), data.characters[s])
+    return val / algebra.field.from_rat(Rat(data.degrees[s]
+                                             * data.center_dims[s]))
 
 
 def verify_cprid_formula(frobenius, data: WedderburnData):

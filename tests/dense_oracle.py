@@ -13,10 +13,13 @@ and so are the per-point interpolation formula, the Krylov loop over a
 carrier algebra, the dense multiplicativity, orthogonality and
 character loops, the centre products of a modular split formed in the
 whole reduced algebra, the dense eliminations that the sparse echelon
-form replaced, and the scalars of Q(zeta_n) as tuples of rationals.
+form replaced, the scalars of Q(zeta_n) as tuples of rationals, and the
+trial reconstruction that bounded gluing replaced.
 """
 
 import functools
+import itertools
+import math
 import re
 
 from frobdiv import (QQ, Matrix, Poly, Rat, StructureConstantAlgebra,
@@ -887,3 +890,210 @@ class RefCyc:
             acc = (acc + term * power) % M
             power = power * root % M
         return acc
+
+
+# ---------------------------------------------------------------------------
+# trial reconstruction
+# ---------------------------------------------------------------------------
+#
+# The Wedderburn pipeline as it ran before gluing was bounded: every gluing
+# of one mod-p block per component was Hensel-lifted through p, p^2, p^4,
+# ... up to p^64, glued at each precision and rationally reconstructed
+# coefficient by coefficient, until a reconstruction passed the screen mod
+# q and the exact check; field roots the same way, with Newton's step, up
+# to p^32.  Characters were read off the images x_j e.
+
+
+TRIAL_PRECISION_EXP = 64
+TRIAL_ROOT_PRECISION_EXP = 32
+
+
+def rational_reconstruct(residue, modulus):
+    """Recover the unique a/b with |a|, b <= sqrt(M/2), gcd(b, M) = 1 and
+    a = b*residue (mod M); None if no such fraction exists."""
+    if not 0 <= residue < modulus:
+        raise ValueError("residue out of range")
+    bound = math.isqrt(modulus // 2)
+    r0, r1 = modulus, residue
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    a, b = r1, t1
+    if b < 0:
+        a, b = -a, -b
+    if b == 0 or b > bound or abs(a) > bound:
+        return None
+    if math.gcd(b, modulus) != 1 or math.gcd(abs(a) if a else b, b) != 1:
+        return None
+    return Rat(a, b)
+
+
+def trial_reconstruct_element(field, per_component, roots, M):
+    """Glue per-component residue vectors and rationally reconstruct a
+    vector of field scalars; None if any coefficient fails."""
+    from frobdiv.modular import interpolate_mod
+    out = []
+    for residues in zip(*per_component):
+        qcoeffs = []
+        for c in interpolate_mod(roots, residues, M):
+            q = rational_reconstruct(c, M)
+            if q is None:
+                return None
+            qcoeffs.append(q)
+        out.append(field.element(qcoeffs))
+    return out
+
+
+def lift_and_reconstruct(field, p, residues, step, accept, max_exp):
+    """(x, exp) for the first reconstruction x at p^exp, exp = 1, 2, 4,
+    ... up to max_exp, with ``accept(x)``; None if there is none.
+    ``step(residues, exp)`` lifts the per-component residues to p^exp."""
+    from frobdiv.modular import component_roots
+    n = field.conductor
+    exp = 1
+    while exp <= max_exp:
+        roots, M = component_roots(n, p, exp)
+        if exp > 1:
+            residues = step(residues, exp)
+        x = trial_reconstruct_element(field, residues, roots, M)
+        if x is not None and accept(x):
+            return x, exp
+        exp *= 2
+    return None
+
+
+class LiftMemo:
+    """A ``step`` that lifts the residues v of component k to p^exp as
+    lift(k, v, exp), once per (k, v, exp)."""
+
+    def __init__(self, lift):
+        self.lift = lift
+        self.lifts = {}
+
+    def __call__(self, residues, exp):
+        out = []
+        for k, v in enumerate(residues):
+            key = (k, tuple(v), exp)
+            if key not in self.lifts:
+                self.lifts[key] = self.lift(k, v, exp)
+            out.append(self.lifts[key])
+        return out
+
+
+def idempotent_lift(algebra, p, check_comps):
+    """The trial lift of one gluing: a function that takes the mod-p
+    central idempotents of the chosen blocks, one per component, and
+    returns (e, exp) for the first reconstruction that passes the check
+    mod q and the exact check, or None."""
+    from frobdiv.modular import (ComponentAlgebra, component_roots,
+                                 hensel_lift_idempotent)
+    from frobdiv.wedderburn import _idempotent_mod_q, _verify_idempotent
+    field = algebra.field
+
+    @functools.lru_cache(maxsize=None)
+    def components(exp):
+        roots, M = component_roots(field.conductor, p, exp)
+        return [ComponentAlgebra(algebra, w, M) for w in roots]
+
+    def hensel(k, e, exp):
+        comp = components(exp)[k]
+        return hensel_lift_idempotent(comp, e, comp.M)
+
+    step = LiftMemo(hensel)
+
+    def accept(e):
+        return (_idempotent_mod_q(algebra, e, check_comps)
+                and _verify_idempotent(algebra, e))
+
+    return lambda idems: lift_and_reconstruct(field, p, idems, step, accept,
+                                              TRIAL_PRECISION_EXP)
+
+
+def trial_wedderburn(algebra, p, seed=0):
+    """(idempotents, characters, precision) by trial reconstruction at the
+    prime p, blocks in the order of the modular split of the first
+    component, characters read off the images x_j e."""
+    from frobdiv.wedderburn import (_check_components, _gluings,
+                                    _split_components)
+    _, per_comp_blocks = _split_components(algebra, p, seed)
+    invariant = lambda b: (b.degree, b.block_dim, b.center_dim)
+    used = [set() for _ in per_comp_blocks]
+    lift = idempotent_lift(algebra, p, _check_components(algebra, p))
+    chi_reg = algebra.regular_character()
+    field = algebra.field
+    idempotents, characters, precision = [], [], 1
+    for b0 in per_comp_blocks[0]:
+        for choice in _gluings(per_comp_blocks, b0, used, invariant):
+            res = lift([b.central_idempotent for b in choice])
+            if res is not None:
+                break
+        else:
+            raise AssertionError("no gluing reconstructed")
+        e, exp = res
+        precision = max(precision, exp)
+        for k, b in enumerate(choice):
+            used[k].add(id(b))
+        idempotents.append(e)
+        denom = field.from_rat(Rat(b0.degree * b0.center_dim))
+        characters.append([v / denom
+                           for v in hit_form_left(algebra, e, chi_reg)])
+    return idempotents, characters, precision
+
+
+def lift_roots(field, g, p, comp_roots):
+    """The roots of g in the field among the lifts of every choice of one
+    simple root mod p per component, each lifted to its first
+    reconstruction and kept if it is a root of g."""
+    from frobdiv.modular import _int_poly_eval, component_roots, reduce_scalar
+
+    @functools.lru_cache(maxsize=None)
+    def reductions(exp):
+        roots, M = component_roots(field.conductor, p, exp)
+        red = []
+        for w in roots:
+            gw = [reduce_scalar(c, w, M) for c in g.coeffs]
+            red.append((gw, [i * c % M for i, c in enumerate(gw)][1:]))
+        return red, M
+
+    def newton(k, ts, exp):
+        red, M = reductions(exp)
+        (gw, dgw), (t,) = red[k], ts
+        return [(t - _int_poly_eval(gw, t, M)
+                 * pow(_int_poly_eval(dgw, t, M), -1, M)) % M]
+
+    step = LiftMemo(newton)
+    out = []
+    for choice in itertools.product(*comp_roots):
+        res = lift_and_reconstruct(field, p, [[t] for t in choice], step,
+                                   lambda x: True, TRIAL_ROOT_PRECISION_EXP)
+        if res is not None and not g(res[0][0]):
+            out.append(res[0][0])
+    return out
+
+
+def trial_field_roots(field, coeffs, seed=0):
+    """``wedderburn.field_roots`` with the roots lifted by trial: the same
+    squarefree part, prime and roots mod p."""
+    import random
+    from frobdiv.modular import is_prime, scalar_denominators
+    from frobdiv.wedderburn import _simple_roots_mod_p
+    f = Poly(field, coeffs)
+    if f.degree() < 1:
+        return []
+    g = (f // f.gcd(f.derivative())).monic()
+    n = field.conductor
+    dens = scalar_denominators(g.coeffs)
+    rng = random.Random(seed * 131 + f.degree())
+    p = max(2 * f.degree() + 1, n, 20)
+    while True:
+        p += 1
+        if (p % n != 1 % n or not is_prime(p)
+                or any(d % p == 0 for d in dens)):
+            continue
+        comp_roots = _simple_roots_mod_p(field, g, p, rng)
+        if comp_roots is not None:
+            break
+    return sorted(set(lift_roots(field, g, p, comp_roots)),
+                  key=field.sort_key)

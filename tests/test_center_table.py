@@ -42,11 +42,12 @@ def test_center_table_split_matches_full_algebra_oracle(name, which,
     primes = modular.good_primes(A)
     p = [next(primes) for _ in range(2)][which]
     roots, _ = modular.component_roots(A.field.conductor, p, 1)
-    table_blocks = [block_data(modular.modular_split(A, p, w, seed=3))
-                    for w in roots]
+    comps = [modular.ComponentAlgebra(A, w, p) for w in roots]
+    table_blocks = [block_data(modular.modular_split(comp, seed=3))
+                    for comp in comps]
     monkeypatch.setattr(modular, "_center_mult", full_algebra_cmult)
-    oracle_blocks = [block_data(modular.modular_split(A, p, w, seed=3))
-                     for w in roots]
+    oracle_blocks = [block_data(modular.modular_split(comp, seed=3))
+                     for comp in comps]
     assert table_blocks == oracle_blocks
     assert all(table_blocks)
 
@@ -72,7 +73,7 @@ def test_center_table_forms_each_product_once(monkeypatch):
 
     monkeypatch.setattr(modular.ComponentAlgebra, "multiply", counted)
     monkeypatch.setattr(modular, "_commutative_idempotents", marked)
-    blocks = modular.modular_split(A, p, w)
+    blocks = modular.modular_split(modular.ComponentAlgebra(A, w, p))
     r = len(blocks)  # D(C4) is commutative: sixteen 1-dimensional blocks
     assert r == 16
     before = products.index("split")

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import PrimeField, Poly, QQ, Rat
+from frobdiv import CyclotomicField, PrimeField, Poly, QQ, Rat
 from frobdiv.modular import (
     ComponentAlgebra,
+    component_roots,
     component_units,
     factor_mod_p,
     good_primes,
@@ -104,7 +105,7 @@ def test_component_algebra_c2():
 def test_modular_split_c2():
     # QC2 mod 7: idempotents (1 +- g)/2 reduce to 4 + 4g and 4 + 3g
     A = group_algebra_plain("C2")
-    blocks = modular_split(A, 7, 1)
+    blocks = modular_split(ComponentAlgebra(A, 1, 7))
     assert len(blocks) == 2
     elems = sorted(b.central_idempotent for b in blocks)
     assert elems == [[4, 3], [4, 4]]
@@ -113,7 +114,7 @@ def test_modular_split_c2():
 
 def test_modular_split_s3():
     A = group_algebra_plain("S3")
-    blocks = modular_split(A, 13, 1)
+    blocks = modular_split(ComponentAlgebra(A, 1, 13))
     assert sorted(b.degree for b in blocks) == [1, 1, 2]
     assert sorted(b.block_dim for b in blocks) == [1, 1, 4]
     assert all(b.center_dim == 1 for b in blocks)
@@ -129,7 +130,7 @@ def test_modular_split_s3():
 
 def test_modular_split_matrix_algebra():
     A = matrix_algebra_2x2()
-    blocks = modular_split(A, 11, 1)
+    blocks = modular_split(ComponentAlgebra(A, 1, 11))
     assert len(blocks) == 1
     b = blocks[0]
     assert b.degree == 2 and b.block_dim == 4 and b.center_dim == 1
@@ -137,8 +138,8 @@ def test_modular_split_matrix_algebra():
 
 def test_modular_split_deterministic():
     A = group_algebra_plain("S3")
-    a = modular_split(A, 13, 1, seed=0)
-    b = modular_split(A, 13, 1, seed=0)
+    a = modular_split(ComponentAlgebra(A, 1, 13), seed=0)
+    b = modular_split(ComponentAlgebra(A, 1, 13), seed=0)
     assert [x.central_idempotent for x in a] == [x.central_idempotent for x in b]
 
 
@@ -182,7 +183,26 @@ def test_interpolate_mod_matches_lagrange_formula(case):
 
 
 def test_reconstruct_element_rational():
-    # single component, root 1: element [25, 25] mod 49 -> [1/2, 1/2]
-    got = reconstruct_element(QQ, [[25, 25]], [1], 49)
-    half = QQ.from_rat(Rat(1, 2))
-    assert got == [half, half]
+    # single component, root 1: D e = [1, -1] with D = 2 is [1, 48] mod 49,
+    # read as symmetric residues within the bound 1
+    got = reconstruct_element(QQ, [[1, 48]], [1], 49, 1, 2)
+    assert got == [QQ.from_rat(Rat(1, 2)), QQ.from_rat(Rat(-1, 2))]
+    # 25 = -24 mod 49 lies outside the bound: not such a vector
+    assert reconstruct_element(QQ, [[1, 25]], [1], 49, 1, 2) is None
+    assert reconstruct_element(QQ, [[1, 25]], [1], 49, 24, 2) == \
+        [QQ.from_rat(Rat(1, 2)), QQ.from_rat(Rat(-12))]
+
+
+def test_reconstruct_element_gaussian():
+    # 3 - 2i at the two roots of x^2 + 1 mod 13 (5 and 8), glued back
+    K = CyclotomicField(4)
+    roots, M = component_roots(4, 13, 1)
+    y = K.element([3, -2])
+    residues = [[reduce_scalar(y, w, M)] for w in roots]
+    assert reconstruct_element(K, residues, roots, M, 3, 1) == [y]
+    assert reconstruct_element(K, residues, roots, M, 2, 1) is None
+    # at 13^2 the same residues lifted give y / 5 back over den 5
+    roots, M = component_roots(4, 13, 2)
+    residues = [[reduce_scalar(y, w, M)] for w in roots]
+    assert reconstruct_element(K, residues, roots, M, 3, 5) == \
+        [y / K.from_int(5)]

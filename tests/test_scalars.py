@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import QQ, CyclotomicField, PrimeField, Rat, rational_reconstruct
+from frobdiv import QQ, CyclotomicField, PrimeField, Rat
 from frobdiv.modular import BadPrime, component_roots, reduce_scalar
 from frobdiv.scalars import ConductorMismatch, cyclotomic_polynomial
 
-from dense_oracle import RefCyc
+from dense_oracle import RefCyc, rational_reconstruct
 
 # hand table of cyclotomic polynomials, ascending coefficients
 KNOWN_PHI = {
@@ -184,7 +184,7 @@ def test_euler_phi():
 def test_qvec_round_trip():
     K = CyclotomicField(8)
     x = K.zeta(3) - K.from_rat(Rat(5, 3)) * K.zeta() + K.one
-    assert K.from_qvec(K.to_qvec(x)) == x
+    assert K.element(K.to_qvec(x)) == x
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +256,24 @@ def test_arithmetic_matches_reference(case):
 
 @DIFFERENTIAL
 @given(cyc_pairs())
+def test_rational_factor_products_match_reference(case):
+    # a product with a rational factor scales the other factor's
+    # numerators; the rational sits on the left and on the right
+    n, a, b = case
+    K = CyclotomicField(n)
+    r = [a[0]] + [Rat(0)] * (K.phi - 1)
+    x, y = K.element(r), K.element(b)
+    rx, ry = RefCyc(n, r), RefCyc(n, b)
+    assert_same(K, x * y, rx * ry)
+    assert_same(K, y * x, ry * rx)
+    assert_same(K, x * x, rx * rx)
+    assert_same(K, y * a[0], ry * rx)
+    if a[0]:
+        assert_same(K, y / x, ry / rx)
+
+
+@DIFFERENTIAL
+@given(cyc_pairs())
 def test_hash_sort_key_format_match_reference(case):
     n, a, b = case
     K = CyclotomicField(n)
@@ -270,7 +288,7 @@ def test_hash_sort_key_format_match_reference(case):
     assert K.format(x) == rx.format() == repr(x)
     assert K.parse(rx.format()) == x
     assert RefCyc.parse(n, K.phi, K.format(x)) == rx
-    assert K.from_qvec(list(rx.coeffs)) == x
+    assert K.element(list(rx.coeffs)) == x
     if not any(a[1:]):
         assert K.is_rational(x) and K.as_rat(x) == a[0]
 

@@ -3,6 +3,7 @@ base field whose reduced tables and units agree share one split: with
 rational structure constants, as after ``analyze --conductor``, that is one
 split per prime.  A basis vector rescaled by i gives kC4 over Q(i)
 reductions that differ, and then each component is split.  Either way the
+split takes the reductions already made to compare them, and the
 Wedderburn data equal those of splitting at every root."""
 
 import pytest
@@ -37,7 +38,8 @@ def kc4_rescaled():
 
 def split_every_root(algebra, p, seed):
     roots, _ = modular.component_roots(algebra.field.conductor, p, 1)
-    return [modular.modular_split(algebra, p, w, seed) for w in roots]
+    comps = [modular.ComponentAlgebra(algebra, w, p) for w in roots]
+    return comps, [modular.modular_split(comp, seed) for comp in comps]
 
 
 def fields(data):
@@ -47,15 +49,22 @@ def fields(data):
 
 
 def counted_splits(monkeypatch):
-    calls = []
+    """Record the modulus of every split and of every reduction built."""
+    calls, reductions = [], []
     original = wedderburn.modular_split
+    original_init = modular.ComponentAlgebra.__init__
 
-    def counted(algebra, p, root, seed=0):
-        calls.append(p)
-        return original(algebra, p, root, seed)
+    def counted(comp, seed=0):
+        calls.append(comp.M)
+        return original(comp, seed)
+
+    def counted_init(self, algebra, root, M):
+        reductions.append(M)
+        original_init(self, algebra, root, M)
 
     monkeypatch.setattr(wedderburn, "modular_split", counted)
-    return calls
+    monkeypatch.setattr(modular.ComponentAlgebra, "__init__", counted_init)
+    return calls, reductions
 
 
 @pytest.mark.parametrize("make, splits_per_prime",
@@ -73,9 +82,13 @@ def test_one_split_per_distinct_reduction(make, splits_per_prime,
         distinct = {repr((c.table, c.unit)) for c in comps}
         assert len(distinct) == splits_per_prime
 
-        calls = counted_splits(monkeypatch)
+        calls, reductions = counted_splits(monkeypatch)
         data = central_primitive_idempotents(A, prime=p, seed=5)
         assert calls == [p] * splits_per_prime
+        # the split reads the reductions made to compare them: one per
+        # component mod p, and none again
+        assert data.precision_used == 1
+        assert reductions.count(p) == len(comps)
         monkeypatch.undo()
 
         monkeypatch.setattr(wedderburn, "_split_components",

@@ -1,13 +1,14 @@
 """Work counts, checked without timing.  In the Wedderburn pipeline: one
-exact idempotent check per block, wrong gluings stopped by the check mod
-q, pieces with a 1-dimensional ideal never tried again, the lifted roots
+exact idempotent check per block, wrong gluings stopped by the bound or
+the check mod q, pieces with a 1-dimensional ideal never tried again, the lifted roots
 of unity computed once per (conductor, prime, exponent), and no product of
 two different idempotents.  In the integrality layer: one Casimir minimal
 polynomial per Frobenius structure, and no product in A (x) A for the
 Casimir powers.  In the Schneider check: no product of its own.  In the
 scalars: no rational operation inside a product or sum in Q(zeta_n).
 In the lifting: each block is lifted once per component and level,
-however many gluings it is tried in."""
+however many gluings it is tried in, and not at all when the bound
+allows gluing at p."""
 
 import sys
 from fractions import Fraction
@@ -26,7 +27,8 @@ from frobdiv.cli import main
 from frobdiv.serialize import canonical_dumps, hopf_to_json
 
 from conftest import matrix_blocks
-from dense_oracle import carrier_minimal_polynomial
+from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
+                          unimodular_matrix)
 
 
 def kc4():
@@ -34,7 +36,13 @@ def kc4():
     return group_algebra(named_group("C4"), conductor=4).algebra
 
 
-def test_one_exact_check_per_block(monkeypatch):
+def double_c4():
+    """D(C4) over Q(zeta_4): sixteen 1-dimensional blocks."""
+    G = named_group("C4")
+    return drinfeld_double(G, conductor=G.exponent)[0].algebra
+
+
+def _one_exact_check_per_block(A, monkeypatch):
     checked = []
     original = wedderburn._verify_idempotent
 
@@ -43,53 +51,91 @@ def test_one_exact_check_per_block(monkeypatch):
         return original(algebra, e)
 
     monkeypatch.setattr(wedderburn, "_verify_idempotent", counted)
-    data = central_primitive_idempotents(kc4())
-    assert data.num_blocks == 4
-    assert len(checked) == 4
+    data = central_primitive_idempotents(A)
+    assert data.num_blocks == A.dim  # both are commutative and split
+    assert len(checked) == data.num_blocks
     assert all(e in checked for e in data.idempotents)
+
+
+def test_one_exact_check_per_block(monkeypatch):
+    _one_exact_check_per_block(kc4(), monkeypatch)
+
+
+def test_one_exact_check_per_block_of_double_c4(monkeypatch):
+    _one_exact_check_per_block(double_c4(), monkeypatch)
 
 
 def test_wrong_gluing_rejected_mod_q(monkeypatch):
     A = kc4()
     p = 13
-    roots, _ = modular.component_roots(4, p, 1)
-    per_comp = [modular.modular_split(A, p, w) for w in roots]
-    check = wedderburn._check_components(A, p)
-    reconstructed, exact = [], []
+    comps, per_comp = wedderburn._split_components(A, p, 0)
+    F = frobenius_structure(A, A.regular_character())
+    glued, screened, exact = [], [], []
     original_rec = modular.reconstruct_element
+    original_screen = wedderburn._idempotent_mod_q
     original_verify = wedderburn._verify_idempotent
 
     def recording_rec(*args):
         out = original_rec(*args)
-        if out is not None:
-            reconstructed.append(out)
+        glued.append(out)
         return out
+
+    def recording_screen(algebra, e, check):
+        ok = original_screen(algebra, e, check)
+        screened.append(ok)
+        return ok
 
     def recording_verify(algebra, e):
         exact.append(e)
         return original_verify(algebra, e)
 
-    monkeypatch.setattr(modular, "reconstruct_element", recording_rec)
+    monkeypatch.setattr(wedderburn, "reconstruct_element", recording_rec)
+    monkeypatch.setattr(wedderburn, "_idempotent_mod_q", recording_screen)
     monkeypatch.setattr(wedderburn, "_verify_idempotent", recording_verify)
-    lift = wedderburn._idempotent_lift(A, p, check)
+    glue = wedderburn.TraceGluing(A, F.dual_combination, p, comps, 1)
+    assert glue.exp == 1 and glue.bound == 1
     b0 = per_comp[0][0]
-    wrong = []
+    right = []
     for b1 in per_comp[1]:
-        before = len(reconstructed)
-        res = lift([b0.central_idempotent, b1.central_idempotent])
+        before = (len(glued), len(screened), len(exact))
+        res = glue((b0, b1))
         if res is None:
-            wrong.extend(reconstructed[before:])
+            # stopped by the bound, or by the screen mod q
+            assert glued[before[0]:] == [None] or \
+                screened[before[1]:] == [False]
+            assert len(exact) == before[2]
         else:
-            right = res[0]
-    # one gluing is right; the wrong ones reconstruct to small rationals
-    # that are not idempotents, and not one of them reaches the exact check
-    assert exact == [right]
-    assert wrong
-    for x in wrong:
-        assert not wedderburn._idempotent_mod_q(A, x, check)
-        assert A.multiply(x, x) != x
+            right.append(res[1])
+    # one gluing is right, and only it reaches the exact check
+    assert len(right) == 1 and exact == right
+    assert None in glued
     for e in central_primitive_idempotents(A).idempotents:
-        assert wedderburn._idempotent_mod_q(A, e, check)
+        assert original_screen(A, e, glue.check_comps)
+
+
+def test_screen_stops_gluings_within_the_bound(monkeypatch):
+    # kA4 over Q(zeta_12): some wrong gluings have every coefficient within
+    # the bound; the screen mod q stops them before the exact check
+    A = group_algebra(named_group("A4"), conductor=12).algebra
+    rejected, exact = [], []
+    original_screen = wedderburn._idempotent_mod_q
+    original_verify = wedderburn._verify_idempotent
+
+    def recording_screen(algebra, e, check):
+        ok = original_screen(algebra, e, check)
+        if not ok:
+            rejected.append(e)
+        return ok
+
+    def recording_verify(algebra, e):
+        exact.append(e)
+        return original_verify(algebra, e)
+
+    monkeypatch.setattr(wedderburn, "_idempotent_mod_q", recording_screen)
+    monkeypatch.setattr(wedderburn, "_verify_idempotent", recording_verify)
+    data = central_primitive_idempotents(A)
+    assert rejected and len(exact) == data.num_blocks
+    assert all(A.multiply(x, x) != x for x in rejected)
 
 
 def test_roots_of_unity_lifted_once_per_precision(monkeypatch):
@@ -131,7 +177,7 @@ def test_final_pieces_never_split_again(monkeypatch):
     tried = _recording_try_split(monkeypatch)
     A = kc4()
     for w in modular.component_roots(4, 13, 1)[0]:
-        blocks = modular.modular_split(A, 13, w)
+        blocks = modular.modular_split(modular.ComponentAlgebra(A, w, 13))
         assert [b.center_dim for b in blocks] == [1, 1, 1, 1]
     assert tried and all(d > 1 for d in tried)
 
@@ -141,7 +187,7 @@ def test_piece_with_larger_ideal_stays_in_the_loop(monkeypatch):
     # with a 2-dimensional ideal that no direction splits
     tried = _recording_try_split(monkeypatch)
     A = group_algebra(named_group("C3"), field=QQ).algebra
-    blocks = modular.modular_split(A, 11, 1)
+    blocks = modular.modular_split(modular.ComponentAlgebra(A, 1, 11))
     assert sorted(b.center_dim for b in blocks) == [1, 2]
     assert 1 not in tried
     assert tried.count(2) > len(blocks)
@@ -256,12 +302,7 @@ def test_cyclotomic_product_makes_no_fraction_operation(monkeypatch):
     assert prod != total and prod * b.inv() == a
 
 
-def test_double_c4_lifts_each_block_once_per_component(monkeypatch):
-    # D(C4) over Q(i): 16 one-dimensional blocks in 2 components, lifted
-    # through 6 levels (p^2, ..., p^64) at most; its representation ring
-    # (dim 16 too) is the algebra with many wrong gluings
-    G = named_group("C4")
-    H, _ = drinfeld_double(G, conductor=G.exponent)
+def _counted_lifts(monkeypatch):
     lifts = []
     original = wedderburn.hensel_lift_idempotent
 
@@ -270,11 +311,43 @@ def test_double_c4_lifts_each_block_once_per_component(monkeypatch):
         return original(comp, e, M)
 
     monkeypatch.setattr(wedderburn, "hensel_lift_idempotent", counted)
-    levels = wedderburn.MAX_PRECISION_EXP.bit_length() - 1
+    return lifts
+
+
+def _levels(data):
+    """Lifting steps to the precision p^k of the data: log2 k."""
+    return data.precision_used.bit_length() - 1
+
+
+def test_double_c4_lifts_each_block_once_per_component(monkeypatch):
+    # D(C4) over Q(i): 16 one-dimensional blocks in 2 components; its
+    # representation ring (dim 16 too) is the algebra with many wrong
+    # gluings.  Each block is lifted at most once per component and level;
+    # under the bound neither needs a lift
+    G = named_group("C4")
+    H, _ = drinfeld_double(G, conductor=G.exponent)
+    lifts = _counted_lifts(monkeypatch)
     data = central_primitive_idempotents(H.algebra)
-    assert len(lifts) <= data.num_blocks * H.field.phi * levels
+    assert len(lifts) <= data.num_blocks * H.field.phi * _levels(data)
     lifts.clear()
     ring = hopf.representation_ring(H, data, integrals(H))
     blocks = ring.wedderburn.num_blocks
-    assert blocks == 16 and lifts
-    assert len(lifts) <= blocks * H.field.phi * levels
+    assert blocks == 16
+    assert len(lifts) <= blocks * H.field.phi * _levels(ring.wedderburn)
+
+
+def test_double_c4_glues_at_p_without_lifting(monkeypatch):
+    lifts = _counted_lifts(monkeypatch)
+    data = central_primitive_idempotents(double_c4())
+    assert data.precision_used == 1 and lifts == []
+
+
+def test_dense_basis_lifts_each_block_once_per_level(monkeypatch):
+    # M3+M2+Q on a dense basis: the bound needs a power of p above p, and
+    # each block is lifted once per level in its one component
+    A = change_basis_algebra(matrix_blocks((3, 2, 1)),
+                             unimodular_matrix(QQ, 14, 3))
+    lifts = _counted_lifts(monkeypatch)
+    data = central_primitive_idempotents(A)
+    assert data.num_blocks == 3 and data.precision_used > 1
+    assert len(lifts) == data.num_blocks * _levels(data)
