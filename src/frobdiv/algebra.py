@@ -9,7 +9,10 @@ sum_k a_k (c_ik^r - c_ki^r), streamed into the sparse echelon form of
 ``is_central`` compares a x_i with x_i a on the table, and the Gram matrix
 of a form is sum_r lambda_r c_ij^r, eliminated once beside the identity for
 its inverse.  The Casimir element multiplies elements of A (x) A through
-the swap law, on the table of A as well."""
+the swap law, on the table of A as well.
+
+Elements of A are dense vectors; elements of A (x) A (the Casimir element,
+R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero scalar}."""
 
 from __future__ import annotations
 
@@ -248,29 +251,19 @@ def _add_into(out, idx, val):
 
 
 class TensorSquareAlgebra:
-    """A (x) A with the Kronecker basis convention e_i (x) e_j -> i*dim+j."""
+    """A (x) A with the Kronecker basis convention e_i (x) e_j -> i*dim+j;
+    its elements are sparse dicts {flat index: nonzero scalar}."""
 
     def __init__(self, algebra: StructureConstantAlgebra):
         self.base = algebra
         self.field = algebra.field
         self.n = algebra.dim
         self.dim = algebra.dim ** 2
-        self.unit = self.from_dict(tensor_dict(algebra.field, algebra.unit,
-                                               algebra.unit))
+        self.unit = tensor_dict(algebra.field, algebra.unit, algebra.unit)
 
-    def from_dict(self, d):
-        out = [self.field.zero] * self.dim
-        for idx, c in d.items():
-            out[idx] = c
-        return out
-
-    def to_dict(self, v):
-        zero = self.field.zero
-        return {i: c for i, c in enumerate(v) if c != zero}
-
-    def mult_sparse(self, u, v):
-        """Product of two sparse elements {flat index: scalar}, as a sparse
-        element without zeros."""
+    def mult(self, u, v):
+        """The product u v, read off the structure table one factor at a
+        time, without zeros."""
         n = self.n
         table = self.base.table
         out = {}
@@ -294,29 +287,14 @@ class TensorSquareAlgebra:
                         out[idx] = val if cur is None else cur + val
         return _clean(out)
 
-    def mult(self, u, v):
-        """Product of flat vectors or sparse elements, as a flat vector."""
-        ud = u if isinstance(u, dict) else self.to_dict(u)
-        vd = v if isinstance(v, dict) else self.to_dict(v)
-        return self.from_dict(self.mult_sparse(ud, vd))
-
     def switch(self, v):
+        """The flip a (x) b -> b (x) a."""
         n = self.n
-        out = [self.field.zero] * self.dim
-        for idx, c in enumerate(v):
-            i, j = divmod(idx, n)
-            out[j * n + i] = c
-        return out
-
-    def embed_left(self, a):
-        """a (x) 1 as a flat vector."""
-        return self.from_dict(tensor_dict(self.field, a, self.base.unit))
-
-    def embed_right(self, a):
-        return self.from_dict(tensor_dict(self.field, self.base.unit, a))
+        return {(idx % n) * n + idx // n: c for idx, c in v.items()}
 
 
 def tensor_dict(field, a, b):
+    """a (x) b for two vectors of A."""
     zero = field.zero
     n = len(b)
     out = {}
@@ -328,38 +306,23 @@ def tensor_dict(field, a, b):
     return out
 
 
-def tensor_flat(field, a, b):
-    zero = field.zero
-    out = []
-    for x in a:
-        if x == zero:
-            out.extend([zero] * len(b))
-        else:
-            out.extend([x * y for y in b])
+def contract_left(field, form, z, n):
+    """(form (x) Id)(z) for z in A (x) A."""
+    out = [field.zero] * n
+    for idx, c in z.items():
+        i, j = divmod(idx, n)
+        if form[i]:
+            out[j] = out[j] + form[i] * c
     return out
 
 
-def contract_left(field, form, flat, n):
-    """(form (x) Id) applied to a flat element of A (x) A."""
-    zero = field.zero
-    out = [zero] * n
-    for idx, c in enumerate(flat):
-        if c != zero:
-            i, j = divmod(idx, n)
-            if form[i] != zero:
-                out[j] = out[j] + form[i] * c
-    return out
-
-
-def contract_right(field, form, flat, n):
-    """(Id (x) form) applied to a flat element of A (x) A."""
-    zero = field.zero
-    out = [zero] * n
-    for idx, c in enumerate(flat):
-        if c != zero:
-            i, j = divmod(idx, n)
-            if form[j] != zero:
-                out[i] = out[i] + form[j] * c
+def contract_right(field, form, z, n):
+    """(Id (x) form)(z) for z in A (x) A."""
+    out = [field.zero] * n
+    for idx, c in z.items():
+        i, j = divmod(idx, n)
+        if form[j]:
+            out[i] = out[i] + form[j] * c
     return out
 
 
@@ -392,25 +355,19 @@ class FrobeniusStructure:
             raise DegenerateForm(err.witness) from None
         # dual basis: y_j = sum_r gram_inv[r][j] x_r, so <lambda, x_i y_j> = d_ij
         self.dual_basis = [self.gram_inv.column(j) for j in range(n)]
-        self.casimir = [self.field.zero] * (n * n)
-        for j in range(n):
-            for r in range(n):
-                self.casimir[j * n + r] = self.gram_inv.entries[r][j]
         # row r of gram_inv, sparse: the x_r-coefficients of the y_j
         self._dual_coeffs = [[(j, g) for j, g in enumerate(row) if g]
                              for row in self.gram_inv.entries]
+        # c = sum_j x_j (x) y_j
+        self.casimir = {j * n + r: g
+                        for r, row in enumerate(self._dual_coeffs)
+                        for j, g in row}
         self._gamma_one = None
         self._casimir_cert = None
-        self._tensor = None
 
     @property
     def field(self):
         return self.algebra.field
-
-    def tensor_square(self) -> TensorSquareAlgebra:
-        if self._tensor is None:
-            self._tensor = TensorSquareAlgebra(self.algebra)
-        return self._tensor
 
     def evaluate(self, a):
         return self.algebra.apply_form(self.lam, a)
@@ -440,7 +397,7 @@ class FrobeniusStructure:
                 for row in self._dual_coeffs]
 
     def casimir_times(self, z):
-        """c z for a flat element z of A (x) A, read off the structure table.
+        """c z for z in A (x) A, read off the structure table.
 
         Write z = sum_i x_i (x) w_i.  The swap law c(a (x) 1) = (1 (x) a) c
         gives c z = sum_j x_j (x) w'_j with w'_j = sum_i x_i y_j w_i, that is
@@ -449,12 +406,12 @@ class FrobeniusStructure:
         A = self.algebra
         n = A.dim
         table = A.table
-        out = [self.field.zero] * (n * n)
-        rows = []  # (table row of x_i, nonzero terms of w_i)
-        for i in range(n):
-            w = [(m, c) for m, c in enumerate(z[i * n:(i + 1) * n]) if c]
-            if w:
-                rows.append((table[i], w))
+        terms = {}  # i -> nonzero terms (m, c) of w_i
+        for idx, c in z.items():
+            i, m = divmod(idx, n)
+            terms.setdefault(i, []).append((m, c))
+        rows = [(table[i], w) for i, w in terms.items()]
+        out = {}
         for row_r, coeffs in zip(table, self._dual_coeffs):
             u = {}
             for row_i, w in rows:
@@ -470,17 +427,17 @@ class FrobeniusStructure:
             for j, g in coeffs:
                 base = j * n
                 for m, c in u:
-                    out[base + m] = out[base + m] + g * c
-        return out
+                    _add_into(out, base + m, g * c)
+        return _clean(out)
 
     def casimir_certificate(self):
         """Integrality certificate of the Casimir element, computed once:
         its powers come from ``casimir_times``, starting at 1 (x) 1."""
         if self._casimir_cert is None:
-            unit = self.algebra.unit
+            T = TensorSquareAlgebra(self.algebra)
             self._casimir_cert = is_integral_over_Z(
-                self.field, tensor_flat(self.field, unit, unit),
-                self.casimir_times, "casimir element")
+                self.field, T.dim, T.unit, self.casimir_times,
+                "casimir element")
         return self._casimir_cert
 
     def trace_via_casimir(self, f: Matrix):
@@ -506,23 +463,23 @@ class FrobeniusStructure:
         """Switch invariance, the swap law (a(x)1)c = c(1(x)a), and
         centrality of the Casimir square."""
         report = VerificationReport(True)
-        T = self.tensor_square()
+        A = self.algebra
+        T = TensorSquareAlgebra(A)
         c = self.casimir
         report.record(T.switch(c) == c, ("switch-invariance",))
-        for i in range(self.algebra.dim):
-            a = self.algebra.basis_vec(i)
-            left = T.mult(T.embed_left(a), c)
-            right = T.mult(c, T.embed_right(a))
-            report.record(left == right, ("swap-law-left", i))
-            left2 = T.mult(T.embed_right(a), c)
-            right2 = T.mult(c, T.embed_left(a))
-            report.record(left2 == right2, ("swap-law-right", i))
+        for i in range(A.dim):
+            a = A.basis_vec(i)
+            a_1 = tensor_dict(self.field, a, A.unit)
+            one_a = tensor_dict(self.field, A.unit, a)
+            report.record(T.mult(a_1, c) == T.mult(c, one_a),
+                          ("swap-law-left", i))
+            report.record(T.mult(one_a, c) == T.mult(c, a_1),
+                          ("swap-law-right", i))
         if check_center_of_square:
             csq = T.mult(c, c)
-            csq_d = T.to_dict(csq)
             for idx in range(T.dim):
                 basis_elt = {idx: self.field.one}
-                if T.mult(basis_elt, csq_d) != T.mult(csq_d, basis_elt):
+                if T.mult(basis_elt, csq) != T.mult(csq, basis_elt):
                     report.record(False, ("casimir-square-not-central", idx))
         return report
 

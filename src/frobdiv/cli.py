@@ -57,6 +57,10 @@ def main(argv=None):
     pb.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    if args.conductor is not None and args.conductor <= 0:
+        print(f"invalid input: conductor {args.conductor} is not positive",
+              file=sys.stderr)
+        return 2
     if args.command == "build":
         return cmd_build(args)
     return cmd_analyze(args)
@@ -194,7 +198,7 @@ def _analyze_hopf(H, R, args, sections):
             code = 1
     RR = None
     if args.check in ("zhu", "all"):
-        entries = hopf_mod.zhu_check(H, data, I, pipe.dual)
+        entries = hopf_mod.zhu_check(H, data, I, pipe.dual_frobenius.algebra)
         ok = all(e.divides for e in entries if e.central) and \
             all(e.identity_ok for e in entries if e.central)
         items = []
@@ -213,7 +217,8 @@ def _analyze_hopf(H, R, args, sections):
             code = max(code, 1)
     if args.check in ("class-equation", "all"):
         RR = hopf_mod.representation_ring(H, data, I, prime=args.prime)
-        ce = hopf_mod.class_equation_check(H, data, I, RR, dual=pipe.dual)
+        ce = hopf_mod.class_equation_check(H, data, I, RR,
+                                           dual_frob=pipe.dual_frobenius)
         sections.append(Section(
             "class equation",
             "pass" if ce.holds else "fail",
@@ -332,7 +337,7 @@ def _embed_hopf(H, lam, R, conductor):
     antipode = Matrix(new_field, [[emb(c) for c in row]
                                   for row in H.antipode.entries])
     H2 = HopfAlgebraData(algebra, delta, counit, antipode, name=H.name)
-    R2 = [emb(c) for c in R] if R is not None else None
+    R2 = {k: emb(c) for k, c in R.items()} if R is not None else None
     return H2, lam2, R2
 
 

@@ -2,20 +2,20 @@
 constructors (group algebra, dual, Drinfeld double), representation ring,
 and the theorem checkers (divisibility, Zhu, class equation, factorizable).
 
-Comultiplication is stored sparsely: ``delta[j]`` is a dict mapping the
-flat index i*dim + k of e_i (x) e_k to the coefficient of that term in
-Delta(x_j).
+Every element of H (x) H is a sparse dict mapping the flat index
+i*dim + k of e_i (x) e_k to its nonzero coefficient: ``delta[j]`` =
+Delta(x_j), the Casimir element, the R-matrix and b = tau(R) R.
 """
 
 from __future__ import annotations
 
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
-                      VerificationReport, _add_into, _clean,
+                      VerificationReport, _add_into, _clean, contract_left,
                       first_non_multiplicative_pair, frobenius_structure,
                       tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis, relative_divisibility,
-                          scalar_certificate)
+                          scalar_certificate, verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix, sparse
 from .scalars import CyclotomicField, QQ, Rat
 from .wedderburn import (WedderburnData, central_primitive_idempotents,
@@ -134,7 +134,7 @@ def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
                 for idx, d in H.delta[k].items():
                     _add_into(lhs, idx, c * d)
                 eps_prod = eps_prod + c * H.counit[k]
-            rhs = T.mult_sparse(di, H.delta[j])
+            rhs = T.mult(di, H.delta[j])
             report.record(_clean(lhs) == rhs, ("delta-multiplicative", i, j))
             report.record(eps_prod == H.counit[i] * H.counit[j],
                           ("counit-multiplicative", i, j))
@@ -254,13 +254,15 @@ def _left_integral_conditions(H):
 # ---------------------------------------------------------------------------
 
 
-def hopf_casimir(H: HopfAlgebraData, I: IntegralData, frob=None, dual=None):
+def hopf_casimir(H: HopfAlgebraData, I: IntegralData, frob=None,
+                 dual_frob=None):
     """The Casimir element of (H, lambda) from the integral, in all four
     antipode placements, cross-checked against the dual-basis construction;
-    also asserts Gamma^lambda(1) = dim 1 and Gamma^Lambda(eps) = eps.
+    also asserts Gamma^lambda(1) = dim 1 and Gamma^Lambda(eps) = eps, the
+    latter as Gamma^Lambda0(eps) = dim eps, since Lambda0 = Lambda / dim.
 
-    ``frob`` is the Frobenius structure of (H, lambda) and ``dual`` the
-    dual algebra H*; each is built here when not given."""
+    ``frob`` is the Frobenius structure of (H, lambda) and ``dual_frob``
+    that of (H*, Lambda0); each is built here when not given."""
     A = H.algebra
     field = H.field
     n = H.dim
@@ -268,22 +270,16 @@ def hopf_casimir(H: HopfAlgebraData, I: IntegralData, frob=None, dual=None):
     S = H.antipode
 
     def build(first_antipode, swap):
-        out = [field.zero] * (n * n)
+        """S applied to the first or the second leg of Delta(Lambda), with
+        the two legs swapped when ``swap``."""
+        out = {}
         for idx, c in dL.items():
             i, j = divmod(idx, n)
-            if first_antipode:
-                col = S.column(i)
-                for r in range(n):
-                    if bool(col[r]):
-                        pos = (j * n + r) if swap else (r * n + j)
-                        out[pos] = out[pos] + c * col[r]
-            else:
-                col = S.column(j)
-                for r in range(n):
-                    if bool(col[r]):
-                        pos = (r * n + i) if swap else (i * n + r)
-                        out[pos] = out[pos] + c * col[r]
-        return out
+            for r, x in enumerate(S.column(i if first_antipode else j)):
+                if bool(x):
+                    a, b = (r, j) if first_antipode else (i, r)
+                    _add_into(out, b * n + a if swap else a * n + b, c * x)
+        return _clean(out)
 
     c1 = build(True, False)    # S(Lambda_1) (x) Lambda_2
     c2 = build(True, True)     # Lambda_2 (x) S(Lambda_1)
@@ -300,10 +296,9 @@ def hopf_casimir(H: HopfAlgebraData, I: IntegralData, frob=None, dual=None):
     if frob.gamma_one() != [dim_scalar * u for u in A.unit]:
         raise HopfError("Gamma^lambda(1) != dim H")
 
-    if dual is None:
-        dual = dual_algebra(H)
-    dual_frob = frobenius_structure(dual, I.Lambda)
-    if dual_frob.gamma_one() != dual.unit:
+    if dual_frob is None:
+        dual_frob = frobenius_structure(dual_algebra(H), I.Lambda0)
+    if dual_frob.gamma_one() != [dim_scalar * e for e in H.counit]:
         raise HopfError("Gamma^Lambda(eps) != 1")
     return c1
 
@@ -408,10 +403,7 @@ def drinfeld_double(G: FiniteGroup, field=None, conductor=None,
     S = Matrix.from_columns(field, scols)
     H = HopfAlgebraData(A, delta, counit, S, name=f"D({G.name})")
 
-    R = [zero] * (n * n)
-    for g in range(m):
-        for y in range(m):
-            R[idx(g, e) * n + idx(y, g)] = one
+    R = {idx(g, e) * n + idx(y, g): one for g in range(m) for y in range(m)}
     Q = quasitriangular_verify(H, R) if verify else None
     return H, Q
 
@@ -537,6 +529,10 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
             break
     if unit is None:
         raise NonIntegralFusion("no unit among the characters")
+    # with the exact fusion rule above and delta = Lambda0 o chi below, chi
+    # is a homomorphism of symmetric algebras (R, delta) -> (H*, Lambda0)
+    if chi_matrix.apply(unit) != H.counit:
+        raise NonIntegralFusion("the unit of the ring is not the counit")
     ring = StructureConstantAlgebra(field, r, table, unit,
                                     name=f"R({H.name})" if H.name else "R")
 
@@ -578,14 +574,15 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
 class HopfDivisibilityReport:
     """The pipeline's verdict with the artefacts the other checks reuse:
     the Wedderburn data, the integrals, the Frobenius structure of
-    (H, lambda) and the dual algebra H*."""
+    (H, lambda) and that of (H*, Lambda0), whose algebra is H*."""
 
-    def __init__(self, data, integral_data, verdict, frobenius, dual):
+    def __init__(self, data, integral_data, verdict, frobenius,
+                 dual_frobenius):
         self.data = data
         self.integral_data = integral_data
         self.verdict = verdict
         self.frobenius = frobenius
-        self.dual = dual
+        self.dual_frobenius = dual_frobenius
 
 
 def frobenius_divisibility_hopf(H: HopfAlgebraData, data=None, I=None,
@@ -599,13 +596,13 @@ def frobenius_divisibility_hopf(H: HopfAlgebraData, data=None, I=None,
     if I is None:
         I = integrals(H)
     frob = frobenius_structure(H.algebra, I.lam)
-    dual = dual_algebra(H)
-    hopf_casimir(H, I, frob, dual)
+    dual_frob = frobenius_structure(dual_algebra(H), I.Lambda0)
+    hopf_casimir(H, I, frob, dual_frob)
     if data is None:
         data = central_primitive_idempotents(H.algebra, frob, prime=prime,
                                              seed=seed)
     verdict = frobenius_divisibility_verdict(H.algebra, frob, data)
-    return HopfDivisibilityReport(data, I, verdict, frob, dual)
+    return HopfDivisibilityReport(data, I, verdict, frob, dual_frob)
 
 
 class ZhuEntry:
@@ -670,18 +667,19 @@ class ClassEquationReport:
 def class_equation_check(H: HopfAlgebraData, W: WedderburnData,
                          I: IntegralData,
                          RR: RepresentationRing | None = None,
-                         prime=None, seed=0, dual=None):
+                         prime=None, seed=0, dual_frob=None):
     """dim Ind from R_k(H) to H* divides dim H, for every irreducible of
     the representation ring; cross-checked through relative_divisibility
     along the character map, with Frobenius forms delta and Lambda0.
-    ``RR`` and the dual algebra ``dual`` are built when not given."""
+    ``representation_ring`` has proven that the character map is a
+    homomorphism of these symmetric algebras.  ``RR`` and the Frobenius
+    structure ``dual_frob`` of (H*, Lambda0) are built when not given."""
     if RR is None:
         RR = representation_ring(H, W, I, prime=prime, seed=seed)
-    if dual is None:
-        dual = dual_algebra(H)
-    frob_dual = frobenius_structure(dual, I.Lambda0)
-    rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, dual,
-                                frob_dual, RR.chi_matrix)
+    if dual_frob is None:
+        dual_frob = frobenius_structure(dual_algebra(H), I.Lambda0)
+    rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn,
+                                dual_frob.algebra, dual_frob, RR.chi_matrix)
     integral = [c.integral for c in rep.certificates]
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
@@ -703,8 +701,9 @@ class QuasitriangularData:
 
 
 def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
-    """The three quasitriangular axioms plus invertibility of R; builds
-    b = tau(R) R and the matrix of Phi(f) = b1 <f, b2>.
+    """The three quasitriangular axioms plus invertibility of R (an
+    element of H (x) H); builds b = tau(R) R and the matrix of
+    Phi(f) = b1 <f, b2>.
 
     H must be a verified Hopf algebra: the R-products (``r_products``)
     use the unit law instead of expanding the unit into basis terms."""
@@ -713,7 +712,7 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
     n = H.dim
     T = TensorSquareAlgebra(A)
     report = VerificationReport(True)
-    Rd = T.to_dict(R if not isinstance(R, dict) else T.from_dict(R))
+    Rd = _clean(R)
 
     # invertibility: (S (x) Id)(R) is the inverse when the axioms hold;
     # verified directly as a product
@@ -724,11 +723,8 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
         for r in range(n):
             if bool(col[r]):
                 _add_into(Rinv, r * n + j, c * col[r])
-    prod = T.mult_sparse(Rd, Rinv)
-    unit_d = T.to_dict(T.unit)
-    report.record(prod == unit_d, ("R-invertible-right",))
-    prod = T.mult_sparse(Rinv, Rd)
-    report.record(prod == unit_d, ("R-invertible-left",))
+    report.record(T.mult(Rd, Rinv) == T.unit, ("R-invertible-right",))
+    report.record(T.mult(Rinv, Rd) == T.unit, ("R-invertible-left",))
 
     # (eps (x) Id)(R) = 1 = (Id (x) eps)(R)
     left = A.zero_vec()
@@ -765,17 +761,15 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
         for idx, c in H.delta[j].items():
             a, b2 = divmod(idx, n)
             _add_into(tau_d, b2 * n + a, c)
-        lhs = T.mult_sparse(tau_d, Rd)
-        rhs = T.mult_sparse(Rd, H.delta[j])
+        lhs = T.mult(tau_d, Rd)
+        rhs = T.mult(Rd, H.delta[j])
         report.record(lhs == rhs, ("intertwining", j))
 
-    b = T.mult(T.switch(T.from_dict(Rd)), T.from_dict(Rd))
-    phi_cols = []
-    for j in range(n):
-        # Phi(delta^j) = sum_i b_{ij} x_i
-        phi_cols.append([b[i * n + j] for i in range(n)])
-    phi_matrix = Matrix.from_columns(field, phi_cols)
-    return QuasitriangularData(H, T.from_dict(Rd), b, phi_matrix, report)
+    b = T.mult(T.switch(Rd), Rd)
+    # Phi(delta^j) = sum_i b_{ij} x_i
+    phi_matrix = Matrix(field, [[b.get(i * n + j, field.zero)
+                                 for j in range(n)] for i in range(n)])
+    return QuasitriangularData(H, Rd, b, phi_matrix, report)
 
 
 def r_products(A, Rd):
@@ -822,13 +816,7 @@ def factorizable_check(Q: QuasitriangularData) -> FactorizableVerdict:
         raise HopfError(f"quasitriangular axioms fail: "
                         f"{Q.report.failures[:3]}")
     rank = Q.phi_matrix.rank()
-    contracted = A.zero_vec()
-    for idx in range(n * n):
-        c = Q.b[idx]
-        if bool(c):
-            i, j = divmod(idx, n)
-            contracted[j] = contracted[j] + c * H.counit[i]
-    ident1 = contracted == A.unit
+    ident1 = contract_left(field, H.counit, Q.b, n) == A.unit
     ident2 = all(H.counit_of(Q.phi_matrix.column(j)) == A.unit[j]
                  for j in range(n))
     return FactorizableVerdict(rank == n, rank, n, (ident1, ident2),
@@ -865,8 +853,9 @@ def schneider_check(H: HopfAlgebraData, verdict: FactorizableVerdict,
 
     That Psi is a homomorphism of symmetric algebras (R, delta) ->
     (H, lambda) (unit, products, lambda o Psi = delta) is checked once, by
-    ``relative_divisibility``, which raises NotASymmetricHomomorphism
-    before any report is built; this function forms no product itself."""
+    ``verify_symmetric_homomorphism``, which raises
+    NotASymmetricHomomorphism before any report is built; this function
+    forms no product itself."""
     A = H.algebra
     field = H.field
     n = H.dim
@@ -885,6 +874,8 @@ def schneider_check(H: HopfAlgebraData, verdict: FactorizableVerdict,
 
     if frob is None:
         frob = frobenius_structure(A, lam)
+    verify_symmetric_homomorphism(RR.ring, RR.frobenius.lam, A, frob.lam,
+                                  psi)
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, A,
                                 frob, psi)
     if not all(rep.ratio_checks):

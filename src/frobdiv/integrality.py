@@ -3,16 +3,18 @@
 An element a of a finite-dimensional Q(zeta_n)-algebra is integral over Z
 exactly when its monic minimal polynomial over Q has integer coefficients
 (Gauss).  The minimal polynomial comes from Krylov iteration: the powers
-1, a, a^2, ... are produced by an operator ``times(v) = a v`` on coordinate
-vectors, written out in rational coordinates, and reduced until the first
-one depends on those before it.  Only vectors are ever formed, never a
-matrix of a.
+1, a, a^2, ... are produced by an operator ``times(v) = a v`` on sparse
+coordinate vectors {index: scalar}, written out in rational coordinates,
+and reduced until the first one depends on those before it.  Only vectors
+are ever formed, never a matrix of a, and only their nonzero coordinates
+are read.
 
 For the Casimir element c of a symmetric algebra A the operator is
 ``FrobeniusStructure.casimir_times``, which multiplies by c through the swap
 law c(a (x) 1) = (1 (x) a) c straight from the structure table of A, with
 no product in A (x) A; each structure computes that certificate once.  A
-scalar x uses ``lambda v: [x * v[0]]`` on the field itself.
+scalar x is an element of the field itself, of dimension 1: its unit is
+``{0: field.one}`` and its operator ``lambda v: {0: x * v[0]}``.
 """
 
 from __future__ import annotations
@@ -54,21 +56,21 @@ class IntegralityCertificate:
         return [rat_str(c) for c in self.min_poly]
 
 
-def minimal_polynomial_over_Q(field, unit, times):
-    """Monic minimal polynomial over Q of an element, as ascending Rat
-    coefficients.  ``unit`` is the unit of the algebra over ``field`` and
-    ``times(v)`` is the element times v, both as coordinate vectors; the
-    powers are reduced as sparse rows of their nonzero Q-flattened
-    coordinates."""
+def minimal_polynomial_over_Q(field, dim, unit, times):
+    """Monic minimal polynomial over Q of an element of a dim-dimensional
+    algebra over ``field``, as ascending Rat coefficients.  ``unit`` is the
+    unit of the algebra and ``times(v)`` is the element times v, both as
+    sparse vectors {index: scalar}; the powers are reduced as sparse rows
+    of their nonzero Q-flattened coordinates."""
     phi = field.phi
-    flat = ({i * phi + j: q for i, c in enumerate(vec) if c
+    flat = ({i * phi + j: q for i, c in vec.items() if c
              for j, q in enumerate(field.to_qvec(c)) if q}
-            for vec in iterates(times, list(unit)))
-    return krylov_relation(QQ, len(unit) * phi, flat).coeffs
+            for vec in iterates(times, unit))
+    return krylov_relation(QQ, dim * phi, flat).coeffs
 
 
-def is_integral_over_Z(field, unit, times, description="element"):
-    poly = minimal_polynomial_over_Q(field, unit, times)
+def is_integral_over_Z(field, dim, unit, times, description="element"):
+    poly = minimal_polynomial_over_Q(field, dim, unit, times)
     witness = None
     for i, c in enumerate(poly):
         if not is_integer_rat(c):
@@ -78,8 +80,8 @@ def is_integral_over_Z(field, unit, times, description="element"):
 
 
 def scalar_certificate(field, x, description="scalar"):
-    return is_integral_over_Z(field, [field.one], lambda v: [x * v[0]],
-                              description)
+    return is_integral_over_Z(field, 1, {0: field.one},
+                              lambda v: {0: x * v[0]}, description)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +177,11 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
     """Per-block report for a homomorphism of symmetric algebras
     (A, lambda) -> (B, mu): induced dimensions, the scalars
     Gamma^mu(1)/dim Ind, their integrality certificates, and the exact
-    equality Gamma^mu(1)/dim Ind = Gamma^lambda(1)_S / d(S)."""
+    equality Gamma^mu(1)/dim Ind = Gamma^lambda(1)_S / d(S).  The caller
+    proves that phi is such a homomorphism (``verify_symmetric_homomorphism``
+    or, for a character map, ``hopf.representation_ring``)."""
     from .wedderburn import gamma_one_eigenvalue
     field = A.field
-    verify_symmetric_homomorphism(A, frob_A.lam, B, frob_B.lam, phi)
     if not frob_A.casimir_certificate().integral:
         raise InapplicableHypothesis("source Casimir element is not "
                                      "integral over Z")

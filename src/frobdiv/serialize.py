@@ -5,7 +5,8 @@ Algebra schema:
     "field": {"type": "rational"} | {"type": "cyclotomic", "conductor": n},
     "structure_constants": [[i, j, k, "scalar"], ...],
     "unit": ["scalar", ...],
-    "lambda": ["scalar", ...] }          # optional
+    "lambda": ["scalar", ...],           # optional
+    "name": "..." }                      # optional
 
 Hopf input extends this with "comultiplication" (triples
 [flat_ik, j, "scalar"] for the dim^2 x dim matrix of Delta), "counit",
@@ -31,6 +32,13 @@ def _require(cond, msg):
         raise SchemaError(msg)
 
 
+def _list(doc, key):
+    """The section ``key`` of the document, which must be a JSON list."""
+    raw = doc[key]
+    _require(isinstance(raw, list), f"{key} must be a list")
+    return raw
+
+
 def algebra_from_json(doc):
     """Returns (StructureConstantAlgebra, lambda-or-None)."""
     _require(isinstance(doc, dict), "input is not a JSON object")
@@ -43,7 +51,7 @@ def algebra_from_json(doc):
     except ValueError as err:
         raise SchemaError(str(err)) from None
     table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for entry in doc["structure_constants"]:
+    for entry in _list(doc, "structure_constants"):
         _require(isinstance(entry, list) and len(entry) == 4,
                  f"bad structure-constant entry {entry!r}")
         i, j, k, s = entry
@@ -54,6 +62,7 @@ def algebra_from_json(doc):
     lam = (_parse_vector(field, doc["lambda"], dim, "lambda")
            if "lambda" in doc else None)
     name = doc.get("name", "")
+    _require(isinstance(name, str), "name must be a string")
     return StructureConstantAlgebra(field, dim, table, unit, name=name), lam
 
 
@@ -102,7 +111,7 @@ def hopf_from_json(doc):
     n = algebra.dim
     field = algebra.field
     delta = [dict() for _ in range(n)]
-    for entry in doc["comultiplication"]:
+    for entry in _list(doc, "comultiplication"):
         _require(isinstance(entry, list) and len(entry) == 3,
                  f"bad comultiplication entry {entry!r}")
         flat, j, s = entry
@@ -112,7 +121,7 @@ def hopf_from_json(doc):
         delta[j][flat] = _parse_scalar(field, s)
     counit = _parse_vector(field, doc["counit"], n, "counit")
     cols = [[field.zero] * n for _ in range(n)]
-    for entry in doc["antipode"]:
+    for entry in _list(doc, "antipode"):
         _require(isinstance(entry, list) and len(entry) == 3,
                  f"bad antipode entry {entry!r}")
         i, j, s = entry
@@ -120,12 +129,11 @@ def hopf_from_json(doc):
                  f"index out of range in {entry!r}")
         cols[j][i] = _parse_scalar(field, s)
     antipode = Matrix.from_columns(field, cols)
-    H = HopfAlgebraData(algebra, delta, counit, antipode,
-                        name=doc.get("name", ""))
+    H = HopfAlgebraData(algebra, delta, counit, antipode, name=algebra.name)
     R = None
     if "R" in doc:
-        R = [field.zero] * (n * n)
-        for entry in doc["R"]:
+        R = {}
+        for entry in _list(doc, "R"):
             _require(isinstance(entry, list) and len(entry) == 2,
                      f"bad R entry {entry!r}")
             flat, s = entry
@@ -157,8 +165,8 @@ def hopf_to_json(H, lam=None, R=None):
     if H.name:
         doc["name"] = H.name
     if R is not None:
-        doc["R"] = [[flat, field.format(c)] for flat, c in enumerate(R)
-                    if bool(c)]
+        doc["R"] = [[flat, field.format(R[flat])] for flat in sorted(R)
+                    if bool(R[flat])]
     return doc
 
 

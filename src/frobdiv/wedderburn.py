@@ -29,7 +29,8 @@ import itertools
 import math
 import random
 
-from .algebra import frobenius_structure
+from .algebra import (_add_into, _clean, contract_left, contract_right,
+                      frobenius_structure)
 from .linalg import EchelonSubspace, Matrix, Poly, sparse
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
                       _int_poly_eval, component_roots,
@@ -543,15 +544,8 @@ def verify_cprid_formula(frobenius, data: WedderburnData):
     for s, e in enumerate(data.idempotents):
         lhs = algebra.multiply(g1, e)
         chi = data.characters[s]
-        left = [field.zero] * n
-        right = [field.zero] * n
-        for j in range(n):
-            cj = chi[j]
-            if bool(cj):
-                base = j * n
-                for r in range(n):
-                    left[r] = left[r] + cj * cas[base + r]
-                    right[r] = right[r] + cj * cas[r * n + j]
+        left = contract_left(field, chi, cas, n)
+        right = contract_right(field, chi, cas, n)
         d = field.from_rat(Rat(data.degrees[s]))
         out.append(lhs == [d * v for v in left]
                    and lhs == [d * v for v in right])
@@ -582,15 +576,10 @@ def casimir_square_components(frobenius, data: WedderburnData,
     def component(z, s, t):
         chi_s, chi_t = data.characters[s], data.characters[t]
         val = field.zero
-        for i in range(n):
-            if not bool(chi_s[i]):
-                continue
-            row = chi_s[i]
-            base = i * n
-            for j in range(n):
-                zij = z[base + j]
-                if bool(zij):
-                    val = val + row * chi_t[j] * zij
+        for idx, zij in z.items():
+            i, j = divmod(idx, n)
+            if bool(chi_s[i]) and bool(chi_t[j]):
+                val = val + chi_s[i] * chi_t[j] * zij
         denom = field.from_rat(Rat(data.degrees[s] * data.degrees[t]))
         return val / denom
 
@@ -609,18 +598,17 @@ def casimir_square_components(frobenius, data: WedderburnData,
                 raise AlgebraError(f"casimir square diagonal fails at "
                                    f"block {s}")
         # c^2 = (Gamma (x) Id)(c) as an element identity
-        gamma_c = [field.zero] * (n * n)
-        for i in range(n):
-            row = c[i * n:(i + 1) * n]
-            if not any(bool(x) for x in row):
-                continue
+        rows = {}  # i -> terms (j, c_ij) of c
+        for idx, x in c.items():
+            i, j = divmod(idx, n)
+            rows.setdefault(i, []).append((j, x))
+        gamma_c = {}
+        for i, terms in rows.items():
             gi = frobenius.casimir_trace(algebra.basis_vec(i))
-            for rr in range(n):
-                if bool(gi[rr]):
-                    for j in range(n):
-                        if bool(row[j]):
-                            gamma_c[rr * n + j] = (gamma_c[rr * n + j]
-                                                   + gi[rr] * row[j])
-        if gamma_c != csq:
+            for rr, g in enumerate(gi):
+                if bool(g):
+                    for j, x in terms:
+                        _add_into(gamma_c, rr * n + j, g * x)
+        if _clean(gamma_c) != csq:
             raise AlgebraError("c^2 != (Gamma (x) Id)(c)")
     return c_mat, csq_mat

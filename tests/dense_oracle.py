@@ -318,13 +318,13 @@ def dense_quasitriangular_report(H, R):
     """The failure report of ``quasitriangular_verify`` with R13 R23 and
     R13 R12 formed as products of R13, R23 and R12, each with the unit
     expanded into its basis terms.  The other checks are computed as the
-    library computes them, with ``TensorSquareAlgebra.mult_sparse``."""
+    library computes them, with ``TensorSquareAlgebra.mult``."""
     from frobdiv.algebra import TensorSquareAlgebra
     A = H.algebra
     n = H.dim
     T = TensorSquareAlgebra(A)
     report = VerificationReport(True)
-    Rd = _clean(dict(enumerate(R)))
+    Rd = _clean(R)
 
     Rinv = {}
     for idx, c in Rd.items():
@@ -332,9 +332,8 @@ def dense_quasitriangular_report(H, R):
         for r, s in enumerate(H.antipode.column(i)):
             if s != H.field.zero:
                 _add_into(Rinv, r * n + j, c * s)
-    unit_d = T.to_dict(T.unit)
-    report.record(T.mult_sparse(Rd, Rinv) == unit_d, ("R-invertible-right",))
-    report.record(T.mult_sparse(Rinv, Rd) == unit_d, ("R-invertible-left",))
+    report.record(T.mult(Rd, Rinv) == T.unit, ("R-invertible-right",))
+    report.record(T.mult(Rinv, Rd) == T.unit, ("R-invertible-left",))
 
     left = A.zero_vec()
     right = A.zero_vec()
@@ -366,8 +365,8 @@ def dense_quasitriangular_report(H, R):
         for idx, c in H.delta[j].items():
             a, b = divmod(idx, n)
             _add_into(tau_d, b * n + a, c)
-        lhs = T.mult_sparse(tau_d, Rd)
-        report.record(lhs == T.mult_sparse(Rd, H.delta[j]),
+        lhs = T.mult(tau_d, Rd)
+        report.record(lhs == T.mult(Rd, H.delta[j]),
                       ("intertwining", j))
     return report
 
@@ -378,19 +377,21 @@ def dense_quasitriangular_report(H, R):
 
 
 def permute_r(R, perm):
-    """An element of H (x) H (flat list) after the relabelling ``perm``."""
+    """An element of H (x) H after the relabelling ``perm``, moved as a
+    flat list of its n^2 coefficients (None for a zero one)."""
     n = len(perm)
+    flat = [R.get(idx) for idx in range(n * n)]
     out = [None] * (n * n)
-    for idx, c in enumerate(R):
+    for idx, c in enumerate(flat):
         i, j = divmod(idx, n)
         out[perm[i] * n + perm[j]] = c
-    return out
+    return {idx: c for idx, c in enumerate(out) if c is not None}
 
 
 def change_basis_hopf(H, P, R=None):
     """H on the basis y_j = sum_i P[i][j] x_i, for an invertible matrix P,
-    with R (a flat element of H (x) H) rewritten on the new basis.
-    Returns (H', R')."""
+    with R (an element of H (x) H) rewritten on the new basis through the
+    n x n matrix of its coefficients.  Returns (H', R')."""
     field = H.field
     n = H.dim
     zero = field.zero
@@ -416,8 +417,7 @@ def change_basis_hopf(H, P, R=None):
     H2 = HopfAlgebraData(B, delta, counit, antipode, name=H.name)
     if R is None:
         return H2, None
-    Rn = tensor_to_new(list(R))
-    return H2, [Rn.get(idx, zero) for idx in range(n * n)]
+    return H2, tensor_to_new([R.get(idx, zero) for idx in range(n * n)])
 
 
 def change_basis_algebra(A, P):
@@ -503,12 +503,18 @@ def lagrange_interpolate(points, M):
 
 def carrier_minimal_polynomial(carrier, a):
     """Monic minimal polynomial over Q of a, as ascending Rat
-    coefficients, from the powers carrier.mult(a, .) of the unit."""
+    coefficients, from the powers carrier.mult(a, .) of the unit; the
+    carrier's elements are sparse dicts, each power is reduced as the dense
+    list of its carrier.dim coefficients."""
     from frobdiv import QQ
     field = carrier.field
     zero, one = QQ.zero, QQ.one
+
+    def dense(v):
+        return [v.get(i, field.zero) for i in range(carrier.dim)]
+
     reduced = []  # (pivot, row, combination)
-    vec = list(carrier.unit)
+    vec = dense(carrier.unit)
     comb = [one]
     while True:
         row = []
@@ -529,7 +535,7 @@ def carrier_minimal_polynomial(carrier, a):
             return [c / lead for c in cmb]
         inv = one / row[pidx]
         reduced.append((pidx, [inv * x for x in row], [inv * x for x in cmb]))
-        vec = carrier.mult(a, vec)
+        vec = dense(carrier.mult(a, {i: c for i, c in enumerate(vec) if c}))
         comb = [zero] + comb
 
 

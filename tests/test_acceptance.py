@@ -68,7 +68,7 @@ def test_criterion_01_group_algebra_divisibility():
         assert sorted(data.degrees) == EXPECTED_DEGREES[name]
         assert all(order % d == 0 for d in data.degrees)
         T = TensorSquareAlgebra(H.algebra)
-        cert = is_integral_over_Z(H.field, T.unit,
+        cert = is_integral_over_Z(H.field, T.dim, T.unit,
                                   lambda z: T.mult(frob.casimir, z))
         assert cert.integral
         # both sides of the divisibility equivalence, cross-checked
@@ -204,10 +204,7 @@ def test_criterion_08_schneider():
     assert time.monotonic() - t0 < 300.0
     # kS3 with the trivial R-matrix: quasitriangular but not factorizable
     Hs = group_algebra(G, conductor=G.exponent)
-    n = Hs.dim
-    R = [Hs.field.zero] * (n * n)
-    R[0] = Hs.field.one
-    Qs = quasitriangular_verify(Hs, R)
+    Qs = quasitriangular_verify(Hs, {0: Hs.field.one})
     assert Qs.report.passed
     vs = factorizable_check(Qs)
     assert not vs.factorizable and vs.rank == 1

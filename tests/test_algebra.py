@@ -158,11 +158,14 @@ def test_tensor_square_contractions():
     F = frobenius_structure(A, delta_form(A))
     T = TensorSquareAlgebra(A)
     c = F.casimir
+    # c = 1 (x) 1 + g (x) g, as a sparse element without zeros
+    assert c == {0: QQ.one, 3: QQ.one}
     # (lam (x) id)(c) = 1 and (id (x) lam)(c) = 1
     assert contract_left(QQ, F.lam, c, A.dim) == A.unit
     assert contract_right(QQ, F.lam, c, A.dim) == A.unit
-    # switch is an involution
+    # switch is an involution, and swaps the legs of 1 (x) g
     assert T.switch(T.switch(c)) == c
+    assert T.switch({1: QQ.one}) == {2: QQ.one}
 
 
 def test_cyclotomic_group_algebra():

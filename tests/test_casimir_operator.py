@@ -120,10 +120,10 @@ def test_casimir_times_matches_tensor_product(name, terms):
     # coefficients a + b zeta, or a + b/7 over Q: never zero, and no sum of
     # them is zero either
     other = field.from_rat(Rat(1, 7)) if field is QQ else field.zeta()
-    z = [field.zero] * T.dim
+    z = {}
     for pos, a, b in terms:
         idx = pos % T.dim
-        z[idx] = (z[idx] + field.from_rat(Rat(a))
+        z[idx] = (z.get(idx, field.zero) + field.from_rat(Rat(a))
                   + field.from_rat(Rat(b)) * other)
     assert F.casimir_times(z) == T.mult(F.casimir, z)
 

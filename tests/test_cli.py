@@ -203,8 +203,8 @@ def test_hopf_analysis_builds_each_frobenius_structure_once(tmp_path,
     code = main(["analyze", str(inp), "--check", "all",
                  "--out", str(tmp_path / "o.txt")])
     assert code == 0
-    # (H, lambda), (H*, Lambda), (H*, Lambda0) and (R(H), delta)
-    assert len(built) == len(set(built)) == 4
+    # (H, lambda), (H*, Lambda0) and (R(H), delta)
+    assert len(built) == len(set(built)) == 3
 
 
 def test_missing_file_exit_2(tmp_path, capsys):
@@ -215,7 +215,21 @@ MALFORMED = {
     "cyclotomic-without-conductor": {"field": {"type": "cyclotomic"}},
     "scalar-not-a-number": {"unit": ["abc"]},
     "field-as-string": {"field": "rational"},
+    "structure-constants-not-a-list": {"structure_constants": {"0": 1}},
+    "name-not-a-string": {"name": 5},
 }
+
+
+def assert_invalid_input(path, *args):
+    """``frobdiv analyze`` exits 2 with one line on stderr, no traceback
+    and no report."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "analyze",
+                           str(path), *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid input: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
 
 @pytest.mark.parametrize("name", MALFORMED)
@@ -225,13 +239,37 @@ def test_malformed_document_exit_2(tmp_path, name):
     doc.update(MALFORMED[name])
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps(doc))
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "analyze",
-                           str(inp)], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("invalid input: ")
-    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert_invalid_input(inp)
+
+
+MALFORMED_HOPF = {
+    "comultiplication-not-a-list": {"comultiplication": 7},
+    "antipode-null": {"antipode": None},
+    "R-not-a-list": {"R": {"0": "1"}},
+    "name-not-a-string": {"name": 5},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_HOPF)
+def test_malformed_hopf_section_exit_2(tmp_path, name):
+    doc = json.loads(build(tmp_path, "--group", "C2", "--as",
+                           "double").read_text())
+    doc.update(MALFORMED_HOPF[name])
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(doc))
+    assert_invalid_input(inp)
+
+
+@pytest.mark.parametrize("conductor", ["0", "-6"])
+def test_non_positive_conductor_exit_2(tmp_path, capsys, conductor):
+    inp = build(tmp_path, "--group", "S3")
+    capsys.readouterr()
+    assert main(["analyze", str(inp), "--conductor", conductor]) == 2
+    assert main(["build", "--group", "S3", "--conductor", conductor,
+                 "--out", str(tmp_path / "never.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("invalid input: ") == 2
+    assert not (tmp_path / "never.json").exists()
 
 
 def test_schneider_needs_r_matrix(tmp_path, capsys):

@@ -8,7 +8,9 @@ against the dense loops they replaced (``dense_oracle``).
   Wedderburn split agree with ``hit_form_left``, the rank of the products
   x_j e and the pairwise products on every input of the small ladder.
 * A Psi corrupted through the Phi matrix still stops ``schneider_check``,
-  now through ``relative_divisibility`` alone.
+  through its one ``verify_symmetric_homomorphism`` call.
+* A corrupted character stops the class equation in the fusion proof of
+  ``representation_ring``, which the class equation does not repeat.
 """
 
 import copy
@@ -21,7 +23,8 @@ from frobdiv import (Matrix, central_primitive_idempotents, double_projection,
                      frobenius_structure, group_algebra, integrals,
                      named_group, quasitriangular_verify, representation_ring)
 from frobdiv.algebra import first_non_multiplicative_pair
-from frobdiv.hopf import factorizable_check, schneider_check
+from frobdiv.hopf import (NonIntegralFusion, class_equation_check,
+                         factorizable_check, schneider_check)
 from frobdiv.integrality import NotASymmetricHomomorphism
 from frobdiv.modular import PrecisionExceeded
 from frobdiv.scalars import Rat
@@ -111,6 +114,24 @@ def test_corrupted_psi_stops_schneider(double):
     bad.phi_matrix = Q.phi_matrix.scale(H.field.from_int(2))
     with pytest.raises(NotASymmetricHomomorphism, match="unit"):
         schneider_check(H, factorizable_check(bad), W, RR, I, F)
+
+
+def test_corrupted_character_stops_class_equation(double):
+    H, _, I, _, W, RR = double
+    assert class_equation_check(H, W, I, RR).holds
+    s = next(s for s, chi in enumerate(W.characters) if chi != H.counit)
+    chi = list(W.characters[s])
+    k = next(k for k, c in enumerate(chi) if c != chi[0])
+    chi[0], chi[k] = chi[k], chi[0]
+    bad = copy.copy(W)
+    bad.characters = W.characters[:s] + [chi] + W.characters[s + 1:]
+    with pytest.raises(NonIntegralFusion):
+        class_equation_check(H, bad, I)
+    # characters that multiply exactly, with a unit other than the counit
+    twisted = copy.copy(H)
+    twisted.counit = [c + c for c in H.counit]
+    with pytest.raises(NonIntegralFusion, match="unit of the ring"):
+        class_equation_check(twisted, W, I)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,7 @@ def test_hopf_casimir_s3():
     # c = sum_g g^{-1} (x) g for a group algebra
     G = named_group("S3")
     n = 6
-    want = [rq(0)] * 36
-    for g in range(n):
-        want[G.inverse[g] * n + g] = rq(1)
-    assert c == want
+    assert c == {G.inverse[g] * n + g: rq(1) for g in range(n)}
 
 
 def test_dual_algebra_and_double_dual():
@@ -121,10 +118,8 @@ def test_representation_ring_casimir_is_diagonal_sum():
     RR = representation_ring(H, W, I)
     frob = frobenius_structure(RR.ring, RR.delta_form)
     r = RR.ring.dim
-    want = [rq(0)] * (r * r)
-    for s in range(r):
-        want[RR.dual_index[s] * r + s] = rq(1)
-    assert frob.casimir == want
+    assert frob.casimir == {RR.dual_index[s] * r + s: rq(1)
+                            for s in range(r)}
 
 
 def test_frobenius_divisibility_hopf_s3():
@@ -164,10 +159,7 @@ def test_quasitriangular_trivial_r():
     # R = 1 (x) 1 is a quasitriangular structure on any cocommutative
     # commutative Hopf algebra; kC6 is both
     H = group_algebra(named_group("C6"))
-    n = 6
-    R = [rq(0)] * (n * n)
-    R[0] = rq(1)
-    Q = quasitriangular_verify(H, R)
+    Q = quasitriangular_verify(H, {0: rq(1)})
     assert Q.report.passed
     v = factorizable_check(Q)
     assert not v.factorizable and v.rank == 1 and v.dim == 6

@@ -18,6 +18,7 @@ from frobdiv.integrality import (
     minimal_polynomial_over_Q,
     verify_symmetric_homomorphism,
 )
+from frobdiv.linalg import sparse
 
 from conftest import delta_form, group_algebra_plain
 
@@ -27,13 +28,14 @@ def rq(x, y=1):
 
 
 def scalar_times(x):
-    return lambda v: [x * v[0]]
+    return lambda v: {0: x * v[0]}
 
 
 def test_minpoly_scalar_rational():
-    assert minimal_polynomial_over_Q(QQ, [QQ.one], scalar_times(rq(3))) == \
+    assert minimal_polynomial_over_Q(QQ, 1, {0: QQ.one},
+                                     scalar_times(rq(3))) == \
         [Rat(-3), Rat(1)]
-    assert minimal_polynomial_over_Q(QQ, [QQ.one],
+    assert minimal_polynomial_over_Q(QQ, 1, {0: QQ.one},
                                      scalar_times(rq(1, 2))) == \
         [Rat(-1, 2), Rat(1)]
 
@@ -42,7 +44,7 @@ def test_minpoly_cyclotomic_scalar():
     K = CyclotomicField(3)
     z = K.zeta()
     # minimal polynomial of zeta_3 over Q is x^2 + x + 1
-    mp = minimal_polynomial_over_Q(K, [K.one], scalar_times(z))
+    mp = minimal_polynomial_over_Q(K, 1, {0: K.one}, scalar_times(z))
     assert mp == [Rat(1), Rat(1), Rat(1)]
     # zeta_3 / 2 is not integral
     cert = scalar_certificate(K, z / K.from_int(2))
@@ -53,16 +55,19 @@ def test_minpoly_of_group_element():
     A = group_algebra_plain("C2")
 
     def times(a):
-        return lambda v: A.multiply(a, v)
+        return lambda v: sparse(A.multiply(a, [v.get(i, QQ.zero)
+                                               for i in range(A.dim)]))
 
+    unit = sparse(A.unit)
     # g has minimal polynomial x^2 - 1
-    assert minimal_polynomial_over_Q(QQ, A.unit, times([rq(0), rq(1)])) == \
+    assert minimal_polynomial_over_Q(QQ, 2, unit,
+                                     times([rq(0), rq(1)])) == \
         [Rat(-1), Rat(0), Rat(1)]
     # (1+g)/2 is idempotent: x^2 - x
     half = [rq(1, 2), rq(1, 2)]
-    assert minimal_polynomial_over_Q(QQ, A.unit, times(half)) == \
+    assert minimal_polynomial_over_Q(QQ, 2, unit, times(half)) == \
         [Rat(0), Rat(-1), Rat(1)]
-    cert = is_integral_over_Z(QQ, A.unit, times(half))
+    cert = is_integral_over_Z(QQ, 2, unit, times(half))
     assert cert.integral  # idempotents are integral even with 1/2 coords
 
 

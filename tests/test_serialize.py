@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from frobdiv import CyclotomicField, integrals, group_algebra, named_group
+from frobdiv.cli import main
 from frobdiv.serialize import (
     SchemaError,
     algebra_from_json,
@@ -39,9 +42,7 @@ def test_cyclotomic_round_trip():
 def test_hopf_round_trip():
     H = group_algebra(named_group("S3"))
     I = integrals(H)
-    n = H.dim
-    R = [H.field.zero] * (n * n)
-    R[0] = H.field.one
+    R = {0: H.field.one}
     doc = hopf_to_json(H, lam=I.lam, R=R)
     assert is_hopf_doc(doc)
     H2, lam2, R2 = hopf_from_json(doc)
@@ -51,6 +52,18 @@ def test_hopf_round_trip():
     assert H2.antipode.entries == H.antipode.entries
     assert lam2 == I.lam and R2 == R
     assert canonical_dumps(hopf_to_json(H2, lam2, R2)) == canonical_dumps(doc)
+
+
+@pytest.mark.parametrize("group", ["S3", "C4", "D4", "Q8"])
+def test_built_double_round_trip(tmp_path, group):
+    # the R-matrix is read back as a sparse element and written out again
+    # as the same sorted [flat, "scalar"] pairs
+    out = tmp_path / "double.json"
+    assert main(["build", "--group", group, "--as", "double",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
+    assert canonical_dumps(hopf_to_json(*hopf_from_json(doc))) + "\n" == text
 
 
 def test_schema_errors():

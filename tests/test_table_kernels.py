@@ -187,12 +187,12 @@ def test_r_products_match_dense_oracle_on_broken_r(key, pos):
     """One entry of R changed: on its support (pos 0, 1) or off it."""
     H, R = case(key)
     field = H.field
-    support = [i for i, c in enumerate(R) if c]
-    off = [i for i, c in enumerate(R) if not c]
+    support = sorted(R)
+    off = [i for i in range(H.dim ** 2) if i not in R]
     rng = random.Random(pos)
     idx = rng.choice(support) if pos < 2 else rng.choice(off)
-    broken = list(R)
-    broken[idx] = broken[idx] + field.one
+    broken = dict(R)
+    broken[idx] = R.get(idx, field.zero) + field.one
     rep = quasitriangular_verify(H, broken).report
     assert not rep.passed
     oracle = dense_quasitriangular_report(H, broken)

@@ -200,11 +200,11 @@ def test_one_casimir_minimal_polynomial_per_structure(monkeypatch, tmp_path):
     dims = []
     original = integrality.minimal_polynomial_over_Q
 
-    def recording(field, unit, times):
+    def recording(field, dim, unit, times):
         owner = getattr(times, "__self__", None)
         if isinstance(owner, FrobeniusStructure):
             dims.append(owner.algebra.dim)
-        return original(field, unit, times)
+        return original(field, dim, unit, times)
 
     monkeypatch.setattr(integrality, "minimal_polynomial_over_Q", recording)
     G = named_group("S3")
@@ -219,13 +219,13 @@ def test_one_casimir_minimal_polynomial_per_structure(monkeypatch, tmp_path):
 
 def test_plain_verdict_forms_no_tensor_products(monkeypatch):
     calls = []
-    original = TensorSquareAlgebra.mult_sparse
+    original = TensorSquareAlgebra.mult
 
     def counted(self, u, v):
         calls.append(1)
         return original(self, u, v)
 
-    monkeypatch.setattr(TensorSquareAlgebra, "mult_sparse", counted)
+    monkeypatch.setattr(TensorSquareAlgebra, "mult", counted)
     A = matrix_blocks((3, 2, 1))
     F = frobenius_structure(A, A.regular_character())
     data = central_primitive_idempotents(A, F)
@@ -274,7 +274,7 @@ def test_schneider_check_forms_no_product(monkeypatch):
     calls = _recording_multiply(monkeypatch)
     fv = hopf.factorizable_check(Q)
     assert hopf.schneider_check(H, fv, W, RR, I, F).holds
-    # the homomorphism check inside relative_divisibility multiplies
+    # the homomorphism check that schneider_check calls multiplies
     assert calls
     assert not [1 for _, _, code in calls
                 if code is hopf.schneider_check.__code__]
