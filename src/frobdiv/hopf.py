@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
                       VerificationReport, _add_into, _clean, contract_left,
-                      first_non_multiplicative_pair, frobenius_structure,
-                      tensor_dict)
+                      contract_right, first_non_multiplicative_pair,
+                      frobenius_structure, tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis, relative_divisibility,
                           scalar_certificate, verify_symmetric_homomorphism)
@@ -727,16 +727,10 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
     report.record(T.mult(Rinv, Rd) == T.unit, ("R-invertible-left",))
 
     # (eps (x) Id)(R) = 1 = (Id (x) eps)(R)
-    left = A.zero_vec()
-    right = A.zero_vec()
-    for idx, c in Rd.items():
-        i, j = divmod(idx, n)
-        if H.counit[i]:
-            left[j] = left[j] + c * H.counit[i]
-        if H.counit[j]:
-            right[i] = right[i] + c * H.counit[j]
-    report.record(left == A.unit, ("counit-R-left",))
-    report.record(right == A.unit, ("counit-R-right",))
+    report.record(contract_left(field, H.counit, Rd, n) == A.unit,
+                  ("counit-R-left",))
+    report.record(contract_right(field, H.counit, Rd, n) == A.unit,
+                  ("counit-R-right",))
 
     # (Delta (x) Id)(R) = R13 R23 and (Id (x) Delta)(R) = R13 R12
     dR = {}
@@ -757,11 +751,7 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
 
     # tau(Delta h) R = R Delta h for every basis h
     for j in range(n):
-        tau_d = {}
-        for idx, c in H.delta[j].items():
-            a, b2 = divmod(idx, n)
-            _add_into(tau_d, b2 * n + a, c)
-        lhs = T.mult(tau_d, Rd)
+        lhs = T.mult(T.switch(H.delta[j]), Rd)
         rhs = T.mult(Rd, H.delta[j])
         report.record(lhs == rhs, ("intertwining", j))
 
