@@ -5,7 +5,7 @@ and the semisimple Hopf-algebra divisibility theorems."""
 from .algebra import (AlgebraError, DegenerateForm, FrobeniusStructure,
                       NotATraceForm, StructureConstantAlgebra,
                       TensorSquareAlgebra, VerificationReport,
-                      frobenius_structure, regular_character_form)
+                      frobenius_structure)
 from .groups import FiniteGroup, InvalidGroupTable, group_from_table, named_group
 from .hopf import (HopfAlgebraData, HopfError, IntegralData,
                    NonIntegralFusion, NotUnimodular, QuasitriangularData,

@@ -9,17 +9,23 @@ sum_k a_k (c_ik^r - c_ki^r), streamed into the sparse echelon form of
 ``is_central`` compares a x_i with x_i a on the table, and the Gram matrix
 of a form is sum_r lambda_r c_ij^r, eliminated once beside the identity for
 its inverse.  The Casimir element multiplies elements of A (x) A through
-the swap law, on the table of A as well.
+the swap law, on the table of A as well.  Both it and the associativity
+scan run on ``integral_table``: D times the table, for D the lcm of the
+denominators of the constants, an int per rational constant and an
+integral ``Cyc`` per other one, read off with no field arithmetic.
 
 Elements of A are dense vectors; elements of A (x) A (the Casimir element,
 R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero scalar}."""
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .integrality import is_integral_over_Z
 from .linalg import EchelonSubspace, Matrix, SingularMatrix
+from .scalars import Cyc
 
 
 class AlgebraError(Exception):
@@ -94,42 +100,50 @@ class StructureConstantAlgebra:
                     out[k] = out[k] + f * c
         return out
 
+    @functools.cached_property
+    def integral_table(self):
+        """(D, {k: D c_ij^k} for each i, j) without stored zeros, for D the
+        lcm of the denominators of the constants."""
+        D = _common_den(c for row in self.table for cell in row
+                        for c in cell.values())
+        return D, [[{k: _times_den(c, D) for k, c in cell.items() if c}
+                    for cell in row] for row in self.table]
+
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
-        """Associativity and both unit laws, on the sparse table."""
+        """Associativity and both unit laws on the integral table, where
+        both sides of a law scale alike: by D^2, or D times that of 1."""
         report = VerificationReport(True)
         n = self.dim
-        table = self.table
+        D, table = self.integral_table
         for i in range(n):
             row_i = table[i]
             for j in range(n):
-                ij = row_i[j]
-                row_j = table[j]
+                ij = [(table[m], c) for m, c in row_i[j].items()]
                 for k in range(n):
-                    # (x_i x_j) x_k against x_i (x_j x_k)
-                    lhs = {}
-                    for m, c in ij.items():
-                        for r, d in table[m][k].items():
-                            _add_into(lhs, r, c * d)
-                    rhs = {}
-                    for m, c in row_j[k].items():
+                    # (x_i x_j) x_k - x_i (x_j x_k)
+                    diff = {}
+                    for row_m, c in ij:
+                        for r, d in row_m[k].items():
+                            diff[r] = diff.get(r, 0) + c * d
+                    for m, c in table[j][k].items():
                         for r, d in row_i[m].items():
-                            _add_into(rhs, r, c * d)
-                    if _clean(lhs) != _clean(rhs):
+                            diff[r] = diff.get(r, 0) - c * d
+                    if any(diff.values()):
                         report.record(False, ("associativity", i, j, k))
-        unit = _clean(dict(enumerate(self.unit)))
+        den = _common_den(self.unit)
+        unit = [(m, _times_den(u, den)) for m, u in enumerate(self.unit) if u]
         for i in range(n):
-            left = {}
-            right = {}
-            for m, u in unit.items():
+            # 1 x_i - x_i and x_i 1 - x_i, times D den
+            left, right = {i: -D * den}, {i: -D * den}
+            for m, u in unit:
                 for r, d in table[m][i].items():
-                    _add_into(left, r, u * d)
+                    left[r] = left.get(r, 0) + u * d
                 for r, d in table[i][m].items():
-                    _add_into(right, r, u * d)
-            basis = {i: self.field.one}
-            if _clean(left) != basis:
+                    right[r] = right.get(r, 0) + u * d
+            if any(left.values()):
                 report.record(False, ("left-unit", i))
-            if _clean(right) != basis:
+            if any(right.values()):
                 report.record(False, ("right-unit", i))
         return report
 
@@ -250,6 +264,22 @@ def _add_into(out, idx, val):
     out[idx] = val if cur is None else cur + val
 
 
+def _common_den(scalars):
+    """The lcm of the denominators of Rat or Cyc scalars."""
+    return math.lcm(1, *{c.den if isinstance(c, Cyc) else int(c.denominator)
+                         for c in scalars})
+
+
+def _times_den(c, m):
+    """m c for a multiple m of the denominator of the Rat or Cyc c: an int
+    when c is rational and an integral Cyc otherwise."""
+    if not isinstance(c, Cyc):
+        return int(c.numerator) * (m // int(c.denominator))
+    f = m // c.den
+    return (c.nums[0] * f if c.is_rational()
+            else Cyc(c.field, tuple([a * f for a in c.nums])))
+
+
 class TensorSquareAlgebra:
     """A (x) A with the Kronecker basis convention e_i (x) e_j -> i*dim+j;
     its elements are sparse dicts {flat index: nonzero scalar}."""
@@ -358,6 +388,9 @@ class FrobeniusStructure:
         # row r of gram_inv, sparse: the x_r-coefficients of the y_j
         self._dual_coeffs = [[(j, g) for j, g in enumerate(row) if g]
                              for row in self.gram_inv.entries]
+        gamma = _common_den(g for row in self._dual_coeffs for _, g in row)
+        self._integral_dual = gamma, [[(j, _times_den(g, gamma)) for j, g
+                                       in row] for row in self._dual_coeffs]
         # c = sum_j x_j (x) y_j
         self.casimir = {j * n + r: g
                         for r, row in enumerate(self._dual_coeffs)
@@ -402,33 +435,40 @@ class FrobeniusStructure:
         Write z = sum_i x_i (x) w_i.  The swap law c(a (x) 1) = (1 (x) a) c
         gives c z = sum_j x_j (x) w'_j with w'_j = sum_i x_i y_j w_i, that is
         w'_j = sum_r gram_inv[r][j] u_r for u_r = sum_i x_i (x_r w_i).  No
-        product in A (x) A is formed."""
+        product in A (x) A is formed.  The loop runs on z, the table and
+        gram_inv times the common denominators delta, D and gamma of their
+        entries, and each coordinate is divided once, by delta D^2 gamma."""
         A = self.algebra
         n = A.dim
-        table = A.table
-        terms = {}  # i -> nonzero terms (m, c) of w_i
+        D, table = A.integral_table
+        gamma, dual = self._integral_dual
+        delta = _common_den(z.values())
+        terms = {}  # i -> nonzero terms (m, delta c) of w_i
         for idx, c in z.items():
             i, m = divmod(idx, n)
-            terms.setdefault(i, []).append((m, c))
+            terms.setdefault(i, []).append((m, _times_den(c, delta)))
         rows = [(table[i], w) for i, w in terms.items()]
         out = {}
-        for row_r, coeffs in zip(table, self._dual_coeffs):
+        for row_r, coeffs in zip(table, dual):
             u = {}
             for row_i, w in rows:
                 v = {}  # x_r w_i
                 for m, c in w:
                     for k, d in row_r[m].items():
-                        _add_into(v, k, c * d)
+                        v[k] = v.get(k, 0) + c * d
                 for k, b in v.items():
                     if b:
                         for m, d in row_i[k].items():
-                            _add_into(u, m, b * d)
+                            u[m] = u.get(m, 0) + b * d
             u = [(m, c) for m, c in u.items() if c]
             for j, g in coeffs:
                 base = j * n
                 for m, c in u:
-                    _add_into(out, base + m, g * c)
-        return _clean(out)
+                    out[base + m] = out.get(base + m, 0) + g * c
+        den, pad = delta * D * D * gamma, (0,) * (A.field.phi - 1)
+        return {idx: A.field.from_nums(v.nums if isinstance(v, Cyc)
+                                       else (v,) + pad, den)
+                for idx, v in out.items() if v}
 
     def casimir_certificate(self):
         """Integrality certificate of the Casimir element, computed once:
@@ -486,7 +526,3 @@ class FrobeniusStructure:
 
 def frobenius_structure(algebra, lam) -> FrobeniusStructure:
     return FrobeniusStructure(algebra, lam)
-
-
-def regular_character_form(algebra):
-    return algebra.regular_character()

@@ -14,14 +14,13 @@ import argparse
 import sys
 
 from . import hopf as hopf_mod
-from .algebra import (DegenerateForm, NotATraceForm, frobenius_structure,
-                      regular_character_form)
+from .algebra import DegenerateForm, NotATraceForm, frobenius_structure
 from .groups import InvalidGroupTable, group_from_table, named_group
 from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           frobenius_divisibility_verdict)
 from .modular import BadPrime, PrecisionExceeded
 from .report import Report, Section, input_digest
-from .scalars import CyclotomicField, QQ, Rat
+from .scalars import CyclotomicField, QQ
 from .serialize import (SchemaError, algebra_from_json, canonical_dumps,
                         hopf_from_json, hopf_to_json, is_hopf_doc, load_path)
 from .wedderburn import central_primitive_idempotents
@@ -268,7 +267,7 @@ def _analyze_hopf(H, R, args, sections):
 def _select_lambda(algebra, custom, mode):
     field = algebra.field
     if mode == "regular":
-        return regular_character_form(algebra)
+        return algebra.regular_character()
     if mode == "delta-one":
         support = [i for i, c in enumerate(algebra.unit) if bool(c)]
         if len(support) != 1:

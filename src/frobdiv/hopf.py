@@ -18,8 +18,7 @@ from .integrality import (InapplicableHypothesis, relative_divisibility,
                           scalar_certificate, verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix, sparse
 from .scalars import CyclotomicField, QQ, Rat
-from .wedderburn import (WedderburnData, central_primitive_idempotents,
-                         gamma_one_eigenvalue)
+from .wedderburn import WedderburnData, central_primitive_idempotents
 
 
 class HopfError(Exception):

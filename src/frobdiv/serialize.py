@@ -50,15 +50,19 @@ def algebra_from_json(doc):
         field = field_from_descriptor(doc["field"])
     except ValueError as err:
         raise SchemaError(str(err)) from None
+    entries = _list(doc, "structure_constants")
+    unit = _parse_vector(field, doc["unit"], dim, "unit")
+    # x_j = 1 x_j needs some c_ij^k != 0 for each j: dim constants at least
+    _require(dim <= len(entries), f"dim {dim} needs at least {dim} "
+             f"structure constants, the document lists {len(entries)}")
     table = [[{} for _ in range(dim)] for _ in range(dim)]
-    for entry in _list(doc, "structure_constants"):
+    for entry in entries:
         _require(isinstance(entry, list) and len(entry) == 4,
                  f"bad structure-constant entry {entry!r}")
         i, j, k, s = entry
         _require(all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)),
                  f"index out of range in {entry!r}")
         table[i][j][k] = _parse_scalar(field, s)
-    unit = _parse_vector(field, doc["unit"], dim, "unit")
     lam = (_parse_vector(field, doc["lambda"], dim, "lambda")
            if "lambda" in doc else None)
     name = doc.get("name", "")

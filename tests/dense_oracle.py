@@ -449,6 +449,12 @@ def unimodular_matrix(field, n, seed):
     return tri(True) * tri(False)
 
 
+def scalar_matrix(field, n, t):
+    """t times the identity: the change to the basis t x_i."""
+    return Matrix(field, [[t if i == j else field.zero for j in range(n)]
+                          for i in range(n)])
+
+
 def shear_matrix(field, n, entries):
     """The identity with a one added at each (i, j), i < j: determinant 1,
     and only a few basis vectors change."""

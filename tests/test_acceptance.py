@@ -28,7 +28,6 @@ from frobdiv import (
     is_integral_over_Z,
     named_group,
     quasitriangular_verify,
-    regular_character_form,
     representation_ring,
     schneider_check,
     verify_cprid_formula,
@@ -94,7 +93,7 @@ def test_criterion_02_casimir_identity_suite():
                     for _ in range(A.dim)] for _ in range(A.dim)]
             f = Matrix(QQ, ent)
             assert F.trace_via_casimir(f) == matrix_trace(f)
-        chi = regular_character_form(A)
+        chi = A.regular_character()
         g1 = F.gamma_one()
         for i in range(A.dim):
             a = A.basis_vec(i)

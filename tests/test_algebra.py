@@ -11,7 +11,6 @@ from frobdiv import (
     Rat,
     StructureConstantAlgebra,
     frobenius_structure,
-    regular_character_form,
 )
 from frobdiv.algebra import TensorSquareAlgebra, contract_left, contract_right
 
@@ -54,7 +53,7 @@ def test_center_and_commutator_dims():
 
 def test_regular_character_oracle():
     A = group_algebra_plain("S3")
-    chi = regular_character_form(A)
+    chi = A.regular_character()
     assert chi[0] == rq(6)
     assert all(c == QQ.zero for c in chi[1:])
 
@@ -103,7 +102,7 @@ def test_regular_character_via_casimir_trace():
     # <chi_reg, a> = <lambda, Gamma(1) a> for any trace form lambda
     A = group_algebra_plain("S3")
     F = frobenius_structure(A, delta_form(A))
-    chi = regular_character_form(A)
+    chi = A.regular_character()
     g1 = F.gamma_one()
     for i in range(A.dim):
         a = A.basis_vec(i)

@@ -18,8 +18,8 @@ from frobdiv.wedderburn import gamma_one_eigenvalue
 
 from conftest import delta_form, group_algebra_plain, matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
-                          change_basis_hopf, permute_algebra, shear_matrix,
-                          unimodular_matrix)
+                          change_basis_hopf, permute_algebra, scalar_matrix,
+                          shear_matrix, unimodular_matrix)
 
 _HOPF = {}
 
@@ -74,12 +74,25 @@ _STRUCTURES = {}
 
 def structure(name):
     """The Frobenius structures the operator is compared on: over Q,
-    Q(zeta_3) and Q(zeta_4), with 0/1 and with dense structure tables, and
-    with forms whose Gram matrices leave Q."""
+    Q(zeta_3) and Q(zeta_4), with 0/1, with dense and with fractional or
+    irrational structure tables, and with forms whose Gram matrices leave
+    Q."""
     if name not in _STRUCTURES:
         if name == "kS3/Q":
             A = group_algebra_plain("S3")
             lam = delta_form(A)
+        elif name == "kS3/Q halved":
+            A = group_algebra_plain("S3")
+            P = scalar_matrix(QQ, A.dim, Rat(1, 2))
+            A, lam = change_basis_algebra(A, P), P.apply(delta_form(A))
+        elif name == "M3+M2+Q/Q dense custom":
+            A, lam, _ = dense_plain(block_form(PLAIN, CUSTOM_WEIGHTS))
+        elif name == "kC4/Q(zeta4) times (1+i)/2":
+            H, lam = hopf("kC4")
+            field = H.field
+            P = scalar_matrix(field, H.dim, (field.one + field.zeta())
+                              / field.from_rat(2))
+            A, lam = change_basis_algebra(H.algebra, P), P.apply(lam)
         elif name == "M3+M2+Q/Q dense":
             A, lam, _ = dense_plain(matrix_blocks(PLAIN).regular_character())
         elif name == "kS3/Q(zeta3) scaled":
@@ -104,12 +117,27 @@ def structure(name):
     return _STRUCTURES[name]
 
 
-STRUCTURES = ["kS3/Q", "M3+M2+Q/Q dense", "kS3/Q(zeta3) scaled",
+STRUCTURES = ["kS3/Q", "kS3/Q halved", "M3+M2+Q/Q dense",
+              "M3+M2+Q/Q dense custom", "kS3/Q(zeta3) scaled",
               "D(C4)/Q(zeta4)", "D(C4)/Q(zeta4) sheared",
-              "kC4/Q(zeta4) scaled"]
+              "kC4/Q(zeta4) scaled", "kC4/Q(zeta4) times (1+i)/2"]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+def test_structures_cover_common_denominators():
+    # casimir_times scales the table by D and gram_inv by gamma: both are
+    # above 1 on some structures, with rational and irrational constants
+    scales = {}
+    for name in STRUCTURES:
+        F = structure(name)
+        scales[name] = (F.algebra.integral_table[0], F._integral_dual[0])
+    assert scales["kS3/Q halved"][0] == 2
+    assert scales["kC4/Q(zeta4) times (1+i)/2"][0] == 2
+    assert scales["M3+M2+Q/Q dense"][1] == 6
+    assert scales["M3+M2+Q/Q dense custom"][1] > 6
+
+
+# 90 derandomized examples draw every structure at least twice
+@settings(max_examples=90, deadline=None, derandomize=True)
 @given(st.sampled_from(STRUCTURES),
        st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 6),
                           st.integers(-3, 3)), min_size=1, max_size=4))

@@ -230,6 +230,7 @@ def assert_invalid_input(path, *args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("invalid input: ")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    return proc.stderr
 
 
 @pytest.mark.parametrize("name", MALFORMED)
@@ -258,6 +259,20 @@ def test_malformed_hopf_section_exit_2(tmp_path, name):
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps(doc))
     assert_invalid_input(inp)
+
+
+def test_dim_beyond_listed_constants_exit_2(tmp_path):
+    # each basis element needs a structure constant: C2's four cannot
+    # fill a basis of 50, and the document is refused before its table
+    doc = json.loads(build(tmp_path, "--group", "C2").read_text())
+    assert len(doc["structure_constants"]) == 4
+    doc["dim"] = 50
+    doc["unit"] += ["0"] * 48
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(doc))
+    err = assert_invalid_input(inp)
+    assert "dim 50 needs at least 50 structure constants" in err
+    assert "lists 4" in err
 
 
 @pytest.mark.parametrize("conductor", ["0", "-6"])

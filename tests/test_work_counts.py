@@ -5,13 +5,17 @@ of unity computed once per (conductor, prime, exponent), and no product of
 two different idempotents.  In the integrality layer: one Casimir minimal
 polynomial per Frobenius structure, and no product in A (x) A for the
 Casimir powers.  In the Schneider check: no product of its own.  In the
-scalars: no rational operation inside a product or sum in Q(zeta_n).
+scalars: no rational operation inside a product or sum in Q(zeta_n), and
+no operation of Q or Q(zeta_n) in the associativity scan or the Casimir
+operator, which run on the integral table.
 In the lifting: each block is lifted once per component and level,
 however many gluings it is tried in, and not at all when the bound
 allows gluing at p."""
 
 import sys
 from fractions import Fraction
+
+import pytest
 
 import frobdiv.hopf as hopf
 import frobdiv.integrality as integrality
@@ -24,6 +28,7 @@ from frobdiv import (QQ, CyclotomicField, Rat,
 from frobdiv.algebra import (FrobeniusStructure, StructureConstantAlgebra,
                              TensorSquareAlgebra)
 from frobdiv.cli import main
+from frobdiv.scalars import Cyc
 from frobdiv.serialize import canonical_dumps, hopf_to_json
 
 from conftest import matrix_blocks
@@ -300,6 +305,48 @@ def test_cyclotomic_product_makes_no_fraction_operation(monkeypatch):
     assert ops == []
     monkeypatch.undo()
     assert prod != total and prod * b.inv() == a
+
+
+def _counted_field_operations(monkeypatch):
+    """Record every product, sum and difference of two Fractions or two
+    Cycs, reflected ones included."""
+    ops = []
+    for cls in (Fraction, Cyc):
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__",
+                     "__sub__", "__rsub__"):
+            original = getattr(cls, name)
+
+            def counted(x, y, original=original, name=name):
+                ops.append(name)
+                return original(x, y)
+
+            monkeypatch.setattr(cls, name, counted)
+    return ops
+
+
+@pytest.mark.parametrize("name", ["M3+M2+Q dense", "kS3/Q(zeta3)"])
+def test_integral_loops_make_no_field_operation(monkeypatch, name):
+    # the associativity scan and the Casimir operator run on the integral
+    # table, over Q and over Q(zeta_n) alike
+    if name == "kS3/Q(zeta3)":
+        H = group_algebra(named_group("S3"), conductor=3)
+        A, lam = H.algebra, integrals(H).lam
+    else:
+        blocks = matrix_blocks((3, 2, 1))
+        P = unimodular_matrix(QQ, blocks.dim, 0)
+        A = change_basis_algebra(blocks, P)
+        lam = P.transpose().apply(blocks.regular_character())
+    F = frobenius_structure(A, lam)
+    T = TensorSquareAlgebra(A)
+    ops = _counted_field_operations(monkeypatch)
+    one = A.field.one
+    assert one * one == one and one + one != one and ops  # counters work
+    ops.clear()
+    report = A.verify()
+    c = F.casimir_times(T.unit)
+    assert ops == []
+    monkeypatch.undo()
+    assert report.passed and c == F.casimir
 
 
 def _counted_lifts(monkeypatch):
