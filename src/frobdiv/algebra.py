@@ -112,7 +112,7 @@ class StructureConstantAlgebra:
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
         """Associativity and both unit laws on the integral table, where
-        both sides of a law scale alike: by D^2, or D times that of 1."""
+        both sides of a law scale alike: by D^2, or by D den(1)."""
         report = VerificationReport(True)
         n = self.dim
         D, table = self.integral_table
