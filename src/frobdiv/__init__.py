@@ -7,7 +7,7 @@ from .algebra import (AlgebraError, DegenerateForm, FrobeniusStructure,
                       TensorSquareAlgebra, VerificationReport,
                       frobenius_structure)
 from .groups import FiniteGroup, InvalidGroupTable, group_from_table, named_group
-from .hopf import (HopfAlgebraData, HopfError, IntegralData,
+from .hopf import (HopfAlgebraData, HopfAnalysis, HopfError, IntegralData,
                    NonIntegralFusion, NotUnimodular, QuasitriangularData,
                    RepresentationRing, class_equation_check,
                    double_projection, drinfeld_double, dual_algebra,
@@ -23,9 +23,7 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
 from .linalg import Matrix, Poly
 from .modular import BadPrime, PrecisionExceeded, hensel_lift_idempotent
 from .scalars import CyclotomicField, PrimeField, QQ, Rat, cyclotomic_polynomial
-from .wedderburn import (SplitUncertified, WedderburnData,
-                         casimir_square_components,
-                         central_primitive_idempotents, field_roots,
-                         irreducible_characters, verify_cprid_formula)
+from .wedderburn import (WedderburnData, central_primitive_idempotents,
+                         field_roots)
 
 __version__ = "0.1.0"

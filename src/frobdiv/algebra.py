@@ -480,49 +480,6 @@ class FrobeniusStructure:
                 "casimir element")
         return self._casimir_cert
 
-    def trace_via_casimir(self, f: Matrix):
-        """trace(f) = sum_i <lambda, f(x_i) y_i>."""
-        A = self.algebra
-        s = self.field.zero
-        for i in range(A.dim):
-            fx = f.column(i)
-            s = s + self.evaluate(A.multiply(fx, self.dual_basis[i]))
-        return s
-
-    def reconstruct(self, a):
-        """sum_i x_i <lambda, a y_i>, which must reproduce a."""
-        A = self.algebra
-        out = A.zero_vec()
-        for i in range(A.dim):
-            c = self.evaluate(A.multiply(a, self.dual_basis[i]))
-            if c != self.field.zero:
-                out[i] = out[i] + c
-        return out
-
-    def check_casimir_identities(self, check_center_of_square=True):
-        """Switch invariance, the swap law (a(x)1)c = c(1(x)a), and
-        centrality of the Casimir square."""
-        report = VerificationReport(True)
-        A = self.algebra
-        T = TensorSquareAlgebra(A)
-        c = self.casimir
-        report.record(T.switch(c) == c, ("switch-invariance",))
-        for i in range(A.dim):
-            a = A.basis_vec(i)
-            a_1 = tensor_dict(self.field, a, A.unit)
-            one_a = tensor_dict(self.field, A.unit, a)
-            report.record(T.mult(a_1, c) == T.mult(c, one_a),
-                          ("swap-law-left", i))
-            report.record(T.mult(one_a, c) == T.mult(c, a_1),
-                          ("swap-law-right", i))
-        if check_center_of_square:
-            csq = T.mult(c, c)
-            for idx in range(T.dim):
-                basis_elt = {idx: self.field.one}
-                if T.mult(basis_elt, csq) != T.mult(csq, basis_elt):
-                    report.record(False, ("casimir-square-not-central", idx))
-        return report
-
 
 def frobenius_structure(algebra, lam) -> FrobeniusStructure:
     return FrobeniusStructure(algebra, lam)

@@ -171,22 +171,20 @@ def _check_fd_plain(algebra, lam, args, sections):
 
 def _analyze_hopf(H, R, args, sections):
     code = 0
-    I = hopf_mod.integrals(H)
+    S = hopf_mod.HopfAnalysis(H, R, prime=args.prime)
     try:
-        pipe = hopf_mod.frobenius_divisibility_hopf(H, I=I, prime=args.prime)
+        verdict = hopf_mod.frobenius_divisibility_hopf(S)
     except (InapplicableHypothesis, DegenerateForm) as err:
         # every check below reads the split Wedderburn data
         sections.append(Section("frobenius divisibility (FD)",
                                  "inapplicable",
                                  [("dim", str(H.dim)), ("reason", str(err))]))
         return 1
-    data = pipe.data
     if args.check in ("fd", "all"):
-        verdict = pipe.verdict
         sections.append(Section(
             "frobenius divisibility (FD)",
             "pass" if verdict.holds else "fail",
-            [("degrees", " ".join(map(str, data.degrees))),
+            [("degrees", " ".join(map(str, S.wedderburn.degrees))),
              ("dim", str(H.dim)),
              ("Gamma(1)", str(verdict.gamma_one)),
              ("casimir integral",
@@ -195,9 +193,8 @@ def _analyze_hopf(H, R, args, sections):
               " ".join(verdict.casimir_cert.poly_strings()))]))
         if not verdict.holds:
             code = 1
-    RR = None
     if args.check in ("zhu", "all"):
-        entries = hopf_mod.zhu_check(H, data, I, pipe.dual_frobenius.algebra)
+        entries = hopf_mod.zhu_check(S)
         ok = all(e.divides for e in entries if e.central) and \
             all(e.identity_ok for e in entries if e.central)
         items = []
@@ -215,9 +212,7 @@ def _analyze_hopf(H, R, args, sections):
         if not ok:
             code = max(code, 1)
     if args.check in ("class-equation", "all"):
-        RR = hopf_mod.representation_ring(H, data, I, prime=args.prime)
-        ce = hopf_mod.class_equation_check(H, data, I, RR,
-                                           dual_frob=pipe.dual_frobenius)
+        ce = hopf_mod.class_equation_check(S)
         sections.append(Section(
             "class equation",
             "pass" if ce.holds else "fail",
@@ -229,38 +224,30 @@ def _analyze_hopf(H, R, args, sections):
         if R is None:
             if args.check == "schneider":
                 raise SchemaError("schneider check needs an R-matrix")
+        elif not S.quasitriangular.report.passed:
+            sections.append(Section(
+                "schneider divisibility", "fail",
+                [("quasitriangular axioms",
+                  str(S.quasitriangular.report.failures[:3]))]))
+            return 1
+        elif not S.factorizable.factorizable:
+            sections.append(Section(
+                "schneider divisibility", "inapplicable",
+                [("factorizable", "no"),
+                 ("Phi rank", f"{S.factorizable.rank}/{H.dim}")]))
+            code = max(code, 1)
         else:
-            Q = hopf_mod.quasitriangular_verify(H, R)
-            if not Q.report.passed:
-                sections.append(Section(
-                    "schneider divisibility", "fail",
-                    [("quasitriangular axioms",
-                      str(Q.report.failures[:3]))]))
-                return 1
-            fv = hopf_mod.factorizable_check(Q)
-            if not fv.factorizable:
-                sections.append(Section(
-                    "schneider divisibility", "inapplicable",
-                    [("factorizable", "no"),
-                     ("Phi rank", f"{fv.rank}/{fv.dim}")]))
+            sch = hopf_mod.schneider_check(S)
+            sections.append(Section(
+                "schneider divisibility",
+                "pass" if sch.holds else "fail",
+                [("factorizable", "yes"),
+                 ("degree squares", " ".join(map(str, sch.squares))),
+                 ("induced dimensions",
+                  " ".join(map(str, sch.induced_dims))),
+                 ("dim", str(sch.dim))]))
+            if not sch.holds:
                 code = max(code, 1)
-            else:
-                if RR is None:
-                    RR = hopf_mod.representation_ring(H, data, I,
-                                                      prime=args.prime)
-                sch = hopf_mod.schneider_check(H, fv, data, RR, I,
-                                               pipe.frobenius)
-                sections.append(Section(
-                    "schneider divisibility",
-                    "pass" if sch.holds else "fail",
-                    [("factorizable", "yes"),
-                     ("degree squares",
-                      " ".join(map(str, sch.squares))),
-                     ("induced dimensions",
-                      " ".join(map(str, sch.induced_dims))),
-                     ("dim", str(sch.dim))]))
-                if not sch.holds:
-                    code = max(code, 1)
     return code
 
 

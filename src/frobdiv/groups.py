@@ -22,20 +22,6 @@ class FiniteGroup:
     def order(self):
         return len(self.table)
 
-    def conjugacy_classes(self):
-        n = self.order
-        seen = [False] * n
-        classes = []
-        for x in range(n):
-            if seen[x]:
-                continue
-            orbit = sorted({self.table[self.table[g][x]][self.inverse[g]]
-                            for g in range(n)})
-            for y in orbit:
-                seen[y] = True
-            classes.append(orbit)
-        return classes
-
 
 def group_from_table(table, name="group") -> FiniteGroup:
     n = len(table)

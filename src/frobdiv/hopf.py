@@ -1,6 +1,13 @@
 """Hopf-algebra layer: axioms, integrals, the Hopf Casimir element, duals,
 constructors (group algebra, dual, Drinfeld double), representation ring,
-and the theorem checkers (divisibility, Zhu, class equation, factorizable).
+and the theorem checkers (divisibility, Zhu, class equation, factorizability
+and Schneider).
+
+A ``HopfAnalysis`` session holds the artefacts the checkers share: the
+integrals, the Frobenius structures of (H, lambda) and (H*, Lambda0), the
+Wedderburn split, the representation ring with its delta form and the
+quasitriangular data.  Each is built on first use and kept, so one session
+builds each once; the checkers take the session as their one argument.
 
 Every element of H (x) H is a sparse dict mapping the flat index
 i*dim + k of e_i (x) e_k to its nonzero coefficient: ``delta[j]`` =
@@ -9,13 +16,17 @@ Delta(x_j), the Casimir element, the R-matrix and b = tau(R) R.
 
 from __future__ import annotations
 
+import functools
+
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
                       VerificationReport, _add_into, _clean, contract_left,
                       contract_right, first_non_multiplicative_pair,
                       frobenius_structure, tensor_dict)
 from .groups import FiniteGroup
-from .integrality import (InapplicableHypothesis, relative_divisibility,
-                          scalar_certificate, verify_symmetric_homomorphism)
+from .integrality import (InapplicableHypothesis,
+                          frobenius_divisibility_verdict,
+                          relative_divisibility, scalar_certificate,
+                          verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix, sparse
 from .scalars import CyclotomicField, QQ, Rat
 from .wedderburn import WedderburnData, central_primitive_idempotents
@@ -249,23 +260,75 @@ def _left_integral_conditions(H):
 
 
 # ---------------------------------------------------------------------------
+# analysis session
+# ---------------------------------------------------------------------------
+
+
+class HopfAnalysis:
+    """One analysis of a Hopf algebra H that has passed ``verify_hopf``,
+    with its R-matrix R (a sparse dict on H (x) H) when it has one.
+
+    Each artefact below is built on first read and kept; assigning to one
+    replaces it, which is how the tests inject a corrupted artefact.
+    ``prime`` is the prime of the Wedderburn splits of H and of its
+    representation ring."""
+
+    def __init__(self, H: HopfAlgebraData, R=None, prime=None):
+        self.H = H
+        self.R = R
+        self.prime = prime
+
+    @functools.cached_property
+    def integrals(self) -> IntegralData:
+        return integrals(self.H)
+
+    @functools.cached_property
+    def frobenius(self):
+        """The Frobenius structure of (H, lambda)."""
+        return frobenius_structure(self.H.algebra, self.integrals.lam)
+
+    @functools.cached_property
+    def dual_frobenius(self):
+        """The Frobenius structure of (H*, Lambda0); its algebra is H*."""
+        return frobenius_structure(dual_algebra(self.H),
+                                   self.integrals.Lambda0)
+
+    @functools.cached_property
+    def wedderburn(self) -> WedderburnData:
+        return central_primitive_idempotents(self.H.algebra, self.frobenius,
+                                             prime=self.prime)
+
+    @functools.cached_property
+    def ring(self) -> RepresentationRing:
+        return representation_ring(self)
+
+    @functools.cached_property
+    def quasitriangular(self) -> QuasitriangularData:
+        return quasitriangular_verify(self.H, self.R)
+
+    @functools.cached_property
+    def factorizable(self) -> FactorizableVerdict:
+        return factorizable_check(self.quasitriangular)
+
+
+# ---------------------------------------------------------------------------
 # Hopf Casimir element
 # ---------------------------------------------------------------------------
 
 
-def hopf_casimir(H: HopfAlgebraData, I: IntegralData, frob=None,
-                 dual_frob=None):
+def hopf_casimir(session: HopfAnalysis):
     """The Casimir element of (H, lambda) from the integral, in all four
     antipode placements, cross-checked against the dual-basis construction;
     also asserts Gamma^lambda(1) = dim 1 and Gamma^Lambda(eps) = eps, the
-    latter as Gamma^Lambda0(eps) = dim eps, since Lambda0 = Lambda / dim.
-
-    ``frob`` is the Frobenius structure of (H, lambda) and ``dual_frob``
-    that of (H*, Lambda0); each is built here when not given."""
+    latter as Gamma^Lambda0(eps) = dim eps, since Lambda0 = Lambda / dim."""
+    H = session.H
     A = H.algebra
     field = H.field
     n = H.dim
-    dL = H.delta_of(I.Lambda)
+    # both structures first: a degenerate form is reported before the
+    # Casimir expressions are compared
+    frob, dual_frob = session.frobenius, session.dual_frobenius
+    dL = H.delta_of(session.integrals.Lambda)
     S = H.antipode
 
     def build(first_antipode, swap):
@@ -287,16 +350,12 @@ def hopf_casimir(H: HopfAlgebraData, I: IntegralData, frob=None,
     if not (c1 == c2 == c3 == c4):
         raise HopfError("four Casimir expressions disagree")
 
-    if frob is None:
-        frob = frobenius_structure(A, I.lam)
     if frob.casimir != c1:
         raise HopfError("integral Casimir differs from the dual-basis one")
     dim_scalar = field.from_rat(Rat(n))
     if frob.gamma_one() != [dim_scalar * u for u in A.unit]:
         raise HopfError("Gamma^lambda(1) != dim H")
 
-    if dual_frob is None:
-        dual_frob = frobenius_structure(dual_algebra(H), I.Lambda0)
     if dual_frob.gamma_one() != [dim_scalar * e for e in H.counit]:
         raise HopfError("Gamma^Lambda(eps) != 1")
     return c1
@@ -478,9 +537,8 @@ class RepresentationRing:
         self.wedderburn = wedderburn
 
 
-def representation_ring(H: HopfAlgebraData, W: WedderburnData,
-                        I: IntegralData, prime=None,
-                        seed=0) -> RepresentationRing:
+def representation_ring(session: HopfAnalysis) -> RepresentationRing:
+    H, W = session.H, session.wedderburn
     field = H.field
     n = H.dim
     r = W.num_blocks
@@ -538,7 +596,7 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
     delta_form = []
     for s in range(r):
         val = field.zero
-        for c, l0 in zip(chars[s], I.Lambda0):
+        for c, l0 in zip(chars[s], session.integrals.Lambda0):
             val = val + c * l0
         if not field.is_rational(val):
             raise NonIntegralFusion("delta form value not rational")
@@ -552,15 +610,16 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
                                 "character")
 
     dual_index = []
+    st = H.antipode.transpose()
     for s in range(r):
-        twisted = H.antipode.transpose().apply(chars[s])
+        twisted = st.apply(chars[s])
         match = [t for t in range(r) if list(chars[t]) == twisted]
         if len(match) != 1:
             raise HopfError(f"chi_{s} o S is not an irreducible character")
         dual_index.append(match[0])
     frob_R = frobenius_structure(ring, delta_form)
-    data_R = central_primitive_idempotents(ring, frob_R, prime=prime,
-                                           seed=seed)
+    data_R = central_primitive_idempotents(ring, frob_R,
+                                           prime=session.prime)
     return RepresentationRing(ring, fusion, delta_form, chi_matrix,
                               dual_index, frob_R, data_R)
 
@@ -570,38 +629,15 @@ def representation_ring(H: HopfAlgebraData, W: WedderburnData,
 # ---------------------------------------------------------------------------
 
 
-class HopfDivisibilityReport:
-    """The pipeline's verdict with the artefacts the other checks reuse:
-    the Wedderburn data, the integrals, the Frobenius structure of
-    (H, lambda) and that of (H*, Lambda0), whose algebra is H*."""
-
-    def __init__(self, data, integral_data, verdict, frobenius,
-                 dual_frobenius):
-        self.data = data
-        self.integral_data = integral_data
-        self.verdict = verdict
-        self.frobenius = frobenius
-        self.dual_frobenius = dual_frobenius
-
-
-def frobenius_divisibility_hopf(H: HopfAlgebraData, data=None, I=None,
-                                prime=None, seed=0):
-    """Full pipeline: integrals, Hopf Casimir (with all cross-checks),
-    Wedderburn data, then the divisibility verdict for lambda.
+def frobenius_divisibility_hopf(session: HopfAnalysis):
+    """The FD pipeline: the Hopf Casimir element with all its cross-checks,
+    then the divisibility verdict for lambda on the Wedderburn split.
 
     H must already have passed ``verify_hopf``; like the other checkers,
     this does not check the axioms again."""
-    from .integrality import frobenius_divisibility_verdict
-    if I is None:
-        I = integrals(H)
-    frob = frobenius_structure(H.algebra, I.lam)
-    dual_frob = frobenius_structure(dual_algebra(H), I.Lambda0)
-    hopf_casimir(H, I, frob, dual_frob)
-    if data is None:
-        data = central_primitive_idempotents(H.algebra, frob, prime=prime,
-                                             seed=seed)
-    verdict = frobenius_divisibility_verdict(H.algebra, frob, data)
-    return HopfDivisibilityReport(data, I, verdict, frob, dual_frob)
+    hopf_casimir(session)
+    return frobenius_divisibility_verdict(
+        session.H.algebra, session.frobenius, session.wedderburn)
 
 
 class ZhuEntry:
@@ -615,16 +651,15 @@ class ZhuEntry:
         self.divides = divides
 
 
-def zhu_check(H: HopfAlgebraData, W: WedderburnData, I: IntegralData,
-              dual=None):
+def zhu_check(session: HopfAnalysis):
     """Per-irreducible check: when chi_S is central in H*, the element
     Lambda <- chi_{S*} equals e(S) dim H / d(S), has integral coefficients,
-    and d(S) | dim H follows.  ``dual`` is H*, built when not given."""
+    and d(S) | dim H follows."""
+    H, W = session.H, session.wedderburn
     field = H.field
     n = H.dim
-    if dual is None:
-        dual = dual_algebra(H)
-    dL = H.delta_of(I.Lambda)
+    dual = session.dual_frobenius.algebra
+    dL = H.delta_of(session.integrals.Lambda)
     st = H.antipode.transpose()
     out = []
     for s in range(W.num_blocks):
@@ -663,26 +698,19 @@ class ClassEquationReport:
             self.dim % m == 0 for m in self.induced_dims)
 
 
-def class_equation_check(H: HopfAlgebraData, W: WedderburnData,
-                         I: IntegralData,
-                         RR: RepresentationRing | None = None,
-                         prime=None, seed=0, dual_frob=None):
+def class_equation_check(session: HopfAnalysis):
     """dim Ind from R_k(H) to H* divides dim H, for every irreducible of
     the representation ring; cross-checked through relative_divisibility
     along the character map, with Frobenius forms delta and Lambda0.
     ``representation_ring`` has proven that the character map is a
-    homomorphism of these symmetric algebras.  ``RR`` and the Frobenius
-    structure ``dual_frob`` of (H*, Lambda0) are built when not given."""
-    if RR is None:
-        RR = representation_ring(H, W, I, prime=prime, seed=seed)
-    if dual_frob is None:
-        dual_frob = frobenius_structure(dual_algebra(H), I.Lambda0)
+    homomorphism of these symmetric algebras."""
+    RR, dual_frob = session.ring, session.dual_frobenius
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn,
                                 dual_frob.algebra, dual_frob, RR.chi_matrix)
     integral = [c.integral for c in rep.certificates]
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
-    return ClassEquationReport(rep.induced_dims, integral, H.dim)
+    return ClassEquationReport(rep.induced_dims, integral, session.H.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -830,26 +858,24 @@ class SchneiderReport:
                 and all(self.scalars_integral))
 
 
-def schneider_check(H: HopfAlgebraData, verdict: FactorizableVerdict,
-                    W: WedderburnData, RR: RepresentationRing,
-                    I: IntegralData, frob=None):
+def schneider_check(session: HopfAnalysis):
     """For a factorizable H: Psi = Phi o chi embeds R_k(H) into Z(H),
     Phi(lambda) = Lambda0, and dim Ind of each irreducible of R equals
-    d(S)^2, whence (dim S)^2 | dim H.  ``verdict`` is the
-    ``factorizable_check`` of H's quasitriangular data, whose Phi is used;
-    ``frob`` is the Frobenius structure of (H, lambda), built when not
-    given.
+    d(S)^2, whence (dim S)^2 | dim H.  Phi is that of the session's
+    ``factorizable`` verdict.
 
     That Psi is a homomorphism of symmetric algebras (R, delta) ->
     (H, lambda) (unit, products, lambda o Psi = delta) is checked once, by
     ``verify_symmetric_homomorphism``, which raises
     NotASymmetricHomomorphism before any report is built; this function
     forms no product itself."""
+    H, verdict = session.H, session.factorizable
     A = H.algebra
     field = H.field
     n = H.dim
     if not verdict.factorizable:
         raise InapplicableHypothesis("Hopf algebra is not factorizable")
+    RR, I = session.ring, session.integrals
     phi = verdict.phi_matrix
     psi = phi * RR.chi_matrix
     r = RR.ring.dim
@@ -861,14 +887,13 @@ def schneider_check(H: HopfAlgebraData, verdict: FactorizableVerdict,
                                  and all(A.is_central(b) for b in im.basis))
     checks["phi-lambda-is-Lambda0"] = phi.apply(lam) == list(I.Lambda0)
 
-    if frob is None:
-        frob = frobenius_structure(A, lam)
+    frob = session.frobenius
     verify_symmetric_homomorphism(RR.ring, RR.frobenius.lam, A, frob.lam,
                                   psi)
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, A,
                                 frob, psi)
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
-    squares = sorted(d * d for d in W.degrees)
+    squares = sorted(d * d for d in session.wedderburn.degrees)
     return SchneiderReport(checks, sorted(rep.induced_dims), squares,
                            [c.integral for c in rep.certificates], n)

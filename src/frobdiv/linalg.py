@@ -294,9 +294,6 @@ class EchelonSubspace:
             return None
         return [vec[p] for p in self.pivots]
 
-    def contains(self, vec):
-        return not self.reduce(sparse(vec))
-
 
 def _subtract(v, f, row):
     """v -= f * row for sparse rows, in place, dropping the entries that

@@ -17,6 +17,7 @@ Hopf input extends this with "comultiplication" (triples
 from __future__ import annotations
 
 import json
+import math
 
 from .algebra import StructureConstantAlgebra
 from .linalg import Matrix
@@ -32,6 +33,12 @@ def _require(cond, msg):
         raise SchemaError(msg)
 
 
+def _index(x, bound):
+    """Whether x is an integer in range(bound).  JSON true and false load
+    as bools, which Python counts as ints; they are refused."""
+    return type(x) is int and 0 <= x < bound
+
+
 def _list(doc, key):
     """The section ``key`` of the document, which must be a JSON list."""
     raw = doc[key]
@@ -45,7 +52,7 @@ def algebra_from_json(doc):
     for key in ("dim", "field", "structure_constants", "unit"):
         _require(key in doc, f"missing key {key!r}")
     dim = doc["dim"]
-    _require(isinstance(dim, int) and dim > 0, "dim must be a positive int")
+    _require(_index(dim, math.inf) and dim > 0, "dim must be a positive int")
     try:
         field = field_from_descriptor(doc["field"])
     except ValueError as err:
@@ -60,7 +67,7 @@ def algebra_from_json(doc):
         _require(isinstance(entry, list) and len(entry) == 4,
                  f"bad structure-constant entry {entry!r}")
         i, j, k, s = entry
-        _require(all(isinstance(x, int) and 0 <= x < dim for x in (i, j, k)),
+        _require(all(_index(x, dim) for x in (i, j, k)),
                  f"index out of range in {entry!r}")
         table[i][j][k] = _parse_scalar(field, s)
     lam = (_parse_vector(field, doc["lambda"], dim, "lambda")
@@ -119,8 +126,7 @@ def hopf_from_json(doc):
         _require(isinstance(entry, list) and len(entry) == 3,
                  f"bad comultiplication entry {entry!r}")
         flat, j, s = entry
-        _require(isinstance(flat, int) and 0 <= flat < n * n
-                 and isinstance(j, int) and 0 <= j < n,
+        _require(_index(flat, n * n) and _index(j, n),
                  f"index out of range in {entry!r}")
         delta[j][flat] = _parse_scalar(field, s)
     counit = _parse_vector(field, doc["counit"], n, "counit")
@@ -129,7 +135,7 @@ def hopf_from_json(doc):
         _require(isinstance(entry, list) and len(entry) == 3,
                  f"bad antipode entry {entry!r}")
         i, j, s = entry
-        _require(all(isinstance(x, int) and 0 <= x < n for x in (i, j)),
+        _require(_index(i, n) and _index(j, n),
                  f"index out of range in {entry!r}")
         cols[j][i] = _parse_scalar(field, s)
     antipode = Matrix.from_columns(field, cols)
@@ -141,7 +147,7 @@ def hopf_from_json(doc):
             _require(isinstance(entry, list) and len(entry) == 2,
                      f"bad R entry {entry!r}")
             flat, s = entry
-            _require(isinstance(flat, int) and 0 <= flat < n * n,
+            _require(_index(flat, n * n),
                      f"index out of range in {entry!r}")
             R[flat] = _parse_scalar(field, s)
     return H, lam, R

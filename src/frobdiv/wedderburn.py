@@ -29,8 +29,7 @@ import itertools
 import math
 import random
 
-from .algebra import (_add_into, _clean, contract_left, contract_right,
-                      frobenius_structure)
+from .algebra import frobenius_structure
 from .linalg import EchelonSubspace, Matrix, Poly, sparse
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
                       _int_poly_eval, component_roots,
@@ -44,10 +43,6 @@ FALLBACK_PRIMES = 3
 # The idempotent filter's prime lies above this bound, so that it rarely
 # divides a denominator of a spurious candidate.
 CHECK_PRIME_LOWER = 1 << 20
-
-
-class SplitUncertified(Exception):
-    """Central data verified but no split certificate could be produced."""
 
 
 class WedderburnData:
@@ -366,26 +361,6 @@ def _multiple(form, chi):
     return None
 
 
-def irreducible_characters(algebra, data: WedderburnData | None = None,
-                           **kwargs):
-    """Characters in canonical order; verifies chi_S(1) = d(S) and
-    chi_S(e(T)) = delta_{S,T} d(S) on split-certified blocks."""
-    if data is None:
-        data = central_primitive_idempotents(algebra, **kwargs)
-    field = algebra.field
-    for s, chi in enumerate(data.characters):
-        if not data.split_certified[s]:
-            continue
-        d = field.from_rat(Rat(data.degrees[s]))
-        if algebra.apply_form(chi, algebra.unit) != d:
-            raise SplitUncertified(f"chi_{s}(1) != d({s})")
-        for t, e in enumerate(data.idempotents):
-            want = d if t == s else field.zero
-            if algebra.apply_form(chi, e) != want:
-                raise SplitUncertified(f"chi_{s}(e({t})) wrong")
-    return data.characters
-
-
 # ---------------------------------------------------------------------------
 # split certification
 # ---------------------------------------------------------------------------
@@ -530,85 +505,3 @@ def gamma_one_eigenvalue(frobenius, data: WedderburnData, s: int):
     val = algebra.apply_form(frobenius.gamma_one(), data.characters[s])
     return val / algebra.field.from_rat(Rat(data.degrees[s]
                                              * data.center_dims[s]))
-
-
-def verify_cprid_formula(frobenius, data: WedderburnData):
-    """Gamma(1) e(S) = d(S) (chi_S (x) Id)(c) for every block, checked in
-    both contraction orders.  Returns a list of booleans, one per block."""
-    algebra = data.algebra
-    field = algebra.field
-    n = algebra.dim
-    g1 = frobenius.gamma_one()
-    cas = frobenius.casimir
-    out = []
-    for s, e in enumerate(data.idempotents):
-        lhs = algebra.multiply(g1, e)
-        chi = data.characters[s]
-        left = contract_left(field, chi, cas, n)
-        right = contract_right(field, chi, cas, n)
-        d = field.from_rat(Rat(data.degrees[s]))
-        out.append(lhs == [d * v for v in left]
-                   and lhs == [d * v for v in right])
-    return out
-
-
-def casimir_square_components(frobenius, data: WedderburnData,
-                              check=True):
-    """Block components of c and c^2 as scalars.
-
-    Returns (c_components, csq_components): matrices indexed by block pairs,
-    with entry (S, T) = (chi_S (x) chi_T)((e_S (x) e_T) z) / (d_S d_T) for
-    z = c and z = c^2.  Since e_S is a central idempotent and
-    chi_S(a) = chi_S(a e_S), that is (chi_S (x) chi_T)(z) / (d_S d_T): no
-    product in A (x) A is formed.
-
-    With check=True also asserts the off-diagonal vanishing of c, the
-    diagonal formula d(S)^2 (c^2)_{S,S} = Gamma(1)_S^2, and the element
-    identity c^2 = (Gamma (x) Id)(c) in A (x) A.
-    """
-    algebra = data.algebra
-    field = algebra.field
-    n = algebra.dim
-    from .algebra import AlgebraError
-    c = frobenius.casimir
-    csq = frobenius.casimir_times(c)
-
-    def component(z, s, t):
-        chi_s, chi_t = data.characters[s], data.characters[t]
-        val = field.zero
-        for idx, zij in z.items():
-            i, j = divmod(idx, n)
-            if bool(chi_s[i]) and bool(chi_t[j]):
-                val = val + chi_s[i] * chi_t[j] * zij
-        denom = field.from_rat(Rat(data.degrees[s] * data.degrees[t]))
-        return val / denom
-
-    r = data.num_blocks
-    c_mat = [[component(c, s, t) for t in range(r)] for s in range(r)]
-    csq_mat = [[component(csq, s, t) for t in range(r)] for s in range(r)]
-    if check:
-        for s in range(r):
-            for t in range(r):
-                if s != t and bool(c_mat[s][t]):
-                    raise AlgebraError(f"casimir has off-diagonal component "
-                                       f"({s},{t})")
-            d2 = field.from_rat(Rat(data.degrees[s] ** 2))
-            g = gamma_one_eigenvalue(frobenius, data, s)
-            if d2 * csq_mat[s][s] != g * g:
-                raise AlgebraError(f"casimir square diagonal fails at "
-                                   f"block {s}")
-        # c^2 = (Gamma (x) Id)(c) as an element identity
-        rows = {}  # i -> terms (j, c_ij) of c
-        for idx, x in c.items():
-            i, j = divmod(idx, n)
-            rows.setdefault(i, []).append((j, x))
-        gamma_c = {}
-        for i, terms in rows.items():
-            gi = frobenius.casimir_trace(algebra.basis_vec(i))
-            for rr, g in enumerate(gi):
-                if bool(g):
-                    for j, x in terms:
-                        _add_into(gamma_c, rr * n + j, g * x)
-        if _clean(gamma_c) != csq:
-            raise AlgebraError("c^2 != (Gamma (x) Id)(c)")
-    return c_mat, csq_mat

@@ -11,6 +11,7 @@ import pytest
 
 from frobdiv import (
     DegenerateForm,
+    HopfAnalysis,
     InapplicableHypothesis,
     Matrix,
     QQ,
@@ -24,20 +25,19 @@ from frobdiv import (
     frobenius_divisibility_verdict,
     frobenius_structure,
     group_algebra,
-    integrals,
     is_integral_over_Z,
     named_group,
     quasitriangular_verify,
-    representation_ring,
     schneider_check,
-    verify_cprid_formula,
     zhu_check,
 )
 from frobdiv.algebra import StructureConstantAlgebra
-from frobdiv.wedderburn import casimir_square_components
 
 from conftest import delta_form, group_algebra_plain, matrix_algebra_2x2
 from dense_oracle import matrix_trace
+from identity_oracle import (casimir_square_components,
+                             check_casimir_identities, reconstruct,
+                             trace_via_casimir, verify_cprid_formula)
 
 GROUPS = ("C2", "C6", "S3", "D4", "Q8", "A4")
 EXPECTED_DEGREES = {
@@ -46,13 +46,9 @@ EXPECTED_DEGREES = {
 }
 
 
-def _hopf_setup(name):
+def _session(name):
     G = named_group(name)
-    H = group_algebra(G, conductor=G.exponent)
-    I = integrals(H)
-    frob = frobenius_structure(H.algebra, I.lam)
-    data = central_primitive_idempotents(H.algebra, frob)
-    return H, I, frob, data
+    return HopfAnalysis(group_algebra(G, conductor=G.exponent))
 
 
 def ok(num, text):
@@ -62,7 +58,8 @@ def ok(num, text):
 def test_criterion_01_group_algebra_divisibility():
     for name in GROUPS:
         t0 = time.monotonic()
-        H, I, frob, data = _hopf_setup(name)
+        S = _session(name)
+        H, frob, data = S.H, S.frobenius, S.wedderburn
         order = H.dim
         assert sorted(data.degrees) == EXPECTED_DEGREES[name]
         assert all(order % d == 0 for d in data.degrees)
@@ -87,18 +84,18 @@ def test_criterion_02_casimir_identity_suite():
     ]
     for A, lam in fixtures:
         F = frobenius_structure(A, lam if lam else delta_form(A))
-        assert F.check_casimir_identities().passed
+        assert check_casimir_identities(F).passed
         for _ in range(50):
             ent = [[QQ.from_rat(Rat(rng.randint(-9, 9)))
                     for _ in range(A.dim)] for _ in range(A.dim)]
             f = Matrix(QQ, ent)
-            assert F.trace_via_casimir(f) == matrix_trace(f)
+            assert trace_via_casimir(F, f) == matrix_trace(f)
         chi = A.regular_character()
         g1 = F.gamma_one()
         for i in range(A.dim):
             a = A.basis_vec(i)
             assert A.apply_form(chi, a) == F.evaluate(A.multiply(g1, a))
-            assert F.reconstruct(a) == a
+            assert reconstruct(F, a) == a
     ok(2, "Casimir identities, trace formula, regular character, "
           "reconstruction")
 
@@ -121,9 +118,10 @@ def test_criterion_03_central_primitive_idempotents():
 
 
 def test_criterion_04_casimir_square_components():
-    H, I, frob, data = _hopf_setup("S3")
+    S = _session("S3")
+    H, frob, data = S.H, S.frobenius, S.wedderburn
     # off-diagonal vanishing and the element identity are asserted inside
-    c_mat, csq_mat = casimir_square_components(frob, data, check=True)
+    c_mat, csq_mat = casimir_square_components(frob, data)
     K = H.field
     diag = sorted(K.as_rat(csq_mat[s][s]) for s in range(3))
     assert diag == [Rat(9), Rat(36), Rat(36)]
@@ -136,46 +134,41 @@ def test_criterion_04_casimir_square_components():
 def test_criterion_05_hopf_integrals_and_casimir():
     from frobdiv import hopf_casimir
     for name in GROUPS:
-        H, I, frob, data = _hopf_setup(name)
+        S = _session(name)
+        H, I = S.H, S.integrals
         one = H.field.one
         assert I.Lambda == [one] * H.dim
         assert I.lam == [one] + [H.field.zero] * (H.dim - 1)
         # four-way equality, dual-basis agreement, Gamma^lambda(1) = dim,
         # Gamma^Lambda(eps) = 1 are all asserted inside
-        hopf_casimir(H, I)
+        hopf_casimir(S)
     for H in (dual_hopf(group_algebra(named_group("S3"))),
               drinfeld_double(named_group("C2"))[0]):
-        hopf_casimir(H, integrals(H))
+        hopf_casimir(HopfAnalysis(H))
     ok(5, "integrals and the four-way Casimir identity on every Hopf "
           "instance")
 
 
 def test_criterion_06_class_equation():
     t0 = time.monotonic()
-    H, I, frob, data = _hopf_setup("S3")
-    rep = class_equation_check(H, data, I)
+    rep = class_equation_check(_session("S3"))
     assert sorted(rep.induced_dims) == [1, 2, 3]
     assert rep.holds
     assert time.monotonic() - t0 < 30.0
     for build in ("D4", "Q8"):
         t0 = time.monotonic()
-        H, I, frob, data = _hopf_setup(build)
-        assert class_equation_check(H, data, I).holds
+        assert class_equation_check(_session(build)).holds
         assert time.monotonic() - t0 < 30.0
     t0 = time.monotonic()
     Hd = dual_hopf(group_algebra(named_group("S3")))
-    Id = integrals(Hd)
-    fd = frobenius_structure(Hd.algebra, Id.lam)
-    dd = central_primitive_idempotents(Hd.algebra, fd)
-    assert class_equation_check(Hd, dd, Id).holds
+    assert class_equation_check(HopfAnalysis(Hd)).holds
     assert time.monotonic() - t0 < 30.0
     ok(6, "class equation for kS3 {1,2,3}, kD4, kQ8 and (kS3)*")
 
 
 def test_criterion_07_zhu():
     for name in GROUPS:
-        H, I, frob, data = _hopf_setup(name)
-        entries = zhu_check(H, data, I)
+        entries = zhu_check(_session(name))
         for e in entries:
             assert e.central
             assert e.identity_ok  # e(S) dim/d = Lambda <- chi_{S*}
@@ -188,16 +181,15 @@ def test_criterion_08_schneider():
     G = named_group("S3")
     H, Q = drinfeld_double(G)
     assert Q.report.passed
-    I = integrals(H)
-    frob = frobenius_structure(H.algebra, I.lam)
-    data = central_primitive_idempotents(H.algebra, frob)
+    S = HopfAnalysis(H, Q.R)
+    S.quasitriangular = Q
+    data = S.wedderburn
     assert sorted(data.degrees) == [1, 1, 2, 2, 2, 2, 3, 3]
     assert sum(d * d for d in data.degrees) == 36
     assert all(36 % (d * d) == 0 for d in data.degrees)
-    fv = factorizable_check(Q)
+    fv = S.factorizable
     assert fv.factorizable and fv.rank == 36
-    RR = representation_ring(H, data, I)
-    sch = schneider_check(H, fv, data, RR, I)
+    sch = schneider_check(S)
     assert all(sch.psi_checks.values())
     assert sch.holds
     assert time.monotonic() - t0 < 300.0

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from frobdiv.cli import main
+from frobdiv.cli import CHECKS, main
 from frobdiv.scalars import rat
 from frobdiv.serialize import algebra_to_json, canonical_dumps
 
@@ -172,9 +172,11 @@ def test_corrupted_hopf_input_exit_2(tmp_path):
 
 def test_non_split_hopf_inapplicable_exit_1(tmp_path):
     # over Q the degree-2 block of kQ8 is the quaternions, not M_2(Q)
+    # the FD pipeline runs first whatever the check, and every other
+    # section reads its split
     inp = build(tmp_path, "--group", "Q8", "--conductor", "1")
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    for check in ("fd", "all"):
+    for check in CHECKS:
         proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "analyze",
                                str(inp), "--check", check, "--format",
                                "json"], capture_output=True, text=True,
@@ -188,23 +190,46 @@ def test_non_split_hopf_inapplicable_exit_1(tmp_path):
         assert ["reason", "non-split component present"] in fd["items"]
 
 
+# per check: Frobenius structures, Wedderburn splits, representation rings
+# and quasitriangular checks (quasitriangular_verify, factorizable_check)
+BUILDS = {"fd": (2, 1, 0, 0), "zhu": (2, 1, 0, 0),
+          "class-equation": (3, 2, 1, 0), "schneider": (3, 2, 1, 1),
+          "all": (3, 2, 1, 1)}
+
+
+@pytest.mark.parametrize("check", CHECKS)
 def test_hopf_analysis_builds_each_frobenius_structure_once(tmp_path,
-                                                            monkeypatch):
+                                                            monkeypatch,
+                                                            check):
     import frobdiv.hopf as hopf_mod
-    built = []
-    original = hopf_mod.frobenius_structure
-
-    def counted(algebra, lam):
-        built.append((algebra.name, tuple(map(str, lam))))
-        return original(algebra, lam)
-
-    monkeypatch.setattr(hopf_mod, "frobenius_structure", counted)
     inp = build(tmp_path, "--group", "C2", "--as", "double")
-    code = main(["analyze", str(inp), "--check", "all",
+    calls = {}
+    for name in ("frobenius_structure", "central_primitive_idempotents",
+                 "representation_ring", "quasitriangular_verify",
+                 "factorizable_check", "integrals", "hopf_casimir",
+                 "dual_algebra"):
+        calls[name] = []
+
+        def counted(*args, original=getattr(hopf_mod, name), name=name,
+                    **kwargs):
+            calls[name].append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hopf_mod, name, counted)
+    code = main(["analyze", str(inp), "--check", check,
                  "--out", str(tmp_path / "o.txt")])
     assert code == 0
-    # (H, lambda), (H*, Lambda0) and (R(H), delta)
-    assert len(built) == len(set(built)) == 3
+    structures, splits, rings, quasitriangular = BUILDS[check]
+    # (H, lambda), (H*, Lambda0) and, for the ring, (R(H), delta)
+    built = [(A.name, tuple(map(str, lam)))
+             for A, lam in calls["frobenius_structure"]]
+    assert len(built) == len(set(built)) == structures
+    assert len(calls["central_primitive_idempotents"]) == splits
+    assert len(calls["representation_ring"]) == rings
+    assert len(calls["quasitriangular_verify"]) == quasitriangular
+    assert len(calls["factorizable_check"]) == quasitriangular
+    for name in ("integrals", "hopf_casimir", "dual_algebra"):
+        assert len(calls[name]) == 1, name
 
 
 def test_missing_file_exit_2(tmp_path, capsys):
@@ -217,6 +242,11 @@ MALFORMED = {
     "field-as-string": {"field": "rational"},
     "structure-constants-not-a-list": {"structure_constants": {"0": 1}},
     "name-not-a-string": {"name": 5},
+    # JSON true and false are not indices, although Python counts them as
+    # ints: each document below would otherwise read as a valid kC1
+    "dim-true": {"dim": True},
+    "structure-constant-index-false": {
+        "structure_constants": [[False, False, False, "1"]]},
 }
 
 
@@ -243,11 +273,22 @@ def test_malformed_document_exit_2(tmp_path, name):
     assert_invalid_input(inp)
 
 
+def as_booleans(section):
+    """The entries of a section with each index 0 or 1 written as JSON
+    false or true; a valid section stays valid but for that."""
+    return lambda doc: {section: [
+        [bool(x) if type(x) is int and x in (0, 1) else x for x in entry]
+        for entry in doc[section]]}
+
+
 MALFORMED_HOPF = {
     "comultiplication-not-a-list": {"comultiplication": 7},
     "antipode-null": {"antipode": None},
     "R-not-a-list": {"R": {"0": "1"}},
     "name-not-a-string": {"name": 5},
+    "comultiplication-boolean-index": as_booleans("comultiplication"),
+    "antipode-boolean-index": as_booleans("antipode"),
+    "R-boolean-index": as_booleans("R"),
 }
 
 
@@ -255,7 +296,8 @@ MALFORMED_HOPF = {
 def test_malformed_hopf_section_exit_2(tmp_path, name):
     doc = json.loads(build(tmp_path, "--group", "C2", "--as",
                            "double").read_text())
-    doc.update(MALFORMED_HOPF[name])
+    update = MALFORMED_HOPF[name]
+    doc.update(update(doc) if callable(update) else update)
     inp = tmp_path / "bad.json"
     inp.write_text(json.dumps(doc))
     assert_invalid_input(inp)

@@ -18,10 +18,9 @@ import random
 
 import pytest
 
-from frobdiv import (Matrix, central_primitive_idempotents, double_projection,
-                     drinfeld_double, dual_algebra, dual_hopf,
-                     frobenius_structure, group_algebra, integrals,
-                     named_group, quasitriangular_verify, representation_ring)
+from frobdiv import (HopfAnalysis, Matrix, central_primitive_idempotents,
+                     double_projection, drinfeld_double, dual_algebra,
+                     dual_hopf, group_algebra, named_group)
 from frobdiv.algebra import first_non_multiplicative_pair
 from frobdiv.hopf import (NonIntegralFusion, class_equation_check,
                          factorizable_check, schneider_check)
@@ -36,18 +35,13 @@ from dense_oracle import (dense_block_dim,
 
 
 def relabelled_double(gname, seed):
-    """D(G) and its quasitriangular data on a seeded relabelling of the
-    basis, with integrals, Wedderburn data and representation ring."""
+    """A session of D(G) with its R-matrix on a seeded relabelling of the
+    basis; the module's tests share the artefacts it builds."""
     G = named_group(gname)
     H, Q = drinfeld_double(G, conductor=G.exponent)
     perm = list(range(H.dim))
     random.Random(seed).shuffle(perm)
-    H = permute_hopf(H, perm)
-    Q = quasitriangular_verify(H, permute_r(Q.R, perm))
-    I = integrals(H)
-    F = frobenius_structure(H.algebra, I.lam)
-    W = central_primitive_idempotents(H.algebra, F)
-    return H, Q, I, F, W, representation_ring(H, W, I)
+    return HopfAnalysis(permute_hopf(H, perm), permute_r(Q.R, perm))
 
 
 @pytest.fixture(scope="module", params=[("S3", 1), ("C4", 2)],
@@ -75,13 +69,14 @@ def assert_same_first_pair(A, B, phi):
 
 
 def test_character_map_first_failing_pair(double):
-    H, _, _, _, _, RR = double
-    assert_same_first_pair(RR.ring, dual_algebra(H), RR.chi_matrix)
+    RR = double.ring
+    assert_same_first_pair(RR.ring, dual_algebra(double.H), RR.chi_matrix)
 
 
 def test_schneider_psi_first_failing_pair(double):
-    H, Q, _, _, _, RR = double
-    assert_same_first_pair(RR.ring, H.algebra, Q.phi_matrix * RR.chi_matrix)
+    RR = double.ring
+    assert_same_first_pair(RR.ring, double.H.algebra,
+                           double.quasitriangular.phi_matrix * RR.chi_matrix)
 
 
 @pytest.mark.parametrize("gname", ["C2", "S3"])
@@ -93,9 +88,19 @@ def test_double_projection_first_failing_pair(gname):
     assert_same_first_pair(D.algebra, target.algebra, pi)
 
 
+def with_phi(S, phi_matrix):
+    """A copy of the session S whose factorizable verdict reads Phi off
+    ``phi_matrix``."""
+    bad = copy.copy(S.quasitriangular)
+    bad.phi_matrix = phi_matrix
+    out = copy.copy(S)
+    out.factorizable = factorizable_check(bad)
+    return out
+
+
 def test_corrupted_psi_stops_schneider(double):
-    H, Q, I, F, W, RR = double
-    assert schneider_check(H, factorizable_check(Q), W, RR, I, F).holds
+    H, Q = double.H, double.quasitriangular
+    assert schneider_check(double).holds
     n = H.dim
     outside = [k for k in range(n) if not H.counit[k]]
     inside = [k for k in range(n) if H.counit[k]]
@@ -105,33 +110,34 @@ def test_corrupted_psi_stops_schneider(double):
         rows = [list(row) for row in Q.phi_matrix.entries]
         for row in rows:
             row[k1], row[k2] = row[k2], row[k1]
-        bad = copy.copy(Q)
-        bad.phi_matrix = Matrix(H.field, rows)
         with pytest.raises(NotASymmetricHomomorphism,
                            match="multiplicativity"):
-            schneider_check(H, factorizable_check(bad), W, RR, I, F)
-    bad = copy.copy(Q)
-    bad.phi_matrix = Q.phi_matrix.scale(H.field.from_int(2))
+            schneider_check(with_phi(double, Matrix(H.field, rows)))
+    doubled = Q.phi_matrix.scale(H.field.from_int(2))
     with pytest.raises(NotASymmetricHomomorphism, match="unit"):
-        schneider_check(H, factorizable_check(bad), W, RR, I, F)
+        schneider_check(with_phi(double, doubled))
 
 
 def test_corrupted_character_stops_class_equation(double):
-    H, _, I, _, W, RR = double
-    assert class_equation_check(H, W, I, RR).holds
+    H, I, W = double.H, double.integrals, double.wedderburn
+    assert class_equation_check(double).holds
     s = next(s for s, chi in enumerate(W.characters) if chi != H.counit)
     chi = list(W.characters[s])
     k = next(k for k, c in enumerate(chi) if c != chi[0])
     chi[0], chi[k] = chi[k], chi[0]
     bad = copy.copy(W)
     bad.characters = W.characters[:s] + [chi] + W.characters[s + 1:]
+    S = HopfAnalysis(H)
+    S.integrals, S.wedderburn = I, bad
     with pytest.raises(NonIntegralFusion):
-        class_equation_check(H, bad, I)
+        class_equation_check(S)
     # characters that multiply exactly, with a unit other than the counit
     twisted = copy.copy(H)
     twisted.counit = [c + c for c in H.counit]
+    S = HopfAnalysis(twisted)
+    S.integrals, S.wedderburn = I, W
     with pytest.raises(NonIntegralFusion, match="unit of the ring"):
-        class_equation_check(twisted, W, I)
+        class_equation_check(S)
 
 
 # ---------------------------------------------------------------------------

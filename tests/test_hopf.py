@@ -1,6 +1,7 @@
 import pytest
 
 from frobdiv import (
+    HopfAnalysis,
     HopfError,
     Matrix,
     QQ,
@@ -30,12 +31,8 @@ def rq(x, y=1):
     return QQ.from_rat(Rat(x, y))
 
 
-def s3_hopf():
-    H = group_algebra(named_group("S3"))
-    I = integrals(H)
-    frob = frobenius_structure(H.algebra, I.lam)
-    W = central_primitive_idempotents(H.algebra, frob)
-    return H, I, W
+def s3_session():
+    return HopfAnalysis(group_algebra(named_group("S3")))
 
 
 def test_group_hopf_axioms():
@@ -54,7 +51,7 @@ def test_corrupted_antipode_fails():
 
 
 def test_integrals_group_algebra():
-    H, I, W = s3_hopf()
+    I = s3_session().integrals
     # Lambda = sum of group elements, normalized so <eps, Lambda> = 6
     assert I.Lambda == [rq(1)] * 6
     # lambda(g) = delta_{g, 1}
@@ -63,8 +60,7 @@ def test_integrals_group_algebra():
 
 
 def test_hopf_casimir_s3():
-    H, I, W = s3_hopf()
-    c = hopf_casimir(H, I)
+    c = hopf_casimir(s3_session())
     # c = sum_g g^{-1} (x) g for a group algebra
     G = named_group("S3")
     n = 6
@@ -97,8 +93,9 @@ def test_dual_hopf_is_hopf():
 
 
 def test_representation_ring_s3():
-    H, I, W = s3_hopf()
-    RR = representation_ring(H, W, I)
+    S = s3_session()
+    RR = representation_ring(S)
+    W = S.wedderburn
     r = RR.ring.dim
     assert r == 3
     # locate the 2-dimensional character
@@ -114,8 +111,7 @@ def test_representation_ring_s3():
 
 def test_representation_ring_casimir_is_diagonal_sum():
     # for the delta-form on R(H), the Casimir is sum_S [S] (x) [S*]
-    H, I, W = s3_hopf()
-    RR = representation_ring(H, W, I)
+    RR = representation_ring(s3_session())
     frob = frobenius_structure(RR.ring, RR.delta_form)
     r = RR.ring.dim
     assert frob.casimir == {RR.dual_index[s] * r + s: rq(1)
@@ -123,34 +119,29 @@ def test_representation_ring_casimir_is_diagonal_sum():
 
 
 def test_frobenius_divisibility_hopf_s3():
-    H, I, W = s3_hopf()
-    rep = frobenius_divisibility_hopf(H, data=W, I=I)
-    assert rep.verdict.holds
-    assert rep.verdict.gamma_one == 6
-    assert sorted(rep.data.degrees) == [1, 1, 2]
+    S = s3_session()
+    verdict = frobenius_divisibility_hopf(S)
+    assert verdict.holds
+    assert verdict.gamma_one == 6
+    assert sorted(S.wedderburn.degrees) == [1, 1, 2]
 
 
 def test_zhu_group_algebra():
-    H, I, W = s3_hopf()
-    entries = zhu_check(H, W, I)
+    entries = zhu_check(s3_session())
     assert len(entries) == 3
     for e in entries:
         assert e.central and e.identity_ok and e.integral and e.divides
 
 
 def test_class_equation_s3():
-    H, I, W = s3_hopf()
-    rep = class_equation_check(H, W, I)
+    rep = class_equation_check(s3_session())
     assert sorted(rep.induced_dims) == [1, 2, 3]
     assert rep.holds
 
 
 def test_class_equation_dual_s3():
-    H = dual_hopf(group_algebra(named_group("S3")))
-    I = integrals(H)
-    frob = frobenius_structure(H.algebra, I.lam)
-    W = central_primitive_idempotents(H.algebra, frob)
-    rep = class_equation_check(H, W, I)
+    rep = class_equation_check(
+        HopfAnalysis(dual_hopf(group_algebra(named_group("S3")))))
     assert all(6 % m == 0 for m in rep.induced_dims)
     assert rep.holds
 

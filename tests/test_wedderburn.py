@@ -12,17 +12,14 @@ from frobdiv import (
     field_roots,
     frobenius_structure,
     group_algebra,
-    irreducible_characters,
     named_group,
 )
-from frobdiv.wedderburn import (
-    casimir_square_components,
-    gamma_one_eigenvalue,
-    verify_cprid_formula,
-)
+from frobdiv.wedderburn import gamma_one_eigenvalue
 
 from conftest import delta_form, group_algebra_plain, matrix_algebra_2x2
 from dense_oracle import permute_algebra
+from identity_oracle import (casimir_square_components,
+                             irreducible_characters, verify_cprid_formula)
 
 
 def rq(x, y=1):

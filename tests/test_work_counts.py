@@ -21,7 +21,7 @@ import frobdiv.hopf as hopf
 import frobdiv.integrality as integrality
 import frobdiv.modular as modular
 import frobdiv.wedderburn as wedderburn
-from frobdiv import (QQ, CyclotomicField, Rat,
+from frobdiv import (QQ, CyclotomicField, HopfAnalysis, Rat,
                      central_primitive_idempotents, drinfeld_double,
                      frobenius_divisibility_verdict, frobenius_structure,
                      group_algebra, integrals, named_group)
@@ -272,13 +272,11 @@ def test_split_multiplies_no_two_idempotents(monkeypatch):
 def test_schneider_check_forms_no_product(monkeypatch):
     G = named_group("S3")
     H, Q = drinfeld_double(G, conductor=G.exponent)
-    I = integrals(H)
-    F = frobenius_structure(H.algebra, I.lam)
-    W = central_primitive_idempotents(H.algebra, F)
-    RR = hopf.representation_ring(H, W, I)
+    S = HopfAnalysis(H, Q.R)
+    S.quasitriangular = Q
+    S.frobenius, S.ring  # built before the products are recorded
     calls = _recording_multiply(monkeypatch)
-    fv = hopf.factorizable_check(Q)
-    assert hopf.schneider_check(H, fv, W, RR, I, F).holds
+    assert hopf.schneider_check(S).holds
     # the homomorphism check that schneider_check calls multiplies
     assert calls
     assert not [1 for _, _, code in calls
@@ -377,7 +375,9 @@ def test_double_c4_lifts_each_block_once_per_component(monkeypatch):
     data = central_primitive_idempotents(H.algebra)
     assert len(lifts) <= data.num_blocks * H.field.phi * _levels(data)
     lifts.clear()
-    ring = hopf.representation_ring(H, data, integrals(H))
+    S = HopfAnalysis(H)
+    S.wedderburn = data
+    ring = hopf.representation_ring(S)
     blocks = ring.wedderburn.num_blocks
     assert blocks == 16
     assert len(lifts) <= blocks * H.field.phi * _levels(ring.wedderburn)
