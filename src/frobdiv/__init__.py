@@ -22,7 +22,7 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           scalar_certificate)
 from .linalg import Matrix, Poly
 from .modular import BadPrime, PrecisionExceeded, hensel_lift_idempotent
-from .scalars import CyclotomicField, PrimeField, QQ, Rat, cyclotomic_polynomial
+from .scalars import CyclotomicField, QQ, Rat, cyclotomic_polynomial
 from .wedderburn import (WedderburnData, central_primitive_idempotents,
                          field_roots)
 

@@ -6,13 +6,14 @@ Linear conditions are read straight from the sparse structure table
 ``table[i][k]``: the center is the joint kernel of the rows
 sum_k a_k (c_ik^r - c_ki^r), streamed into the sparse echelon form of
 ``linalg.EchelonSubspace`` without forming any multiplication operator,
-``is_central`` compares a x_i with x_i a on the table, and the Gram matrix
-of a form is sum_r lambda_r c_ij^r, eliminated once beside the identity for
+``is_central`` compares a x_i with x_i a on the table (and nothing once
+``is_commutative`` has found the table symmetric), and the Gram matrix of
+a form is sum_r lambda_r c_ij^r, eliminated once beside the identity for
 its inverse.  The Casimir element multiplies elements of A (x) A through
-the swap law, on the table of A as well.  Both it and the associativity
-scan run on ``integral_table``: D times the table, for D the lcm of the
-denominators of the constants, an int per rational constant and an
-integral ``Cyc`` per other one, read off with no field arithmetic.
+the swap law, on the table of A as well.  It, the associativity scan and
+``is_idempotent`` run on ``integral_table``: D times the table, for D the
+lcm of the denominators of the constants, an int per rational constant
+and an integral ``Cyc`` per other one, read off with no field arithmetic.
 
 Elements of A are dense vectors; elements of A (x) A (the Casimir element,
 R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero scalar}."""
@@ -148,9 +149,34 @@ class StructureConstantAlgebra:
         return report
 
     # -- invariants -------------------------------------------------------
+    @functools.cached_property
+    def is_commutative(self) -> bool:
+        """x_i x_j = x_j x_i for all i, j: one scan of the table (a stored
+        zero makes it False, and centrality is then checked cell by cell)."""
+        table = self.table
+        return all(row[j] == table[j][i] for i, row in enumerate(table)
+                   for j in range(i))
+
+    def is_idempotent(self, e) -> bool:
+        """e e = e, compared on the integral table: with E = d e integral
+        for d the common denominator of e, D E E = D d E."""
+        d = _common_den(e)
+        E = [(k, _times_den(c, d)) for k, c in enumerate(e) if c]
+        D, table = self.integral_table
+        out = {}
+        for i, a in E:
+            row = table[i]
+            for j, b in E:
+                ab = a * b
+                for k, c in row[j].items():
+                    out[k] = out.get(k, 0) + ab * c
+        return _clean(out) == {k: D * d * c for k, c in E}
+
     def is_central(self, a) -> bool:
         """a x_i = x_i a for every i, compared on the table over the
-        nonzero entries of a."""
+        nonzero entries of a; True at once when A is commutative."""
+        if self.is_commutative:
+            return True
         table = self.table
         support = [(k, c) for k, c in enumerate(a) if c]
         for i in range(self.dim):

@@ -292,6 +292,8 @@ def _embed_scalar(old_field, new_field, x):
     N = new_field.conductor
     if N % m != 0:
         raise SchemaError(f"conductor {N} is not a multiple of {m}")
+    if N == 1:  # Q into Q
+        return x
     step = N // m
     out = new_field.zero
     for i, q in enumerate(old_field.to_qvec(x)):

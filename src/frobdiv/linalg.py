@@ -8,7 +8,7 @@ solutions and Krylov relations are all read off it.  ``Matrix`` is a dense,
 row-major matrix whose elimination methods are entry points over that
 form.  Entries must support the field operations and the owning ``field``
 object supplies zero/one.  Also hosts a generic polynomial type used for
-minimal polynomials and the modular factorization machinery.
+minimal polynomials and for the roots of ``wedderburn.field_roots``.
 """
 
 from __future__ import annotations
@@ -112,11 +112,15 @@ class Matrix:
                                map(sparse, self.entries))
 
     def _with_identity(self):
-        """The echelon form of [self | I]: column cols + i tracks row i."""
+        """The echelon form of [self | I], column cols + i tracking row i,
+        read to the last row; and the relations y with y self = 0 that the
+        rows reducing to 0 on the left leave, as lists of (i, y_i)."""
         n, one = self.cols, self.field.one
-        return EchelonSubspace(self.field, n,
-                               ({**sparse(row), n + i: one}
-                                for i, row in enumerate(self.entries)))
+        space = EchelonSubspace(self.field, n)
+        relations = [[(k - n, c) for k, c in y.items()] for y in
+                     (space.add({**sparse(row), n + i: one})
+                      for i, row in enumerate(self.entries)) if y]
+        return space, relations
 
     def rref(self):
         """Reduced row echelon form with leading-one pivots, zero rows
@@ -140,23 +144,26 @@ class Matrix:
         """Yield the solution of self * x = b for each vector b of the
         iterable ``rhss`` in turn, None for an inconsistent b.
 
-        The matrix is eliminated once, as [self | I]; the tracked part T of
-        each pivot row gives x from T b, and x solves the system exactly
-        when self * x = b."""
+        [self | I] is eliminated once; the tracked part T of each pivot row
+        gives x = T b.  When the columns are independent, b lies in their
+        span exactly when y b = 0 for every relation y self = 0, and then x
+        is exact; otherwise x is checked by self * x = b."""
         zero, n = self.field.zero, self.cols
-        space = self._with_identity()
+        space, relations = self._with_identity()
         ops = [(p, [(k - n, c) for k, c in space.rows[p].items() if k >= n])
                for p in space.pivots]
+        full_rank = space.dim == n
         for b in rhss:
             b = list(b)
             x = [zero] * n
             for p, op in ops:
-                s = zero
-                for i, c in op:
-                    if b[i]:
-                        s = s + c * b[i]
-                x[p] = s
-            yield x if self.apply(x) == b else None
+                x[p] = sum((c * b[i] for i, c in op if b[i]), zero)
+            if full_rank:
+                consistent = not any(sum((c * b[i] for i, c in y if b[i]),
+                                         zero) for y in relations)
+            else:
+                consistent = self.apply(x) == b
+            yield x if consistent else None
 
     def inverse(self):
         """The inverse, from one elimination of [self | I]; SingularMatrix
@@ -164,7 +171,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("not square")
         n = self.rows
-        space = self._with_identity()
+        space, _ = self._with_identity()
         if space.dim < n:
             raise SingularMatrix(space.kernel().basis[0])
         return Matrix(self.field, [space.dense(space.rows[p], n)
@@ -347,22 +354,11 @@ class Poly:
         self.field = field
         self.coeffs = cs
 
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(i) for i in ints])
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, [field.zero, field.one])
-
     def degree(self):
         return len(self.coeffs) - 1
 
     def is_zero(self):
         return not self.coeffs
-
-    def leading(self):
-        return self.coeffs[-1]
 
     def monic(self):
         if self.is_zero():
@@ -375,28 +371,7 @@ class Poly:
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
-
-    def __sub__(self, other):
-        zero = self.field.zero
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [zero] * (n - len(self.coeffs))
-        b = other.coeffs + [zero] * (n - len(other.coeffs))
-        return Poly(self.field, [x - y for x, y in zip(a, b)])
-
-    def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
-
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return Poly(self.field, [other * c for c in self.coeffs])
         zero = self.field.zero
         if self.is_zero() or other.is_zero():
             return Poly(self.field, [])
@@ -408,8 +383,6 @@ class Poly:
                         out[i + j] = out[i + j] + a * b
         return Poly(self.field, out)
 
-    __rmul__ = __mul__
-
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -419,7 +392,7 @@ class Poly:
         if dq < 0:
             return Poly(self.field, []), self
         quo = [zero] * (dq + 1)
-        inv = self.field.one / other.leading()
+        inv = self.field.one / other.coeffs[-1]
         for k in range(dq, -1, -1):
             c = rem[k + other.degree()] * inv
             quo[k] = c
@@ -440,20 +413,6 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def inverse_mod(self, m: "Poly") -> "Poly":
-        """The inverse of self modulo m by the extended Euclidean algorithm;
-        ZeroDivisionError when gcd(self, m) is not a constant."""
-        field = self.field
-        r0, r1 = m, self % m
-        t0, t1 = Poly(field, []), Poly(field, [field.one])
-        while not r1.is_zero():
-            q, rem = r0.divmod(r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, t0 - q * t1
-        if r0.degree() != 0:
-            raise ZeroDivisionError("polynomial not invertible modulo m")
-        return (t0 * (field.one / r0.coeffs[0])) % m
-
     def lcm(self, other):
         if self.is_zero() or other.is_zero():
             return Poly(self.field, [])
@@ -470,16 +429,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def pow_mod(self, k: int, modulus: "Poly") -> "Poly":
-        out = Poly(self.field, [self.field.one])
-        base = self % modulus
-        while k:
-            if k & 1:
-                out = (out * base) % modulus
-            base = (base * base) % modulus
-            k >>= 1
-        return out
 
     def __repr__(self):
         return f"Poly({[self.field.format(c) for c in self.coeffs]})"

@@ -9,6 +9,11 @@ constructor output with or without an embedding into a larger conductor,
 that is one split per prime.  A split works on the multiplication table of
 the mod-p centre, formed once from r(r+1)/2 products in the reduced
 algebra; finding the primitive idempotents then never touches the algebra.
+Each F_p value is a Python int in [0, p), a polynomial mod p an ascending
+int list, and every elimination runs through ``_echelon_add``.  Block
+dimensions are traces of projections: dim A e = rho(e) for the right
+regular character rho, and dim Z e the trace of multiplication by e on Z,
+both exact since p > 2 dim.
 
 Results come back as integers y of Q(zeta_n) whose conjugates the caller
 bounds by R, so that their power-basis coefficients are at most
@@ -21,15 +26,15 @@ roots of unity and interpolation bases are cached per (n, p, k).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import random
 
 from .algebra import center_conditions
-from .linalg import (EchelonSubspace, Matrix, Poly, iterates, krylov_relation,
-                     sparse)
-from .scalars import (QQ, Cyc, CyclotomicField, PrimeField,
-                      cyclotomic_polynomial)
+# perfbench/traced.py times modular.EchelonSubspace.coords under this name
+from .linalg import EchelonSubspace, Matrix  # noqa: F401
+from .scalars import QQ, Cyc, CyclotomicField, cyclotomic_polynomial
 
 
 class BadPrime(Exception):
@@ -243,72 +248,155 @@ class ComponentAlgebra:
 
 
 # ---------------------------------------------------------------------------
+# elimination and polynomials over F_p, on ints in [0, p)
+# ---------------------------------------------------------------------------
+
+
+def _echelon_add(rows, v, n, p):
+    """``EchelonSubspace.add`` over F_p: reduce the sparse row v by the
+    fully reduced rows {pivot: row} and keep it when a column below n is
+    left (None); otherwise return it, a relation among the columns from n
+    on, which never become pivots."""
+    v = {k: x % p for k, x in v.items() if x % p}
+    for c in [k for k in v if k in rows]:
+        _sub_mod(v, v[c], rows[c], p)
+    piv = min((k for k in v if k < n), default=None)
+    if piv is None:
+        return v
+    inv = pow(v[piv], -1, p)
+    v = {k: x * inv % p for k, x in v.items()}
+    for kept in rows.values():
+        if piv in kept:
+            _sub_mod(kept, kept[piv], v, p)
+    rows[piv] = v
+    return None
+
+
+def _sub_mod(v, f, row, p):
+    """v -= f row mod p for sparse rows, in place, without zeros."""
+    for k, c in row.items():
+        x = (v.get(k, 0) - f * c) % p
+        if x:
+            v[k] = x
+        else:
+            v.pop(k, None)
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_divmod(a, b, p):
+    """Quotient and remainder of polynomials over F_p: ascending lists of
+    ints in [0, p) without trailing zeros, b nonzero."""
+    db = len(b) - 1
+    rem = list(a)
+    quo = [0] * max(len(a) - db, 0)
+    inv = pow(b[-1], -1, p)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + db] * inv % p
+        if c:
+            for j, x in enumerate(b):
+                rem[k + j] = (rem[k + j] - c * x) % p
+    return _trim(quo), _trim(rem[:db])
+
+
+def _poly_monic(a, p):
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_sub(a, b, p):
+    a, b = a + [0] * (len(b) - len(a)), b + [0] * (len(a) - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return _poly_monic(a, p)
+
+
+def _poly_pow_mod(a, k, f, p):
+    out, base = [1], _poly_divmod(a, f, p)[1]
+    while k:
+        if k & 1:
+            out = _poly_divmod(_poly_mul_mod(out, base, p), f, p)[1]
+        base = _poly_divmod(_poly_mul_mod(base, base, p), f, p)[1]
+        k >>= 1
+    return out
+
+
+def is_squarefree_mod(f, p):
+    """gcd(f, f') = 1 over F_p."""
+    df = _trim([i * c % p for i, c in enumerate(f)][1:])
+    return len(_poly_gcd(f, df, p)) == 1
+
+
+# ---------------------------------------------------------------------------
 # polynomial factorization over F_p
 # ---------------------------------------------------------------------------
 
 
-def distinct_degree_factor(f: Poly, p: int):
-    """[(degree, product of irreducible factors of that degree)], f squarefree."""
+def distinct_degree_factor(f, p: int):
+    """[(degree, product of irreducible factors of that degree)], f
+    squarefree, on int coefficient lists."""
     out = []
-    x = Poly.x(f.field)
-    h = x
-    rest = f.monic()
+    h = x = [0, 1]
+    rest = _poly_monic(f, p)
     d = 0
-    while rest.degree() > 0:
+    while len(rest) > 1:
         d += 1
-        if 2 * d > rest.degree():
-            out.append((rest.degree(), rest))
+        if 2 * d > len(rest) - 1:
+            out.append((len(rest) - 1, rest))
             break
-        h = h.pow_mod(p, rest)
-        g = rest.gcd(h - x)
-        if g.degree() > 0:
+        h = _poly_pow_mod(h, p, rest, p)
+        g = _poly_gcd(rest, _poly_sub(h, x, p), p)
+        if len(g) > 1:
             out.append((d, g))
-            rest = rest.divmod(g)[0]
-            h = h % rest
+            rest = _poly_divmod(rest, g, p)[0]
+            h = _poly_divmod(h, rest, p)[1]
     return out
 
 
-def equal_degree_factor(f: Poly, d: int, p: int, rng: random.Random):
+def equal_degree_factor(f, d: int, p: int, rng: random.Random):
     """Cantor-Zassenhaus split of a squarefree product of degree-d factors."""
-    if f.degree() == d:
-        return [f.monic()]
-    field = f.field
-    one = Poly(field, [field.one])
+    if len(f) - 1 == d:
+        return [_poly_monic(f, p)]
     while True:
-        a = Poly(field, [field.from_int(rng.randrange(p))
-                         for _ in range(f.degree())])
-        if a.degree() < 1:
+        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if len(a) < 2:
             continue
-        g = f.gcd(a)
-        if 0 < g.degree() < f.degree():
-            pass
-        else:
-            b = a.pow_mod((p ** d - 1) // 2, f)
-            g = f.gcd(b - one)
-            if not 0 < g.degree() < f.degree():
+        g = _poly_gcd(f, a, p)
+        if not 1 < len(g) < len(f):
+            b = _poly_pow_mod(a, (p ** d - 1) // 2, f, p)
+            g = _poly_gcd(f, _poly_sub(b, [1], p), p)
+            if not 1 < len(g) < len(f):
                 continue
         return (equal_degree_factor(g, d, p, rng)
-                + equal_degree_factor(f.divmod(g)[0].monic(), d, p, rng))
+                + equal_degree_factor(_poly_monic(_poly_divmod(f, g, p)[0], p),
+                                      d, p, rng))
 
 
-def factor_mod_p(f: Poly, p: int, rng: random.Random):
-    """Irreducible factors of a squarefree monic polynomial over F_p."""
+def factor_mod_p(f, p: int, rng: random.Random):
+    """Irreducible factors of a squarefree monic polynomial over F_p, as
+    monic int coefficient lists."""
     factors = []
     for d, prod in distinct_degree_factor(f, p):
         factors.extend(equal_degree_factor(prod, d, p, rng))
-    return sorted(factors, key=lambda g: (g.degree(),
-                                          [c.residue for c in g.coeffs]))
+    return sorted(factors, key=lambda g: (len(g), g))
 
 
-def roots_mod_p(f: Poly, p: int, rng: random.Random):
-    """Roots in F_p of a squarefree polynomial over F_p."""
-    x = Poly.x(f.field)
-    xp = x.pow_mod(p, f)
-    g = f.gcd(xp - x)
-    if g.degree() == 0:
+def roots_mod_p(f, p: int, rng: random.Random):
+    """Roots in F_p of a squarefree polynomial over F_p (int coefficient
+    list)."""
+    x = [0, 1]
+    g = _poly_gcd(f, _poly_sub(_poly_pow_mod(x, p, f, p), x, p), p)
+    if len(g) == 1:
         return []
-    return sorted((-fac.coeffs[0] / fac.coeffs[1]).residue
-                  for fac in equal_degree_factor(g, 1, p, rng))
+    return sorted(-fac[0] % p for fac in equal_degree_factor(g, 1, p, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -316,22 +404,36 @@ def roots_mod_p(f: Poly, p: int, rng: random.Random):
 # ---------------------------------------------------------------------------
 
 
-class ModularBlock:
-    __slots__ = ("central_idempotent", "degree", "block_dim", "center_dim")
-
-    def __init__(self, central_idempotent, degree, block_dim, center_dim):
-        self.central_idempotent = central_idempotent
-        self.degree = degree
-        self.block_dim = block_dim
-        self.center_dim = center_dim
+ModularBlock = collections.namedtuple(
+    "ModularBlock", "central_idempotent degree block_dim center_dim")
 
 
-def center_mod_p(comp, gf):
-    """The center of a reduction mod p, solved from its table, as the
-    kernel subspace: coordinates are read off at its free columns."""
-    rows = ({k: gf.from_int(c) for k, c in row.items()}
-            for row in center_conditions(comp.table))
-    return EchelonSubspace(gf, comp.dim, rows).kernel()
+def center_mod_p(comp):
+    """The centre of a reduction mod p, solved from its table: (basis,
+    free columns).  The basis vector of free column f is 1 at f and 0 at
+    the other free columns, so coordinates are read off there."""
+    p, n = comp.M, comp.dim
+    rows = {}
+    for row in center_conditions(comp.table):
+        _echelon_add(rows, row, n, p)
+        if len(rows) == n:
+            break
+    free = [f for f in range(n) if f not in rows]
+    basis = []
+    for f in free:
+        vec = _basis_coord(f, n)
+        for piv, kept in rows.items():
+            vec[piv] = -kept.get(f, 0) % p
+        basis.append(vec)
+    return basis, free
+
+
+def _center_coords(center, vec, p):
+    """Coordinates of vec on the centre basis; None when it is not
+    central."""
+    basis, free = center
+    coords = [vec[f] for f in free]
+    return coords if _int_comb(basis, coords, p) == vec else None
 
 
 def modular_split(comp, seed: int = 0):
@@ -339,33 +441,32 @@ def modular_split(comp, seed: int = 0):
     ``comp`` of an algebra mod a prime p (a ``ComponentAlgebra`` at
     modulus p)."""
     p = comp.M
-    gf = PrimeField(p)
     rng = random.Random(seed * 1000003 + p)
 
-    center = center_mod_p(comp, gf)
-    r = center.dim
+    center = center_mod_p(comp)
+    r = len(center[0])
     if r == 0:
         raise BadPrime("trivial center mod p")
+    cmult = _center_mult(comp, center)
 
-    center_int = [[x.residue for x in v] for v in center.basis]
-    cmult = _center_mult(comp, gf, center)
-
-    unit_coords = center.coords([gf.from_int(x) for x in comp.unit])
+    unit_coords = _center_coords(center, comp.unit, p)
     if unit_coords is None:
         raise BadPrime("unit not in computed center")
-    unit_coords = [c.residue for c in unit_coords]
 
     idems = _commutative_idempotents(cmult, unit_coords, r, p, rng)
 
+    # rho_i = sum_j c_ji^j, the trace of right multiplication by x_i
+    rho = [sum(row[i].get(j, 0) for j, row in enumerate(comp.table)) % p
+           for i in range(comp.dim)]
     blocks = []
     for e_coords in idems:
-        e_vec = _int_comb(center_int, e_coords, p)
-        blocks.append(_block_data(comp, gf, center_int, e_vec))
+        e_vec = _int_comb(center[0], e_coords, p)
+        blocks.append(_block_data(cmult, rho, e_vec, e_coords, r, p))
     blocks.sort(key=lambda b: (b.degree, b.block_dim, b.central_idempotent))
     return blocks
 
 
-def _center_mult(comp, gf, center):
+def _center_mult(comp, center):
     """Multiplication of coordinate vectors on the basis z_1..z_r of the
     centre Z of ``comp``, read off the r x r x r table of Z.
 
@@ -373,19 +474,18 @@ def _center_mult(comp, gf, center):
     ``comp``, each solved once for its coordinates; ``table[i][j]`` lists
     the nonzero ones as (k, c).  A product of two coordinate vectors then
     combines rows of the table and never touches ``comp``."""
-    p = gf.modulus
-    r = center.dim
-    basis = [[x.residue for x in v] for v in center.basis]
+    p = comp.M
+    basis = center[0]
+    r = len(basis)
     table = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            coords = center.coords([gf.from_int(x) for x in
-                                    comp.multiply(basis[i], basis[j])])
+            coords = _center_coords(center,
+                                    comp.multiply(basis[i], basis[j]), p)
             if coords is None:
                 raise BadPrime("center not closed under multiplication")
-            table[i][j] = table[j][i] = [(k, c.residue)
-                                         for k, c in enumerate(coords)
-                                         if c.residue]
+            table[i][j] = table[j][i] = [(k, c) for k, c in enumerate(coords)
+                                         if c]
 
     def cmult(u_coords, v_coords):
         out = [0] * r
@@ -456,23 +556,30 @@ def _ideal_dim(cmult, e, r, p):
 def _try_split(cmult, e, direction, r, p, rng):
     """The pieces of the ideal e Z cut out by the factors of the minimal
     polynomial of z = direction * e there; None if it has one factor."""
-    gf = PrimeField(p)
     z = cmult(direction, e)
-    mat = _mult_matrix(cmult, z, r, gf)
-    rel = krylov_relation(gf, r, map(sparse, iterates(
-        mat.apply, [gf.from_int(x) for x in e])))
-    if rel.degree() <= 1:
+    # the columns of multiplication by z, and its Krylov relation from e:
+    # v_k = z^k e enters with tracked column r + k set to 1
+    cols = [cmult(z, _basis_coord(j, r)) for j in range(r)]
+    rows, v, rel = {}, e, None
+    while rel is None:
+        rel = _echelon_add(rows, {**dict(enumerate(v)), r + len(rows): 1},
+                           r, p)
+        v = _int_comb(cols, v, p)
+    rel = [rel.get(r + i, 0) for i in range(len(rows) + 1)]
+    if len(rel) <= 2:
         return None
-    if rel.gcd(rel.derivative()).degree() > 0:
+    if not is_squarefree_mod(rel, p):
         raise BadPrime("center not semisimple mod p")
     factors = factor_mod_p(rel, p, rng)
     if len(factors) <= 1:
         return None
     pieces = []
     for fi in factors:
-        cof = rel.divmod(fi)[0]
-        # h = 1 mod fi and 0 mod the other factors, so h(z) projects onto fi
-        h = (cof * cof.inverse_mod(fi)) % rel
+        cof = _poly_divmod(rel, fi, p)[0]
+        # h = 1 mod fi and 0 mod the other factors, so h(z) projects onto
+        # fi: cof^(p^deg - 1) = 1 in the field F_p[x]/(fi)
+        h = _poly_divmod(_poly_mul_mod(cof, _poly_pow_mod(
+            cof, p ** (len(fi) - 1) - 2, fi, p), p), rel, p)[1]
         pieces.append(_poly_eval_in_algebra(cmult, h, z, e, p))
     return pieces
 
@@ -483,37 +590,22 @@ def _basis_coord(i, r):
     return v
 
 
-def _mult_matrix(cmult, z, r, gf):
-    cols = []
-    for j in range(r):
-        col = cmult(z, _basis_coord(j, r))
-        cols.append([gf.from_int(x) for x in col])
-    return Matrix.from_columns(gf, cols)
-
-
-def _poly_eval_in_algebra(cmult, poly: Poly, z, unit_e, p):
-    """Evaluate a polynomial at z inside the ideal with unit unit_e."""
+def _poly_eval_in_algebra(cmult, poly, z, unit_e, p):
+    """Evaluate a polynomial (int coefficient list) at z inside the ideal
+    with unit unit_e."""
     acc = [0] * len(z)
-    for c in reversed(poly.coeffs):
+    for c in reversed(poly):
         acc = cmult(acc, z)
-        ci = c.residue
-        if ci:
-            acc = [(a + ci * u) % p for a, u in zip(acc, unit_e)]
+        if c:
+            acc = [(a + c * u) % p for a, u in zip(acc, unit_e)]
     return acc
 
 
-def _block_data(comp, gf, center_int, e_vec):
-    n = comp.dim
-
-    def span_dim(vectors):
-        return EchelonSubspace(gf, n, ({k: gf.from_int(x)
-                                        for k, x in enumerate(v) if x}
-                                       for v in vectors)).dim
-
-    # the block: span of the x_j e; its center: span of the z e
-    bdim = span_dim(comp.multiply(_basis_coord(j, n), e_vec)
-                    for j in range(n))
-    cdim = span_dim(comp.multiply(z, e_vec) for z in center_int)
+def _block_data(cmult, rho, e_vec, e_coords, r, p):
+    """dim A e = rho(e) and dim Z e: the traces of the projections x -> x e
+    of A and of Z, exact as integers since both are below p."""
+    bdim = sum(a * b for a, b in zip(rho, e_vec)) % p
+    cdim = _ideal_dim(cmult, e_coords, r, p)
     if cdim == 0 or bdim % cdim != 0:
         raise BadPrime("inconsistent block dimensions")
     d2 = bdim // cdim

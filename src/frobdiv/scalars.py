@@ -10,12 +10,13 @@ Every scalar in the toolkit is one of three immutable types:
   work; the inverse is the product of the other Galois conjugates over
   the norm.  ``Rat`` appears only at the boundary (``element``,
   ``to_qvec``, ``as_rat``, ``sort_key``, ``format``, ``parse``);
-* ``PrimeFieldElement`` -- residue modulo a prime (or prime power, for the
-  lifting rings Z/p^m).
+* ``PrimeFieldElement`` -- residue modulo a prime (or prime power).  The
+  modular pipeline holds F_p values as plain ints; the boxed residue
+  serves the reference paths of the tests.
 
 Fields are represented by small descriptor objects (``RationalField``,
-``CyclotomicField``, ``PrimeField``) that hand out zero/one, coerce values
-and parse/format the string serialization used by the JSON schemas.
+``CyclotomicField``) that hand out zero/one, coerce values and
+parse/format the string serialization used by the JSON schemas.
 """
 
 from __future__ import annotations
@@ -590,31 +591,3 @@ class PrimeFieldElement:
 
     def __repr__(self):
         return f"{self.residue} (mod {self.modulus})"
-
-
-class PrimeField:
-    """F_p (or the ring Z/p^m) as a scalar domain for generic linear algebra."""
-
-    def __init__(self, modulus: int):
-        self.modulus = modulus
-        self.zero = PrimeFieldElement(0, modulus)
-        self.one = PrimeFieldElement(1, modulus)
-
-    def from_int(self, x: int):
-        return PrimeFieldElement(x, self.modulus)
-
-    def coerce(self, x):
-        if isinstance(x, PrimeFieldElement):
-            if x.modulus != self.modulus:
-                raise ValueError("modulus mismatch")
-            return x
-        return PrimeFieldElement(int(x), self.modulus)
-
-    def sort_key(self, x):
-        return (x.residue,)
-
-    def format(self, x):
-        return str(x.residue)
-
-    def __repr__(self):
-        return f"PrimeField({self.modulus})"

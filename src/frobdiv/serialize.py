@@ -88,7 +88,8 @@ def _parse_scalar(field, s):
     try:
         return field.parse(s)
     except (ValueError, ZeroDivisionError) as err:
-        raise SchemaError(f"bad scalar {s!r}: {err}") from None
+        shown = repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s)} chars)"
+        raise SchemaError(f"bad scalar {shown}: {err}") from None
 
 
 def algebra_to_json(algebra, lam=None):

@@ -1,26 +1,30 @@
 """Characteristic-zero Wedderburn decomposition via modular splitting.
 
 The algebra is split mod a good prime p in every CRT component of the
-cyclotomic base field.  A central primitive idempotent e comes back from
-its regular traces v_j = chi_reg(x_j e), as in the paper's formula
-Gamma(1) e(S) = d(S) (chi_S (x) Id)(c).  With D the common denominator of
-the structure constants, D v_j is the trace of D L_{x_j} on A e, so its
-power-basis coefficients obey a bound B known in advance
-(``_trace_bound``).  Each mod-p block is Hensel-lifted (e -> 3e^2 - 2e^3)
-to the one precision p^k > 2B, only when k > 1, and D v is read off the
-sparse table in each component.  A gluing of one block per component is
-interpolated and rejected unless its symmetric residues lie within B;
-one that passes gives e = T^-1 v exactly through the dual basis of
-chi_reg (T_jk = chi_reg(x_j x_k)), the characters v / (d center_dim) and
-the block dimension chi_reg(e).
+cyclotomic base field, on int residues (``modular.modular_split``, where
+block dimensions are traces of projections; the roots mod p behind
+``field_roots`` come from int polynomials too).  A central primitive
+idempotent e comes back from its regular traces v_j = chi_reg(x_j e), as
+in the paper's formula Gamma(1) e(S) = d(S) (chi_S (x) Id)(c).  With D the
+common denominator of the structure constants, D v_j is the trace of
+D L_{x_j} on A e, so its power-basis coefficients obey a bound B known in
+advance (``_trace_bound``).  Each mod-p block is Hensel-lifted
+(e -> 3e^2 - 2e^3) to the one precision p^k > 2B, only when k > 1, and
+D v is read off the sparse table in each component.  A gluing of one
+block per component is interpolated and rejected unless its symmetric
+residues lie within B; one that passes gives e = T^-1 v exactly through
+the dual basis of chi_reg (T_jk = chi_reg(x_j x_k)), the characters
+v / (d center_dim) and the block dimension chi_reg(e).
 
 Such an e is screened modulo a second good prime q != p at every root of
 the cyclotomic polynomial (rejected if e e != e there; a true idempotent
-always passes) before the exact checks: e e = e, central, the block
-dimension, and for the system sum 1 and orthogonality, read off the block
-dimensions.  The images x_j e are built only to certify blocks of degree
-> 1, and the eigenvalues behind those certificates come back the same way:
-``field_roots`` glues D_g t for the roots t of g under a Cauchy bound.
+always passes) before the exact checks: e e = e on the integral table
+(``is_idempotent``), central (at once when the table is commutative), the
+block dimension, and for the system sum 1 and orthogonality, read off the
+block dimensions.  The images x_j e are built only to certify blocks of
+degree > 1, and the eigenvalues behind those certificates come back the
+same way: ``field_roots`` glues D_g t for the roots t of g under a Cauchy
+bound.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ import random
 from .algebra import frobenius_structure
 from .linalg import EchelonSubspace, Matrix, Poly, sparse
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
-                      _int_poly_eval, component_roots,
+                      _int_poly_eval, _trim, component_roots,
                       embedding_factor, good_primes, hensel_lift_idempotent,
-                      is_prime, modular_split, norm1, precision_for,
-                      reconstruct_element, reduce_scalar, roots_mod_p,
-                      scalar_denominators, structure_denominators)
-from .scalars import PrimeField, Rat
+                      is_prime, is_squarefree_mod, modular_split, norm1,
+                      precision_for, reconstruct_element, reduce_scalar,
+                      roots_mod_p, scalar_denominators,
+                      structure_denominators)
+from .scalars import Rat
 
 FALLBACK_PRIMES = 3
 # The idempotent filter's prime lies above this bound, so that it rarely
@@ -78,9 +83,7 @@ class WedderburnData:
 
 
 def _verify_idempotent(algebra, e):
-    if algebra.multiply(e, e) != e:
-        return False
-    return algebra.is_central(e)
+    return algebra.is_idempotent(e) and algebra.is_central(e)
 
 
 def _check_components(algebra, p):
@@ -474,11 +477,10 @@ def field_roots(field, coeffs, seed=0):
 def _simple_roots_mod_p(field, g, p, rng):
     """The roots of the monic g mod p in each CRT component; None if g is
     not squarefree mod p in some component."""
-    gf = PrimeField(p)
     out = []
     for w in component_roots(field.conductor, p, 1)[0]:
-        gw = Poly.from_ints(gf, [reduce_scalar(c, w, p) for c in g.coeffs])
-        if gw.gcd(gw.derivative()).degree() > 0:
+        gw = _trim([reduce_scalar(c, w, p) for c in g.coeffs])
+        if not is_squarefree_mod(gw, p):
             return None
         out.append(roots_mod_p(gw, p, rng))
     return out

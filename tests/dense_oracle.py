@@ -26,7 +26,7 @@ from frobdiv import (QQ, Matrix, Poly, Rat, StructureConstantAlgebra,
                      VerificationReport, cyclotomic_polynomial)
 from frobdiv.hopf import HopfAlgebraData
 from frobdiv.modular import BadPrime
-from frobdiv.scalars import rat_str
+from frobdiv.scalars import PrimeFieldElement, rat_str
 
 
 def dense_verify(A):
@@ -591,20 +591,24 @@ def dense_block_dim(A, e):
 # ---------------------------------------------------------------------------
 
 
-def full_algebra_cmult(comp, gf, center):
+def full_algebra_cmult(comp, center):
     """The centre multiplication of ``modular.modular_split`` as it was
     before the centre table: each product of two coordinate vectors is
     formed in the whole reduction ``comp`` and solved for its coordinates
-    in the echelon basis of the centre.  Same signature and callback as
-    ``modular._center_mult``."""
+    in the echelon basis of the centre over ``PrimeField``, which must be
+    the int basis ``center`` the split found.  Same signature and callback
+    as ``modular._center_mult``."""
     from frobdiv.modular import BadPrime, _int_comb
-    p = gf.modulus
-    basis = [[x.residue for x in v] for v in center.basis]
+    p = comp.M
+    gf = PrimeField(p)
+    gf_center = gf_center_mod_p(comp, gf)
+    basis = [[x.residue for x in v] for v in gf_center.basis]
+    assert basis == center[0]
 
     def cmult(u_coords, v_coords):
         uv = comp.multiply(_int_comb(basis, u_coords, p),
                            _int_comb(basis, v_coords, p))
-        coords = center.coords([gf.from_int(x) for x in uv])
+        coords = gf_center.coords([gf.from_int(x) for x in uv])
         if coords is None:
             raise BadPrime("center not closed under multiplication")
         return [c.residue for c in coords]
@@ -800,7 +804,7 @@ def _reduction_table(n):
 class RefCyc:
     """An element of Q(zeta_n) as ``scalars.Cyc`` once stored it: one Rat
     per power-basis coefficient.  Products are reduced with the rows
-    x^(phi+j), and the inverse is ``Poly.inverse_mod`` modulo Phi_n over
+    x^(phi+j), and the inverse is ``poly_inverse_mod`` modulo Phi_n over
     Q.  Format, parse and reduction mod p^m read the coefficients one by
     one."""
 
@@ -841,8 +845,8 @@ class RefCyc:
     def inv(self):
         if not any(self.coeffs):
             raise ZeroDivisionError("inversion of zero")
-        phi_poly = Poly.from_ints(QQ, cyclotomic_polynomial(self.n))
-        s = Poly(QQ, list(self.coeffs)).inverse_mod(phi_poly)
+        phi_poly = poly_from_ints(QQ, cyclotomic_polynomial(self.n))
+        s = poly_inverse_mod(Poly(QQ, list(self.coeffs)), phi_poly)
         return self._with(s.coeffs + [Rat(0)] * (self.phi - len(s.coeffs)))
 
     def __truediv__(self, other):
@@ -1109,3 +1113,250 @@ def trial_field_roots(field, coeffs, seed=0):
             break
     return sorted(set(lift_roots(field, g, p, comp_roots)),
                   key=field.sort_key)
+
+
+# ---------------------------------------------------------------------------
+# F_p as a field object
+# ---------------------------------------------------------------------------
+
+
+class PrimeField:
+    """F_p (or the ring Z/p^m) as a scalar domain for generic linear algebra."""
+
+    def __init__(self, modulus: int):
+        self.modulus = modulus
+        self.zero = PrimeFieldElement(0, modulus)
+        self.one = PrimeFieldElement(1, modulus)
+
+    def from_int(self, x: int):
+        return PrimeFieldElement(x, self.modulus)
+
+    def coerce(self, x):
+        if isinstance(x, PrimeFieldElement):
+            if x.modulus != self.modulus:
+                raise ValueError("modulus mismatch")
+            return x
+        return PrimeFieldElement(int(x), self.modulus)
+
+    def sort_key(self, x):
+        return (x.residue,)
+
+    def format(self, x):
+        return str(x.residue)
+
+    def __repr__(self):
+        return f"PrimeField({self.modulus})"
+
+
+# ---------------------------------------------------------------------------
+# polynomial operations that only tests call
+# ---------------------------------------------------------------------------
+
+
+def poly_from_ints(field, ints):
+    return Poly(field, [field.from_int(i) for i in ints])
+
+
+def poly_x(field):
+    return Poly(field, [field.zero, field.one])
+
+
+def poly_sub(a, b):
+    zero = a.field.zero
+    n = max(len(a.coeffs), len(b.coeffs))
+    pad = lambda c: c + [zero] * (n - len(c))  # noqa: E731
+    return Poly(a.field, [x - y for x, y in zip(pad(a.coeffs),
+                                                 pad(b.coeffs))])
+
+
+def poly_pow_mod(f, k, modulus):
+    out = Poly(f.field, [f.field.one])
+    base = f % modulus
+    while k:
+        if k & 1:
+            out = (out * base) % modulus
+        base = (base * base) % modulus
+        k >>= 1
+    return out
+
+
+def poly_inverse_mod(f, m):
+    """The inverse of f modulo m by the extended Euclidean algorithm;
+    ZeroDivisionError when gcd(f, m) is not a constant."""
+    field = f.field
+    r0, r1 = m, f % m
+    t0, t1 = Poly(field, []), Poly(field, [field.one])
+    while not r1.is_zero():
+        q, rem = r0.divmod(r1)
+        r0, r1 = r1, rem
+        t0, t1 = t1, poly_sub(t0, q * t1)
+    if r0.degree() != 0:
+        raise ZeroDivisionError("polynomial not invertible modulo m")
+    return (t0 * Poly(field, [field.one / r0.coeffs[0]])) % m
+
+
+# ---------------------------------------------------------------------------
+# the modular split on PrimeField objects
+# ---------------------------------------------------------------------------
+#
+# ``modular.modular_split`` and its factorization as they were before F_p
+# values became plain ints: residues are ``PrimeFieldElement`` objects,
+# polynomials are ``Poly`` over ``PrimeField``, eliminations run through
+# ``EchelonSubspace``, and the block dimensions are ranks of spans formed
+# in the reduced algebra.  The random choices are drawn in the same order,
+# so the two splits can be compared block for block.
+
+
+def gf_distinct_degree_factor(f, p):
+    out = []
+    x = poly_x(f.field)
+    h = x
+    rest = f.monic()
+    d = 0
+    while rest.degree() > 0:
+        d += 1
+        if 2 * d > rest.degree():
+            out.append((rest.degree(), rest))
+            break
+        h = poly_pow_mod(h, p, rest)
+        g = rest.gcd(poly_sub(h, x))
+        if g.degree() > 0:
+            out.append((d, g))
+            rest = rest.divmod(g)[0]
+            h = h % rest
+    return out
+
+
+def gf_equal_degree_factor(f, d, p, rng):
+    if f.degree() == d:
+        return [f.monic()]
+    field = f.field
+    one = Poly(field, [field.one])
+    while True:
+        a = Poly(field, [field.from_int(rng.randrange(p))
+                         for _ in range(f.degree())])
+        if a.degree() < 1:
+            continue
+        g = f.gcd(a)
+        if not 0 < g.degree() < f.degree():
+            b = poly_pow_mod(a, (p ** d - 1) // 2, f)
+            g = f.gcd(poly_sub(b, one))
+            if not 0 < g.degree() < f.degree():
+                continue
+        return (gf_equal_degree_factor(g, d, p, rng)
+                + gf_equal_degree_factor(f.divmod(g)[0].monic(), d, p, rng))
+
+
+def gf_factor_mod_p(f, p, rng):
+    factors = []
+    for d, prod in gf_distinct_degree_factor(f, p):
+        factors.extend(gf_equal_degree_factor(prod, d, p, rng))
+    return sorted(factors, key=lambda g: (g.degree(),
+                                          [c.residue for c in g.coeffs]))
+
+
+def gf_roots_mod_p(f, p, rng):
+    x = poly_x(f.field)
+    g = f.gcd(poly_sub(poly_pow_mod(x, p, f), x))
+    if g.degree() == 0:
+        return []
+    return sorted((-fac.coeffs[0] / fac.coeffs[1]).residue
+                  for fac in gf_equal_degree_factor(g, 1, p, rng))
+
+
+def gf_center_mod_p(comp, gf):
+    from frobdiv.algebra import center_conditions
+    from frobdiv.linalg import EchelonSubspace
+    rows = ({k: gf.from_int(c) for k, c in row.items()}
+            for row in center_conditions(comp.table))
+    return EchelonSubspace(gf, comp.dim, rows).kernel()
+
+
+def _gf_try_split(cmult, e, direction, r, p, rng):
+    from frobdiv.linalg import iterates, krylov_relation, sparse
+    from frobdiv.modular import BadPrime, _basis_coord
+    gf = PrimeField(p)
+    z = cmult(direction, e)
+    mat = Matrix.from_columns(gf, [[gf.from_int(x) for x in
+                                    cmult(z, _basis_coord(j, r))]
+                                   for j in range(r)])
+    rel = krylov_relation(gf, r, map(sparse, iterates(
+        mat.apply, [gf.from_int(x) for x in e])))
+    if rel.degree() <= 1:
+        return None
+    if rel.gcd(rel.derivative()).degree() > 0:
+        raise BadPrime("center not semisimple mod p")
+    factors = gf_factor_mod_p(rel, p, rng)
+    if len(factors) <= 1:
+        return None
+    pieces = []
+    for fi in factors:
+        cof = rel.divmod(fi)[0]
+        h = (cof * poly_inverse_mod(cof, fi)) % rel
+        acc = [0] * len(z)
+        for c in reversed(h.coeffs):
+            acc = cmult(acc, z)
+            acc = [(a + c.residue * u) % p for a, u in zip(acc, e)]
+        pieces.append(acc)
+    return pieces
+
+
+def gf_modular_split(comp, seed=0):
+    """The blocks of ``modular.modular_split`` on PrimeField objects."""
+    import random
+    from frobdiv.linalg import EchelonSubspace
+    from frobdiv.modular import (BadPrime, ModularBlock, _basis_coord,
+                                 _ideal_dim, _int_comb)
+    p, n = comp.M, comp.dim
+    gf = PrimeField(p)
+    rng = random.Random(seed * 1000003 + p)
+    center = gf_center_mod_p(comp, gf)
+    r = center.dim
+    if r == 0:
+        raise BadPrime("trivial center mod p")
+    basis = [[x.residue for x in v] for v in center.basis]
+    cmult = full_algebra_cmult(comp, (basis, None))
+    unit_coords = [c.residue for c in
+                   center.coords([gf.from_int(x) for x in comp.unit])]
+    # the loop of modular._commutative_idempotents
+    pieces = [(unit_coords, r == 1)]
+    changed, rounds = True, 0
+    while changed and rounds < r + 25:
+        changed = False
+        rounds += 1
+        directions = [_basis_coord(i, r) for i in range(r)]
+        if rounds > r:
+            directions = [[rng.randrange(p) for _ in range(r)]
+                          for _ in range(3)]
+        new = []
+        for e, final in pieces:
+            split = None
+            if not final:
+                for d in directions:
+                    split = _gf_try_split(cmult, e, d, r, p, rng)
+                    if split:
+                        break
+            if split:
+                new.extend((piece, _ideal_dim(cmult, piece, r, p) == 1)
+                           for piece in split)
+                changed = True
+            else:
+                new.append((e, final))
+        pieces = new
+
+    def span_dim(vectors):
+        return EchelonSubspace(gf, n, ({k: gf.from_int(x)
+                                        for k, x in enumerate(v) if x}
+                                       for v in vectors)).dim
+
+    blocks = []
+    for e_coords, _ in pieces:
+        e = _int_comb(basis, e_coords, p)
+        bdim = span_dim(comp.multiply(_basis_coord(j, n), e)
+                        for j in range(n))
+        cdim = span_dim(comp.multiply(z, e) for z in basis)
+        d = math.isqrt(bdim // cdim)
+        assert d * d * cdim == bdim
+        blocks.append(ModularBlock(e, d, bdim, cdim))
+    blocks.sort(key=lambda b: (b.degree, b.block_dim, b.central_idempotent))
+    return blocks

@@ -329,6 +329,39 @@ def test_non_positive_conductor_exit_2(tmp_path, capsys, conductor):
     assert not (tmp_path / "never.json").exists()
 
 
+def test_conductor_one_on_a_rational_document(tmp_path):
+    # kQ8 built over Q: --conductor 1 embeds Q into Q, to the same report
+    inp = build(tmp_path, "--group", "Q8", "--conductor", "1")
+    assert json.loads(inp.read_text())["field"] == {"type": "rational"}
+    outs = [tmp_path / "plain.json", tmp_path / "conductor-1.json"]
+    codes = [main(["analyze", str(inp), "--format", "json", "--out",
+                   str(outs[0])]),
+             main(["analyze", str(inp), "--conductor", "1", "--format",
+                   "json", "--out", str(outs[1])])]
+    assert codes[0] == codes[1]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_conductor_one_on_a_cyclotomic_document_exit_2(tmp_path):
+    inp = build(tmp_path, "--group", "C4")  # over Q(zeta_4)
+    err = assert_invalid_input(inp, "--conductor", "1")
+    assert "conductor 1 is not a multiple of 4" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on the digits of an integer string")
+def test_oversized_scalar_is_not_echoed(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    doc = {"dim": 1, "field": {"type": "rational"},
+           "structure_constants": [[0, 0, 0, "1"]],
+           "unit": ["1" * (limit + 701)]}
+    inp = tmp_path / "big.json"
+    inp.write_text(json.dumps(doc))
+    err = assert_invalid_input(inp)
+    assert len(err) < 300 and f"({limit} digits)" in err
+    assert "'" + "1" * 40 + "'..." in err
+
+
 def test_schneider_needs_r_matrix(tmp_path, capsys):
     inp = build(tmp_path, "--group", "C2")  # no R in a group-algebra build
     assert main(["analyze", str(inp), "--check", "schneider"]) == 2

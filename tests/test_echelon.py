@@ -9,11 +9,11 @@ Compared: rref and pivots, kernels, inverses (singular input raises),
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import CyclotomicField, Matrix, PrimeField, QQ
+from frobdiv import CyclotomicField, Matrix, QQ
 from frobdiv.linalg import EchelonSubspace, iterates, krylov_relation, sparse
 
-from dense_oracle import (dense_coords, dense_inverse, dense_kernel,
-                          dense_krylov_relation, dense_rref,
+from dense_oracle import (PrimeField, dense_coords, dense_inverse,
+                          dense_kernel, dense_krylov_relation, dense_rref,
                           dense_solve_many, zero_matrix)
 from identity_oracle import contains
 

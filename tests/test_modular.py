@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import CyclotomicField, PrimeField, Poly, QQ, Rat
+from frobdiv import CyclotomicField, QQ, Rat
 from frobdiv.modular import (
     ComponentAlgebra,
     component_roots,
@@ -13,6 +13,7 @@ from frobdiv.modular import (
     hensel_lift_idempotent,
     interpolate_mod,
     is_prime,
+    is_squarefree_mod,
     lift_cyclotomic_root,
     modular_split,
     primitive_root,
@@ -76,22 +77,21 @@ def test_reduce_scalar_rational():
 
 
 def test_squarefree_and_factor():
-    gf = PrimeField(7)
-    # (x-1)^2 (x-2) over F_7
-    f = Poly.from_ints(gf, [-2, 5, -4, 1])
-    sq = f // f.gcd(f.derivative())
-    assert sq.degree() == 2
-    fac = factor_mod_p(sq.monic(), 7, random.Random(0))
-    assert sorted(g.degree() for g in fac) == [1, 1]
-    roots = roots_mod_p(sq.monic(), 7, random.Random(0))
-    assert sorted(roots) == [1, 2]
+    # (x-1)^2 (x-2) over F_7, as an ascending int list
+    f = [5, 5, 3, 1]
+    assert not is_squarefree_mod(f, 7)
+    sq = [2, 4, 1]  # (x-1)(x-2)
+    assert is_squarefree_mod(sq, 7)
+    fac = factor_mod_p(sq, 7, random.Random(0))
+    assert fac == [[5, 1], [6, 1]]
+    roots = roots_mod_p(sq, 7, random.Random(0))
+    assert roots == [1, 2]
 
 
 def test_roots_mod_p_irreducible():
-    gf = PrimeField(7)
     # x^2 + 1 has no roots mod 7 (7 = 3 mod 4)
-    f = Poly.from_ints(gf, [1, 0, 1])
-    assert roots_mod_p(f, 7, random.Random(0)) == []
+    assert roots_mod_p([1, 0, 1], 7, random.Random(0)) == []
+    assert factor_mod_p([1, 0, 1], 7, random.Random(0)) == [[1, 0, 1]]
 
 
 def test_component_algebra_c2():

@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import QQ, CyclotomicField, PrimeField, Rat
+from frobdiv import QQ, CyclotomicField, Rat
 from frobdiv.modular import BadPrime, component_roots, reduce_scalar
 from frobdiv.scalars import ConductorMismatch, cyclotomic_polynomial
 
-from dense_oracle import RefCyc, rational_reconstruct
+from dense_oracle import PrimeField, RefCyc, rational_reconstruct
 
 # hand table of cyclotomic polynomials, ascending coefficients
 KNOWN_PHI = {

@@ -5,10 +5,10 @@ streamed from a generator."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import CyclotomicField, Matrix, PrimeField, QQ
+from frobdiv import CyclotomicField, Matrix, QQ
 from frobdiv.linalg import EchelonSubspace
 
-from dense_oracle import dense_kernel
+from dense_oracle import PrimeField, dense_kernel
 
 FIELDS = {"Q": QQ, "Q(zeta_3)": CyclotomicField(3), "F_7": PrimeField(7)}
 
