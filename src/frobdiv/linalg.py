@@ -145,25 +145,23 @@ class Matrix:
         iterable ``rhss`` in turn, None for an inconsistent b.
 
         [self | I] is eliminated once; the tracked part T of each pivot row
-        gives x = T b.  When the columns are independent, b lies in their
-        span exactly when y b = 0 for every relation y self = 0, and then x
-        is exact; otherwise x is checked by self * x = b."""
+        gives x = T b, 0 at the free columns.  b lies in the column span
+        exactly when y b = 0 for every relation y self = 0 (they span the
+        left kernel), and then self * x = b at any rank."""
         zero, n = self.field.zero, self.cols
         space, relations = self._with_identity()
         ops = [(p, [(k - n, c) for k, c in space.rows[p].items() if k >= n])
                for p in space.pivots]
-        full_rank = space.dim == n
         for b in rhss:
             b = list(b)
+            if any(sum((c * b[i] for i, c in y if b[i]), zero)
+                   for y in relations):
+                yield None
+                continue
             x = [zero] * n
             for p, op in ops:
                 x[p] = sum((c * b[i] for i, c in op if b[i]), zero)
-            if full_rank:
-                consistent = not any(sum((c * b[i] for i, c in y if b[i]),
-                                         zero) for y in relations)
-            else:
-                consistent = self.apply(x) == b
-            yield x if consistent else None
+            yield x
 
     def inverse(self):
         """The inverse, from one elimination of [self | I]; SingularMatrix

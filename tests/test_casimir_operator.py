@@ -20,6 +20,7 @@ from conftest import delta_form, group_algebra_plain, matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
                           change_basis_hopf, permute_algebra, scalar_matrix,
                           shear_matrix, unimodular_matrix)
+from ladder import LADDER
 
 _HOPF = {}
 
@@ -220,9 +221,8 @@ def test_casimir_minpoly_on_dense_plain(form):
 
 # The analyses of the benchmark's ``ladder-small`` workload: (document,
 # conductor), the conductor defaulting to the group's exponent.
-LADDER = [("kS3", None), ("kA4", None), ("kS3", 24), ("kQ8", 24),
-          ("kD4", 24), ("kA4", 12), ("k^S3", None), ("k^A4", 12),
-          ("k^Q8", 24), ("k^D4", 8)]
+LADDER_DOCS = [(("k" if kind == "group-algebra" else "k^") + g, c)
+               for g, kind, c in LADDER]
 
 
 def closed_form_minpoly(F, data):
@@ -254,7 +254,7 @@ def test_casimir_minpoly_closed_form():
         checked.append(label)
         return poly
 
-    for name, conductor in LADDER:
+    for name, conductor in LADDER_DOCS:
         H, lam = hopf(name, conductor)
         check((name, conductor), frobenius_structure(H.algebra, lam))
     A, lam, _ = dense_plain(matrix_blocks(PLAIN).regular_character())
@@ -263,4 +263,4 @@ def test_casimir_minpoly_closed_form():
     assert poly == [Rat(0), Rat(-1, 36), Rat(1, 36), Rat(13, 36),
                     Rat(-13, 36), Rat(-1), Rat(1)]
     # every input is split: none was left out of the comparison
-    assert checked == LADDER + ["M3+M2+Q"]
+    assert checked == LADDER_DOCS + ["M3+M2+Q"]

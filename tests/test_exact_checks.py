@@ -20,7 +20,7 @@ import pytest
 
 from frobdiv import (HopfAnalysis, Matrix, central_primitive_idempotents,
                      double_projection, drinfeld_double, dual_algebra,
-                     dual_hopf, group_algebra, named_group)
+                     group_algebra, named_group)
 from frobdiv.algebra import first_non_multiplicative_pair
 from frobdiv.hopf import (NonIntegralFusion, class_equation_check,
                          factorizable_check, schneider_check)
@@ -32,6 +32,7 @@ from frobdiv.wedderburn import _verify_system
 from dense_oracle import (dense_block_dim,
                           dense_first_non_multiplicative_pair, hit_form_left,
                           pairwise_orthogonal, permute_hopf, permute_r)
+from ladder import LADDER, ladder_algebra
 
 
 def relabelled_double(gname, seed):
@@ -143,20 +144,6 @@ def test_corrupted_character_stops_class_equation(double):
 # ---------------------------------------------------------------------------
 # characters, block dimensions and orthogonality on the small ladder
 # ---------------------------------------------------------------------------
-
-# (group, "group-algebra" or "dual", conductor or None for the exponent)
-LADDER = [("S3", "group-algebra", None), ("A4", "group-algebra", None),
-          ("S3", "group-algebra", 24), ("Q8", "group-algebra", 24),
-          ("D4", "group-algebra", 24), ("A4", "group-algebra", 12),
-          ("S3", "dual", None), ("A4", "dual", 12), ("Q8", "dual", 24),
-          ("D4", "dual", 8)]
-
-
-def ladder_algebra(gname, kind, conductor):
-    G = named_group(gname)
-    H = group_algebra(G, conductor=conductor or G.exponent)
-    return (dual_hopf(H) if kind == "dual" else H).algebra
-
 
 @pytest.mark.parametrize("gname,kind,conductor", LADDER,
                          ids=[f"{k}-{g}-{c}" for g, k, c in LADDER])

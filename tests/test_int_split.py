@@ -20,14 +20,10 @@ from frobdiv.wedderburn import _verify_idempotent, central_primitive_idempotents
 
 from dense_oracle import (PrimeField, gf_factor_mod_p, gf_modular_split,
                           gf_roots_mod_p, poly_from_ints)
+from ladder import LADDER, ladder_hopf
 
-# the ten documents of the benchmark's ladder-small workload, then two
-# doubles: (group, kind, conductor)
-LADDER = [("S3", "group-algebra", None), ("A4", "group-algebra", None),
-          ("S3", "group-algebra", 24), ("Q8", "group-algebra", 24),
-          ("D4", "group-algebra", 24), ("A4", "group-algebra", 12),
-          ("S3", "dual", None), ("A4", "dual", 12), ("Q8", "dual", 24),
-          ("D4", "dual", 8), ("C4", "double", None), ("S3", "double", None)]
+# the ladder documents, then two doubles: (group, kind, conductor)
+DOCS = LADDER + [("C4", "double", None), ("S3", "double", None)]
 
 _HOPF = {}
 
@@ -35,12 +31,11 @@ _HOPF = {}
 def hopf(gname, kind, conductor):
     key = (gname, kind, conductor)
     if key not in _HOPF:
-        G = named_group(gname)
         if kind == "double":
+            G = named_group(gname)
             _HOPF[key] = drinfeld_double(G, conductor=G.exponent)
         else:
-            H = group_algebra(G, conductor=conductor or G.exponent)
-            _HOPF[key] = (dual_hopf(H) if kind == "dual" else H), None
+            _HOPF[key] = ladder_hopf(gname, kind, conductor), None
     return _HOPF[key]
 
 
@@ -57,8 +52,8 @@ def assert_splits_agree(A, p):
         assert got and got == blocks(gf_modular_split(comp))
 
 
-@pytest.mark.parametrize("gname,kind,conductor", LADDER,
-                         ids=[f"{k}-{g}-{c}" for g, k, c in LADDER])
+@pytest.mark.parametrize("gname,kind,conductor", DOCS,
+                         ids=[f"{k}-{g}-{c}" for g, k, c in DOCS])
 def test_int_split_matches_prime_field_split(gname, kind, conductor):
     H, _ = hopf(gname, kind, conductor)
     data = central_primitive_idempotents(H.algebra)
