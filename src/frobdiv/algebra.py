@@ -7,9 +7,10 @@ Linear conditions are read straight from the sparse structure table
 sum_k a_k (c_ik^r - c_ki^r), streamed into the sparse echelon form of
 ``linalg.EchelonSubspace`` without forming any multiplication operator,
 ``is_central`` compares a x_i with x_i a on the table (and nothing once
-``is_commutative`` has found the table symmetric), and the Gram matrix of
-a form is sum_r lambda_r c_ij^r, eliminated once beside the identity for
-its inverse.  The Casimir element multiplies elements of A (x) A through
+``is_commutative`` has found the table symmetric), and the Gram rows of a
+form, sum_r lambda_r c_ij^r, are eliminated once beside the identity
+(``linalg.inverse_rows``), of which only the sparse rows of the inverse
+are kept.  The Casimir element multiplies elements of A (x) A through
 the swap law, on the table of A as well.  It, the associativity scan and
 ``is_idempotent`` run on ``integral_table``: D times the table, for D the
 lcm of the denominators of the constants, an int per rational constant
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from .integrality import is_integral_over_Z
-from .linalg import EchelonSubspace, Matrix, SingularMatrix
+from .linalg import EchelonSubspace, Singular, inverse_rows
 from .scalars import Cyc
 
 
@@ -257,22 +258,29 @@ def center_conditions(table):
         yield from rows.values()
 
 
-def first_non_multiplicative_pair(A, B, phi):
+def first_non_multiplicative_pair(A, B, images):
     """The first basis pair (i, j), in order of i then j, at which the
-    linear map phi: A -> B (columns are the images of the basis of A) has
+    linear map phi: A -> B with phi(x_k) = images[k] has
     phi(x_i x_j) != phi(x_i) phi(x_j); None when phi is multiplicative.
     phi(x_i x_j) = sum_k c_ij^k phi(x_k) is read off the table of A."""
-    cols = [phi.column(k) for k in range(A.dim)]
     for i, row in enumerate(A.table):
         for j, cell in enumerate(row):
-            lhs = B.zero_vec()
-            for k, c in cell.items():
-                for r, v in enumerate(cols[k]):
-                    if v:
-                        lhs[r] = lhs[r] + c * v
-            if lhs != B.multiply(cols[i], cols[j]):
+            if (linear_image(B, images, cell.items())
+                    != B.multiply(images[i], images[j])):
                 return i, j
     return None
+
+
+def linear_image(B, images, terms):
+    """sum c images[k] over the pairs (k, c) of ``terms``: the image in B
+    of sum c x_k under the linear map with phi(x_k) = images[k]."""
+    out = B.zero_vec()
+    for k, c in terms:
+        if c:
+            for r, v in enumerate(images[k]):
+                if v:
+                    out[r] = out[r] + c * v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -388,32 +396,31 @@ def contract_right(field, form, z, n):
 
 
 class FrobeniusStructure:
-    """A nondegenerate trace form with its Gram matrix, dual bases and
-    Casimir element."""
+    """A nondegenerate trace form with the sparse rows of its inverse Gram
+    matrix, its dual basis and Casimir element."""
 
     def __init__(self, algebra: StructureConstantAlgebra, lam):
         self.algebra = algebra
         self.lam = list(lam)
         n = algebra.dim
-        # <lambda, x_i x_j> = sum_r lambda_r c_ij^r
+        # <lambda, x_i x_j> = sum_r lambda_r c_ij^r, row i without zeros
         zero = algebra.field.zero
         lam_d = _clean(dict(enumerate(self.lam)))
-        gram = [[sum((lam_d[r] * c for r, c in cell.items() if r in lam_d),
-                     zero) for cell in row] for row in algebra.table]
+        gram = [_clean({j: sum((lam_d[r] * c for r, c in cell.items()
+                                if r in lam_d), zero)
+                        for j, cell in enumerate(row)})
+                for row in algebra.table]
         for i in range(n):
             for j in range(i + 1, n):
-                if gram[i][j] != gram[j][i]:
+                if gram[i].get(j, zero) != gram[j].get(i, zero):
                     raise NotATraceForm(i, j)
-        self.gram = Matrix(algebra.field, gram)
         try:
-            self.gram_inv = self.gram.inverse()
-        except SingularMatrix as err:
+            inverse = inverse_rows(algebra.field, gram)
+        except Singular as err:
             raise DegenerateForm(err.witness) from None
-        # dual basis: y_j = sum_r gram_inv[r][j] x_r, so <lambda, x_i y_j> = d_ij
-        self.dual_basis = [self.gram_inv.column(j) for j in range(n)]
-        # row r of gram_inv, sparse: the x_r-coefficients of the y_j
-        self._dual_coeffs = [[(j, g) for j, g in enumerate(row) if g]
-                             for row in self.gram_inv.entries]
+        # row r of gram_inv, sparse: the x_r-coefficients of the dual basis
+        # y_j = sum_r gram_inv[r][j] x_r, with <lambda, x_i y_j> = d_ij
+        self._dual_coeffs = [sorted(row.items()) for row in inverse]
         gamma = _common_den(g for row in self._dual_coeffs for _, g in row)
         self._integral_dual = gamma, [[(j, _times_den(g, gamma)) for j, g
                                        in row] for row in self._dual_coeffs]
@@ -423,6 +430,14 @@ class FrobeniusStructure:
                         for j, g in row}
         self._gamma_one = None
         self._casimir_cert = None
+
+    @property
+    def dual_basis(self):
+        """The dual basis y_j as dense vectors.  gram_inv is symmetric, as
+        the Gram matrix of a trace form is, so y_j is its row j."""
+        zero = self.field.zero
+        return [[dict(row).get(r, zero) for r in range(self.algebra.dim)]
+                for row in self._dual_coeffs]
 
     @property
     def field(self):
@@ -435,9 +450,9 @@ class FrobeniusStructure:
         """Gamma(a) = sum_i x_i a y_i; asserts the result is central."""
         A = self.algebra
         out = A.zero_vec()
-        for i in range(A.dim):
+        for i, y in enumerate(self.dual_basis):
             t = A.multiply(A.basis_vec(i), a)
-            t = A.multiply(t, self.dual_basis[i])
+            t = A.multiply(t, y)
             out = [x + y for x, y in zip(out, t)]
         if not A.is_central(out):
             raise AlgebraError("Casimir trace produced a non-central value")

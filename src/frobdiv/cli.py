@@ -340,6 +340,8 @@ def cmd_build(args):
             G = named_group(args.group)
         elif args.table:
             raw = load_path(args.table)
+            if not isinstance(raw, dict):
+                raise InvalidGroupTable("table file is not a JSON object")
             G = group_from_table(raw["table"], name="G")
         else:
             print("build needs --group or --table", file=sys.stderr)

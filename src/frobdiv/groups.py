@@ -24,10 +24,15 @@ class FiniteGroup:
 
 
 def group_from_table(table, name="group") -> FiniteGroup:
+    """The group of a Cayley table: a list of n lists of n ints in
+    range(n).  JSON true and false load as bools, which Python counts as
+    ints; they are refused."""
+    if not isinstance(table, list) or not all(
+            isinstance(row, list) and len(row) == len(table)
+            and all(type(x) is int and 0 <= x < len(table) for x in row)
+            for row in table):
+        raise InvalidGroupTable("table is not n x n over {0..n-1}")
     n = len(table)
-    for row in table:
-        if len(row) != n or any(not 0 <= x < n for x in row):
-            raise InvalidGroupTable("table is not n x n over {0..n-1}")
     # associativity
     for i in range(n):
         for j in range(n):

@@ -5,13 +5,20 @@ and Schneider).
 
 A ``HopfAnalysis`` session holds the artefacts the checkers share: the
 integrals, the Frobenius structures of (H, lambda) and (H*, Lambda0), the
-Wedderburn split, the representation ring with its delta form and the
-quasitriangular data.  Each is built on first use and kept, so one session
-builds each once; the checkers take the session as their one argument.
+Wedderburn split, the representation ring and the quasitriangular data.
+Each is built on first use and kept, so one session builds each once; the
+checkers take the session as their one argument.
 
 Every element of H (x) H is a sparse dict mapping the flat index
 i*dim + k of e_i (x) e_k to its nonzero coefficient: ``delta[j]`` =
-Delta(x_j), the Casimir element, the R-matrix and b = tau(R) R.
+Delta(x_j), the Casimir element, the R-matrix and b = tau(R) R.  Each map
+is kept in the form its readers use.  The Drinfeld map
+Phi(f) = b1 <f, b2> is read off b with ``contract_right``, and its rank
+from the rows of b.  The character map chi of the representation ring
+sends the basis of R to ``W.characters``, and Psi = Phi o chi sends it to
+the Phi(chi_S).  A linear map between algebras is passed as the list of
+images of the basis.  Only the antipode, and the character matrix of the
+fusion solve, are dense ``Matrix`` objects.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import functools
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
                       VerificationReport, _add_into, _clean, contract_left,
                       contract_right, first_non_multiplicative_pair,
-                      frobenius_structure, tensor_dict)
+                      frobenius_structure, linear_image, tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis,
                           frobenius_divisibility_verdict,
@@ -467,46 +474,39 @@ def drinfeld_double(G: FiniteGroup, field=None, conductor=None,
 
 
 def double_projection(G: FiniteGroup, double: HopfAlgebraData,
-                      target: HopfAlgebraData) -> Matrix:
-    """The surjection D(G) ->> kG, delta_x (x) g -> [x = e] g, verified to
-    be a map of Hopf algebras."""
-    m = G.order
-    field = double.field
-    cols = []
-    for x in range(m):
-        for g in range(m):
-            col = [field.zero] * m
-            if x == G.identity:
-                col[g] = field.one
-            cols.append(col)
-    phi = Matrix.from_columns(field, cols)
-    _verify_hopf_map(double, target, phi)
-    return phi
+                      target: HopfAlgebraData):
+    """The surjection D(G) ->> kG, delta_x (x) g -> [x = e] g, as the
+    images of the basis of D(G), verified to be a map of Hopf algebras."""
+    A = target.algebra
+    images = [A.basis_vec(g) if x == G.identity else A.zero_vec()
+              for x in range(G.order) for g in range(G.order)]
+    _verify_hopf_map(double, target, images)
+    return images
 
 
-def _verify_hopf_map(H1, H2, phi: Matrix):
+def _verify_hopf_map(H1, H2, images):
+    """Check that the linear map with x_j -> images[j] is a map of Hopf
+    algebras H1 -> H2: unit, products, counit, comultiplication and
+    antipode."""
     A1, A2 = H1.algebra, H2.algebra
-    if phi.apply(A1.unit) != A2.unit:
+    if linear_image(A2, images, enumerate(A1.unit)) != A2.unit:
         raise HopfError("map does not preserve the unit")
-    pair = first_non_multiplicative_pair(A1, A2, phi)
+    pair = first_non_multiplicative_pair(A1, A2, images)
     if pair is not None:
         raise HopfError("map not multiplicative at ({},{})".format(*pair))
-    n1, n2 = A1.dim, A2.dim
-    for j in range(n1):
-        if H1.counit[j] != H2.counit_of(phi.column(j)):
+    n1 = A1.dim
+    for j, image in enumerate(images):
+        if H1.counit[j] != H2.counit_of(image):
             raise HopfError(f"map does not preserve the counit at {j}")
         lhs = {}
         for idx, c in H1.delta[j].items():
             a, b = divmod(idx, n1)
-            pa, pb = phi.column(a), phi.column(b)
-            for r in range(n2):
-                if bool(pa[r]):
-                    for s in range(n2):
-                        if bool(pb[s]):
-                            _add_into(lhs, r * n2 + s, c * pa[r] * pb[s])
-        if _clean(lhs) != H2.delta_of(phi.column(j)):
+            for k, v in tensor_dict(A2.field, images[a], images[b]).items():
+                _add_into(lhs, k, c * v)
+        if _clean(lhs) != H2.delta_of(image):
             raise HopfError(f"map does not preserve comultiplication at {j}")
-        if phi.apply(H1.antipode.column(j)) != H2.antipode_of(phi.column(j)):
+        if (linear_image(A2, images, enumerate(H1.antipode.column(j)))
+                != H2.antipode_of(image)):
             raise HopfError(f"map does not preserve the antipode at {j}")
 
 
@@ -518,20 +518,16 @@ def _verify_hopf_map(H1, H2, phi: Matrix):
 class RepresentationRing:
     """R_k(H) on the basis of irreducible characters inside H*.
 
-    ``ring`` is the StructureConstantAlgebra with the fusion constants,
-    ``delta_form`` is the form [V] -> dim V^H, ``chi_matrix`` embeds the
-    ring into H* (columns are character vectors), ``dual_index[s]`` is the
-    index of S* with chi_{S*} = chi_S o antipode.  ``frobenius`` is the
-    ring's Frobenius structure for ``delta_form`` and ``wedderburn`` its
-    split, shared by the class-equation and Schneider checks.
+    ``ring`` is the StructureConstantAlgebra with the fusion constants; the
+    character map sends its basis element s to ``W.characters[s]`` in H*.
+    ``dual_index[s]`` is the index of S* with chi_{S*} = chi_S o antipode.
+    ``frobenius`` is the ring's Frobenius structure for the form
+    [V] -> dim V^H and ``wedderburn`` its split, shared by the
+    class-equation and Schneider checks.
     """
 
-    def __init__(self, ring, fusion, delta_form, chi_matrix, dual_index,
-                 frobenius, wedderburn):
+    def __init__(self, ring, dual_index, frobenius, wedderburn):
         self.ring = ring
-        self.fusion = fusion
-        self.delta_form = delta_form
-        self.chi_matrix = chi_matrix
         self.dual_index = dual_index
         self.frobenius = frobenius
         self.wedderburn = wedderburn
@@ -544,8 +540,6 @@ def representation_ring(session: HopfAnalysis) -> RepresentationRing:
     r = W.num_blocks
     chars = W.characters
 
-    chi_matrix = Matrix.from_columns(field, [list(chi) for chi in chars])
-
     def convolve(f, g):
         out = [field.zero] * n
         for k in range(n):
@@ -555,41 +549,35 @@ def representation_ring(session: HopfAnalysis) -> RepresentationRing:
                     out[k] = out[k] + c * f[i] * g[j]
         return out
 
-    fusion = [[None] * r for _ in range(r)]
     table = [[{} for _ in range(r)] for _ in range(r)]
     pairs = [(s, t) for s in range(r) for t in range(r)]
-    solved = chi_matrix.solve_many(convolve(chars[s], chars[t])
-                                   for s, t in pairs)
+    solved = Matrix.from_columns(field, chars).solve_many(
+        convolve(chars[s], chars[t]) for s, t in pairs)
     for (s, t), coeffs in zip(pairs, solved):
         if coeffs is None:
             raise NonIntegralFusion("character product leaves the "
                                     "character span")
-        ints = []
-        for c in coeffs:
+        for u, c in enumerate(coeffs):
             if not field.is_rational(c):
                 raise NonIntegralFusion("non-rational fusion constant")
             q = field.as_rat(c)
             if q.denominator != 1 or q < 0:
                 raise NonIntegralFusion(f"fusion constant {q} at "
                                         f"({s},{t})")
-            ints.append(int(q))
-        fusion[s][t] = ints
-        table[s][t] = {u: field.from_rat(Rat(c))
-                       for u, c in enumerate(ints) if c}
+            if q:
+                table[s][t][u] = field.from_rat(q)
 
     # unit of the ring: the trivial character (fusion row acts as identity)
-    unit = None
-    for s in range(r):
-        if all(fusion[s][t] == [1 if u == t else 0 for u in range(r)]
-               for t in range(r)):
-            unit = [field.one if u == s else field.zero for u in range(r)]
-            break
-    if unit is None:
+    one = next((s for s in range(r)
+                if all(table[s][t] == {t: field.one} for t in range(r))),
+               None)
+    if one is None:
         raise NonIntegralFusion("no unit among the characters")
     # with the exact fusion rule above and delta = Lambda0 o chi below, chi
     # is a homomorphism of symmetric algebras (R, delta) -> (H*, Lambda0)
-    if chi_matrix.apply(unit) != H.counit:
+    if list(chars[one]) != H.counit:
         raise NonIntegralFusion("the unit of the ring is not the counit")
+    unit = [field.one if u == one else field.zero for u in range(r)]
     ring = StructureConstantAlgebra(field, r, table, unit,
                                     name=f"R({H.name})" if H.name else "R")
 
@@ -620,8 +608,7 @@ def representation_ring(session: HopfAnalysis) -> RepresentationRing:
     frob_R = frobenius_structure(ring, delta_form)
     data_R = central_primitive_idempotents(ring, frob_R,
                                            prime=session.prime)
-    return RepresentationRing(ring, fusion, delta_form, chi_matrix,
-                              dual_index, frob_R, data_R)
+    return RepresentationRing(ring, dual_index, frob_R, data_R)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +693,8 @@ def class_equation_check(session: HopfAnalysis):
     homomorphism of these symmetric algebras."""
     RR, dual_frob = session.ring, session.dual_frobenius
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn,
-                                dual_frob.algebra, dual_frob, RR.chi_matrix)
+                                dual_frob.algebra, dual_frob,
+                                session.wedderburn.characters)
     integral = [c.integral for c in rep.certificates]
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
@@ -719,18 +707,21 @@ def class_equation_check(session: HopfAnalysis):
 
 
 class QuasitriangularData:
-    def __init__(self, H, R, b, phi_matrix, report):
+    """R and b = tau(R) R as sparse dicts on H (x) H, with the report of
+    the axioms.  b is the Drinfeld map Phi(f) = b1 <f, b2>: Phi(f) is
+    ``contract_right(field, f, b, dim)``."""
+
+    def __init__(self, H, R, b, report):
         self.H = H
         self.R = R
         self.b = b
-        self.phi_matrix = phi_matrix
         self.report = report
 
 
 def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
     """The three quasitriangular axioms plus invertibility of R (an
-    element of H (x) H); builds b = tau(R) R and the matrix of
-    Phi(f) = b1 <f, b2>.
+    element of H (x) H); builds b = tau(R) R, from which
+    Phi(f) = b1 <f, b2> is read.
 
     H must be a verified Hopf algebra: the R-products (``r_products``)
     use the unit law instead of expanding the unit into basis terms."""
@@ -783,10 +774,7 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
         report.record(lhs == rhs, ("intertwining", j))
 
     b = T.mult(T.switch(Rd), Rd)
-    # Phi(delta^j) = sum_i b_{ij} x_i
-    phi_matrix = Matrix(field, [[b.get(i * n + j, field.zero)
-                                 for j in range(n)] for i in range(n)])
-    return QuasitriangularData(H, Rd, b, phi_matrix, report)
+    return QuasitriangularData(H, Rd, b, report)
 
 
 def r_products(A, Rd):
@@ -811,20 +799,19 @@ def r_products(A, Rd):
 
 
 class FactorizableVerdict:
-    """Whether the Phi of ``phi_matrix`` is bijective, with its rank."""
+    """Whether Phi is bijective, with its rank."""
 
-    def __init__(self, factorizable, rank, dim, proof_identities,
-                 phi_matrix):
+    def __init__(self, factorizable, rank, dim, proof_identities):
         self.factorizable = factorizable
         self.rank = rank
         self.dim = dim
         self.proof_identities = proof_identities
-        self.phi_matrix = phi_matrix
 
 
 def factorizable_check(Q: QuasitriangularData) -> FactorizableVerdict:
-    """Phi bijective <=> factorizable; also the proof identities
-    <eps, b1> b2 = 1 and <eps, Phi(f)> = <f, 1>."""
+    """Phi bijective <=> factorizable; also the proof identity
+    <eps, b1> b2 = 1.  Phi(delta^j) = sum_i b_ij x_i, so the rank of Phi
+    is that of the rows {j: b_ij} of b."""
     H = Q.H
     A = H.algebra
     field = H.field
@@ -832,12 +819,13 @@ def factorizable_check(Q: QuasitriangularData) -> FactorizableVerdict:
     if not Q.report.passed:
         raise HopfError(f"quasitriangular axioms fail: "
                         f"{Q.report.failures[:3]}")
-    rank = Q.phi_matrix.rank()
-    ident1 = contract_left(field, H.counit, Q.b, n) == A.unit
-    ident2 = all(H.counit_of(Q.phi_matrix.column(j)) == A.unit[j]
-                 for j in range(n))
-    return FactorizableVerdict(rank == n, rank, n, (ident1, ident2),
-                               Q.phi_matrix)
+    rows = {}
+    for idx, c in Q.b.items():
+        i, j = divmod(idx, n)
+        rows.setdefault(i, {})[j] = c
+    rank = EchelonSubspace(field, n, rows.values()).dim
+    ident = contract_left(field, H.counit, Q.b, n) == A.unit
+    return FactorizableVerdict(rank == n, rank, n, (ident,))
 
 
 class SchneiderReport:
@@ -861,8 +849,8 @@ class SchneiderReport:
 def schneider_check(session: HopfAnalysis):
     """For a factorizable H: Psi = Phi o chi embeds R_k(H) into Z(H),
     Phi(lambda) = Lambda0, and dim Ind of each irreducible of R equals
-    d(S)^2, whence (dim S)^2 | dim H.  Phi is that of the session's
-    ``factorizable`` verdict.
+    d(S)^2, whence (dim S)^2 | dim H.  Phi is read off the session's b,
+    and Psi's images of the basis of R are Phi(chi_S).
 
     That Psi is a homomorphism of symmetric algebras (R, delta) ->
     (H, lambda) (unit, products, lambda o Psi = delta) is checked once, by
@@ -875,17 +863,16 @@ def schneider_check(session: HopfAnalysis):
     n = H.dim
     if not verdict.factorizable:
         raise InapplicableHypothesis("Hopf algebra is not factorizable")
-    RR, I = session.ring, session.integrals
-    phi = verdict.phi_matrix
-    psi = phi * RR.chi_matrix
-    r = RR.ring.dim
-    lam = I.lam
+    RR, I, b = session.ring, session.integrals, session.quasitriangular.b
+    psi = [contract_right(field, chi, b, n)
+           for chi in session.wedderburn.characters]
 
     checks = {}
-    im = EchelonSubspace(field, n, (sparse(psi.column(s)) for s in range(r)))
+    im = EchelonSubspace(field, n, map(sparse, psi))
     checks["image-is-center"] = (im.dim == len(A.center_basis())
-                                 and all(A.is_central(b) for b in im.basis))
-    checks["phi-lambda-is-Lambda0"] = phi.apply(lam) == list(I.Lambda0)
+                                 and all(A.is_central(v) for v in im.basis))
+    checks["phi-lambda-is-Lambda0"] = (contract_right(field, I.lam, b, n)
+                                       == list(I.Lambda0))
 
     frob = session.frobenius
     verify_symmetric_homomorphism(RR.ring, RR.frobenius.lam, A, frob.lam,

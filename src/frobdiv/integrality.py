@@ -152,34 +152,35 @@ class RelativeReport:
         self.ratio_checks = ratio_checks
 
 
-def verify_symmetric_homomorphism(A, lam, B, mu, phi):
-    """Check that phi (columns are the images in B of the basis of A) is a
+def verify_symmetric_homomorphism(A, lam, B, mu, images):
+    """Check that the linear map phi with phi(x_k) = images[k] in B is a
     homomorphism of symmetric algebras (A, lambda) -> (B, mu): unit to
     unit, multiplicative on every basis pair, with phi(x_i x_j) read off
     the table of A (``algebra.first_non_multiplicative_pair``), and
     mu o phi = lambda.  Raises NotASymmetricHomomorphism naming the first
     failure."""
-    from .algebra import first_non_multiplicative_pair
-    if phi.apply(A.unit) != B.unit:
+    from .algebra import first_non_multiplicative_pair, linear_image
+    if linear_image(B, images, enumerate(A.unit)) != B.unit:
         raise NotASymmetricHomomorphism("unit not preserved")
-    pair = first_non_multiplicative_pair(A, B, phi)
+    pair = first_non_multiplicative_pair(A, B, images)
     if pair is not None:
         raise NotASymmetricHomomorphism(
             "multiplicativity fails at basis pair ({},{})".format(*pair))
-    for i in range(A.dim):
-        pulled = B.apply_form(mu, phi.column(i))
-        if pulled != lam[i]:
+    for i, image in enumerate(images):
+        if B.apply_form(mu, image) != lam[i]:
             raise NotASymmetricHomomorphism(
                 f"mu o phi != lambda at basis index {i}")
 
 
-def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
+def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
     """Per-block report for a homomorphism of symmetric algebras
-    (A, lambda) -> (B, mu): induced dimensions, the scalars
-    Gamma^mu(1)/dim Ind, their integrality certificates, and the exact
-    equality Gamma^mu(1)/dim Ind = Gamma^lambda(1)_S / d(S).  The caller
-    proves that phi is such a homomorphism (``verify_symmetric_homomorphism``
-    or, for a character map, ``hopf.representation_ring``)."""
+    (A, lambda) -> (B, mu), phi(x_k) = images[k]: induced dimensions, the
+    scalars Gamma^mu(1)/dim Ind, their integrality certificates, and the
+    exact equality Gamma^mu(1)/dim Ind = Gamma^lambda(1)_S / d(S).  The
+    caller proves that phi is such a homomorphism
+    (``verify_symmetric_homomorphism`` or, for a character map,
+    ``hopf.representation_ring``)."""
+    from .algebra import linear_image
     from .wedderburn import gamma_one_eigenvalue
     field = A.field
     if not frob_A.casimir_certificate().integral:
@@ -199,7 +200,7 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, phi):
     rho = B.right_regular_character()
     induced_dims, scalars, certs, ratio_checks = [], [], [], []
     for s, e in enumerate(data_A.idempotents):
-        trace = B.apply_form(rho, phi.apply(e))
+        trace = B.apply_form(rho, linear_image(B, images, enumerate(e)))
         rank = field.as_rat(trace) if field.is_rational(trace) else None
         if rank is None or not is_integer_rat(rank) or rank < 0:
             raise InapplicableHypothesis(

@@ -3,18 +3,21 @@
 Every elimination runs through one sparse echelon form,
 ``EchelonSubspace``: rows are dicts {column: nonzero scalar}, kept fully
 reduced, and the combinations of input rows that a caller must track ride
-along as extra columns that never become pivots.  Ranks, kernels, inverses,
-solutions and Krylov relations are all read off it.  ``Matrix`` is a dense,
-row-major matrix whose elimination methods are entry points over that
-form.  Entries must support the field operations and the owning ``field``
-object supplies zero/one.  Also hosts a generic polynomial type used for
-minimal polynomials and for the roots of ``wedderburn.field_roots``.
+along as extra columns that never become pivots.  Ranks, kernels, the rows
+of inverses (``inverse_rows``), solutions and Krylov relations are all read
+off it.  ``Matrix`` is a dense, row-major matrix whose elimination methods
+are entry points over that form; it holds only the antipode, the
+restricted right multiplications of ``wedderburn.certify_split_block`` and
+the character matrix of the fusion solve.  Entries must support the field
+operations and the owning ``field`` object supplies zero/one.  Also hosts
+a generic polynomial type used for minimal polynomials and for the roots
+of ``wedderburn.field_roots``.
 """
 
 from __future__ import annotations
 
 
-class SingularMatrix(ValueError):
+class Singular(ValueError):
     """A square matrix has no inverse; ``witness`` is a nonzero vector of
     its right kernel."""
 
@@ -52,38 +55,12 @@ class Matrix:
         return [row[j] for row in self.entries]
 
     # -- arithmetic -------------------------------------------------------
-    def __add__(self, other):
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
-
     def __sub__(self, other):
         return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
                                    for r1, r2 in zip(self.entries, other.entries)])
 
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.entries])
-
     def scale(self, c):
         return Matrix(self.field, [[c * a for a in row] for row in self.entries])
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return self.scale(other)
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        zero = self.field.zero
-        ot = [other.column(j) for j in range(other.cols)]
-        out = []
-        for row in self.entries:
-            nz = [(k, a) for k, a in enumerate(row) if a != zero]
-            orow = []
-            for col in ot:
-                s = zero
-                for k, a in nz:
-                    s = s + a * col[k]
-                orow.append(s)
-            out.append(orow)
-        return Matrix(self.field, out)
 
     def apply(self, vec):
         zero = self.field.zero
@@ -96,31 +73,13 @@ class Matrix:
             out.append(s)
         return out
 
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.entries == other.entries)
-
     def transpose(self):
         return Matrix(self.field, [self.column(j) for j in range(self.cols)])
-
-    def is_zero(self):
-        z = self.field.zero
-        return all(a == z for row in self.entries for a in row)
 
     # -- elimination, over EchelonSubspace --------------------------------
     def _row_space(self):
         return EchelonSubspace(self.field, self.cols,
                                map(sparse, self.entries))
-
-    def _with_identity(self):
-        """The echelon form of [self | I], column cols + i tracking row i,
-        read to the last row; and the relations y with y self = 0 that the
-        rows reducing to 0 on the left leave, as lists of (i, y_i)."""
-        n, one = self.cols, self.field.one
-        space = EchelonSubspace(self.field, n)
-        relations = [[(k - n, c) for k, c in y.items()] for y in
-                     (space.add({**sparse(row), n + i: one})
-                      for i, row in enumerate(self.entries)) if y]
-        return space, relations
 
     def rref(self):
         """Reduced row echelon form with leading-one pivots, zero rows
@@ -128,9 +87,6 @@ class Matrix:
         space = self._row_space()
         zero_rows = [[self.field.zero] * self.cols] * (self.rows - space.dim)
         return Matrix(self.field, space.basis + zero_rows), space.pivots
-
-    def rank(self):
-        return self._row_space().dim
 
     def kernel(self):
         """Basis of the right kernel, in echelon order."""
@@ -149,7 +105,8 @@ class Matrix:
         exactly when y b = 0 for every relation y self = 0 (they span the
         left kernel), and then self * x = b at any rank."""
         zero, n = self.field.zero, self.cols
-        space, relations = self._with_identity()
+        space, relations = _beside_identity(self.field, n,
+                                            map(sparse, self.entries))
         ops = [(p, [(k - n, c) for k, c in space.rows[p].items() if k >= n])
                for p in space.pivots]
         for b in rhss:
@@ -162,18 +119,6 @@ class Matrix:
             for p, op in ops:
                 x[p] = sum((c * b[i] for i, c in op if b[i]), zero)
             yield x
-
-    def inverse(self):
-        """The inverse, from one elimination of [self | I]; SingularMatrix
-        with a kernel vector when there is none."""
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        n = self.rows
-        space, _ = self._with_identity()
-        if space.dim < n:
-            raise SingularMatrix(space.kernel().basis[0])
-        return Matrix(self.field, [space.dense(space.rows[p], n)
-                                   for p in range(n)])
 
     def minimal_polynomial(self):
         """Monic minimal polynomial, as the lcm of Krylov relations seeded
@@ -199,6 +144,32 @@ class Matrix:
 def sparse(vec):
     """A dense vector as a sparse row {index: nonzero entry}."""
     return {k: c for k, c in enumerate(vec) if c}
+
+
+def _beside_identity(field, n, rows):
+    """The echelon form of [M | I] for the sparse rows of M (n columns),
+    column n + i tracking row i, read to the last row; and the relations
+    y with y M = 0 that the rows reducing to 0 on the left leave, as lists
+    of (i, y_i)."""
+    one = field.one
+    space = EchelonSubspace(field, n)
+    relations = [[(k - n, c) for k, c in y.items()] for y in
+                 (space.add({**row, n + i: one}) for i, row in enumerate(rows))
+                 if y]
+    return space, relations
+
+
+def inverse_rows(field, rows):
+    """The rows of the inverse of the n x n matrix with the sparse rows
+    ``rows``, as sparse rows {column: nonzero entry}: the tracked parts of
+    one elimination of [M | I].  Raises Singular, carrying a kernel
+    vector, when there is no inverse."""
+    n = len(rows)
+    space, _ = _beside_identity(field, n, rows)
+    if space.dim < n:
+        raise Singular(space.kernel().basis[0])
+    return [{k - n: c for k, c in space.rows[p].items() if k >= n}
+            for p in range(n)]
 
 
 class EchelonSubspace:

@@ -31,9 +31,9 @@ import functools
 import math
 import random
 
-from .algebra import center_conditions
+from .algebra import _common_den, center_conditions
 # perfbench/traced.py times modular.EchelonSubspace.coords under this name
-from .linalg import EchelonSubspace, Matrix  # noqa: F401
+from .linalg import EchelonSubspace, inverse_rows  # noqa: F401
 from .scalars import QQ, Cyc, CyclotomicField, cyclotomic_polynomial
 
 
@@ -113,9 +113,10 @@ def embedding_factor(n: int):
     # the sum of the conjugates of zeta^m is rational: its first coefficient
     trace = [sum(powers[u * m % n][0] for u in units)
              for m in range(2 * phi - 1)]
-    inv = Matrix(QQ, [[QQ.from_int(trace[k + l]) for l in range(phi)]
-                      for k in range(phi)]).inverse()
-    return phi * max(sum(map(abs, row)) for row in inv.entries)
+    inv = inverse_rows(QQ, [{l: QQ.from_int(trace[k + l])
+                             for l in range(phi) if trace[k + l]}
+                            for k in range(phi)])
+    return phi * max(sum(map(abs, row.values())) for row in inv)
 
 
 def scalar_denominators(scalars):
@@ -126,13 +127,11 @@ def scalar_denominators(scalars):
     return dens
 
 
-def structure_denominators(algebra):
-    """The denominators other than 1 of the structure constants and of
-    the unit: a good prime divides none of them."""
-    scalars = [c for row in algebra.table for cell in row
-               for c in cell.values()]
-    scalars.extend(algebra.unit)
-    return scalar_denominators(scalars)
+def structure_denominator(algebra):
+    """D den(1), for D the common denominator of the structure constants
+    (read off ``integral_table``) and den(1) that of the unit: a good
+    prime does not divide it."""
+    return algebra.integral_table[0] * _common_den(algebra.unit)
 
 
 def good_primes(algebra, lower=None):
@@ -144,7 +143,7 @@ def good_primes(algebra, lower=None):
     reported as BadPrime.
     """
     n = algebra.field.conductor
-    dens = structure_denominators(algebra)
+    den = structure_denominator(algebra)
     p = max(2 * algebra.dim, lower or 0, n, 2)
     while True:
         p += 1
@@ -152,7 +151,7 @@ def good_primes(algebra, lower=None):
             continue
         if algebra.dim % p == 0:
             continue
-        if any(d % p == 0 for d in dens):
+        if den % p == 0:
             continue
         yield p
 
@@ -203,9 +202,7 @@ def reduce_scalar(x, root: int, M: int) -> int:
     """Image of a scalar in Z/M under zeta -> root; BadPrime when its
     denominator is not a unit mod M."""
     nums, den = _nums_den(x)
-    acc = 0
-    for c in reversed(nums):
-        acc = (acc * root + c) % M
+    acc = _int_poly_eval(nums, root, M)
     if den == 1:
         return acc
     try:

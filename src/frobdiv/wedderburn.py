@@ -41,7 +41,7 @@ from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
                       is_prime, is_squarefree_mod, modular_split, norm1,
                       precision_for, reconstruct_element, reduce_scalar,
                       roots_mod_p, scalar_denominators,
-                      structure_denominators)
+                      structure_denominator)
 from .scalars import Rat
 
 FALLBACK_PRIMES = 3
@@ -140,7 +140,7 @@ def _check_explicit_prime(algebra, p):
         raise BadPrime(f"{p} is not greater than twice the dimension")
     if algebra.dim % p == 0:
         raise BadPrime(f"{p} divides the dimension")
-    if any(d % p == 0 for d in structure_denominators(algebra)):
+    if structure_denominator(algebra) % p == 0:
         raise BadPrime(f"{p} divides a structure-constant denominator")
 
 
@@ -207,14 +207,15 @@ def _gluings(per_comp_blocks, b0, used, invariant):
 
 def _trace_bound(algebra, block_dim):
     """(D, B): the common denominator D of the structure constants, and
-    B = f_n block_dim max_{i,j} sum_k ||D c_ji^k||_1, which bounds the
-    power-basis coefficients of D chi_reg(x_j e) for every central
-    idempotent e with dim A e <= block_dim.  D chi_reg(x_j e) is the trace
-    of D L_{x_j} on A e: dim A e eigenvalues of an integral matrix, each at
-    most its largest column 1-norm at every embedding."""
-    cells = [cell.values() for row in algebra.table for cell in row]
-    D = math.lcm(1, *scalar_denominators(c for cell in cells for c in cell))
-    col = max(sum(norm1(c, D) for c in cell) for cell in cells)
+    B = f_n block_dim max_{i,j} sum_k ||D c_ji^k||_1, both read off
+    ``integral_table``, which bounds the power-basis coefficients of
+    D chi_reg(x_j e) for every central idempotent e with dim A e <=
+    block_dim.  D chi_reg(x_j e) is the trace of D L_{x_j} on A e:
+    dim A e eigenvalues of an integral matrix, each at most its largest
+    column 1-norm at every embedding."""
+    D, table = algebra.integral_table
+    col = max(sum(norm1(c, 1) for c in cell.values())
+              for row in table for cell in row)
     return D, int(embedding_factor(algebra.field.conductor)
                   * block_dim * col)
 

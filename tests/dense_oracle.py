@@ -136,8 +136,9 @@ def dense_verify_hopf(H):
         report.record(left == target, ("antipode-left", j))
         report.record(right == target, ("antipode-right", j))
 
-    s2 = H.antipode * H.antipode
-    report.record(s2 == Matrix.identity(field, n), ("involutory",))
+    s2 = matmul(H.antipode, H.antipode)
+    report.record(s2.entries == Matrix.identity(field, n).entries,
+                  ("involutory",))
     return report
 
 
@@ -395,13 +396,13 @@ def change_basis_hopf(H, P, R=None):
     field = H.field
     n = H.dim
     zero = field.zero
-    Q = P.inverse()
+    Q = matrix_inverse(P)
     cols = matrix_columns(P)
 
     def tensor_to_new(flat):
         # Q M Q^T for the n x n coefficient matrix M of a flat tensor
         M = Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
-        N = Q * M * Q.transpose()
+        N = matmul(matmul(Q, M), Q.transpose())
         return {i * n + j: c for i, row in enumerate(N.entries)
                 for j, c in enumerate(row) if c != zero}
 
@@ -413,7 +414,7 @@ def change_basis_hopf(H, P, R=None):
             flat[idx] = c
         delta.append(tensor_to_new(flat))
     counit = [H.counit_of(col) for col in cols]
-    antipode = Q * H.antipode * P
+    antipode = matmul(matmul(Q, H.antipode), P)
     H2 = HopfAlgebraData(B, delta, counit, antipode, name=H.name)
     if R is None:
         return H2, None
@@ -424,7 +425,7 @@ def change_basis_algebra(A, P):
     """A on the basis y_j = sum_i P[i][j] x_i, for an invertible matrix P."""
     field = A.field
     n = A.dim
-    Q = P.inverse()
+    Q = matrix_inverse(P)
     cols = matrix_columns(P)
     table = [[{k: c for k, c in enumerate(Q.apply(A.multiply(cols[i],
                                                             cols[j])))
@@ -446,7 +447,7 @@ def unimodular_matrix(field, n, seed):
                                if (i > j) == lower else field.zero
                                for j in range(n)] for i in range(n)])
 
-    return tri(True) * tri(False)
+    return matmul(tri(True), tri(False))
 
 
 def scalar_matrix(field, n, t):
@@ -555,9 +556,11 @@ def carrier_minimal_polynomial(carrier, a):
 # products x_i e.
 
 
-def dense_first_non_multiplicative_pair(A, B, phi):
+def dense_first_non_multiplicative_pair(A, B, images):
     """The first pair (i, j), i then j, with phi(x_i x_j) != phi(x_i)
-    phi(x_j), from dense products on both sides; None if there is none."""
+    phi(x_j) for the map phi(x_k) = images[k], from dense products on
+    both sides; None if there is none."""
+    phi = Matrix.from_columns(B.field, images)
     for i in range(A.dim):
         xi = phi.column(i)
         for j in range(A.dim):
@@ -565,6 +568,25 @@ def dense_first_non_multiplicative_pair(A, B, phi):
             if lhs != B.multiply(xi, phi.column(j)):
                 return i, j
     return None
+
+
+def dense_phi(Q):
+    """The Drinfeld map Phi(delta^j) = sum_i b_ij x_i of quasitriangular
+    data Q, laid out from b as a dense n x n Matrix."""
+    field, n = Q.H.field, Q.H.dim
+    return Matrix(field, [[Q.b.get(i * n + j, field.zero) for j in range(n)]
+                          for i in range(n)])
+
+
+def dense_psi(Q, characters):
+    """Psi = Phi chi as a dense product, chi the Matrix whose columns are
+    the characters: column s is Psi of the s-th basis element of R."""
+    return matmul(dense_phi(Q), Matrix.from_columns(Q.H.field, characters))
+
+
+def dense_rank(m):
+    """The rank of a Matrix, from ``dense_rref``."""
+    return len(dense_rref(m.field, m.entries)[1])
 
 
 def pairwise_orthogonal(A, idempotents):
@@ -757,6 +779,23 @@ def zero_matrix(field, rows, cols):
 
 def matrix_columns(m):
     return [m.column(j) for j in range(m.cols)]
+
+
+def matmul(a, b):
+    """The product of two Matrix objects, row by column over the nonzero
+    entries of each row of a."""
+    zero = a.field.zero
+    cols = matrix_columns(b)
+    out = []
+    for row in a.entries:
+        nz = [(k, x) for k, x in enumerate(row) if x]
+        out.append([sum((x * col[k] for k, x in nz), zero) for col in cols])
+    return Matrix(a.field, out)
+
+
+def matrix_inverse(m):
+    """The inverse of a square Matrix, from ``dense_inverse``."""
+    return Matrix(m.field, dense_inverse(m.field, m.entries))
 
 
 def matrix_trace(m):

@@ -63,8 +63,9 @@ def test_regular_character_oracle():
 def test_delta_form_gram_c2():
     A = group_algebra_plain("C2")
     F = frobenius_structure(A, delta_form(A))
-    # gram[i][j] = <delta_1, g_i g_j>
-    assert F.gram.entries == [[QQ.one, QQ.zero], [QQ.zero, QQ.one]]
+    # gram[i][j] = <delta_1, g_i g_j> is the identity, and so is its
+    # inverse: the Casimir element is g_0 (x) g_0 + g_1 (x) g_1
+    assert F.casimir == {0: QQ.one, 3: QQ.one}
     # dual basis of g_i is g_{i^{-1}} = g_i here
     assert F.dual_basis[0] == A.basis_vec(0)
     assert F.dual_basis[1] == A.basis_vec(1)

@@ -386,3 +386,29 @@ def test_build_from_table(tmp_path):
     out = build(tmp_path, "--table", str(tbl))
     doc = json.loads(out.read_text())
     assert doc["dim"] == 2
+
+
+MALFORMED_TABLES = {
+    "top-level-list": [1, 2],
+    "table-not-a-list": {"table": 5},
+    "string-entry": {"table": [["a"]]},
+    "float-entry": {"table": [[0, 1], [1, 0.5]]},
+    # JSON true and false are not elements, although Python counts them as
+    # ints: this table would otherwise read as C2
+    "boolean-entries": {"table": [[False, True], [True, False]]},
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_TABLES)
+def test_build_malformed_table_exit_2(tmp_path, name):
+    """``frobdiv build --table`` exits 2 with one line on stderr, no
+    traceback and no document."""
+    tbl = tmp_path / "table.json"
+    tbl.write_text(json.dumps(MALFORMED_TABLES[name]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "build",
+                           "--table", str(tbl)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("invalid group: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""

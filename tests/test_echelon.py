@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import CyclotomicField, Matrix, QQ
-from frobdiv.linalg import EchelonSubspace, iterates, krylov_relation, sparse
+from frobdiv.linalg import (EchelonSubspace, inverse_rows, iterates,
+                            krylov_relation, sparse)
 
 from dense_oracle import (PrimeField, dense_coords, dense_inverse,
                           dense_kernel, dense_krylov_relation, dense_rref,
@@ -65,7 +66,6 @@ def test_rref_and_kernel(fname, mat):
         got, got_pivots = Matrix(field, rows).rref()
         assert (got.entries, got_pivots) == (red, pivots)
         assert Matrix(field, rows).kernel() == dense_kernel(field, rows, n)
-        assert Matrix(field, rows).rank() == len(pivots)
 
 
 @pytest.mark.parametrize("fname", FIELDS)
@@ -81,10 +81,11 @@ def test_inverse(fname, mat):
         want = dense_inverse(field, rows)
     except ValueError:
         with pytest.raises(ValueError) as err:
-            Matrix(field, rows).inverse()
+            inverse_rows(field, [sparse(row) for row in rows])
         assert err.value.witness == dense_kernel(field, rows, n)[0]
     else:
-        assert Matrix(field, rows).inverse().entries == want
+        got = inverse_rows(field, [sparse(row) for row in rows])
+        assert got == [sparse(row) for row in want]
 
 
 @pytest.mark.parametrize("fname", FIELDS)
@@ -184,12 +185,13 @@ def test_empty_and_zero_inputs(fname):
     assert not contains(empty, [one] * 3)
     zeros = EchelonSubspace(field, 3, [{}, {0: zero}, {2: zero}])
     assert zeros.dim == 0 and zeros.kernel().basis == identity
-    assert zero_matrix(field, 2, 3).rref()[0] == zero_matrix(field, 2, 3)
+    assert (zero_matrix(field, 2, 3).rref()[0].entries
+            == zero_matrix(field, 2, 3).entries)
     assert zero_matrix(field, 2, 3).kernel() == identity
     assert list(zero_matrix(field, 2, 2).solve_many(
         [[zero, zero], [one, zero]])) == [[zero, zero], None]
     with pytest.raises(ValueError):
-        zero_matrix(field, 2, 2).inverse()
+        inverse_rows(field, [{}, {}])
     # a zero start vector: the relation is the constant 1
     assert krylov_relation(field, 2, iter([{}])).coeffs == [one]
     assert dense_krylov_relation(field, iter([[zero, zero]])) == [one]

@@ -4,11 +4,14 @@ against the dense loops they replaced (``dense_oracle``).
 * ``first_non_multiplicative_pair`` reports the same first failing pair as
   the dense loop, on the class-equation character map and the Schneider
   map Psi of relabelled D(S3) and D(C4), and on ``double_projection``.
+* Psi's images Phi(chi_S), Phi(lambda) and the rank of Phi, read off b,
+  equal the dense Phi laid out from b and the dense product Phi chi, on
+  relabelled D(S3), D(C4) and D(D4).
 * Characters, block dimensions and the orthogonality test of the
   Wedderburn split agree with ``hit_form_left``, the rank of the products
   x_j e and the pairwise products on every input of the small ladder.
-* A Psi corrupted through the Phi matrix still stops ``schneider_check``,
-  through its one ``verify_symmetric_homomorphism`` call.
+* A Psi corrupted through b still stops ``schneider_check``, through its
+  one ``verify_symmetric_homomorphism`` call.
 * A corrupted character stops the class equation in the fusion proof of
   ``representation_ring``, which the class equation does not repeat.
 """
@@ -18,10 +21,10 @@ import random
 
 import pytest
 
-from frobdiv import (HopfAnalysis, Matrix, central_primitive_idempotents,
+from frobdiv import (HopfAnalysis, central_primitive_idempotents,
                      double_projection, drinfeld_double, dual_algebra,
                      group_algebra, named_group)
-from frobdiv.algebra import first_non_multiplicative_pair
+from frobdiv.algebra import contract_right, first_non_multiplicative_pair
 from frobdiv.hopf import (NonIntegralFusion, class_equation_check,
                          factorizable_check, schneider_check)
 from frobdiv.integrality import NotASymmetricHomomorphism
@@ -30,8 +33,10 @@ from frobdiv.scalars import Rat
 from frobdiv.wedderburn import _verify_system
 
 from dense_oracle import (dense_block_dim,
-                          dense_first_non_multiplicative_pair, hit_form_left,
-                          pairwise_orthogonal, permute_hopf, permute_r)
+                          dense_first_non_multiplicative_pair, dense_phi,
+                          dense_psi, dense_rank, hit_form_left,
+                          matrix_columns, pairwise_orthogonal, permute_hopf,
+                          permute_r)
 from ladder import LADDER, ladder_algebra
 
 
@@ -51,33 +56,39 @@ def double(request):
     return relabelled_double(*request.param)
 
 
-def corrupted_columns(phi, B, k):
-    """phi with the unit of B added to column k."""
-    rows = [list(row) for row in phi.entries]
-    for r, u in enumerate(B.unit):
-        rows[r][k] = rows[r][k] + u
-    return Matrix(phi.field, rows)
+def corrupted_columns(images, B, k):
+    """The images with the unit of B added to image k."""
+    out = [list(image) for image in images]
+    out[k] = [c + u for c, u in zip(out[k], B.unit)]
+    return out
 
 
-def assert_same_first_pair(A, B, phi):
-    assert first_non_multiplicative_pair(A, B, phi) is None
-    assert dense_first_non_multiplicative_pair(A, B, phi) is None
+def assert_same_first_pair(A, B, images):
+    assert first_non_multiplicative_pair(A, B, images) is None
+    assert dense_first_non_multiplicative_pair(A, B, images) is None
     for k in sorted({1, A.dim // 2, A.dim - 1}):
-        bad = corrupted_columns(phi, B, k)
+        bad = corrupted_columns(images, B, k)
         pair = first_non_multiplicative_pair(A, B, bad)
         assert pair is not None
         assert pair == dense_first_non_multiplicative_pair(A, B, bad)
 
 
+def psi_images(S):
+    """Psi(x_s) = Phi(chi_s), read off b."""
+    H, b = S.H, S.quasitriangular.b
+    return [contract_right(H.field, chi, b, H.dim)
+            for chi in S.wedderburn.characters]
+
+
 def test_character_map_first_failing_pair(double):
     RR = double.ring
-    assert_same_first_pair(RR.ring, dual_algebra(double.H), RR.chi_matrix)
+    assert_same_first_pair(RR.ring, dual_algebra(double.H),
+                           double.wedderburn.characters)
 
 
 def test_schneider_psi_first_failing_pair(double):
-    RR = double.ring
-    assert_same_first_pair(RR.ring, double.H.algebra,
-                           double.quasitriangular.phi_matrix * RR.chi_matrix)
+    assert_same_first_pair(double.ring.ring, double.H.algebra,
+                           psi_images(double))
 
 
 @pytest.mark.parametrize("gname", ["C2", "S3"])
@@ -89,14 +100,35 @@ def test_double_projection_first_failing_pair(gname):
     assert_same_first_pair(D.algebra, target.algebra, pi)
 
 
-def with_phi(S, phi_matrix):
-    """A copy of the session S whose factorizable verdict reads Phi off
-    ``phi_matrix``."""
+def with_b(S, b):
+    """A copy of the session S whose quasitriangular data, and so Phi and
+    the factorizable verdict, are read off ``b``."""
     bad = copy.copy(S.quasitriangular)
-    bad.phi_matrix = phi_matrix
+    bad.b = b
     out = copy.copy(S)
+    out.quasitriangular = bad
     out.factorizable = factorizable_check(bad)
     return out
+
+
+@pytest.mark.parametrize("gname,seed", [("S3", 1), ("C4", 2), ("D4", 3)],
+                         ids=["D(S3)", "D(C4)", "D(D4)"])
+def test_phi_and_psi_against_dense_oracle(gname, seed):
+    """Psi's images, Phi(lambda) and the rank of Phi, read off b, against
+    the dense Phi laid out from b and the dense product Phi chi."""
+    S = relabelled_double(gname, seed)
+    H, Q, I = S.H, S.quasitriangular, S.integrals
+    field, n = H.field, H.dim
+    phi = dense_phi(Q)
+    assert psi_images(S) == matrix_columns(
+        dense_psi(Q, S.wedderburn.characters))
+    assert contract_right(field, I.lam, Q.b, n) == phi.apply(I.lam)
+    assert S.factorizable.rank == n == dense_rank(phi)
+    assert schneider_check(S).holds
+    # without the terms x_0 (x) x_j of b, Phi loses rank
+    cut = with_b(S, {idx: c for idx, c in Q.b.items() if idx >= n})
+    assert cut.factorizable.rank == dense_rank(dense_phi(cut.quasitriangular))
+    assert not cut.factorizable.factorizable
 
 
 def test_corrupted_psi_stops_schneider(double):
@@ -106,17 +138,18 @@ def test_corrupted_psi_stops_schneider(double):
     outside = [k for k in range(n) if not H.counit[k]]
     inside = [k for k in range(n) if H.counit[k]]
     for k1, k2 in (outside[:2], inside[:2]):
-        # swapping two columns on which the counit agrees keeps Phi(eps) = 1
-        # and the rank of Phi; only multiplicativity breaks
-        rows = [list(row) for row in Q.phi_matrix.entries]
-        for row in rows:
-            row[k1], row[k2] = row[k2], row[k1]
+        # swapping two columns of Phi (second legs of b) on which the
+        # counit agrees keeps Phi(eps) = 1 and the rank of Phi; only
+        # multiplicativity breaks
+        swap = {k1: k2, k2: k1}
+        b = {idx - idx % n + swap.get(idx % n, idx % n): c
+             for idx, c in Q.b.items()}
         with pytest.raises(NotASymmetricHomomorphism,
                            match="multiplicativity"):
-            schneider_check(with_phi(double, Matrix(H.field, rows)))
-    doubled = Q.phi_matrix.scale(H.field.from_int(2))
+            schneider_check(with_b(double, b))
+    doubled = {idx: c + c for idx, c in Q.b.items()}
     with pytest.raises(NotASymmetricHomomorphism, match="unit"):
-        schneider_check(with_phi(double, doubled))
+        schneider_check(with_b(double, doubled))
 
 
 def test_corrupted_character_stops_class_equation(double):

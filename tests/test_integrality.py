@@ -3,7 +3,6 @@ import pytest
 from frobdiv import (
     CyclotomicField,
     InapplicableHypothesis,
-    Matrix,
     NotASymmetricHomomorphism,
     QQ,
     Rat,
@@ -107,12 +106,12 @@ def test_verify_symmetric_homomorphism_negative():
     A = group_algebra_plain("C2")
     lam = delta_form(A)
     # identity map with a mismatched target form
-    phi = Matrix.identity(QQ, 2)
+    identity = [A.basis_vec(0), A.basis_vec(1)]
     bad_mu = [rq(1), rq(1, 2)]
     with pytest.raises(NotASymmetricHomomorphism):
-        verify_symmetric_homomorphism(A, lam, A, bad_mu, phi)
+        verify_symmetric_homomorphism(A, lam, A, bad_mu, identity)
     # a non-multiplicative map
-    bad_phi = Matrix(QQ, [[rq(1), rq(0)], [rq(0), rq(0)]])
+    bad_phi = [A.basis_vec(0), A.zero_vec()]
     with pytest.raises(NotASymmetricHomomorphism):
         verify_symmetric_homomorphism(A, lam, A, lam, bad_phi)
 
@@ -123,8 +122,7 @@ def test_relative_divisibility_subgroup():
     B = group_algebra_plain("S3")
     lam = delta_form(A)
     mu = delta_form(B)
-    cols = [B.basis_vec(0), B.basis_vec(1)]
-    phi = Matrix.from_columns(QQ, cols)
+    phi = [B.basis_vec(0), B.basis_vec(1)]
     FA = frobenius_structure(A, lam)
     FB = frobenius_structure(B, mu)
     dA = central_primitive_idempotents(A, frobenius=FA)
@@ -143,7 +141,7 @@ def test_relative_divisibility_unit_subalgebra():
     B = group_algebra_plain("S3")
     lam = [rq(1)]
     mu = delta_form(B)
-    phi = Matrix.from_columns(QQ, [B.basis_vec(0)])
+    phi = [B.basis_vec(0)]
     FA = frobenius_structure(A, lam)
     FB = frobenius_structure(B, mu)
     dA = central_primitive_idempotents(A, frobenius=FA)

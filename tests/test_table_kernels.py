@@ -3,13 +3,15 @@ matrix and the R-products, read off the structure table, against the dense
 loops of ``dense_oracle`` on relabelled bases and on two unimodular changes
 of basis of D(C4): a dense one, where the unit is not a basis vector and
 most products have several terms, and a shear with four changed basis
-vectors, small enough for the unit-expanded R-products of the oracle."""
+vectors, small enough for the unit-expanded R-products of the oracle.  The
+sparse rows of the inverse Gram matrix and the dual basis are also checked
+against the dense inverse on the ladder and on M3+M2+Q in a dense basis."""
 
 import random
 
 import pytest
 
-from frobdiv import (FrobeniusStructure, NotATraceForm, drinfeld_double,
+from frobdiv import (QQ, FrobeniusStructure, NotATraceForm, drinfeld_double,
                      dual_hopf, group_algebra, named_group)
 from frobdiv.hopf import (integrals, quasitriangular_verify, r_products,
                          verify_hopf)
@@ -17,11 +19,14 @@ from frobdiv.linalg import EchelonSubspace, sparse
 from frobdiv.modular import (ComponentAlgebra, center_mod_p, component_roots,
                              good_primes)
 
-from dense_oracle import (PrimeField, change_basis_hopf, dense_center_basis,
-                          dense_gram, dense_integral, dense_is_central,
+from conftest import matrix_blocks
+from dense_oracle import (PrimeField, change_basis_algebra,
+                          change_basis_hopf, dense_center_basis, dense_gram,
+                          dense_integral, dense_inverse, dense_is_central,
                           dense_mod_p_center, dense_quasitriangular_report,
                           dense_r_products, permute_hopf, permute_r,
                           shear_matrix, unimodular_matrix)
+from ladder import LADDER, ladder_hopf
 
 _BASE = {}
 _CASES = {}
@@ -141,10 +146,45 @@ def test_is_central_matches_dense_oracle(key):
 
 @pytest.mark.parametrize("key", KEYS, ids=IDS)
 def test_gram_matches_dense_oracle(key):
+    # only gram^-1 is kept: the dense Gram matrix times its columns, the
+    # dual basis, is the identity
     H = case(key)[0]
     A = H.algebra
+    zero, one = A.field.zero, A.field.one
     lam = integrals(H).lam
-    assert FrobeniusStructure(A, lam).gram.entries == dense_gram(A, lam)
+    dual = FrobeniusStructure(A, lam).dual_basis
+    assert [[sum((g * c for g, c in zip(row, y)), zero) for y in dual]
+            for row in dense_gram(A, lam)] == \
+        [[one if i == j else zero for j in range(A.dim)]
+         for i in range(A.dim)]
+
+
+def dense_plain():
+    """M3 + M2 + Q in a dense unimodular basis, with its regular form."""
+    A = change_basis_algebra(matrix_blocks((3, 2, 1)),
+                             unimodular_matrix(QQ, 14, 0))
+    return A, A.regular_character()
+
+
+GRAM_CASES = [*LADDER, "M3+M2+Q dense"]
+
+
+@pytest.mark.parametrize("case", GRAM_CASES,
+                         ids=[c if isinstance(c, str) else
+                              f"{c[1]}-{c[0]}-{c[2]}" for c in GRAM_CASES])
+def test_gram_inverse_rows_and_dual_basis(case):
+    """The sparse rows of gram^-1, from one elimination beside the
+    identity, against the dense inverse of the dense Gram matrix; the dual
+    basis y_j, read off row j, against column j."""
+    if isinstance(case, str):
+        A, lam = dense_plain()
+    else:
+        H = ladder_hopf(*case)
+        A, lam = H.algebra, integrals(H).lam
+    F = FrobeniusStructure(A, lam)
+    inverse = dense_inverse(A.field, dense_gram(A, lam))
+    assert F._dual_coeffs == [sorted(sparse(row).items()) for row in inverse]
+    assert F.dual_basis == [list(col) for col in zip(*inverse)]
 
 
 NONCOMMUTATIVE = [k for k in KEYS if k[0] in ("kS3", "kA4", "D(S3)")]
