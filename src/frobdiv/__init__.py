@@ -18,8 +18,8 @@ from .hopf import (HopfAlgebraData, HopfAnalysis, HopfError, IntegralData,
 from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           IntegralityCertificate, NotASymmetricHomomorphism,
                           frobenius_divisibility_verdict, is_integral_over_Z,
-                          minimal_polynomial_over_Q, relative_divisibility,
-                          scalar_certificate)
+                          is_integral_scalar, minimal_polynomial_over_Q,
+                          relative_divisibility)
 from .linalg import Matrix, Poly
 from .modular import BadPrime, PrecisionExceeded, hensel_lift_idempotent
 from .scalars import CyclotomicField, QQ, Rat, cyclotomic_polynomial

@@ -17,7 +17,11 @@ lcm of the denominators of the constants, an int per rational constant
 and an integral ``Cyc`` per other one, read off with no field arithmetic.
 
 Elements of A are dense vectors; elements of A (x) A (the Casimir element,
-R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero scalar}."""
+R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero scalar}.  The
+maps on A (x) A are read off the table or the sparse images of the basis:
+the product m (``multiply_legs``; Gamma(1) = m(c)), a linear map on one
+leg (``map_leg``) and the contractions with a form on one leg
+(``contract_left/right``)."""
 
 from __future__ import annotations
 
@@ -370,6 +374,32 @@ def tensor_dict(field, a, b):
     return out
 
 
+def multiply_legs(A, z):
+    """m(z) = sum c x_i x_k for z = sum c x_i (x) x_k in A (x) A, read off
+    the table of A, as a sparse vector without zeros."""
+    n = A.dim
+    table = A.table
+    out = {}
+    for idx, c in z.items():
+        i, k = divmod(idx, n)
+        for r, d in table[i][k].items():
+            _add_into(out, r, c * d)
+    return _clean(out)
+
+
+def map_leg(z, columns, n, first, swap=False):
+    """The linear map with x_i -> columns[i] (sparse dicts) applied to the
+    first or the second leg of z in A (x) A, the legs then swapped when
+    ``swap``."""
+    out = {}
+    for idx, c in z.items():
+        i, j = divmod(idx, n)
+        for r, s in columns[i if first else j].items():
+            a, b = (r, j) if first else (i, r)
+            _add_into(out, b * n + a if swap else a * n + b, c * s)
+    return _clean(out)
+
+
 def contract_left(field, form, z, n):
     """(form (x) Id)(z) for z in A (x) A."""
     out = [field.zero] * n
@@ -432,35 +462,19 @@ class FrobeniusStructure:
         self._casimir_cert = None
 
     @property
-    def dual_basis(self):
-        """The dual basis y_j as dense vectors.  gram_inv is symmetric, as
-        the Gram matrix of a trace form is, so y_j is its row j."""
-        zero = self.field.zero
-        return [[dict(row).get(r, zero) for r in range(self.algebra.dim)]
-                for row in self._dual_coeffs]
-
-    @property
     def field(self):
         return self.algebra.field
 
-    def evaluate(self, a):
-        return self.algebra.apply_form(self.lam, a)
-
-    def casimir_trace(self, a):
-        """Gamma(a) = sum_i x_i a y_i; asserts the result is central."""
-        A = self.algebra
-        out = A.zero_vec()
-        for i, y in enumerate(self.dual_basis):
-            t = A.multiply(A.basis_vec(i), a)
-            t = A.multiply(t, y)
-            out = [x + y for x, y in zip(out, t)]
-        if not A.is_central(out):
-            raise AlgebraError("Casimir trace produced a non-central value")
-        return out
-
     def gamma_one(self):
+        """Gamma(1) = sum_j x_j y_j = m(c), read off the table; asserts the
+        result is central."""
         if self._gamma_one is None:
-            self._gamma_one = self.casimir_trace(self.algebra.unit)
+            g1 = multiply_legs(self.algebra, self.casimir)
+            g1 = [g1.get(r, self.field.zero) for r in range(self.algebra.dim)]
+            if not self.algebra.is_central(g1):
+                raise AlgebraError("Casimir trace produced a non-central "
+                                   "value")
+            self._gamma_one = g1
         return list(self._gamma_one)
 
     def dual_combination(self, coeffs):

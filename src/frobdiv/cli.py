@@ -20,7 +20,6 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           frobenius_divisibility_verdict)
 from .modular import BadPrime, PrecisionExceeded
 from .report import Report, Section, input_digest
-from .scalars import CyclotomicField, QQ
 from .serialize import (SchemaError, algebra_from_json, canonical_dumps,
                         hopf_from_json, hopf_to_json, is_hopf_doc, load_path)
 from .wedderburn import central_primitive_idempotents
@@ -103,9 +102,7 @@ def cmd_analyze(args):
 def _analyze(doc, args, sections):
     field_fmt = None
     if is_hopf_doc(doc):
-        H, lam, R = hopf_from_json(doc)
-        if args.conductor:
-            H, lam, R = _embed_hopf(H, lam, R, args.conductor)
+        H, lam, R = hopf_from_json(doc, args.conductor)
         base_report = hopf_mod.verify_hopf(H)
         if not base_report.passed:
             raise SchemaError(f"Hopf axioms fail: {base_report.failures[:3]}")
@@ -114,9 +111,7 @@ def _analyze(doc, args, sections):
                                  ("field", _field_str(H.field))]))
         return _analyze_hopf(H, R, args, sections)
 
-    algebra, lam = algebra_from_json(doc)
-    if args.conductor:
-        algebra, lam = _embed_algebra(algebra, lam, args.conductor)
+    algebra, lam = algebra_from_json(doc, args.conductor)
     base_report = algebra.verify()
     if not base_report.passed:
         raise SchemaError(f"algebra axioms fail: {base_report.failures[:3]}")
@@ -282,54 +277,6 @@ def _vec_str(field, vec):
 
 
 # ---------------------------------------------------------------------------
-# conductor embedding
-# ---------------------------------------------------------------------------
-
-
-def _embed_scalar(old_field, new_field, x):
-    old = old_field.describe()
-    m = old["conductor"] if old["type"] == "cyclotomic" else 1
-    N = new_field.conductor
-    if N % m != 0:
-        raise SchemaError(f"conductor {N} is not a multiple of {m}")
-    if N == 1:  # Q into Q
-        return x
-    step = N // m
-    out = new_field.zero
-    for i, q in enumerate(old_field.to_qvec(x)):
-        if q:
-            out = out + new_field.from_rat(q) * new_field.zeta(i * step)
-    return out
-
-
-def _embed_algebra(algebra, lam, conductor):
-    new_field = CyclotomicField(conductor) if conductor > 1 else QQ
-    from .algebra import StructureConstantAlgebra
-    emb = lambda x: _embed_scalar(algebra.field, new_field, x)
-    table = [[{k: emb(c) for k, c in algebra.table[i][j].items()}
-              for j in range(algebra.dim)] for i in range(algebra.dim)]
-    unit = [emb(c) for c in algebra.unit]
-    out = StructureConstantAlgebra(new_field, algebra.dim, table, unit,
-                                   name=algebra.name)
-    return out, ([emb(c) for c in lam] if lam is not None else None)
-
-
-def _embed_hopf(H, lam, R, conductor):
-    from .hopf import HopfAlgebraData
-    from .linalg import Matrix
-    algebra, lam2 = _embed_algebra(H.algebra, lam, conductor)
-    new_field = algebra.field
-    emb = lambda x: _embed_scalar(H.field, new_field, x)
-    delta = [{k: emb(c) for k, c in d.items()} for d in H.delta]
-    counit = [emb(c) for c in H.counit]
-    antipode = Matrix(new_field, [[emb(c) for c in row]
-                                  for row in H.antipode.entries])
-    H2 = HopfAlgebraData(algebra, delta, counit, antipode, name=H.name)
-    R2 = {k: emb(c) for k, c in R.items()} if R is not None else None
-    return H2, lam2, R2
-
-
-# ---------------------------------------------------------------------------
 # build
 # ---------------------------------------------------------------------------
 
@@ -342,11 +289,13 @@ def cmd_build(args):
             raw = load_path(args.table)
             if not isinstance(raw, dict):
                 raise InvalidGroupTable("table file is not a JSON object")
+            if "table" not in raw:
+                raise InvalidGroupTable("table file: missing key 'table'")
             G = group_from_table(raw["table"], name="G")
         else:
             print("build needs --group or --table", file=sys.stderr)
             return 2
-    except (KeyError, ValueError, OSError, InvalidGroupTable) as err:
+    except (ValueError, OSError, InvalidGroupTable) as err:
         print(f"invalid group: {err}", file=sys.stderr)
         return 2
     conductor = args.conductor or G.exponent

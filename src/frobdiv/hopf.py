@@ -11,14 +11,23 @@ checkers take the session as their one argument.
 
 Every element of H (x) H is a sparse dict mapping the flat index
 i*dim + k of e_i (x) e_k to its nonzero coefficient: ``delta[j]`` =
-Delta(x_j), the Casimir element, the R-matrix and b = tau(R) R.  Each map
-is kept in the form its readers use.  The Drinfeld map
-Phi(f) = b1 <f, b2> is read off b with ``contract_right``, and its rank
-from the rows of b.  The character map chi of the representation ring
-sends the basis of R to ``W.characters``, and Psi = Phi o chi sends it to
-the Phi(chi_S).  A linear map between algebras is passed as the list of
-images of the basis.  Only the antipode, and the character matrix of the
-fusion solve, are dense ``Matrix`` objects.
+Delta(x_j), the Casimir element, the R-matrix and b = tau(R) R.  The
+axioms and the theorems apply a few maps to such elements, each written
+once: S on one leg (``algebra.map_leg`` on ``antipode_columns``, the
+sparse columns S(x_j) read once off the antipode), Delta on one leg
+(``HopfAlgebraData.delta_on_leg``), the product m(z)
+(``algebra.multiply_legs``, which also gives Gamma(1) = m(c)), and the
+contractions ``contract_left/right``.  So the Casimir element is
+S(Lambda_1) (x) Lambda_2 in four placements, the Zhu element is
+Lambda <- chi_{S*} = (chi o S (x) Id)(Delta Lambda), and lambda is an
+integral of H* when (Id (x) lambda) Delta = lambda 1 = (lambda (x) Id) Delta.
+The Drinfeld map Phi(f) = b1 <f, b2> is read off b with
+``contract_right``, and its rank from the rows of b.  The character map
+chi of the representation ring sends the basis of R to ``W.characters``,
+and Psi = Phi o chi sends it to the Phi(chi_S).  A linear map between
+algebras is passed as the list of images of the basis.  Only the antipode,
+and the character matrix of the fusion solve, are dense ``Matrix``
+objects.
 """
 
 from __future__ import annotations
@@ -28,11 +37,12 @@ import functools
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
                       VerificationReport, _add_into, _clean, contract_left,
                       contract_right, first_non_multiplicative_pair,
-                      frobenius_structure, linear_image, tensor_dict)
+                      frobenius_structure, linear_image, map_leg,
+                      multiply_legs, tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis,
                           frobenius_divisibility_verdict,
-                          relative_divisibility, scalar_certificate,
+                          is_integral_scalar, relative_divisibility,
                           verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix, sparse
 from .scalars import CyclotomicField, QQ, Rat
@@ -64,6 +74,13 @@ class HopfAlgebraData:
         self.antipode = antipode
         self.name = name or algebra.name
 
+    @functools.cached_property
+    def antipode_columns(self):
+        """The sparse columns S(x_j) = {i: S_ij}, read once off the
+        antipode."""
+        return [_clean(dict(enumerate(self.antipode.column(j))))
+                for j in range(self.dim)]
+
     @property
     def dim(self):
         return self.algebra.dim
@@ -93,6 +110,24 @@ class HopfAlgebraData:
     def antipode_of(self, vec):
         return self.antipode.apply(vec)
 
+    def after_antipode(self, form):
+        """The linear form f o S for f given by its values on the basis."""
+        zero = self.field.zero
+        return [sum((form[i] * s for i, s in col.items() if form[i]), zero)
+                for col in self.antipode_columns]
+
+    def delta_on_leg(self, z, first):
+        """(Delta (x) Id)(z) when ``first``, else (Id (x) Delta)(z), for z in
+        H (x) H: a sparse triple tensor keyed (a, b, c)."""
+        n = self.dim
+        out = {}
+        for idx, c in z.items():
+            i, j = divmod(idx, n)
+            for idx2, d in self.delta[i if first else j].items():
+                a, b = divmod(idx2, n)
+                _add_into(out, (a, b, j) if first else (i, a, b), c * d)
+        return _clean(out)
+
     def __repr__(self):
         return f"HopfAlgebraData({self.name or 'H'}, dim={self.dim})"
 
@@ -113,29 +148,14 @@ def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
     T = TensorSquareAlgebra(A)
 
     # coassociativity and counit axioms, per basis element
-    for j in range(n):
-        dj = H.delta[j]
-        left = {}
-        right = {}
-        for idx, c in dj.items():
-            i, k = divmod(idx, n)
-            for idx2, d in H.delta[i].items():
-                a, b = divmod(idx2, n)
-                _add_into(left, (a, b, k), c * d)
-            for idx2, d in H.delta[k].items():
-                b, cc = divmod(idx2, n)
-                _add_into(right, (i, b, cc), c * d)
-        report.record(_clean(left) == _clean(right), ("coassociativity", j))
-
-        eps_id = [field.zero] * n
-        id_eps = [field.zero] * n
-        for idx, c in dj.items():
-            i, k = divmod(idx, n)
-            eps_id[k] = eps_id[k] + H.counit[i] * c
-            id_eps[i] = id_eps[i] + H.counit[k] * c
+    for j, dj in enumerate(H.delta):
+        report.record(H.delta_on_leg(dj, True) == H.delta_on_leg(dj, False),
+                      ("coassociativity", j))
         basis = A.basis_vec(j)
-        report.record(eps_id == basis, ("counit-left", j))
-        report.record(id_eps == basis, ("counit-right", j))
+        report.record(contract_left(field, H.counit, dj, n) == basis,
+                      ("counit-left", j))
+        report.record(contract_right(field, H.counit, dj, n) == basis,
+                      ("counit-right", j))
 
     # Delta and counit are algebra maps: compare Delta(x_i x_j), summed over
     # table[i][j], with Delta(x_i) Delta(x_j) in A (x) A
@@ -157,24 +177,14 @@ def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
                           ("counit-multiplicative", i, j))
 
     # antipode axiom, both sides, on the sparse columns S(x_i)
-    scols = [_clean(dict(enumerate(H.antipode.column(i)))) for i in range(n)]
-    unit = _clean(dict(enumerate(A.unit)))
-    for j in range(n):
-        left = {}
-        right = {}
-        for idx, c in H.delta[j].items():
-            i, k = divmod(idx, n)
-            for r, s in scols[i].items():
-                cs = c * s
-                for t, d in table[r][k].items():
-                    _add_into(left, t, cs * d)
-            for r, s in scols[k].items():
-                cs = c * s
-                for t, d in table[i][r].items():
-                    _add_into(right, t, cs * d)
+    scols = H.antipode_columns
+    unit = sparse(A.unit)
+    for j, dj in enumerate(H.delta):
         target = _clean({t: H.counit[j] * u for t, u in unit.items()})
-        report.record(_clean(left) == target, ("antipode-left", j))
-        report.record(_clean(right) == target, ("antipode-right", j))
+        report.record(multiply_legs(A, map_leg(dj, scols, n, True))
+                      == target, ("antipode-left", j))
+        report.record(multiply_legs(A, map_leg(dj, scols, n, False))
+                      == target, ("antipode-right", j))
 
     # S(S(x_j)) = x_j for every j
     involutory = True
@@ -214,9 +224,11 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
     if len(space) != 1:
         raise HopfError(f"left integral space has dimension {len(space)}")
     raw = space[0]
+    # Lambda x_h = eps(h) Lambda, read off the table
+    support = sparse(raw)
     for h in range(n):
-        want = [H.counit[h] * x for x in raw]
-        if A.multiply(raw, A.basis_vec(h)) != want:
+        if (multiply_legs(A, {k * n + h: x for k, x in support.items()})
+                != _clean({k: H.counit[h] * x for k, x in support.items()})):
             raise NotUnimodular(f"left integral is not right at basis {h}")
     s = H.counit_of(raw)
     if not bool(s):
@@ -230,19 +242,12 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
         raise HopfError("<lambda, Lambda> != 1")
     if A.apply_form(lam, A.unit) != field.one:
         raise HopfError("<lambda, 1> != 1")
-    # lambda is a two-sided integral of H*
-    for i0 in range(n):
-        left = [field.zero] * n
-        right = [field.zero] * n
-        for k in range(n):
-            for idx, c in H.delta[k].items():
-                i, j = divmod(idx, n)
-                if i == i0:
-                    left[k] = left[k] + c * lam[j]
-                if j == i0:
-                    right[k] = right[k] + c * lam[i]
-        want = [A.unit[i0] * x for x in lam]
-        if left != want or right != want:
+    # lambda is a two-sided integral of H*:
+    # (Id (x) lambda) Delta(x_k) = lambda(x_k) 1 = (lambda (x) Id) Delta(x_k)
+    for k, dk in enumerate(H.delta):
+        want = [lam[k] * u for u in A.unit]
+        if (contract_right(field, lam, dk, n) != want
+                or contract_left(field, lam, dk, n) != want):
             raise HopfError("lambda is not a two-sided integral of the dual")
     Lambda0 = [inv_dim * x for x in Lambda]
     return IntegralData(Lambda, lam, Lambda0)
@@ -336,24 +341,11 @@ def hopf_casimir(session: HopfAnalysis):
     # Casimir expressions are compared
     frob, dual_frob = session.frobenius, session.dual_frobenius
     dL = H.delta_of(session.integrals.Lambda)
-    S = H.antipode
-
-    def build(first_antipode, swap):
-        """S applied to the first or the second leg of Delta(Lambda), with
-        the two legs swapped when ``swap``."""
-        out = {}
-        for idx, c in dL.items():
-            i, j = divmod(idx, n)
-            for r, x in enumerate(S.column(i if first_antipode else j)):
-                if bool(x):
-                    a, b = (r, j) if first_antipode else (i, r)
-                    _add_into(out, b * n + a if swap else a * n + b, c * x)
-        return _clean(out)
-
-    c1 = build(True, False)    # S(Lambda_1) (x) Lambda_2
-    c2 = build(True, True)     # Lambda_2 (x) S(Lambda_1)
-    c3 = build(False, True)    # S(Lambda_2) (x) Lambda_1
-    c4 = build(False, False)   # Lambda_1 (x) S(Lambda_2)
+    scols = H.antipode_columns
+    c1 = map_leg(dL, scols, n, True)          # S(Lambda_1) (x) Lambda_2
+    c2 = map_leg(dL, scols, n, True, True)    # Lambda_2 (x) S(Lambda_1)
+    c3 = map_leg(dL, scols, n, False, True)   # S(Lambda_2) (x) Lambda_1
+    c4 = map_leg(dL, scols, n, False)         # Lambda_1 (x) S(Lambda_2)
     if not (c1 == c2 == c3 == c4):
         raise HopfError("four Casimir expressions disagree")
 
@@ -505,7 +497,7 @@ def _verify_hopf_map(H1, H2, images):
                 _add_into(lhs, k, c * v)
         if _clean(lhs) != H2.delta_of(image):
             raise HopfError(f"map does not preserve comultiplication at {j}")
-        if (linear_image(A2, images, enumerate(H1.antipode.column(j)))
+        if (linear_image(A2, images, H1.antipode_columns[j].items())
                 != H2.antipode_of(image)):
             raise HopfError(f"map does not preserve the antipode at {j}")
 
@@ -598,9 +590,8 @@ def representation_ring(session: HopfAnalysis) -> RepresentationRing:
                                 "character")
 
     dual_index = []
-    st = H.antipode.transpose()
     for s in range(r):
-        twisted = st.apply(chars[s])
+        twisted = H.after_antipode(chars[s])
         match = [t for t in range(r) if list(chars[t]) == twisted]
         if len(match) != 1:
             raise HopfError(f"chi_{s} o S is not an irreducible character")
@@ -647,7 +638,6 @@ def zhu_check(session: HopfAnalysis):
     n = H.dim
     dual = session.dual_frobenius.algebra
     dL = H.delta_of(session.integrals.Lambda)
-    st = H.antipode.transpose()
     out = []
     for s in range(W.num_blocks):
         chi = list(W.characters[s])
@@ -655,16 +645,12 @@ def zhu_check(session: HopfAnalysis):
         if not central:
             out.append(ZhuEntry(s, W.degrees[s], False, None, None, None))
             continue
-        chi_dual = st.apply(chi)
-        hit = [field.zero] * n
-        for idx, c in dL.items():
-            i, j = divmod(idx, n)
-            if bool(chi_dual[i]):
-                hit[j] = hit[j] + c * chi_dual[i]
+        # Lambda <- chi_{S*} = (chi o S (x) Id)(Delta Lambda)
+        hit = contract_left(field, H.after_antipode(chi), dL, n)
         d = W.degrees[s]
         scale = field.from_rat(Rat(n, d))
         identity_ok = hit == [scale * x for x in W.idempotents[s]]
-        integral = all(scalar_certificate(field, c).integral for c in hit)
+        integral = all(map(is_integral_scalar, hit))
         divides = n % d == 0
         if integral and not divides:
             raise HopfError("integral hit but degree does not divide dim; "
@@ -695,10 +681,9 @@ def class_equation_check(session: HopfAnalysis):
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn,
                                 dual_frob.algebra, dual_frob,
                                 session.wedderburn.characters)
-    integral = [c.integral for c in rep.certificates]
     if not all(rep.ratio_checks):
         raise HopfError("relative-divisibility ratio check failed")
-    return ClassEquationReport(rep.induced_dims, integral, session.H.dim)
+    return ClassEquationReport(rep.induced_dims, rep.integral, session.H.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -734,13 +719,7 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
 
     # invertibility: (S (x) Id)(R) is the inverse when the axioms hold;
     # verified directly as a product
-    Rinv = {}
-    for idx, c in Rd.items():
-        i, j = divmod(idx, n)
-        col = H.antipode.column(i)
-        for r in range(n):
-            if bool(col[r]):
-                _add_into(Rinv, r * n + j, c * col[r])
+    Rinv = map_leg(Rd, H.antipode_columns, n, True)
     report.record(T.mult(Rd, Rinv) == T.unit, ("R-invertible-right",))
     report.record(T.mult(Rinv, Rd) == T.unit, ("R-invertible-left",))
 
@@ -751,21 +730,11 @@ def quasitriangular_verify(H: HopfAlgebraData, R) -> QuasitriangularData:
                   ("counit-R-right",))
 
     # (Delta (x) Id)(R) = R13 R23 and (Id (x) Delta)(R) = R13 R12
-    dR = {}
-    for idx, c in Rd.items():
-        i, j = divmod(idx, n)
-        for idx2, d in H.delta[i].items():
-            a, b2 = divmod(idx2, n)
-            _add_into(dR, (a, b2, j), c * d)
     r13r23, r13r12 = r_products(A, Rd)
-    report.record(_clean(dR) == r13r23, ("quasitriangular-delta-left",))
-    idR = {}
-    for idx, c in Rd.items():
-        i, j = divmod(idx, n)
-        for idx2, d in H.delta[j].items():
-            a, b2 = divmod(idx2, n)
-            _add_into(idR, (i, a, b2), c * d)
-    report.record(_clean(idR) == r13r12, ("quasitriangular-delta-right",))
+    report.record(H.delta_on_leg(Rd, True) == r13r23,
+                  ("quasitriangular-delta-left",))
+    report.record(H.delta_on_leg(Rd, False) == r13r12,
+                  ("quasitriangular-delta-right",))
 
     # tau(Delta h) R = R Delta h for every basis h
     for j in range(n):
@@ -883,4 +852,4 @@ def schneider_check(session: HopfAnalysis):
         raise HopfError("relative-divisibility ratio check failed")
     squares = sorted(d * d for d in session.wedderburn.degrees)
     return SchneiderReport(checks, sorted(rep.induced_dims), squares,
-                           [c.integral for c in rep.certificates], n)
+                           rep.integral, n)

@@ -12,15 +12,19 @@ are read.
 For the Casimir element c of a symmetric algebra A the operator is
 ``FrobeniusStructure.casimir_times``, which multiplies by c through the swap
 law c(a (x) 1) = (1 (x) a) c straight from the structure table of A, with
-no product in A (x) A; each structure computes that certificate once.  A
-scalar x is an element of the field itself, of dimension 1: its unit is
-``{0: field.one}`` and its operator ``lambda v: {0: x * v[0]}``.
+no product in A (x) A; each structure computes that certificate once.
+
+A scalar needs no minimal polynomial.  Z[zeta_n] is the ring of integers of
+Q(zeta_n), with 1, zeta, ..., zeta^(phi(n)-1) as an integral basis
+(Washington, *Introduction to Cyclotomic Fields*, GTM 83, Thm 2.6), and a
+``Cyc`` is kept in lowest terms on that basis, so a scalar is an algebraic
+integer exactly when its denominator is 1 (``is_integral_scalar``).
 """
 
 from __future__ import annotations
 
 from .linalg import iterates, krylov_relation
-from .scalars import QQ, Rat, is_integer_rat, rat_str
+from .scalars import QQ, Cyc, Rat, is_integer_rat, rat_str
 
 
 class InapplicableHypothesis(Exception):
@@ -79,9 +83,10 @@ def is_integral_over_Z(field, dim, unit, times, description="element"):
     return IntegralityCertificate(description, poly, witness is None, witness)
 
 
-def scalar_certificate(field, x, description="scalar"):
-    return is_integral_over_Z(field, 1, {0: field.one},
-                              lambda v: {0: x * v[0]}, description)
+def is_integral_scalar(x) -> bool:
+    """Whether the scalar x of Q or Q(zeta_n) is an algebraic integer: its
+    denominator on the integral power basis is 1."""
+    return (x.den if isinstance(x, Cyc) else x.denominator) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +150,10 @@ def frobenius_divisibility_verdict(algebra, frobenius, data):
 
 
 class RelativeReport:
-    def __init__(self, induced_dims, scalars, certificates, ratio_checks):
+    def __init__(self, induced_dims, scalars, integral, ratio_checks):
         self.induced_dims = induced_dims
         self.scalars = scalars
-        self.certificates = certificates
+        self.integral = integral          # list of bool, one per scalar
         self.ratio_checks = ratio_checks
 
 
@@ -175,7 +180,7 @@ def verify_symmetric_homomorphism(A, lam, B, mu, images):
 def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
     """Per-block report for a homomorphism of symmetric algebras
     (A, lambda) -> (B, mu), phi(x_k) = images[k]: induced dimensions, the
-    scalars Gamma^mu(1)/dim Ind, their integrality certificates, and the
+    scalars Gamma^mu(1)/dim Ind, whether each is an algebraic integer, and the
     exact equality Gamma^mu(1)/dim Ind = Gamma^lambda(1)_S / d(S).  The
     caller proves that phi is such a homomorphism
     (``verify_symmetric_homomorphism`` or, for a character map,
@@ -198,7 +203,7 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
     # phi(e_S) is an idempotent, so R_phi(e_S) is a projection: its rank is
     # its trace, the right-regular character rho of B at phi(e_S)
     rho = B.right_regular_character()
-    induced_dims, scalars, certs, ratio_checks = [], [], [], []
+    induced_dims, scalars, integral, ratio_checks = [], [], [], []
     for s, e in enumerate(data_A.idempotents):
         trace = B.apply_form(rho, linear_image(B, images, enumerate(e)))
         rank = field.as_rat(trace) if field.is_rational(trace) else None
@@ -215,9 +220,8 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
         scal = mu_scalar / field.from_rat(Rat(dim_ind))
         induced_dims.append(dim_ind)
         scalars.append(scal)
-        certs.append(scalar_certificate(field, scal,
-                                        f"Gamma^mu(1)/dim Ind block {s}"))
+        integral.append(is_integral_scalar(scal))
         gam_s = gamma_one_eigenvalue(frob_A, data_A, s)
         ratio_checks.append(
             scal == gam_s / field.from_rat(Rat(d)))
-    return RelativeReport(induced_dims, scalars, certs, ratio_checks)
+    return RelativeReport(induced_dims, scalars, integral, ratio_checks)

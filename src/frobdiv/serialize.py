@@ -12,6 +12,9 @@ Hopf input extends this with "comultiplication" (triples
 [flat_ik, j, "scalar"] for the dim^2 x dim matrix of Delta), "counit",
 "antipode" (triples [i, j, "scalar"]), and optional "R" (pairs
 [flat, "scalar"]).  All indices 0-based.
+
+Given a conductor N, each scalar of Q(zeta_m) is mapped into Q(zeta_N) as
+it is read, zeta_m -> zeta_N^(N/m); m must divide N.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 
 from .algebra import StructureConstantAlgebra
 from .linalg import Matrix
-from .scalars import field_from_descriptor
+from .scalars import CyclotomicField, QQ, field_from_descriptor
 
 
 class SchemaError(Exception):
@@ -46,19 +49,26 @@ def _list(doc, key):
     return raw
 
 
-def algebra_from_json(doc):
-    """Returns (StructureConstantAlgebra, lambda-or-None)."""
+def algebra_from_json(doc, conductor=None):
+    """Returns (StructureConstantAlgebra, lambda-or-None), over Q(zeta_N)
+    for N = ``conductor`` when one is given."""
     _require(isinstance(doc, dict), "input is not a JSON object")
     for key in ("dim", "field", "structure_constants", "unit"):
         _require(key in doc, f"missing key {key!r}")
     dim = doc["dim"]
     _require(_index(dim, math.inf) and dim > 0, "dim must be a positive int")
     try:
-        field = field_from_descriptor(doc["field"])
+        source = field_from_descriptor(doc["field"])
     except ValueError as err:
         raise SchemaError(str(err)) from None
+    field = source
+    if conductor is not None:
+        _require(conductor % source.conductor == 0, f"conductor {conductor} "
+                 f"is not a multiple of {source.conductor}")
+        field = CyclotomicField(conductor) if conductor > 1 else QQ
+    scalar = _reader(source, field)
     entries = _list(doc, "structure_constants")
-    unit = _parse_vector(field, doc["unit"], dim, "unit")
+    unit = _parse_vector(scalar, doc["unit"], dim, "unit")
     # x_j = 1 x_j needs some c_ij^k != 0 for each j: dim constants at least
     _require(dim <= len(entries), f"dim {dim} needs at least {dim} "
              f"structure constants, the document lists {len(entries)}")
@@ -69,18 +79,38 @@ def algebra_from_json(doc):
         i, j, k, s = entry
         _require(all(_index(x, dim) for x in (i, j, k)),
                  f"index out of range in {entry!r}")
-        table[i][j][k] = _parse_scalar(field, s)
-    lam = (_parse_vector(field, doc["lambda"], dim, "lambda")
+        table[i][j][k] = scalar(s)
+    lam = (_parse_vector(scalar, doc["lambda"], dim, "lambda")
            if "lambda" in doc else None)
     name = doc.get("name", "")
     _require(isinstance(name, str), "name must be a string")
     return StructureConstantAlgebra(field, dim, table, unit, name=name), lam
 
 
-def _parse_vector(field, raw, dim, what):
+def _parse_vector(scalar, raw, dim, what):
     _require(isinstance(raw, list) and len(raw) == dim,
              f"{what} must be a list of {dim} scalars")
-    return [_parse_scalar(field, s) for s in raw]
+    return [scalar(s) for s in raw]
+
+
+def _reader(source, field):
+    """The parser of the scalar strings of the document's field
+    ``source`` = Q(zeta_m), with values in ``field`` = Q(zeta_N) for m | N:
+    zeta_m -> zeta_N^(N/m)."""
+    if field is source:
+        return lambda s: _parse_scalar(source, s)
+    if field is QQ:  # from Q(zeta_1)
+        return lambda s: source.as_rat(_parse_scalar(source, s))
+    step = field.conductor // source.conductor
+    powers = [field.zeta(i * step) for i in range(source.phi)]
+
+    def scalar(s):
+        out = field.zero
+        for q, z in zip(source.to_qvec(_parse_scalar(source, s)), powers):
+            if q:
+                out = out + field.from_rat(q) * z
+        return out
+    return scalar
 
 
 def _parse_scalar(field, s):
@@ -114,14 +144,16 @@ def algebra_to_json(algebra, lam=None):
     return doc
 
 
-def hopf_from_json(doc):
-    """Returns (HopfAlgebraData, lambda-or-None, R-or-None)."""
+def hopf_from_json(doc, conductor=None):
+    """Returns (HopfAlgebraData, lambda-or-None, R-or-None), over
+    Q(zeta_N) for N = ``conductor`` when one is given."""
     from .hopf import HopfAlgebraData
-    algebra, lam = algebra_from_json(doc)
+    algebra, lam = algebra_from_json(doc, conductor)
     for key in ("comultiplication", "counit", "antipode"):
         _require(key in doc, f"missing Hopf key {key!r}")
     n = algebra.dim
     field = algebra.field
+    scalar = _reader(field_from_descriptor(doc["field"]), field)
     delta = [dict() for _ in range(n)]
     for entry in _list(doc, "comultiplication"):
         _require(isinstance(entry, list) and len(entry) == 3,
@@ -129,8 +161,8 @@ def hopf_from_json(doc):
         flat, j, s = entry
         _require(_index(flat, n * n) and _index(j, n),
                  f"index out of range in {entry!r}")
-        delta[j][flat] = _parse_scalar(field, s)
-    counit = _parse_vector(field, doc["counit"], n, "counit")
+        delta[j][flat] = scalar(s)
+    counit = _parse_vector(scalar, doc["counit"], n, "counit")
     cols = [[field.zero] * n for _ in range(n)]
     for entry in _list(doc, "antipode"):
         _require(isinstance(entry, list) and len(entry) == 3,
@@ -138,7 +170,7 @@ def hopf_from_json(doc):
         i, j, s = entry
         _require(_index(i, n) and _index(j, n),
                  f"index out of range in {entry!r}")
-        cols[j][i] = _parse_scalar(field, s)
+        cols[j][i] = scalar(s)
     antipode = Matrix.from_columns(field, cols)
     H = HopfAlgebraData(algebra, delta, counit, antipode, name=algebra.name)
     R = None
@@ -150,7 +182,7 @@ def hopf_from_json(doc):
             flat, s = entry
             _require(_index(flat, n * n),
                      f"index out of range in {entry!r}")
-            R[flat] = _parse_scalar(field, s)
+            R[flat] = scalar(s)
     return H, lam, R
 
 
@@ -167,11 +199,9 @@ def hopf_to_json(H, lam=None, R=None):
     doc["comultiplication"] = comul
     doc["counit"] = [field.format(c) for c in H.counit]
     anti = []
-    for j in range(n):
-        col = H.antipode.column(j)
-        for i in range(n):
-            if bool(col[i]):
-                anti.append([i, j, field.format(col[i])])
+    for j, col in enumerate(H.antipode_columns):
+        for i, c in col.items():
+            anti.append([i, j, field.format(c)])
     doc["antipode"] = anti
     if H.name:
         doc["name"] = H.name

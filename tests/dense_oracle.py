@@ -7,14 +7,15 @@ as the library did before its checks moved onto the sparse structure table.
 The tests use them as a differential oracle: on every input both must report
 the same verdict and the same failure labels in the same order.  They never
 touch the sparse product of ``TensorSquareAlgebra``; products in A (x) A are
-built factor by factor with the dense ``multiply``.  The centre, integral,
-centrality, Gram and R-product oracles are described in their own section,
-and so are the per-point interpolation formula, the Krylov loop over a
-carrier algebra, the dense multiplicativity, orthogonality and
-character loops, the centre products of a modular split formed in the
-whole reduced algebra, the dense eliminations that the sparse echelon
-form replaced, the scalars of Q(zeta_n) as tuples of rationals, and the
-trial reconstruction that bounded gluing replaced.
+built factor by factor with the dense ``multiply``.  The maps on H (x) H
+and the centre, integral, centrality, Gram and R-product oracles are
+described in their own sections, and so are the per-point interpolation
+formula, the Krylov loop over a carrier algebra, the dense
+multiplicativity, orthogonality and character loops, the centre products
+of a modular split formed in the whole reduced algebra, the dense
+eliminations that the sparse echelon form replaced, the scalars of
+Q(zeta_n) as tuples of rationals, and the trial reconstruction that
+bounded gluing replaced.
 """
 
 import functools
@@ -177,6 +178,60 @@ def permute_hopf(H, perm):
             rows[perm[i]][perm[j]] = H.antipode.entries[i][j]
     return HopfAlgebraData(permute_algebra(H.algebra, perm), delta, counit,
                            Matrix(H.field, rows), name=H.name)
+
+
+# ---------------------------------------------------------------------------
+# dense maps on H (x) H
+# ---------------------------------------------------------------------------
+#
+# S on one leg from the dense columns of the antipode, Delta on one leg
+# from ``delta_of`` of a dense basis vector, the product m from dense
+# products of basis vectors, and f o S from the transposed antipode.
+
+
+def dense_antipode_on_leg(H, z, first, swap=False):
+    """S on the first or the second leg of z, the legs then swapped when
+    ``swap``, one dense column of S per term."""
+    n = H.dim
+    out = {}
+    for idx, c in z.items():
+        i, j = divmod(idx, n)
+        for r, x in enumerate(H.antipode.column(i if first else j)):
+            if x != H.field.zero:
+                a, b = (r, j) if first else (i, r)
+                _add_into(out, b * n + a if swap else a * n + b, c * x)
+    return _clean(out)
+
+
+def dense_delta_on_leg(H, z, first):
+    """(Delta (x) Id)(z) or (Id (x) Delta)(z) as a triple tensor keyed
+    (a, b, c), with Delta of each leg from a dense basis vector."""
+    n = H.dim
+    out = {}
+    for idx, c in z.items():
+        i, j = divmod(idx, n)
+        image = H.delta_of(H.algebra.basis_vec(i if first else j))
+        for idx2, d in image.items():
+            a, b = divmod(idx2, n)
+            _add_into(out, (a, b, j) if first else (i, a, b), c * d)
+    return _clean(out)
+
+
+def dense_multiply_legs(A, z):
+    """m(z) as a sum of dense products of basis vectors, without its
+    zeros."""
+    n = A.dim
+    out = A.zero_vec()
+    for idx, c in z.items():
+        i, k = divmod(idx, n)
+        prod = A.multiply(A.basis_vec(i), A.basis_vec(k))
+        out = [x + c * y for x, y in zip(out, prod)]
+    return _clean(dict(enumerate(out)))
+
+
+def dense_after_antipode(H, form):
+    """f o S through the transposed dense antipode."""
+    return H.antipode.transpose().apply(form)
 
 
 # ---------------------------------------------------------------------------

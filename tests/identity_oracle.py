@@ -1,11 +1,13 @@
 """Identities of the paper checked on library objects, and small helpers
 that only the tests call.
 
-The library never calls these: the trace formula, the reconstruction
-identity and the Casimir identities of a Frobenius structure; the
-characters, the formula Gamma(1) e(S) = d(S) (chi_S (x) Id)(c) and the
-block components of c and c^2 of a Wedderburn split; the conjugacy
-classes of a finite group; and membership in an echelon subspace.
+The library never calls these: the dual basis, the form and the Casimir
+trace Gamma(a) = sum_i x_i a y_i (from dense products) of a Frobenius
+structure, and its trace formula, reconstruction identity and Casimir
+identities; the characters, the formula Gamma(1) e(S) = d(S)
+(chi_S (x) Id)(c) and the block components of c and c^2 of a Wedderburn
+split; the conjugacy classes of a finite group; and membership in an
+echelon subspace.
 """
 
 from frobdiv import Rat, TensorSquareAlgebra, VerificationReport
@@ -20,13 +22,39 @@ from frobdiv.wedderburn import gamma_one_eigenvalue
 # ---------------------------------------------------------------------------
 
 
+def dual_basis(F):
+    """The dual basis y_j, with <lambda, x_i y_j> = delta_ij, as dense
+    vectors: y_j = F.dual_combination(e_j)."""
+    A = F.algebra
+    return [F.dual_combination(A.basis_vec(j)) for j in range(A.dim)]
+
+
+def evaluate(F, a):
+    """<lambda, a> for the form lambda of the Frobenius structure F."""
+    return F.algebra.apply_form(F.lam, a)
+
+
+def casimir_trace(F, a):
+    """Gamma(a) = sum_i x_i a y_i, from dense products; asserts the result
+    is central."""
+    A = F.algebra
+    out = A.zero_vec()
+    for i, y in enumerate(dual_basis(F)):
+        t = A.multiply(A.basis_vec(i), a)
+        t = A.multiply(t, y)
+        out = [x + y for x, y in zip(out, t)]
+    if not A.is_central(out):
+        raise AlgebraError("Casimir trace produced a non-central value")
+    return out
+
+
 def trace_via_casimir(F, f):
     """trace(f) = sum_i <lambda, f(x_i) y_i> for the Frobenius structure F
     and a Matrix f."""
     A = F.algebra
     s = F.field.zero
-    for i in range(A.dim):
-        s = s + F.evaluate(A.multiply(f.column(i), F.dual_basis[i]))
+    for i, y in enumerate(dual_basis(F)):
+        s = s + evaluate(F, A.multiply(f.column(i), y))
     return s
 
 
@@ -34,8 +62,8 @@ def reconstruct(F, a):
     """sum_i x_i <lambda, a y_i>, which must reproduce a."""
     A = F.algebra
     out = A.zero_vec()
-    for i in range(A.dim):
-        c = F.evaluate(A.multiply(a, F.dual_basis[i]))
+    for i, y in enumerate(dual_basis(F)):
+        c = evaluate(F, A.multiply(a, y))
         if c != F.field.zero:
             out[i] = out[i] + c
     return out
@@ -161,7 +189,7 @@ def casimir_square_components(frobenius, data):
         rows.setdefault(i, []).append((j, x))
     gamma_c = {}
     for i, terms in rows.items():
-        gi = frobenius.casimir_trace(algebra.basis_vec(i))
+        gi = casimir_trace(frobenius, algebra.basis_vec(i))
         for rr, g in enumerate(gi):
             if bool(g):
                 for j, x in terms:

@@ -16,7 +16,8 @@ from frobdiv.algebra import TensorSquareAlgebra, contract_left, contract_right
 
 from conftest import delta_form, group_algebra_plain, matrix_algebra_2x2
 from dense_oracle import dense_commutator_space, matrix_trace
-from identity_oracle import (check_casimir_identities, reconstruct,
+from identity_oracle import (casimir_trace, check_casimir_identities,
+                             dual_basis, evaluate, reconstruct,
                              trace_via_casimir)
 
 
@@ -67,8 +68,7 @@ def test_delta_form_gram_c2():
     # inverse: the Casimir element is g_0 (x) g_0 + g_1 (x) g_1
     assert F.casimir == {0: QQ.one, 3: QQ.one}
     # dual basis of g_i is g_{i^{-1}} = g_i here
-    assert F.dual_basis[0] == A.basis_vec(0)
-    assert F.dual_basis[1] == A.basis_vec(1)
+    assert dual_basis(F) == [A.basis_vec(0), A.basis_vec(1)]
     # Gamma(1) = sum g_i g_i^{-1} = 2 * 1
     assert F.gamma_one() == [rq(2), QQ.zero]
 
@@ -76,9 +76,10 @@ def test_delta_form_gram_c2():
 def test_dual_basis_defining_property():
     A = group_algebra_plain("S3")
     F = frobenius_structure(A, delta_form(A))
+    dual = dual_basis(F)
     for i in range(A.dim):
         for j in range(A.dim):
-            v = F.evaluate(A.multiply(A.basis_vec(i), F.dual_basis[j]))
+            v = evaluate(F, A.multiply(A.basis_vec(i), dual[j]))
             assert v == (QQ.one if i == j else QQ.zero)
 
 
@@ -110,8 +111,9 @@ def test_regular_character_via_casimir_trace():
     for i in range(A.dim):
         a = A.basis_vec(i)
         lhs = A.apply_form(chi, a)
-        rhs = F.evaluate(A.multiply(g1, a))
+        rhs = evaluate(F, A.multiply(g1, a))
         assert lhs == rhs
+    assert g1 == casimir_trace(F, A.unit)
 
 
 def test_reconstruction_identity():

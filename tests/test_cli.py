@@ -342,6 +342,24 @@ def test_conductor_one_on_a_rational_document(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_conductor_one_on_a_document_over_q_zeta_1(tmp_path):
+    # kS3 over Q with its field written as Q(zeta_1): --conductor 1 maps
+    # it into Q, to the sections of the rational document
+    inp = build(tmp_path, "--group", "S3", "--conductor", "1")
+    doc = json.loads(inp.read_text())
+    doc["field"] = {"type": "cyclotomic", "conductor": 1}
+    zeta_1 = tmp_path / "zeta-1.json"
+    zeta_1.write_text(json.dumps(doc))
+    outs = [tmp_path / "plain.json", tmp_path / "zeta-1-report.json"]
+    codes = [main(["analyze", str(inp), "--format", "json", "--out",
+                   str(outs[0])]),
+             main(["analyze", str(zeta_1), "--conductor", "1", "--format",
+                   "json", "--out", str(outs[1])])]
+    assert codes[0] == codes[1]
+    sections = [json.loads(out.read_text())["sections"] for out in outs]
+    assert sections[0] == sections[1]
+
+
 def test_conductor_one_on_a_cyclotomic_document_exit_2(tmp_path):
     inp = build(tmp_path, "--group", "C4")  # over Q(zeta_4)
     err = assert_invalid_input(inp, "--conductor", "1")
@@ -390,6 +408,7 @@ def test_build_from_table(tmp_path):
 
 MALFORMED_TABLES = {
     "top-level-list": [1, 2],
+    "no-table-key": {},
     "table-not-a-list": {"table": 5},
     "string-entry": {"table": [["a"]]},
     "float-entry": {"table": [[0, 1], [1, 0.5]]},
@@ -399,16 +418,27 @@ MALFORMED_TABLES = {
 }
 
 
+def build_malformed_table(tmp_path, name):
+    """``frobdiv build --table`` on MALFORMED_TABLES[name], run as a
+    process so that a traceback would show on its stderr."""
+    tbl = tmp_path / "table.json"
+    tbl.write_text(json.dumps(MALFORMED_TABLES[name]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "frobdiv.cli", "build",
+                           "--table", str(tbl)], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("name", MALFORMED_TABLES)
 def test_build_malformed_table_exit_2(tmp_path, name):
     """``frobdiv build --table`` exits 2 with one line on stderr, no
     traceback and no document."""
-    tbl = tmp_path / "table.json"
-    tbl.write_text(json.dumps(MALFORMED_TABLES[name]))
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "build",
-                           "--table", str(tbl)], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = build_malformed_table(tmp_path, name)
     assert proc.returncode == 2
     assert proc.stderr.startswith("invalid group: ")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def test_build_table_file_without_table_names_the_key(tmp_path):
+    proc = build_malformed_table(tmp_path, "no-table-key")
+    assert "missing key 'table'" in proc.stderr

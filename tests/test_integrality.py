@@ -1,16 +1,21 @@
 import pytest
 
+import frobdiv.hopf as hopf
+import frobdiv.integrality as integrality
 from frobdiv import (
     CyclotomicField,
+    HopfAnalysis,
     InapplicableHypothesis,
     NotASymmetricHomomorphism,
     QQ,
     Rat,
     central_primitive_idempotents,
+    drinfeld_double,
     frobenius_divisibility_verdict,
     frobenius_structure,
+    is_integral_scalar,
+    named_group,
     relative_divisibility,
-    scalar_certificate,
 )
 from frobdiv.integrality import (
     is_integral_over_Z,
@@ -18,8 +23,10 @@ from frobdiv.integrality import (
     verify_symmetric_homomorphism,
 )
 from frobdiv.linalg import sparse
+from frobdiv.scalars import Cyc
 
 from conftest import delta_form, group_algebra_plain
+from ladder import LADDER, ladder_hopf
 
 
 def rq(x, y=1):
@@ -46,8 +53,7 @@ def test_minpoly_cyclotomic_scalar():
     mp = minimal_polynomial_over_Q(K, 1, {0: K.one}, scalar_times(z))
     assert mp == [Rat(1), Rat(1), Rat(1)]
     # zeta_3 / 2 is not integral
-    cert = scalar_certificate(K, z / K.from_int(2))
-    assert not cert.integral and cert.witness is not None
+    assert not is_integral_scalar(z / K.from_int(2))
 
 
 def test_minpoly_of_group_element():
@@ -76,8 +82,8 @@ def test_sums_products_of_integral_elements():
     K = CyclotomicField(5)
     z = K.zeta()
     for elt in (z, z * z, z + z ** 4, K.one + z, z * (K.one + z)):
-        assert scalar_certificate(K, elt).integral
-    assert not scalar_certificate(K, z / K.from_int(3)).integral
+        assert is_integral_scalar(elt)
+    assert not is_integral_scalar(z / K.from_int(3))
 
 
 def test_verdict_s3_delta_form():
@@ -130,7 +136,7 @@ def test_relative_divisibility_subgroup():
     # kS3 is free of rank 3 over kC2: both induced modules have dim 3
     assert rep.induced_dims == [3, 3]
     assert rep.scalars == [rq(2), rq(2)]
-    assert all(c.integral for c in rep.certificates)
+    assert rep.integral == [True, True]
     assert rep.ratio_checks == [True, True]
 
 
@@ -148,5 +154,50 @@ def test_relative_divisibility_unit_subalgebra():
     rep = relative_divisibility(A, FA, dA, B, FB, phi)
     assert rep.induced_dims == [6]
     assert rep.scalars == [rq(1)]
-    assert all(c.integral for c in rep.certificates)
+    assert rep.integral == [True]
     assert rep.ratio_checks == [True]
+
+
+
+def _scalars_tested(monkeypatch, session):
+    """Every scalar that the Zhu, class-equation and (with an R-matrix)
+    Schneider checks of ``session`` decide integrality of."""
+    seen = []
+
+    def recording(x):
+        seen.append(x)
+        return is_integral_scalar(x)
+
+    monkeypatch.setattr(hopf, "is_integral_scalar", recording)
+    monkeypatch.setattr(integrality, "is_integral_scalar", recording)
+    hopf.zhu_check(session)
+    hopf.class_equation_check(session)
+    if session.R is not None:
+        hopf.schneider_check(session)
+    return seen
+
+
+def _sessions():
+    for entry in LADDER:
+        yield "-".join(map(str, entry)), HopfAnalysis(ladder_hopf(*entry))
+    for gname in ("S3", "D4"):
+        H, Q = drinfeld_double(named_group(gname))
+        yield f"D({gname})", HopfAnalysis(H, Q.R)
+
+
+def test_denominator_rule_agrees_with_minimal_polynomial(monkeypatch):
+    """On every scalar the checks test, for the ten ladder documents, D(S3)
+    and D(D4), and on its half, the denominator rule gives the verdict of
+    the Krylov minimal polynomial."""
+    verdicts = set()
+    for name, session in _sessions():
+        seen = _scalars_tested(monkeypatch, session)
+        assert seen, name
+        for x in seen:
+            field = x.field if isinstance(x, Cyc) else QQ
+            for y in (x, x / field.from_int(2)):
+                cert = is_integral_over_Z(field, 1, {0: field.one},
+                                          lambda v: {0: y * v[0]})
+                assert is_integral_scalar(y) == cert.integral, (name, y)
+                verdicts.add(cert.integral)
+    assert verdicts == {True, False}

@@ -5,8 +5,10 @@ documents written by ``frobdiv build`` for D(S3), D(C4), kA4 and k^Q8 (the
 last analysed at ``--conductor 24``), and on M3+M2+M1 over Q on its matrix
 units (``--check fd``).  They were generated at commit cf6821a, before the
 exact checks of the Wedderburn split and of the relative divisibility
-moved onto the block images and the structure table; every report must
-still match them byte for byte, with the same exit code.
+moved onto the block images and the structure table.  The report of D(D4)
+(dim 64, with blocks of degree 2) was generated at commit caae4b3, before
+the Hopf maps on H (x) H were written once each.  Every report must still
+match byte for byte, with the same exit code.
 
 A change that means to alter a report regenerates the files with
 
@@ -32,6 +34,7 @@ REPORTS = Path(__file__).resolve().parent / "reports"
 CASES = {
     "double-s3": (["--group", "S3", "--as", "double"], [], 0),
     "double-c4": (["--group", "C4", "--as", "double"], [], 0),
+    "double-d4": (["--group", "D4", "--as", "double"], [], 0),
     "group-a4": (["--group", "A4"], [], 0),
     "dual-q8-at-24": (["--group", "Q8", "--as", "dual"],
                       ["--conductor", "24"], 0),

@@ -12,7 +12,7 @@ import frobdiv.modular as modular
 import frobdiv.wedderburn as wedderburn
 from frobdiv import (Matrix, central_primitive_idempotents, group_algebra,
                      named_group)
-from frobdiv.cli import _embed_algebra
+from frobdiv.serialize import algebra_from_json, algebra_to_json
 
 from dense_oracle import change_basis_algebra
 
@@ -20,7 +20,7 @@ from dense_oracle import change_basis_algebra
 def ks3_at_24():
     """kS3 embedded into Q(zeta_24), as ``analyze --conductor 24`` does."""
     A = group_algebra(named_group("S3")).algebra
-    return _embed_algebra(A, None, 24)[0]
+    return algebra_from_json(algebra_to_json(A), 24)[0]
 
 
 def kc4_rescaled():

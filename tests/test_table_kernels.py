@@ -26,6 +26,7 @@ from dense_oracle import (PrimeField, change_basis_algebra,
                           dense_mod_p_center, dense_quasitriangular_report,
                           dense_r_products, permute_hopf, permute_r,
                           shear_matrix, unimodular_matrix)
+from identity_oracle import dual_basis
 from ladder import LADDER, ladder_hopf
 
 _BASE = {}
@@ -152,7 +153,7 @@ def test_gram_matches_dense_oracle(key):
     A = H.algebra
     zero, one = A.field.zero, A.field.one
     lam = integrals(H).lam
-    dual = FrobeniusStructure(A, lam).dual_basis
+    dual = dual_basis(FrobeniusStructure(A, lam))
     assert [[sum((g * c for g, c in zip(row, y)), zero) for y in dual]
             for row in dense_gram(A, lam)] == \
         [[one if i == j else zero for j in range(A.dim)]
@@ -175,7 +176,8 @@ GRAM_CASES = [*LADDER, "M3+M2+Q dense"]
 def test_gram_inverse_rows_and_dual_basis(case):
     """The sparse rows of gram^-1, from one elimination beside the
     identity, against the dense inverse of the dense Gram matrix; the dual
-    basis y_j, read off row j, against column j."""
+    basis y_j = F.dual_combination(e_j), read off the rows, against
+    column j."""
     if isinstance(case, str):
         A, lam = dense_plain()
     else:
@@ -184,7 +186,7 @@ def test_gram_inverse_rows_and_dual_basis(case):
     F = FrobeniusStructure(A, lam)
     inverse = dense_inverse(A.field, dense_gram(A, lam))
     assert F._dual_coeffs == [sorted(sparse(row).items()) for row in inverse]
-    assert F.dual_basis == [list(col) for col in zip(*inverse)]
+    assert dual_basis(F) == [list(col) for col in zip(*inverse)]
 
 
 NONCOMMUTATIVE = [k for k in KEYS if k[0] in ("kS3", "kA4", "D(S3)")]
