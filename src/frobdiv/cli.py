@@ -100,7 +100,6 @@ def cmd_analyze(args):
 
 
 def _analyze(doc, args, sections):
-    field_fmt = None
     if is_hopf_doc(doc):
         H, lam, R = hopf_from_json(doc, args.conductor)
         base_report = hopf_mod.verify_hopf(H)
