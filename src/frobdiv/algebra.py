@@ -11,10 +11,18 @@ sum_k a_k (c_ik^r - c_ki^r), streamed into the sparse echelon form of
 form, sum_r lambda_r c_ij^r, are eliminated once beside the identity
 (``linalg.inverse_rows``), of which only the sparse rows of the inverse
 are kept.  The Casimir element multiplies elements of A (x) A through
-the swap law, on the table of A as well.  It, the associativity scan and
+the swap law, on the table of A as well.  It, the associativity check and
 ``is_idempotent`` run on ``integral_table``: D times the table, for D the
 lcm of the denominators of the constants, an int per rational constant
-and an integral ``Cyc`` per other one, read off with no field arithmetic.
+and an integral ``Cyc`` per other one, read off with no field arithmetic
+(over Q(zeta_n), ``is_idempotent`` multiplies numerator tuples).
+
+Associativity is certified by Light's test where it can be: on a monomial
+table (each x_i x_j a multiple of at most one x_m, as for kG, k^G, D(G)
+and their relabellings) a greedy search finds basis indices S whose words
+reach every basis index, and the n^2 |S| triples (x_i s) x_k =
+x_i (s x_k) prove the n^3.  The full scan runs only when no S well below
+n is found, or to name the triples that fail.
 
 Elements of A are dense vectors; elements of A (x) A (the Casimir element,
 R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero scalar}.  The
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from operator import add
 
 from .integrality import is_integral_over_Z
 from .linalg import EchelonSubspace, Singular, inverse_rows
@@ -53,10 +61,23 @@ class DegenerateForm(AlgebraError):
         self.witness = witness
 
 
-@dataclass
 class VerificationReport:
-    passed: bool
-    failures: list = dc_field(default_factory=list)
+    """Whether every axiom held, and the labels of those that failed."""
+
+    __hash__ = None
+
+    def __init__(self, passed: bool, failures=None):
+        self.passed = passed
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.passed, self.failures) == (other.passed, other.failures)
+
+    def __repr__(self):
+        return (f"VerificationReport(passed={self.passed!r}, "
+                f"failures={self.failures!r})")
 
     def record(self, ok: bool, label):
         if not ok:
@@ -109,34 +130,58 @@ class StructureConstantAlgebra:
     @functools.cached_property
     def integral_table(self):
         """(D, {k: D c_ij^k} for each i, j) without stored zeros, for D the
-        lcm of the denominators of the constants."""
+        lcm of the denominators of the constants.  The cells are read only:
+        the zero products share one empty dict."""
         D = _common_den(c for row in self.table for cell in row
                         for c in cell.values())
+        no_terms = {}
         return D, [[{k: _times_den(c, D) for k, c in cell.items() if c}
-                    for cell in row] for row in self.table]
+                    or no_terms for cell in row] for row in self.table]
+
+    @functools.cached_property
+    def monomial_table(self):
+        """The integral table when each product x_i x_j is a multiple
+        D c x_m of at most one basis element, else None: (index, coeffs)
+        with index[i][j] = m and coeffs[i][j] = D c, or n and 0 when
+        x_i x_j = 0.  Row n and column n of both stand for the zero
+        product; coeffs is None when every nonzero D c is the same."""
+        n = self.dim
+        table = self.integral_table[1]
+        if any(len(cell) > 1 for row in table for cell in row):
+            return None
+        index = [[next(iter(cell)) if cell else n for cell in row] + [n]
+                 for row in table]
+        coeffs = [[next(iter(cell.values())) if cell else 0 for cell in row]
+                  + [0] for row in table]
+        index.append([n] * (n + 1))
+        coeffs.append([0] * (n + 1))
+        if len({c for row in coeffs for c in row if c}) <= 1:
+            coeffs = None
+        return index, coeffs
+
+    @functools.cached_property
+    def generating_set(self):
+        """Basis indices whose words reach every basis index on the
+        monomial table (``light_generators``); None when the table is not
+        monomial or no set well below dim A is found."""
+        mono = self.monomial_table
+        return None if mono is None else light_generators(mono[0])[0]
 
     # -- verification -----------------------------------------------------
     def verify(self) -> VerificationReport:
         """Associativity and both unit laws on the integral table, where
-        both sides of a law scale alike: by D^2, or by D den(1)."""
+        both sides of a law scale alike: by D^2, or by D den(1).
+
+        Associativity is proven by Light's test when the generating set S
+        is found: the n^2 |S| triples (x_i s) x_k = x_i (s x_k), s in S.
+        Otherwise, or when one of them fails, the scan of all n^3 triples
+        names the failures."""
         report = VerificationReport(True)
+        if not self.light_associative():
+            for label in _associativity_failures(self.integral_table[1]):
+                report.record(False, label)
         n = self.dim
         D, table = self.integral_table
-        for i in range(n):
-            row_i = table[i]
-            for j in range(n):
-                ij = [(table[m], c) for m, c in row_i[j].items()]
-                for k in range(n):
-                    # (x_i x_j) x_k - x_i (x_j x_k)
-                    diff = {}
-                    for row_m, c in ij:
-                        for r, d in row_m[k].items():
-                            diff[r] = diff.get(r, 0) + c * d
-                    for m, c in table[j][k].items():
-                        for r, d in row_i[m].items():
-                            diff[r] = diff.get(r, 0) - c * d
-                    if any(diff.values()):
-                        report.record(False, ("associativity", i, j, k))
         den = _common_den(self.unit)
         unit = [(m, _times_den(u, den)) for m, u in enumerate(self.unit) if u]
         for i in range(n):
@@ -153,6 +198,19 @@ class StructureConstantAlgebra:
                 report.record(False, ("right-unit", i))
         return report
 
+    def light_associative(self) -> bool:
+        """Whether Light's test proves A associative (Clifford and
+        Preston, *The Algebraic Theory of Semigroups* I, 1.2).  The
+        elements t with (x t) y = x (t y) for all x, y form a subspace
+        closed under products.  It is all of A once it contains every s in
+        S, since the words in S reach every basis element with a nonzero
+        scalar."""
+        S = self.generating_set
+        if S is None:
+            return False
+        index, coeffs = self.monomial_table
+        return all(_associative_at(index, coeffs, s) for s in S)
+
     # -- invariants -------------------------------------------------------
     @functools.cached_property
     def is_commutative(self) -> bool:
@@ -164,18 +222,24 @@ class StructureConstantAlgebra:
 
     def is_idempotent(self, e) -> bool:
         """e e = e, compared on the integral table: with E = d e integral
-        for d the common denominator of e, D E E = D d E."""
+        for d the common denominator of e, D E E = D d E.  Over Q(zeta_n)
+        the products are taken on numerator tuples (``_mul_nums``)."""
         d = _common_den(e)
         E = [(k, _times_den(c, d)) for k, c in enumerate(e) if c]
         D, table = self.integral_table
-        out = {}
-        for i, a in E:
-            row = table[i]
-            for j, b in E:
-                ab = a * b
-                for k, c in row[j].items():
-                    out[k] = out.get(k, 0) + ab * c
-        return _clean(out) == {k: D * d * c for k, c in E}
+        if not isinstance(self.field.one, Cyc):
+            out = {}
+            for i, a in E:
+                row = table[i]
+                for j, b in E:
+                    ab = a * b
+                    for k, c in row[j].items():
+                        out[k] = out.get(k, 0) + ab * c
+            return _clean(out) == {k: D * d * c for k, c in E}
+        pad = self.field._pad
+        E = [(k, _nums(c, pad)) for k, c in E]
+        return (integral_product(self, E, E)
+                == {k: tuple([D * d * x for x in a]) for k, a in E})
 
     def is_central(self, a) -> bool:
         """a x_i = x_i a for every i, compared on the table over the
@@ -246,6 +310,109 @@ class StructureConstantAlgebra:
         return f"<{label}: dim {self.dim} over {self.field!r}>"
 
 
+def _associativity_failures(table):
+    """The labels ("associativity", i, j, k) of the triples with
+    (x_i x_j) x_k != x_i (x_j x_k) on the integral table: all n^3."""
+    n = len(table)
+    for i in range(n):
+        row_i = table[i]
+        for j in range(n):
+            ij = [(table[m], c) for m, c in row_i[j].items()]
+            for k in range(n):
+                # (x_i x_j) x_k - x_i (x_j x_k)
+                diff = {}
+                for row_m, c in ij:
+                    for r, d in row_m[k].items():
+                        diff[r] = diff.get(r, 0) + c * d
+                for m, c in table[j][k].items():
+                    for r, d in row_i[m].items():
+                        diff[r] = diff.get(r, 0) - c * d
+                if any(diff.values()):
+                    yield ("associativity", i, j, k)
+
+
+def _associative_at(index, coeffs, s):
+    """(x_i s) x_k = x_i (s x_k) for all i, k on the monomial table
+    (index, coeffs): for each i the row of indices over k, then, unless
+    every coefficient is the same, the row of coefficients."""
+    n = len(index) - 1
+    s_row = index[s]
+    for i in range(n):
+        row_i = index[i]
+        a = row_i[s]  # x_i s = c x_a
+        if index[a] != list(map(row_i.__getitem__, s_row)):
+            return False
+        if coeffs is not None:
+            c, c_i = coeffs[i][s], coeffs[i]
+            if ([c * x for x in coeffs[a]]
+                    != [y * c_i[u] for y, u in zip(coeffs[s], s_row)]):
+                return False
+    return True
+
+
+# candidate generators tried per step of the greedy search
+LIGHT_SAMPLE = 8
+
+
+def light_generators(index):
+    """(S, reads): basis indices S whose words s_1 s_2 ... s_k reach every
+    basis index on the monomial table ``index`` (``monomial_table``), and
+    the number of table reads the search made.  S is None once more than
+    n // 2 indices would be needed, as on k^G, where x_i x_j is 0 or x_i
+    and S would be every index.
+
+    Greedy and deterministic: each step tries up to LIGHT_SAMPLE unreached
+    indices, spread evenly over them in index order, and keeps the one
+    whose words reach most; then every generator the others can do without
+    is dropped, in order."""
+    n = len(index) - 1
+    S, reached, reads = [], set(), 0
+    while len(reached) < n:
+        if len(S) == n // 2:
+            return None, reads
+        todo = [g for g in range(n) if g not in reached]
+        best = None
+        for g in todo[::-(-len(todo) // LIGHT_SAMPLE)]:
+            # the words of S + [g]: those of S, then each with g after it
+            frontier = [g] + [index[r][g] for r in reached]
+            grown, cost = _grow(index, S + [g], reached, frontier)
+            reads += len(reached) + cost
+            if best is None or len(grown) > len(best[1]):
+                best = g, grown
+        S.append(best[0])
+        reached = best[1]
+    for g in list(S):
+        rest = [s for s in S if s != g]
+        grown, cost = _grow(index, rest, set(), rest)
+        reads += cost
+        if len(grown) == n:
+            S = rest
+    return S, reads
+
+
+def _grow(index, S, reached, frontier):
+    """(grown, reads): ``reached`` with the indices in ``frontier`` and
+    each product of a new index with an s in S, on the right, until none
+    is new; and the number of table reads."""
+    n = len(index) - 1
+    grown = set(reached)
+    todo = []
+    reads = 0
+    for m in frontier:
+        if m != n and m not in grown:
+            grown.add(m)
+            todo.append(m)
+    while todo:
+        row = index[todo.pop()]
+        reads += len(S)
+        for s in S:
+            m = row[s]
+            if m != n and m not in grown:
+                grown.add(m)
+                todo.append(m)
+    return grown, reads
+
+
 def center_conditions(table):
     """The rows {k: c_ik^r - c_ki^r} of the center's linear conditions,
     streamed one index i at a time.  Entries are whatever scalars the
@@ -306,6 +473,43 @@ def _common_den(scalars):
     """The lcm of the denominators of Rat or Cyc scalars."""
     return math.lcm(1, *{c.den if isinstance(c, Cyc) else int(c.denominator)
                          for c in scalars})
+
+
+def integral_product(A, a, b):
+    """D a b as {k: numerator tuple} without zeros, for a and b given by
+    the pairs (k, numerator tuple) of their nonzero integral coordinates,
+    read off the integral table of A (D its common denominator).  Over
+    Q(zeta_n) the tuples are multiplied by ``_mul_nums``; over Q they are
+    1-tuples."""
+    D, table = A.integral_table
+    mul, pad = _num_arith(A.field)
+    out = {}
+    for i, x in a:
+        row = table[i]
+        for j, y in b:
+            cell = row[j]
+            if cell:
+                xy = mul(x, y)
+                for k, c in cell.items():
+                    v = mul(xy, _nums(c, pad))
+                    cur = out.get(k)
+                    out[k] = v if cur is None else tuple(map(add, cur, v))
+    return {k: v for k, v in out.items() if any(v)}
+
+
+def _num_arith(field):
+    """(mul, pad): the product of two numerator tuples over ``field`` and
+    the zeros that pad an int to one; ``_mul_nums`` over Q(zeta_n), and
+    1-tuples over Q."""
+    if isinstance(field.one, Cyc):
+        return field._mul_nums, field._pad
+    return (lambda x, y: (x[0] * y[0],)), ()
+
+
+def _nums(c, pad):
+    """The numerator tuple of an integral Cyc, or of an int padded with
+    ``pad``."""
+    return c.nums if isinstance(c, Cyc) else (c,) + pad
 
 
 def _times_den(c, m):
@@ -521,8 +725,7 @@ class FrobeniusStructure:
                 for m, c in u:
                     out[base + m] = out.get(base + m, 0) + g * c
         den, pad = delta * D * D * gamma, (0,) * (A.field.phi - 1)
-        return {idx: A.field.from_nums(v.nums if isinstance(v, Cyc)
-                                       else (v,) + pad, den)
+        return {idx: A.field.from_nums(_nums(v, pad), den)
                 for idx, v in out.items() if v}
 
     def casimir_certificate(self):

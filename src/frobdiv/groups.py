@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 
@@ -10,13 +9,31 @@ class InvalidGroupTable(ValueError):
     pass
 
 
-@dataclass
 class FiniteGroup:
-    name: str
-    table: list  # table[i][j] = index of g_i * g_j
-    identity: int
-    inverse: list
-    exponent: int
+    """A group by its Cayley table: ``table[i][j]`` is the index of
+    g_i g_j."""
+
+    __hash__ = None
+
+    def __init__(self, name, table, identity, inverse, exponent):
+        self.name = name
+        self.table = table
+        self.identity = identity
+        self.inverse = inverse
+        self.exponent = exponent
+
+    def _fields(self):
+        return (self.name, self.table, self.identity, self.inverse,
+                self.exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return ("FiniteGroup(name={!r}, table={!r}, identity={!r}, "
+                "inverse={!r}, exponent={!r})".format(*self._fields()))
 
     @property
     def order(self):

@@ -25,26 +25,38 @@ The Drinfeld map Phi(f) = b1 <f, b2> is read off b with
 ``contract_right``, and its rank from the rows of b.  The character map
 chi of the representation ring sends the basis of R to ``W.characters``,
 and Psi = Phi o chi sends it to the Phi(chi_S).  A linear map between
-algebras is passed as the list of images of the basis.  Only the antipode,
-and the character matrix of the fusion solve, are dense ``Matrix``
-objects.
+algebras is passed as the list of images of the basis.  Only the antipode
+is a dense ``Matrix``.
+
+Identities are certified on a small witness, and a full scan runs only
+to name a failure.  ``verify_hopf`` proves Delta and eps multiplicative on
+the pairs (x_j, s) for s in the generating set of Light's test
+(``StructureConstantAlgebra.generating_set``).  The fusion rules are
+read off the central primitive idempotents e_u, N_st^u =
+(chi_s chi_t)(e_u) / d_u mod a prime, and certified exactly on integer
+numerators (``fusion_rules``).  Psi lands in the span of the e_S, where
+products are pointwise, so its multiplicativity is r^3 scalar checks
+(``psi_on_blocks``).
 """
 
 from __future__ import annotations
 
 import functools
+from operator import add
 
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
-                      VerificationReport, _add_into, _clean, contract_left,
+                      VerificationReport, _add_into, _clean, _common_den,
+                      _num_arith, _nums, _times_den, contract_left,
                       contract_right, first_non_multiplicative_pair,
-                      frobenius_structure, linear_image, map_leg,
-                      multiply_legs, tensor_dict)
+                      frobenius_structure, integral_product, linear_image,
+                      map_leg, multiply_legs, tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis,
                           frobenius_divisibility_verdict,
                           is_integral_scalar, relative_divisibility,
                           verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix, sparse
+from .modular import BadPrime, _int_poly_eval, component_roots, reduce_scalar
 from .scalars import CyclotomicField, QQ, Rat
 from .wedderburn import WedderburnData, central_primitive_idempotents
 
@@ -139,8 +151,14 @@ class HopfAlgebraData:
 
 def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
     """All bialgebra and Hopf axioms, plus the involutory condition, checked
-    on the sparse structure constants, comultiplication and antipode."""
+    on the sparse structure constants, comultiplication and antipode.
+
+    Multiplicativity of Delta and eps is proven on the n |S| pairs
+    (x_j, s), s in the generating set S of Light's test, when A passed
+    its axioms; otherwise, or when one pair fails, all n^2 pairs are
+    checked and name the failures."""
     report = H.algebra.verify()
+    algebra_ok = report.passed
     A = H.algebra
     field = H.field
     n = H.dim
@@ -159,22 +177,34 @@ def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
 
     # Delta and counit are algebra maps: compare Delta(x_i x_j), summed over
     # table[i][j], with Delta(x_i) Delta(x_j) in A (x) A
-    report.record(H.delta_of(A.unit) == tensor_dict(field, A.unit, A.unit),
-                  ("delta-unit",))
-    report.record(H.counit_of(A.unit) == field.one, ("counit-unit",))
-    for i in range(n):
-        di = H.delta[i]
-        for j in range(n):
-            lhs = {}
-            eps_prod = field.zero
-            for k, c in table[i][j].items():
-                for idx, d in H.delta[k].items():
-                    _add_into(lhs, idx, c * d)
-                eps_prod = eps_prod + c * H.counit[k]
-            rhs = T.mult(di, H.delta[j])
-            report.record(_clean(lhs) == rhs, ("delta-multiplicative", i, j))
-            report.record(eps_prod == H.counit[i] * H.counit[j],
-                          ("counit-multiplicative", i, j))
+    delta_unit = H.delta_of(A.unit) == tensor_dict(field, A.unit, A.unit)
+    counit_unit = H.counit_of(A.unit) == field.one
+    report.record(delta_unit, ("delta-unit",))
+    report.record(counit_unit, ("counit-unit",))
+
+    def multiplicative(i, j):
+        lhs = {}
+        eps_prod = field.zero
+        for k, c in table[i][j].items():
+            for idx, d in H.delta[k].items():
+                _add_into(lhs, idx, c * d)
+            eps_prod = eps_prod + c * H.counit[k]
+        return (_clean(lhs) == T.mult(H.delta[i], H.delta[j]),
+                eps_prod == H.counit[i] * H.counit[j])
+
+    # Once A is associative, Delta(1) = 1 (x) 1 and eps(1) = 1, the t with
+    # Delta(x t) = Delta(x) Delta(t) for all x are closed under products,
+    # and so are those with eps(x t) = eps(x) eps(t): the pairs (x_j, s)
+    # for s in A.generating_set prove both maps multiplicative
+    gens = (A.generating_set if algebra_ok and delta_unit and counit_unit
+            else None)
+    if not (gens and all(all(multiplicative(j, s)) for j in range(n)
+                         for s in gens)):
+        for i in range(n):
+            for j in range(n):
+                delta_ok, counit_ok = multiplicative(i, j)
+                report.record(delta_ok, ("delta-multiplicative", i, j))
+                report.record(counit_ok, ("counit-multiplicative", i, j))
 
     # antipode axiom, both sides, on the sparse columns S(x_i)
     scols = H.antipode_columns
@@ -300,10 +330,14 @@ class HopfAnalysis:
         return frobenius_structure(self.H.algebra, self.integrals.lam)
 
     @functools.cached_property
+    def dual(self) -> StructureConstantAlgebra:
+        """H* with the convolution product."""
+        return dual_algebra(self.H)
+
+    @functools.cached_property
     def dual_frobenius(self):
         """The Frobenius structure of (H*, Lambda0); its algebra is H*."""
-        return frobenius_structure(dual_algebra(self.H),
-                                   self.integrals.Lambda0)
+        return frobenius_structure(self.dual, self.integrals.Lambda0)
 
     @functools.cached_property
     def wedderburn(self) -> WedderburnData:
@@ -528,36 +562,10 @@ class RepresentationRing:
 def representation_ring(session: HopfAnalysis) -> RepresentationRing:
     H, W = session.H, session.wedderburn
     field = H.field
-    n = H.dim
     r = W.num_blocks
     chars = W.characters
-
-    def convolve(f, g):
-        out = [field.zero] * n
-        for k in range(n):
-            for idx, c in H.delta[k].items():
-                i, j = divmod(idx, n)
-                if bool(f[i]) and bool(g[j]):
-                    out[k] = out[k] + c * f[i] * g[j]
-        return out
-
-    table = [[{} for _ in range(r)] for _ in range(r)]
-    pairs = [(s, t) for s in range(r) for t in range(r)]
-    solved = Matrix.from_columns(field, chars).solve_many(
-        convolve(chars[s], chars[t]) for s, t in pairs)
-    for (s, t), coeffs in zip(pairs, solved):
-        if coeffs is None:
-            raise NonIntegralFusion("character product leaves the "
-                                    "character span")
-        for u, c in enumerate(coeffs):
-            if not field.is_rational(c):
-                raise NonIntegralFusion("non-rational fusion constant")
-            q = field.as_rat(c)
-            if q.denominator != 1 or q < 0:
-                raise NonIntegralFusion(f"fusion constant {q} at "
-                                        f"({s},{t})")
-            if q:
-                table[s][t][u] = field.from_rat(q)
+    table = [[{u: field.from_int(N) for u, N in cell.items()} for cell in row]
+             for row in fusion_rules(session.dual, W)]
 
     # unit of the ring: the trivial character (fusion row acts as identity)
     one = next((s for s in range(r)
@@ -600,6 +608,112 @@ def representation_ring(session: HopfAnalysis) -> RepresentationRing:
     data_R = central_primitive_idempotents(ring, frob_R,
                                            prime=session.prime)
     return RepresentationRing(ring, dual_index, frob_R, data_R)
+
+
+def fusion_rules(dual, W):
+    """The fusion constants N_st^u >= 0 with chi_s chi_t = sum_u N_st^u
+    chi_u in H* (``dual``), for the characters of the split W of H: one
+    list of dicts {u: N} without zeros per s.
+
+    chi_v(e_u) = d_u [v = u], so N_st^u = (chi_s chi_t)(e_u) / d_u.  It is
+    read mod the prime of W at one root and lifted into [0, d_s d_t], then
+    certified exactly on integer numerators: with delta the common
+    denominator of the characters and D that of the table of H*,
+    D delta^2 chi_s chi_t (``integral_product``) equals
+    D delta sum_u N_st^u delta chi_u.  When a reading fails its
+    certificate, or none can be made mod p, the coefficients are taken
+    exactly in the base field (``_exact_fusion``), which rejects the pair
+    when its product leaves the character span or a coefficient is not a
+    nonnegative integer."""
+    field = dual.field
+    D = dual.integral_table[0]
+    delta = _common_den(c for chi in W.characters for c in chi)
+    pad = _num_arith(field)[1]
+    nums = [[(k, _nums(_times_den(c, delta), pad))
+             for k, c in enumerate(chi) if c] for chi in W.characters]
+    reading = _fusion_reading(field, W, D * delta * delta)
+    out = []
+    for s, a in enumerate(nums):
+        row = []
+        for t, b in enumerate(nums):
+            prod = integral_product(dual, a, b)
+            N = None if reading is None else reading(prod, W.degrees[s]
+                                                     * W.degrees[t])
+            if N is None or _fusion_combination(nums, N, D * delta) != prod:
+                N = _exact_fusion(field, W, prod, D * delta * delta, s, t)
+            row.append(N)
+        out.append(row)
+    return out
+
+
+def _fusion_reading(field, W, scale):
+    """The map (D delta^2 chi_s chi_t, d_s d_t) -> {u: N_st^u}, read off
+    (chi_s chi_t)(e_u) / d_u mod the prime p of W at its first root and
+    lifted into [0, d_s d_t] (None when a value lies outside); None when
+    some e_u or scale d_u does not reduce mod p."""
+    p = W.prime_used
+    w = component_roots(field.conductor, p, 1)[0][0]
+    try:
+        idems = [[(k, reduce_scalar(x, w, p)) for k, x in enumerate(e) if x]
+                 for e in W.idempotents]
+        invs = [pow(scale * d, -1, p) for d in W.degrees]
+    except (BadPrime, ValueError):
+        return None
+
+    def read(prod, bound):
+        at_w = {k: _int_poly_eval(v, w, p) for k, v in prod.items()}
+        N = {}
+        for u, (e, inv) in enumerate(zip(idems, invs)):
+            val = sum(at_w[k] * x for k, x in e if k in at_w) * inv % p
+            if val > bound:
+                return None
+            if val:
+                N[u] = val
+        return N
+
+    return read
+
+
+def _fusion_combination(nums, N, scale):
+    """scale sum_u N_u nums[u] as {k: numerator tuple} without zeros."""
+    out = {}
+    for u, m in N.items():
+        f = scale * m
+        for k, v in nums[u]:
+            v = tuple([f * x for x in v])
+            cur = out.get(k)
+            out[k] = v if cur is None else tuple(map(add, cur, v))
+    return {k: v for k, v in out.items() if any(v)}
+
+
+def _exact_fusion(field, W, prod, scale, s, t):
+    """{u: N_st^u} from the exact coefficients (chi_s chi_t)(e_u) / d_u,
+    with chi_s chi_t = prod / scale; raises NonIntegralFusion when the
+    product is not the combination of the characters with these
+    coefficients, or when a coefficient is not a nonnegative integer."""
+    value = {k: field.from_nums(v, scale) for k, v in prod.items()}
+    coeffs = [sum((value[k] * x for k, x in enumerate(e)
+                   if x and k in value), field.zero) / field.from_int(d)
+              for e, d in zip(W.idempotents, W.degrees)]
+    combo = {}
+    for c, chi in zip(coeffs, W.characters):
+        if c:
+            for k, x in enumerate(chi):
+                if x:
+                    _add_into(combo, k, c * x)
+    if _clean(combo) != value:
+        raise NonIntegralFusion("character product leaves the "
+                                "character span")
+    N = {}
+    for u, c in enumerate(coeffs):
+        if not field.is_rational(c):
+            raise NonIntegralFusion("non-rational fusion constant")
+        q = field.as_rat(c)
+        if q.denominator != 1 or q < 0:
+            raise NonIntegralFusion(f"fusion constant {q} at ({s},{t})")
+        if q:
+            N[u] = int(q)
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +938,10 @@ def schneider_check(session: HopfAnalysis):
     That Psi is a homomorphism of symmetric algebras (R, delta) ->
     (H, lambda) (unit, products, lambda o Psi = delta) is checked once, by
     ``verify_symmetric_homomorphism``, which raises
-    NotASymmetricHomomorphism before any report is built; this function
-    forms no product itself."""
+    NotASymmetricHomomorphism before any report is built.  Products are
+    proven on the blocks of H (``psi_on_blocks``), with no product in H;
+    only when that fails are the r^2 products of basis pairs formed, to
+    name the first pair that fails."""
     H, verdict = session.H, session.factorizable
     A = H.algebra
     field = H.field
@@ -844,8 +960,9 @@ def schneider_check(session: HopfAnalysis):
                                        == list(I.Lambda0))
 
     frob = session.frobenius
-    verify_symmetric_homomorphism(RR.ring, RR.frobenius.lam, A, frob.lam,
-                                  psi)
+    verify_symmetric_homomorphism(
+        RR.ring, RR.frobenius.lam, A, frob.lam, psi,
+        multiplicative=psi_on_blocks(RR.ring, session.wedderburn, psi))
     rep = relative_divisibility(RR.ring, RR.frobenius, RR.wedderburn, A,
                                 frob, psi)
     if not all(rep.ratio_checks):
@@ -853,3 +970,38 @@ def schneider_check(session: HopfAnalysis):
     squares = sorted(d * d for d in session.wedderburn.degrees)
     return SchneiderReport(checks, sorted(rep.induced_dims), squares,
                            rep.integral, n)
+
+
+def psi_on_blocks(ring, W, psi):
+    """Whether the map x_s -> psi[s] from the representation ring into H
+    is proven multiplicative on the blocks of H, with r^3 scalar checks.
+
+    W's central primitive idempotents e_S are certified orthogonal, so
+    once psi_s = sum_S c_sS e_S holds exactly for c_sS = chi_S(psi_s) /
+    d_S, psi_s psi_t = sum_S c_sS c_tS e_S, and Psi(x_s x_t) =
+    sum_S (sum_u N_st^u c_uS) e_S.  So Psi is multiplicative exactly when
+    c_sS c_tS = sum_u N_st^u c_uS for all s, t and S.  False when either
+    step fails."""
+    field = ring.field
+    zero = field.zero
+    idems = [sparse(e) for e in W.idempotents]
+    chars = [sparse(chi) for chi in W.characters]
+    scales = [field.from_rat(Rat(1, d)) for d in W.degrees]
+    coeffs = []
+    for image in psi:
+        v = sparse(image)
+        c = [sum((x * v[k] for k, x in chi.items() if k in v), zero) * f
+             for chi, f in zip(chars, scales)]
+        combo = {}
+        for cS, e in zip(c, idems):
+            if cS:
+                for k, x in e.items():
+                    _add_into(combo, k, cS * x)
+        if _clean(combo) != v:
+            return False
+        coeffs.append(c)
+    return all(a * b == sum((N * coeffs[u][S] for u, N in cell.items()),
+                            zero)
+               for s, row in enumerate(ring.table)
+               for t, cell in enumerate(row)
+               for S, (a, b) in enumerate(zip(coeffs[s], coeffs[t])))

@@ -157,17 +157,20 @@ class RelativeReport:
         self.ratio_checks = ratio_checks
 
 
-def verify_symmetric_homomorphism(A, lam, B, mu, images):
+def verify_symmetric_homomorphism(A, lam, B, mu, images,
+                                  multiplicative=False):
     """Check that the linear map phi with phi(x_k) = images[k] in B is a
     homomorphism of symmetric algebras (A, lambda) -> (B, mu): unit to
-    unit, multiplicative on every basis pair, with phi(x_i x_j) read off
-    the table of A (``algebra.first_non_multiplicative_pair``), and
-    mu o phi = lambda.  Raises NotASymmetricHomomorphism naming the first
-    failure."""
+    unit, multiplicative, and mu o phi = lambda.  Unless the caller has
+    proven phi ``multiplicative``, every basis pair is checked, with
+    phi(x_i x_j) read off the table of A
+    (``algebra.first_non_multiplicative_pair``).  Raises
+    NotASymmetricHomomorphism naming the first failure."""
     from .algebra import first_non_multiplicative_pair, linear_image
     if linear_image(B, images, enumerate(A.unit)) != B.unit:
         raise NotASymmetricHomomorphism("unit not preserved")
-    pair = first_non_multiplicative_pair(A, B, images)
+    pair = (None if multiplicative
+            else first_non_multiplicative_pair(A, B, images))
     if pair is not None:
         raise NotASymmetricHomomorphism(
             "multiplicativity fails at basis pair ({},{})".format(*pair))

@@ -396,16 +396,24 @@ class CyclotomicField:
     _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
 
     def format(self, x) -> str:
+        """The terms a/d*z^k of x, each in lowest terms, read off the
+        numerators with one gcd per term (none when x is integral)."""
+        den = x.den
         terms = []
-        for k, c in enumerate(x.rats()):
-            if c == 0:
+        for k, a in enumerate(x.nums):
+            if not a:
                 continue
-            if k == 0:
-                terms.append(rat_str(c))
-            elif k == 1:
-                terms.append(f"{rat_str(c)}*z")
+            if den == 1:
+                c = str(a)
             else:
-                terms.append(f"{rat_str(c)}*z^{k}")
+                g = math.gcd(a, den)
+                c = str(a // g) if g == den else f"{a // g}/{den // g}"
+            if k == 0:
+                terms.append(c)
+            elif k == 1:
+                terms.append(f"{c}*z")
+            else:
+                terms.append(f"{c}*z^{k}")
         return " + ".join(terms) if terms else "0"
 
     def parse(self, s: str):

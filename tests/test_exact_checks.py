@@ -12,6 +12,8 @@ against the dense loops they replaced (``dense_oracle``).
   x_j e and the pairwise products on every input of the small ladder.
 * A Psi corrupted through b still stops ``schneider_check``, through its
   one ``verify_symmetric_homomorphism`` call.
+* The fusion rules read off the blocks equal the solution by elimination,
+  and a wrong reading fails its exact certificate.
 * A corrupted character stops the class equation in the fusion proof of
   ``representation_ring``, which the class equation does not repeat.
 """
@@ -21,6 +23,7 @@ import random
 
 import pytest
 
+import frobdiv.hopf as hopf
 from frobdiv import (HopfAnalysis, central_primitive_idempotents,
                      double_projection, drinfeld_double, dual_algebra,
                      group_algebra, named_group)
@@ -34,7 +37,8 @@ from frobdiv.wedderburn import _verify_system
 
 from dense_oracle import (dense_block_dim,
                           dense_first_non_multiplicative_pair, dense_phi,
-                          dense_psi, dense_rank, hit_form_left,
+                          dense_psi, dense_rank, dense_solve_many,
+                          hit_form_left,
                           matrix_columns, pairwise_orthogonal, permute_hopf,
                           permute_r)
 from ladder import LADDER, ladder_algebra
@@ -150,6 +154,60 @@ def test_corrupted_psi_stops_schneider(double):
     doubled = {idx: c + c for idx, c in Q.b.items()}
     with pytest.raises(NotASymmetricHomomorphism, match="unit"):
         schneider_check(with_b(double, doubled))
+
+
+def test_fusion_rules_against_the_character_solve(double):
+    # N_st^u read off the blocks and certified, against the solution of
+    # chi_s chi_t = sum_u N_st^u chi_u by elimination, with chi_s chi_t
+    # convolved term by term over Delta
+    H, W = double.H, double.wedderburn
+    field, n = H.field, H.dim
+    chars = W.characters
+    rows = [[chi[k] for chi in chars] for k in range(n)]
+
+    def convolve(f, g):
+        out = [field.zero] * n
+        for k, d in enumerate(H.delta):
+            for idx, c in d.items():
+                i, j = divmod(idx, n)
+                out[k] = out[k] + c * f[i] * g[j]
+        return out
+
+    got = hopf.fusion_rules(double.dual, W)
+    want = dense_solve_many(field, rows, [convolve(a, b) for a in chars
+                                          for b in chars])
+    r = W.num_blocks
+    assert [{u: field.from_int(N) for u, N in got[s][t].items()}
+            for s in range(r) for t in range(r)] == [
+        {u: c for u, c in enumerate(x) if c} for x in want]
+
+
+def test_wrong_fusion_reading_fails_its_certificate(double, monkeypatch):
+    # a reading one too large somewhere is caught by the exact identity,
+    # and the exact coefficients take its place
+    W = double.wedderburn
+    right = hopf.fusion_rules(double.dual, W)
+    original = hopf._fusion_reading
+    exact = []
+
+    def off_by_one(field, W, scale):
+        read = original(field, W, scale)
+
+        def wrong(prod, bound):
+            N = dict(read(prod, bound))
+            N[0] = N.get(0, 0) + 1
+            return N
+        return wrong
+
+    def counted(field, W, prod, scale, s, t):
+        exact.append((s, t))
+        return original_exact(field, W, prod, scale, s, t)
+
+    original_exact = hopf._exact_fusion
+    monkeypatch.setattr(hopf, "_fusion_reading", off_by_one)
+    monkeypatch.setattr(hopf, "_exact_fusion", counted)
+    assert hopf.fusion_rules(double.dual, W) == right
+    assert len(exact) == W.num_blocks ** 2
 
 
 def test_corrupted_character_stops_class_equation(double):

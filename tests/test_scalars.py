@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import QQ, CyclotomicField, Rat
 from frobdiv.modular import BadPrime, component_roots, reduce_scalar
-from frobdiv.scalars import ConductorMismatch, cyclotomic_polynomial
+from frobdiv.scalars import (ConductorMismatch, cyclotomic_polynomial,
+                             rat_str)
 
 from dense_oracle import PrimeField, RefCyc, rational_reconstruct
 
@@ -90,6 +92,30 @@ def test_conductor_mismatch():
     b = CyclotomicField(4).zeta()
     with pytest.raises(ConductorMismatch):
         a + b
+
+
+def _format_from_rats(x):
+    """The written form of x from its rational coefficients ``rats()``."""
+    terms = []
+    for k, c in enumerate(x.rats()):
+        if c:
+            r = rat_str(c)
+            terms.append(r if k == 0 else f"{r}*z" if k == 1
+                         else f"{r}*z^{k}")
+    return " + ".join(terms) if terms else "0"
+
+
+@pytest.mark.parametrize("n", [3, 4, 12, 24])
+def test_format_matches_the_rational_coefficients(n):
+    # integral, rational and general values, written from the numerators
+    K = CyclotomicField(n)
+    rng = random.Random(n)
+    for kind in ("integral", "rational", "general") * 100:
+        size = 1 if kind == "rational" else K.phi
+        nums = [rng.choice((0, rng.randint(-60, 60))) for _ in range(size)]
+        den = 1 if kind == "integral" else rng.randint(1, 36)
+        x = K.from_nums(nums + [0] * (K.phi - size), den)
+        assert K.format(x) == _format_from_rats(x)
 
 
 def test_format_parse_round_trip():

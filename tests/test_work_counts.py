@@ -4,7 +4,8 @@ the check mod q, pieces with a 1-dimensional ideal never tried again, the lifted
 of unity computed once per (conductor, prime, exponent), and no product of
 two different idempotents.  In the integrality layer: one Casimir minimal
 polynomial per Frobenius structure, and no product in A (x) A for the
-Casimir powers.  In the Schneider check: no product of its own.  In the
+Casimir powers.  In the Schneider check: no product in H while Psi is
+proven multiplicative on the blocks.  In the
 scalars: no rational operation inside a product or sum in Q(zeta_n), and
 no operation of Q or Q(zeta_n) in the associativity scan or the Casimir
 operator, which run on the integral table.
@@ -12,6 +13,7 @@ In the lifting: each block is lifted once per component and level,
 however many gluings it is tried in, and not at all when the bound
 allows gluing at p."""
 
+import copy
 import sys
 from fractions import Fraction
 
@@ -288,7 +290,22 @@ def test_schneider_check_forms_no_product(monkeypatch):
     S.frobenius, S.ring  # built before the products are recorded
     calls = _recording_multiply(monkeypatch)
     assert hopf.schneider_check(S).holds
-    # the homomorphism check that schneider_check calls multiplies
+    # Psi is proven multiplicative on the blocks of H: no product in H
+    assert calls == []
+    # with two second legs of b swapped, the proof on the blocks fails, and
+    # the products of basis pairs name the pair
+    n = H.dim
+    k1, k2 = [k for k in range(n) if not H.counit[k]][:2]
+    swap = {k1: k2, k2: k1}
+    bad = copy.copy(Q)
+    bad.b = {idx - idx % n + swap.get(idx % n, idx % n): c
+             for idx, c in Q.b.items()}
+    T = copy.copy(S)
+    T.quasitriangular = bad
+    T.factorizable = hopf.factorizable_check(bad)
+    with pytest.raises(integrality.NotASymmetricHomomorphism,
+                       match="multiplicativity"):
+        hopf.schneider_check(T)
     assert calls
     assert not [1 for _, _, code in calls
                 if code is hopf.schneider_check.__code__]
