@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 
 
@@ -81,13 +82,8 @@ def group_from_table(table, name="group") -> FiniteGroup:
         while y != identity:
             y = table[y][x]
             order += 1
-        exponent = _lcm(exponent, order)
+        exponent = math.lcm(exponent, order)
     return FiniteGroup(name, [list(r) for r in table], identity, inverse, exponent)
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 def _table_from_elements(elements, compose, name):

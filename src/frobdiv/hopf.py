@@ -14,7 +14,7 @@ i*dim + k of e_i (x) e_k to its nonzero coefficient: ``delta[j]`` =
 Delta(x_j), the Casimir element, the R-matrix and b = tau(R) R.  The
 axioms and the theorems apply a few maps to such elements, each written
 once: S on one leg (``algebra.map_leg`` on ``antipode_columns``, the
-sparse columns S(x_j) read once off the antipode), Delta on one leg
+sparse columns S(x_j) that ``HopfAlgebraData`` stores), Delta on one leg
 (``HopfAlgebraData.delta_on_leg``), the product m(z)
 (``algebra.multiply_legs``, which also gives Gamma(1) = m(c)), and the
 contractions ``contract_left/right``.  So the Casimir element is
@@ -25,8 +25,8 @@ The Drinfeld map Phi(f) = b1 <f, b2> is read off b with
 ``contract_right``, and its rank from the rows of b.  The character map
 chi of the representation ring sends the basis of R to ``W.characters``,
 and Psi = Phi o chi sends it to the Phi(chi_S).  A linear map between
-algebras is passed as the list of images of the basis.  Only the antipode
-is a dense ``Matrix``.
+algebras is passed as the list of images of the basis.  No check reads
+the dense ``Matrix`` view ``HopfAlgebraData.antipode``.
 
 Identities are certified on a small witness, and a full scan runs only
 to name a failure.  ``verify_hopf`` proves Delta and eps multiplicative on
@@ -78,20 +78,27 @@ class NonIntegralFusion(HopfError):
 
 
 class HopfAlgebraData:
+    """H with Delta(x_j) = ``delta[j]`` and the antipode as its sparse
+    columns S(x_j) = {i: S_ij}, kept in ascending i without zeros."""
+
     def __init__(self, algebra: StructureConstantAlgebra, delta, counit,
-                 antipode: Matrix, name=""):
+                 antipode_columns, name=""):
         self.algebra = algebra
         self.delta = [dict(d) for d in delta]
         self.counit = list(counit)
-        self.antipode = antipode
+        self.antipode_columns = [{i: c for i, c in sorted(col.items()) if c}
+                                 for col in antipode_columns]
         self.name = name or algebra.name
 
     @functools.cached_property
-    def antipode_columns(self):
-        """The sparse columns S(x_j) = {i: S_ij}, read once off the
-        antipode."""
-        return [_clean(dict(enumerate(self.antipode.column(j))))
-                for j in range(self.dim)]
+    def antipode(self):
+        """S as a dense ``Matrix``, built from the columns on first read.
+        The library never reads it; the tests' oracles and the benchmark's
+        tracer (``perfbench/traced.py``) do."""
+        zero = self.field.zero
+        return Matrix.from_columns(self.field, [
+            [col.get(i, zero) for i in range(self.dim)]
+            for col in self.antipode_columns])
 
     @property
     def dim(self):
@@ -120,7 +127,13 @@ class HopfAlgebraData:
         return val
 
     def antipode_of(self, vec):
-        return self.antipode.apply(vec)
+        """S applied to a coefficient vector, through the columns."""
+        out = self.algebra.zero_vec()
+        for col, c in zip(self.antipode_columns, vec):
+            if c:
+                for i, s in col.items():
+                    out[i] = out[i] + c * s
+        return out
 
     def after_antipode(self, form):
         """The linear form f o S for f given by its values on the basis."""
@@ -421,8 +434,12 @@ def dual_hopf(H: HopfAlgebraData) -> HopfAlgebraData:
             for k, c in A.table[i][j].items():
                 _add_into(delta[k], i * n + j, c)
     counit = list(A.unit)
-    return HopfAlgebraData(dual, [_clean(d) for d in delta], counit,
-                           H.antipode.transpose(),
+    # S* is the transpose of S: column i of S* is row i of S
+    scols = [{} for _ in range(n)]
+    for k, col in enumerate(H.antipode_columns):
+        for i, c in col.items():
+            scols[i][k] = c
+    return HopfAlgebraData(dual, [_clean(d) for d in delta], counit, scols,
                            name=(H.name + "*") if H.name else "dual")
 
 
@@ -438,9 +455,7 @@ def group_algebra(G: FiniteGroup, field=None, conductor=None):
     A = StructureConstantAlgebra(field, n, table, unit, name=f"k[{G.name}]")
     delta = [{j * n + j: field.one} for j in range(n)]
     counit = [field.one] * n
-    S = Matrix.from_columns(field, [
-        [field.one if i == G.inverse[j] else field.zero for i in range(n)]
-        for j in range(n)])
+    S = [{G.inverse[j]: field.one} for j in range(n)]
     return HopfAlgebraData(A, delta, counit, S, name=f"k[{G.name}]")
 
 
@@ -478,7 +493,6 @@ def drinfeld_double(G: FiniteGroup, field=None, conductor=None,
 
     delta = [dict() for _ in range(n)]
     counit = [zero] * n
-    scols = []
     for x in range(m):
         for g in range(m):
             a = idx(x, g)
@@ -486,12 +500,9 @@ def drinfeld_double(G: FiniteGroup, field=None, conductor=None,
                 v = tbl[inv[u]][x]
                 delta[a][idx(u, g) * n + idx(v, g)] = one
             counit[a] = one if x == e else zero
-    for j in range(n):
-        x, g = divmod(j, m)
-        col = [zero] * n
-        col[idx(tbl[tbl[inv[g]][inv[x]]][g], inv[g])] = one
-        scols.append(col)
-    S = Matrix.from_columns(field, scols)
+    # S(delta_x (x) g) = delta_{g^-1 x^-1 g} (x) g^-1
+    S = [{idx(tbl[tbl[inv[g]][inv[x]]][g], inv[g]): one}
+         for x in range(m) for g in range(m)]
     H = HopfAlgebraData(A, delta, counit, S, name=f"D({G.name})")
 
     R = {idx(g, e) * n + idx(y, g): one for g in range(m) for y in range(m)}

@@ -6,12 +6,12 @@ reduced, and the combinations of input rows that a caller must track ride
 along as extra columns that never become pivots.  Ranks, kernels, the rows
 of inverses (``inverse_rows``), solutions and Krylov relations are all read
 off it.  ``Matrix`` is a dense, row-major matrix whose elimination methods
-are entry points over that form; it holds only the antipode, the
-restricted right multiplications of ``wedderburn.certify_split_block`` and
-the character matrix of the fusion solve.  Entries must support the field
-operations and the owning ``field`` object supplies zero/one.  Also hosts
-a generic polynomial type used for minimal polynomials and for the roots
-of ``wedderburn.field_roots``.
+are entry points over that form.  The library computes with none: it is a
+dense view (``HopfAlgebraData.antipode``) kept for the tests and for
+``perfbench/traced.py``, which times the methods it binds by name.
+Entries must support the field operations and the owning ``field`` object
+supplies zero/one.  Also hosts a generic polynomial type used for minimal
+polynomials and for the roots of ``wedderburn.field_roots``.
 """
 
 from __future__ import annotations
@@ -40,28 +40,13 @@ class Matrix:
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
     def from_columns(cls, field, cols):
         if not cols:
             return cls(field, [])
         n = len(cols[0])
         return cls(field, [[col[i] for col in cols] for i in range(n)])
 
-    def column(self, j):
-        return [row[j] for row in self.entries]
-
     # -- arithmetic -------------------------------------------------------
-    def __sub__(self, other):
-        return Matrix(self.field, [[a - b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.entries, other.entries)])
-
-    def scale(self, c):
-        return Matrix(self.field, [[c * a for a in row] for row in self.entries])
-
     def apply(self, vec):
         zero = self.field.zero
         out = []
@@ -72,9 +57,6 @@ class Matrix:
                     s = s + a * v
             out.append(s)
         return out
-
-    def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.cols)])
 
     # -- elimination, over EchelonSubspace --------------------------------
     def _row_space(self):

@@ -168,17 +168,20 @@ def component_units(n: int):
 def lift_cyclotomic_root(n: int, p: int, target_modulus: int) -> int:
     """A primitive n-th root of unity mod target_modulus = p^(2^t), lifted
     from the canonical root g^((p-1)/n) mod p by Newton iteration."""
-    g = primitive_root(p)
-    z = pow(g, (p - 1) // n, p)
-    phi_poly = cyclotomic_polynomial(n)
-    dphi = [i * c for i, c in enumerate(phi_poly)][1:]
-    M = p
-    while M < target_modulus:
-        M = M * M
-        fz = _int_poly_eval(phi_poly, z, M)
-        dfz = _int_poly_eval(dphi, z, M)
-        z = (z - fz * pow(dfz, -1, M)) % M
-    return z % target_modulus
+    z = pow(primitive_root(p), (p - 1) // n, p)
+    return newton_lift(cyclotomic_polynomial(n), z, p, target_modulus)
+
+
+def newton_lift(coeffs, t, p, M):
+    """The root mod M = p^k of the int polynomial ``coeffs`` (ascending)
+    above its simple root t mod p, unique (Hensel), by Newton's step."""
+    deriv = [i * c for i, c in enumerate(coeffs)][1:]
+    m = p
+    while m < M:
+        m = min(m * m, M)
+        t = (t - _int_poly_eval(coeffs, t, m)
+             * pow(_int_poly_eval(deriv, t, m), -1, m)) % m
+    return t % M
 
 
 @functools.lru_cache(maxsize=None)

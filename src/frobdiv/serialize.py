@@ -21,10 +21,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 from .algebra import StructureConstantAlgebra
-from .linalg import Matrix
 from .scalars import CyclotomicField, QQ, field_from_descriptor
+
+
+# The most digits of an integer in a scalar string, on every Python version
+MAX_SCALAR_DIGITS = 4300
 
 
 class SchemaError(Exception):
@@ -115,6 +119,12 @@ def _reader(source, field):
 
 def _parse_scalar(field, s):
     _require(isinstance(s, str), f"scalar {s!r} is not a string")
+    if len(s) > MAX_SCALAR_DIGITS:
+        digits = max(map(len, re.findall(r"\d+", s.replace("_", ""))),
+                     default=0)
+        _require(digits <= MAX_SCALAR_DIGITS, f"bad scalar {s[:40]!r}... "
+                 f"({len(s)} chars): an integer has {digits} digits, more "
+                 f"than the limit ({MAX_SCALAR_DIGITS} digits)")
     try:
         return field.parse(s)
     except (ValueError, ZeroDivisionError) as err:
@@ -163,7 +173,7 @@ def hopf_from_json(doc, conductor=None):
                  f"index out of range in {entry!r}")
         delta[j][flat] = scalar(s)
     counit = _parse_vector(scalar, doc["counit"], n, "counit")
-    cols = [[field.zero] * n for _ in range(n)]
+    cols = [{} for _ in range(n)]
     for entry in _list(doc, "antipode"):
         _require(isinstance(entry, list) and len(entry) == 3,
                  f"bad antipode entry {entry!r}")
@@ -171,8 +181,7 @@ def hopf_from_json(doc, conductor=None):
         _require(_index(i, n) and _index(j, n),
                  f"index out of range in {entry!r}")
         cols[j][i] = scalar(s)
-    antipode = Matrix.from_columns(field, cols)
-    H = HopfAlgebraData(algebra, delta, counit, antipode, name=algebra.name)
+    H = HopfAlgebraData(algebra, delta, counit, cols, name=algebra.name)
     R = None
     if "R" in doc:
         R = {}
@@ -198,11 +207,10 @@ def hopf_to_json(H, lam=None, R=None):
                 comul.append([flat, j, field.format(c)])
     doc["comultiplication"] = comul
     doc["counit"] = [field.format(c) for c in H.counit]
-    anti = []
-    for j, col in enumerate(H.antipode_columns):
-        for i, c in col.items():
-            anti.append([i, j, field.format(c)])
-    doc["antipode"] = anti
+    # each column is stored in ascending row order
+    doc["antipode"] = [[i, j, field.format(c)]
+                       for j, col in enumerate(H.antipode_columns)
+                       for i, c in col.items()]
     if H.name:
         doc["name"] = H.name
     if R is not None:

@@ -22,9 +22,9 @@ always passes) before the exact checks: e e = e on the integral table
 (``is_idempotent``), central (at once when the table is commutative), the
 block dimension, and for the system sum 1 and orthogonality, read off the
 block dimensions.  The images x_j e are built only to certify blocks of
-degree > 1, and the eigenvalues behind those certificates come back the
-same way: ``field_roots`` glues D_g t for the roots t of g under a Cauchy
-bound.
+degree > 1, on sparse rows in the coordinates of A, and the eigenvalues
+behind those certificates come back the same way: ``field_roots`` glues
+D_g t for the roots t of g under a Cauchy bound.
 """
 
 from __future__ import annotations
@@ -34,17 +34,18 @@ import math
 import random
 
 from .algebra import frobenius_structure
-from .linalg import EchelonSubspace, Matrix, Poly, sparse
-from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded,
-                      _int_poly_eval, _trim, component_roots,
-                      embedding_factor, good_primes, hensel_lift_idempotent,
-                      is_prime, is_squarefree_mod, modular_split, norm1,
-                      precision_for, reconstruct_element, reduce_scalar,
-                      roots_mod_p, scalar_denominators,
-                      structure_denominator)
+from .linalg import EchelonSubspace, Poly, iterates, krylov_relation, sparse
+from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _trim,
+                      component_roots, embedding_factor, good_primes,
+                      hensel_lift_idempotent, is_prime, is_squarefree_mod,
+                      modular_split, newton_lift, norm1, precision_for,
+                      reconstruct_element, reduce_scalar, roots_mod_p,
+                      scalar_denominators, structure_denominator)
 from .scalars import Rat
 
 FALLBACK_PRIMES = 3
+# Random combinations of the block basis a split certificate tries last.
+RANDOM_CANDIDATES = 12
 # The idempotent filter's prime lies above this bound, so that it rarely
 # divides a denominator of a spurious candidate.
 CHECK_PRIME_LOWER = 1 << 20
@@ -336,12 +337,8 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
         denom = field.from_rat(Rat(b.degree * b.center_dim))
         characters.append([x / denom for x in v])
         if b.center_dim == 1 and b.degree > 1:
-            # the block A e: the images x_j e and their span
-            images = [algebra.multiply(algebra.basis_vec(j), e)
-                      for j in range(algebra.dim)]
-            span = EchelonSubspace(field, algebra.dim, map(sparse, images))
-            certified.append(certify_split_block(algebra, span, images,
-                                                 b.degree, seed=seed))
+            certified.append(certify_split_block(algebra, e, b.degree,
+                                                 seed=seed))
         else:
             certified.append(b.center_dim == 1)
     _verify_system(algebra, idems, block_dims)
@@ -370,60 +367,73 @@ def _multiple(form, chi):
 # ---------------------------------------------------------------------------
 
 
-def certify_split_block(algebra, block, images, d, seed=0, tries=12):
-    """Certify that a simple block B = A e is a full matrix algebra over
+def certify_split_block(algebra, e, d, seed=0):
+    """Certify that the simple block B = A e is a full matrix algebra over
     the base field by exhibiting a left ideal of dimension d, where
-    d^2 = dim B.  ``images`` are the products x_j e and ``block`` their
-    span.
+    d^2 = dim B.
 
-    The ideal is an eigenspace of right multiplication by a block element
-    b: ker(R_b - t) is a left ideal for any t.  If B = M_m(D) with
+    The ideal is an eigenspace of right multiplication R_b by a block
+    element b: ker(R_b - t) is a left ideal for any t.  If B = M_m(D) with
     dim_k(D) = s^2, then d = m s and every left ideal has a dimension
     divisible by m s^2 = d s, so one of dimension exactly d forces D = k,
-    whatever the degree of the minimal polynomial of R_b.
+    whatever the degree of the minimal polynomial of R_b (Ronyai, J.
+    Symbolic Comput. 9, 1990).  All of it is computed in the coordinates
+    of A (``_eigenspaces``).
 
     The images x_j e are tried first: for group algebras, duals and
     doubles their eigenvalues are roots of unity in the base field.  Then
     the echelon basis, then random combinations.  Each candidate is built
     only once those before it have failed.
     """
-    field = algebra.field
-    bd = block.dim
-    if bd != d * d:
+    n = algebra.dim
+    images = [algebra.multiply(algebra.basis_vec(j), e) for j in range(n)]
+    block = EchelonSubspace(algebra.field, n, map(sparse, images))
+    if block.dim != d * d:
         return False
-    if d == 1:
-        return True
     block_basis = block.basis
-
-    def candidates():
-        yield from (v for v in images if any(bool(c) for c in v))
-        yield from block_basis
-        rng = random.Random(seed * 7 + 1)
-        for _ in range(tries):
-            v = algebra.zero_vec()
-            for w in block_basis:
-                c = field.from_rat(Rat(rng.randrange(1, 5)))
-                v = [a + c * b for a, b in zip(v, w)]
-            yield v
-
-    for b in candidates():
-        mat = _restricted_right_mult(algebra, block, block_basis, b)
-        minpoly = mat.minimal_polynomial()
-        for t in field_roots(field, minpoly.coeffs):
-            shifted = mat - Matrix.identity(field, bd).scale(t)
-            if len(shifted.kernel()) == d:
-                return True
+    for b in _split_candidates(algebra, images, block_basis, seed):
+        if any(dim == d for _, dim in
+               _eigenspaces(algebra, e, block, block_basis, b)):
+            return True
     return False
 
 
-def _restricted_right_mult(algebra, block, block_basis, b):
-    cols = []
-    for v in block_basis:
-        coords = block.coords(algebra.multiply(v, b))
-        if coords is None:
-            raise PrecisionExceeded("block not closed under multiplication")
-        cols.append(coords)
-    return Matrix.from_columns(algebra.field, cols)
+def _block_minimal_polynomial(algebra, e, b):
+    """The minimal polynomial of R_b on B = A e, which is that of b in B
+    (p(R_b) = R_p(b), and x p(b) = 0 on B forces p(b) = e p(b) = 0): the
+    Krylov relation among e, b, b^2, ..."""
+    return krylov_relation(algebra.field, algebra.dim, map(sparse, iterates(
+        lambda x: algebra.multiply(x, b), e)))
+
+
+def _eigenspaces(algebra, e, block, block_basis, b):
+    """(t, dim ker(R_b - t)) for each root t of the minimal polynomial in
+    the base field, in turn: dim B less the rank of the v b - t v over the
+    echelon basis v of B.  The products v b are formed once a root exists."""
+    field = algebra.field
+    roots = field_roots(field, _block_minimal_polynomial(algebra, e, b).coeffs)
+    if not roots:
+        return
+    products = [algebra.multiply(v, b) for v in block_basis]
+    if any(block.reduce(sparse(vb)) for vb in products):
+        raise PrecisionExceeded("block not closed under multiplication")
+    for t in roots:
+        shifted = (sparse([x - t * y for x, y in zip(vb, v)])
+                   for vb, v in zip(products, block_basis))
+        yield t, block.dim - EchelonSubspace(field, algebra.dim, shifted).dim
+
+
+def _split_candidates(algebra, images, block_basis, seed):
+    """The block elements b a split certificate tries, in order."""
+    yield from (v for v in images if any(v))
+    yield from block_basis
+    rng = random.Random(seed * 7 + 1)
+    for _ in range(RANDOM_CANDIDATES):
+        v = algebra.zero_vec()
+        for w in block_basis:
+            c = algebra.field.from_rat(Rat(rng.randrange(1, 5)))
+            v = [a + c * b for a, b in zip(v, w)]
+        yield v
 
 
 def field_roots(field, coeffs, seed=0):
@@ -463,9 +473,7 @@ def field_roots(field, coeffs, seed=0):
     lifted = []
     for w, ts in zip(roots, comp_roots):
         gw = [reduce_scalar(c, w, M) for c in g.coeffs]
-        dgw = [i * c % M for i, c in enumerate(gw)][1:]
-        lifted.append([den * _newton_lift(gw, dgw, t, M, exp) % M
-                       for t in ts])
+        lifted.append([den * newton_lift(gw, t, p, M) % M for t in ts])
     out = []
     for choice in itertools.product(*lifted):
         t = reconstruct_element(field, [[y] for y in choice], roots, M,
@@ -485,16 +493,6 @@ def _simple_roots_mod_p(field, g, p, rng):
             return None
         out.append(roots_mod_p(gw, p, rng))
     return out
-
-
-def _newton_lift(gw, dgw, t, M, exp):
-    """A simple root t mod p of gw, lifted by Newton's step to p^exp (each
-    step doubles the precision), computed mod M = p^exp."""
-    while exp > 1:
-        t = (t - _int_poly_eval(gw, t, M)
-             * pow(_int_poly_eval(dgw, t, M), -1, M)) % M
-        exp //= 2
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ described in their own sections, and so are the per-point interpolation
 formula, the Krylov loop over a carrier algebra, the dense
 multiplicativity, orthogonality and character loops, the centre products
 of a modular split formed in the whole reduced algebra, the dense
-eliminations that the sparse echelon form replaced, the scalars of
-Q(zeta_n) as tuples of rationals, and the trial reconstruction that
-bounded gluing replaced.
+eliminations that the sparse echelon form replaced, the dense split
+certificate, the scalars of Q(zeta_n) as tuples of rationals, and the
+trial reconstruction that bounded gluing replaced.
 """
 
 import functools
@@ -129,16 +129,16 @@ def dense_verify_hopf(H):
         right = A.zero_vec()
         for idx, c in H.delta[j].items():
             i, k = divmod(idx, n)
-            t = A.multiply(H.antipode.column(i), A.basis_vec(k))
+            t = A.multiply(matrix_column(H.antipode, i), A.basis_vec(k))
             left = [x + c * y for x, y in zip(left, t)]
-            t = A.multiply(A.basis_vec(i), H.antipode.column(k))
+            t = A.multiply(A.basis_vec(i), matrix_column(H.antipode, k))
             right = [x + c * y for x, y in zip(right, t)]
         target = [H.counit[j] * u for u in A.unit]
         report.record(left == target, ("antipode-left", j))
         report.record(right == target, ("antipode-right", j))
 
     s2 = matmul(H.antipode, H.antipode)
-    report.record(s2.entries == Matrix.identity(field, n).entries,
+    report.record(s2.entries == identity_matrix(field, n).entries,
                   ("involutory",))
     return report
 
@@ -172,12 +172,12 @@ def permute_hopf(H, perm):
     counit = [H.field.zero] * n
     for j, c in enumerate(H.counit):
         counit[perm[j]] = c
-    rows = [[H.field.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            rows[perm[i]][perm[j]] = H.antipode.entries[i][j]
+    scols = [{} for _ in range(n)]
+    for j, col in enumerate(H.antipode_columns):
+        for i, c in col.items():
+            scols[perm[j]][perm[i]] = c
     return HopfAlgebraData(permute_algebra(H.algebra, perm), delta, counit,
-                           Matrix(H.field, rows), name=H.name)
+                           scols, name=H.name)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def dense_antipode_on_leg(H, z, first, swap=False):
     out = {}
     for idx, c in z.items():
         i, j = divmod(idx, n)
-        for r, x in enumerate(H.antipode.column(i if first else j)):
+        for r, x in enumerate(matrix_column(H.antipode, i if first else j)):
             if x != H.field.zero:
                 a, b = (r, j) if first else (i, r)
                 _add_into(out, b * n + a if swap else a * n + b, c * x)
@@ -231,7 +231,7 @@ def dense_multiply_legs(A, z):
 
 def dense_after_antipode(H, form):
     """f o S through the transposed dense antipode."""
-    return H.antipode.transpose().apply(form)
+    return transpose(H.antipode).apply(form)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def _mult_matrix(field, n, cell, side, a):
 def _intersect_kernels(field, n, operators, stop_dim=0):
     """Basis of the joint kernel, one operator at a time, each kernel taken
     inside the space left by the ones before."""
-    space = matrix_columns(Matrix.identity(field, n))
+    space = matrix_columns(identity_matrix(field, n))
     for op in operators:
         images = Matrix.from_columns(field, [op.apply(v) for v in space])
         new_space = []
@@ -289,8 +289,9 @@ def dense_center_basis(A):
     """Kernels of a -> x_i a - a x_i over the base field."""
     n = A.dim
     cell = lambda i, j: A.table[i][j]  # noqa: E731
-    ops = (_mult_matrix(A.field, n, cell, "left", _basis(A.field, n, i))
-           - _mult_matrix(A.field, n, cell, "right", _basis(A.field, n, i))
+    ops = (matrix_sub(
+        _mult_matrix(A.field, n, cell, "left", _basis(A.field, n, i)),
+        _mult_matrix(A.field, n, cell, "right", _basis(A.field, n, i)))
            for i in range(n))
     return _intersect_kernels(A.field, n, ops)
 
@@ -301,8 +302,8 @@ def dense_mod_p_center(comp, gf):
     n = comp.dim
     cell = lambda i, j: {k: gf.from_int(c)  # noqa: E731
                          for k, c in comp.table[i][j].items()}
-    ops = (_mult_matrix(gf, n, cell, "left", _basis(gf, n, i))
-           - _mult_matrix(gf, n, cell, "right", _basis(gf, n, i))
+    ops = (matrix_sub(_mult_matrix(gf, n, cell, "left", _basis(gf, n, i)),
+                      _mult_matrix(gf, n, cell, "right", _basis(gf, n, i)))
            for i in range(n))
     return _intersect_kernels(gf, n, ops, stop_dim=1)
 
@@ -314,8 +315,9 @@ def dense_integral(H):
     field = H.field
     n = H.dim
     cell = lambda i, j: A.table[i][j]  # noqa: E731
-    ops = (_mult_matrix(field, n, cell, "left", _basis(field, n, h))
-           - Matrix.identity(field, n).scale(H.counit[h]) for h in range(n))
+    ops = (matrix_sub(
+        _mult_matrix(field, n, cell, "left", _basis(field, n, h)),
+        scalar_matrix(field, n, H.counit[h])) for h in range(n))
     space = _intersect_kernels(field, n, ops)
     assert len(space) == 1
     raw = space[0]
@@ -385,7 +387,7 @@ def dense_quasitriangular_report(H, R):
     Rinv = {}
     for idx, c in Rd.items():
         i, j = divmod(idx, n)
-        for r, s in enumerate(H.antipode.column(i)):
+        for r, s in enumerate(matrix_column(H.antipode, i)):
             if s != H.field.zero:
                 _add_into(Rinv, r * n + j, c * s)
     report.record(T.mult(Rd, Rinv) == T.unit, ("R-invertible-right",))
@@ -457,7 +459,7 @@ def change_basis_hopf(H, P, R=None):
     def tensor_to_new(flat):
         # Q M Q^T for the n x n coefficient matrix M of a flat tensor
         M = Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
-        N = matmul(matmul(Q, M), Q.transpose())
+        N = matmul(matmul(Q, M), transpose(Q))
         return {i * n + j: c for i, row in enumerate(N.entries)
                 for j, c in enumerate(row) if c != zero}
 
@@ -470,7 +472,8 @@ def change_basis_hopf(H, P, R=None):
         delta.append(tensor_to_new(flat))
     counit = [H.counit_of(col) for col in cols]
     antipode = matmul(matmul(Q, H.antipode), P)
-    H2 = HopfAlgebraData(B, delta, counit, antipode, name=H.name)
+    H2 = HopfAlgebraData(B, delta, counit, sparse_columns(antipode),
+                         name=H.name)
     if R is None:
         return H2, None
     return H2, tensor_to_new([R.get(idx, zero) for idx in range(n * n)])
@@ -617,10 +620,10 @@ def dense_first_non_multiplicative_pair(A, B, images):
     both sides; None if there is none."""
     phi = Matrix.from_columns(B.field, images)
     for i in range(A.dim):
-        xi = phi.column(i)
+        xi = matrix_column(phi, i)
         for j in range(A.dim):
             lhs = phi.apply(A.multiply(A.basis_vec(i), A.basis_vec(j)))
-            if lhs != B.multiply(xi, phi.column(j)):
+            if lhs != B.multiply(xi, matrix_column(phi, j)):
                 return i, j
     return None
 
@@ -824,6 +827,36 @@ def dense_krylov_relation(field, powers):
 
 
 # ---------------------------------------------------------------------------
+# the dense split certificate
+# ---------------------------------------------------------------------------
+#
+# Right multiplication R_b on a block, as the d^2 x d^2 matrix in the
+# coordinates of its echelon basis that ``certify_split_block`` built
+# before it worked in the coordinates of A; its minimal polynomial as the
+# lcm of d^2 Krylov relations, and each eigenspace as a dense kernel.
+
+
+def dense_restricted_right_mult(algebra, block, b):
+    """R_b on the block (an ``EchelonSubspace``) in the coordinates of
+    its echelon basis."""
+    cols = [block.coords(algebra.multiply(v, b)) for v in block.basis]
+    assert None not in cols, "block not closed under multiplication"
+    return Matrix.from_columns(algebra.field, cols)
+
+
+def dense_eigenspaces(algebra, block, b):
+    """(minimal polynomial of R_b, [(t, dim ker(R_b - t)) for each root t
+    in the base field]), from the dense matrix of R_b."""
+    from frobdiv.wedderburn import field_roots
+    field = algebra.field
+    mat = dense_restricted_right_mult(algebra, block, b)
+    minpoly = mat.minimal_polynomial()
+    return minpoly, [
+        (t, len(matrix_sub(mat, scalar_matrix(field, mat.rows, t)).kernel()))
+        for t in field_roots(field, minpoly.coeffs)]
+
+
+# ---------------------------------------------------------------------------
 # Matrix and algebra helpers that only tests use
 # ---------------------------------------------------------------------------
 
@@ -832,8 +865,32 @@ def zero_matrix(field, rows, cols):
     return Matrix(field, [[field.zero] * cols for _ in range(rows)])
 
 
+def identity_matrix(field, n):
+    return scalar_matrix(field, n, field.one)
+
+
+def matrix_column(m, j):
+    return [row[j] for row in m.entries]
+
+
 def matrix_columns(m):
-    return [m.column(j) for j in range(m.cols)]
+    return [matrix_column(m, j) for j in range(m.cols)]
+
+
+def sparse_columns(m):
+    """The columns of a Matrix as sparse dicts {row: nonzero entry}, the
+    form in which ``HopfAlgebraData`` takes its antipode."""
+    return [{i: x for i, x in enumerate(col) if x}
+            for col in matrix_columns(m)]
+
+
+def transpose(m):
+    return Matrix(m.field, matrix_columns(m))
+
+
+def matrix_sub(a, b):
+    return Matrix(a.field, [[x - y for x, y in zip(r, s)]
+                            for r, s in zip(a.entries, b.entries)])
 
 
 def matmul(a, b):

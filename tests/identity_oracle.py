@@ -54,7 +54,7 @@ def trace_via_casimir(F, f):
     A = F.algebra
     s = F.field.zero
     for i, y in enumerate(dual_basis(F)):
-        s = s + evaluate(F, A.multiply(f.column(i), y))
+        s = s + evaluate(F, A.multiply([row[i] for row in f.entries], y))
     return s
 
 

@@ -19,7 +19,7 @@ from frobdiv.wedderburn import gamma_one_eigenvalue
 from conftest import delta_form, group_algebra_plain, matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
                           change_basis_hopf, permute_algebra, scalar_matrix,
-                          shear_matrix, unimodular_matrix)
+                          shear_matrix, transpose, unimodular_matrix)
 from ladder import LADDER
 
 _HOPF = {}
@@ -65,7 +65,7 @@ def dense_plain(form):
     matrix units."""
     A = matrix_blocks(PLAIN)
     P = unimodular_matrix(QQ, A.dim, 0)
-    return change_basis_algebra(A, P), P.transpose().apply(form), A
+    return change_basis_algebra(A, P), transpose(P).apply(form), A
 
 
 # -- casimir_times against T.mult on random sparse z ------------------------
@@ -107,7 +107,7 @@ def structure(name):
             H, lam = hopf("D(C4)")
             P = shear_matrix(H.field, H.dim, [(0, 5), (3, 9), (7, 12)])
             A = change_basis_hopf(H, P)[0].algebra
-            lam = P.transpose().apply(lam)
+            lam = transpose(P).apply(lam)
         else:
             assert name == "kC4/Q(zeta4) scaled"
             H, lam = hopf("kC4")
@@ -196,7 +196,7 @@ def test_casimir_minpoly_on_unimodular_double(seed):
     H, lam = hopf("D(C4)")
     P = unimodular_matrix(H.field, H.dim, seed)
     A = change_basis_hopf(H, P)[0].algebra
-    F = frobenius_structure(A, P.transpose().apply(lam))
+    F = frobenius_structure(A, transpose(P).apply(lam))
     expected = oracle_minpoly(frobenius_structure(H.algebra, lam))
     assert F.casimir_certificate().min_poly == expected
 

@@ -247,6 +247,7 @@ MALFORMED = {
     "dim-true": {"dim": True},
     "structure-constant-index-false": {
         "structure_constants": [[False, False, False, "1"]]},
+    "scalar-of-5001-digits": {"unit": ["1" * 5001]},
 }
 
 
@@ -378,6 +379,21 @@ def test_oversized_scalar_is_not_echoed(tmp_path):
     err = assert_invalid_input(inp)
     assert len(err) < 300 and f"({limit} digits)" in err
     assert "'" + "1" * 40 + "'..." in err
+
+
+@pytest.mark.parametrize("scalar", ["1" * 5001, "1/" + "3" * 5001,
+                                    "2 + " + "1" * 5001 + "*z"])
+def test_scalar_over_the_digit_limit_exit_2(tmp_path, scalar):
+    # the limit is the library's own, on every Python version: the message
+    # names it and gives no advice about the interpreter
+    doc = {"dim": 1, "field": {"type": "cyclotomic", "conductor": 3},
+           "structure_constants": [[0, 0, 0, "1"]], "unit": [scalar]}
+    inp = tmp_path / "big.json"
+    inp.write_text(json.dumps(doc))
+    err = assert_invalid_input(inp)
+    assert "an integer has 5001 digits, more than the limit (4300 digits)" \
+        in err
+    assert "sys." not in err and len(err) < 300
 
 
 def test_schneider_needs_r_matrix(tmp_path, capsys):

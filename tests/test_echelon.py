@@ -15,7 +15,7 @@ from frobdiv.linalg import (EchelonSubspace, inverse_rows, iterates,
 
 from dense_oracle import (PrimeField, dense_coords, dense_inverse,
                           dense_kernel, dense_krylov_relation, dense_rref,
-                          dense_solve_many, zero_matrix)
+                          dense_solve_many, identity_matrix, zero_matrix)
 from identity_oracle import contains
 
 FIELDS = {"Q": QQ, "Q(zeta_4)": CyclotomicField(4), "F_5": PrimeField(5)}
@@ -178,7 +178,7 @@ def test_empty_and_zero_inputs(fname):
     field = FIELDS[fname]
     zero, one = field.zero, field.one
     empty = EchelonSubspace(field, 3)
-    identity = Matrix.identity(field, 3).entries
+    identity = identity_matrix(field, 3).entries
     assert (empty.dim, empty.pivots, empty.basis) == (0, [], [])
     assert empty.kernel().basis == identity
     assert empty.coords([zero] * 3) == []

@@ -3,7 +3,6 @@ import pytest
 from frobdiv import (
     HopfAnalysis,
     HopfError,
-    Matrix,
     QQ,
     Rat,
     central_primitive_idempotents,
@@ -45,7 +44,7 @@ def test_group_hopf_axioms():
 def test_corrupted_antipode_fails():
     H = group_algebra(named_group("S3"))
     bad = HopfAlgebraData(H.algebra, H.delta, H.counit,
-                          Matrix.identity(QQ, 6), name="bad")
+                          [{j: QQ.one} for j in range(6)], name="bad")
     rep = verify_hopf(bad)
     assert not rep.passed
 

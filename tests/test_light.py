@@ -43,7 +43,7 @@ def rebuilt(H, table=None, delta=None):
                                  table if table is not None else A.table,
                                  A.unit, name=A.name)
     return HopfAlgebraData(A, delta if delta is not None else H.delta,
-                           H.counit, H.antipode, name=H.name)
+                           H.counit, H.antipode_columns, name=H.name)
 
 
 def full_scan(H):

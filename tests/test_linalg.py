@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from frobdiv import CyclotomicField, Matrix, QQ, Rat
 from frobdiv.linalg import inverse_rows, sparse
 
-from dense_oracle import (PrimeField, matmul, poly_from_ints,
-                          poly_inverse_mod, poly_pow_mod, poly_x, zero_matrix)
+from dense_oracle import (PrimeField, identity_matrix, matmul, matrix_sub,
+                          poly_from_ints, poly_inverse_mod, poly_pow_mod,
+                          poly_x, scalar_matrix, zero_matrix)
 
 
 def qmat(rows):
@@ -71,7 +72,7 @@ def test_minimal_polynomial_oracles():
     # minimal polynomial annihilates the matrix (Horner)
     value = zero_matrix(QQ, 2, 2)
     for c in reversed(diag.minimal_polynomial().coeffs):
-        value = matmul(value, diag) - Matrix.identity(QQ, 2).scale(-c)
+        value = matrix_sub(matmul(value, diag), scalar_matrix(QQ, 2, -c))
     assert value.entries == zero_matrix(QQ, 2, 2).entries
 
 
@@ -115,7 +116,7 @@ def test_cyclotomic_matrix():
     K = CyclotomicField(4)
     i = K.zeta()
     m = Matrix(K, [[K.zero, -i], [i, K.zero]])
-    assert matmul(m, m).entries == Matrix.identity(K, 2).entries
+    assert matmul(m, m).entries == identity_matrix(K, 2).entries
     rows = [sparse(row) for row in m.entries]
     assert inverse_rows(K, rows) == rows
     mp = m.minimal_polynomial()

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from frobdiv import (QQ, Matrix, NotUnimodular, StructureConstantAlgebra,
+from frobdiv import (QQ, NotUnimodular, StructureConstantAlgebra,
                      drinfeld_double, integrals, named_group, verify_hopf)
 from frobdiv.algebra import map_leg, multiply_legs
 from frobdiv.hopf import HopfAlgebraData
@@ -107,10 +107,7 @@ def sweedler():
              {13: one, 3: one}]                 # gx (x) g + 1 (x) gx
     counit = [one, one, zero, zero]
     # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x
-    S = Matrix.from_columns(QQ, [[one, zero, zero, zero],
-                                 [zero, one, zero, zero],
-                                 [zero, zero, zero, -one],
-                                 [zero, zero, one, zero]])
+    S = [{0: one}, {1: one}, {3: -one}, {2: one}]
     return HopfAlgebraData(A, delta, counit, S, name="Sweedler")
 
 

@@ -171,13 +171,14 @@ def test_split_certified_on_relabelled_ka4(seed):
 def test_certificate_found_among_the_images(monkeypatch):
     import frobdiv.wedderburn as wedderburn
     tried = []
-    original = wedderburn._restricted_right_mult
+    original = wedderburn._split_candidates
 
-    def recording(algebra, block, block_basis, b):
-        tried.append(b)
-        return original(algebra, block, block_basis, b)
+    def recording(*args):
+        for b in original(*args):
+            tried.append(b)
+            yield b
 
-    monkeypatch.setattr(wedderburn, "_restricted_right_mult", recording)
+    monkeypatch.setattr(wedderburn, "_split_candidates", recording)
     G = named_group("A4")
     A = group_algebra(G, conductor=G.exponent).algebra
     perm = list(range(A.dim))

@@ -11,7 +11,8 @@ no operation of Q or Q(zeta_n) in the associativity scan or the Casimir
 operator, which run on the integral table.
 In the lifting: each block is lifted once per component and level,
 however many gluings it is tried in, and not at all when the bound
-allows gluing at p."""
+allows gluing at p.  In a whole analysis: no method of the dense
+``Matrix``."""
 
 import copy
 import sys
@@ -30,12 +31,13 @@ from frobdiv import (QQ, CyclotomicField, HopfAnalysis, Rat,
 from frobdiv.algebra import (FrobeniusStructure, StructureConstantAlgebra,
                              TensorSquareAlgebra)
 from frobdiv.cli import main
+from frobdiv.linalg import Matrix
 from frobdiv.scalars import Cyc
-from frobdiv.serialize import canonical_dumps, hopf_to_json
+from frobdiv.serialize import algebra_to_json, canonical_dumps, hopf_to_json
 
 from conftest import matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
-                          unimodular_matrix)
+                          transpose, unimodular_matrix)
 
 
 def kc4():
@@ -361,7 +363,7 @@ def test_integral_loops_make_no_field_operation(monkeypatch, name):
         blocks = matrix_blocks((3, 2, 1))
         P = unimodular_matrix(QQ, blocks.dim, 0)
         A = change_basis_algebra(blocks, P)
-        lam = P.transpose().apply(blocks.regular_character())
+        lam = transpose(P).apply(blocks.regular_character())
     F = frobenius_structure(A, lam)
     T = TensorSquareAlgebra(A)
     ops = _counted_field_operations(monkeypatch)
@@ -426,3 +428,35 @@ def test_dense_basis_lifts_each_block_once_per_level(monkeypatch):
     data = central_primitive_idempotents(A)
     assert data.num_blocks == 3 and data.precision_used > 1
     assert len(lifts) == data.num_blocks * _levels(data)
+
+
+@pytest.mark.parametrize("name", ["D(S3)", "M3+M2+Q dense"])
+def test_analysis_calls_no_dense_matrix_method(monkeypatch, tmp_path, name):
+    # the library computes on sparse rows and columns only: with the
+    # elimination methods of Matrix (which the benchmark's tracer binds)
+    # made to raise, `analyze --check all` writes the same report
+    doc = tmp_path / "in.json"
+    if name == "D(S3)":
+        assert main(["build", "--group", "S3", "--as", "double",
+                     "--out", str(doc)]) == 0
+    else:
+        A = change_basis_algebra(matrix_blocks((3, 2, 1)),
+                                 unimodular_matrix(QQ, 14, 3))
+        doc.write_text(canonical_dumps(algebra_to_json(A)) + "\n")
+
+    def analyze(out):
+        code = main(["analyze", str(doc), "--check", "all", "--format",
+                     "json", "--out", str(out)])
+        return code, out.read_bytes()
+
+    called = []
+    for method in ("rref", "kernel", "solve_many", "minimal_polynomial",
+                   "apply"):
+        def refuse(self, *args, method=method):
+            called.append(method)
+            raise AssertionError(f"Matrix.{method} called")
+        monkeypatch.setattr(Matrix, method, refuse)
+    sparse_only = analyze(tmp_path / "sparse.json")
+    monkeypatch.undo()
+    assert called == []
+    assert sparse_only == analyze(tmp_path / "reference.json")
