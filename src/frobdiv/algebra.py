@@ -24,8 +24,10 @@ reach every basis index, and the n^2 |S| triples (x_i s) x_k =
 x_i (s x_k) prove the n^3.  The full scan runs only when no S well below
 n is found, or to name the triples that fail.
 
-Elements of A are dense vectors; elements of A (x) A (the Casimir element,
-R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero scalar}.  The
+Elements of A are dense vectors, or sparse dicts {index: nonzero scalar}
+where only their supports are read (``product``); elements of A (x) A
+(the Casimir element, R-matrices, Delta(x_j)) are sparse dicts
+{i*dim + j: nonzero scalar}.  The
 maps on A (x) A are read off the table or the sparse images of the basis:
 the product m (``multiply_legs``; Gamma(1) = m(c)), a linear map on one
 leg (``map_leg``) and the contractions with a form on one leg
@@ -38,7 +40,7 @@ import math
 from operator import add
 
 from .integrality import is_integral_over_Z
-from .linalg import EchelonSubspace, Singular, inverse_rows
+from .linalg import EchelonSubspace, Singular, inverse_rows, sparse
 from .scalars import Cyc
 
 
@@ -111,21 +113,27 @@ class StructureConstantAlgebra:
         return v
 
     def multiply(self, a, b):
+        """a b for dense vectors a and b."""
         if len(a) != self.dim or len(b) != self.dim:
             raise AlgebraError("dimension mismatch")
+        out = self.product(sparse(a), sparse(b))
         zero = self.field.zero
-        out = self.zero_vec()
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            row = self.table[i]
-            for j, bj in enumerate(b):
-                if bj == zero:
-                    continue
-                f = ai * bj
-                for k, c in row[j].items():
-                    out[k] = out[k] + f * c
-        return out
+        return [out.get(k, zero) for k in range(self.dim)]
+
+    def product(self, a, b):
+        """a b for sparse vectors a and b, read off the table over their
+        supports, as a sparse vector without zeros."""
+        table = self.table
+        out = {}
+        for i, x in a.items():
+            row = table[i]
+            for j, y in b.items():
+                cell = row[j]
+                if cell:
+                    xy = x * y
+                    for k, c in cell.items():
+                        _add_into(out, k, xy * c)
+        return _clean(out)
 
     @functools.cached_property
     def integral_table(self):

@@ -22,7 +22,8 @@ always passes) before the exact checks: e e = e on the integral table
 (``is_idempotent``), central (at once when the table is commutative), the
 block dimension, and for the system sum 1 and orthogonality, read off the
 block dimensions.  The images x_j e are built only to certify blocks of
-degree > 1, on sparse rows in the coordinates of A, and the eigenvalues
+degree > 1, on sparse rows in the coordinates of A, each product read
+off the table over the supports of its factors, and the eigenvalues
 behind those certificates come back the same way: ``field_roots`` glues
 D_g t for the roots t of g under a Cauchy bound.
 """
@@ -33,7 +34,7 @@ import itertools
 import math
 import random
 
-from .algebra import frobenius_structure
+from .algebra import _add_into, _clean, frobenius_structure
 from .linalg import EchelonSubspace, Poly, iterates, krylov_relation, sparse
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _trim,
                       component_roots, embedding_factor, good_primes,
@@ -378,22 +379,22 @@ def certify_split_block(algebra, e, d, seed=0):
     divisible by m s^2 = d s, so one of dimension exactly d forces D = k,
     whatever the degree of the minimal polynomial of R_b (Ronyai, J.
     Symbolic Comput. 9, 1990).  All of it is computed in the coordinates
-    of A (``_eigenspaces``).
+    of A, on sparse rows: each product is read off the table over the
+    supports of its factors (``StructureConstantAlgebra.product``).
 
     The images x_j e are tried first: for group algebras, duals and
     doubles their eigenvalues are roots of unity in the base field.  Then
     the echelon basis, then random combinations.  Each candidate is built
     only once those before it have failed.
     """
-    n = algebra.dim
-    images = [algebra.multiply(algebra.basis_vec(j), e) for j in range(n)]
-    block = EchelonSubspace(algebra.field, n, map(sparse, images))
+    e = sparse(e)
+    images = [algebra.product({j: algebra.field.one}, e)
+              for j in range(algebra.dim)]
+    block = EchelonSubspace(algebra.field, algebra.dim, images)
     if block.dim != d * d:
         return False
-    block_basis = block.basis
-    for b in _split_candidates(algebra, images, block_basis, seed):
-        if any(dim == d for _, dim in
-               _eigenspaces(algebra, e, block, block_basis, b)):
+    for b in _split_candidates(algebra, images, block, seed):
+        if any(dim == d for _, dim in _eigenspaces(algebra, e, block, b)):
             return True
     return False
 
@@ -401,39 +402,52 @@ def certify_split_block(algebra, e, d, seed=0):
 def _block_minimal_polynomial(algebra, e, b):
     """The minimal polynomial of R_b on B = A e, which is that of b in B
     (p(R_b) = R_p(b), and x p(b) = 0 on B forces p(b) = e p(b) = 0): the
-    Krylov relation among e, b, b^2, ..."""
-    return krylov_relation(algebra.field, algebra.dim, map(sparse, iterates(
-        lambda x: algebra.multiply(x, b), e)))
+    Krylov relation among e, b, b^2, ... (sparse rows)."""
+    return krylov_relation(algebra.field, algebra.dim, iterates(
+        lambda x: algebra.product(x, b), e))
 
 
-def _eigenspaces(algebra, e, block, block_basis, b):
+def _eigenspaces(algebra, e, block, b):
     """(t, dim ker(R_b - t)) for each root t of the minimal polynomial in
     the base field, in turn: dim B less the rank of the v b - t v over the
-    echelon basis v of B.  The products v b are formed once a root exists."""
+    echelon rows v of B.  The products v b are formed once a root exists.
+    e and b are sparse rows."""
     field = algebra.field
     roots = field_roots(field, _block_minimal_polynomial(algebra, e, b).coeffs)
     if not roots:
         return
-    products = [algebra.multiply(v, b) for v in block_basis]
-    if any(block.reduce(sparse(vb)) for vb in products):
+    basis = [block.rows[p] for p in block.pivots]
+    products = [algebra.product(v, b) for v in basis]
+    if any(block.reduce(vb) for vb in products):
         raise PrecisionExceeded("block not closed under multiplication")
     for t in roots:
-        shifted = (sparse([x - t * y for x, y in zip(vb, v)])
-                   for vb, v in zip(products, block_basis))
+        shifted = (_shifted(vb, t, v) for vb, v in zip(products, basis))
         yield t, block.dim - EchelonSubspace(field, algebra.dim, shifted).dim
 
 
-def _split_candidates(algebra, images, block_basis, seed):
-    """The block elements b a split certificate tries, in order."""
-    yield from (v for v in images if any(v))
-    yield from block_basis
+def _shifted(u, t, v):
+    """u - t v for sparse rows, without zeros."""
+    out = dict(u)
+    for k, c in v.items():
+        _add_into(out, k, -(t * c))
+    return _clean(out)
+
+
+def _split_candidates(algebra, images, block, seed):
+    """The block elements b a split certificate tries, in order, as sparse
+    rows: the nonzero images x_j e, the echelon rows of the block, then
+    random combinations of them."""
+    yield from (v for v in images if v)
+    basis = [block.rows[p] for p in block.pivots]
+    yield from basis
     rng = random.Random(seed * 7 + 1)
     for _ in range(RANDOM_CANDIDATES):
-        v = algebra.zero_vec()
-        for w in block_basis:
+        v = {}
+        for w in basis:
             c = algebra.field.from_rat(Rat(rng.randrange(1, 5)))
-            v = [a + c * b for a, b in zip(v, w)]
-        yield v
+            for k, x in w.items():
+                _add_into(v, k, c * x)
+        yield _clean(v)
 
 
 def field_roots(field, coeffs, seed=0):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from frobdiv import QQ, CyclotomicField, StructureConstantAlgebra, named_group
+from frobdiv import QQ, StructureConstantAlgebra, named_group
 
 
 def group_algebra_plain(gname, field=None):

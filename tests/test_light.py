@@ -1,9 +1,12 @@
 """Light's generating-set test for the axioms: a monomial table with a
-generating set S is proven associative on the triples (x_i s) x_k, and
-Delta and eps multiplicative on the pairs (x_j, s), s in S.  Against the
-full scan, on relabelled inputs with one structure constant or one
-comultiplication term broken in a way that keeps the table monomial; with
-the work it does when it passes; and with the search giving up on k^G."""
+generating set S is proven associative on the triples (x_i s) x_k,
+Delta and eps multiplicative on the pairs (x_j, s), and Delta
+coassociative and R intertwining on the s in S.  Against the full scan,
+on relabelled inputs with one structure constant or one comultiplication
+term broken in a way that keeps the table monomial, with Delta twisted on
+one leg by an automorphism (still multiplicative, no longer
+coassociative), and with one term of R broken; with the work it does when
+it passes; and with the search giving up on k^G."""
 
 import random
 
@@ -11,7 +14,8 @@ import pytest
 
 import frobdiv.algebra as algebra
 from frobdiv import (Matrix, StructureConstantAlgebra, drinfeld_double,
-                     dual_hopf, group_algebra, named_group, verify_hopf)
+                     dual_hopf, group_algebra, named_group,
+                     quasitriangular_verify, verify_hopf)
 from frobdiv.algebra import TensorSquareAlgebra, light_generators
 from frobdiv.hopf import HopfAlgebraData
 
@@ -29,11 +33,15 @@ def hopf(name):
             H = group_algebra(named_group("A4"))
         else:
             H, _ = drinfeld_double(named_group(name[2:-1]), verify=False)
-            perm = list(range(H.dim))
-            random.Random(len(name)).shuffle(perm)
-            H = permute_hopf(H, perm)
+            H = permute_hopf(H, _relabelling(name, H.dim))
         _HOPF[name] = H
     return _HOPF[name]
+
+
+def _relabelling(name, n):
+    perm = list(range(n))
+    random.Random(len(name)).shuffle(perm)
+    return perm
 
 
 def rebuilt(H, table=None, delta=None):
@@ -151,6 +159,83 @@ def test_rescaled_basis_checks_coefficients():
     D = StructureConstantAlgebra(field, n, table, B.unit)
     D.generating_set = None
     assert C.verify().failures == D.verify().failures != []
+
+
+def _twisted_double(name, seed):
+    """Relabelled D(G) (as ``hopf``) with Delta replaced by
+    (phi (x) Id) Delta, for phi: delta_x (x) g -> delta_a(x) (x) a(g) and
+    a an automorphism of G other than the identity: inversion on C4,
+    else conjugation by an element drawn with ``seed``.  phi is an
+    algebra automorphism that permutes the basis, so the table is
+    untouched and Delta stays multiplicative with Delta(1) = 1 (x) 1, but
+    it is not coassociative."""
+    G = named_group(name[2:-1])
+    m = G.order
+    t, inv = G.table, G.inverse
+    if name == "D(C4)":
+        a = inv
+    else:
+        g = random.Random(seed).choice([g for g in range(m)
+                                        if g != G.identity])
+        a = [t[t[g][x]][inv[g]] for x in range(m)]
+    assert a != list(range(m))
+    phi = [a[x] * m + a[h] for x in range(m) for h in range(m)]
+    H, _ = drinfeld_double(G, verify=False)
+    n = H.dim
+    delta = [{phi[idx // n] * n + idx % n: c for idx, c in d.items()}
+             for d in H.delta]
+    H = HopfAlgebraData(H.algebra, delta, H.counit, H.antipode_columns,
+                        name=H.name)
+    return permute_hopf(H, _relabelling(name, n))
+
+
+@pytest.mark.parametrize("name, seed", [("D(S3)", 0), ("D(S3)", 1),
+                                        ("D(C4)", 0)])
+def test_twisted_comultiplication_fails_as_the_full_scan(name, seed):
+    # Delta passes Light's test for multiplicativity, so coassociativity
+    # is checked on S first; a generator fails and the full scan names
+    # every failing basis element
+    H = _twisted_double(name, seed)
+    rep, hrep = assert_same_as_full_scan(H)
+    assert rep.passed and not hrep.passed
+    labels = {f[0] for f in hrep.failures}
+    assert "coassociativity" in labels
+    assert not labels & {"delta-multiplicative", "counit-multiplicative"}
+
+
+def _r_matrix(name):
+    """The R-matrix of D(G), relabelled as ``hopf(name)``."""
+    H, Q = drinfeld_double(named_group(name[2:-1]))
+    n = H.dim
+    perm = _relabelling(name, n)
+    return {perm[idx // n] * n + perm[idx % n]: c for idx, c in Q.R.items()}
+
+
+@pytest.mark.parametrize("move", [False, True], ids=["scaled", "moved"])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["D(S3)", "D(C4)"])
+def test_broken_r_matrix_fails_as_the_full_scan(name, seed, move):
+    # one term c x_a (x) x_b of R made 2c, or moved to another free index
+    H = hopf(name)
+    R = _r_matrix(name)
+    assert quasitriangular_verify(rebuilt(H), R).report.passed
+    rng = random.Random(seed)
+    idx = rng.choice(sorted(R))
+    c = R.pop(idx)
+    if move:
+        idx = rng.choice([k for k in range(H.dim ** 2) if k not in R])
+        R[idx] = c
+    else:
+        R[idx] = c + c
+    got = quasitriangular_verify(rebuilt(H), R).report
+    full = rebuilt(H)
+    full.algebra.generating_set = None
+    want = quasitriangular_verify(full, R).report
+    assert got.passed == want.passed is False
+    assert got.failures == want.failures
+    # D(C4) is commutative and cocommutative, so every R intertwines
+    labels = {f[0] for f in got.failures}
+    assert ("intertwining" in labels) == (name == "D(S3)")
 
 
 @pytest.mark.parametrize("name", ["D(S3)", "D(C4)"])

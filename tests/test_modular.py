@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import CyclotomicField, QQ, Rat

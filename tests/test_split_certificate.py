@@ -72,9 +72,11 @@ def test_certificate_matches_dense_oracle(name, monkeypatch):
             sparse(A.multiply(A.basis_vec(j), e)) for j in range(A.dim)))
         assert bs
         for b in bs:
-            minpoly, dims = dense_eigenspaces(A, block, b)
-            assert wedderburn._block_minimal_polynomial(A, e, b) == minpoly
-            assert list(wedderburn._eigenspaces(A, e, block, block.basis,
+            # the candidates are sparse rows, and so is e in the helpers
+            minpoly, dims = dense_eigenspaces(A, block, block.dense(b))
+            assert (wedderburn._block_minimal_polynomial(A, sparse(e), b)
+                    == minpoly)
+            assert list(wedderburn._eigenspaces(A, sparse(e), block,
                                                 b)) == dims
 
 

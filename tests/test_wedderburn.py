@@ -14,6 +14,7 @@ from frobdiv import (
     group_algebra,
     named_group,
 )
+from frobdiv.linalg import sparse
 from frobdiv.wedderburn import gamma_one_eigenvalue
 
 from conftest import delta_form, group_algebra_plain, matrix_algebra_2x2
@@ -186,7 +187,8 @@ def test_certificate_found_among_the_images(monkeypatch):
     A = permute_algebra(A, perm)
     data = central_primitive_idempotents(A)
     e = data.idempotents[data.degrees.index(3)]
-    images = [A.multiply(A.basis_vec(j), e) for j in range(A.dim)]
+    # the candidates are sparse rows
+    images = [sparse(A.multiply(A.basis_vec(j), e)) for j in range(A.dim)]
     # only the degree-3 block needs a certificate; an image x_j e gave it
     assert all(data.split_certified)
     assert tried and tried[-1] in images

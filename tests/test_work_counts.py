@@ -5,7 +5,9 @@ of unity computed once per (conductor, prime, exponent), and no product of
 two different idempotents.  In the integrality layer: one Casimir minimal
 polynomial per Frobenius structure, and no product in A (x) A for the
 Casimir powers.  In the Schneider check: no product in H while Psi is
-proven multiplicative on the blocks.  In the
+proven multiplicative on the blocks.  In the quasitriangular check: two
+products in A (x) A per generator of Light's test for the intertwining,
+not two per basis element.  In the
 scalars: no rational operation inside a product or sum in Q(zeta_n), and
 no operation of Q or Q(zeta_n) in the associativity scan or the Casimir
 operator, which run on the integral table.
@@ -245,6 +247,25 @@ def test_plain_verdict_forms_no_tensor_products(monkeypatch):
     poly = carrier_minimal_polynomial(TensorSquareAlgebra(A), F.casimir)
     assert poly == verdict.casimir_cert.min_poly
     assert len(calls) == len(poly) - 1 == 6
+
+
+def test_intertwining_on_the_generating_set(monkeypatch):
+    # tau(Delta s) R = R Delta s for the s in the generating set S proves
+    # the intertwining: 2 |S| products in A (x) A, besides the two of the
+    # invertibility check and the one of b = tau(R) R, and not 2n
+    G = named_group("S3")
+    H, Q = drinfeld_double(G, conductor=G.exponent)
+    S = H.algebra.generating_set
+    calls = []
+    original = TensorSquareAlgebra.mult
+
+    def counted(self, u, v):
+        calls.append(1)
+        return original(self, u, v)
+
+    monkeypatch.setattr(TensorSquareAlgebra, "mult", counted)
+    assert hopf.quasitriangular_verify(H, Q.R).report.passed
+    assert S and len(calls) == 2 * len(S) + 3 < 2 * H.dim
 
 
 def _recording_multiply(monkeypatch):
