@@ -11,11 +11,11 @@ sum_k a_k (c_ik^r - c_ki^r), streamed into the sparse echelon form of
 form, sum_r lambda_r c_ij^r, are eliminated once beside the identity
 (``linalg.inverse_rows``), of which only the sparse rows of the inverse
 are kept.  The Casimir element multiplies elements of A (x) A through
-the swap law, on the table of A as well.  It, the associativity check and
-``is_idempotent`` run on ``integral_table``: D times the table, for D the
-lcm of the denominators of the constants, an int per rational constant
-and an integral ``Cyc`` per other one, read off with no field arithmetic
-(over Q(zeta_n), ``is_idempotent`` multiplies numerator tuples).
+the swap law, on the table of A as well.  It, the associativity check,
+the unit laws and ``is_idempotent`` run on ``integral_table``: D times
+the table, for D the lcm of the denominators of the constants, an int per
+rational constant and an integral ``Cyc`` per other one, read off with no
+field arithmetic.
 
 Associativity is certified by Light's test where it can be: on a monomial
 table (each x_i x_j a multiple of at most one x_m, as for kG, k^G, D(G)
@@ -25,19 +25,20 @@ x_i (s x_k) prove the n^3.  The full scan runs only when no S well below
 n is found, or to name the triples that fail.
 
 Elements of A are dense vectors, or sparse dicts {index: nonzero scalar}
-where only their supports are read (``product``); elements of A (x) A
-(the Casimir element, R-matrices, Delta(x_j)) are sparse dicts
-{i*dim + j: nonzero scalar}.  The
-maps on A (x) A are read off the table or the sparse images of the basis:
-the product m (``multiply_legs``; Gamma(1) = m(c)), a linear map on one
-leg (``map_leg``) and the contractions with a form on one leg
-(``contract_left/right``)."""
+where only their supports are read; elements of A (x) A (the Casimir
+element, R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero
+scalar}.  Two kernels work on sparse vectors: ``table_product(table, a,
+b)``, the product read off the field table or the integral table over
+the supports of a and b, and ``combine(terms)``, the sum of c v over
+pairs (c, v), without zeros.  The maps on A (x) A are read off the table
+or the sparse images of the basis: the product m (``multiply_legs``;
+Gamma(1) = m(c)), a linear map on one leg (``map_leg``) and the
+contractions with a form on one leg (``contract_left/right``)."""
 
 from __future__ import annotations
 
 import functools
 import math
-from operator import add
 
 from .integrality import is_integral_over_Z
 from .linalg import EchelonSubspace, Singular, inverse_rows, sparse
@@ -116,24 +117,9 @@ class StructureConstantAlgebra:
         """a b for dense vectors a and b."""
         if len(a) != self.dim or len(b) != self.dim:
             raise AlgebraError("dimension mismatch")
-        out = self.product(sparse(a), sparse(b))
+        out = table_product(self.table, sparse(a), sparse(b))
         zero = self.field.zero
         return [out.get(k, zero) for k in range(self.dim)]
-
-    def product(self, a, b):
-        """a b for sparse vectors a and b, read off the table over their
-        supports, as a sparse vector without zeros."""
-        table = self.table
-        out = {}
-        for i, x in a.items():
-            row = table[i]
-            for j, y in b.items():
-                cell = row[j]
-                if cell:
-                    xy = x * y
-                    for k, c in cell.items():
-                        _add_into(out, k, xy * c)
-        return _clean(out)
 
     @functools.cached_property
     def integral_table(self):
@@ -188,22 +174,16 @@ class StructureConstantAlgebra:
         if not self.light_associative():
             for label in _associativity_failures(self.integral_table[1]):
                 report.record(False, label)
-        n = self.dim
         D, table = self.integral_table
         den = _common_den(self.unit)
-        unit = [(m, _times_den(u, den)) for m, u in enumerate(self.unit) if u]
-        for i in range(n):
-            # 1 x_i - x_i and x_i 1 - x_i, times D den
-            left, right = {i: -D * den}, {i: -D * den}
-            for m, u in unit:
-                for r, d in table[m][i].items():
-                    left[r] = left.get(r, 0) + u * d
-                for r, d in table[i][m].items():
-                    right[r] = right.get(r, 0) + u * d
-            if any(left.values()):
-                report.record(False, ("left-unit", i))
-            if any(right.values()):
-                report.record(False, ("right-unit", i))
+        U = {m: _times_den(u, den) for m, u in enumerate(self.unit) if u}
+        for i in range(self.dim):
+            # 1 x_i = x_i = x_i 1, times D den
+            x_i, want = {i: 1}, {i: D * den}
+            report.record(table_product(table, U, x_i) == want,
+                          ("left-unit", i))
+            report.record(table_product(table, x_i, U) == want,
+                          ("right-unit", i))
         return report
 
     def light_associative(self) -> bool:
@@ -230,24 +210,13 @@ class StructureConstantAlgebra:
 
     def is_idempotent(self, e) -> bool:
         """e e = e, compared on the integral table: with E = d e integral
-        for d the common denominator of e, D E E = D d E.  Over Q(zeta_n)
-        the products are taken on numerator tuples (``_mul_nums``)."""
+        (ints and integral Cyc) for d the common denominator of e,
+        D E E = D d E."""
         d = _common_den(e)
-        E = [(k, _times_den(c, d)) for k, c in enumerate(e) if c]
+        E = {k: _times_den(c, d) for k, c in enumerate(e) if c}
         D, table = self.integral_table
-        if not isinstance(self.field.one, Cyc):
-            out = {}
-            for i, a in E:
-                row = table[i]
-                for j, b in E:
-                    ab = a * b
-                    for k, c in row[j].items():
-                        out[k] = out.get(k, 0) + ab * c
-            return _clean(out) == {k: D * d * c for k, c in E}
-        pad = self.field._pad
-        E = [(k, _nums(c, pad)) for k, c in E]
-        return (integral_product(self, E, E)
-                == {k: tuple([D * d * x for x in a]) for k, a in E})
+        return table_product(table, E, E) == {k: D * d * c
+                                              for k, c in E.items()}
 
     def is_central(self, a) -> bool:
         """a x_i = x_i a for every i, compared on the table over the
@@ -453,13 +422,8 @@ def first_non_multiplicative_pair(A, B, images):
 def linear_image(B, images, terms):
     """sum c images[k] over the pairs (k, c) of ``terms``: the image in B
     of sum c x_k under the linear map with phi(x_k) = images[k]."""
-    out = B.zero_vec()
-    for k, c in terms:
-        if c:
-            for r, v in enumerate(images[k]):
-                if v:
-                    out[r] = out[r] + c * v
-    return out
+    out = combine((c, sparse(images[k])) for k, c in terms)
+    return [out.get(r, B.field.zero) for r in range(B.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +436,37 @@ def _clean(d):
     return {k: v for k, v in d.items() if bool(v)}
 
 
+def table_product(table, a, b):
+    """a b for sparse vectors a and b, read off ``table`` over their
+    supports, as a sparse vector without zeros.  On the field table this
+    is the product in A; on ``integral_table``, whose cells are D times
+    those of the field table, it is D a b, in ints and integral Cyc when a
+    and b hold them."""
+    out = {}
+    for i, x in a.items():
+        row = table[i]
+        for j, y in b.items():
+            cell = row[j]
+            if cell:
+                xy = x * y
+                for k, c in cell.items():
+                    _add_into(out, k, xy * c)
+    return _clean(out)
+
+
+def combine(terms):
+    """sum c v over the pairs (c, v) of ``terms``, each v a sparse vector
+    {index: scalar}, as a sparse vector without zeros; a zero c adds
+    nothing."""
+    out = {}
+    for c, v in terms:
+        if c:
+            for k, x in v.items():
+                cur = out.get(k)
+                out[k] = c * x if cur is None else cur + c * x
+    return _clean(out)
+
+
 def _add_into(out, idx, val):
     cur = out.get(idx)
     out[idx] = val if cur is None else cur + val
@@ -481,37 +476,6 @@ def _common_den(scalars):
     """The lcm of the denominators of Rat or Cyc scalars."""
     return math.lcm(1, *{c.den if isinstance(c, Cyc) else int(c.denominator)
                          for c in scalars})
-
-
-def integral_product(A, a, b):
-    """D a b as {k: numerator tuple} without zeros, for a and b given by
-    the pairs (k, numerator tuple) of their nonzero integral coordinates,
-    read off the integral table of A (D its common denominator).  Over
-    Q(zeta_n) the tuples are multiplied by ``_mul_nums``; over Q they are
-    1-tuples."""
-    D, table = A.integral_table
-    mul, pad = _num_arith(A.field)
-    out = {}
-    for i, x in a:
-        row = table[i]
-        for j, y in b:
-            cell = row[j]
-            if cell:
-                xy = mul(x, y)
-                for k, c in cell.items():
-                    v = mul(xy, _nums(c, pad))
-                    cur = out.get(k)
-                    out[k] = v if cur is None else tuple(map(add, cur, v))
-    return {k: v for k, v in out.items() if any(v)}
-
-
-def _num_arith(field):
-    """(mul, pad): the product of two numerator tuples over ``field`` and
-    the zeros that pad an int to one; ``_mul_nums`` over Q(zeta_n), and
-    1-tuples over Q."""
-    if isinstance(field.one, Cyc):
-        return field._mul_nums, field._pad
-    return (lambda x, y: (x[0] * y[0],)), ()
 
 
 def _nums(c, pad):
@@ -591,12 +555,7 @@ def multiply_legs(A, z):
     the table of A, as a sparse vector without zeros."""
     n = A.dim
     table = A.table
-    out = {}
-    for idx, c in z.items():
-        i, k = divmod(idx, n)
-        for r, d in table[i][k].items():
-            _add_into(out, r, c * d)
-    return _clean(out)
+    return combine((c, table[idx // n][idx % n]) for idx, c in z.items())
 
 
 def map_leg(z, columns, n, first, swap=False):

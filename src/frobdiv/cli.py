@@ -101,6 +101,10 @@ def cmd_analyze(args):
 
 def _analyze(doc, args, sections):
     if is_hopf_doc(doc):
+        if args.lam != "regular":
+            raise SchemaError("--lambda applies to algebra documents: a Hopf "
+                              "document is analysed with lambda = "
+                              "chi_reg / dim H")
         H, lam, R = hopf_from_json(doc, args.conductor)
         base_report = hopf_mod.verify_hopf(H)
         if not base_report.passed:

@@ -21,6 +21,9 @@ contractions ``contract_left/right``.  So the Casimir element is
 S(Lambda_1) (x) Lambda_2 in four placements, the Zhu element is
 Lambda <- chi_{S*} = (chi o S (x) Id)(Delta Lambda), and lambda is an
 integral of H* when (Id (x) lambda) Delta = lambda 1 = (lambda (x) Id) Delta.
+Every sum of c v, such as Delta of an element, the left side
+sum_k c_ij^k Delta(x_k) of Delta(x_i x_j) = Delta(x_i) Delta(x_j) or a
+combination of characters or idempotents, is ``algebra.combine``.
 The Drinfeld map Phi(f) = b1 <f, b2> is read off b with
 ``contract_right``, and its rank from the rows of b.  The character map
 chi of the representation ring sends the basis of R to ``W.characters``,
@@ -36,8 +39,9 @@ on S.  The R-intertwining (``quasitriangular_verify``) and the integral
 conditions (``integrals``) hold on subalgebras too, and are checked on
 S.  The fusion rules are
 read off the central primitive idempotents e_u, N_st^u =
-(chi_s chi_t)(e_u) / d_u mod a prime, and certified exactly on integer
-numerators (``fusion_rules``).  Psi lands in the span of the e_S, where
+(chi_s chi_t)(e_u) / d_u mod a prime, and certified exactly on the
+integral table of H*, in ints and integral Cyc (``fusion_rules``, with
+``algebra.table_product``).  Psi lands in the span of the e_S, where
 products are pointwise, so its multiplicativity is r^3 scalar checks
 (``psi_on_blocks``).
 """
@@ -45,21 +49,20 @@ products are pointwise, so its multiplicativity is r^3 scalar checks
 from __future__ import annotations
 
 import functools
-from operator import add
 
 from .algebra import (StructureConstantAlgebra, TensorSquareAlgebra,
                       VerificationReport, _add_into, _clean, _common_den,
-                      _num_arith, _nums, _times_den, contract_left,
+                      _nums, _times_den, combine, contract_left,
                       contract_right, first_non_multiplicative_pair,
-                      frobenius_structure, integral_product, linear_image,
-                      map_leg, multiply_legs, tensor_dict)
+                      frobenius_structure, linear_image, map_leg,
+                      multiply_legs, table_product, tensor_dict)
 from .groups import FiniteGroup
 from .integrality import (InapplicableHypothesis,
                           frobenius_divisibility_verdict,
                           is_integral_scalar, relative_divisibility,
                           verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix, sparse
-from .modular import BadPrime, _int_poly_eval, component_roots, reduce_scalar
+from .modular import BadPrime, component_roots, reduce_scalar
 from .scalars import CyclotomicField, QQ, Rat
 from .wedderburn import WedderburnData, central_primitive_idempotents
 
@@ -113,15 +116,7 @@ class HopfAlgebraData:
 
     def delta_of(self, vec):
         """Delta applied to a coefficient vector, as a sparse flat dict."""
-        out = {}
-        for j, c in enumerate(vec):
-            if not bool(c):
-                continue
-            for idx, d in self.delta[j].items():
-                cur = out.get(idx)
-                val = c * d
-                out[idx] = val if cur is None else cur + val
-        return _clean(out)
+        return combine(zip(vec, self.delta))
 
     def counit_of(self, vec):
         val = self.field.zero
@@ -130,13 +125,9 @@ class HopfAlgebraData:
         return val
 
     def antipode_of(self, vec):
-        """S applied to a coefficient vector, through the columns."""
-        out = self.algebra.zero_vec()
-        for col, c in zip(self.antipode_columns, vec):
-            if c:
-                for i, s in col.items():
-                    out[i] = out[i] + c * s
-        return out
+        """S applied to a coefficient vector, through the columns, as a
+        sparse vector."""
+        return combine(zip(vec, self.antipode_columns))
 
     def after_antipode(self, form):
         """The linear form f o S for f given by its values on the basis."""
@@ -191,13 +182,10 @@ def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
     def multiplicative(i, j):
         # Delta(x_i x_j), summed over table[i][j], against Delta(x_i)
         # Delta(x_j) in A (x) A, and likewise for eps
-        lhs = {}
-        eps_prod = field.zero
-        for k, c in table[i][j].items():
-            for idx, d in H.delta[k].items():
-                _add_into(lhs, idx, c * d)
-            eps_prod = eps_prod + c * H.counit[k]
-        return (_clean(lhs) == T.mult(H.delta[i], H.delta[j]),
+        cell = table[i][j].items()
+        eps_prod = sum((c * H.counit[k] for k, c in cell), field.zero)
+        return (combine((c, H.delta[k]) for k, c in cell)
+                == T.mult(H.delta[i], H.delta[j]),
                 eps_prod == H.counit[i] * H.counit[j])
 
     def coassociative(j):
@@ -236,20 +224,15 @@ def verify_hopf(H: HopfAlgebraData) -> VerificationReport:
     scols = H.antipode_columns
     unit = sparse(A.unit)
     for j, dj in enumerate(H.delta):
-        target = _clean({t: H.counit[j] * u for t, u in unit.items()})
+        target = combine([(H.counit[j], unit)])
         report.record(multiply_legs(A, map_leg(dj, scols, n, True))
                       == target, ("antipode-left", j))
         report.record(multiply_legs(A, map_leg(dj, scols, n, False))
                       == target, ("antipode-right", j))
 
     # S(S(x_j)) = x_j for every j
-    involutory = True
-    for j in range(n):
-        s2 = {}
-        for r, s in scols[j].items():
-            for t, d in scols[r].items():
-                _add_into(s2, t, s * d)
-        involutory = involutory and _clean(s2) == {j: field.one}
+    involutory = all(combine((s, scols[r]) for r, s in scols[j].items())
+                     == {j: field.one} for j in range(n))
     report.record(involutory, ("involutory",))
     return report
 
@@ -294,7 +277,7 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
 
     def right_integral_at(h):
         return (multiply_legs(A, {k * n + h: x for k, x in support.items()})
-                == _clean({k: H.counit[h] * x for k, x in support.items()}))
+                == combine([(H.counit[h], support)]))
 
     if not (gens and all(map(right_integral_at, gens))):
         for h in range(n):
@@ -312,12 +295,14 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
         raise HopfError("<lambda, Lambda> != 1")
     if A.apply_form(lam, A.unit) != field.one:
         raise HopfError("<lambda, 1> != 1")
-    # lambda is a two-sided integral of H*:
+    # lambda is a two-sided integral of H*, on sparse vectors:
     # (Id (x) lambda) Delta(x_k) = lambda(x_k) 1 = (lambda (x) Id) Delta(x_k)
+    unit = sparse(A.unit)
     for k, dk in enumerate(H.delta):
-        want = [lam[k] * u for u in A.unit]
-        if (contract_right(field, lam, dk, n) != want
-                or contract_left(field, lam, dk, n) != want):
+        want = combine([(lam[k], unit)])
+        legs = [(*divmod(idx, n), c) for idx, c in dk.items()]
+        if (combine((lam[j], {i: c}) for i, j, c in legs) != want
+                or combine((lam[i], {j: c}) for i, j, c in legs) != want):
             raise HopfError("lambda is not a two-sided integral of the dual")
     Lambda0 = [inv_dim * x for x in Lambda]
     return IntegralData(Lambda, lam, Lambda0)
@@ -563,14 +548,12 @@ def _verify_hopf_map(H1, H2, images):
     for j, image in enumerate(images):
         if H1.counit[j] != H2.counit_of(image):
             raise HopfError(f"map does not preserve the counit at {j}")
-        lhs = {}
-        for idx, c in H1.delta[j].items():
-            a, b = divmod(idx, n1)
-            for k, v in tensor_dict(A2.field, images[a], images[b]).items():
-                _add_into(lhs, k, c * v)
-        if _clean(lhs) != H2.delta_of(image):
+        lhs = combine((c, tensor_dict(A2.field, images[idx // n1],
+                                      images[idx % n1]))
+                      for idx, c in H1.delta[j].items())
+        if lhs != H2.delta_of(image):
             raise HopfError(f"map does not preserve comultiplication at {j}")
-        if (linear_image(A2, images, H1.antipode_columns[j].items())
+        if (sparse(linear_image(A2, images, H1.antipode_columns[j].items()))
                 != H2.antipode_of(image)):
             raise HopfError(f"map does not preserve the antipode at {j}")
 
@@ -656,29 +639,29 @@ def fusion_rules(dual, W):
 
     chi_v(e_u) = d_u [v = u], so N_st^u = (chi_s chi_t)(e_u) / d_u.  It is
     read mod the prime of W at one root and lifted into [0, d_s d_t], then
-    certified exactly on integer numerators: with delta the common
+    certified exactly in ints and integral Cyc: with delta the common
     denominator of the characters and D that of the table of H*,
-    D delta^2 chi_s chi_t (``integral_product``) equals
-    D delta sum_u N_st^u delta chi_u.  When a reading fails its
-    certificate, or none can be made mod p, the coefficients are taken
-    exactly in the base field (``_exact_fusion``), which rejects the pair
-    when its product leaves the character span or a coefficient is not a
-    nonnegative integer."""
+    D delta^2 chi_s chi_t (``table_product`` on the integral table) equals
+    sum_u D delta N_st^u (delta chi_u) (``combine``).  When a reading
+    fails its certificate, or none can be made mod p, the coefficients are
+    taken exactly in the base field (``_exact_fusion``), which rejects the
+    pair when its product leaves the character span or a coefficient is
+    not a nonnegative integer."""
     field = dual.field
-    D = dual.integral_table[0]
+    D, table = dual.integral_table
     delta = _common_den(c for chi in W.characters for c in chi)
-    pad = _num_arith(field)[1]
-    nums = [[(k, _nums(_times_den(c, delta), pad))
-             for k, c in enumerate(chi) if c] for chi in W.characters]
+    chars = [{k: _times_den(c, delta) for k, c in enumerate(chi) if c}
+             for chi in W.characters]
     reading = _fusion_reading(field, W, D * delta * delta)
     out = []
-    for s, a in enumerate(nums):
+    for s, a in enumerate(chars):
         row = []
-        for t, b in enumerate(nums):
-            prod = integral_product(dual, a, b)
+        for t, b in enumerate(chars):
+            prod = table_product(table, a, b)
             N = None if reading is None else reading(prod, W.degrees[s]
                                                      * W.degrees[t])
-            if N is None or _fusion_combination(nums, N, D * delta) != prod:
+            if N is None or combine((D * delta * m, chars[u])
+                                    for u, m in N.items()) != prod:
                 N = _exact_fusion(field, W, prod, D * delta * delta, s, t)
             row.append(N)
         out.append(row)
@@ -700,7 +683,7 @@ def _fusion_reading(field, W, scale):
         return None
 
     def read(prod, bound):
-        at_w = {k: _int_poly_eval(v, w, p) for k, v in prod.items()}
+        at_w = {k: reduce_scalar(v, w, p) for k, v in prod.items()}
         N = {}
         for u, (e, inv) in enumerate(zip(idems, invs)):
             val = sum(at_w[k] * x for k, x in e if k in at_w) * inv % p
@@ -713,34 +696,18 @@ def _fusion_reading(field, W, scale):
     return read
 
 
-def _fusion_combination(nums, N, scale):
-    """scale sum_u N_u nums[u] as {k: numerator tuple} without zeros."""
-    out = {}
-    for u, m in N.items():
-        f = scale * m
-        for k, v in nums[u]:
-            v = tuple([f * x for x in v])
-            cur = out.get(k)
-            out[k] = v if cur is None else tuple(map(add, cur, v))
-    return {k: v for k, v in out.items() if any(v)}
-
-
 def _exact_fusion(field, W, prod, scale, s, t):
     """{u: N_st^u} from the exact coefficients (chi_s chi_t)(e_u) / d_u,
     with chi_s chi_t = prod / scale; raises NonIntegralFusion when the
     product is not the combination of the characters with these
     coefficients, or when a coefficient is not a nonnegative integer."""
-    value = {k: field.from_nums(v, scale) for k, v in prod.items()}
+    pad = (0,) * (field.phi - 1)
+    value = {k: field.from_nums(_nums(v, pad), scale)
+             for k, v in prod.items()}
     coeffs = [sum((value[k] * x for k, x in enumerate(e)
                    if x and k in value), field.zero) / field.from_int(d)
               for e, d in zip(W.idempotents, W.degrees)]
-    combo = {}
-    for c, chi in zip(coeffs, W.characters):
-        if c:
-            for k, x in enumerate(chi):
-                if x:
-                    _add_into(combo, k, c * x)
-    if _clean(combo) != value:
+    if combine(zip(coeffs, map(sparse, W.characters))) != value:
         raise NonIntegralFusion("character product leaves the "
                                 "character span")
     N = {}
@@ -1039,12 +1006,7 @@ def psi_on_blocks(ring, W, psi):
         v = sparse(image)
         c = [sum((x * v[k] for k, x in chi.items() if k in v), zero) * f
              for chi, f in zip(chars, scales)]
-        combo = {}
-        for cS, e in zip(c, idems):
-            if cS:
-                for k, x in e.items():
-                    _add_into(combo, k, cS * x)
-        if _clean(combo) != v:
+        if combine(zip(c, idems)) != v:
             return False
         coeffs.append(c)
     return all(a * b == sum((N * coeffs[u][S] for u, N in cell.items()),

@@ -23,9 +23,11 @@ always passes) before the exact checks: e e = e on the integral table
 block dimension, and for the system sum 1 and orthogonality, read off the
 block dimensions.  The images x_j e are built only to certify blocks of
 degree > 1, on sparse rows in the coordinates of A, each product read
-off the table over the supports of its factors, and the eigenvalues
-behind those certificates come back the same way: ``field_roots`` glues
-D_g t for the roots t of g under a Cauchy bound.
+off the table over the supports of its factors (``algebra.table_product``)
+and each combination of rows, the shifted rows v b - t v and the random
+candidates, formed by ``algebra.combine``.  The eigenvalues behind those
+certificates come back the same way as the idempotents: ``field_roots``
+glues D_g t for the roots t of g under a Cauchy bound.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import itertools
 import math
 import random
 
-from .algebra import _add_into, _clean, frobenius_structure
+from .algebra import combine, frobenius_structure, table_product
 from .linalg import EchelonSubspace, Poly, iterates, krylov_relation, sparse
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _trim,
                       component_roots, embedding_factor, good_primes,
@@ -380,7 +382,7 @@ def certify_split_block(algebra, e, d, seed=0):
     whatever the degree of the minimal polynomial of R_b (Ronyai, J.
     Symbolic Comput. 9, 1990).  All of it is computed in the coordinates
     of A, on sparse rows: each product is read off the table over the
-    supports of its factors (``StructureConstantAlgebra.product``).
+    supports of its factors (``algebra.table_product``).
 
     The images x_j e are tried first: for group algebras, duals and
     doubles their eigenvalues are roots of unity in the base field.  Then
@@ -388,7 +390,7 @@ def certify_split_block(algebra, e, d, seed=0):
     only once those before it have failed.
     """
     e = sparse(e)
-    images = [algebra.product({j: algebra.field.one}, e)
+    images = [table_product(algebra.table, {j: algebra.field.one}, e)
               for j in range(algebra.dim)]
     block = EchelonSubspace(algebra.field, algebra.dim, images)
     if block.dim != d * d:
@@ -404,7 +406,7 @@ def _block_minimal_polynomial(algebra, e, b):
     (p(R_b) = R_p(b), and x p(b) = 0 on B forces p(b) = e p(b) = 0): the
     Krylov relation among e, b, b^2, ... (sparse rows)."""
     return krylov_relation(algebra.field, algebra.dim, iterates(
-        lambda x: algebra.product(x, b), e))
+        lambda x: table_product(algebra.table, x, b), e))
 
 
 def _eigenspaces(algebra, e, block, b):
@@ -417,20 +419,13 @@ def _eigenspaces(algebra, e, block, b):
     if not roots:
         return
     basis = [block.rows[p] for p in block.pivots]
-    products = [algebra.product(v, b) for v in basis]
+    products = [table_product(algebra.table, v, b) for v in basis]
     if any(block.reduce(vb) for vb in products):
         raise PrecisionExceeded("block not closed under multiplication")
     for t in roots:
-        shifted = (_shifted(vb, t, v) for vb, v in zip(products, basis))
+        shifted = (combine([(1, vb), (-t, v)])
+                   for vb, v in zip(products, basis))
         yield t, block.dim - EchelonSubspace(field, algebra.dim, shifted).dim
-
-
-def _shifted(u, t, v):
-    """u - t v for sparse rows, without zeros."""
-    out = dict(u)
-    for k, c in v.items():
-        _add_into(out, k, -(t * c))
-    return _clean(out)
 
 
 def _split_candidates(algebra, images, block, seed):
@@ -442,12 +437,8 @@ def _split_candidates(algebra, images, block, seed):
     yield from basis
     rng = random.Random(seed * 7 + 1)
     for _ in range(RANDOM_CANDIDATES):
-        v = {}
-        for w in basis:
-            c = algebra.field.from_rat(Rat(rng.randrange(1, 5)))
-            for k, x in w.items():
-                _add_into(v, k, c * x)
-        yield _clean(v)
+        yield combine((algebra.field.from_rat(Rat(rng.randrange(1, 5))), w)
+                      for w in basis)
 
 
 def field_roots(field, coeffs, seed=0):

@@ -401,6 +401,17 @@ def test_schneider_needs_r_matrix(tmp_path, capsys):
     assert main(["analyze", str(inp), "--check", "schneider"]) == 2
 
 
+@pytest.mark.parametrize("mode", ["delta-one", "custom"])
+def test_lambda_on_a_hopf_document_exit_2(tmp_path, capsys, mode):
+    inp = build(tmp_path, "--group", "S3")  # carries a "lambda" entry
+    assert main(["analyze", str(inp), "--lambda", mode]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert "--lambda applies to algebra documents" in err
+    assert main(["analyze", str(inp), "--lambda", "regular",
+                 "--check", "fd"]) == 0
+
+
 def test_bad_prime_exit_3(tmp_path, capsys):
     inp = build(tmp_path, "--group", "S3")
     # 5 is below twice the dimension and 2 mod 3: rejected up front

@@ -58,6 +58,19 @@ def test_integrals_group_algebra():
     assert I.Lambda0 == [rq(1, 6)] * 6
 
 
+def test_integrals_reject_a_form_that_is_no_integral_of_the_dual():
+    H = group_algebra(named_group("S3"))
+    # Delta(x_e) = 2 x_e (x) x_e: (Id (x) lambda) Delta(x_e) = 2 x_e, while
+    # lambda(x_e) 1 = x_e; the table, the counit and the integral are kept
+    e = H.algebra.unit.index(QQ.one)
+    delta = list(H.delta)
+    delta[e] = {idx: 2 * c for idx, c in delta[e].items()}
+    bad = HopfAlgebraData(H.algebra, delta, H.counit, H.antipode_columns)
+    with pytest.raises(HopfError, match="not a two-sided integral of the "
+                                        "dual"):
+        integrals(bad)
+
+
 def test_hopf_casimir_s3():
     c = hopf_casimir(s3_session())
     # c = sum_g g^{-1} (x) g for a group algebra

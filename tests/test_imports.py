@@ -1,19 +1,29 @@
-"""Every imported name is used: a stdlib ``ast`` scan of the library and
-the tests, standing in for a linter's unused-import rule.
+"""Every imported name is used, and every definition of the library is
+referenced: stdlib ``ast`` scans standing in for a linter's unused-import
+and dead-code rules.
 
 A name bound by ``import`` or ``from ... import`` must be read somewhere
 in its module.  Package ``__init__.py`` files, which re-export, and
 import statements marked ``# noqa: F401`` are skipped, as are
-``__future__`` imports."""
+``__future__`` imports.
+
+Each module-level function and class of ``src/frobdiv``, and each method
+of such a class that is not a dunder, must have its name read somewhere
+in ``src/``, ``tests/`` or ``perfbench/``: as a name, an attribute or an
+imported name, or inside a string in ``perfbench/``, whose tracer binds
+functions by dotted name.  A string in the library, such as a docstring,
+does not count."""
 
 import ast
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "frobdiv").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+SRC = ROOT / "src" / "frobdiv"
+MODULES = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(path):
@@ -50,3 +60,88 @@ def test_scan_finds_an_unused_import(tmp_path):
                       "from json import dumps, loads as read\n"
                       "read('1')\n")
     assert unused_imports(module) == [(1, "os"), (3, "dumps")]
+
+
+def definitions(path):
+    """(line, name) of each module-level function and class in ``path``,
+    and of each method of such a class that is not a dunder."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out.extend((m.lineno, m.name) for m in node.body
+                       if isinstance(m, ast.FunctionDef)
+                       and not (m.name.startswith("__")
+                                and m.name.endswith("__")))
+    return out
+
+
+def names_read(path, strings):
+    """The names ``path`` reads: loaded names and attributes, the parts of
+    imported names and, when ``strings``, every identifier in a string."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            out.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def unreferenced(modules, readers, string_readers):
+    """(module name, line, name) for each definition in ``modules`` whose
+    name no file of ``readers`` or ``string_readers`` reads."""
+    read = set()
+    for path in readers:
+        read |= names_read(path, False)
+    for path in string_readers:
+        read |= names_read(path, True)
+    return [(path.name, line, name) for path in modules
+            for line, name in definitions(path) if name not in read]
+
+
+def test_no_unreferenced_definition():
+    readers = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    perfbench = list((ROOT / "perfbench").glob("*.py"))
+    assert unreferenced(sorted(SRC.glob("*.py")), readers, perfbench) == []
+
+
+def test_scan_finds_an_unreferenced_definition(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(textwrap.dedent('''\
+        def used():
+            """Names orphan, which no one reads."""
+
+
+        def orphan():
+            pass
+
+
+        def traced():
+            pass
+
+
+        class Kept:
+            def __init__(self):
+                pass
+
+            def method(self):
+                pass
+
+            def dead(self):
+                pass
+        '''))
+    user = tmp_path / "user.py"
+    user.write_text("from lib import Kept, used\n"
+                    "used()\nKept().method()\n'dead'\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text("SPANS = ['lib.traced']\n")
+    assert unreferenced([lib], [lib, user], [bench]) == [
+        ("lib.py", 5, "orphan"), ("lib.py", 20, "dead")]

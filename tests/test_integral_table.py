@@ -2,12 +2,19 @@
 associativity scan of ``verify`` and the Casimir operator run on: its
 entries, and ``verify`` against the dense field-scalar loop of
 ``dense_oracle.dense_verify`` on tables with a denominator, with
-irrational constants and with one entry broken."""
+irrational constants and with one entry broken.  On the same tables, the
+two sparse kernels: ``table_product`` on the integral table against D
+times the product over all n^2 pairs, and ``combine`` against the dense
+sum."""
+
+import random
 
 import pytest
 
 from frobdiv import (QQ, Rat, StructureConstantAlgebra, group_algebra,
                      named_group)
+from frobdiv.algebra import combine, table_product
+from frobdiv.linalg import sparse
 from frobdiv.scalars import Cyc
 
 from conftest import group_algebra_plain
@@ -102,3 +109,67 @@ def test_rational_constants_in_a_cyclotomic_field_are_ints():
     assert D == 1
     assert {type(v) for row in itable for cell in row
             for v in cell.values()} == {int}
+
+
+def integral_vector(A, rng):
+    """A seeded sparse vector on three basis indices: ints, and integral
+    Cyc a + b zeta over Q(zeta_n)."""
+    field = A.field
+    out = {}
+    for k in rng.sample(range(A.dim), 3):
+        c = rng.randint(-3, 3)
+        if field is not QQ:
+            c = c + rng.randint(-3, 3) * field.zeta()
+        if c:
+            out[k] = c
+    return out
+
+
+def dense_sum(A, terms):
+    """sum c v over all n coordinates, in field scalars."""
+    out = A.zero_vec()
+    for c, v in terms:
+        for k in range(A.dim):
+            out[k] = out[k] + c * v.get(k, 0)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", TABLES)
+def test_table_product_on_the_integral_table_is_D_times_the_product(
+        name, seed):
+    A = table(name)
+    D, itable = A.integral_table
+    rng = random.Random(seed)
+    a, b = integral_vector(A, rng), integral_vector(A, rng)
+    # a b over all n^2 pairs (i, j), on the field table
+    ab = dense_sum(A, [(a.get(i, 0) * b.get(j, 0), A.table[i][j])
+                       for i in range(A.dim) for j in range(A.dim)])
+    prod = table_product(itable, a, b)
+    assert prod == sparse([D * x for x in ab])
+    assert table_product(A.table, a, b) == sparse(ab)
+    assert all(prod.values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", TABLES)
+def test_combine_is_the_dense_sum(name, seed):
+    A = table(name)
+    field = A.field
+    rng = random.Random(seed)
+    constant = next(c for row in A.table for cell in row
+                    for c in cell.values())
+    coeffs = [field.from_rat(Rat(rng.randint(-3, 3), rng.randint(1, 3))),
+              constant, 2, field.zero]
+    terms = [(c, integral_vector(A, rng)) for c in coeffs]
+    assert combine(terms) == sparse(dense_sum(A, terms))
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_combine_drops_the_terms_that_cancel(name):
+    A = table(name)
+    t = next(iter(A.table[1][1].values()))
+    v = integral_vector(A, random.Random(7))
+    assert combine([(t, v), (-t, v)]) == {}
+    assert combine([(1, {0: t, 1: 2}), (-1, {0: t})]) == {1: 2}
+    assert combine([(1, v), (3, {0: t}), (-3, {0: t})]) == v

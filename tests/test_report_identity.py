@@ -13,7 +13,11 @@ match byte for byte, with the same exit code.  The report of D(S4)
 the permutations of 0..3 with ``build --table``, was generated at commit
 170e31e, before coassociativity, the R-intertwining and the integrals
 were proven on Light's generating set; at about 10 s of CPU it is
-compared by a step of the CI workflow, not here.
+compared by a step of the CI workflow, not here.  The report of kS3 over
+Q(zeta_12) on the basis ((1 + i)/2) x_g, whose table has the common
+denominator D = 2 and irrational constants, so that the integral table
+holds integral ``Cyc`` values, was generated at commit ae694ee, before
+the sparse product and the linear combinations were written once each.
 
 A change that means to alter a report regenerates the files with
 
@@ -27,15 +31,32 @@ from pathlib import Path
 
 import pytest
 
+from frobdiv import group_algebra, named_group
 from frobdiv.cli import main
-from frobdiv.serialize import algebra_to_json, canonical_dumps
+from frobdiv.serialize import algebra_to_json, canonical_dumps, hopf_to_json
 
 from conftest import matrix_blocks
+from dense_oracle import change_basis_hopf, scalar_matrix
 
 REPORTS = Path(__file__).resolve().parent / "reports"
 
-# name -> (build arguments, or None for M3+M2+M1; analyze arguments;
-#          exit code)
+
+def rescaled_s3():
+    """kS3 over Q(zeta_12) on the basis ((1 + i)/2) x_g, i = zeta_12^3."""
+    H = group_algebra(named_group("S3"), conductor=12)
+    field = H.field
+    t = (field.one + field.zeta(3)) / field.from_rat(2)
+    return hopf_to_json(
+        change_basis_hopf(H, scalar_matrix(field, H.dim, t))[0])
+
+
+def matrix_units():
+    """M3+M2+M1 over Q on its matrix units."""
+    return algebra_to_json(matrix_blocks((3, 2, 1)))
+
+
+# name -> (build arguments, or a function that returns the document;
+#          analyze arguments; exit code)
 CASES = {
     "double-s3": (["--group", "S3", "--as", "double"], [], 0),
     "double-c4": (["--group", "C4", "--as", "double"], [], 0),
@@ -44,19 +65,19 @@ CASES = {
     "dual-q8-at-24": (["--group", "Q8", "--as", "dual"],
                       ["--conductor", "24"], 0),
     # the regular form gives Gamma(1) = 1: a negative verdict, exit 1
-    "m3-m2-m1": (None, ["--check", "fd"], 1),
+    "m3-m2-m1": (matrix_units, ["--check", "fd"], 1),
+    "group-s3-rescaled-at-12": (rescaled_s3, ["--check", "all"], 0),
 }
 
 
 def analyze(name, workdir):
     """The exit code and report bytes of one case, run in ``workdir``."""
-    build_args, analyze_args, _ = CASES[name]
+    build, analyze_args, _ = CASES[name]
     doc = workdir / f"{name}.in.json"
-    if build_args is None:
-        doc.write_text(canonical_dumps(algebra_to_json(
-            matrix_blocks((3, 2, 1)))) + "\n")
+    if callable(build):
+        doc.write_text(canonical_dumps(build()) + "\n")
     else:
-        assert main(["build", *build_args, "--out", str(doc)]) == 0
+        assert main(["build", *build, "--out", str(doc)]) == 0
     out = workdir / f"{name}.json"
     code = main(["analyze", str(doc), "--format", "json", "--out", str(out),
                  *analyze_args])
