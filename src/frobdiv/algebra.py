@@ -611,10 +611,16 @@ class FrobeniusStructure:
                                 if r in lam_d), zero)
                         for j, cell in enumerate(row)})
                 for row in algebra.table]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if gram[i].get(j, zero) != gram[j].get(i, zero):
-                    raise NotATraceForm(i, j)
+        # the form is a trace form when gram is symmetric: compare each
+        # stored entry with its mirror once (a pair stored in both rows
+        # from the smaller index), and name the first asymmetric pair i < j
+        asymmetric = min(((min(i, j), max(i, j))
+                          for i, row in enumerate(gram)
+                          for j, g in row.items()
+                          if (j > i or i not in gram[j])
+                          and gram[j].get(i, zero) != g), default=None)
+        if asymmetric is not None:
+            raise NotATraceForm(*asymmetric)
         try:
             inverse = inverse_rows(algebra.field, gram)
         except Singular as err:

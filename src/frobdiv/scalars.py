@@ -8,8 +8,15 @@ Every scalar in the toolkit is one of three immutable types:
   on the power basis 1, z, ..., z^(phi(n)-1), over one positive int
   denominator, in lowest terms.  Sums, products and equality are integer
   work; the inverse is the product of the other Galois conjugates over
-  the norm.  ``Rat`` appears only at the boundary (``element``,
-  ``to_qvec``, ``as_rat``, ``sort_key``, ``format``, ``parse``);
+  the norm.  The operands that analyses carry most are taken apart: a
+  product with 1 returns the other factor, an int or rational factor
+  scales the other's numerators, a sum that starts from the field's zero
+  returns the other summand, and a rational divisor scales by its
+  reciprocal.  So only two non-rational factors take the power-basis
+  product, and only a denominator other than 1 takes a gcd.  Every result
+  is in lowest terms, and a rational value hashes as its ``Rat``.
+  ``Rat`` appears only at the boundary (``element``, ``to_qvec``,
+  ``as_rat``, ``sort_key``, ``format``, ``parse``);
 * ``PrimeFieldElement`` -- residue modulo a prime (or prime power).  The
   modular pipeline holds F_p values as plain ints; the boxed residue
   serves the reference paths of the tests.
@@ -149,11 +156,27 @@ class Cyc:
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
 
+    def _times(self, p, q):
+        """self * p/q for ints p and q > 0 in lowest terms: the numerators
+        scaled by p, with no power-basis product; self itself when
+        p/q = 1."""
+        if p == 1 and q == 1:
+            return self
+        return _lowest(self.field, tuple([p * a for a in self.nums]),
+                       self.den * q)
+
     # -- arithmetic -------------------------------------------------------
+    # A same-field Cyc is read directly; an int, a Rat, a bool or a foreign
+    # type goes through _coerce (__mul__ reads an int by value as well).
+    # Every result is in lowest terms.
     def __add__(self, other):
-        o = self._coerce(other)
+        field = self.field
+        o = (other if type(other) is Cyc and other.field is field
+             else self._coerce(other))
         if o is NotImplemented:
             return NotImplemented
+        if self is field.zero:  # the start of most sum(..., zero)
+            return o
         d, e = self.den, o.den
         if d == e:
             return _lowest(self.field,
@@ -164,7 +187,8 @@ class Cyc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is Cyc and other.field is self.field
+             else self._coerce(other))
         if o is NotImplemented:
             return NotImplemented
         d, e = self.den, o.den
@@ -184,11 +208,22 @@ class Cyc:
         return Cyc(self.field, tuple(map(operator.neg, self.nums)), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        """A factor equal to 1 returns the other one, and an int or
+        rational factor scales the other's numerators; only two
+        non-rational factors take the power-basis product."""
+        if type(other) is int:
+            return self._times(other, 1)
+        field = self.field
+        o = (other if type(other) is Cyc and other.field is field
+             else self._coerce(other))
         if o is NotImplemented:
             return NotImplemented
-        return _lowest(self.field, self.field._mul_nums(self.nums, o.nums),
-                       self.den * o.den)
+        a, b, pad = self.nums, o.nums, field._pad
+        if b[1:] == pad:
+            return self._times(b[0], o.den)
+        if a[1:] == pad:
+            return o._times(a[0], self.den)
+        return _lowest(field, field._mul_nums(a, b), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -216,9 +251,18 @@ class Cyc:
         return _lowest(field, tuple([den * c for c in cofactor]), norm[0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        """Division by a rational value a/e scales the numerators by
+        e/a, with no inverse formed."""
+        o = (other if type(other) is Cyc and other.field is self.field
+             else self._coerce(other))
         if o is NotImplemented:
             return NotImplemented
+        b = o.nums
+        if b[1:] == self.field._pad:
+            a = b[0]
+            if not a:
+                raise ZeroDivisionError("inversion of zero cyclotomic number")
+            return self._times(o.den if a > 0 else -o.den, abs(a))
         return self * o.inv()
 
     def __rtruediv__(self, other):
@@ -241,13 +285,21 @@ class Cyc:
 
     # -- comparison / hashing --------------------------------------------
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = (other if type(other) is Cyc and other.field is self.field
+             else self._coerce(other))
         if o is NotImplemented:
             return NotImplemented
         return self.nums == o.nums and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.conductor, self.nums, self.den))
+        """A rational value hashes as its Rat (and an integer as its int),
+        as == compares them equal.  So equal rational values of two fields
+        hash alike, and a set or dict that holds both raises
+        ConductorMismatch, as == between two fields does."""
+        nums, den = self.nums, self.den
+        if nums[1:] == self.field._pad:
+            return hash(nums[0]) if den == 1 else hash(Rat(nums[0], den))
+        return hash((self.field.conductor, nums, den))
 
     def rats(self):
         """The rational coefficients on the power basis."""
@@ -292,14 +344,9 @@ class CyclotomicField:
         return self
 
     def _mul_nums(self, a, b):
-        """Numerators of the product of two power-basis tuples.  A rational
-        factor scales the other one."""
-        if a[1:] == self._pad:
-            x = a[0]
-            return tuple([x * y for y in b])
-        if b[1:] == self._pad:
-            y = b[0]
-            return tuple([x * y for x in a])
+        """Numerators of the product of two power-basis tuples, by the full
+        product and the reduction by Phi_n; ``Cyc.__mul__`` takes rational
+        factors apart before it calls this."""
         phi = self.phi
         prod = [0] * (2 * phi - 1)
         for i, x in enumerate(a):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobdiv import QQ, CyclotomicField, Rat
 from frobdiv.modular import BadPrime, component_roots, reduce_scalar
-from frobdiv.scalars import (ConductorMismatch, cyclotomic_polynomial,
+from frobdiv.scalars import (ConductorMismatch, Cyc, cyclotomic_polynomial,
                              rat_str)
 
 from dense_oracle import PrimeField, RefCyc, rational_reconstruct
@@ -88,10 +89,15 @@ def test_inverse_oracle():
 
 
 def test_conductor_mismatch():
-    a = CyclotomicField(3).zeta()
-    b = CyclotomicField(4).zeta()
-    with pytest.raises(ConductorMismatch):
-        a + b
+    # each operator on both sides, on rational values too: the short-cuts
+    # must not mix two fields
+    K3, K4 = CyclotomicField(3), CyclotomicField(4)
+    for a, b in ((K3.zeta(), K4.zeta()), (K3.one, K4.one)):
+        for op in (operator.add, operator.sub, operator.mul,
+                   operator.truediv, operator.eq):
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(ConductorMismatch):
+                    op(x, y)
 
 
 def _format_from_rats(x):
@@ -317,6 +323,48 @@ def test_hash_sort_key_format_match_reference(case):
     assert K.element(list(rx.coeffs)) == x
     if not any(a[1:]):
         assert K.is_rational(x) and K.as_rat(x) == a[0]
+        # a rational value equals and hashes as its Rat (an integer as
+        # its int), so a set holds the two once
+        assert x == a[0] and hash(x) == hash(a[0]) and len({x, a[0]}) == 1
+    assert len({K.one, 1, Rat(1)}) == 1 and len({K.zero, 0, False}) == 1
+    half = Rat(1, 2)
+    assert len({K.from_rat(half), half}) == 1
+    # equal rational values of two fields hash alike, and == between two
+    # fields raises, so a set that would hold both raises too
+    with pytest.raises(ConductorMismatch):
+        {K.one, CyclotomicField(K.conductor + 1).one}
+
+
+# operands that the arithmetic reads without the power-basis product:
+# ints, bools, Rats, a rational Cyc (drawn), one and zero
+SHORT_CUT_OPERANDS = (0, 1, -1, 6, True, False, Rat(-3, 4), Rat(5),
+                      "rational", "one", "zero")
+
+
+@DIFFERENTIAL
+@given(cyc_pairs(), st.sampled_from(SHORT_CUT_OPERANDS))
+def test_short_cut_operands_match_reference(case, s):
+    n, a, b = case
+    K = CyclotomicField(n)
+    zeros = [Rat(0)] * (K.phi - 1)
+    s = {"rational": K.element([b[0]] + zeros), "one": K.one,
+         "zero": K.zero}.get(s, s)
+    rs = RefCyc(n, K.to_qvec(s) if isinstance(s, Cyc) else [Rat(s)] + zeros)
+    x, rx = K.element(a), RefCyc(n, a)
+    results = [(x + s, rx + rs), (s + x, rs + rx), (x - s, rx - rs),
+               (s - x, rs - rx), (x * s, rx * rs), (s * x, rs * rx)]
+    if any(rs.coeffs):
+        results.append((x / s, rx / rs))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / s
+    if any(a):
+        results.append((s / x, rs / rx))
+    for got, want in results:
+        assert isinstance(got, Cyc)
+        assert_same(K, got, want)
+    assert (x == s) == (s == x) == (rx == rs)
+    assert (x != s) == (s != x) == (rx != rs)
 
 
 def _good_prime(n, above):

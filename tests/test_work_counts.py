@@ -8,9 +8,11 @@ Casimir powers.  In the Schneider check: no product in H while Psi is
 proven multiplicative on the blocks.  In the quasitriangular check: two
 products in A (x) A per generator of Light's test for the intertwining,
 not two per basis element.  In the
-scalars: no rational operation inside a product or sum in Q(zeta_n), and
-no operation of Q or Q(zeta_n) in the associativity scan or the Casimir
-operator, which run on the integral table.
+scalars: no rational operation inside a product or sum in Q(zeta_n), no
+product with an int, rational or unit operand that reaches the
+power-basis product or the coercion of operands, and no operation of Q
+or Q(zeta_n) in the associativity scan or the Casimir operator, which run
+on the integral table.
 In the lifting: each block is lifted once per component and level,
 however many gluings it is tried in, and not at all when the bound
 allows gluing at p.  In a whole analysis: no method of the dense
@@ -354,6 +356,37 @@ def test_cyclotomic_product_makes_no_fraction_operation(monkeypatch):
     assert ops == []
     monkeypatch.undo()
     assert prod != total and prod * b.inv() == a
+
+
+def test_short_cut_operands_skip_product_and_coercion(monkeypatch,
+                                                     tmp_path):
+    # D(S3) --check all: most products have a rational factor, and most
+    # of those a factor 1; they scale or return the other factor
+    doc = tmp_path / "ds3.json"
+    assert main(["build", "--group", "S3", "--as", "double",
+                 "--out", str(doc)]) == 0
+    products, coerced = [], []
+    mul_code = Cyc.__mul__.__code__
+    original_mul_nums = CyclotomicField._mul_nums
+    original_coerce = Cyc._coerce
+
+    def recording_mul_nums(field, a, b):
+        if sys._getframe(1).f_code is mul_code:
+            products.append((a, b, field._pad))
+        return original_mul_nums(field, a, b)
+
+    def recording_coerce(x, other):
+        if sys._getframe(1).f_code is mul_code:
+            coerced.append(other)
+        return original_coerce(x, other)
+
+    monkeypatch.setattr(CyclotomicField, "_mul_nums", recording_mul_nums)
+    monkeypatch.setattr(Cyc, "_coerce", recording_coerce)
+    assert main(["analyze", str(doc), "--check", "all",
+                 "--out", str(tmp_path / "report.txt")]) == 0
+    assert products  # the recorder works: some products are not rational
+    assert all(a[1:] != pad and b[1:] != pad for a, b, pad in products)
+    assert not [o for o in coerced if type(o) in (int, Cyc)]
 
 
 def _counted_field_operations(monkeypatch):
