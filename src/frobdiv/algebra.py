@@ -473,9 +473,8 @@ def _add_into(out, idx, val):
 
 
 def _common_den(scalars):
-    """The lcm of the denominators of Rat or Cyc scalars."""
-    return math.lcm(1, *{c.den if isinstance(c, Cyc) else int(c.denominator)
-                         for c in scalars})
+    """The lcm of the denominators of scalars."""
+    return math.lcm(1, *{c.den for c in scalars})
 
 
 def _nums(c, pad):
@@ -485,10 +484,8 @@ def _nums(c, pad):
 
 
 def _times_den(c, m):
-    """m c for a multiple m of the denominator of the Rat or Cyc c: an int
+    """m c for a multiple m of the denominator of the scalar c: an int
     when c is rational and an integral Cyc otherwise."""
-    if not isinstance(c, Cyc):
-        return int(c.numerator) * (m // int(c.denominator))
     f = m // c.den
     return (c.nums[0] * f if c.is_rational()
             else Cyc(c.field, tuple([a * f for a in c.nums])))
@@ -641,6 +638,17 @@ class FrobeniusStructure:
     @property
     def field(self):
         return self.algebra.field
+
+    @functools.cached_property
+    def gamma_one_scalar(self):
+        """The scalar c with Gamma(1) = c 1, or None when Gamma(1) is not a
+        scalar multiple of the unit: c is read at the first nonzero
+        coordinate of the unit and the whole vector compared."""
+        g1, unit = self.gamma_one(), self.algebra.unit
+        c = next((g / u for g, u in zip(g1, unit) if u), None)
+        if c is None or g1 != [c * u for u in unit]:
+            return None
+        return c
 
     def gamma_one(self):
         """Gamma(1) = sum_j x_j y_j = m(c), read off the table; asserts the

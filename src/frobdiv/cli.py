@@ -18,7 +18,7 @@ from .algebra import DegenerateForm, NotATraceForm, frobenius_structure
 from .groups import InvalidGroupTable, group_from_table, named_group
 from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           frobenius_divisibility_verdict)
-from .modular import BadPrime, PrecisionExceeded
+from .modular import BadPrime, PrecisionExceeded, bad_prime_reason
 from .report import Report, Section, input_digest
 from .serialize import (SchemaError, algebra_from_json, canonical_dumps,
                         hopf_from_json, hopf_to_json, is_hopf_doc, load_path)
@@ -109,6 +109,7 @@ def _analyze(doc, args, sections):
         base_report = hopf_mod.verify_hopf(H)
         if not base_report.passed:
             raise SchemaError(f"Hopf axioms fail: {base_report.failures[:3]}")
+        _check_prime(H.algebra, args.prime)
         sections.append(Section("hopf axioms", "pass",
                                 [("dim", str(H.dim)),
                                  ("field", _field_str(H.field))]))
@@ -123,7 +124,15 @@ def _analyze(doc, args, sections):
                              ("field", _field_str(algebra.field))]))
     if args.check not in ("fd", "all"):
         raise SchemaError(f"check {args.check!r} needs Hopf input")
+    _check_prime(algebra, args.prime)
     return _check_fd_plain(algebra, lam, args, sections)
+
+
+def _check_prime(algebra, prime):
+    """A --prime that breaks the good-prime policy is invalid input."""
+    reason = None if prime is None else bad_prime_reason(algebra, prime)
+    if reason is not None:
+        raise SchemaError(reason)
 
 
 def _check_fd_plain(algebra, lam, args, sections):

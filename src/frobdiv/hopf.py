@@ -63,7 +63,7 @@ from .integrality import (InapplicableHypothesis,
                           verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix, sparse
 from .modular import BadPrime, component_roots, reduce_scalar
-from .scalars import CyclotomicField, QQ, Rat
+from .scalars import CyclotomicField
 from .wedderburn import WedderburnData, central_primitive_idempotents
 
 
@@ -286,10 +286,10 @@ def integrals(H: HopfAlgebraData) -> IntegralData:
     s = H.counit_of(raw)
     if not bool(s):
         raise NormalizationImpossible("<eps, Lambda> = 0")
-    scale = field.from_rat(Rat(n)) / s
+    scale = field.from_int(n) / s
     Lambda = [scale * x for x in raw]
 
-    inv_dim = field.from_rat(Rat(1, n))
+    inv_dim = field.one / n
     lam = [inv_dim * c for c in A.regular_character()]
     if A.apply_form(lam, Lambda) != field.one:
         raise HopfError("<lambda, Lambda> != 1")
@@ -411,11 +411,13 @@ def hopf_casimir(session: HopfAnalysis):
 
     if frob.casimir != c1:
         raise HopfError("integral Casimir differs from the dual-basis one")
-    dim_scalar = field.from_rat(Rat(n))
-    if frob.gamma_one() != [dim_scalar * u for u in A.unit]:
+    # Gamma(1) = dim H in H, and Gamma(eps) = dim H eps in H*, whose unit
+    # is eps
+    dim_scalar = field.from_int(n)
+    if frob.gamma_one_scalar != dim_scalar:
         raise HopfError("Gamma^lambda(1) != dim H")
 
-    if dual_frob.gamma_one() != [dim_scalar * e for e in H.counit]:
+    if dual_frob.gamma_one_scalar != dim_scalar:
         raise HopfError("Gamma^Lambda(eps) != 1")
     return c1
 
@@ -459,8 +461,7 @@ def dual_hopf(H: HopfAlgebraData) -> HopfAlgebraData:
 def group_algebra(G: FiniteGroup, field=None, conductor=None):
     """kG with the group-like Hopf structure."""
     if field is None:
-        field = (CyclotomicField(conductor) if conductor and conductor > 1
-                 else QQ)
+        field = CyclotomicField(conductor or 1)
     n = G.order
     table = [[{G.table[i][j]: field.one} for j in range(n)]
              for i in range(n)]
@@ -477,8 +478,7 @@ def drinfeld_double(G: FiniteGroup, field=None, conductor=None,
     """D(G) on the basis delta_x (x) g (flat index x*|G| + g), with its
     canonical R-matrix.  Returns (HopfAlgebraData, QuasitriangularData)."""
     if field is None:
-        field = (CyclotomicField(conductor or G.exponent)
-                 if (conductor or G.exponent) > 1 else QQ)
+        field = CyclotomicField(conductor or G.exponent)
     m = G.order
     n = m * m
     one, zero = field.one, field.zero
@@ -608,13 +608,12 @@ def representation_ring(session: HopfAnalysis) -> RepresentationRing:
         val = field.zero
         for c, l0 in zip(chars[s], session.integrals.Lambda0):
             val = val + c * l0
-        if not field.is_rational(val):
+        if not val.is_rational():
             raise NonIntegralFusion("delta form value not rational")
-        q = field.as_rat(val)
-        if q.denominator != 1 or q < 0:
-            raise NonIntegralFusion(f"delta([S_{s}]) = {q} not a "
-                                    "nonnegative integer")
-        delta_form.append(field.from_rat(q))
+        if val.den != 1 or val.nums[0] < 0:
+            raise NonIntegralFusion(f"delta([S_{s}]) = {field.format(val)} "
+                                    "not a nonnegative integer")
+        delta_form.append(val)
     if [bool(v) for v in delta_form] != [bool(u) for u in unit]:
         raise NonIntegralFusion("delta form does not pick out the trivial "
                                 "character")
@@ -712,13 +711,13 @@ def _exact_fusion(field, W, prod, scale, s, t):
                                 "character span")
     N = {}
     for u, c in enumerate(coeffs):
-        if not field.is_rational(c):
+        if not c.is_rational():
             raise NonIntegralFusion("non-rational fusion constant")
-        q = field.as_rat(c)
-        if q.denominator != 1 or q < 0:
-            raise NonIntegralFusion(f"fusion constant {q} at ({s},{t})")
-        if q:
-            N[u] = int(q)
+        if c.den != 1 or c.nums[0] < 0:
+            raise NonIntegralFusion(f"fusion constant {field.format(c)} at "
+                                    f"({s},{t})")
+        if c:
+            N[u] = c.nums[0]
     return N
 
 
@@ -768,7 +767,7 @@ def zhu_check(session: HopfAnalysis):
         # Lambda <- chi_{S*} = (chi o S (x) Id)(Delta Lambda)
         hit = contract_left(field, H.after_antipode(chi), dL, n)
         d = W.degrees[s]
-        scale = field.from_rat(Rat(n, d))
+        scale = field.from_int(n) / d
         identity_ok = hit == [scale * x for x in W.idempotents[s]]
         integral = all(map(is_integral_scalar, hit))
         divides = n % d == 0
@@ -1000,7 +999,7 @@ def psi_on_blocks(ring, W, psi):
     zero = field.zero
     idems = [sparse(e) for e in W.idempotents]
     chars = [sparse(chi) for chi in W.characters]
-    scales = [field.from_rat(Rat(1, d)) for d in W.degrees]
+    scales = [field.one / d for d in W.degrees]
     coeffs = []
     for image in psi:
         v = sparse(image)

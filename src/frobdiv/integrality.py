@@ -4,8 +4,9 @@ An element a of a finite-dimensional Q(zeta_n)-algebra is integral over Z
 exactly when its monic minimal polynomial over Q has integer coefficients
 (Gauss).  The minimal polynomial comes from Krylov iteration: the powers
 1, a, a^2, ... are produced by an operator ``times(v) = a v`` on sparse
-coordinate vectors {index: scalar}, written out in rational coordinates,
-and reduced until the first one depends on those before it.  Only vectors
+coordinate vectors {index: scalar}, written out in coordinates over Q
+(each coordinate a/den of a ``Cyc`` is the value a/den of ``QQ``), and
+reduced until the first one depends on those before it.  Only vectors
 are ever formed, never a matrix of a, and only their nonzero coordinates
 are read.
 
@@ -24,7 +25,7 @@ integer exactly when its denominator is 1 (``is_integral_scalar``).
 from __future__ import annotations
 
 from .linalg import iterates, krylov_relation
-from .scalars import QQ, Cyc, Rat, is_integer_rat, rat_str
+from .scalars import QQ
 
 
 class InapplicableHypothesis(Exception):
@@ -48,7 +49,7 @@ class IntegralityCertificate:
 
     def __init__(self, description, min_poly, integral, witness):
         self.description = description
-        self.min_poly = min_poly          # ascending Rat coefficients, monic
+        self.min_poly = min_poly          # ascending QQ coefficients, monic
         self.integral = integral
         self.witness = witness
 
@@ -57,18 +58,19 @@ class IntegralityCertificate:
         return f"IntegralityCertificate({self.description}: {tag})"
 
     def poly_strings(self):
-        return [rat_str(c) for c in self.min_poly]
+        return [QQ.format(c) for c in self.min_poly]
 
 
 def minimal_polynomial_over_Q(field, dim, unit, times):
     """Monic minimal polynomial over Q of an element of a dim-dimensional
-    algebra over ``field``, as ascending Rat coefficients.  ``unit`` is the
+    algebra over ``field``, as ascending QQ coefficients.  ``unit`` is the
     unit of the algebra and ``times(v)`` is the element times v, both as
     sparse vectors {index: scalar}; the powers are reduced as sparse rows
-    of their nonzero Q-flattened coordinates."""
+    of their nonzero coordinates over Q, the coordinate a/den of a scalar
+    on the power basis flattened straight into the QQ value a/den."""
     phi = field.phi
-    flat = ({i * phi + j: q for i, c in vec.items() if c
-             for j, q in enumerate(field.to_qvec(c)) if q}
+    flat = ({i * phi + j: QQ.from_nums((a,), c.den) for i, c in vec.items()
+             for j, a in enumerate(c.nums) if a}
             for vec in iterates(times, unit))
     return krylov_relation(QQ, dim * phi, flat).coeffs
 
@@ -77,16 +79,16 @@ def is_integral_over_Z(field, dim, unit, times, description="element"):
     poly = minimal_polynomial_over_Q(field, dim, unit, times)
     witness = None
     for i, c in enumerate(poly):
-        if not is_integer_rat(c):
+        if c.den != 1:
             witness = (i, c)
             break
     return IntegralityCertificate(description, poly, witness is None, witness)
 
 
 def is_integral_scalar(x) -> bool:
-    """Whether the scalar x of Q or Q(zeta_n) is an algebraic integer: its
+    """Whether the scalar x of Q(zeta_n) is an algebraic integer: its
     denominator on the integral power basis is 1."""
-    return (x.den if isinstance(x, Cyc) else x.denominator) == 1
+    return x.den == 1
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +109,18 @@ class DivisibilityVerdict:
                 f"Gamma(1)={self.gamma_one}, degrees={self.degrees})")
 
 
-def _gamma_one_integer(algebra, frobenius):
-    field = algebra.field
-    g1 = frobenius.gamma_one()
-    scal = None
-    for c, u in zip(g1, algebra.unit):
-        if bool(u):
-            scal = c / u
-            break
-    if scal is None or g1 != [scal * u for u in algebra.unit]:
+def _gamma_one_integer(frobenius):
+    scal = frobenius.gamma_one_scalar
+    if scal is None:
         raise InapplicableHypothesis("Gamma(1) is not a scalar multiple "
                                      "of the unit")
-    if not field.is_rational(scal):
+    if not scal.is_rational():
         raise InapplicableHypothesis("Gamma(1) is not rational")
-    q = field.as_rat(scal)
-    if not is_integer_rat(q):
-        raise InapplicableHypothesis(f"Gamma(1) = {rat_str(q)} is not a "
-                                     "rational integer")
-    return int(q)
+    if scal.den != 1:
+        shown = frobenius.field.format(scal)
+        raise InapplicableHypothesis(f"Gamma(1) = {shown} is not a rational "
+                                     "integer")
+    return scal.nums[0]
 
 
 def frobenius_divisibility_verdict(algebra, frobenius, data):
@@ -133,7 +129,7 @@ def frobenius_divisibility_verdict(algebra, frobenius, data):
     in A (x) A.  The routes must agree."""
     if not all(data.split_certified):
         raise InapplicableHypothesis("non-split component present")
-    u = _gamma_one_integer(algebra, frobenius)
+    u = _gamma_one_integer(frobenius)
     direct = [u % d == 0 for d in data.degrees]
     cert = frobenius.casimir_certificate()
     if all(direct) != cert.integral:
@@ -194,13 +190,8 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
     if not frob_A.casimir_certificate().integral:
         raise InapplicableHypothesis("source Casimir element is not "
                                      "integral over Z")
-    g1_B = frob_B.gamma_one()
-    mu_scalar = None
-    for c, u in zip(g1_B, B.unit):
-        if bool(u):
-            mu_scalar = c / u
-            break
-    if g1_B != [mu_scalar * u for u in B.unit]:
+    mu_scalar = frob_B.gamma_one_scalar
+    if mu_scalar is None:
         raise InapplicableHypothesis("Gamma^mu(1) is not scalar")
 
     # phi(e_S) is an idempotent, so R_phi(e_S) is a projection: its rank is
@@ -209,22 +200,20 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
     induced_dims, scalars, integral, ratio_checks = [], [], [], []
     for s, e in enumerate(data_A.idempotents):
         trace = B.apply_form(rho, linear_image(B, images, enumerate(e)))
-        rank = field.as_rat(trace) if field.is_rational(trace) else None
-        if rank is None or not is_integer_rat(rank) or rank < 0:
+        if not trace.is_rational() or trace.den != 1 or trace.nums[0] < 0:
             raise InapplicableHypothesis(
                 f"induced module of block {s} has trace "
                 f"{field.format(trace)}, not a rank")
-        rank = int(rank)
+        rank = trace.nums[0]
         d = data_A.degrees[s]
         if rank == 0 or rank % d != 0:
             raise InapplicableHypothesis(
                 f"induced module of block {s} is degenerate (rank {rank})")
         dim_ind = rank // d
-        scal = mu_scalar / field.from_rat(Rat(dim_ind))
+        scal = mu_scalar / dim_ind
         induced_dims.append(dim_ind)
         scalars.append(scal)
         integral.append(is_integral_scalar(scal))
         gam_s = gamma_one_eigenvalue(frob_A, data_A, s)
-        ratio_checks.append(
-            scal == gam_s / field.from_rat(Rat(d)))
+        ratio_checks.append(scal == gam_s / d)
     return RelativeReport(induced_dims, scalars, integral, ratio_checks)

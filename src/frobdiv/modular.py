@@ -34,7 +34,7 @@ import random
 from .algebra import _common_den, center_conditions
 # perfbench/traced.py times modular.EchelonSubspace.coords under this name
 from .linalg import EchelonSubspace, inverse_rows  # noqa: F401
-from .scalars import QQ, Cyc, CyclotomicField, cyclotomic_polynomial
+from .scalars import QQ, CyclotomicField, cyclotomic_polynomial
 
 
 class BadPrime(Exception):
@@ -87,11 +87,11 @@ def primitive_root(p: int) -> int:
 
 
 def _nums_den(x):
-    """Integer numerators and the common denominator of a scalar of Q or
-    Q(zeta_n)."""
-    if isinstance(x, Cyc):
-        return x.nums, x.den
-    return (int(x.numerator),), int(x.denominator)
+    """Integer numerators and the common denominator of a scalar, or of an
+    int (a value of ``integral_table``)."""
+    if isinstance(x, int):
+        return (x,), 1
+    return x.nums, x.den
 
 
 def norm1(x, scale):
@@ -116,7 +116,8 @@ def embedding_factor(n: int):
     inv = inverse_rows(QQ, [{l: QQ.from_int(trace[k + l])
                              for l in range(phi) if trace[k + l]}
                             for k in range(phi)])
-    return phi * max(sum(map(abs, row.values())) for row in inv)
+    return phi * max(sum(abs(QQ.as_rat(c)) for c in row.values())
+                     for row in inv)
 
 
 def scalar_denominators(scalars):
@@ -134,26 +135,36 @@ def structure_denominator(algebra):
     return algebra.integral_table[0] * _common_den(algebra.unit)
 
 
-def good_primes(algebra, lower=None):
-    """Yield candidate good primes for the modular pipeline.
+def bad_prime_reason(algebra, p):
+    """Why p is not a good prime for the modular pipeline, or None when it
+    is one.
 
-    Policy: p = 1 (mod conductor), p > 2 dim, p does not divide dim or any
-    structure-constant denominator.  Semisimplicity conditions (Gram
-    nondegenerate mod p, Gamma(1) nonzero mod p) are checked downstream and
-    reported as BadPrime.
+    Policy: p is prime, p = 1 (mod conductor), p > 2 dim (so traces of
+    projections are exact dimensions), and p divides no structure-constant
+    denominator.  Semisimplicity conditions (Gram nondegenerate mod p,
+    Gamma(1) nonzero mod p) are checked downstream and reported as
+    BadPrime.
     """
     n = algebra.field.conductor
-    den = structure_denominator(algebra)
-    p = max(2 * algebra.dim, lower or 0, n, 2)
+    if not is_prime(p):
+        return f"{p} is not prime"
+    if p % n != 1 % n:
+        return f"{p} is not 1 mod the conductor {n}"
+    if p <= 2 * algebra.dim:
+        return f"{p} is not greater than twice the dimension"
+    if structure_denominator(algebra) % p == 0:
+        return f"{p} divides a structure-constant denominator"
+    return None
+
+
+def good_primes(algebra, lower=None):
+    """Yield the good primes (``bad_prime_reason``) above lower, in
+    increasing order."""
+    p = max(2 * algebra.dim, lower or 0, algebra.field.conductor, 2)
     while True:
         p += 1
-        if p % n != 1 % n or not is_prime(p):
-            continue
-        if algebra.dim % p == 0:
-            continue
-        if den % p == 0:
-            continue
-        yield p
+        if bad_prime_reason(algebra, p) is None:
+            yield p
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,29 @@
-"""Exact scalar arithmetic: rationals, cyclotomic numbers, prime residues.
+"""Exact scalar arithmetic: cyclotomic numbers and prime residues.
 
-Every scalar in the toolkit is one of three immutable types:
+Every scalar in the toolkit is one of two immutable types:
 
-* ``Rat`` -- arbitrary-precision rational (gmpy2.mpq when available,
-  ``fractions.Fraction`` otherwise), the scalars of Q;
 * ``Cyc`` -- element of Q(zeta_n): a tuple of Python ints, the numerators
   on the power basis 1, z, ..., z^(phi(n)-1), over one positive int
-  denominator, in lowest terms.  Sums, products and equality are integer
-  work; the inverse is the product of the other Galois conjugates over
-  the norm.  The operands that analyses carry most are taken apart: a
+  denominator, in lowest terms; Q is Q(zeta_1), so a rational scalar is
+  a ``Cyc`` too.  Sums, products and equality are integer work; the
+  inverse is the product of the other Galois conjugates over the norm.
+  The operands that analyses carry most are taken apart: a
   product with 1 returns the other factor, an int or rational factor
   scales the other's numerators, a sum that starts from the field's zero
   returns the other summand, and a rational divisor scales by its
   reciprocal.  So only two non-rational factors take the power-basis
   product, and only a denominator other than 1 takes a gcd.  Every result
   is in lowest terms, and a rational value hashes as its ``Rat``.
-  ``Rat`` appears only at the boundary (``element``, ``to_qvec``,
-  ``as_rat``, ``sort_key``, ``format``, ``parse``);
+  ``Rat`` (``fractions.Fraction``) appears only at the boundary
+  (``element``, ``rats``, ``as_rat``, ``sort_key``, ``parse``);
 * ``PrimeFieldElement`` -- residue modulo a prime (or prime power).  The
   modular pipeline holds F_p values as plain ints; the boxed residue
   serves the reference paths of the tests.
 
-Fields are represented by small descriptor objects (``RationalField``,
-``CyclotomicField``) that hand out zero/one, coerce values and
-parse/format the string serialization used by the JSON schemas.
+Fields are ``CyclotomicField`` objects, one per conductor, that hand out
+zero/one and parse/format the string serialization used by the JSON
+schemas.  ``QQ`` is the field of conductor 1, which reads and writes its
+documents as {"type": "rational"}.
 """
 
 from __future__ import annotations
@@ -33,33 +33,16 @@ import math
 import operator
 import re
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # supported fallback when gmpy2 cannot be imported
-    from fractions import Fraction as Rat
-
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
+from fractions import Fraction as Rat
 
 
 def rat(x) -> Rat:
     """Coerce an int, string or rational into a Rat."""
     if isinstance(x, Rat):
         return x
-    if isinstance(x, int):
-        return Rat(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Rat(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
-
-
-def rat_str(x) -> str:
-    n, d = x.numerator, x.denominator
-    return str(int(n)) if d == 1 else f"{int(n)}/{int(d)}"
-
-
-def is_integer_rat(x) -> bool:
-    return x.denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,9 @@ class Cyc:
 
 
 class CyclotomicField:
-    """Q(zeta_n), conductor fixed, dense power-basis representation."""
+    """Q(zeta_n), conductor fixed, dense power-basis representation.
+    Conductor 1 is Q: its documents name it {"type": "rational"}, and it
+    parses whatever ``fractions.Fraction`` reads."""
 
     _instances = {}
 
@@ -393,15 +378,15 @@ class CyclotomicField:
         coeffs = [rat(c) for c in coeffs]
         if len(coeffs) != self.phi:
             raise ValueError(f"expected {self.phi} coefficients")
-        den = math.lcm(*[int(c.denominator) for c in coeffs])
-        return Cyc(self, tuple([int(c.numerator) * (den // int(c.denominator))
+        den = math.lcm(*[c.denominator for c in coeffs])
+        return Cyc(self, tuple([c.numerator * (den // c.denominator)
                                 for c in coeffs]), den)
 
     def from_rat(self, x):
         if isinstance(x, int):
             return Cyc(self, (int(x),) + self._pad)
         x = rat(x)
-        return Cyc(self, (int(x.numerator),) + self._pad, int(x.denominator))
+        return Cyc(self, (x.numerator,) + self._pad, x.denominator)
 
     from_int = from_rat
 
@@ -417,28 +402,11 @@ class CyclotomicField:
             return Cyc(self, tuple(mono))
         return Cyc(self, self._zeta_powers[power])
 
-    # -- generic field surface -------------------------------------------
-    def coerce(self, x):
-        if isinstance(x, Cyc):
-            if x.field.conductor != self.conductor:
-                raise ConductorMismatch(
-                    f"conductor {x.field.conductor} != {self.conductor}")
-            return x
-        return self.from_rat(x)
-
-    def to_qvec(self, x):
-        return self.coerce(x).rats()
-
-    def is_rational(self, x) -> bool:
-        return x.is_rational()
-
+    # -- boundary: Rat values and strings --------------------------------
     def as_rat(self, x):
         if not x.is_rational():
             raise ValueError(f"{self.format(x)} is not rational")
         return Rat(x.nums[0], x.den)
-
-    def sort_key(self, x):
-        return x.sort_key()
 
     _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
 
@@ -465,9 +433,11 @@ class CyclotomicField:
 
     def parse(self, s: str):
         s = s.strip()
+        if self.conductor == 1:
+            return self.from_rat(Rat(s))
         if s == "0":
             return self.zero
-        coeffs = [RAT_ZERO] * self.phi
+        coeffs = [Rat(0)] * self.phi
         for term in s.split(" + "):
             m = self._TERM_RE.match(term.strip())
             if not m:
@@ -482,70 +452,18 @@ class CyclotomicField:
         return self.element(coeffs)
 
     def describe(self):
+        if self.conductor == 1:
+            return {"type": "rational"}
         return {"type": "cyclotomic", "conductor": self.conductor}
 
     def __repr__(self):
         return f"CyclotomicField({self.conductor})"
 
 
-class RationalField:
-    """The field Q; elements are plain Rat values."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            self = super().__new__(cls)
-            self.conductor = 1
-            self.phi = 1
-            self.zero = RAT_ZERO
-            self.one = RAT_ONE
-            cls._instance = self
-        return cls._instance
-
-    def from_rat(self, x):
-        return rat(x)
-
-    from_int = from_rat
-    coerce = from_rat
-
-    def from_nums(self, nums, den):
-        (a,) = nums
-        return Rat(a, den)
-
-    def element(self, coeffs):
-        (c,) = coeffs
-        return rat(c)
-
-    def to_qvec(self, x):
-        return [rat(x)]
-
-    def is_rational(self, x) -> bool:
-        return True
-
-    def as_rat(self, x):
-        return rat(x)
-
-    def sort_key(self, x):
-        return (rat(x),)
-
-    def format(self, x) -> str:
-        return rat_str(x)
-
-    def parse(self, s: str):
-        return rat(s.strip())
-
-    def describe(self):
-        return {"type": "rational"}
-
-    def __repr__(self):
-        return "RationalField()"
+QQ = CyclotomicField(1)
 
 
-QQ = RationalField()
-
-
-def field_from_descriptor(desc) -> "RationalField | CyclotomicField":
+def field_from_descriptor(desc) -> CyclotomicField:
     """The field named by a JSON descriptor; ValueError when malformed."""
     kind = desc.get("type") if isinstance(desc, dict) else None
     if kind == "rational":

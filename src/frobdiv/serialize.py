@@ -24,7 +24,7 @@ import math
 import re
 
 from .algebra import StructureConstantAlgebra
-from .scalars import CyclotomicField, QQ, field_from_descriptor
+from .scalars import CyclotomicField, field_from_descriptor
 
 
 # The most digits of an integer in a scalar string, on every Python version
@@ -69,7 +69,7 @@ def algebra_from_json(doc, conductor=None):
     if conductor is not None:
         _require(conductor % source.conductor == 0, f"conductor {conductor} "
                  f"is not a multiple of {source.conductor}")
-        field = CyclotomicField(conductor) if conductor > 1 else QQ
+        field = CyclotomicField(conductor)
     scalar = _reader(source, field)
     entries = _list(doc, "structure_constants")
     unit = _parse_vector(scalar, doc["unit"], dim, "unit")
@@ -103,14 +103,12 @@ def _reader(source, field):
     zeta_m -> zeta_N^(N/m)."""
     if field is source:
         return lambda s: _parse_scalar(source, s)
-    if field is QQ:  # from Q(zeta_1)
-        return lambda s: source.as_rat(_parse_scalar(source, s))
     step = field.conductor // source.conductor
     powers = [field.zeta(i * step) for i in range(source.phi)]
 
     def scalar(s):
         out = field.zero
-        for q, z in zip(source.to_qvec(_parse_scalar(source, s)), powers):
+        for q, z in zip(_parse_scalar(source, s).rats(), powers):
             if q:
                 out = out + field.from_rat(q) * z
         return out

@@ -39,12 +39,12 @@ import random
 from .algebra import combine, frobenius_structure, table_product
 from .linalg import EchelonSubspace, Poly, iterates, krylov_relation, sparse
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _trim,
-                      component_roots, embedding_factor, good_primes,
-                      hensel_lift_idempotent, is_prime, is_squarefree_mod,
-                      modular_split, newton_lift, norm1, precision_for,
-                      reconstruct_element, reduce_scalar, roots_mod_p,
-                      scalar_denominators, structure_denominator)
-from .scalars import Rat
+                      bad_prime_reason, component_roots, embedding_factor,
+                      good_primes, hensel_lift_idempotent, is_prime,
+                      is_squarefree_mod, modular_split, newton_lift, norm1,
+                      precision_for, reconstruct_element, reduce_scalar,
+                      roots_mod_p, scalar_denominators)
+from .scalars import Cyc
 
 FALLBACK_PRIMES = 3
 # Random combinations of the block basis a split certificate tries last.
@@ -118,7 +118,9 @@ def _raw_idempotents(algebra, dual, prime=None, seed=0):
     aligned ModularBlock records.  ``dual`` maps traces v to the element e
     with chi_reg(x_j e) = v_j."""
     if prime is not None:
-        _check_explicit_prime(algebra, prime)
+        reason = bad_prime_reason(algebra, prime)
+        if reason is not None:
+            raise BadPrime(reason)
         primes = [prime]
     else:
         primes = list(itertools.islice(good_primes(algebra), FALLBACK_PRIMES))
@@ -131,21 +133,6 @@ def _raw_idempotents(algebra, dual, prime=None, seed=0):
             continue
     raise PrecisionExceeded(
         f"no prime in {primes} yielded verified idempotents: {last_err}")
-
-
-def _check_explicit_prime(algebra, p):
-    """Apply the good-prime policy to a user-supplied prime."""
-    if not is_prime(p):
-        raise BadPrime(f"{p} is not prime")
-    n = algebra.field.conductor
-    if p % n != 1 % n:
-        raise BadPrime(f"{p} is not 1 mod the conductor {n}")
-    if p <= 2 * algebra.dim:
-        raise BadPrime(f"{p} is not greater than twice the dimension")
-    if algebra.dim % p == 0:
-        raise BadPrime(f"{p} divides the dimension")
-    if structure_denominator(algebra) % p == 0:
-        raise BadPrime(f"{p} divides a structure-constant denominator")
 
 
 def _split_components(algebra, p, seed):
@@ -337,7 +324,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
                                     "the modular one")
         block_dims.append(b.block_dim)
         # chi_S(x_j) = chi_reg(x_j e_S) / (d_S * center_dim_S)
-        denom = field.from_rat(Rat(b.degree * b.center_dim))
+        denom = field.from_int(b.degree * b.center_dim)
         characters.append([x / denom for x in v])
         if b.center_dim == 1 and b.degree > 1:
             certified.append(certify_split_block(algebra, e, b.degree,
@@ -348,7 +335,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
 
     order = sorted(range(len(idems)),
                    key=lambda s: (degrees[s],
-                                  [field.sort_key(c) for c in characters[s]]))
+                                  [c.sort_key() for c in characters[s]]))
     idems, degrees, block_dims, center_dims, characters, certified = (
         [xs[s] for s in order] for xs in (idems, degrees, block_dims,
                                           center_dims, characters, certified))
@@ -437,7 +424,7 @@ def _split_candidates(algebra, images, block, seed):
     yield from basis
     rng = random.Random(seed * 7 + 1)
     for _ in range(RANDOM_CANDIDATES):
-        yield combine((algebra.field.from_rat(Rat(rng.randrange(1, 5))), w)
+        yield combine((algebra.field.from_int(rng.randrange(1, 5)), w)
                       for w in basis)
 
 
@@ -485,7 +472,7 @@ def field_roots(field, coeffs, seed=0):
                                 bound, den)
         if t is not None and not g(t[0]):
             out.append(t[0])
-    return sorted(out, key=field.sort_key)
+    return sorted(out, key=Cyc.sort_key)
 
 
 def _simple_roots_mod_p(field, g, p, rng):
@@ -507,7 +494,5 @@ def _simple_roots_mod_p(field, g, p, rng):
 
 def gamma_one_eigenvalue(frobenius, data: WedderburnData, s: int):
     """Scalar by which Gamma(1) acts on the s-th irreducible block."""
-    algebra = data.algebra
-    val = algebra.apply_form(frobenius.gamma_one(), data.characters[s])
-    return val / algebra.field.from_rat(Rat(data.degrees[s]
-                                             * data.center_dims[s]))
+    val = data.algebra.apply_form(frobenius.gamma_one(), data.characters[s])
+    return val / (data.degrees[s] * data.center_dims[s])

@@ -23,11 +23,11 @@ import itertools
 import math
 import re
 
-from frobdiv import (QQ, Matrix, Poly, Rat, StructureConstantAlgebra,
+from frobdiv import (Matrix, Poly, Rat, StructureConstantAlgebra,
                      VerificationReport, cyclotomic_polynomial)
 from frobdiv.hopf import HopfAlgebraData
 from frobdiv.modular import BadPrime
-from frobdiv.scalars import PrimeFieldElement, rat_str
+from frobdiv.scalars import PrimeFieldElement
 
 
 def dense_verify(A):
@@ -571,9 +571,8 @@ def carrier_minimal_polynomial(carrier, a):
     coefficients, from the powers carrier.mult(a, .) of the unit; the
     carrier's elements are sparse dicts, each power is reduced as the dense
     list of its carrier.dim coefficients."""
-    from frobdiv import QQ
     field = carrier.field
-    zero, one = QQ.zero, QQ.one
+    zero, one = Rat(0), Rat(1)
 
     def dense(v):
         return [v.get(i, field.zero) for i in range(carrier.dim)]
@@ -584,7 +583,7 @@ def carrier_minimal_polynomial(carrier, a):
     while True:
         row = []
         for c in vec:
-            row.extend(field.to_qvec(c))
+            row.extend(c.rats())
         cmb = list(comb)
         for pidx, prow, pcmb in reduced:
             c = row[pidx]
@@ -954,10 +953,11 @@ def _reduction_table(n):
 
 class RefCyc:
     """An element of Q(zeta_n) as ``scalars.Cyc`` once stored it: one Rat
-    per power-basis coefficient.  Products are reduced with the rows
-    x^(phi+j), and the inverse is ``poly_inverse_mod`` modulo Phi_n over
-    Q.  Format, parse and reduction mod p^m read the coefficients one by
-    one."""
+    per power-basis coefficient, with arithmetic of its own on Rats and
+    no field object.  Products are reduced with the rows x^(phi+j), and
+    the inverse y solves the linear system a y = 1 whose columns are the
+    products a z^j.  Format, parse and reduction mod p^m read the
+    coefficients one by one."""
 
     _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)(?:\*z(?:\^(\d+))?)?$")
 
@@ -994,11 +994,23 @@ class RefCyc:
         return self._with(out)
 
     def inv(self):
-        if not any(self.coeffs):
-            raise ZeroDivisionError("inversion of zero")
-        phi_poly = poly_from_ints(QQ, cyclotomic_polynomial(self.n))
-        s = poly_inverse_mod(Poly(QQ, list(self.coeffs)), phi_poly)
-        return self._with(s.coeffs + [Rat(0)] * (self.phi - len(s.coeffs)))
+        """Gauss-Jordan elimination on the rows [M | e_0], column j of M
+        the coefficients of self z^j; M is singular only for zero."""
+        phi = self.phi
+        e = [[Rat(int(i == j)) for i in range(phi)] for j in range(phi)]
+        cols = [(self * self._with(e[j])).coeffs for j in range(phi)]
+        rows = [[col[i] for col in cols] + [e[0][i]] for i in range(phi)]
+        for c in range(phi):
+            piv = next((r for r in range(c, phi) if rows[r][c]), None)
+            if piv is None:
+                raise ZeroDivisionError("inversion of zero")
+            rows[c], rows[piv] = rows[piv], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(phi):
+                if r != c and rows[r][c]:
+                    f = rows[r][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+        return self._with([row[-1] for row in rows])
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -1026,11 +1038,11 @@ class RefCyc:
             if c == 0:
                 continue
             if k == 0:
-                terms.append(rat_str(c))
+                terms.append(str(c))
             elif k == 1:
-                terms.append(f"{rat_str(c)}*z")
+                terms.append(f"{c}*z")
             else:
-                terms.append(f"{rat_str(c)}*z^{k}")
+                terms.append(f"{c}*z^{k}")
         return " + ".join(terms) if terms else "0"
 
     @classmethod
@@ -1263,7 +1275,7 @@ def trial_field_roots(field, coeffs, seed=0):
         if comp_roots is not None:
             break
     return sorted(set(lift_roots(field, g, p, comp_roots)),
-                  key=field.sort_key)
+                  key=lambda t: t.sort_key())
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def closed_form_minpoly(F, data):
     roots = set()
     for s, d in enumerate(data.degrees):
         g = gamma_one_eigenvalue(F, data, s)
-        assert field.is_rational(g)
+        assert g.is_rational()
         g = field.as_rat(g)
         roots |= {g} if d == 1 else {g / d, -g / d}
     if data.num_blocks > 1:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from frobdiv import named_group
 from frobdiv.cli import CHECKS, main
 from frobdiv.scalars import rat
 from frobdiv.serialize import algebra_to_json, canonical_dumps
@@ -344,21 +345,24 @@ def test_conductor_one_on_a_rational_document(tmp_path):
 
 
 def test_conductor_one_on_a_document_over_q_zeta_1(tmp_path):
-    # kS3 over Q with its field written as Q(zeta_1): --conductor 1 maps
-    # it into Q, to the sections of the rational document
+    # kS3 over Q with its field written as Q(zeta_1), which is Q: with
+    # --conductor 1 or without it, the sections of the rational document,
+    # whose field line reads Q
     inp = build(tmp_path, "--group", "S3", "--conductor", "1")
     doc = json.loads(inp.read_text())
     doc["field"] = {"type": "cyclotomic", "conductor": 1}
     zeta_1 = tmp_path / "zeta-1.json"
     zeta_1.write_text(json.dumps(doc))
-    outs = [tmp_path / "plain.json", tmp_path / "zeta-1-report.json"]
-    codes = [main(["analyze", str(inp), "--format", "json", "--out",
-                   str(outs[0])]),
-             main(["analyze", str(zeta_1), "--conductor", "1", "--format",
-                   "json", "--out", str(outs[1])])]
-    assert codes[0] == codes[1]
-    sections = [json.loads(out.read_text())["sections"] for out in outs]
-    assert sections[0] == sections[1]
+    runs = [[inp], [zeta_1, "--conductor", "1"], [zeta_1]]
+    codes, sections = [], []
+    for k, (path, *flags) in enumerate(runs):
+        out = tmp_path / f"report-{k}.json"
+        codes.append(main(["analyze", str(path), *flags, "--format", "json",
+                           "--out", str(out)]))
+        sections.append(json.loads(out.read_text())["sections"])
+    assert codes == [codes[0]] * 3
+    assert sections == [sections[0]] * 3
+    assert ["field", "Q"] in sections[0][0]["items"]
 
 
 def test_conductor_one_on_a_cyclotomic_document_exit_2(tmp_path):
@@ -412,10 +416,60 @@ def test_lambda_on_a_hopf_document_exit_2(tmp_path, capsys, mode):
                  "--check", "fd"]) == 0
 
 
-def test_bad_prime_exit_3(tmp_path, capsys):
-    inp = build(tmp_path, "--group", "S3")
-    # 5 is below twice the dimension and 2 mod 3: rejected up front
-    assert main(["analyze", str(inp), "--check", "fd", "--prime", "5"]) == 3
+def _scaled_s3_over_q(tmp_path):
+    """kS3 over Q on the basis 13 x_g (not a Hopf document): every
+    structure constant is 13 and the unit is x_e / 13, so 13 divides a
+    structure-constant denominator."""
+    G = named_group("S3")
+    doc = {"dim": G.order, "field": {"type": "rational"},
+           "structure_constants": [[i, j, G.table[i][j], "13"]
+                                   for i in range(G.order)
+                                   for j in range(G.order)],
+           "unit": ["1/13" if i == G.identity else "0"
+                    for i in range(G.order)]}
+    inp = tmp_path / "scaled.json"
+    inp.write_text(json.dumps(doc))
+    return inp
+
+
+BAD_PRIMES = {
+    # kS3 over Q(zeta_6), dim 6
+    "not-prime": (None, "10", "10 is not prime"),
+    "not-1-mod-n": (None, "5", "5 is not 1 mod the conductor 6"),
+    "below-twice-dim": (None, "7", "7 is not greater than twice the "
+                                   "dimension"),
+    "divides-denominator": (_scaled_s3_over_q, "13",
+                            "13 divides a structure-constant denominator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PRIMES))
+def test_bad_prime_exit_2(tmp_path, capsys, case):
+    # a --prime that breaks the good-prime policy is invalid input,
+    # rejected before any analysis with one line
+    make, prime, reason = BAD_PRIMES[case]
+    inp = make(tmp_path) if make else build(tmp_path, "--group", "S3")
+    capsys.readouterr()
+    assert main(["analyze", str(inp), "--check", "fd", "--prime",
+                 prime]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"invalid input: {reason}\n"
+
+
+def test_bad_prime_found_downstream_exit_3(tmp_path, capsys):
+    # Q(sqrt 13) = Q[x]/(x^2 - 13) passes the policy at 13, but is not
+    # semisimple mod 13: the pinned prime fails in the modular pipeline
+    doc = {"dim": 2, "field": {"type": "rational"},
+           "structure_constants": [[0, 0, 0, "1"], [0, 1, 1, "1"],
+                                   [1, 0, 1, "1"], [1, 1, 0, "13"]],
+           "unit": ["1", "0"]}
+    inp = tmp_path / "sqrt13.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["analyze", str(inp), "--prime", "13"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("modular pipeline failed: ")
+    assert err.count("\n") == 1
+    assert main(["analyze", str(inp), "--out", str(tmp_path / "r")]) == 1
 
 
 def test_build_dual_and_analyze(tmp_path):

@@ -18,6 +18,10 @@ Q(zeta_12) on the basis ((1 + i)/2) x_g, whose table has the common
 denominator D = 2 and irrational constants, so that the integral table
 holds integral ``Cyc`` values, was generated at commit ae694ee, before
 the sparse product and the linear combinations were written once each.
+The reports of kS3 and kQ8 built over Q (``build --conductor 1``), the
+first passing every section and the second non-split, so that its
+Frobenius-divisibility section is inapplicable, were generated at commit
+9422d92, while Q still had a field class and a scalar type of its own.
 
 A change that means to alter a report regenerates the files with
 
@@ -67,6 +71,10 @@ CASES = {
     # the regular form gives Gamma(1) = 1: a negative verdict, exit 1
     "m3-m2-m1": (matrix_units, ["--check", "fd"], 1),
     "group-s3-rescaled-at-12": (rescaled_s3, ["--check", "all"], 0),
+    "group-s3-over-q": (["--group", "S3", "--conductor", "1"],
+                        ["--check", "all"], 0),
+    # Q8 has a degree-2 block that does not split over Q: exit 1
+    "group-q8-over-q": (["--group", "Q8", "--conductor", "1"], [], 1),
 }
 
 

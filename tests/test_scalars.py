@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobdiv import QQ, CyclotomicField, Rat
+from frobdiv import (QQ, CyclotomicField, HopfAnalysis, Rat,
+                     frobenius_divisibility_hopf, group_algebra, named_group)
 from frobdiv.modular import BadPrime, component_roots, reduce_scalar
 from frobdiv.scalars import (ConductorMismatch, Cyc, cyclotomic_polynomial,
-                             rat_str)
+                             field_from_descriptor)
+from frobdiv.serialize import hopf_from_json, hopf_to_json
 
 from dense_oracle import PrimeField, RefCyc, rational_reconstruct
 
@@ -105,7 +107,7 @@ def _format_from_rats(x):
     terms = []
     for k, c in enumerate(x.rats()):
         if c:
-            r = rat_str(c)
+            r = str(c)
             terms.append(r if k == 0 else f"{r}*z" if k == 1
                          else f"{r}*z^{k}")
     return " + ".join(terms) if terms else "0"
@@ -213,10 +215,33 @@ def test_euler_phi():
         [1, 1, 2, 2, 2, 4, 16]
 
 
+def test_q_is_the_field_of_conductor_1():
+    assert CyclotomicField(1) is QQ
+    for desc in ({"type": "rational"}, {"type": "cyclotomic", "conductor": 1}):
+        assert field_from_descriptor(desc) is QQ
+    assert QQ.describe() == {"type": "rational"}
+
+
+def test_every_scalar_of_a_q_algebra_is_a_cyc():
+    # kS3 over Q, read from its document: its table, unit, Wedderburn
+    # characters and Casimir certificate hold values of Q(zeta_1)
+    doc = hopf_to_json(group_algebra(named_group("S3"), conductor=1))
+    H = hopf_from_json(doc)[0]
+    session = HopfAnalysis(H)
+    cert = frobenius_divisibility_hopf(session).casimir_cert
+    A = H.algebra
+    scalars = ([c for row in A.table for cell in row for c in cell.values()]
+               + A.unit
+               + [c for chi in session.wedderburn.characters for c in chi]
+               + cert.min_poly)
+    assert all(type(c) is Cyc and c.field is QQ for c in scalars)
+    assert cert.poly_strings() == [QQ.format(c) for c in cert.min_poly]
+
+
 def test_qvec_round_trip():
     K = CyclotomicField(8)
     x = K.zeta(3) - K.from_rat(Rat(5, 3)) * K.zeta() + K.one
-    assert K.element(K.to_qvec(x)) == x
+    assert K.element(x.rats()) == x
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +282,8 @@ def assert_normal(x):
 
 def assert_same(K, x, ref):
     assert_normal(x)
-    assert K.to_qvec(x) == list(ref.coeffs)
-    assert all(isinstance(c, Rat) for c in K.to_qvec(x))
+    assert x.rats() == list(ref.coeffs)
+    assert all(isinstance(c, Rat) for c in x.rats())
 
 
 @DIFFERENTIAL
@@ -315,14 +340,14 @@ def test_hash_sort_key_format_match_reference(case):
     assert (x + y) - y == x and hash((x + y) - y) == hash(x)
     assert x * y == y * x and hash(x * y) == hash(y * x)
     assert (hash(x) == hash(y)) or (rx != ry)
-    assert x.sort_key() == K.sort_key(x) == rx.sort_key()
-    assert (K.sort_key(x) < K.sort_key(y)) == (rx.sort_key() < ry.sort_key())
+    assert x.sort_key() == rx.sort_key()
+    assert (x.sort_key() < y.sort_key()) == (rx.sort_key() < ry.sort_key())
     assert K.format(x) == rx.format() == repr(x)
     assert K.parse(rx.format()) == x
     assert RefCyc.parse(n, K.phi, K.format(x)) == rx
     assert K.element(list(rx.coeffs)) == x
     if not any(a[1:]):
-        assert K.is_rational(x) and K.as_rat(x) == a[0]
+        assert x.is_rational() and K.as_rat(x) == a[0]
         # a rational value equals and hashes as its Rat (an integer as
         # its int), so a set holds the two once
         assert x == a[0] and hash(x) == hash(a[0]) and len({x, a[0]}) == 1
@@ -349,7 +374,7 @@ def test_short_cut_operands_match_reference(case, s):
     zeros = [Rat(0)] * (K.phi - 1)
     s = {"rational": K.element([b[0]] + zeros), "one": K.one,
          "zero": K.zero}.get(s, s)
-    rs = RefCyc(n, K.to_qvec(s) if isinstance(s, Cyc) else [Rat(s)] + zeros)
+    rs = RefCyc(n, s.rats() if isinstance(s, Cyc) else [Rat(s)] + zeros)
     x, rx = K.element(a), RefCyc(n, a)
     results = [(x + s, rx + rs), (s + x, rs + rx), (x - s, rx - rs),
                (s - x, rs - rx), (x * s, rx * rs), (s * x, rs * rx)]

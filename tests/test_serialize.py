@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from frobdiv import CyclotomicField, integrals, group_algebra, named_group
+from frobdiv import (QQ, CyclotomicField, Rat, integrals, group_algebra,
+                     named_group)
 from frobdiv.cli import main
 from frobdiv.serialize import (
     SchemaError,
@@ -96,6 +97,18 @@ def test_hopf_schema_errors():
     bad["antipode"] = [[0, 9, "1"]]
     with pytest.raises(SchemaError):
         hopf_from_json(bad)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("1.5", Rat(3, 2)), ("+2", Rat(2)), (" 3 ", Rat(3)), ("1_000", Rat(1000)),
+    ("-4/6", Rat(-2, 3))])
+def test_rational_document_reads_fraction_strings(text, value):
+    # a rational document reads whatever fractions.Fraction reads
+    doc = algebra_to_json(group_algebra_plain("C2"))
+    doc["unit"] = [text, "0"]
+    A = algebra_from_json(doc)[0]
+    assert A.unit[0] == QQ.from_rat(value)
+    assert QQ.format(A.unit[0]) == str(value)
 
 
 def test_bad_scalar_string():
