@@ -161,7 +161,7 @@ def _check_fd_plain(algebra, lam, args, sections):
              ("split certified", " ".join("yes" if f else "no"
                                           for f in data.split_certified))]
     try:
-        verdict = frobenius_divisibility_verdict(algebra, frob, data)
+        verdict = frobenius_divisibility_verdict(frob, data)
     except InapplicableHypothesis as err:
         sections.append(Section("frobenius divisibility", "inapplicable",
                                 items + [("reason", str(err))]))

@@ -733,8 +733,8 @@ def frobenius_divisibility_hopf(session: HopfAnalysis):
     H must already have passed ``verify_hopf``; like the other checkers,
     this does not check the axioms again."""
     hopf_casimir(session)
-    return frobenius_divisibility_verdict(
-        session.H.algebra, session.frobenius, session.wedderburn)
+    return frobenius_divisibility_verdict(session.frobenius,
+                                          session.wedderburn)
 
 
 class ZhuEntry:
@@ -897,19 +897,16 @@ def r_products(A, Rd):
 class FactorizableVerdict:
     """Whether Phi is bijective, with its rank."""
 
-    def __init__(self, factorizable, rank, dim, proof_identities):
+    def __init__(self, factorizable, rank, dim):
         self.factorizable = factorizable
         self.rank = rank
         self.dim = dim
-        self.proof_identities = proof_identities
 
 
 def factorizable_check(Q: QuasitriangularData) -> FactorizableVerdict:
-    """Phi bijective <=> factorizable; also the proof identity
-    <eps, b1> b2 = 1.  Phi(delta^j) = sum_i b_ij x_i, so the rank of Phi
-    is that of the rows {j: b_ij} of b."""
+    """Phi bijective <=> factorizable.  Phi(delta^j) = sum_i b_ij x_i, so
+    the rank of Phi is that of the rows {j: b_ij} of b."""
     H = Q.H
-    A = H.algebra
     field = H.field
     n = H.dim
     if not Q.report.passed:
@@ -920,8 +917,7 @@ def factorizable_check(Q: QuasitriangularData) -> FactorizableVerdict:
         i, j = divmod(idx, n)
         rows.setdefault(i, {})[j] = c
     rank = EchelonSubspace(field, n, rows.values()).dim
-    ident = contract_left(field, H.counit, Q.b, n) == A.unit
-    return FactorizableVerdict(rank == n, rank, n, (ident,))
+    return FactorizableVerdict(rank == n, rank, n)
 
 
 class SchneiderReport:

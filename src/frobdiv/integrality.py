@@ -123,7 +123,7 @@ def _gamma_one_integer(frobenius):
     return scal.nums[0]
 
 
-def frobenius_divisibility_verdict(algebra, frobenius, data):
+def frobenius_divisibility_verdict(frobenius, data):
     """Divides-verdict with both routes computed independently: direct
     division tests d(S) | Gamma(1), and integrality of the Casimir element
     in A (x) A.  The routes must agree."""

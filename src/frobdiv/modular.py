@@ -9,11 +9,16 @@ constructor output with or without an embedding into a larger conductor,
 that is one split per prime.  A split works on the multiplication table of
 the mod-p centre, formed once from r(r+1)/2 products in the reduced
 algebra; finding the primitive idempotents then never touches the algebra.
-Each F_p value is a Python int in [0, p), a polynomial mod p an ascending
-int list, and every elimination runs through ``_echelon_add``.  Block
-dimensions are traces of projections: dim A e = rho(e) for the right
-regular character rho, and dim Z e the trace of multiplication by e on Z,
-both exact since p > 2 dim.
+
+A residue vector, an element of a reduction mod M = p^k or of its centre,
+is a sparse dict {index: int in [1, M)}, the form of every exact vector:
+each product of two is ``algebra.table_product`` on a reduced table and
+each linear combination ``algebra.combine``, both followed by one
+reduction mod M.  A polynomial mod p is an ascending int list, and every
+elimination runs through ``_echelon_add``.  Block dimensions are traces
+of projections: dim A e = rho(e) for the right regular character rho, and
+dim Z e the trace of multiplication by e on Z, both exact since
+p > 2 dim.
 
 Results come back as integers y of Q(zeta_n) whose conjugates the caller
 bounds by R, so that their power-basis coefficients are at most
@@ -31,7 +36,7 @@ import functools
 import math
 import random
 
-from .algebra import _common_den, center_conditions
+from .algebra import _common_den, center_conditions, combine, table_product
 # perfbench/traced.py times modular.EchelonSubspace.coords under this name
 from .linalg import EchelonSubspace, inverse_rows  # noqa: F401
 from .scalars import QQ, CyclotomicField, cyclotomic_polynomial
@@ -120,14 +125,6 @@ def embedding_factor(n: int):
                      for row in inv)
 
 
-def scalar_denominators(scalars):
-    """The common denominators other than 1 of the scalars: a prime that
-    divides none of them reduces every scalar."""
-    dens = {_nums_den(x)[1] for x in scalars}
-    dens.discard(1)
-    return dens
-
-
 def structure_denominator(algebra):
     """D den(1), for D the common denominator of the structure constants
     (read off ``integral_table``) and den(1) that of the unit: a good
@@ -135,36 +132,54 @@ def structure_denominator(algebra):
     return algebra.integral_table[0] * _common_den(algebra.unit)
 
 
-def bad_prime_reason(algebra, p):
-    """Why p is not a good prime for the modular pipeline, or None when it
-    is one.
-
-    Policy: p is prime, p = 1 (mod conductor), p > 2 dim (so traces of
-    projections are exact dimensions), and p divides no structure-constant
-    denominator.  Semisimplicity conditions (Gram nondegenerate mod p,
-    Gamma(1) nonzero mod p) are checked downstream and reported as
-    BadPrime.
-    """
-    n = algebra.field.conductor
+def prime_defect(p, conductor, floor, denominator):
+    """The good-prime policy: None when p is prime, p = 1 (mod conductor),
+    p > floor and p does not divide ``denominator``; otherwise the first
+    condition p breaks, as "prime", "conductor", "floor" or
+    "denominator"."""
     if not is_prime(p):
-        return f"{p} is not prime"
-    if p % n != 1 % n:
-        return f"{p} is not 1 mod the conductor {n}"
-    if p <= 2 * algebra.dim:
-        return f"{p} is not greater than twice the dimension"
-    if structure_denominator(algebra) % p == 0:
-        return f"{p} divides a structure-constant denominator"
+        return "prime"
+    if p % conductor != 1 % conductor:
+        return "conductor"
+    if p <= floor:
+        return "floor"
+    if denominator % p == 0:
+        return "denominator"
     return None
+
+
+def prime_search(conductor, floor, denominator):
+    """Yield the primes that ``prime_defect`` passes, in increasing
+    order."""
+    p = max(floor, conductor, 2)
+    while True:
+        p += 1
+        if prime_defect(p, conductor, floor, denominator) is None:
+            yield p
+
+
+def bad_prime_reason(algebra, p):
+    """Why p is not a good prime for the modular pipeline, or None:
+    ``prime_defect`` with the floor 2 dim, so that traces of projections
+    are exact dimensions.  Semisimplicity mod p (Gram nondegenerate,
+    Gamma(1) nonzero) is checked downstream and reported as BadPrime."""
+    n = algebra.field.conductor
+    defect = prime_defect(p, n, 2 * algebra.dim,
+                          structure_denominator(algebra))
+    return defect and {
+        "prime": f"{p} is not prime",
+        "conductor": f"{p} is not 1 mod the conductor {n}",
+        "floor": f"{p} is not greater than twice the dimension",
+        "denominator": f"{p} divides a structure-constant denominator",
+    }[defect]
 
 
 def good_primes(algebra, lower=None):
     """Yield the good primes (``bad_prime_reason``) above lower, in
     increasing order."""
-    p = max(2 * algebra.dim, lower or 0, algebra.field.conductor, 2)
-    while True:
-        p += 1
-        if bad_prime_reason(algebra, p) is None:
-            yield p
+    return prime_search(algebra.field.conductor,
+                        max(2 * algebra.dim, lower or 0),
+                        structure_denominator(algebra))
 
 
 # ---------------------------------------------------------------------------
@@ -239,23 +254,30 @@ class ComponentAlgebra:
                         for k, c in cell.items()} if cell else no_terms
                        for cell in row]
                       for row in algebra.table]
-        self.unit = [reduce_scalar(c, root, M) for c in algebra.unit]
+        self.unit = self.reduce_vector(algebra.unit)
 
     def reduce_vector(self, vec):
-        return [reduce_scalar(c, self.root, self.M) for c in vec]
+        """The residue vector of a coefficient list of scalars."""
+        return _mod({k: reduce_scalar(c, self.root, self.M)
+                     for k, c in enumerate(vec) if c}, self.M)
 
-    def multiply(self, a, b):
-        M = self.M
-        out = [0] * self.dim
-        for i, ai in enumerate(a):
-            if ai:
-                row = self.table[i]
-                for j, bj in enumerate(b):
-                    if bj:
-                        f = ai * bj
-                        for k, c in row[j].items():
-                            out[k] = (out[k] + f * c) % M
-        return out
+
+def _mod(v, M):
+    """The sparse int vector v as a residue vector mod M: its entries in
+    [1, M), without zeros."""
+    return {k: r for k, x in v.items() if (r := x % M)}
+
+
+def product_mod(table, a, b, M):
+    """a b mod M for residue vectors a and b, read off the reduced
+    ``table`` by ``algebra.table_product``."""
+    return _mod(table_product(table, a, b), M)
+
+
+def combine_mod(terms, M):
+    """sum c v mod M over the pairs (c, v) of ``terms`` (int c, residue
+    vector v), formed by ``algebra.combine``."""
+    return _mod(combine(terms), M)
 
 
 # ---------------------------------------------------------------------------
@@ -268,29 +290,18 @@ def _echelon_add(rows, v, n, p):
     fully reduced rows {pivot: row} and keep it when a column below n is
     left (None); otherwise return it, a relation among the columns from n
     on, which never become pivots."""
-    v = {k: x % p for k, x in v.items() if x % p}
-    for c in [k for k in v if k in rows]:
-        _sub_mod(v, v[c], rows[c], p)
+    v = combine_mod([(1, v)] + [(-v[c], rows[c]) for c in v if c in rows],
+                    p)
     piv = min((k for k in v if k < n), default=None)
     if piv is None:
         return v
     inv = pow(v[piv], -1, p)
     v = {k: x * inv % p for k, x in v.items()}
-    for kept in rows.values():
+    for k, kept in rows.items():
         if piv in kept:
-            _sub_mod(kept, kept[piv], v, p)
+            rows[k] = combine_mod([(1, kept), (-kept[piv], v)], p)
     rows[piv] = v
     return None
-
-
-def _sub_mod(v, f, row, p):
-    """v -= f row mod p for sparse rows, in place, without zeros."""
-    for k, c in row.items():
-        x = (v.get(k, 0) - f * c) % p
-        if x:
-            v[k] = x
-        else:
-            v.pop(k, None)
 
 
 def _trim(a):
@@ -430,126 +441,108 @@ def center_mod_p(comp):
         if len(rows) == n:
             break
     free = [f for f in range(n) if f not in rows]
-    basis = []
-    for f in free:
-        vec = _basis_coord(f, n)
-        for piv, kept in rows.items():
-            vec[piv] = -kept.get(f, 0) % p
-        basis.append(vec)
+    basis = [_mod({f: 1, **{piv: -kept.get(f, 0)
+                            for piv, kept in rows.items()}}, p)
+             for f in free]
     return basis, free
 
 
 def _center_coords(center, vec, p):
-    """Coordinates of vec on the centre basis; None when it is not
-    central."""
+    """Coordinates of the residue vector vec on the centre basis, as a
+    residue vector; None when vec is not central."""
     basis, free = center
-    coords = [vec[f] for f in free]
-    return coords if _int_comb(basis, coords, p) == vec else None
+    coords = {i: vec[f] for i, f in enumerate(free) if f in vec}
+    return coords if _center_element(basis, coords, p) == vec else None
 
 
-def modular_split(comp, seed: int = 0):
+def _center_element(basis, coords, p):
+    return combine_mod(((c, basis[i]) for i, c in coords.items()), p)
+
+
+def modular_split(comp):
     """Central primitive idempotents and block invariants of a reduction
     ``comp`` of an algebra mod a prime p (a ``ComponentAlgebra`` at
     modulus p)."""
-    p = comp.M
-    rng = random.Random(seed * 1000003 + p)
+    p, n = comp.M, comp.dim
+    rng = random.Random(p)
 
     center = center_mod_p(comp)
     r = len(center[0])
     if r == 0:
         raise BadPrime("trivial center mod p")
-    cmult = _center_mult(comp, center)
+    table = _center_table(comp, center)
+    # the trace of multiplication by z_i on Z
+    traces = [sum(row[j].get(j, 0) for j in range(r)) % p for row in table]
 
     unit_coords = _center_coords(center, comp.unit, p)
     if unit_coords is None:
         raise BadPrime("unit not in computed center")
 
-    idems = _commutative_idempotents(cmult, unit_coords, r, p, rng)
+    idems = _commutative_idempotents(table, traces, unit_coords, p, rng)
 
     # rho_i = sum_j c_ji^j, the trace of right multiplication by x_i
     rho = [sum(row[i].get(j, 0) for j, row in enumerate(comp.table)) % p
-           for i in range(comp.dim)]
-    blocks = []
-    for e_coords in idems:
-        e_vec = _int_comb(center[0], e_coords, p)
-        blocks.append(_block_data(cmult, rho, e_vec, e_coords, r, p))
-    blocks.sort(key=lambda b: (b.degree, b.block_dim, b.central_idempotent))
+           for i in range(n)]
+    blocks = [_block_data(traces, rho, _center_element(center[0], e, p), e, p)
+              for e in idems]
+    blocks.sort(key=lambda b: (b.degree, b.block_dim,
+                               [b.central_idempotent.get(k, 0)
+                                for k in range(n)]))
     return blocks
 
 
-def _center_mult(comp, center):
-    """Multiplication of coordinate vectors on the basis z_1..z_r of the
-    centre Z of ``comp``, read off the r x r x r table of Z.
-
-    Z is commutative, so the table takes r(r+1)/2 products z_i z_j in
-    ``comp``, each solved once for its coordinates; ``table[i][j]`` lists
-    the nonzero ones as (k, c).  A product of two coordinate vectors then
-    combines rows of the table and never touches ``comp``."""
+def _center_table(comp, center):
+    """The multiplication table of the centre Z of ``comp`` on its basis
+    z_1..z_r: cell (i, j) holds the coordinates of z_i z_j, a residue
+    vector.  Z is commutative, so the table takes r(r+1)/2 products in
+    ``comp``; a product of two coordinate vectors is then read off it
+    (``product_mod``) and never touches ``comp``."""
     p = comp.M
     basis = center[0]
     r = len(basis)
     table = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            coords = _center_coords(center,
-                                    comp.multiply(basis[i], basis[j]), p)
+            coords = _center_coords(center, product_mod(
+                comp.table, basis[i], basis[j], p), p)
             if coords is None:
                 raise BadPrime("center not closed under multiplication")
-            table[i][j] = table[j][i] = [(k, c) for k, c in enumerate(coords)
-                                         if c]
-
-    def cmult(u_coords, v_coords):
-        out = [0] * r
-        for i, ui in enumerate(u_coords):
-            if ui:
-                row = table[i]
-                for j, vj in enumerate(v_coords):
-                    if vj:
-                        f = ui * vj
-                        for k, c in row[j]:
-                            out[k] += f * c
-        return [x % p for x in out]
-
-    return cmult
+            table[i][j] = table[j][i] = coords
+    return table
 
 
-def _int_comb(basis, coords, p):
-    out = [0] * len(basis[0])
-    for c, row in zip(coords, basis):
-        if c:
-            for i, x in enumerate(row):
-                out[i] = (out[i] + c * x) % p
-    return out
-
-
-def _commutative_idempotents(cmult, unit_coords, r, p, rng):
+def _commutative_idempotents(table, traces, unit_coords, p, rng):
     """Primitive idempotents of a commutative (semisimple) F_p-algebra given
-    by a multiplication callback on coordinate vectors.
+    by its multiplication table and the traces of multiplication by its
+    basis elements, as residue vectors of coordinates.
 
     Each round tries every piece against the basis directions (three
     random ones after r rounds) and replaces a piece that splits by its
     parts.  A piece e whose ideal e Z is 1-dimensional cannot split: it is
     marked final when it appears and never tried again.  The other pieces
     stay in the loop until a round splits none of them."""
+    r = len(table)
     pieces = [(unit_coords, r == 1)]
     changed = True
     rounds = 0
     while changed and rounds < r + 25:
         changed = False
         rounds += 1
-        directions = [_basis_coord(i, r) for i in range(r)]
+        directions = [{i: 1} for i in range(r)]
         if rounds > r:
-            directions = [[rng.randrange(p) for _ in range(r)] for _ in range(3)]
+            directions = [_mod(dict(enumerate([rng.randrange(p)
+                                               for _ in range(r)])), p)
+                          for _ in range(3)]
         new = []
         for e, final in pieces:
             split = None
             if not final:
                 for d in directions:
-                    split = _try_split(cmult, e, d, r, p, rng)
+                    split = _try_split(table, e, d, p, rng)
                     if split:
                         break
             if split:
-                new.extend((piece, _ideal_dim(cmult, piece, r, p) == 1)
+                new.extend((piece, _ideal_dim(traces, piece, p) == 1)
                            for piece in split)
                 changed = True
             else:
@@ -558,24 +551,25 @@ def _commutative_idempotents(cmult, unit_coords, r, p, rng):
     return [e for e, _ in pieces]
 
 
-def _ideal_dim(cmult, e, r, p):
+def _ideal_dim(traces, e, p):
     """dim e Z for an idempotent e: the trace of multiplication by e, a
-    projection of Z (exact as an integer, since r < p)."""
-    return sum(cmult(e, _basis_coord(j, r))[j] for j in range(r)) % p
+    projection of Z, read off the traces of the basis (exact as an
+    integer, since r < p)."""
+    return sum(traces[i] * x for i, x in e.items()) % p
 
 
-def _try_split(cmult, e, direction, r, p, rng):
+def _try_split(table, e, direction, p, rng):
     """The pieces of the ideal e Z cut out by the factors of the minimal
     polynomial of z = direction * e there; None if it has one factor."""
-    z = cmult(direction, e)
+    r = len(table)
+    z = product_mod(table, direction, e, p)
     # the columns of multiplication by z, and its Krylov relation from e:
     # v_k = z^k e enters with tracked column r + k set to 1
-    cols = [cmult(z, _basis_coord(j, r)) for j in range(r)]
+    cols = [product_mod(table, z, {j: 1}, p) for j in range(r)]
     rows, v, rel = {}, e, None
     while rel is None:
-        rel = _echelon_add(rows, {**dict(enumerate(v)), r + len(rows): 1},
-                           r, p)
-        v = _int_comb(cols, v, p)
+        rel = _echelon_add(rows, {**v, r + len(rows): 1}, r, p)
+        v = combine_mod(((x, cols[j]) for j, x in v.items()), p)
     rel = [rel.get(r + i, 0) for i in range(len(rows) + 1)]
     if len(rel) <= 2:
         return None
@@ -591,32 +585,26 @@ def _try_split(cmult, e, direction, r, p, rng):
         # fi: cof^(p^deg - 1) = 1 in the field F_p[x]/(fi)
         h = _poly_divmod(_poly_mul_mod(cof, _poly_pow_mod(
             cof, p ** (len(fi) - 1) - 2, fi, p), p), rel, p)[1]
-        pieces.append(_poly_eval_in_algebra(cmult, h, z, e, p))
+        pieces.append(_poly_eval_in_algebra(table, h, z, e, p))
     return pieces
 
 
-def _basis_coord(i, r):
-    v = [0] * r
-    v[i] = 1
-    return v
-
-
-def _poly_eval_in_algebra(cmult, poly, z, unit_e, p):
+def _poly_eval_in_algebra(table, poly, z, unit_e, p):
     """Evaluate a polynomial (int coefficient list) at z inside the ideal
     with unit unit_e."""
-    acc = [0] * len(z)
+    acc = {}
     for c in reversed(poly):
-        acc = cmult(acc, z)
+        acc = product_mod(table, acc, z, p)
         if c:
-            acc = [(a + c * u) % p for a, u in zip(acc, unit_e)]
+            acc = combine_mod([(1, acc), (c, unit_e)], p)
     return acc
 
 
-def _block_data(cmult, rho, e_vec, e_coords, r, p):
+def _block_data(traces, rho, e_vec, e_coords, p):
     """dim A e = rho(e) and dim Z e: the traces of the projections x -> x e
     of A and of Z, exact as integers since both are below p."""
-    bdim = sum(a * b for a, b in zip(rho, e_vec)) % p
-    cdim = _ideal_dim(cmult, e_coords, r, p)
+    bdim = sum(rho[k] * x for k, x in e_vec.items()) % p
+    cdim = _ideal_dim(traces, e_coords, p)
     if cdim == 0 or bdim % cdim != 0:
         raise BadPrime("inconsistent block dimensions")
     d2 = bdim // cdim
@@ -633,9 +621,9 @@ def _block_data(cmult, rho, e_vec, e_coords, r, p):
 
 def hensel_lift_idempotent(comp_M, e, M):
     """One lifting step e -> 3e^2 - 2e^3 in a component at modulus M."""
-    e2 = comp_M.multiply(e, e)
-    e3 = comp_M.multiply(e2, e)
-    return [(3 * a - 2 * b) % M for a, b in zip(e2, e3)]
+    e2 = product_mod(comp_M.table, e, e, M)
+    e3 = product_mod(comp_M.table, e2, e, M)
+    return combine_mod([(3, e2), (-2, e3)], M)
 
 
 @functools.lru_cache(maxsize=None)

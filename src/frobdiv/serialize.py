@@ -14,7 +14,9 @@ Hopf input extends this with "comultiplication" (triples
 [flat, "scalar"]).  All indices 0-based.
 
 Given a conductor N, each scalar of Q(zeta_m) is mapped into Q(zeta_N) as
-it is read, zeta_m -> zeta_N^(N/m); m must divide N.
+it is read, zeta_m -> zeta_N^(N/m) when m divides N.  For m = 2m' with m'
+odd, Q(zeta_m) = Q(zeta_m'), and m' dividing N is enough:
+zeta_m = -zeta_m'^((m'+1)/2) -> -zeta_N^((N/m')(m'+1)/2).
 """
 
 from __future__ import annotations
@@ -67,8 +69,9 @@ def algebra_from_json(doc, conductor=None):
         raise SchemaError(str(err)) from None
     field = source
     if conductor is not None:
-        _require(conductor % source.conductor == 0, f"conductor {conductor} "
-                 f"is not a multiple of {source.conductor}")
+        _require(_zeta_image(source.conductor, conductor) is not None,
+                 f"conductor {conductor} is not a multiple of "
+                 f"{source.conductor}")
         field = CyclotomicField(conductor)
     scalar = _reader(source, field)
     entries = _list(doc, "structure_constants")
@@ -99,12 +102,13 @@ def _parse_vector(scalar, raw, dim, what):
 
 def _reader(source, field):
     """The parser of the scalar strings of the document's field
-    ``source`` = Q(zeta_m), with values in ``field`` = Q(zeta_N) for m | N:
-    zeta_m -> zeta_N^(N/m)."""
+    ``source`` = Q(zeta_m), with values in ``field`` = Q(zeta_N) under
+    the embedding of ``_zeta_image``."""
     if field is source:
         return lambda s: _parse_scalar(source, s)
-    step = field.conductor // source.conductor
-    powers = [field.zeta(i * step) for i in range(source.phi)]
+    sign, step = _zeta_image(source.conductor, field.conductor)
+    powers = [-field.zeta(i * step) if sign < 0 and i % 2
+              else field.zeta(i * step) for i in range(source.phi)]
 
     def scalar(s):
         out = field.zero
@@ -113,6 +117,16 @@ def _reader(source, field):
                 out = out + field.from_rat(q) * z
         return out
     return scalar
+
+
+def _zeta_image(m, N):
+    """(sign, step) with zeta_m -> sign zeta_N^step an embedding of
+    Q(zeta_m) into Q(zeta_N), or None when there is none of that form."""
+    if N % m == 0:
+        return 1, N // m
+    if m % 4 == 2 and N % (m // 2) == 0:
+        return -1, N // (m // 2) * (m // 2 + 1) // 2
+    return None
 
 
 def _parse_scalar(field, s):

@@ -1,16 +1,19 @@
 """Characteristic-zero Wedderburn decomposition via modular splitting.
 
 The algebra is split mod a good prime p in every CRT component of the
-cyclotomic base field, on int residues (``modular.modular_split``, where
-block dimensions are traces of projections; the roots mod p behind
-``field_roots`` come from int polynomials too).  A central primitive
-idempotent e comes back from its regular traces v_j = chi_reg(x_j e), as
-in the paper's formula Gamma(1) e(S) = d(S) (chi_S (x) Id)(c).  With D the
-common denominator of the structure constants, D v_j is the trace of
-D L_{x_j} on A e, so its power-basis coefficients obey a bound B known in
-advance (``_trace_bound``).  Each mod-p block is Hensel-lifted
+cyclotomic base field, on residue vectors (``modular.modular_split``,
+where block dimensions are traces of projections; the roots mod p behind
+``field_roots`` come from int polynomials).  A residue vector is sparse
+like every exact vector, and its products are ``algebra.table_product``
+on the reduced table, reduced mod p^k (``modular.product_mod``).  A
+central primitive idempotent e comes back from its regular traces
+v_j = chi_reg(x_j e), as in the paper's formula
+Gamma(1) e(S) = d(S) (chi_S (x) Id)(c).  With D the common denominator
+of the structure constants, D v_j is the trace of D L_{x_j} on A e, so
+its power-basis coefficients obey a bound B known in advance
+(``_trace_bound``).  Each mod-p block is Hensel-lifted
 (e -> 3e^2 - 2e^3) to the one precision p^k > 2B, only when k > 1, and
-D v is read off the sparse table in each component.  A gluing of one
+D v is read off the reduced table in each component.  A gluing of one
 block per component is interpolated and rejected unless its symmetric
 residues lie within B; one that passes gives e = T^-1 v exactly through
 the dual basis of chi_reg (T_jk = chi_reg(x_j x_k)), the characters
@@ -33,17 +36,16 @@ glues D_g t for the roots t of g under a Cauchy bound.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
-from .algebra import combine, frobenius_structure, table_product
+from .algebra import _common_den, combine, frobenius_structure, table_product
 from .linalg import EchelonSubspace, Poly, iterates, krylov_relation, sparse
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _trim,
                       bad_prime_reason, component_roots, embedding_factor,
-                      good_primes, hensel_lift_idempotent, is_prime,
-                      is_squarefree_mod, modular_split, newton_lift, norm1,
-                      precision_for, reconstruct_element, reduce_scalar,
-                      roots_mod_p, scalar_denominators)
+                      good_primes, hensel_lift_idempotent, is_squarefree_mod,
+                      modular_split, newton_lift, norm1, precision_for,
+                      prime_search, product_mod, reconstruct_element,
+                      reduce_scalar, roots_mod_p)
 from .scalars import Cyc
 
 FALLBACK_PRIMES = 3
@@ -107,12 +109,12 @@ def _idempotent_mod_q(algebra, e, check_comps):
             v = comp.reduce_vector(e)
         except BadPrime:
             return True
-        if comp.multiply(v, v) != v:
+        if product_mod(comp.table, v, v, comp.M) != v:
             return False
     return True
 
 
-def _raw_idempotents(algebra, dual, prime=None, seed=0):
+def _raw_idempotents(algebra, dual, prime=None):
     """(idempotents, traces, blocks, prime, precision_exp): the central
     primitive idempotents over the base field, their regular traces and
     aligned ModularBlock records.  ``dual`` maps traces v to the element e
@@ -127,7 +129,7 @@ def _raw_idempotents(algebra, dual, prime=None, seed=0):
     last_err = None
     for p in primes:
         try:
-            return _idempotents_at_prime(algebra, dual, p, seed)
+            return _idempotents_at_prime(algebra, dual, p)
         except (BadPrime, PrecisionExceeded) as err:
             last_err = err
             continue
@@ -135,11 +137,11 @@ def _raw_idempotents(algebra, dual, prime=None, seed=0):
         f"no prime in {primes} yielded verified idempotents: {last_err}")
 
 
-def _split_components(algebra, p, seed):
+def _split_components(algebra, p):
     """The reductions of the algebra mod p, one per CRT component in the
     order of ``component_roots``, and the modular blocks of each.  Equal
     reduced tables and units are one F_p-algebra, split once; the split's
-    random choices depend on (seed, p) only, so sharing changes no block."""
+    random choices depend on p only, so sharing changes no block."""
     roots_p, _ = component_roots(algebra.field.conductor, p, 1)
     comps = [ComponentAlgebra(algebra, w, p) for w in roots_p]
     splits = []
@@ -148,14 +150,14 @@ def _split_components(algebra, p, seed):
         key = (comp.table, comp.unit)
         blocks = next((bl for k, bl in splits if k == key), None)
         if blocks is None:
-            blocks = modular_split(comp, seed)
+            blocks = modular_split(comp)
             splits.append((key, blocks))
         per_comp_blocks.append(blocks)
     return comps, per_comp_blocks
 
 
-def _idempotents_at_prime(algebra, dual, p, seed):
-    comps, per_comp_blocks = _split_components(algebra, p, seed)
+def _idempotents_at_prime(algebra, dual, p):
+    comps, per_comp_blocks = _split_components(algebra, p)
     counts = {len(bl) for bl in per_comp_blocks}
     if len(counts) != 1:
         raise BadPrime("component block counts disagree")
@@ -246,9 +248,8 @@ class TraceGluing:
             while exp < self.exp:
                 e = hensel_lift_idempotent(comp, e, M)
                 exp *= 2
-            support = [(i, x) for i, x in enumerate(e) if x]
             self.traces[key] = [
-                self.den * sum(x * c * rho[m] for i, x in support
+                self.den * sum(x * c * rho.get(m, 0) for i, x in e.items()
                                for m, c in row[i].items()) % M
                 for row in comp.table]
         return self.traces[key]
@@ -290,8 +291,7 @@ def _verify_system(algebra, idempotents, block_dims):
 # ---------------------------------------------------------------------------
 
 
-def central_primitive_idempotents(algebra, frobenius=None, prime=None,
-                                  seed=0):
+def central_primitive_idempotents(algebra, frobenius=None, prime=None):
     """Full decomposition: idempotents, degrees, characters, certification,
     in canonical block order (degree, then character sort key).
 
@@ -310,8 +310,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
         # e = sum_j scale v_j y_j over the dual basis y_j of lambda
         return frobenius.dual_combination([scale * x for x in v])
 
-    idems, traces, blocks, p, prec = _raw_idempotents(algebra, dual, prime,
-                                                      seed)
+    idems, traces, blocks, p, prec = _raw_idempotents(algebra, dual, prime)
     degrees = [b.degree for b in blocks]
     center_dims = [b.center_dim for b in blocks]
     block_dims = []
@@ -327,8 +326,7 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None,
         denom = field.from_int(b.degree * b.center_dim)
         characters.append([x / denom for x in v])
         if b.center_dim == 1 and b.degree > 1:
-            certified.append(certify_split_block(algebra, e, b.degree,
-                                                 seed=seed))
+            certified.append(certify_split_block(algebra, e, b.degree))
         else:
             certified.append(b.center_dim == 1)
     _verify_system(algebra, idems, block_dims)
@@ -357,7 +355,7 @@ def _multiple(form, chi):
 # ---------------------------------------------------------------------------
 
 
-def certify_split_block(algebra, e, d, seed=0):
+def certify_split_block(algebra, e, d):
     """Certify that the simple block B = A e is a full matrix algebra over
     the base field by exhibiting a left ideal of dimension d, where
     d^2 = dim B.
@@ -382,7 +380,7 @@ def certify_split_block(algebra, e, d, seed=0):
     block = EchelonSubspace(algebra.field, algebra.dim, images)
     if block.dim != d * d:
         return False
-    for b in _split_candidates(algebra, images, block, seed):
+    for b in _split_candidates(algebra, images, block):
         if any(dim == d for _, dim in _eigenspaces(algebra, e, block, b)):
             return True
     return False
@@ -415,26 +413,26 @@ def _eigenspaces(algebra, e, block, b):
         yield t, block.dim - EchelonSubspace(field, algebra.dim, shifted).dim
 
 
-def _split_candidates(algebra, images, block, seed):
+def _split_candidates(algebra, images, block):
     """The block elements b a split certificate tries, in order, as sparse
     rows: the nonzero images x_j e, the echelon rows of the block, then
     random combinations of them."""
     yield from (v for v in images if v)
     basis = [block.rows[p] for p in block.pivots]
     yield from basis
-    rng = random.Random(seed * 7 + 1)
+    rng = random.Random(1)
     for _ in range(RANDOM_CANDIDATES):
         yield combine((algebra.field.from_int(rng.randrange(1, 5)), w)
                       for w in basis)
 
 
-def field_roots(field, coeffs, seed=0):
+def field_roots(field, coeffs):
     """Roots in the cyclotomic base field of a polynomial with coefficients
     there (ascending list), found modularly and verified exactly.
 
     They are the simple roots of the monic squarefree part g of degree m,
-    mod the first good prime p = 1 (mod n) at which g stays squarefree in
-    every component.  With D_g the common denominator of the g_i,
+    mod the first good prime p (``prime_search``, above 2 deg f, the
+    conductor and 20) at which g stays squarefree in every component.  With D_g the common denominator of the g_i,
     y = D_g t is a root of the monic integral y^m + sum_i D_g^(m-i) g_i y^i,
     so (Cauchy) every conjugate of y is at most
     1 + max_i ||D_g^(m-i) g_i||_1.  Each root mod p is Newton-lifted once
@@ -445,19 +443,13 @@ def field_roots(field, coeffs, seed=0):
         return []
     g = (f // f.gcd(f.derivative())).monic()
     n = field.conductor
-    dens = scalar_denominators(g.coeffs)
-    rng = random.Random(seed * 131 + f.degree())
-    p = max(2 * f.degree() + 1, n, 20)
-    while True:
-        p += 1
-        if (p % n != 1 % n or not is_prime(p)
-                or any(d % p == 0 for d in dens)):
-            continue
+    den = _common_den(g.coeffs)
+    rng = random.Random(f.degree())
+    for p in prime_search(n, max(2 * f.degree() + 1, 20), den):
         comp_roots = _simple_roots_mod_p(field, g, p, rng)
         if comp_roots is not None:
             break
     m = g.degree()
-    den = math.lcm(1, *dens)
     bound = int(embedding_factor(n) * (1 + max(
         norm1(c, den ** (m - i)) for i, c in enumerate(g.coeffs[:m]))))
     exp = precision_for(p, bound)

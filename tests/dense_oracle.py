@@ -670,29 +670,68 @@ def dense_block_dim(A, e):
 # ---------------------------------------------------------------------------
 
 
-def full_algebra_cmult(comp, center):
-    """The centre multiplication of ``modular.modular_split`` as it was
-    before the centre table: each product of two coordinate vectors is
-    formed in the whole reduction ``comp`` and solved for its coordinates
-    in the echelon basis of the centre over ``PrimeField``, which must be
-    the int basis ``center`` the split found.  Same signature and callback
-    as ``modular._center_mult``."""
-    from frobdiv.modular import BadPrime, _int_comb
-    p = comp.M
-    gf = PrimeField(p)
+def full_algebra_center_table(comp, center):
+    """The centre table of ``modular.modular_split`` formed as before the
+    sparse residue vectors: each product z_i z_j of two basis vectors is
+    formed densely in the whole reduction ``comp`` and solved for its
+    coordinates in the echelon basis of the centre over ``PrimeField``,
+    which must be the basis ``center`` the split found.  Same signature
+    and cells (coordinate residue vectors) as ``modular._center_table``."""
+    gf = PrimeField(comp.M)
     gf_center = gf_center_mod_p(comp, gf)
     basis = [[x.residue for x in v] for v in gf_center.basis]
-    assert basis == center[0]
+    assert [residue_dict(v) for v in basis] == center[0]
+    return [[residue_dict(_gf_center_coords(
+        gf_center, gf, dense_mod_multiply(comp, zi, zj))) for zj in basis]
+        for zi in basis]
 
-    def cmult(u_coords, v_coords):
-        uv = comp.multiply(_int_comb(basis, u_coords, p),
-                           _int_comb(basis, v_coords, p))
-        coords = gf_center.coords([gf.from_int(x) for x in uv])
-        if coords is None:
-            raise BadPrime("center not closed under multiplication")
-        return [c.residue for c in coords]
 
-    return cmult
+def _gf_center_coords(gf_center, gf, vec):
+    coords = gf_center.coords([gf.from_int(x) for x in vec])
+    if coords is None:
+        raise BadPrime("center not closed under multiplication")
+    return [c.residue for c in coords]
+
+
+def dense_mod_multiply(comp, a, b):
+    """a b in a reduction ``comp`` mod M, for dense residue lists, as
+    ``ComponentAlgebra.multiply`` formed it."""
+    M = comp.M
+    out = [0] * comp.dim
+    for i, ai in enumerate(a):
+        if ai:
+            row = comp.table[i]
+            for j, bj in enumerate(b):
+                if bj:
+                    f = ai * bj
+                    for k, c in row[j].items():
+                        out[k] = (out[k] + f * c) % M
+    return out
+
+
+def residue_dict(v):
+    """A dense residue list as a residue vector {index: nonzero int}."""
+    return {k: x for k, x in enumerate(v) if x}
+
+
+def residue_list(v, n):
+    """A residue vector as a dense residue list of length n."""
+    return [v.get(k, 0) for k in range(n)]
+
+
+def _int_comb(basis, coords, p):
+    out = [0] * len(basis[0])
+    for c, row in zip(coords, basis):
+        if c:
+            for i, x in enumerate(row):
+                out[i] = (out[i] + c * x) % p
+    return out
+
+
+def _basis_coord(i, r):
+    v = [0] * r
+    v[i] = 1
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -1178,7 +1217,8 @@ def idempotent_lift(algebra, p, check_comps):
 
     def hensel(k, e, exp):
         comp = components(exp)[k]
-        return hensel_lift_idempotent(comp, e, comp.M)
+        return residue_list(hensel_lift_idempotent(comp, residue_dict(e),
+                                                    comp.M), comp.dim)
 
     step = LiftMemo(hensel)
 
@@ -1190,13 +1230,13 @@ def idempotent_lift(algebra, p, check_comps):
                                               TRIAL_PRECISION_EXP)
 
 
-def trial_wedderburn(algebra, p, seed=0):
+def trial_wedderburn(algebra, p):
     """(idempotents, characters, precision) by trial reconstruction at the
     prime p, blocks in the order of the modular split of the first
     component, characters read off the images x_j e."""
     from frobdiv.wedderburn import (_check_components, _gluings,
                                     _split_components)
-    _, per_comp_blocks = _split_components(algebra, p, seed)
+    _, per_comp_blocks = _split_components(algebra, p)
     invariant = lambda b: (b.degree, b.block_dim, b.center_dim)
     used = [set() for _ in per_comp_blocks]
     lift = idempotent_lift(algebra, p, _check_components(algebra, p))
@@ -1205,7 +1245,8 @@ def trial_wedderburn(algebra, p, seed=0):
     idempotents, characters, precision = [], [], 1
     for b0 in per_comp_blocks[0]:
         for choice in _gluings(per_comp_blocks, b0, used, invariant):
-            res = lift([b.central_idempotent for b in choice])
+            res = lift([residue_list(b.central_idempotent, algebra.dim)
+                        for b in choice])
             if res is not None:
                 break
         else:
@@ -1252,19 +1293,19 @@ def lift_roots(field, g, p, comp_roots):
     return out
 
 
-def trial_field_roots(field, coeffs, seed=0):
+def trial_field_roots(field, coeffs):
     """``wedderburn.field_roots`` with the roots lifted by trial: the same
     squarefree part, prime and roots mod p."""
     import random
-    from frobdiv.modular import is_prime, scalar_denominators
+    from frobdiv.modular import is_prime
     from frobdiv.wedderburn import _simple_roots_mod_p
     f = Poly(field, coeffs)
     if f.degree() < 1:
         return []
     g = (f // f.gcd(f.derivative())).monic()
     n = field.conductor
-    dens = scalar_denominators(g.coeffs)
-    rng = random.Random(seed * 131 + f.degree())
+    dens = {c.den for c in g.coeffs} - {1}
+    rng = random.Random(f.degree())
     p = max(2 * f.degree() + 1, n, 20)
     while True:
         p += 1
@@ -1437,7 +1478,6 @@ def gf_center_mod_p(comp, gf):
 
 def _gf_try_split(cmult, e, direction, r, p, rng):
     from frobdiv.linalg import iterates, krylov_relation, sparse
-    from frobdiv.modular import BadPrime, _basis_coord
     gf = PrimeField(p)
     z = cmult(direction, e)
     mat = Matrix.from_columns(gf, [[gf.from_int(x) for x in
@@ -1464,23 +1504,33 @@ def _gf_try_split(cmult, e, direction, r, p, rng):
     return pieces
 
 
-def gf_modular_split(comp, seed=0):
-    """The blocks of ``modular.modular_split`` on PrimeField objects."""
+def gf_modular_split(comp):
+    """The blocks of ``modular.modular_split`` on PrimeField objects, each
+    product formed densely in the whole reduction; the idempotents come
+    back as residue vectors."""
     import random
     from frobdiv.linalg import EchelonSubspace
-    from frobdiv.modular import (BadPrime, ModularBlock, _basis_coord,
-                                 _ideal_dim, _int_comb)
+    from frobdiv.modular import ModularBlock
     p, n = comp.M, comp.dim
     gf = PrimeField(p)
-    rng = random.Random(seed * 1000003 + p)
+    rng = random.Random(p)
     center = gf_center_mod_p(comp, gf)
     r = center.dim
     if r == 0:
         raise BadPrime("trivial center mod p")
     basis = [[x.residue for x in v] for v in center.basis]
-    cmult = full_algebra_cmult(comp, (basis, None))
+
+    def cmult(u_coords, v_coords):
+        return _gf_center_coords(center, gf, dense_mod_multiply(
+            comp, _int_comb(basis, u_coords, p),
+            _int_comb(basis, v_coords, p)))
+
+    def ideal_dim(e):
+        return sum(cmult(e, _basis_coord(j, r))[j] for j in range(r)) % p
+
     unit_coords = [c.residue for c in
-                   center.coords([gf.from_int(x) for x in comp.unit])]
+                   center.coords([gf.from_int(x) for x in
+                                  residue_list(comp.unit, n)])]
     # the loop of modular._commutative_idempotents
     pieces = [(unit_coords, r == 1)]
     changed, rounds = True, 0
@@ -1500,7 +1550,7 @@ def gf_modular_split(comp, seed=0):
                     if split:
                         break
             if split:
-                new.extend((piece, _ideal_dim(cmult, piece, r, p) == 1)
+                new.extend((piece, ideal_dim(piece) == 1)
                            for piece in split)
                 changed = True
             else:
@@ -1515,11 +1565,12 @@ def gf_modular_split(comp, seed=0):
     blocks = []
     for e_coords, _ in pieces:
         e = _int_comb(basis, e_coords, p)
-        bdim = span_dim(comp.multiply(_basis_coord(j, n), e)
+        bdim = span_dim(dense_mod_multiply(comp, _basis_coord(j, n), e)
                         for j in range(n))
-        cdim = span_dim(comp.multiply(z, e) for z in basis)
+        cdim = span_dim(dense_mod_multiply(comp, z, e) for z in basis)
         d = math.isqrt(bdim // cdim)
         assert d * d * cdim == bdim
         blocks.append(ModularBlock(e, d, bdim, cdim))
     blocks.sort(key=lambda b: (b.degree, b.block_dim, b.central_idempotent))
-    return blocks
+    return [b._replace(central_idempotent=residue_dict(b.central_idempotent))
+            for b in blocks]

@@ -69,7 +69,7 @@ def test_criterion_01_group_algebra_divisibility():
         assert cert.integral
         # both sides of the divisibility equivalence, cross-checked
         # internally; an EquivalenceViolation would escape the assert
-        verdict = frobenius_divisibility_verdict(H.algebra, frob, data)
+        verdict = frobenius_divisibility_verdict(frob, data)
         assert verdict.holds and verdict.direct == [True] * len(data.degrees)
         assert time.monotonic() - t0 < 10.0
     ok(1, "divisibility and expected degrees for all six group algebras")
@@ -229,7 +229,7 @@ def test_criterion_09_negative_controls():
     F = frobenius_structure(C2, [three * c for c in delta_form(C2)])
     data = central_primitive_idempotents(C2)
     with pytest.raises(InapplicableHypothesis, match="2/3"):
-        frobenius_divisibility_verdict(C2, F, data)
+        frobenius_divisibility_verdict(F, data)
     ok(9, "degenerate form, perturbed constants, and rescaled form all "
           "rejected")
 

@@ -1,15 +1,15 @@
 """The modular split on the multiplication table of the mod-p centre,
-against the oracle that forms every centre product in the whole reduced
-algebra (``dense_oracle.full_algebra_cmult``): the same blocks, in the
-same order, at every root of the cyclotomic polynomial and at two good
-primes."""
+against the oracle that forms every product of the table densely in the
+whole reduced algebra (``dense_oracle.full_algebra_center_table``): the
+same blocks, in the same order, at every root of the cyclotomic
+polynomial and at two good primes."""
 
 import pytest
 
 import frobdiv.modular as modular
 from frobdiv import drinfeld_double, dual_hopf, group_algebra, named_group
 
-from dense_oracle import full_algebra_cmult
+from dense_oracle import full_algebra_center_table
 
 _ALGEBRAS = {}
 
@@ -43,10 +43,10 @@ def test_center_table_split_matches_full_algebra_oracle(name, which,
     p = [next(primes) for _ in range(2)][which]
     roots, _ = modular.component_roots(A.field.conductor, p, 1)
     comps = [modular.ComponentAlgebra(A, w, p) for w in roots]
-    table_blocks = [block_data(modular.modular_split(comp, seed=3))
+    table_blocks = [block_data(modular.modular_split(comp))
                     for comp in comps]
-    monkeypatch.setattr(modular, "_center_mult", full_algebra_cmult)
-    oracle_blocks = [block_data(modular.modular_split(comp, seed=3))
+    monkeypatch.setattr(modular, "_center_table", full_algebra_center_table)
+    oracle_blocks = [block_data(modular.modular_split(comp))
                      for comp in comps]
     assert table_blocks == oracle_blocks
     assert all(table_blocks)
@@ -58,12 +58,14 @@ def test_center_table_forms_each_product_once(monkeypatch):
     A = algebra("D(C4)")
     p = next(modular.good_primes(A))
     w = modular.component_roots(A.field.conductor, p, 1)[0][0]
+    comp = modular.ComponentAlgebra(A, w, p)
     products = []
-    original = modular.ComponentAlgebra.multiply
+    original = modular.table_product
 
-    def counted(self, a, b):
-        products.append(1)
-        return original(self, a, b)
+    def counted(table, a, b):
+        if table is comp.table:
+            products.append(1)
+        return original(table, a, b)
 
     split = modular._commutative_idempotents
 
@@ -71,9 +73,9 @@ def test_center_table_forms_each_product_once(monkeypatch):
         products.append("split")
         return split(*args)
 
-    monkeypatch.setattr(modular.ComponentAlgebra, "multiply", counted)
+    monkeypatch.setattr(modular, "table_product", counted)
     monkeypatch.setattr(modular, "_commutative_idempotents", marked)
-    blocks = modular.modular_split(modular.ComponentAlgebra(A, w, p))
+    blocks = modular.modular_split(comp)
     r = len(blocks)  # D(C4) is commutative: sixteen 1-dimensional blocks
     assert r == 16
     before = products.index("split")

@@ -371,6 +371,46 @@ def test_conductor_one_on_a_cyclotomic_document_exit_2(tmp_path):
     assert "conductor 1 is not a multiple of 4" in err
 
 
+def _report_at(tmp_path, inp, conductor):
+    """(exit code, report, field) of ``analyze --check all`` at a
+    conductor, with the field line taken out of the report."""
+    out = tmp_path / f"conductor-{conductor}.json"
+    code = main(["analyze", str(inp), "--check", "all", "--format", "json",
+                 "--conductor", conductor, "--out", str(out)])
+    report = json.loads(out.read_text())
+    items = report["sections"][0]["items"]
+    field = next(v for k, v in items if k == "field")
+    items.remove(["field", field])
+    return code, report, field
+
+
+@pytest.mark.parametrize("group, kind, conductors", [
+    ("C2", "group-algebra", ("1", "2")),
+    ("S3", "double", ("3", "6")),
+])
+def test_conductor_half_of_one_that_is_2_mod_4(tmp_path, group, kind,
+                                               conductors):
+    # Q(zeta_2m') = Q(zeta_m') for odd m': a document over Q(zeta_2) or
+    # Q(zeta_6) is read at --conductor 1 or 3 with zeta_2m' as
+    # -zeta_m'^((m'+1)/2), to the report at its own conductor but for the
+    # field line
+    inp = build(tmp_path, "--group", group, "--as", kind)
+    half, own = (_report_at(tmp_path, inp, c) for c in conductors)
+    assert half[0] == own[0] == 0
+    assert half[1] == own[1]
+    assert (half[2], own[2]) == ({"1": "Q", "3": "Q(zeta_3)"}[conductors[0]],
+                                f"Q(zeta_{conductors[1]})")
+
+
+@pytest.mark.parametrize("group, conductor, source", [
+    ("S3", "2", 6), ("S3", "4", 6), ("C4", "2", 4), ("Q8", "3", 4)])
+def test_conductor_outside_both_embeddings_exit_2(tmp_path, group,
+                                                  conductor, source):
+    inp = build(tmp_path, "--group", group)
+    err = assert_invalid_input(inp, "--conductor", conductor)
+    assert f"conductor {conductor} is not a multiple of {source}" in err
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no limit on the digits of an integer string")
 def test_oversized_scalar_is_not_echoed(tmp_path):

@@ -1,6 +1,7 @@
 """Every imported name is used, and every definition of the library is
 referenced: stdlib ``ast`` scans standing in for a linter's unused-import
-and dead-code rules.
+and dead-code rules.  Importing the command line loads none of the
+heavier stdlib modules it does not need.
 
 A name bound by ``import`` or ``from ... import`` must be read somewhere
 in its module.  Package ``__init__.py`` files, which re-export, and
@@ -15,7 +16,10 @@ functions by dotted name.  A string in the library, such as a docstring,
 does not count."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -145,3 +149,24 @@ def test_scan_finds_an_unreferenced_definition(tmp_path):
     bench.write_text("SPANS = ['lib.traced']\n")
     assert unreferenced([lib], [lib, user], [bench]) == [
         ("lib.py", 5, "orphan"), ("lib.py", 20, "dead")]
+
+
+# Modules the import path of ``frobdiv.cli`` does without.  An analysis
+# process is mostly start-up, and a run without byte-code caching
+# compiles every module it imports from source.
+UNNEEDED_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                    "typing")
+
+
+def test_cli_import_loads_no_unneeded_module():
+    # -S: no site module, which may import some of these itself
+    probe = ("import sys, frobdiv.cli; "
+             "print(sorted(set(sys.modules) & set(sys.argv[1:])), "
+             "'frobdiv.cli' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe,
+                           *UNNEEDED_MODULES, "json"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # json is loaded, which shows that the probe sees the modules
+    assert proc.stdout.split() == ["['json']", "True"]

@@ -1,9 +1,10 @@
 """The Wedderburn splits on int residues and the exact checks on the
 integral table.
 
-The modular split holds each F_p value as an int; ``dense_oracle`` keeps
-the split on ``PrimeField`` objects it replaced, and both must give the
-same blocks on every CRT component, at the prime the analysis picks.  The
+The modular split holds each F_p value as an int and each element as a
+sparse residue vector; ``dense_oracle`` keeps the split on ``PrimeField``
+objects and dense products it replaced, and both must give the same
+blocks on every CRT component, at the prime the analysis picks.  The
 factorization mod p is compared the same way on seeded random squarefree
 polynomials.  ``is_idempotent``, ``is_commutative`` and the fusion solve
 ``Matrix.solve_many`` are checked against direct computations."""

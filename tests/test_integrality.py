@@ -90,7 +90,7 @@ def test_verdict_s3_delta_form():
     A = group_algebra_plain("S3")
     F = frobenius_structure(A, delta_form(A))
     data = central_primitive_idempotents(A, frobenius=F)
-    v = frobenius_divisibility_verdict(A, F, data)
+    v = frobenius_divisibility_verdict(F, data)
     assert v.holds
     assert v.gamma_one == 6
     assert v.direct == [True, True, True]
@@ -105,7 +105,7 @@ def test_verdict_rescaled_form_inapplicable():
     F = frobenius_structure(A, lam)
     data = central_primitive_idempotents(A)
     with pytest.raises(InapplicableHypothesis):
-        frobenius_divisibility_verdict(A, F, data)
+        frobenius_divisibility_verdict(F, data)
 
 
 def test_verify_symmetric_homomorphism_negative():

@@ -2,6 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import frobdiv.modular as modular
+import frobdiv.wedderburn as wedderburn
 from frobdiv import CyclotomicField, QQ, Rat
 from frobdiv.modular import (
     ComponentAlgebra,
@@ -16,13 +18,14 @@ from frobdiv.modular import (
     lift_cyclotomic_root,
     modular_split,
     primitive_root,
+    product_mod,
     reconstruct_element,
     reduce_scalar,
     roots_mod_p,
 )
 
 from conftest import group_algebra_plain, matrix_algebra_2x2
-from dense_oracle import lagrange_interpolate
+from dense_oracle import lagrange_interpolate, residue_list
 
 
 def test_is_prime():
@@ -96,9 +99,9 @@ def test_roots_mod_p_irreducible():
 def test_component_algebra_c2():
     A = group_algebra_plain("C2")
     comp = ComponentAlgebra(A, 1, 7)
-    assert comp.multiply([0, 1], [0, 1]) == [1, 0]
+    assert product_mod(comp.table, {1: 1}, {1: 1}, 7) == {0: 1}
     # left multiplication by g sends the basis vector 1 to g
-    assert comp.multiply([0, 1], [1, 0]) == [0, 1]
+    assert product_mod(comp.table, {1: 1}, {0: 1}, 7) == {1: 1}
 
 
 def test_modular_split_c2():
@@ -106,7 +109,7 @@ def test_modular_split_c2():
     A = group_algebra_plain("C2")
     blocks = modular_split(ComponentAlgebra(A, 1, 7))
     assert len(blocks) == 2
-    elems = sorted(b.central_idempotent for b in blocks)
+    elems = sorted(residue_list(b.central_idempotent, 2) for b in blocks)
     assert elems == [[4, 3], [4, 4]]
     assert all(b.degree == 1 and b.block_dim == 1 for b in blocks)
 
@@ -121,9 +124,11 @@ def test_modular_split_s3():
     comp = ComponentAlgebra(A, 1, 13)
     total = [0] * 6
     for b in blocks:
-        sq = comp.multiply(b.central_idempotent, b.central_idempotent)
-        assert sq == [x % 13 for x in b.central_idempotent]
-        total = [(x + y) % 13 for x, y in zip(total, b.central_idempotent)]
+        e = residue_list(b.central_idempotent, 6)
+        sq = product_mod(comp.table, b.central_idempotent,
+                         b.central_idempotent, 13)
+        assert residue_list(sq, 6) == [x % 13 for x in e]
+        total = [(x + y) % 13 for x, y in zip(total, e)]
     assert total == [1, 0, 0, 0, 0, 0]
 
 
@@ -137,8 +142,8 @@ def test_modular_split_matrix_algebra():
 
 def test_modular_split_deterministic():
     A = group_algebra_plain("S3")
-    a = modular_split(ComponentAlgebra(A, 1, 13), seed=0)
-    b = modular_split(ComponentAlgebra(A, 1, 13), seed=0)
+    a = modular_split(ComponentAlgebra(A, 1, 13))
+    b = modular_split(ComponentAlgebra(A, 1, 13))
     assert [x.central_idempotent for x in a] == [x.central_idempotent for x in b]
 
 
@@ -146,9 +151,9 @@ def test_hensel_lift():
     # e = 4 + 4g idempotent mod 7 lifts to 25 + 25g mod 49
     A = group_algebra_plain("C2")
     comp49 = ComponentAlgebra(A, 1, 49)
-    e = hensel_lift_idempotent(comp49, [4, 4], 49)
-    assert e == [25, 25]
-    assert comp49.multiply(e, e) == e
+    e = hensel_lift_idempotent(comp49, {0: 4, 1: 4}, 49)
+    assert e == {0: 25, 1: 25}
+    assert product_mod(comp49.table, e, e, 49) == e
 
 
 def test_interpolate_mod():
@@ -205,3 +210,41 @@ def test_reconstruct_element_gaussian():
     residues = [[reduce_scalar(y, w, M)] for w in roots]
     assert reconstruct_element(K, residues, roots, M, 3, 5) == \
         [y / K.from_int(5)]
+
+
+def test_both_prime_searches_follow_one_policy(monkeypatch):
+    # the good primes of an algebra and the prime behind field_roots come
+    # from one predicate: tightening it moves both
+    A = group_algebra_plain("S3")
+    K = CyclotomicField(3)
+    z = K.zeta(1)
+    coeffs = [z, -(K.one + z), K.one]  # (x - 1)(x - zeta_3)
+
+    def searches():
+        tried = []
+        original = wedderburn._simple_roots_mod_p
+
+        def recording(field, g, p, rng):
+            tried.append(p)
+            return original(field, g, p, rng)
+
+        monkeypatch.setattr(wedderburn, "_simple_roots_mod_p", recording)
+        roots = wedderburn.field_roots(K, coeffs)
+        monkeypatch.setattr(wedderburn, "_simple_roots_mod_p", original)
+        return next(modular.good_primes(A)), tried[-1], roots
+
+    first, root_prime, roots = searches()
+    assert roots == sorted([K.one, z], key=lambda t: t.sort_key())
+    assert modular.bad_prime_reason(A, first) is None
+    policy = modular.prime_defect
+
+    def tighter(p, conductor, floor, denominator):
+        if p in (first, root_prime):
+            return "prime"
+        return policy(p, conductor, floor, denominator)
+
+    monkeypatch.setattr(modular, "prime_defect", tighter)
+    later, later_root_prime, later_roots = searches()
+    assert later > first and later_root_prime > root_prime
+    assert later_roots == roots
+    assert modular.bad_prime_reason(A, first) == f"{first} is not prime"

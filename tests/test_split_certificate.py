@@ -54,9 +54,9 @@ def test_certificate_matches_dense_oracle(name, monkeypatch):
     certify, candidates = (wedderburn.certify_split_block,
                            wedderburn._split_candidates)
 
-    def recording_certify(algebra, e, d, seed=0):
+    def recording_certify(algebra, e, d):
         tried.append((e, []))
-        return certify(algebra, e, d, seed=seed)
+        return certify(algebra, e, d)
 
     def recording_candidates(*args):
         for b in candidates(*args):

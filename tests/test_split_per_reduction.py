@@ -36,10 +36,10 @@ def kc4_rescaled():
     return change_basis_algebra(A, P)
 
 
-def split_every_root(algebra, p, seed):
+def split_every_root(algebra, p):
     roots, _ = modular.component_roots(algebra.field.conductor, p, 1)
     comps = [modular.ComponentAlgebra(algebra, w, p) for w in roots]
-    return comps, [modular.modular_split(comp, seed) for comp in comps]
+    return comps, [modular.modular_split(comp) for comp in comps]
 
 
 def fields(data):
@@ -54,9 +54,9 @@ def counted_splits(monkeypatch):
     original = wedderburn.modular_split
     original_init = modular.ComponentAlgebra.__init__
 
-    def counted(comp, seed=0):
+    def counted(comp):
         calls.append(comp.M)
-        return original(comp, seed)
+        return original(comp)
 
     def counted_init(self, algebra, root, M):
         reductions.append(M)
@@ -83,7 +83,7 @@ def test_one_split_per_distinct_reduction(make, splits_per_prime,
         assert len(distinct) == splits_per_prime
 
         calls, reductions = counted_splits(monkeypatch)
-        data = central_primitive_idempotents(A, prime=p, seed=5)
+        data = central_primitive_idempotents(A, prime=p)
         assert calls == [p] * splits_per_prime
         # the split reads the reductions made to compare them: one per
         # component mod p, and none again
@@ -93,6 +93,6 @@ def test_one_split_per_distinct_reduction(make, splits_per_prime,
 
         monkeypatch.setattr(wedderburn, "_split_components",
                             split_every_root)
-        reference = central_primitive_idempotents(A, prime=p, seed=5)
+        reference = central_primitive_idempotents(A, prime=p)
         monkeypatch.undo()
         assert fields(data) == fields(reference)

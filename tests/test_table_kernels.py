@@ -25,7 +25,7 @@ from dense_oracle import (PrimeField, change_basis_algebra,
                           dense_integral, dense_inverse, dense_is_central,
                           dense_mod_p_center, dense_quasitriangular_report,
                           dense_r_products, permute_hopf, permute_r,
-                          shear_matrix, unimodular_matrix)
+                          residue_list, shear_matrix, unimodular_matrix)
 from identity_oracle import dual_basis
 from ladder import LADDER, ladder_hopf
 
@@ -121,7 +121,8 @@ def test_mod_p_center_matches_dense_oracle(key, which):
     roots, _ = component_roots(A.field.conductor, p, 1)
     gf = PrimeField(p)
     comp = ComponentAlgebra(A, roots[-1], p)
-    basis = [[gf.from_int(x) for x in v] for v in center_mod_p(comp)[0]]
+    basis = [[gf.from_int(x) for x in residue_list(v, A.dim)]
+             for v in center_mod_p(comp)[0]]
     assert span(gf, basis) == span(gf, dense_mod_p_center(comp, gf))
 
 

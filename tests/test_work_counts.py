@@ -81,7 +81,7 @@ def test_one_exact_check_per_block_of_double_c4(monkeypatch):
 def test_wrong_gluing_rejected_mod_q(monkeypatch):
     A = kc4()
     p = 13
-    comps, per_comp = wedderburn._split_components(A, p, 0)
+    comps, per_comp = wedderburn._split_components(A, p)
     F = frobenius_structure(A, A.regular_character())
     glued, screened, exact = [], [], []
     original_rec = modular.reconstruct_element
@@ -174,13 +174,15 @@ def test_roots_of_unity_lifted_once_per_precision(monkeypatch):
 
 
 def _recording_try_split(monkeypatch):
-    """Record dim e Z of every piece e handed to the splitter."""
+    """Record dim e Z of every piece e handed to the splitter: the trace
+    of multiplication by e on the centre, read off its table."""
     tried = []
     original = modular._try_split
 
-    def recording(cmult, e, direction, r, p, rng):
-        tried.append(modular._ideal_dim(cmult, e, r, p))
-        return original(cmult, e, direction, r, p, rng)
+    def recording(table, e, direction, p, rng):
+        tried.append(sum(modular.product_mod(table, e, {j: 1}, p).get(j, 0)
+                         for j in range(len(table))) % p)
+        return original(table, e, direction, p, rng)
 
     monkeypatch.setattr(modular, "_try_split", recording)
     return tried
@@ -243,7 +245,7 @@ def test_plain_verdict_forms_no_tensor_products(monkeypatch):
     F = frobenius_structure(A, A.regular_character())
     data = central_primitive_idempotents(A, F)
     calls.clear()
-    verdict = frobenius_divisibility_verdict(A, F, data)
+    verdict = frobenius_divisibility_verdict(F, data)
     assert calls == []
     # the carrier loop makes one product in A (x) A per power of c
     poly = carrier_minimal_polynomial(TensorSquareAlgebra(A), F.casimir)
