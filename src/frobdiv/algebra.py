@@ -23,17 +23,20 @@ and their relabellings) a greedy search finds basis indices S whose words
 reach every basis index, and the n^2 |S| triples (x_i s) x_k =
 x_i (s x_k) prove the n^3.  The full scan runs only when no S well below
 n is found, or to name the triples that fail.
-
-Elements of A are dense vectors, or sparse dicts {index: nonzero scalar}
-where only their supports are read; elements of A (x) A (the Casimir
-element, R-matrices, Delta(x_j)) are sparse dicts {i*dim + j: nonzero
-scalar}.  Two kernels work on sparse vectors: ``table_product(table, a,
-b)``, the product read off the field table or the integral table over
-the supports of a and b, and ``combine(terms)``, the sum of c v over
-pairs (c, v), without zeros.  The maps on A (x) A are read off the table
-or the sparse images of the basis: the product m (``multiply_legs``;
-Gamma(1) = m(c)), a linear map on one leg (``map_leg``) and the
-contractions with a form on one leg (``contract_left/right``)."""
+Every vector is a sparse dict {index: nonzero scalar}: an element of A
+(the unit, integrals, idempotents, Gamma(1)), a linear form on A given by
+its values on the basis (lambda, chi_reg, rho, the characters), and an
+element of A (x) A (the Casimir element, R-matrices, Delta(x_j)), keyed
+i*dim + j.  A list of dim scalars appears only at the boundary: the
+``unit`` argument of ``StructureConstantAlgebra`` may be one, and the JSON
+documents and the report write them.  Two kernels work on sparse vectors:
+``table_product(table, a, b)``, the product read off the field table or
+the integral table over the supports of a and b, and ``combine(terms)``,
+the sum of c v over pairs (c, v), without zeros.  The maps on A (x) A are
+read off the table or the sparse images of the basis: the product m
+(``multiply_legs``; Gamma(1) = m(c)), a linear map on one leg
+(``map_leg``) and the contractions with a form on one leg
+(``contract_left/right``)."""
 
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ import functools
 import math
 
 from .integrality import is_integral_over_Z
-from .linalg import EchelonSubspace, Singular, inverse_rows, sparse
+from .linalg import EchelonSubspace, Singular, inverse_rows
 from .scalars import Cyc
 
 
@@ -92,34 +95,25 @@ class StructureConstantAlgebra:
     """Finite-dimensional algebra given by basis and structure constants.
 
     ``table[i][j]`` is a sparse dict {k: scalar} with x_i x_j = sum_k c x_k.
+    ``unit`` is a sparse vector or a list of dim scalars; it is kept as a
+    sparse vector.
     """
 
     def __init__(self, field, dim, table, unit, name=""):
         self.field = field
         self.dim = dim
         self.table = table
-        self.unit = list(unit)
+        self.unit = _clean(unit if isinstance(unit, dict)
+                           else dict(enumerate(unit)))
         self.name = name
         self._center = None
         self._regular_character = None
         self._right_regular_character = None
 
     # -- elements ---------------------------------------------------------
-    def zero_vec(self):
-        return [self.field.zero] * self.dim
-
-    def basis_vec(self, i):
-        v = self.zero_vec()
-        v[i] = self.field.one
-        return v
-
     def multiply(self, a, b):
-        """a b for dense vectors a and b."""
-        if len(a) != self.dim or len(b) != self.dim:
-            raise AlgebraError("dimension mismatch")
-        out = table_product(self.table, sparse(a), sparse(b))
-        zero = self.field.zero
-        return [out.get(k, zero) for k in range(self.dim)]
+        """a b, read off the field table (``table_product``)."""
+        return table_product(self.table, a, b)
 
     @functools.cached_property
     def integral_table(self):
@@ -175,8 +169,8 @@ class StructureConstantAlgebra:
             for label in _associativity_failures(self.integral_table[1]):
                 report.record(False, label)
         D, table = self.integral_table
-        den = _common_den(self.unit)
-        U = {m: _times_den(u, den) for m, u in enumerate(self.unit) if u}
+        den = _common_den(self.unit.values())
+        U = {m: _times_den(u, den) for m, u in self.unit.items()}
         for i in range(self.dim):
             # 1 x_i = x_i = x_i 1, times D den
             x_i, want = {i: 1}, {i: D * den}
@@ -212,8 +206,8 @@ class StructureConstantAlgebra:
         """e e = e, compared on the integral table: with E = d e integral
         (ints and integral Cyc) for d the common denominator of e,
         D E E = D d E."""
-        d = _common_den(e)
-        E = {k: _times_den(c, d) for k, c in enumerate(e) if c}
+        d = _common_den(e.values())
+        E = {k: _times_den(c, d) for k, c in e.items()}
         D, table = self.integral_table
         return table_product(table, E, E) == {k: D * d * c
                                               for k, c in E.items()}
@@ -224,11 +218,10 @@ class StructureConstantAlgebra:
         if self.is_commutative:
             return True
         table = self.table
-        support = [(k, c) for k, c in enumerate(a) if c]
         for i in range(self.dim):
             a_x = {}
             x_a = {}
-            for k, c in support:
+            for k, c in a.items():
                 for r, d in table[k][i].items():
                     _add_into(a_x, r, c * d)
                 for r, d in table[i][k].items():
@@ -247,40 +240,35 @@ class StructureConstantAlgebra:
         return self._center
 
     def regular_character(self):
-        """chi_reg as a vector of values on the basis: trace of left mult."""
+        """chi_reg, the trace of left multiplication, chi_i = sum_j c_ij^j,
+        computed once."""
         if self._regular_character is None:
-            zero = self.field.zero
-            out = []
-            for i in range(self.dim):
-                s = zero
-                for j in range(self.dim):
-                    c = self.table[i][j].get(j)
+            chi = {}
+            for i, row in enumerate(self.table):
+                for j, cell in enumerate(row):
+                    c = cell.get(j)
                     if c is not None:
-                        s = s + c
-                out.append(s)
-            self._regular_character = out
-        return list(self._regular_character)
+                        _add_into(chi, i, c)
+            self._regular_character = _clean(chi)
+        return self._regular_character
 
     def right_regular_character(self):
         """Trace of right multiplication b -> b x_i on the basis,
         rho_i = sum_j c_ji^j, computed once."""
         if self._right_regular_character is None:
-            rho = self.zero_vec()
+            rho = {}
             for j, row in enumerate(self.table):
                 for i, cell in enumerate(row):
                     c = cell.get(j)
                     if c is not None:
-                        rho[i] = rho[i] + c
-            self._right_regular_character = rho
+                        _add_into(rho, i, c)
+            self._right_regular_character = _clean(rho)
         return self._right_regular_character
 
     def apply_form(self, form, a):
-        """<form, a> for a linear form given by its values on the basis."""
-        s = self.field.zero
-        for f, x in zip(form, a):
-            if f != self.field.zero and x != self.field.zero:
-                s = s + f * x
-        return s
+        """<form, a>, summed over the support of a."""
+        return sum((form[k] * x for k, x in a.items() if k in form),
+                   self.field.zero)
 
     def __repr__(self):
         label = self.name or "algebra"
@@ -413,17 +401,10 @@ def first_non_multiplicative_pair(A, B, images):
     phi(x_i x_j) = sum_k c_ij^k phi(x_k) is read off the table of A."""
     for i, row in enumerate(A.table):
         for j, cell in enumerate(row):
-            if (linear_image(B, images, cell.items())
+            if (combine((c, images[k]) for k, c in cell.items())
                     != B.multiply(images[i], images[j])):
                 return i, j
     return None
-
-
-def linear_image(B, images, terms):
-    """sum c images[k] over the pairs (k, c) of ``terms``: the image in B
-    of sum c x_k under the linear map with phi(x_k) = images[k]."""
-    out = combine((c, sparse(images[k])) for k, c in terms)
-    return [out.get(r, B.field.zero) for r in range(B.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +458,10 @@ def _common_den(scalars):
     return math.lcm(1, *{c.den for c in scalars})
 
 
-def _nums(c, pad):
-    """The numerator tuple of an integral Cyc, or of an int padded with
-    ``pad``."""
-    return c.nums if isinstance(c, Cyc) else (c,) + pad
+def _nums_den(x):
+    """The numerators and the denominator of a scalar, or (x,) and 1 for
+    an int (a rational value of ``integral_table``)."""
+    return ((x,), 1) if isinstance(x, int) else (x.nums, x.den)
 
 
 def _times_den(c, m):
@@ -500,7 +481,7 @@ class TensorSquareAlgebra:
         self.field = algebra.field
         self.n = algebra.dim
         self.dim = algebra.dim ** 2
-        self.unit = tensor_dict(algebra.field, algebra.unit, algebra.unit)
+        self.unit = tensor_dict(algebra.unit, algebra.unit, self.n)
 
     def mult(self, u, v):
         """The product u v, read off the structure table one factor at a
@@ -534,17 +515,9 @@ class TensorSquareAlgebra:
         return {(idx % n) * n + idx // n: c for idx, c in v.items()}
 
 
-def tensor_dict(field, a, b):
-    """a (x) b for two vectors of A."""
-    zero = field.zero
-    n = len(b)
-    out = {}
-    for i, x in enumerate(a):
-        if x != zero:
-            for j, y in enumerate(b):
-                if y != zero:
-                    out[i * n + j] = x * y
-    return out
+def tensor_dict(a, b, n):
+    """a (x) b for two vectors of A, dim A = n."""
+    return {i * n + j: x * y for i, x in a.items() for j, y in b.items()}
 
 
 def multiply_legs(A, z):
@@ -568,24 +541,24 @@ def map_leg(z, columns, n, first, swap=False):
     return _clean(out)
 
 
-def contract_left(field, form, z, n):
+def contract_left(form, z, n):
     """(form (x) Id)(z) for z in A (x) A."""
-    out = [field.zero] * n
+    out = {}
     for idx, c in z.items():
         i, j = divmod(idx, n)
-        if form[i]:
-            out[j] = out[j] + form[i] * c
-    return out
+        if i in form:
+            _add_into(out, j, form[i] * c)
+    return _clean(out)
 
 
-def contract_right(field, form, z, n):
+def contract_right(form, z, n):
     """(Id (x) form)(z) for z in A (x) A."""
-    out = [field.zero] * n
+    out = {}
     for idx, c in z.items():
         i, j = divmod(idx, n)
-        if form[j]:
-            out[i] = out[i] + form[j] * c
-    return out
+        if j in form:
+            _add_into(out, i, form[j] * c)
+    return _clean(out)
 
 
 # ---------------------------------------------------------------------------
@@ -599,13 +572,11 @@ class FrobeniusStructure:
 
     def __init__(self, algebra: StructureConstantAlgebra, lam):
         self.algebra = algebra
-        self.lam = list(lam)
+        self.lam = _clean(lam)
         n = algebra.dim
         # <lambda, x_i x_j> = sum_r lambda_r c_ij^r, row i without zeros
         zero = algebra.field.zero
-        lam_d = _clean(dict(enumerate(self.lam)))
-        gram = [_clean({j: sum((lam_d[r] * c for r, c in cell.items()
-                                if r in lam_d), zero)
+        gram = [_clean({j: algebra.apply_form(self.lam, cell)
                         for j, cell in enumerate(row)})
                 for row in algebra.table]
         # the form is a trace form when gram is symmetric: compare each
@@ -642,32 +613,33 @@ class FrobeniusStructure:
     @functools.cached_property
     def gamma_one_scalar(self):
         """The scalar c with Gamma(1) = c 1, or None when Gamma(1) is not a
-        scalar multiple of the unit: c is read at the first nonzero
-        coordinate of the unit and the whole vector compared."""
+        scalar multiple of the unit: c is read at one coordinate of the
+        unit's support and the whole vector compared."""
         g1, unit = self.gamma_one(), self.algebra.unit
-        c = next((g / u for g, u in zip(g1, unit) if u), None)
-        if c is None or g1 != [c * u for u in unit]:
+        k = next(iter(unit), None)
+        if k is None:
             return None
-        return c
+        c = g1.get(k, self.field.zero) / unit[k]
+        return c if g1 == combine([(c, unit)]) else None
 
     def gamma_one(self):
         """Gamma(1) = sum_j x_j y_j = m(c), read off the table; asserts the
         result is central."""
         if self._gamma_one is None:
             g1 = multiply_legs(self.algebra, self.casimir)
-            g1 = [g1.get(r, self.field.zero) for r in range(self.algebra.dim)]
             if not self.algebra.is_central(g1):
                 raise AlgebraError("Casimir trace produced a non-central "
                                    "value")
             self._gamma_one = g1
-        return list(self._gamma_one)
+        return self._gamma_one
 
     def dual_combination(self, coeffs):
         """sum_j coeffs_j y_j, the element a with <lambda, x_j a> = coeffs_j,
         read off the sparse rows of gram_inv."""
         zero = self.field.zero
-        return [sum((g * coeffs[j] for j, g in row if coeffs[j]), zero)
-                for row in self._dual_coeffs]
+        return _clean({r: sum((g * coeffs[j] for j, g in row if j in coeffs),
+                              zero)
+                       for r, row in enumerate(self._dual_coeffs)})
 
     def casimir_times(self, z):
         """c z for z in A (x) A, read off the structure table.
@@ -705,8 +677,8 @@ class FrobeniusStructure:
                 base = j * n
                 for m, c in u:
                     out[base + m] = out.get(base + m, 0) + g * c
-        den, pad = delta * D * D * gamma, (0,) * (A.field.phi - 1)
-        return {idx: A.field.from_nums(_nums(v, pad), den)
+        den = delta * D * D * gamma
+        return {idx: A.field.from_nums(_nums_den(v)[0], den)
                 for idx, v in out.items() if v}
 
     def casimir_certificate(self):

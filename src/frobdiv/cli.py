@@ -21,7 +21,8 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
 from .modular import BadPrime, PrecisionExceeded, bad_prime_reason
 from .report import Report, Section, input_digest
 from .serialize import (SchemaError, algebra_from_json, canonical_dumps,
-                        hopf_from_json, hopf_to_json, is_hopf_doc, load_path)
+                        hopf_from_json, hopf_to_json, is_hopf_doc, load_path,
+                        vector_strings)
 from .wedderburn import central_primitive_idempotents
 
 CHECKS = ("fd", "zhu", "class-equation", "schneider", "all")
@@ -136,7 +137,6 @@ def _check_prime(algebra, prime):
 
 
 def _check_fd_plain(algebra, lam, args, sections):
-    field = algebra.field
     form = _select_lambda(algebra, lam, args.lam)
     try:
         frob = frobenius_structure(algebra, form)
@@ -146,7 +146,7 @@ def _check_fd_plain(algebra, lam, args, sections):
         sections.append(Section(
             "frobenius form", "fail",
             [("degenerate", "yes"),
-             ("ideal witness", _vec_str(field, err.witness))]))
+             ("ideal witness", _vec_str(algebra, err.witness))]))
         return 1
     try:
         data = central_primitive_idempotents(algebra, frob, prime=args.prime)
@@ -155,7 +155,7 @@ def _check_fd_plain(algebra, lam, args, sections):
         sections.append(Section(
             "frobenius divisibility", "inapplicable",
             [("semisimple", "no"),
-             ("radical witness", _vec_str(field, err.witness))]))
+             ("radical witness", _vec_str(algebra, err.witness))]))
         return 1
     items = [("degrees", " ".join(map(str, data.degrees))),
              ("split certified", " ".join("yes" if f else "no"
@@ -263,14 +263,11 @@ def _select_lambda(algebra, custom, mode):
     if mode == "regular":
         return algebra.regular_character()
     if mode == "delta-one":
-        support = [i for i, c in enumerate(algebra.unit) if bool(c)]
-        if len(support) != 1:
+        if len(algebra.unit) != 1:
             raise SchemaError("--lambda delta-one needs a unit supported on "
                               "a single basis element")
-        i0 = support[0]
-        form = [field.zero] * algebra.dim
-        form[i0] = field.one / algebra.unit[i0]
-        return form
+        (i0, u), = algebra.unit.items()
+        return {i0: field.one / u}
     if custom is None:
         raise SchemaError("--lambda custom requires a \"lambda\" entry in "
                           "the input")
@@ -284,8 +281,9 @@ def _field_str(field):
     return f"Q(zeta_{d['conductor']})"
 
 
-def _vec_str(field, vec):
-    return "[" + ", ".join(field.format(c) for c in vec) + "]"
+def _vec_str(algebra, vec):
+    return ("[" + ", ".join(vector_strings(algebra.field, vec, algebra.dim))
+            + "]")
 
 
 # ---------------------------------------------------------------------------

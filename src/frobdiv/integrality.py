@@ -162,8 +162,8 @@ def verify_symmetric_homomorphism(A, lam, B, mu, images,
     phi(x_i x_j) read off the table of A
     (``algebra.first_non_multiplicative_pair``).  Raises
     NotASymmetricHomomorphism naming the first failure."""
-    from .algebra import first_non_multiplicative_pair, linear_image
-    if linear_image(B, images, enumerate(A.unit)) != B.unit:
+    from .algebra import combine, first_non_multiplicative_pair
+    if combine((c, images[k]) for k, c in A.unit.items()) != B.unit:
         raise NotASymmetricHomomorphism("unit not preserved")
     pair = (None if multiplicative
             else first_non_multiplicative_pair(A, B, images))
@@ -171,7 +171,7 @@ def verify_symmetric_homomorphism(A, lam, B, mu, images,
         raise NotASymmetricHomomorphism(
             "multiplicativity fails at basis pair ({},{})".format(*pair))
     for i, image in enumerate(images):
-        if B.apply_form(mu, image) != lam[i]:
+        if B.apply_form(mu, image) != lam.get(i, B.field.zero):
             raise NotASymmetricHomomorphism(
                 f"mu o phi != lambda at basis index {i}")
 
@@ -184,7 +184,7 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
     caller proves that phi is such a homomorphism
     (``verify_symmetric_homomorphism`` or, for a character map,
     ``hopf.representation_ring``)."""
-    from .algebra import linear_image
+    from .algebra import combine
     from .wedderburn import gamma_one_eigenvalue
     field = A.field
     if not frob_A.casimir_certificate().integral:
@@ -199,7 +199,8 @@ def relative_divisibility(A, frob_A, data_A, B, frob_B, images):
     rho = B.right_regular_character()
     induced_dims, scalars, integral, ratio_checks = [], [], [], []
     for s, e in enumerate(data_A.idempotents):
-        trace = B.apply_form(rho, linear_image(B, images, enumerate(e)))
+        trace = B.apply_form(rho, combine((c, images[k])
+                                          for k, c in e.items()))
         if not trace.is_rational() or trace.den != 1 or trace.nums[0] < 0:
             raise InapplicableHypothesis(
                 f"induced module of block {s} has trace "

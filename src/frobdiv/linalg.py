@@ -1,13 +1,17 @@
 """Exact linear algebra over any scalar domain from ``scalars``.
 
 Every elimination runs through one sparse echelon form,
-``EchelonSubspace``: rows are dicts {column: nonzero scalar}, kept fully
-reduced, and the combinations of input rows that a caller must track ride
-along as extra columns that never become pivots.  Ranks, kernels, the rows
-of inverses (``inverse_rows``), solutions and Krylov relations are all read
-off it.  ``Matrix`` is a dense, row-major matrix whose elimination methods
-are entry points over that form.  The library computes with none: it is a
-dense view (``HopfAlgebraData.antipode``) kept for the tests and for
+``EchelonSubspace``: rows are sparse vectors {column: nonzero scalar},
+the one vector form of the library, kept fully reduced, and the
+combinations of input rows that a caller must track ride along as extra
+columns that never become pivots.  Ranks, kernels, the rows of inverses
+(``inverse_rows``), solutions and Krylov relations are all read off it,
+and bases, kernel vectors and coordinates come back in the same form.
+``Matrix`` is a dense, row-major matrix whose elimination methods are
+entry points over that form, converting at their boundary: dense rows
+and vectors in, dense ones out (``sparse``, ``Matrix._dense``).  The
+library computes with none: it is a dense view
+(``HopfAlgebraData.antipode``) kept for the tests and for
 ``perfbench/traced.py``, which times the methods it binds by name.
 Entries must support the field operations and the owning ``field`` object
 supplies zero/one.  Also hosts a generic polynomial type used for minimal
@@ -67,12 +71,18 @@ class Matrix:
         """Reduced row echelon form with leading-one pivots, zero rows
         last.  Returns (reduced matrix, pivot column list)."""
         space = self._row_space()
-        zero_rows = [[self.field.zero] * self.cols] * (self.rows - space.dim)
-        return Matrix(self.field, space.basis + zero_rows), space.pivots
+        zero_rows = [{}] * (self.rows - space.dim)
+        return (Matrix(self.field, self._dense(space.basis + zero_rows)),
+                space.pivots)
 
     def kernel(self):
-        """Basis of the right kernel, in echelon order."""
-        return self._row_space().kernel().basis
+        """Basis of the right kernel, in echelon order, as dense vectors."""
+        return self._dense(self._row_space().kernel().basis)
+
+    def _dense(self, rows):
+        """Sparse rows as dense vectors of length ``cols``."""
+        zero = self.field.zero
+        return [[row.get(k, zero) for k in range(self.cols)] for row in rows]
 
     def solve(self, rhs):
         """Solve self * x = rhs (rhs a vector); None if inconsistent."""
@@ -124,7 +134,8 @@ class Matrix:
 
 
 def sparse(vec):
-    """A dense vector as a sparse row {index: nonzero entry}."""
+    """A dense vector as a sparse row {index: nonzero entry}: the entry
+    point of ``Matrix``'s dense rows and vectors."""
     return {k: c for k, c in enumerate(vec) if c}
 
 
@@ -188,14 +199,8 @@ class EchelonSubspace:
 
     @property
     def basis(self):
-        """The kept rows in pivot order, as dense vectors of length n."""
-        return [self.dense(self.rows[p]) for p in self.pivots]
-
-    def dense(self, row, start=0):
-        """The n entries of ``row`` from column ``start`` on, as a dense
-        vector: its tracked part when start = n."""
-        zero = self.field.zero
-        return [row.get(k, zero) for k in range(start, start + self.n)]
+        """The kept rows in pivot order, read only."""
+        return [self.rows[p] for p in self.pivots]
 
     def reduce(self, row):
         """``row`` less the combination of kept rows that clears it at every
@@ -245,12 +250,13 @@ class EchelonSubspace:
         return out
 
     def coords(self, vec):
-        """Coordinates of a dense vector on ``basis``, None when it is not
-        in the span.  A kept row is 1 at its pivot and 0 at the others, so
-        they are the entries of vec at the pivots."""
-        if self.reduce(sparse(vec)):
+        """Coordinates of a sparse vector on ``basis``, as a sparse vector
+        {i: c} over the basis indices; None when it is not in the span.  A
+        kept row is 1 at its pivot and 0 at the others, so they are the
+        entries of vec at the pivots."""
+        if self.reduce(vec):
             return None
-        return [vec[p] for p in self.pivots]
+        return {i: vec[p] for i, p in enumerate(self.pivots) if p in vec}
 
 
 def _subtract(v, f, row):
@@ -372,7 +378,7 @@ class Poly:
 
     def derivative(self):
         return Poly(self.field,
-                    [self.field.from_int(i) * c
+                    [self.field.from_rat(i) * c
                      for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):

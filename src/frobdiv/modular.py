@@ -36,7 +36,8 @@ import functools
 import math
 import random
 
-from .algebra import _common_den, center_conditions, combine, table_product
+from .algebra import (_common_den, _nums_den, center_conditions, combine,
+                      table_product)
 # perfbench/traced.py times modular.EchelonSubspace.coords under this name
 from .linalg import EchelonSubspace, inverse_rows  # noqa: F401
 from .scalars import QQ, CyclotomicField, cyclotomic_polynomial
@@ -91,14 +92,6 @@ def primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root mod {p}")
 
 
-def _nums_den(x):
-    """Integer numerators and the common denominator of a scalar, or of an
-    int (a value of ``integral_table``)."""
-    if isinstance(x, int):
-        return (x,), 1
-    return x.nums, x.den
-
-
 def norm1(x, scale):
     """||scale x||_1, the sum of the absolute power-basis coefficients of
     scale x; ``scale`` must clear the denominator of x."""
@@ -118,7 +111,7 @@ def embedding_factor(n: int):
     # the sum of the conjugates of zeta^m is rational: its first coefficient
     trace = [sum(powers[u * m % n][0] for u in units)
              for m in range(2 * phi - 1)]
-    inv = inverse_rows(QQ, [{l: QQ.from_int(trace[k + l])
+    inv = inverse_rows(QQ, [{l: QQ.from_rat(trace[k + l])
                              for l in range(phi) if trace[k + l]}
                             for k in range(phi)])
     return phi * max(sum(abs(QQ.as_rat(c)) for c in row.values())
@@ -129,7 +122,7 @@ def structure_denominator(algebra):
     """D den(1), for D the common denominator of the structure constants
     (read off ``integral_table``) and den(1) that of the unit: a good
     prime does not divide it."""
-    return algebra.integral_table[0] * _common_den(algebra.unit)
+    return algebra.integral_table[0] * _common_den(algebra.unit.values())
 
 
 def prime_defect(p, conductor, floor, denominator):
@@ -257,9 +250,9 @@ class ComponentAlgebra:
         self.unit = self.reduce_vector(algebra.unit)
 
     def reduce_vector(self, vec):
-        """The residue vector of a coefficient list of scalars."""
+        """The residue vector of a sparse vector of scalars."""
         return _mod({k: reduce_scalar(c, self.root, self.M)
-                     for k, c in enumerate(vec) if c}, self.M)
+                     for k, c in vec.items()}, self.M)
 
 
 def _mod(v, M):
@@ -472,7 +465,8 @@ def modular_split(comp):
         raise BadPrime("trivial center mod p")
     table = _center_table(comp, center)
     # the trace of multiplication by z_i on Z
-    traces = [sum(row[j].get(j, 0) for j in range(r)) % p for row in table]
+    traces = _mod({i: sum(row[j].get(j, 0) for j in range(r))
+                   for i, row in enumerate(table)}, p)
 
     unit_coords = _center_coords(center, comp.unit, p)
     if unit_coords is None:
@@ -481,8 +475,8 @@ def modular_split(comp):
     idems = _commutative_idempotents(table, traces, unit_coords, p, rng)
 
     # rho_i = sum_j c_ji^j, the trace of right multiplication by x_i
-    rho = [sum(row[i].get(j, 0) for j, row in enumerate(comp.table)) % p
-           for i in range(n)]
+    rho = _mod({i: sum(row[i].get(j, 0) for j, row in enumerate(comp.table))
+                for i in range(n)}, p)
     blocks = [_block_data(traces, rho, _center_element(center[0], e, p), e, p)
               for e in idems]
     blocks.sort(key=lambda b: (b.degree, b.block_dim,
@@ -514,7 +508,7 @@ def _center_table(comp, center):
 def _commutative_idempotents(table, traces, unit_coords, p, rng):
     """Primitive idempotents of a commutative (semisimple) F_p-algebra given
     by its multiplication table and the traces of multiplication by its
-    basis elements, as residue vectors of coordinates.
+    basis elements (a residue vector), as residue vectors of coordinates.
 
     Each round tries every piece against the basis directions (three
     random ones after r rounds) and replaces a piece that splits by its
@@ -555,7 +549,7 @@ def _ideal_dim(traces, e, p):
     """dim e Z for an idempotent e: the trace of multiplication by e, a
     projection of Z, read off the traces of the basis (exact as an
     integer, since r < p)."""
-    return sum(traces[i] * x for i, x in e.items()) % p
+    return sum(traces.get(i, 0) * x for i, x in e.items()) % p
 
 
 def _try_split(table, e, direction, p, rng):
@@ -603,7 +597,7 @@ def _poly_eval_in_algebra(table, poly, z, unit_e, p):
 def _block_data(traces, rho, e_vec, e_coords, p):
     """dim A e = rho(e) and dim Z e: the traces of the projections x -> x e
     of A and of Z, exact as integers since both are below p."""
-    bdim = sum(rho[k] * x for k, x in e_vec.items()) % p
+    bdim = sum(rho.get(k, 0) * x for k, x in e_vec.items()) % p
     cdim = _ideal_dim(traces, e_coords, p)
     if cdim == 0 or bdim % cdim != 0:
         raise BadPrime("inconsistent block dimensions")
@@ -667,22 +661,24 @@ def _poly_mul_mod(a, b, M):
 
 def reconstruct_element(field, per_component, roots, M, bound, den):
     """Glue per-component residue vectors of an integral vector y by CRT
-    interpolation and return y / den as field scalars, reading each
-    coefficient as its symmetric residue mod M > 2 bound; None when one
-    exceeds ``bound``, which proves the residues are not those of such a
-    y."""
+    interpolation and return y / den as a sparse vector of field scalars,
+    reading each coefficient as its symmetric residue mod M > 2 bound;
+    None when one exceeds ``bound``, which proves the residues are not
+    those of such a y."""
     half = M // 2
-    glued = []
-    for residues in zip(*per_component):
+    glued = {}
+    for k in sorted(set().union(*per_component)):
         nums = []
-        for c in interpolate_mod(roots, residues, M):
+        for c in interpolate_mod(roots, [v.get(k, 0) for v in per_component],
+                                 M):
             if c > half:
                 c -= M
             if abs(c) > bound:
                 return None
             nums.append(c)
-        glued.append(nums)
-    return [field.from_nums(nums, den) for nums in glued]
+        if any(nums):
+            glued[k] = nums
+    return {k: field.from_nums(nums, den) for k, nums in glued.items()}
 
 
 def precision_for(p: int, bound: int) -> int:

@@ -388,11 +388,11 @@ class CyclotomicField:
         x = rat(x)
         return Cyc(self, (x.numerator,) + self._pad, x.denominator)
 
-    from_int = from_rat
-
     def from_nums(self, nums, den):
-        """The value sum_k nums[k] z^k / den, for ints nums and den > 0."""
-        return _lowest(self, tuple(nums), den)
+        """The value sum_k nums[k] z^k / den, for ints nums and den > 0;
+        the numerators past the last given one are 0."""
+        nums = tuple(nums)
+        return _lowest(self, nums + self._pad[len(nums) - 1:], den)
 
     def zeta(self, power: int = 1):
         power %= self.conductor

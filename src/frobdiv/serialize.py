@@ -95,9 +95,10 @@ def algebra_from_json(doc, conductor=None):
 
 
 def _parse_vector(scalar, raw, dim, what):
+    """The document's list of dim scalars as a sparse vector."""
     _require(isinstance(raw, list) and len(raw) == dim,
              f"{what} must be a list of {dim} scalars")
-    return [scalar(s) for s in raw]
+    return {k: c for k, s in enumerate(raw) if (c := scalar(s))}
 
 
 def _reader(source, field):
@@ -157,13 +158,18 @@ def algebra_to_json(algebra, lam=None):
         "dim": algebra.dim,
         "field": field.describe(),
         "structure_constants": triples,
-        "unit": [field.format(c) for c in algebra.unit],
+        "unit": vector_strings(field, algebra.unit, algebra.dim),
     }
     if algebra.name:
         doc["name"] = algebra.name
     if lam is not None:
-        doc["lambda"] = [field.format(c) for c in lam]
+        doc["lambda"] = vector_strings(field, lam, algebra.dim)
     return doc
+
+
+def vector_strings(field, vec, dim):
+    """The dim scalar strings of a sparse vector, zeros written out."""
+    return [field.format(vec.get(k, field.zero)) for k in range(dim)]
 
 
 def hopf_from_json(doc, conductor=None):
@@ -218,7 +224,7 @@ def hopf_to_json(H, lam=None, R=None):
             if bool(c):
                 comul.append([flat, j, field.format(c)])
     doc["comultiplication"] = comul
-    doc["counit"] = [field.format(c) for c in H.counit]
+    doc["counit"] = vector_strings(field, H.counit, n)
     # each column is stored in ascending row order
     doc["antipode"] = [[i, j, field.format(c)]
                        for j, col in enumerate(H.antipode_columns)

@@ -1,5 +1,7 @@
 """Characteristic-zero Wedderburn decomposition via modular splitting.
 
+Every vector here is a sparse dict {index: nonzero scalar}: the
+idempotents, the traces v and the characters, a residue vector as well.
 The algebra is split mod a good prime p in every CRT component of the
 cyclotomic base field, on residue vectors (``modular.modular_split``,
 where block dimensions are traces of projections; the roots mod p behind
@@ -39,13 +41,13 @@ import itertools
 import random
 
 from .algebra import _common_den, combine, frobenius_structure, table_product
-from .linalg import EchelonSubspace, Poly, iterates, krylov_relation, sparse
-from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _trim,
-                      bad_prime_reason, component_roots, embedding_factor,
-                      good_primes, hensel_lift_idempotent, is_squarefree_mod,
-                      modular_split, newton_lift, norm1, precision_for,
-                      prime_search, product_mod, reconstruct_element,
-                      reduce_scalar, roots_mod_p)
+from .linalg import EchelonSubspace, Poly, iterates, krylov_relation
+from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _mod,
+                      _trim, bad_prime_reason, component_roots,
+                      embedding_factor, good_primes, hensel_lift_idempotent,
+                      is_squarefree_mod, modular_split, newton_lift, norm1,
+                      precision_for, prime_search, product_mod,
+                      reconstruct_element, reduce_scalar, roots_mod_p)
 from .scalars import Cyc
 
 FALLBACK_PRIMES = 3
@@ -59,11 +61,12 @@ CHECK_PRIME_LOWER = 1 << 20
 class WedderburnData:
     """Central primitive idempotents with block invariants and characters.
 
-    Blocks are in canonical order: by degree, then by the sort key of the
-    character vector.  ``characters[s][j]`` is the trace of x_j on the s-th
-    irreducible (for non-split blocks: the reduced trace, and
-    ``split_certified[s]`` is False).  ``precision_used`` is the exponent k
-    of the one precision p^k at which the blocks were glued.
+    Blocks are in canonical order: by degree, then by the sort keys of the
+    character's values on the whole basis.  The idempotents are sparse vectors
+    and the characters sparse forms: ``characters[s][j]`` is the trace of x_j
+    on the s-th irreducible, absent when 0 (for non-split blocks: the reduced
+    trace, and ``split_certified[s]`` is False).  ``precision_used`` is the
+    exponent k of the one precision p^k at which the blocks were glued.
     """
 
     def __init__(self, algebra, idempotents, degrees, block_dims,
@@ -248,10 +251,10 @@ class TraceGluing:
             while exp < self.exp:
                 e = hensel_lift_idempotent(comp, e, M)
                 exp *= 2
-            self.traces[key] = [
-                self.den * sum(x * c * rho.get(m, 0) for i, x in e.items()
-                               for m, c in row[i].items()) % M
-                for row in comp.table]
+            self.traces[key] = _mod({
+                j: self.den * sum(x * c * rho.get(m, 0) for i, x in e.items()
+                                  for m, c in row[i].items())
+                for j, row in enumerate(comp.table)}, M)
         return self.traces[key]
 
     def __call__(self, choice):
@@ -277,10 +280,7 @@ def _verify_system(algebra, idempotents, block_dims):
     dimensions add up to dim A.  e_S e_T lies in both A e_S and A e_T, so
     a direct sum makes it 0; conversely orthogonal central idempotents
     split A into a direct sum.  No two idempotents are multiplied."""
-    total = algebra.zero_vec()
-    for e in idempotents:
-        total = [a + b for a, b in zip(total, e)]
-    if total != algebra.unit:
+    if combine((algebra.field.one, e) for e in idempotents) != algebra.unit:
         raise PrecisionExceeded("idempotents do not sum to the unit")
     if sum(block_dims) != algebra.dim:
         raise PrecisionExceeded("idempotents are not orthogonal")
@@ -308,7 +308,8 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None):
     def dual(v):
         # lambda = scale chi_reg, so chi_reg(x_j e) = v_j for
         # e = sum_j scale v_j y_j over the dual basis y_j of lambda
-        return frobenius.dual_combination([scale * x for x in v])
+        return frobenius.dual_combination({j: scale * x
+                                           for j, x in v.items()})
 
     idems, traces, blocks, p, prec = _raw_idempotents(algebra, dual, prime)
     degrees = [b.degree for b in blocks]
@@ -318,22 +319,24 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None):
     certified = []
     for e, v, b in zip(idems, traces, blocks):
         # dim A e = chi_reg(e), the trace of the projection x -> x e
-        if algebra.apply_form(chi_reg, e) != field.from_int(b.block_dim):
+        if algebra.apply_form(chi_reg, e) != field.from_rat(b.block_dim):
             raise PrecisionExceeded("exact block dimension disagrees with "
                                     "the modular one")
         block_dims.append(b.block_dim)
         # chi_S(x_j) = chi_reg(x_j e_S) / (d_S * center_dim_S)
-        denom = field.from_int(b.degree * b.center_dim)
-        characters.append([x / denom for x in v])
+        denom = field.from_rat(b.degree * b.center_dim)
+        characters.append({j: x / denom for j, x in v.items()})
         if b.center_dim == 1 and b.degree > 1:
             certified.append(certify_split_block(algebra, e, b.degree))
         else:
             certified.append(b.center_dim == 1)
     _verify_system(algebra, idems, block_dims)
 
+    zero = field.zero
     order = sorted(range(len(idems)),
                    key=lambda s: (degrees[s],
-                                  [c.sort_key() for c in characters[s]]))
+                                  [characters[s].get(j, zero).sort_key()
+                                   for j in range(algebra.dim)]))
     idems, degrees, block_dims, center_dims, characters, certified = (
         [xs[s] for s in order] for xs in (idems, degrees, block_dims,
                                           center_dims, characters, certified))
@@ -343,9 +346,9 @@ def central_primitive_idempotents(algebra, frobenius=None, prime=None):
 
 def _multiple(form, chi):
     """The nonzero scalar c with form = c chi, or None (chi is nonzero)."""
-    i = next(i for i, x in enumerate(chi) if x)
-    c = form[i] / chi[i]
-    if c and all(f == c * x for f, x in zip(form, chi)):
+    i, x = next(iter(chi.items()))
+    c = form.get(i, x.field.zero) / x
+    if c and form == {k: c * x for k, x in chi.items()}:
         return c
     return None
 
@@ -374,7 +377,6 @@ def certify_split_block(algebra, e, d):
     the echelon basis, then random combinations.  Each candidate is built
     only once those before it have failed.
     """
-    e = sparse(e)
     images = [table_product(algebra.table, {j: algebra.field.one}, e)
               for j in range(algebra.dim)]
     block = EchelonSubspace(algebra.field, algebra.dim, images)
@@ -403,7 +405,7 @@ def _eigenspaces(algebra, e, block, b):
     roots = field_roots(field, _block_minimal_polynomial(algebra, e, b).coeffs)
     if not roots:
         return
-    basis = [block.rows[p] for p in block.pivots]
+    basis = block.basis
     products = [table_product(algebra.table, v, b) for v in basis]
     if any(block.reduce(vb) for vb in products):
         raise PrecisionExceeded("block not closed under multiplication")
@@ -418,11 +420,11 @@ def _split_candidates(algebra, images, block):
     rows: the nonzero images x_j e, the echelon rows of the block, then
     random combinations of them."""
     yield from (v for v in images if v)
-    basis = [block.rows[p] for p in block.pivots]
+    basis = block.basis
     yield from basis
     rng = random.Random(1)
     for _ in range(RANDOM_CANDIDATES):
-        yield combine((algebra.field.from_int(rng.randrange(1, 5)), w)
+        yield combine((algebra.field.from_rat(rng.randrange(1, 5)), w)
                       for w in basis)
 
 
@@ -460,10 +462,11 @@ def field_roots(field, coeffs):
         lifted.append([den * newton_lift(gw, t, p, M) % M for t in ts])
     out = []
     for choice in itertools.product(*lifted):
-        t = reconstruct_element(field, [[y] for y in choice], roots, M,
+        y = reconstruct_element(field, [{0: r} for r in choice], roots, M,
                                 bound, den)
-        if t is not None and not g(t[0]):
-            out.append(t[0])
+        t = None if y is None else y.get(0, field.zero)
+        if t is not None and not g(t):
+            out.append(t)
     return sorted(out, key=Cyc.sort_key)
 
 

@@ -19,10 +19,7 @@ def group_algebra_plain(gname, field=None):
 
 def delta_form(algebra):
     """<lambda, x_i> = delta_{i, identity index} (assumes unit = e_0)."""
-    field = algebra.field
-    form = [field.zero] * algebra.dim
-    form[0] = field.one
-    return form
+    return {0: algebra.field.one}
 
 
 def matrix_algebra_2x2(field=None):

@@ -16,6 +16,12 @@ of a modular split formed in the whole reduced algebra, the dense
 eliminations that the sparse echelon form replaced, the dense split
 certificate, the scalars of Q(zeta_n) as tuples of rationals, and the
 trial reconstruction that bounded gluing replaced.
+
+The library takes and returns every vector as a sparse dict {index:
+nonzero scalar}.  The oracle computes on dense vectors, lists of dim
+scalars, and converts at its own boundary (``dense``, ``sparse``): each
+function takes and returns vectors in the library's form, so that a test
+compares the two directly.
 """
 
 import functools
@@ -26,26 +32,62 @@ import re
 from frobdiv import (Matrix, Poly, Rat, StructureConstantAlgebra,
                      VerificationReport, cyclotomic_polynomial)
 from frobdiv.hopf import HopfAlgebraData
+from frobdiv.linalg import sparse
 from frobdiv.modular import BadPrime
 from frobdiv.scalars import PrimeFieldElement
+
+
+# ---------------------------------------------------------------------------
+# the boundary: dense vectors in the oracle, sparse ones in the library
+# ---------------------------------------------------------------------------
+
+
+def dense(v, n, zero):
+    """A sparse vector as a dense list of length n."""
+    return [v.get(k, zero) for k in range(n)]
+
+
+def dense_vec(A, v):
+    """An element of (or a form on) the algebra A as a dense list."""
+    return dense(v, A.dim, A.field.zero)
+
+
+def basis_vec(A, i):
+    return dense_vec(A, {i: A.field.one})
+
+
+def zero_vec(A):
+    return dense_vec(A, {})
+
+
+def dense_multiply(A, a, b):
+    """a b for dense vectors, through the library's product."""
+    return dense_vec(A, A.multiply(sparse(a), sparse(b)))
+
+
+def dense_apply_form(field, form, a):
+    """<form, a> for dense vectors."""
+    return sum((f * x for f, x in zip(form, a)), field.zero)
 
 
 def dense_verify(A):
     report = VerificationReport(True)
     n = A.dim
-    basis = [A.basis_vec(i) for i in range(n)]
+    basis = [basis_vec(A, i) for i in range(n)]
+    unit = dense_vec(A, A.unit)
     for i in range(n):
         for j in range(n):
-            ij = A.multiply(basis[i], basis[j])
+            ij = dense_multiply(A, basis[i], basis[j])
             for k in range(n):
-                lhs = A.multiply(ij, basis[k])
-                rhs = A.multiply(basis[i], A.multiply(basis[j], basis[k]))
+                lhs = dense_multiply(A, ij, basis[k])
+                rhs = dense_multiply(A, basis[i],
+                                     dense_multiply(A, basis[j], basis[k]))
                 if lhs != rhs:
                     report.record(False, ("associativity", i, j, k))
     for i in range(n):
-        if A.multiply(A.unit, basis[i]) != basis[i]:
+        if dense_multiply(A, unit, basis[i]) != basis[i]:
             report.record(False, ("left-unit", i))
-        if A.multiply(basis[i], A.unit) != basis[i]:
+        if dense_multiply(A, basis[i], unit) != basis[i]:
             report.record(False, ("right-unit", i))
     return report
 
@@ -59,8 +101,8 @@ def _dense_tensor_mult(A, u, v):
         i, j = divmod(fu, n)
         for fv, b in v.items():
             k, l = divmod(fv, n)
-            left = A.multiply(A.basis_vec(i), A.basis_vec(k))
-            right = A.multiply(A.basis_vec(j), A.basis_vec(l))
+            left = dense_multiply(A, basis_vec(A, i), basis_vec(A, k))
+            right = dense_multiply(A, basis_vec(A, j), basis_vec(A, l))
             for r, x in enumerate(left):
                 if x != zero:
                     for s, y in enumerate(right):
@@ -83,6 +125,8 @@ def dense_verify_hopf(H):
     A = H.algebra
     field = H.field
     n = H.dim
+    eps = dense_vec(A, H.counit)
+    unit = dense_vec(A, A.unit)
 
     for j in range(n):
         dj = H.delta[j]
@@ -102,38 +146,43 @@ def dense_verify_hopf(H):
         id_eps = [field.zero] * n
         for idx, c in dj.items():
             i, k = divmod(idx, n)
-            eps_id[k] = eps_id[k] + H.counit[i] * c
-            id_eps[i] = id_eps[i] + H.counit[k] * c
-        basis = A.basis_vec(j)
+            eps_id[k] = eps_id[k] + eps[i] * c
+            id_eps[i] = id_eps[i] + eps[k] * c
+        basis = basis_vec(A, j)
         report.record(eps_id == basis, ("counit-left", j))
         report.record(id_eps == basis, ("counit-right", j))
 
     unit_sq = {}
-    for i, x in enumerate(A.unit):
-        for k, y in enumerate(A.unit):
+    for i, x in enumerate(unit):
+        for k, y in enumerate(unit):
             if x != field.zero and y != field.zero:
                 unit_sq[i * n + k] = x * y
-    report.record(_clean(H.delta_of(A.unit)) == unit_sq, ("delta-unit",))
-    report.record(H.counit_of(A.unit) == field.one, ("counit-unit",))
+    report.record(_clean(H.delta_of(sparse(unit))) == unit_sq,
+                  ("delta-unit",))
+    report.record(dense_apply_form(field, eps, unit) == field.one,
+                  ("counit-unit",))
     for i in range(n):
         for j in range(n):
-            prod = A.multiply(A.basis_vec(i), A.basis_vec(j))
-            lhs = H.delta_of(prod)
+            prod = dense_multiply(A, basis_vec(A, i), basis_vec(A, j))
+            lhs = H.delta_of(sparse(prod))
             rhs = _dense_tensor_mult(A, H.delta[i], H.delta[j])
             report.record(lhs == rhs, ("delta-multiplicative", i, j))
-            report.record(H.counit_of(prod) == H.counit[i] * H.counit[j],
+            report.record(dense_apply_form(field, eps, prod)
+                          == eps[i] * eps[j],
                           ("counit-multiplicative", i, j))
 
     for j in range(n):
-        left = A.zero_vec()
-        right = A.zero_vec()
+        left = zero_vec(A)
+        right = zero_vec(A)
         for idx, c in H.delta[j].items():
             i, k = divmod(idx, n)
-            t = A.multiply(matrix_column(H.antipode, i), A.basis_vec(k))
+            t = dense_multiply(A, matrix_column(H.antipode, i),
+                               basis_vec(A, k))
             left = [x + c * y for x, y in zip(left, t)]
-            t = A.multiply(A.basis_vec(i), matrix_column(H.antipode, k))
+            t = dense_multiply(A, basis_vec(A, i),
+                               matrix_column(H.antipode, k))
             right = [x + c * y for x, y in zip(right, t)]
-        target = [H.counit[j] * u for u in A.unit]
+        target = [eps[j] * u for u in unit]
         report.record(left == target, ("antipode-left", j))
         report.record(right == target, ("antipode-right", j))
 
@@ -156,9 +205,7 @@ def permute_algebra(A, perm):
         for j in range(n):
             table[perm[i]][perm[j]] = {perm[k]: c
                                        for k, c in A.table[i][j].items()}
-    unit = [A.field.zero] * n
-    for i, c in enumerate(A.unit):
-        unit[perm[i]] = c
+    unit = {perm[i]: c for i, c in A.unit.items()}
     return StructureConstantAlgebra(A.field, n, table, unit, name=A.name)
 
 
@@ -169,9 +216,7 @@ def permute_hopf(H, perm):
         for idx, c in d.items():
             a, b = divmod(idx, n)
             delta[perm[j]][perm[a] * n + perm[b]] = c
-    counit = [H.field.zero] * n
-    for j, c in enumerate(H.counit):
-        counit[perm[j]] = c
+    counit = {perm[j]: c for j, c in H.counit.items()}
     scols = [{} for _ in range(n)]
     for j, col in enumerate(H.antipode_columns):
         for i, c in col.items():
@@ -210,7 +255,7 @@ def dense_delta_on_leg(H, z, first):
     out = {}
     for idx, c in z.items():
         i, j = divmod(idx, n)
-        image = H.delta_of(H.algebra.basis_vec(i if first else j))
+        image = H.delta_of(sparse(basis_vec(H.algebra, i if first else j)))
         for idx2, d in image.items():
             a, b = divmod(idx2, n)
             _add_into(out, (a, b, j) if first else (i, a, b), c * d)
@@ -221,17 +266,17 @@ def dense_multiply_legs(A, z):
     """m(z) as a sum of dense products of basis vectors, without its
     zeros."""
     n = A.dim
-    out = A.zero_vec()
+    out = zero_vec(A)
     for idx, c in z.items():
         i, k = divmod(idx, n)
-        prod = A.multiply(A.basis_vec(i), A.basis_vec(k))
+        prod = dense_multiply(A, basis_vec(A, i), basis_vec(A, k))
         out = [x + c * y for x, y in zip(out, prod)]
     return _clean(dict(enumerate(out)))
 
 
 def dense_after_antipode(H, form):
     """f o S through the transposed dense antipode."""
-    return transpose(H.antipode).apply(form)
+    return sparse(transpose(H.antipode).apply(dense_vec(H.algebra, form)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +338,14 @@ def dense_center_basis(A):
         _mult_matrix(A.field, n, cell, "left", _basis(A.field, n, i)),
         _mult_matrix(A.field, n, cell, "right", _basis(A.field, n, i)))
            for i in range(n))
-    return _intersect_kernels(A.field, n, ops)
+    return [sparse(v) for v in _intersect_kernels(A.field, n, ops)]
 
 
 def dense_mod_p_center(comp, gf):
     """The same kernels on a reduction mod p (``ComponentAlgebra``),
     stopping, as the library did, once one dimension is left."""
     n = comp.dim
-    cell = lambda i, j: {k: gf.from_int(c)  # noqa: E731
+    cell = lambda i, j: {k: gf.from_rat(c)  # noqa: E731
                          for k, c in comp.table[i][j].items()}
     ops = (matrix_sub(_mult_matrix(gf, n, cell, "left", _basis(gf, n, i)),
                       _mult_matrix(gf, n, cell, "right", _basis(gf, n, i)))
@@ -317,27 +362,32 @@ def dense_integral(H):
     cell = lambda i, j: A.table[i][j]  # noqa: E731
     ops = (matrix_sub(
         _mult_matrix(field, n, cell, "left", _basis(field, n, h)),
-        scalar_matrix(field, n, H.counit[h])) for h in range(n))
+        scalar_matrix(field, n, H.counit.get(h, field.zero)))
+        for h in range(n))
     space = _intersect_kernels(field, n, ops)
     assert len(space) == 1
     raw = space[0]
-    scale = field.from_int(n) / H.counit_of(raw)
-    return [scale * x for x in raw]
+    scale = field.from_rat(n) / dense_apply_form(
+        field, dense_vec(A, H.counit), raw)
+    return sparse([scale * x for x in raw])
 
 
 def dense_is_central(A, a):
+    a = dense_vec(A, a)
     for i in range(A.dim):
-        b = A.basis_vec(i)
-        if A.multiply(a, b) != A.multiply(b, a):
+        b = basis_vec(A, i)
+        if dense_multiply(A, a, b) != dense_multiply(A, b, a):
             return False
     return True
 
 
 def dense_gram(A, lam):
-    """<lambda, x_i x_j> from products of basis vectors."""
+    """<lambda, x_i x_j> from products of basis vectors, as dense rows."""
     n = A.dim
-    return [[A.apply_form(lam, A.multiply(A.basis_vec(i), A.basis_vec(j)))
-             for j in range(n)] for i in range(n)]
+    lam = dense_vec(A, lam)
+    return [[dense_apply_form(A.field, lam, dense_multiply(
+        A, basis_vec(A, i), basis_vec(A, j))) for j in range(n)]
+        for i in range(n)]
 
 
 def _mult3(A, u, v):
@@ -364,7 +414,7 @@ def dense_r_products(A, Rd):
     r12 = {}
     for idx, c in Rd.items():
         i, j = divmod(idx, n)
-        for u, cu in enumerate(A.unit):
+        for u, cu in enumerate(dense_vec(A, A.unit)):
             if cu != A.field.zero:
                 _add_into(r13, (i, u, j), c * cu)
                 _add_into(r23, (u, i, j), c * cu)
@@ -393,16 +443,18 @@ def dense_quasitriangular_report(H, R):
     report.record(T.mult(Rd, Rinv) == T.unit, ("R-invertible-right",))
     report.record(T.mult(Rinv, Rd) == T.unit, ("R-invertible-left",))
 
-    left = A.zero_vec()
-    right = A.zero_vec()
+    left = zero_vec(A)
+    right = zero_vec(A)
+    eps = dense_vec(A, H.counit)
     for idx, c in Rd.items():
         i, j = divmod(idx, n)
-        left = [x + c * H.counit[i] * y
-                for x, y in zip(left, A.basis_vec(j))]
-        right = [x + c * H.counit[j] * y
-                 for x, y in zip(right, A.basis_vec(i))]
-    report.record(left == A.unit, ("counit-R-left",))
-    report.record(right == A.unit, ("counit-R-right",))
+        left = [x + c * eps[i] * y
+                for x, y in zip(left, basis_vec(A, j))]
+        right = [x + c * eps[j] * y
+                 for x, y in zip(right, basis_vec(A, i))]
+    unit = dense_vec(A, A.unit)
+    report.record(left == unit, ("counit-R-left",))
+    report.record(right == unit, ("counit-R-right",))
 
     dR = {}
     idR = {}
@@ -467,10 +519,11 @@ def change_basis_hopf(H, P, R=None):
     delta = []
     for j in range(n):
         flat = [zero] * (n * n)
-        for idx, c in H.delta_of(cols[j]).items():
+        for idx, c in H.delta_of(sparse(cols[j])).items():
             flat[idx] = c
         delta.append(tensor_to_new(flat))
-    counit = [H.counit_of(col) for col in cols]
+    counit = sparse([dense_apply_form(field, dense_vec(H.algebra, H.counit),
+                                      col) for col in cols])
     antipode = matmul(matmul(Q, H.antipode), P)
     H2 = HopfAlgebraData(B, delta, counit, sparse_columns(antipode),
                          name=H.name)
@@ -485,11 +538,10 @@ def change_basis_algebra(A, P):
     n = A.dim
     Q = matrix_inverse(P)
     cols = matrix_columns(P)
-    table = [[{k: c for k, c in enumerate(Q.apply(A.multiply(cols[i],
-                                                            cols[j])))
-               if c != field.zero}
+    table = [[sparse(Q.apply(dense_multiply(A, cols[i], cols[j])))
               for j in range(n)] for i in range(n)]
-    return StructureConstantAlgebra(field, n, table, Q.apply(A.unit),
+    return StructureConstantAlgebra(field, n, table,
+                                    Q.apply(dense_vec(A, A.unit)),
                                     name=A.name)
 
 
@@ -501,7 +553,7 @@ def unimodular_matrix(field, n, seed):
 
     def tri(lower):
         return Matrix(field, [[field.one if i == j else
-                               field.from_int(rng.choice((-1, 0, 1)))
+                               field.from_rat(rng.choice((-1, 0, 1)))
                                if (i > j) == lower else field.zero
                                for j in range(n)] for i in range(n)])
 
@@ -617,12 +669,13 @@ def dense_first_non_multiplicative_pair(A, B, images):
     """The first pair (i, j), i then j, with phi(x_i x_j) != phi(x_i)
     phi(x_j) for the map phi(x_k) = images[k], from dense products on
     both sides; None if there is none."""
-    phi = Matrix.from_columns(B.field, images)
+    phi = Matrix.from_columns(B.field, [dense_vec(B, v) for v in images])
     for i in range(A.dim):
         xi = matrix_column(phi, i)
         for j in range(A.dim):
-            lhs = phi.apply(A.multiply(A.basis_vec(i), A.basis_vec(j)))
-            if lhs != B.multiply(xi, matrix_column(phi, j)):
+            lhs = phi.apply(dense_multiply(A, basis_vec(A, i),
+                                           basis_vec(A, j)))
+            if lhs != dense_multiply(B, xi, matrix_column(phi, j)):
                 return i, j
     return None
 
@@ -638,7 +691,8 @@ def dense_phi(Q):
 def dense_psi(Q, characters):
     """Psi = Phi chi as a dense product, chi the Matrix whose columns are
     the characters: column s is Psi of the s-th basis element of R."""
-    return matmul(dense_phi(Q), Matrix.from_columns(Q.H.field, characters))
+    return matmul(dense_phi(Q), Matrix.from_columns(
+        Q.H.field, [dense_vec(Q.H.algebra, chi) for chi in characters]))
 
 
 def dense_rank(m):
@@ -648,20 +702,23 @@ def dense_rank(m):
 
 def pairwise_orthogonal(A, idempotents):
     """e f = 0 for every pair of distinct idempotents."""
-    return all(not any(bool(c) for c in A.multiply(e, f))
-               for s, e in enumerate(idempotents)
-               for f in idempotents[s + 1:])
+    dense_idems = [dense_vec(A, e) for e in idempotents]
+    return all(not any(bool(c) for c in dense_multiply(A, e, f))
+               for s, e in enumerate(dense_idems)
+               for f in dense_idems[s + 1:])
 
 
 def hit_form_left(A, a, form):
     """a -> form, the form b |-> <form, b a>."""
-    return [A.apply_form(form, A.multiply(A.basis_vec(i), a))
-            for i in range(A.dim)]
+    a, form = dense_vec(A, a), dense_vec(A, form)
+    return sparse([dense_apply_form(A.field, form, dense_multiply(
+        A, basis_vec(A, i), a)) for i in range(A.dim)])
 
 
 def dense_block_dim(A, e):
     """dim A e, as the rank of the products x_i e."""
-    return len(dense_rref(A.field, [A.multiply(A.basis_vec(i), e)
+    e = dense_vec(A, e)
+    return len(dense_rref(A.field, [dense_multiply(A, basis_vec(A, i), e)
                                     for i in range(A.dim)])[1])
 
 
@@ -679,7 +736,8 @@ def full_algebra_center_table(comp, center):
     and cells (coordinate residue vectors) as ``modular._center_table``."""
     gf = PrimeField(comp.M)
     gf_center = gf_center_mod_p(comp, gf)
-    basis = [[x.residue for x in v] for v in gf_center.basis]
+    basis = [residue_list({k: x.residue for k, x in v.items()}, comp.dim)
+             for v in gf_center.basis]
     assert [residue_dict(v) for v in basis] == center[0]
     return [[residue_dict(_gf_center_coords(
         gf_center, gf, dense_mod_multiply(comp, zi, zj))) for zj in basis]
@@ -687,10 +745,12 @@ def full_algebra_center_table(comp, center):
 
 
 def _gf_center_coords(gf_center, gf, vec):
-    coords = gf_center.coords([gf.from_int(x) for x in vec])
+    coords = gf_center.coords({k: gf.from_rat(x) for k, x in enumerate(vec)
+                               if x})
     if coords is None:
         raise BadPrime("center not closed under multiplication")
-    return [c.residue for c in coords]
+    return residue_list({i: c.residue for i, c in coords.items()},
+                        gf_center.dim)
 
 
 def dense_mod_multiply(comp, a, b):
@@ -879,7 +939,8 @@ def dense_restricted_right_mult(algebra, block, b):
     its echelon basis."""
     cols = [block.coords(algebra.multiply(v, b)) for v in block.basis]
     assert None not in cols, "block not closed under multiplication"
-    return Matrix.from_columns(algebra.field, cols)
+    return Matrix.from_columns(algebra.field, [
+        dense(c, block.dim, algebra.field.zero) for c in cols])
 
 
 def dense_eigenspaces(algebra, block, b):
@@ -958,7 +1019,7 @@ def matrix_trace(m):
 def dense_commutator_space(A):
     """Echelon basis of the span of the commutators x_i x_j - x_j x_i."""
     def mult(i, j):
-        return A.multiply(A.basis_vec(i), A.basis_vec(j))
+        return dense_multiply(A, basis_vec(A, i), basis_vec(A, j))
 
     rows = [[a - b for a, b in zip(mult(i, j), mult(j, i))]
             for i in range(A.dim) for j in range(i + 1, A.dim)]
@@ -1149,8 +1210,8 @@ def rational_reconstruct(residue, modulus):
 
 
 def trial_reconstruct_element(field, per_component, roots, M):
-    """Glue per-component residue vectors and rationally reconstruct a
-    vector of field scalars; None if any coefficient fails."""
+    """Glue per-component residue lists and rationally reconstruct a
+    dense vector of field scalars; None if any coefficient fails."""
     from frobdiv.modular import interpolate_mod
     out = []
     for residues in zip(*per_component):
@@ -1176,8 +1237,8 @@ def lift_and_reconstruct(field, p, residues, step, accept, max_exp):
         if exp > 1:
             residues = step(residues, exp)
         x = trial_reconstruct_element(field, residues, roots, M)
-        if x is not None and accept(x):
-            return x, exp
+        if x is not None and accept(sparse(x)):
+            return sparse(x), exp
         exp *= 2
     return None
 
@@ -1257,8 +1318,8 @@ def trial_wedderburn(algebra, p):
             used[k].add(id(b))
         idempotents.append(e)
         denom = field.from_rat(Rat(b0.degree * b0.center_dim))
-        characters.append([v / denom
-                           for v in hit_form_left(algebra, e, chi_reg)])
+        characters.append({k: v / denom for k, v
+                           in hit_form_left(algebra, e, chi_reg).items()})
     return idempotents, characters, precision
 
 
@@ -1288,8 +1349,9 @@ def lift_roots(field, g, p, comp_roots):
     for choice in itertools.product(*comp_roots):
         res = lift_and_reconstruct(field, p, [[t] for t in choice], step,
                                    lambda x: True, TRIAL_ROOT_PRECISION_EXP)
-        if res is not None and not g(res[0][0]):
-            out.append(res[0][0])
+        t = None if res is None else res[0].get(0, field.zero)
+        if t is not None and not g(t):
+            out.append(t)
     return out
 
 
@@ -1332,7 +1394,7 @@ class PrimeField:
         self.zero = PrimeFieldElement(0, modulus)
         self.one = PrimeFieldElement(1, modulus)
 
-    def from_int(self, x: int):
+    def from_rat(self, x: int):
         return PrimeFieldElement(x, self.modulus)
 
     def coerce(self, x):
@@ -1358,7 +1420,7 @@ class PrimeField:
 
 
 def poly_from_ints(field, ints):
-    return Poly(field, [field.from_int(i) for i in ints])
+    return Poly(field, [field.from_rat(i) for i in ints])
 
 
 def poly_x(field):
@@ -1437,7 +1499,7 @@ def gf_equal_degree_factor(f, d, p, rng):
     field = f.field
     one = Poly(field, [field.one])
     while True:
-        a = Poly(field, [field.from_int(rng.randrange(p))
+        a = Poly(field, [field.from_rat(rng.randrange(p))
                          for _ in range(f.degree())])
         if a.degree() < 1:
             continue
@@ -1471,20 +1533,20 @@ def gf_roots_mod_p(f, p, rng):
 def gf_center_mod_p(comp, gf):
     from frobdiv.algebra import center_conditions
     from frobdiv.linalg import EchelonSubspace
-    rows = ({k: gf.from_int(c) for k, c in row.items()}
+    rows = ({k: gf.from_rat(c) for k, c in row.items()}
             for row in center_conditions(comp.table))
     return EchelonSubspace(gf, comp.dim, rows).kernel()
 
 
 def _gf_try_split(cmult, e, direction, r, p, rng):
-    from frobdiv.linalg import iterates, krylov_relation, sparse
+    from frobdiv.linalg import iterates, krylov_relation
     gf = PrimeField(p)
     z = cmult(direction, e)
-    mat = Matrix.from_columns(gf, [[gf.from_int(x) for x in
+    mat = Matrix.from_columns(gf, [[gf.from_rat(x) for x in
                                     cmult(z, _basis_coord(j, r))]
                                    for j in range(r)])
     rel = krylov_relation(gf, r, map(sparse, iterates(
-        mat.apply, [gf.from_int(x) for x in e])))
+        mat.apply, [gf.from_rat(x) for x in e])))
     if rel.degree() <= 1:
         return None
     if rel.gcd(rel.derivative()).degree() > 0:
@@ -1518,7 +1580,8 @@ def gf_modular_split(comp):
     r = center.dim
     if r == 0:
         raise BadPrime("trivial center mod p")
-    basis = [[x.residue for x in v] for v in center.basis]
+    basis = [residue_list({k: x.residue for k, x in v.items()}, n)
+             for v in center.basis]
 
     def cmult(u_coords, v_coords):
         return _gf_center_coords(center, gf, dense_mod_multiply(
@@ -1528,9 +1591,8 @@ def gf_modular_split(comp):
     def ideal_dim(e):
         return sum(cmult(e, _basis_coord(j, r))[j] for j in range(r)) % p
 
-    unit_coords = [c.residue for c in
-                   center.coords([gf.from_int(x) for x in
-                                  residue_list(comp.unit, n)])]
+    unit_coords = residue_list({i: c.residue for i, c in center.coords(
+        {k: gf.from_rat(x) for k, x in comp.unit.items()}).items()}, r)
     # the loop of modular._commutative_idempotents
     pieces = [(unit_coords, r == 1)]
     changed, rounds = True, 0
@@ -1558,7 +1620,7 @@ def gf_modular_split(comp):
         pieces = new
 
     def span_dim(vectors):
-        return EchelonSubspace(gf, n, ({k: gf.from_int(x)
+        return EchelonSubspace(gf, n, ({k: gf.from_rat(x)
                                         for k, x in enumerate(v) if x}
                                        for v in vectors)).dim
 

@@ -2,17 +2,18 @@
 that only the tests call.
 
 The library never calls these: the dual basis, the form and the Casimir
-trace Gamma(a) = sum_i x_i a y_i (from dense products) of a Frobenius
+trace Gamma(a) = sum_i x_i a y_i (from products in A) of a Frobenius
 structure, and its trace formula, reconstruction identity and Casimir
 identities; the characters, the formula Gamma(1) e(S) = d(S)
 (chi_S (x) Id)(c) and the block components of c and c^2 of a Wedderburn
 split; the conjugacy classes of a finite group; and membership in an
-echelon subspace.
+echelon subspace.  Vectors are in the library's form, sparse dicts
+{index: nonzero scalar}.
 """
 
 from frobdiv import Rat, TensorSquareAlgebra, VerificationReport
-from frobdiv.algebra import (AlgebraError, _add_into, _clean, contract_left,
-                             contract_right, tensor_dict)
+from frobdiv.algebra import (AlgebraError, _add_into, _clean, combine,
+                             contract_left, contract_right, tensor_dict)
 from frobdiv.linalg import sparse
 from frobdiv.wedderburn import gamma_one_eigenvalue
 
@@ -23,10 +24,10 @@ from frobdiv.wedderburn import gamma_one_eigenvalue
 
 
 def dual_basis(F):
-    """The dual basis y_j, with <lambda, x_i y_j> = delta_ij, as dense
-    vectors: y_j = F.dual_combination(e_j)."""
+    """The dual basis y_j, with <lambda, x_i y_j> = delta_ij:
+    y_j = F.dual_combination(e_j)."""
     A = F.algebra
-    return [F.dual_combination(A.basis_vec(j)) for j in range(A.dim)]
+    return [F.dual_combination({j: A.field.one}) for j in range(A.dim)]
 
 
 def evaluate(F, a):
@@ -35,14 +36,12 @@ def evaluate(F, a):
 
 
 def casimir_trace(F, a):
-    """Gamma(a) = sum_i x_i a y_i, from dense products; asserts the result
+    """Gamma(a) = sum_i x_i a y_i, from products in A; asserts the result
     is central."""
     A = F.algebra
-    out = A.zero_vec()
-    for i, y in enumerate(dual_basis(F)):
-        t = A.multiply(A.basis_vec(i), a)
-        t = A.multiply(t, y)
-        out = [x + y for x, y in zip(out, t)]
+    one = A.field.one
+    out = combine((one, A.multiply(A.multiply({i: one}, a), y))
+                  for i, y in enumerate(dual_basis(F)))
     if not A.is_central(out):
         raise AlgebraError("Casimir trace produced a non-central value")
     return out
@@ -54,19 +53,16 @@ def trace_via_casimir(F, f):
     A = F.algebra
     s = F.field.zero
     for i, y in enumerate(dual_basis(F)):
-        s = s + evaluate(F, A.multiply([row[i] for row in f.entries], y))
+        s = s + evaluate(F, A.multiply(sparse([row[i] for row in f.entries]),
+                                       y))
     return s
 
 
 def reconstruct(F, a):
     """sum_i x_i <lambda, a y_i>, which must reproduce a."""
     A = F.algebra
-    out = A.zero_vec()
-    for i, y in enumerate(dual_basis(F)):
-        c = evaluate(F, A.multiply(a, y))
-        if c != F.field.zero:
-            out[i] = out[i] + c
-    return out
+    return _clean({i: evaluate(F, A.multiply(a, y))
+                   for i, y in enumerate(dual_basis(F))})
 
 
 def check_casimir_identities(F):
@@ -78,9 +74,9 @@ def check_casimir_identities(F):
     c = F.casimir
     report.record(T.switch(c) == c, ("switch-invariance",))
     for i in range(A.dim):
-        a = A.basis_vec(i)
-        a_1 = tensor_dict(F.field, a, A.unit)
-        one_a = tensor_dict(F.field, A.unit, a)
+        a = {i: F.field.one}
+        a_1 = tensor_dict(a, A.unit, A.dim)
+        one_a = tensor_dict(A.unit, a, A.dim)
         report.record(T.mult(a_1, c) == T.mult(c, one_a),
                       ("swap-law-left", i))
         report.record(T.mult(one_a, c) == T.mult(c, a_1),
@@ -133,11 +129,11 @@ def verify_cprid_formula(frobenius, data):
     for s, e in enumerate(data.idempotents):
         lhs = algebra.multiply(g1, e)
         chi = data.characters[s]
-        left = contract_left(field, chi, cas, n)
-        right = contract_right(field, chi, cas, n)
+        left = contract_left(chi, cas, n)
+        right = contract_right(chi, cas, n)
         d = field.from_rat(Rat(data.degrees[s]))
-        out.append(lhs == [d * v for v in left]
-                   and lhs == [d * v for v in right])
+        out.append(lhs == {k: d * v for k, v in left.items()}
+                   and lhs == {k: d * v for k, v in right.items()})
     return out
 
 
@@ -165,7 +161,7 @@ def casimir_square_components(frobenius, data):
         val = field.zero
         for idx, zij in z.items():
             i, j = divmod(idx, n)
-            if bool(chi_s[i]) and bool(chi_t[j]):
+            if i in chi_s and j in chi_t:
                 val = val + chi_s[i] * chi_t[j] * zij
         denom = field.from_rat(Rat(data.degrees[s] * data.degrees[t]))
         return val / denom
@@ -189,11 +185,10 @@ def casimir_square_components(frobenius, data):
         rows.setdefault(i, []).append((j, x))
     gamma_c = {}
     for i, terms in rows.items():
-        gi = casimir_trace(frobenius, algebra.basis_vec(i))
-        for rr, g in enumerate(gi):
-            if bool(g):
-                for j, x in terms:
-                    _add_into(gamma_c, rr * n + j, g * x)
+        gi = casimir_trace(frobenius, {i: field.one})
+        for rr, g in gi.items():
+            for j, x in terms:
+                _add_into(gamma_c, rr * n + j, g * x)
     if _clean(gamma_c) != csq:
         raise AlgebraError("c^2 != (Gamma (x) Id)(c)")
     return c_mat, csq_mat
@@ -221,5 +216,5 @@ def conjugacy_classes(G):
 
 
 def contains(space, vec):
-    """Whether the dense vector vec lies in the EchelonSubspace space."""
-    return not space.reduce(sparse(vec))
+    """Whether the vector vec lies in the EchelonSubspace space."""
+    return not space.reduce(vec)

@@ -14,12 +14,14 @@ from frobdiv import (QQ, Rat, central_primitive_idempotents,
                      drinfeld_double, dual_hopf, frobenius_structure,
                      group_algebra, integrals, named_group)
 from frobdiv.algebra import TensorSquareAlgebra
+from frobdiv.linalg import sparse
 from frobdiv.wedderburn import gamma_one_eigenvalue
 
 from conftest import delta_form, group_algebra_plain, matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
-                          change_basis_hopf, permute_algebra, scalar_matrix,
-                          shear_matrix, transpose, unimodular_matrix)
+                          change_basis_hopf, dense_vec, permute_algebra,
+                          scalar_matrix, shear_matrix, transpose,
+                          unimodular_matrix)
 from ladder import LADDER
 
 _HOPF = {}
@@ -52,7 +54,12 @@ def block_form(sizes, weights):
     for n, t in zip(sizes, weights):
         form.extend(QQ.from_rat(t) if i == j else QQ.zero
                     for i in range(n) for j in range(n))
-    return form
+    return sparse(form)
+
+
+def moved(M, A, form):
+    """The form on A as the dense vector M applies to, moved by M."""
+    return sparse(M.apply(dense_vec(A, form)))
 
 
 PLAIN = (3, 2, 1)
@@ -65,7 +72,7 @@ def dense_plain(form):
     matrix units."""
     A = matrix_blocks(PLAIN)
     P = unimodular_matrix(QQ, A.dim, 0)
-    return change_basis_algebra(A, P), transpose(P).apply(form), A
+    return change_basis_algebra(A, P), moved(transpose(P), A, form), A
 
 
 # -- casimir_times against T.mult on random sparse z ------------------------
@@ -85,7 +92,7 @@ def structure(name):
         elif name == "kS3/Q halved":
             A = group_algebra_plain("S3")
             P = scalar_matrix(QQ, A.dim, Rat(1, 2))
-            A, lam = change_basis_algebra(A, P), P.apply(delta_form(A))
+            A, lam = change_basis_algebra(A, P), moved(P, A, delta_form(A))
         elif name == "M3+M2+Q/Q dense custom":
             A, lam, _ = dense_plain(block_form(PLAIN, CUSTOM_WEIGHTS))
         elif name == "kC4/Q(zeta4) times (1+i)/2":
@@ -93,13 +100,15 @@ def structure(name):
             field = H.field
             P = scalar_matrix(field, H.dim, (field.one + field.zeta())
                               / field.from_rat(2))
-            A, lam = change_basis_algebra(H.algebra, P), P.apply(lam)
+            A, lam = (change_basis_algebra(H.algebra, P),
+                      moved(P, H.algebra, lam))
         elif name == "M3+M2+Q/Q dense":
             A, lam, _ = dense_plain(matrix_blocks(PLAIN).regular_character())
         elif name == "kS3/Q(zeta3) scaled":
             H, lam = hopf("kS3", 3)
             A = H.algebra
-            lam = [(H.field.one + H.field.zeta()) * c for c in lam]
+            lam = {k: (H.field.one + H.field.zeta()) * c
+                   for k, c in lam.items()}
         elif name == "D(C4)/Q(zeta4)":
             H, lam = hopf("D(C4)")
             A = H.algebra
@@ -107,13 +116,14 @@ def structure(name):
             H, lam = hopf("D(C4)")
             P = shear_matrix(H.field, H.dim, [(0, 5), (3, 9), (7, 12)])
             A = change_basis_hopf(H, P)[0].algebra
-            lam = transpose(P).apply(lam)
+            lam = moved(transpose(P), H.algebra, lam)
         else:
             assert name == "kC4/Q(zeta4) scaled"
             H, lam = hopf("kC4")
             A = H.algebra
             two = H.field.from_rat(Rat(2))
-            lam = [(H.field.one + two * H.field.zeta()) * c for c in lam]
+            lam = {k: (H.field.one + two * H.field.zeta()) * c
+                   for k, c in lam.items()}
         _STRUCTURES[name] = frobenius_structure(A, lam)
     return _STRUCTURES[name]
 
@@ -172,10 +182,7 @@ def test_casimir_minpoly_on_relabelled_bases(name, seed):
     perm = list(range(H.dim))
     random.Random(seed).shuffle(perm)
     A = permute_algebra(H.algebra, perm)
-    form = [None] * H.dim
-    for i, c in enumerate(lam):
-        form[perm[i]] = c
-    F = frobenius_structure(A, form)
+    F = frobenius_structure(A, {perm[i]: c for i, c in lam.items()})
     assert F.casimir_certificate().min_poly == oracle_minpoly(F)
 
 
@@ -196,7 +203,7 @@ def test_casimir_minpoly_on_unimodular_double(seed):
     H, lam = hopf("D(C4)")
     P = unimodular_matrix(H.field, H.dim, seed)
     A = change_basis_hopf(H, P)[0].algebra
-    F = frobenius_structure(A, transpose(P).apply(lam))
+    F = frobenius_structure(A, moved(transpose(P), H.algebra, lam))
     expected = oracle_minpoly(frobenius_structure(H.algebra, lam))
     assert F.casimir_certificate().min_poly == expected
 

@@ -92,7 +92,7 @@ def test_plain_algebra_delta_one(tmp_path):
 
 def test_degenerate_lambda_exit_1(tmp_path):
     A = group_algebra_plain("C2")
-    lam = [A.field.one, A.field.one]  # annihilates 1 - g
+    lam = {0: A.field.one, 1: A.field.one}  # annihilates 1 - g
     doc = algebra_to_json(A, lam)
     inp = tmp_path / "alg.json"
     inp.write_text(canonical_dumps(doc))
@@ -128,7 +128,7 @@ def test_non_semisimple_custom_form_inapplicable_exit_1(tmp_path):
 def test_rescaled_form_inapplicable_exit_1(tmp_path, capsys):
     A = group_algebra_plain("S3")
     four = A.field.from_rat(rat(4))
-    lam = [four * c for c in delta_form(A)]
+    lam = {k: four * c for k, c in delta_form(A).items()}
     doc = algebra_to_json(A, lam)
     inp = tmp_path / "alg.json"
     inp.write_text(canonical_dumps(doc))
@@ -222,7 +222,7 @@ def test_hopf_analysis_builds_each_frobenius_structure_once(tmp_path,
     assert code == 0
     structures, splits, rings, quasitriangular = BUILDS[check]
     # (H, lambda), (H*, Lambda0) and, for the ring, (R(H), delta)
-    built = [(A.name, tuple(map(str, lam)))
+    built = [(A.name, tuple(sorted((k, str(c)) for k, c in lam.items())))
              for A, lam in calls["frobenius_structure"]]
     assert len(built) == len(set(built)) == structures
     assert len(calls["central_primitive_idempotents"]) == splits

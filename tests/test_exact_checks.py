@@ -27,20 +27,21 @@ import frobdiv.hopf as hopf
 from frobdiv import (HopfAnalysis, central_primitive_idempotents,
                      double_projection, drinfeld_double, dual_algebra,
                      group_algebra, named_group)
-from frobdiv.algebra import contract_right, first_non_multiplicative_pair
+from frobdiv.algebra import (combine, contract_right,
+                             first_non_multiplicative_pair)
 from frobdiv.hopf import (NonIntegralFusion, class_equation_check,
                          factorizable_check, schneider_check)
 from frobdiv.integrality import NotASymmetricHomomorphism
+from frobdiv.linalg import sparse
 from frobdiv.modular import PrecisionExceeded
 from frobdiv.scalars import Rat
 from frobdiv.wedderburn import _verify_system
 
 from dense_oracle import (dense_block_dim,
                           dense_first_non_multiplicative_pair, dense_phi,
-                          dense_psi, dense_rank, dense_solve_many,
-                          hit_form_left,
-                          matrix_columns, pairwise_orthogonal, permute_hopf,
-                          permute_r)
+                          dense_psi, dense_rank, dense_solve_many, dense_vec,
+                          hit_form_left, matrix_columns, pairwise_orthogonal,
+                          permute_hopf, permute_r)
 from ladder import LADDER, ladder_algebra
 
 
@@ -62,8 +63,8 @@ def double(request):
 
 def corrupted_columns(images, B, k):
     """The images with the unit of B added to image k."""
-    out = [list(image) for image in images]
-    out[k] = [c + u for c, u in zip(out[k], B.unit)]
+    out = list(images)
+    out[k] = combine([(B.field.one, out[k]), (B.field.one, B.unit)])
     return out
 
 
@@ -80,8 +81,7 @@ def assert_same_first_pair(A, B, images):
 def psi_images(S):
     """Psi(x_s) = Phi(chi_s), read off b."""
     H, b = S.H, S.quasitriangular.b
-    return [contract_right(H.field, chi, b, H.dim)
-            for chi in S.wedderburn.characters]
+    return [contract_right(chi, b, H.dim) for chi in S.wedderburn.characters]
 
 
 def test_character_map_first_failing_pair(double):
@@ -122,11 +122,12 @@ def test_phi_and_psi_against_dense_oracle(gname, seed):
     the dense Phi laid out from b and the dense product Phi chi."""
     S = relabelled_double(gname, seed)
     H, Q, I = S.H, S.quasitriangular, S.integrals
-    field, n = H.field, H.dim
+    n = H.dim
     phi = dense_phi(Q)
-    assert psi_images(S) == matrix_columns(
-        dense_psi(Q, S.wedderburn.characters))
-    assert contract_right(field, I.lam, Q.b, n) == phi.apply(I.lam)
+    assert psi_images(S) == [sparse(col) for col in matrix_columns(
+        dense_psi(Q, S.wedderburn.characters))]
+    assert contract_right(I.lam, Q.b, n) == sparse(phi.apply(
+        dense_vec(H.algebra, I.lam)))
     assert S.factorizable.rank == n == dense_rank(phi)
     assert schneider_check(S).holds
     # without the terms x_0 (x) x_j of b, Phi loses rank
@@ -139,8 +140,8 @@ def test_corrupted_psi_stops_schneider(double):
     H, Q = double.H, double.quasitriangular
     assert schneider_check(double).holds
     n = H.dim
-    outside = [k for k in range(n) if not H.counit[k]]
-    inside = [k for k in range(n) if H.counit[k]]
+    outside = [k for k in range(n) if k not in H.counit]
+    inside = [k for k in range(n) if k in H.counit]
     for k1, k2 in (outside[:2], inside[:2]):
         # swapping two columns of Phi (second legs of b) on which the
         # counit agrees keeps Phi(eps) = 1 and the rank of Phi; only
@@ -162,7 +163,7 @@ def test_fusion_rules_against_the_character_solve(double):
     # convolved term by term over Delta
     H, W = double.H, double.wedderburn
     field, n = H.field, H.dim
-    chars = W.characters
+    chars = [dense_vec(H.algebra, chi) for chi in W.characters]
     rows = [[chi[k] for chi in chars] for k in range(n)]
 
     def convolve(f, g):
@@ -177,7 +178,7 @@ def test_fusion_rules_against_the_character_solve(double):
     want = dense_solve_many(field, rows, [convolve(a, b) for a in chars
                                           for b in chars])
     r = W.num_blocks
-    assert [{u: field.from_int(N) for u, N in got[s][t].items()}
+    assert [{u: field.from_rat(N) for u, N in got[s][t].items()}
             for s in range(r) for t in range(r)] == [
         {u: c for u, c in enumerate(x) if c} for x in want]
 
@@ -214,18 +215,18 @@ def test_corrupted_character_stops_class_equation(double):
     H, I, W = double.H, double.integrals, double.wedderburn
     assert class_equation_check(double).holds
     s = next(s for s, chi in enumerate(W.characters) if chi != H.counit)
-    chi = list(W.characters[s])
+    chi = dense_vec(H.algebra, W.characters[s])
     k = next(k for k, c in enumerate(chi) if c != chi[0])
     chi[0], chi[k] = chi[k], chi[0]
     bad = copy.copy(W)
-    bad.characters = W.characters[:s] + [chi] + W.characters[s + 1:]
+    bad.characters = W.characters[:s] + [sparse(chi)] + W.characters[s + 1:]
     S = HopfAnalysis(H)
     S.integrals, S.wedderburn = I, bad
     with pytest.raises(NonIntegralFusion):
         class_equation_check(S)
     # characters that multiply exactly, with a unit other than the counit
     twisted = copy.copy(H)
-    twisted.counit = [c + c for c in H.counit]
+    twisted.counit = {k: c + c for k, c in H.counit.items()}
     S = HopfAnalysis(twisted)
     S.integrals, S.wedderburn = I, W
     with pytest.raises(NonIntegralFusion, match="unit of the ring"):
@@ -245,14 +246,15 @@ def test_block_data_against_dense_products(gname, kind, conductor):
     chi_reg = A.regular_character()
     for s, e in enumerate(data.idempotents):
         denom = field.from_rat(Rat(data.degrees[s] * data.center_dims[s]))
-        want = [v / denom for v in hit_form_left(A, e, chi_reg)]
+        want = {k: v / denom
+                for k, v in hit_form_left(A, e, chi_reg).items()}
         assert data.characters[s] == want
         assert data.block_dims[s] == dense_block_dim(A, e)
     assert pairwise_orthogonal(A, data.idempotents)
     _verify_system(A, data.idempotents, data.block_dims)
     # 1, e, -e sums to 1 and is not orthogonal: both tests say so
     e = data.idempotents[0]
-    broken = [A.unit, e, [-c for c in e]]
+    broken = [A.unit, e, {k: -c for k, c in e.items()}]
     assert not pairwise_orthogonal(A, broken)
     with pytest.raises(PrecisionExceeded, match="not orthogonal"):
         _verify_system(A, broken, [dense_block_dim(A, f) for f in broken])

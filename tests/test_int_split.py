@@ -15,6 +15,7 @@ import pytest
 
 from frobdiv import (QQ, HopfAnalysis, Matrix, Rat, StructureConstantAlgebra,
                      drinfeld_double, dual_hopf, group_algebra, named_group)
+from frobdiv.algebra import combine
 from frobdiv.modular import (ComponentAlgebra, component_roots, factor_mod_p,
                              is_squarefree_mod, modular_split, roots_mod_p)
 from frobdiv.wedderburn import _verify_idempotent, central_primitive_idempotents
@@ -99,7 +100,7 @@ def test_factor_and_roots_match_prime_field(p):
 
 
 def scaled(field, e, c):
-    return [field.from_rat(Rat(c)) * x for x in e]
+    return {k: field.from_rat(Rat(c)) * x for k, x in e.items()}
 
 
 @pytest.mark.parametrize("gname,kind,conductor",
@@ -114,7 +115,8 @@ def test_is_idempotent_accepts_blocks_and_rejects_multiples(gname, kind,
         assert A.multiply(e, e) == e
         two_e = scaled(field, e, 2)
         assert not A.is_idempotent(two_e)
-        assert not A.is_idempotent([u - x for u, x in zip(A.unit, two_e)])
+        assert not A.is_idempotent(combine([(field.one, A.unit),
+                                            (-field.one, two_e)]))
     assert A.is_idempotent(A.unit)
 
 
@@ -122,10 +124,11 @@ def test_verify_idempotent_rejects_a_non_central_idempotent():
     # (1 + s)/2 for a transposition s of S3: an idempotent, not central
     H = group_algebra(named_group("S3"))
     A = H.algebra
+    one = A.field.one
     s = next(i for i in range(1, A.dim) if A.table[i][i].get(0)
-             and not A.is_central(A.basis_vec(i)))
+             and not A.is_central({i: one}))
     half = A.field.from_rat(Rat(1, 2))
-    e = [half * (u + x) for u, x in zip(A.unit, A.basis_vec(s))]
+    e = combine([(half, A.unit), (half, {s: one})])
     assert A.multiply(e, e) == e and A.is_idempotent(e)
     assert not A.is_central(e)
     assert not _verify_idempotent(A, e)
@@ -147,11 +150,11 @@ def test_one_asymmetric_cell_falls_back_to_the_scan():
     table = [[{0: one}, {1: two}], [{1: one}, {0: one}]]
     A = StructureConstantAlgebra(QQ, 2, table, [one, QQ.zero])
     assert not A.is_commutative
-    assert A.is_central(A.basis_vec(0)) is False
-    assert A.is_central([QQ.zero, QQ.zero])
+    assert A.is_central({0: one}) is False
+    assert A.is_central({})
     table[0][1] = {1: one}
     B = StructureConstantAlgebra(QQ, 2, table, [one, QQ.zero])
-    assert B.is_commutative and B.is_central(B.basis_vec(1))
+    assert B.is_commutative and B.is_central({1: one})
 
 
 # ---------------------------------------------------------------------------

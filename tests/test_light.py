@@ -145,7 +145,7 @@ def test_rescaled_basis_checks_coefficients():
     A = group_algebra(named_group("S3")).algebra
     n = A.dim
     field = A.field
-    P = Matrix(field, [[field.from_int(i + 2) if i == j else field.zero
+    P = Matrix(field, [[field.from_rat(i + 2) if i == j else field.zero
                         for j in range(n)] for i in range(n)])
     B = change_basis_algebra(A, P)
     coeffs = B.monomial_table[1]

@@ -189,12 +189,12 @@ def test_interpolate_mod_matches_lagrange_formula(case):
 def test_reconstruct_element_rational():
     # single component, root 1: D e = [1, -1] with D = 2 is [1, 48] mod 49,
     # read as symmetric residues within the bound 1
-    got = reconstruct_element(QQ, [[1, 48]], [1], 49, 1, 2)
-    assert got == [QQ.from_rat(Rat(1, 2)), QQ.from_rat(Rat(-1, 2))]
+    got = reconstruct_element(QQ, [{0: 1, 1: 48}], [1], 49, 1, 2)
+    assert got == {0: QQ.from_rat(Rat(1, 2)), 1: QQ.from_rat(Rat(-1, 2))}
     # 25 = -24 mod 49 lies outside the bound: not such a vector
-    assert reconstruct_element(QQ, [[1, 25]], [1], 49, 1, 2) is None
-    assert reconstruct_element(QQ, [[1, 25]], [1], 49, 24, 2) == \
-        [QQ.from_rat(Rat(1, 2)), QQ.from_rat(Rat(-12))]
+    assert reconstruct_element(QQ, [{0: 1, 1: 25}], [1], 49, 1, 2) is None
+    assert reconstruct_element(QQ, [{0: 1, 1: 25}], [1], 49, 24, 2) == \
+        {0: QQ.from_rat(Rat(1, 2)), 1: QQ.from_rat(Rat(-12))}
 
 
 def test_reconstruct_element_gaussian():
@@ -202,14 +202,14 @@ def test_reconstruct_element_gaussian():
     K = CyclotomicField(4)
     roots, M = component_roots(4, 13, 1)
     y = K.element([3, -2])
-    residues = [[reduce_scalar(y, w, M)] for w in roots]
-    assert reconstruct_element(K, residues, roots, M, 3, 1) == [y]
+    residues = [{0: reduce_scalar(y, w, M)} for w in roots]
+    assert reconstruct_element(K, residues, roots, M, 3, 1) == {0: y}
     assert reconstruct_element(K, residues, roots, M, 2, 1) is None
     # at 13^2 the same residues lifted give y / 5 back over den 5
     roots, M = component_roots(4, 13, 2)
-    residues = [[reduce_scalar(y, w, M)] for w in roots]
+    residues = [{0: reduce_scalar(y, w, M)} for w in roots]
     assert reconstruct_element(K, residues, roots, M, 3, 5) == \
-        [y / K.from_int(5)]
+        {0: y / K.from_rat(5)}
 
 
 def test_both_prime_searches_follow_one_policy(monkeypatch):

@@ -169,13 +169,13 @@ def test_field_axioms(a, b, c):
 
 def test_prime_field():
     F = PrimeField(13)
-    a, b = F.from_int(7), F.from_int(11)
+    a, b = F.from_rat(7), F.from_rat(11)
     assert (a * b).residue == 77 % 13
     assert (a / b) * b == a
     assert (-a).residue == 6
     # prime-power residue ring: inverses of units still work
     R = PrimeField(49)
-    x = R.from_int(4)
+    x = R.from_rat(4)
     assert (x * x.inv()).residue == 1
 
 
@@ -231,8 +231,9 @@ def test_every_scalar_of_a_q_algebra_is_a_cyc():
     cert = frobenius_divisibility_hopf(session).casimir_cert
     A = H.algebra
     scalars = ([c for row in A.table for cell in row for c in cell.values()]
-               + A.unit
-               + [c for chi in session.wedderburn.characters for c in chi]
+               + list(A.unit.values())
+               + [c for chi in session.wedderburn.characters
+                  for c in chi.values()]
                + cert.min_poly)
     assert all(type(c) is Cyc and c.field is QQ for c in scalars)
     assert cert.poly_strings() == [QQ.format(c) for c in cert.min_poly]

@@ -33,7 +33,7 @@ def test_cyclotomic_round_trip():
     K = CyclotomicField(6)
     A = group_algebra_plain("C6", field=K)
     # scalar with zeta coordinates survives exactly
-    lam = [K.zeta() ** i / K.from_int(3) for i in range(6)]
+    lam = {i: K.zeta() ** i / K.from_rat(3) for i in range(6)}
     doc = algebra_to_json(A, lam)
     B, lam2 = algebra_from_json(doc)
     assert B.field.conductor == 6

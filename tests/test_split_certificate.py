@@ -17,7 +17,7 @@ import frobdiv.wedderburn as wedderburn
 from frobdiv import (QQ, PrecisionExceeded, StructureConstantAlgebra,
                      central_primitive_idempotents, drinfeld_double,
                      group_algebra, named_group)
-from frobdiv.linalg import EchelonSubspace, sparse
+from frobdiv.linalg import EchelonSubspace
 
 from dense_oracle import dense_eigenspaces, permute_algebra
 from ladder import LADDER, ladder_algebra
@@ -69,15 +69,12 @@ def test_certificate_matches_dense_oracle(name, monkeypatch):
     assert len(tried) == sum(1 for d in data.degrees if d > 1)
     for e, bs in tried:
         block = EchelonSubspace(A.field, A.dim, (
-            sparse(A.multiply(A.basis_vec(j), e)) for j in range(A.dim)))
+            A.multiply({j: A.field.one}, e) for j in range(A.dim)))
         assert bs
         for b in bs:
-            # the candidates are sparse rows, and so is e in the helpers
-            minpoly, dims = dense_eigenspaces(A, block, block.dense(b))
-            assert (wedderburn._block_minimal_polynomial(A, sparse(e), b)
-                    == minpoly)
-            assert list(wedderburn._eigenspaces(A, sparse(e), block,
-                                                b)) == dims
+            minpoly, dims = dense_eigenspaces(A, block, b)
+            assert wedderburn._block_minimal_polynomial(A, e, b) == minpoly
+            assert list(wedderburn._eigenspaces(A, e, block, b)) == dims
 
 
 def test_block_not_closed_under_multiplication():
@@ -93,4 +90,4 @@ def test_block_not_closed_under_multiplication():
     table[1][1] = {4: one}
     A = StructureConstantAlgebra(QQ, 5, table, [one] + [QQ.zero] * 4)
     with pytest.raises(PrecisionExceeded, match="not closed"):
-        wedderburn.certify_split_block(A, A.basis_vec(0), 2)
+        wedderburn.certify_split_block(A, {0: one}, 2)

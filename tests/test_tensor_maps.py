@@ -13,6 +13,7 @@ from frobdiv import (QQ, NotUnimodular, StructureConstantAlgebra,
                      drinfeld_double, integrals, named_group, verify_hopf)
 from frobdiv.algebra import map_leg, multiply_legs
 from frobdiv.hopf import HopfAlgebraData
+from frobdiv.linalg import sparse
 
 from dense_oracle import (dense_after_antipode, dense_antipode_on_leg,
                           dense_delta_on_leg, dense_multiply_legs,
@@ -41,7 +42,7 @@ def case(key):
         tensors = [H.delta[j] for j in rng.sample(range(n), 4)]
         tensors.append(permute_r(Q.R, perm))
         tensors.append(H.delta_of(integrals(H).Lambda))
-        scalars = (field.one, -field.one, field.from_int(2), field.zeta())
+        scalars = (field.one, -field.one, field.from_rat(2), field.zeta())
         for _ in range(3):
             tensors.append({rng.randrange(n * n): rng.choice(scalars)
                             for _ in range(6)})
@@ -81,8 +82,9 @@ def test_after_antipode_matches_dense_oracle(key):
     field = H.field
     rng = random.Random(key[1])
     forms = [H.counit, integrals(H).lam]
-    forms += [[rng.choice((field.zero, field.one, field.zeta(), -field.one))
-               for _ in range(H.dim)] for _ in range(3)]
+    forms += [sparse([rng.choice((field.zero, field.one, field.zeta(),
+                                  -field.one)) for _ in range(H.dim)])
+              for _ in range(3)]
     for form in forms:
         assert H.after_antipode(form) == dense_after_antipode(H, form)
 
@@ -105,7 +107,7 @@ def sweedler():
     delta = [{0: one}, {5: one},                # 1 (x) 1, g (x) g
              {8: one, 6: one},                  # x (x) 1 + g (x) x
              {13: one, 3: one}]                 # gx (x) g + 1 (x) gx
-    counit = [one, one, zero, zero]
+    counit = {0: one, 1: one}
     # S(1) = 1, S(g) = g, S(x) = -gx, S(gx) = x
     S = [{0: one}, {1: one}, {3: -one}, {2: one}]
     return HopfAlgebraData(A, delta, counit, S, name="Sweedler")

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from frobdiv import integrals
+
 TRACED_PY = Path(__file__).resolve().parent.parent / "perfbench" / "traced.py"
 
 
@@ -40,6 +42,33 @@ def test_table_names_the_stages_it_times():
     assert "integrals" in traced.TRACED["hopf"]
     assert "modular_split" in traced.TRACED["modular"]
     assert "Matrix.kernel" in traced.TRACED["linalg"]
+
+
+def _builds():
+    """kS3, k^S3 and D(S3) over Q(zeta_6), each built twice."""
+    from frobdiv import drinfeld_double, dual_hopf, group_algebra, named_group
+    G = named_group("S3")
+    return [[group_algebra(G, conductor=6),
+             dual_hopf(group_algebra(G, conductor=6)),
+             drinfeld_double(G, verify=False)[0]] for _ in range(2)]
+
+
+def test_repeat_keys_tell_algebras_apart():
+    """The counting tracer keys each verified Hopf algebra and each split
+    algebra: the keys read the unit, the counit and the Frobenius form,
+    which are sparse vectors, besides the tables.  Two builds of one
+    algebra share a key, and kS3 and k^S3 have different ones."""
+    first, second = _builds()
+    for H, again in zip(first, second):
+        assert traced._hopf_key(H) == traced._hopf_key(again)
+        assert (traced._algebra_key(H.algebra)
+                == traced._algebra_key(again.algebra))
+        assert len({traced._hopf_key(H), traced._hopf_key(again)}) == 1
+        assert (traced._raw_vec(integrals(H).lam)
+                == traced._raw_vec(integrals(again).lam))
+    kG, dual, _ = first
+    assert traced._hopf_key(kG) != traced._hopf_key(dual)
+    assert traced._algebra_key(kG.algebra) != traced._algebra_key(dual.algebra)
 
 
 def test_counted_scalar_operations_resolve():

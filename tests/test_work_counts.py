@@ -35,13 +35,14 @@ from frobdiv import (QQ, CyclotomicField, HopfAnalysis, Rat,
 from frobdiv.algebra import (FrobeniusStructure, StructureConstantAlgebra,
                              TensorSquareAlgebra)
 from frobdiv.cli import main
-from frobdiv.linalg import Matrix
+from frobdiv.hopf import HopfAlgebraData
+from frobdiv.linalg import Matrix, sparse
 from frobdiv.scalars import Cyc
 from frobdiv.serialize import algebra_to_json, canonical_dumps, hopf_to_json
 
 from conftest import matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
-                          transpose, unimodular_matrix)
+                          dense_vec, transpose, unimodular_matrix)
 
 
 def kc4():
@@ -309,6 +310,22 @@ def test_split_multiplies_no_two_idempotents(monkeypatch):
     assert not [1 for a, b, _ in calls if a != b and a in idems and b in idems]
 
 
+def test_delta_of_the_integral_is_formed_once(monkeypatch):
+    # the Casimir and Zhu checks read Delta(Lambda) off the session
+    S = HopfAnalysis(group_algebra(named_group("S3")))
+    calls = []
+    original = HopfAlgebraData.delta_of
+
+    def recording(self, vec):
+        calls.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(HopfAlgebraData, "delta_of", recording)
+    hopf.hopf_casimir(S)
+    hopf.zhu_check(S)
+    assert calls.count(S.integrals.Lambda) == 1
+
+
 def test_schneider_check_forms_no_product(monkeypatch):
     G = named_group("S3")
     H, Q = drinfeld_double(G, conductor=G.exponent)
@@ -322,7 +339,7 @@ def test_schneider_check_forms_no_product(monkeypatch):
     # with two second legs of b swapped, the proof on the blocks fails, and
     # the products of basis pairs name the pair
     n = H.dim
-    k1, k2 = [k for k in range(n) if not H.counit[k]][:2]
+    k1, k2 = [k for k in range(n) if k not in H.counit][:2]
     swap = {k1: k2, k2: k1}
     bad = copy.copy(Q)
     bad.b = {idx - idx % n + swap.get(idx % n, idx % n): c
@@ -419,7 +436,8 @@ def test_integral_loops_make_no_field_operation(monkeypatch, name):
         blocks = matrix_blocks((3, 2, 1))
         P = unimodular_matrix(QQ, blocks.dim, 0)
         A = change_basis_algebra(blocks, P)
-        lam = transpose(P).apply(blocks.regular_character())
+        lam = sparse(transpose(P).apply(dense_vec(
+            blocks, blocks.regular_character())))
     F = frobenius_structure(A, lam)
     T = TensorSquareAlgebra(A)
     ops = _counted_field_operations(monkeypatch)
