@@ -148,6 +148,12 @@ class StructureConstantAlgebra:
         return index, coeffs
 
     @functools.cached_property
+    def row_supports(self):
+        """For each i, the indices j with x_i x_j != 0, ascending."""
+        return [tuple(j for j, cell in enumerate(row) if cell)
+                for row in self.table]
+
+    @functools.cached_property
     def generating_set(self):
         """Basis indices whose words reach every basis index on the
         monomial table (``light_generators``); None when the table is not
@@ -485,28 +491,43 @@ class TensorSquareAlgebra:
 
     def mult(self, u, v):
         """The product u v, read off the structure table one factor at a
-        time, without zeros."""
+        time over the nonzero cells only: v's terms are grouped by their
+        first leg once, and a term (i, j) of u meets only the terms
+        (k, l) of v with x_i x_k != 0 (``row_supports``) and
+        x_j x_l != 0.  The result has no zeros."""
         n = self.n
         table = self.base.table
+        supports = self.base.row_supports
+        by_first = {}
+        for fv, b in v.items():
+            k, l = divmod(fv, n)
+            terms = by_first.get(k)
+            if terms is None:
+                by_first[k] = [(l, b)]
+            else:
+                terms.append((l, b))
         out = {}
         for fu, a in u.items():
             i, j = divmod(fu, n)
             row_i, row_j = table[i], table[j]
-            for fv, b in v.items():
-                k, l = divmod(fv, n)
-                left = row_i[k]
-                right = row_j[l]
-                if not left or not right:
+            for k in supports[i]:
+                terms = by_first.get(k)
+                if terms is None:
                     continue
-                ab = a * b
-                for r, c1 in left.items():
-                    abc = ab * c1
-                    base = r * n
-                    for s, c2 in right.items():
-                        idx = base + s
-                        cur = out.get(idx)
-                        val = abc * c2
-                        out[idx] = val if cur is None else cur + val
+                left = row_i[k]
+                for l, b in terms:
+                    right = row_j[l]
+                    if not right:
+                        continue
+                    ab = a * b
+                    for r, c1 in left.items():
+                        abc = ab * c1
+                        base = r * n
+                        for s, c2 in right.items():
+                            idx = base + s
+                            cur = out.get(idx)
+                            val = abc * c2
+                            out[idx] = val if cur is None else cur + val
         return _clean(out)
 
     def switch(self, v):

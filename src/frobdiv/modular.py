@@ -51,17 +51,29 @@ class PrecisionExceeded(Exception):
     """No gluing of the blocks mod p passed the exact checks."""
 
 
+# The primes up to 37: the trial divisors and the Miller-Rabin bases of
+# ``is_prime``, and the trial divisors of ``prime_factors``.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The least strong pseudoprime to all twelve bases of SMALL_PRIMES
+# (Sorenson and Webster, Math. Comp. 86 (2017)): below it ``is_prime`` is
+# a proof, so no prime at or above it is a good prime.
+PRIME_PROOF_BOUND = 318665857834031151167461
+
+
 def is_prime(m: int) -> bool:
+    """Miller-Rabin to the bases SMALL_PRIMES, a proof for
+    m < PRIME_PROOF_BOUND."""
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in SMALL_PRIMES:
         if m % q == 0:
             return m == q
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in SMALL_PRIMES:
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue
@@ -75,21 +87,68 @@ def is_prime(m: int) -> bool:
 
 
 def primitive_root(p: int) -> int:
+    """The least primitive root mod the prime p, tested against the prime
+    factors of p - 1 (``prime_factors``)."""
     order = p - 1
-    factors = set()
-    m = order
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            factors.add(q)
-            m //= q
-        q += 1
-    if m > 1:
-        factors.add(m)
+    factors = prime_factors(order)
     for g in range(2, p):
         if all(pow(g, order // q, p) != 1 for q in factors):
             return g
     raise ArithmeticError(f"no primitive root mod {p}")
+
+
+def prime_factors(m: int):
+    """The set of primes dividing m > 0, for m < PRIME_PROOF_BOUND: trial
+    division by SMALL_PRIMES, then Pollard's rho (``rho_divisor``) on each
+    cofactor that ``is_prime`` finds composite.  The work grows with the
+    square root of the second-largest prime factor of m, at most the
+    fourth root of m."""
+    factors = set()
+    for q in SMALL_PRIMES:
+        while m % q == 0:
+            factors.add(q)
+            m //= q
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            factors.add(m)
+        else:
+            d = rho_divisor(m)
+            pending += [d, m // d]
+    return factors
+
+
+def rho_divisor(m: int) -> int:
+    """A proper divisor of a composite m free of the SMALL_PRIMES, by
+    Pollard's rho in Brent's variant on x -> x^2 + c mod m, with the gcd
+    taken once per batch of 128 steps; c = 1, 2, ... until a walk splits
+    m."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            # the batch overshot: step through it again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
 
 
 def norm1(x, scale):
@@ -126,10 +185,12 @@ def structure_denominator(algebra):
 
 
 def prime_defect(p, conductor, floor, denominator):
-    """The good-prime policy: None when p is prime, p = 1 (mod conductor),
-    p > floor and p does not divide ``denominator``; otherwise the first
-    condition p breaks, as "prime", "conductor", "floor" or
-    "denominator"."""
+    """The good-prime policy: None when p < PRIME_PROOF_BOUND, p is prime,
+    p = 1 (mod conductor), p > floor and p does not divide
+    ``denominator``; otherwise the first condition p breaks, as "size",
+    "prime", "conductor", "floor" or "denominator"."""
+    if p >= PRIME_PROOF_BOUND:
+        return "size"
     if not is_prime(p):
         return "prime"
     if p % conductor != 1 % conductor:
@@ -160,6 +221,8 @@ def bad_prime_reason(algebra, p):
     defect = prime_defect(p, n, 2 * algebra.dim,
                           structure_denominator(algebra))
     return defect and {
+        "size": (f"{p} is not below {PRIME_PROOF_BOUND}, under which the "
+                 "primality test is a proof"),
         "prime": f"{p} is not prime",
         "conductor": f"{p} is not 1 mod the conductor {n}",
         "floor": f"{p} is not greater than twice the dimension",

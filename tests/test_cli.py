@@ -480,6 +480,11 @@ BAD_PRIMES = {
                                    "dimension"),
     "divides-denominator": (_scaled_s3_over_q, "13",
                             "13 divides a structure-constant denominator"),
+    # the least strong pseudoprime to the twelve Miller-Rabin bases
+    "proof-bound": (None, "318665857834031151167461",
+                    "318665857834031151167461 is not below "
+                    "318665857834031151167461, under which the primality "
+                    "test is a proof"),
 }
 
 
@@ -494,6 +499,16 @@ def test_bad_prime_exit_2(tmp_path, capsys, case):
                  prime]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"invalid input: {reason}\n"
+
+
+def test_large_prime_with_a_large_factor_below_p(tmp_path, capsys):
+    # p = 2q + 1 for a prime q: the primitive root mod p is found from the
+    # factors of p - 1 without trial division up to sqrt(q)
+    inp = build(tmp_path, "--group", "C2")
+    capsys.readouterr()
+    assert main(["analyze", str(inp), "--check", "fd", "--prime",
+                 "20000000000000002559"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_bad_prime_found_downstream_exit_3(tmp_path, capsys):

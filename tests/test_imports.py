@@ -1,7 +1,11 @@
 """Every imported name is used, and every definition of the library is
 referenced: stdlib ``ast`` scans standing in for a linter's unused-import
 and dead-code rules.  Importing the command line loads none of the
-heavier stdlib modules it does not need.
+heavier stdlib modules it does not need, and a full analysis of kS3 in a
+fresh interpreter never imports ``hashlib`` or OpenSSL's ``_hashlib``:
+the input digest is taken with the interpreter's built-in SHA-256
+(``_sha2`` or ``_sha256``), which equals ``hashlib.sha256``.  The
+analysis test is skipped on an interpreter built without either module.
 
 A name bound by ``import`` or ``from ... import`` must be read somewhere
 in its module.  Package ``__init__.py`` files, which re-export, and
@@ -16,6 +20,8 @@ functions by dotted name.  A string in the library, such as a docstring,
 does not count."""
 
 import ast
+import hashlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -24,6 +30,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+
+from frobdiv.report import input_digest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "frobdiv"
@@ -170,3 +178,35 @@ def test_cli_import_loads_no_unneeded_module():
     assert proc.returncode == 0, proc.stderr
     # json is loaded, which shows that the probe sees the modules
     assert proc.stdout.split() == ["['json']", "True"]
+
+
+# Builds kS3, analyses it with every check and prints the modules of the
+# OpenSSL-backed hashlib that the run imported.
+ANALYSIS_PROBE = textwrap.dedent("""\
+    import contextlib, io, sys
+    from frobdiv.cli import main
+    path = sys.argv[1]
+    built = main(["build", "--group", "S3", "--out", path])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["analyze", path, "--check", "all"])
+    print(built, code, "overall: PASS" in out.getvalue(),
+          sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+    """)
+
+
+def test_analysis_loads_no_openssl(tmp_path):
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("no built-in SHA-256 module in this interpreter")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", ANALYSIS_PROBE,
+                           str(tmp_path / "ks3.json")], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "True", "[]"]
+
+
+@pytest.mark.parametrize("text", ["", "frobdiv",
+                                  "\u03b6\u2086 = e^(2\u03c0i/6)"],
+                         ids=["empty", "ascii", "non-ascii"])
+def test_input_digest_is_sha256(text):
+    assert input_digest(text) == hashlib.sha256(text.encode()).hexdigest()

@@ -2,22 +2,27 @@
 one leg, the product m and f o S) against their dense references in
 ``dense_oracle``, on relabelled doubles D(S3), D(C4) and D(D4): on
 Delta(x_j), on the R-matrix, on Delta(Lambda) and on seeded random
-tensors.  Also the Sweedler algebra, whose left integral is not a right
-one."""
+tensors.  The product of ``TensorSquareAlgebra``, which walks the nonzero
+cells only, against the product over every pair of terms, on the same
+tensors, on the Sweedler algebra and on M2+Q in a dense basis.  Also the
+Sweedler algebra, whose left integral is not a right one."""
 
 import random
 
 import pytest
 
 from frobdiv import (QQ, NotUnimodular, StructureConstantAlgebra,
-                     drinfeld_double, integrals, named_group, verify_hopf)
+                     TensorSquareAlgebra, drinfeld_double, integrals,
+                     named_group, verify_hopf)
 from frobdiv.algebra import map_leg, multiply_legs
 from frobdiv.hopf import HopfAlgebraData
 from frobdiv.linalg import sparse
 
-from dense_oracle import (dense_after_antipode, dense_antipode_on_leg,
+from conftest import matrix_blocks
+from dense_oracle import (_dense_tensor_mult, change_basis_algebra,
+                          dense_after_antipode, dense_antipode_on_leg,
                           dense_delta_on_leg, dense_multiply_legs,
-                          permute_hopf, permute_r)
+                          permute_hopf, permute_r, unimodular_matrix)
 
 KEYS = [("S3", 0), ("S3", 1), ("C4", 0), ("C4", 1), ("D4", 0)]
 IDS = [f"D({g})-{seed}" for g, seed in KEYS]
@@ -87,6 +92,37 @@ def test_after_antipode_matches_dense_oracle(key):
               for _ in range(3)]
     for form in forms:
         assert H.after_antipode(form) == dense_after_antipode(H, form)
+
+
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_tensor_product_matches_dense_oracle(key):
+    H, tensors = case(key)
+    T = TensorSquareAlgebra(H.algebra)
+    # the dense product costs dim^2 per pair of terms: short tensors only
+    short = [z for z in tensors if len(z) <= 8]
+    for u in short:
+        for v in short:
+            assert T.mult(u, v) == _dense_tensor_mult(H.algebra, u, v)
+
+
+def test_tensor_product_on_zero_and_dense_cells():
+    # Sweedler's algebra has zero products (x^2 = 0) and signs; M2+Q in a
+    # dense unimodular basis has cells of up to five terms
+    H = sweedler()
+    dense_basis = change_basis_algebra(matrix_blocks([2, 1]),
+                                       unimodular_matrix(QQ, 5, 3))
+    for A, tensors in ((H.algebra, H.delta), (dense_basis, [])):
+        n = A.dim
+        rng = random.Random(n)
+        tensors = tensors + [
+            {rng.randrange(n * n): QQ.from_rat(rng.choice((1, -1, 2)))
+             for _ in range(4)} for _ in range(4)]
+        T = TensorSquareAlgebra(A)
+        assert A.row_supports == [tuple(j for j in range(n) if A.table[i][j])
+                                  for i in range(n)]
+        for u in tensors:
+            for v in tensors:
+                assert T.mult(u, v) == _dense_tensor_mult(A, u, v)
 
 
 def sweedler():
