@@ -10,8 +10,9 @@ from .groups import FiniteGroup, InvalidGroupTable, group_from_table, named_grou
 from .hopf import (HopfAlgebraData, HopfAnalysis, HopfError, IntegralData,
                    NonIntegralFusion, NotUnimodular, QuasitriangularData,
                    RepresentationRing, class_equation_check,
-                   double_projection, drinfeld_double, dual_algebra,
-                   dual_hopf, factorizable_check, frobenius_divisibility_hopf,
+                   double_of, double_projection, drinfeld_double,
+                   dual_algebra, dual_hopf, factorizable_check,
+                   frobenius_divisibility_hopf,
                    group_algebra, hopf_casimir, integrals,
                    quasitriangular_verify, representation_ring,
                    schneider_check, verify_hopf, zhu_check)

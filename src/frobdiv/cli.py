@@ -308,19 +308,13 @@ def cmd_build(args):
     except (ValueError, OSError, InvalidGroupTable) as err:
         print(f"invalid group: {err}", file=sys.stderr)
         return 2
-    conductor = args.conductor or G.exponent
-    if args.build_as == "group-algebra":
-        H = hopf_mod.group_algebra(G, conductor=conductor)
-        I = hopf_mod.integrals(H)
-        doc = hopf_to_json(H, lam=I.lam)
-    elif args.build_as == "dual":
-        H = hopf_mod.dual_hopf(hopf_mod.group_algebra(G, conductor=conductor))
-        I = hopf_mod.integrals(H)
-        doc = hopf_to_json(H, lam=I.lam)
-    else:
-        H, Q = hopf_mod.drinfeld_double(G, conductor=conductor)
-        I = hopf_mod.integrals(H)
-        doc = hopf_to_json(H, lam=I.lam, R=Q.R)
+    H, R = hopf_mod.group_algebra(
+        G, conductor=args.conductor or G.exponent), None
+    if args.build_as == "dual":
+        H = hopf_mod.dual_hopf(H)
+    elif args.build_as == "double":
+        H, R = hopf_mod.double_of(H, name=f"D({G.name})")
+    doc = hopf_to_json(H, lam=hopf_mod.integrals(H).lam, R=R)
     text = canonical_dumps(doc) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,7 +1,8 @@
-"""Hopf-algebra layer: axioms, integrals, the Hopf Casimir element, duals,
-constructors (group algebra, dual, Drinfeld double), representation ring,
-and the theorem checkers (divisibility, Zhu, class equation, factorizability
-and Schneider).
+"""Hopf-algebra layer: axioms, integrals, the Hopf Casimir element, the
+constructors kG (``group_algebra``), H* (``dual_hopf``) and D(H)
+(``double_of``, of any verified H; D(G) is the double of kG), the
+representation ring, and the theorem checkers (divisibility, Zhu, class
+equation, factorizability and Schneider).
 
 A ``HopfAnalysis`` session holds the artefacts the checkers share: the
 integrals, the Frobenius structures of (H, lambda) and (H*, Lambda0), the
@@ -473,52 +474,74 @@ def group_algebra(G: FiniteGroup, field=None, conductor=None):
     return HopfAlgebraData(A, delta, counit, S, name=f"k[{G.name}]")
 
 
+def double_of(H: HopfAlgebraData, name=""):
+    """The Drinfeld double D(H) of a verified H on the basis f^i (x) x_j
+    (flat index i*n + j) of H* (x) H, with its canonical R-matrix
+    R = sum_i (f^i (x) 1) (x) (eps (x) x_i).  Returns (HopfAlgebraData, R).
+
+    H is involutory (``verify_hopf`` checks S^2 = id), so S^-1 = S in the
+    product (f (x) a)(g (x) b) = sum f (a_1 -> g <- S(a_3)) (x) a_2 b,
+    where (a -> g <- c)(y) = g(c y a) and f g is the product of H*.
+    Delta(f (x) a) = sum (f_1 (x) a_2) (x) (f_2 (x) a_1), eps(f (x) a) =
+    f(1) eps(a), the unit is eps (x) 1 and S(f (x) a) =
+    (eps (x) S(a)) (S*(f) (x) 1)."""
+    A, Hd = H.algebra, dual_hopf(H)
+    n, N, one = H.dim, H.dim ** 2, H.field.one
+    basis = [{i: one} for i in range(n)]
+
+    @functools.cache
+    def hits(r, p):
+        # x_p -> f^k <- S(x_r) = sum_s <f^k, S(x_r) x_s x_p> f^s, for each k
+        out = [{} for _ in range(n)]
+        for s in range(n):
+            for k, c in A.multiply(A.multiply(H.antipode_columns[r],
+                                              basis[s]), basis[p]).items():
+                out[k][s] = c
+        return out
+
+    table = [[{} for _ in range(N)] for _ in range(N)]
+    for j in range(n):
+        for (p, q, r), c in H.delta_on_leg(H.delta[j], True).items():
+            for k, hit in enumerate(hits(r, p)):
+                for i in range(n):
+                    left = Hd.algebra.multiply({i: c}, hit)
+                    row = table[i * n + j]
+                    for l, right in enumerate(A.table[q] if left else ()):
+                        for idx, x in tensor_dict(left, right, n).items():
+                            _add_into(row[k * n + l], idx, x)
+    for row in table:
+        row[:] = [_clean(cell) if cell else cell for cell in row]
+    name = name or f"D({H.name})"
+    D = StructureConstantAlgebra(H.field, N, table,
+                                 tensor_dict(H.counit, A.unit, n), name=name)
+
+    def legs(z):
+        return [(*divmod(idx, n), c) for idx, c in z.items()]
+
+    delta = [combine((c * e, {(a * n + d) * N + b * n + cc: one})
+                     for a, b, c in legs(Hd.delta[i])
+                     for cc, d, e in legs(H.delta[j]))
+             for i in range(n) for j in range(n)]
+    S = [D.multiply(tensor_dict(H.counit, H.antipode_columns[j], n),
+                    tensor_dict(Hd.antipode_columns[i], A.unit, n))
+         for i in range(n) for j in range(n)]
+    R = combine((one, tensor_dict(tensor_dict(basis[i], A.unit, n),
+                                  tensor_dict(H.counit, basis[i], n), N))
+                for i in range(n))
+    return HopfAlgebraData(D, delta, tensor_dict(A.unit, H.counit, n), S,
+                           name=name), R
+
+
 def drinfeld_double(G: FiniteGroup, field=None, conductor=None,
                     verify=True):
-    """D(G) on the basis delta_x (x) g (flat index x*|G| + g), with its
-    canonical R-matrix.  Returns (HopfAlgebraData, QuasitriangularData)."""
-    if field is None:
-        field = CyclotomicField(conductor or G.exponent)
-    m = G.order
-    n = m * m
-    one = field.one
-    inv = G.inverse
-    tbl = G.table
-
-    def idx(x, g):
-        return x * m + g
-
-    table = [[{} for _ in range(n)] for _ in range(n)]
-    for x in range(m):
-        for g in range(m):
-            a = idx(x, g)
-            for y in range(m):
-                if tbl[tbl[g][y]][inv[g]] != x:
-                    continue
-                for h in range(m):
-                    table[a][idx(y, h)][idx(x, tbl[g][h])] = one
-    e = G.identity
-    # 1 = sum_x delta_x (x) e
-    unit = {idx(x, e): one for x in range(m)}
-    A = StructureConstantAlgebra(field, n, table, unit, name=f"D({G.name})")
-
-    delta = [dict() for _ in range(n)]
-    for x in range(m):
-        for g in range(m):
-            a = idx(x, g)
-            for u in range(m):
-                v = tbl[inv[u]][x]
-                delta[a][idx(u, g) * n + idx(v, g)] = one
-    # eps(delta_x (x) g) = [x = e]
-    counit = {idx(e, g): one for g in range(m)}
-    # S(delta_x (x) g) = delta_{g^-1 x^-1 g} (x) g^-1
-    S = [{idx(tbl[tbl[inv[g]][inv[x]]][g], inv[g]): one}
-         for x in range(m) for g in range(m)]
-    H = HopfAlgebraData(A, delta, counit, S, name=f"D({G.name})")
-
-    R = {idx(g, e) * n + idx(y, g): one for g in range(m) for y in range(m)}
-    Q = quasitriangular_verify(H, R) if verify else None
-    return H, Q
+    """D(G) = ``double_of(group_algebra(G))`` on the basis delta_x (x) g
+    (flat index x*|G| + g), over Q(zeta_e) for e the exponent of G unless
+    a field or conductor is given.  Returns (HopfAlgebraData,
+    QuasitriangularData), the latter None unless ``verify``."""
+    H, R = double_of(group_algebra(
+        G, field or CyclotomicField(conductor or G.exponent)),
+        name=f"D({G.name})")
+    return H, quasitriangular_verify(H, R) if verify else None
 
 
 def double_projection(G: FiniteGroup, double: HopfAlgebraData,

@@ -52,7 +52,7 @@ class PrecisionExceeded(Exception):
 
 
 # The primes up to 37: the trial divisors and the Miller-Rabin bases of
-# ``is_prime``, and the trial divisors of ``prime_factors``.
+# ``is_prime``.
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # The least strong pseudoprime to all twelve bases of SMALL_PRIMES
@@ -84,71 +84,6 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
-
-
-def primitive_root(p: int) -> int:
-    """The least primitive root mod the prime p, tested against the prime
-    factors of p - 1 (``prime_factors``)."""
-    order = p - 1
-    factors = prime_factors(order)
-    for g in range(2, p):
-        if all(pow(g, order // q, p) != 1 for q in factors):
-            return g
-    raise ArithmeticError(f"no primitive root mod {p}")
-
-
-def prime_factors(m: int):
-    """The set of primes dividing m > 0, for m < PRIME_PROOF_BOUND: trial
-    division by SMALL_PRIMES, then Pollard's rho (``rho_divisor``) on each
-    cofactor that ``is_prime`` finds composite.  The work grows with the
-    square root of the second-largest prime factor of m, at most the
-    fourth root of m."""
-    factors = set()
-    for q in SMALL_PRIMES:
-        while m % q == 0:
-            factors.add(q)
-            m //= q
-    pending = [m] if m > 1 else []
-    while pending:
-        m = pending.pop()
-        if is_prime(m):
-            factors.add(m)
-        else:
-            d = rho_divisor(m)
-            pending += [d, m // d]
-    return factors
-
-
-def rho_divisor(m: int) -> int:
-    """A proper divisor of a composite m free of the SMALL_PRIMES, by
-    Pollard's rho in Brent's variant on x -> x^2 + c mod m, with the gcd
-    taken once per batch of 128 steps; c = 1, 2, ... until a walk splits
-    m."""
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % m
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % m
-                    q = q * (x - y) % m
-                g = math.gcd(q, m)
-                k += 128
-            r *= 2
-        if g == m:
-            # the batch overshot: step through it again one gcd at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % m
-                g = math.gcd(x - ys, m)
-        if g != m:
-            return g
 
 
 def norm1(x, scale):
@@ -247,11 +182,22 @@ def component_units(n: int):
     return [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
 
 
+def root_of_unity(n: int, p: int) -> int:
+    """The canonical primitive n-th root of unity mod a prime p = 1 (mod
+    n): z = a^((p-1)/n) for the least a with z^(n/q) != 1 for every prime
+    q | n.  n is the conductor, so trial division finds those q, and p - 1
+    is never factored."""
+    qs = [q for q in range(2, n + 1)
+          if n % q == 0 and all(q % d for d in range(2, q))]
+    return next(z for z in (pow(a, (p - 1) // n, p) for a in range(1, p))
+                if all(pow(z, n // q, p) != 1 for q in qs))
+
+
 def lift_cyclotomic_root(n: int, p: int, target_modulus: int) -> int:
     """A primitive n-th root of unity mod target_modulus = p^(2^t), lifted
-    from the canonical root g^((p-1)/n) mod p by Newton iteration."""
-    z = pow(primitive_root(p), (p - 1) // n, p)
-    return newton_lift(cyclotomic_polynomial(n), z, p, target_modulus)
+    from ``root_of_unity(n, p)`` by Newton iteration."""
+    return newton_lift(cyclotomic_polynomial(n), root_of_unity(n, p), p,
+                       target_modulus)
 
 
 def newton_lift(coeffs, t, p, M):

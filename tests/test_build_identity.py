@@ -2,9 +2,12 @@
 
 ``tests/builds/`` holds the documents that ``frobdiv build --group G --as
 KIND`` wrote for G in C4, S3 and each KIND, at commit 4b72132, when the
-antipode was still a dense matrix inside ``HopfAlgebraData``.  The
-constructors and ``hopf_to_json`` must still write them byte for byte:
-the antipode column by column, each in ascending row order.
+antipode was still a dense matrix inside ``HopfAlgebraData``, and the
+``--as double`` documents for C2, C3, C6, D4, Q8 and A4 that D(G)'s
+group-table construction wrote at commit 34b5082, before D(G) became the
+generic double of kG.  The constructors and ``hopf_to_json`` must still
+write them byte for byte: the antipode column by column, each in
+ascending row order.
 
 A change that means to alter a build regenerates the files with
 
@@ -20,8 +23,9 @@ import pytest
 from frobdiv.cli import main
 
 BUILDS = Path(__file__).resolve().parent / "builds"
-CASES = [(g, kind) for g in ("C4", "S3")
-         for kind in ("group-algebra", "dual", "double")]
+CASES = ([(g, kind) for g in ("C4", "S3")
+          for kind in ("group-algebra", "dual", "double")]
+         + [(g, "double") for g in ("C2", "C3", "C6", "D4", "Q8", "A4")])
 
 
 def build(group, kind, workdir):

@@ -502,8 +502,8 @@ def test_bad_prime_exit_2(tmp_path, capsys, case):
 
 
 def test_large_prime_with_a_large_factor_below_p(tmp_path, capsys):
-    # p = 2q + 1 for a prime q: the primitive root mod p is found from the
-    # factors of p - 1 without trial division up to sqrt(q)
+    # p = 2q + 1 for a prime q: the root of unity mod p is found without
+    # factoring p - 1
     inp = build(tmp_path, "--group", "C2")
     capsys.readouterr()
     assert main(["analyze", str(inp), "--check", "fd", "--prime",

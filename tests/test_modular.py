@@ -16,12 +16,11 @@ from frobdiv.modular import (
     is_prime,
     is_squarefree_mod,
     lift_cyclotomic_root,
-    prime_factors,
     modular_split,
-    primitive_root,
     product_mod,
     reconstruct_element,
     reduce_scalar,
+    root_of_unity,
     roots_mod_p,
 )
 
@@ -37,56 +36,24 @@ def test_is_prime():
     assert not is_prime(561)  # Carmichael
 
 
-def test_primitive_root():
-    for p in (3, 7, 13, 97):
-        g = primitive_root(p)
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * g % p
-            seen.add(x)
-        assert len(seen) == p - 1
+def root_order(z, p):
+    k, x = 1, z % p
+    while x != 1:
+        k, x = k + 1, x * z % p
+    return k
 
 
-def trial_prime_factors(m):
-    factors, q = set(), 2
-    while q * q <= m:
-        while m % q == 0:
-            factors.add(q)
-            m //= q
-        q += 1
-    return factors | ({m} if m > 1 else set())
-
-
-def test_prime_factors_match_trial_division():
-    for m in range(1, 20000):
-        assert prime_factors(m) == trial_prime_factors(m), m
-    # squares and cubes of primes above the trial divisors, products of
-    # two primes near 2^20, which only the rho walk splits, and products
-    # of three or four primes, which it may split into composites
-    for m in (41 ** 2, 43 ** 3 * 2, 1000003 ** 2, 1048583 * 1048589,
-              2 ** 5 * 3 * 1048573 * 1048583, 41 * 43 * 47 * 53,
-              1009 * 1013 * 1019, 41 ** 2 * 1048583 * 1048589):
-        assert prime_factors(m) == trial_prime_factors(m), m
-
-
-def test_prime_factors_of_large_p_minus_one():
-    # the (p - 1)s that trial division took sqrt(p) steps on: 2q for a
-    # prime q, and the number just below the bound on is_prime's proofs
-    assert prime_factors(20000000000000002558) == {2, 10000000000000001279}
-    m = modular.PRIME_PROOF_BOUND - 1
-    factors = prime_factors(m)
-    assert all(is_prime(q) for q in factors)
-    rest = m
-    for q in factors:
-        while rest % q == 0:
-            rest //= q
-    assert rest == 1
-    # the least primitive root mod p = 2q + 1: g^2 != 1 and g^q != 1
+def test_cyclotomic_root_has_order_n():
+    # every n dividing p - 1 for the primes p < 2000, and the conductors
+    # 1 and 2 at p = 2q + 1 for a 64-bit prime q, whose p - 1 is never
+    # factored
+    for p in filter(is_prime, range(2, 2000)):
+        for n in range(1, p):
+            if (p - 1) % n == 0:
+                assert root_order(root_of_unity(n, p), p) == n
     p = 20000000000000002559
-    q = (p - 1) // 2
-    assert primitive_root(p) == next(
-        g for g in range(2, p) if pow(g, 2, p) != 1 and pow(g, q, p) != 1)
+    assert lift_cyclotomic_root(1, p, p ** 2) == 1
+    assert lift_cyclotomic_root(2, p, p ** 2) == p ** 2 - 1
 
 
 def test_proof_bound_is_a_defect():
