@@ -5,7 +5,8 @@ selected theorem checks; ``frobdiv build --group S3 --as double`` emits
 canonical ingestion JSON for the constructors.
 
 Exit codes: 0 all checks pass; 1 a mathematical verdict is negative or a
-theorem hypothesis is unmet; 2 invalid input; 3 internal inconsistency.
+theorem hypothesis is unmet; 2 invalid input or an unwritable --out file;
+3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from . import hopf as hopf_mod
 from .algebra import DegenerateForm, NotATraceForm, frobenius_structure
 from .groups import InvalidGroupTable, group_from_table, named_group
 from .integrality import (EquivalenceViolation, InapplicableHypothesis,
+                          NotASymmetricHomomorphism,
                           frobenius_divisibility_verdict)
 from .modular import BadPrime, PrecisionExceeded, bad_prime_reason
 from .report import Report, Section, input_digest
@@ -83,7 +85,9 @@ def cmd_analyze(args):
     except SchemaError as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 2
-    except (EquivalenceViolation, hopf_mod.HopfError) as err:
+    except (EquivalenceViolation, hopf_mod.HopfError,
+            NotASymmetricHomomorphism, InapplicableHypothesis) as err:
+        # the last two: a hypothesis that a check established fails in it
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 3
     except (BadPrime, PrecisionExceeded) as err:
@@ -92,11 +96,21 @@ def cmd_analyze(args):
     status = "pass" if code == 0 else "fail"
     rep = Report(digest, sections, status)
     text = rep.to_text() if args.fmt == "text" else rep.dumps_json()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    return _write_output(args.out, text, code)
+
+
+def _write_output(path, text, code):
+    """Write text to the file ``path``, or to stdout when there is none,
+    and return code; an unwritable file exits 2."""
+    if not path:
         sys.stdout.write(text)
+        return code
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return 2
     return code
 
 
@@ -315,13 +329,7 @@ def cmd_build(args):
     elif args.build_as == "double":
         H, R = hopf_mod.double_of(H, name=f"D({G.name})")
     doc = hopf_to_json(H, lam=hopf_mod.integrals(H).lam, R=R)
-    text = canonical_dumps(doc) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_output(args.out, canonical_dumps(doc) + "\n", 0)
 
 
 if __name__ == "__main__":

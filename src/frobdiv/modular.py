@@ -2,12 +2,10 @@
 
 The base field Q(zeta_n) is reduced at a good prime p = 1 (mod n): the
 cyclotomic polynomial splits into distinct linear factors, so the reduction
-has one F_p-component per primitive n-th root of unity mod p.  Components
-whose reduced tables and units agree are the same F_p-algebra, and they are
-split once: with rational structure constants, which covers every
-constructor output with or without an embedding into a larger conductor,
-that is one split per prime.  A split works on the multiplication table of
-the mod-p centre, formed once from r(r+1)/2 products in the reduced
+has one F_p-component per primitive n-th root of unity mod p.  The
+Wedderburn pipeline splits the first, at the root w of ``root_of_unity``,
+and no other.  A split works on the multiplication table of the mod-p
+centre, formed once from r(r+1)/2 products in the reduced
 algebra; finding the primitive idempotents then never touches the algebra.
 
 A residue vector, an element of a reduction mod M = p^k or of its centre,
@@ -22,11 +20,14 @@ p > 2 dim.
 
 Results come back as integers y of Q(zeta_n) whose conjugates the caller
 bounds by R, so that their power-basis coefficients are at most
-B = f_n R (``embedding_factor``).  Residues mod p^k > 2B in every
-component are glued by CRT interpolation and read as symmetric residues
-(``reconstruct_element``): exact for such a y, and a coefficient outside
-[-B, B] rejects the gluing, at one precision and without trial.  Lifted
-roots of unity and interpolation bases are cached per (n, p, k).
+B = f_n R (``embedding_factor``).  Each is recovered from its residue
+y(w) mod p^k in the first component alone (``reconstruct_element``): the
+candidates form a coset of the lattice P^k of the prime P = (p, zeta - w),
+and nearest-plane rounding on an LLL-reduced basis of P^k
+(``ideal_lattice``) returns the one within B once p^k passes the bound
+of ``precision_for``, about (phi 2^(phi/2) B)^phi.  A coefficient outside
+[-B, B] proves the residue is not that of such a y.  Lifted roots of
+unity and reduced lattices are cached per (n, p, k).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ class BadPrime(Exception):
 
 
 class PrecisionExceeded(Exception):
-    """No gluing of the blocks mod p passed the exact checks."""
+    """No recovery of the blocks mod p passed the exact checks."""
 
 
 # The primes up to 37: the trial divisors and the Miller-Rabin bases of
@@ -325,6 +326,15 @@ def _poly_divmod(a, b, p):
             for j, x in enumerate(b):
                 rem[k + j] = (rem[k + j] - c * x) % p
     return _trim(quo), _trim(rem[:db])
+
+
+def _poly_mul_mod(a, b, M):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % M
+    return out
 
 
 def _poly_monic(a, p):
@@ -618,7 +628,7 @@ def _block_data(traces, rho, e_vec, e_coords, p):
 
 
 # ---------------------------------------------------------------------------
-# Hensel lifting and bounded gluing
+# Hensel lifting and recovery from one component
 # ---------------------------------------------------------------------------
 
 
@@ -629,70 +639,127 @@ def hensel_lift_idempotent(comp_M, e, M):
     return combine_mod([(3, e2), (-2, e3)], M)
 
 
+IdealLattice = collections.namedtuple(
+    "IdealLattice", "root modulus basis dets lam unit")
+
+
 @functools.lru_cache(maxsize=None)
-def lagrange_basis(nodes, M):
-    """Coefficient tuples of the Lagrange polynomials
-    prod_{l != j} (x - w_l) / (w_j - w_l) over Z/M, one per node w_j;
-    node differences must be units mod M.  Computed once per (nodes, M)
-    in a process."""
-    basis = []
-    for j, wj in enumerate(nodes):
-        num = [1]
-        denom = 1
-        for l, wl in enumerate(nodes):
-            if l != j:
-                num = _poly_mul_mod(num, [(-wl) % M, 1], M)
-                denom = denom * (wj - wl) % M
-        inv = pow(denom, -1, M)
-        basis.append(tuple(c * inv % M for c in num))
-    return tuple(basis)
+def ideal_lattice(n: int, p: int, exp: int):
+    """The lattice P^exp = {y in Z^phi : y(w) = 0 mod M = p^exp} of the
+    prime P = (p, zeta - w) of Z[zeta_n], w the first root of
+    ``component_roots``: its basis M e_0, e_i - (w^i mod M) e_0, reduced
+    once per (n, p, exp) by ``_lll``, with ``unit``, the lam row of e_0."""
+    roots, M = component_roots(n, p, exp)
+    zeros = [0] * (len(roots) - 1)
+    basis = [[M] + zeros]
+    for i in range(1, len(roots)):
+        basis.append([-pow(roots[0], i, M) % M] + zeros)
+        basis[i][i] = 1
+    dets, lam = _lll(basis)
+    return IdealLattice(roots[0], M, basis, dets, lam,
+                        _lam_row([1] + zeros, basis, dets, lam))
 
 
-def interpolate_mod(nodes, values, M):
-    """Coefficients (deg < len(nodes)) of the polynomial over Z/M that
-    takes values[j] at nodes[j]."""
-    coeffs = [0] * len(nodes)
-    for v, poly in zip(values, lagrange_basis(tuple(nodes), M)):
-        if v:
-            for i, c in enumerate(poly):
-                coeffs[i] += v * c
-    return [c % M for c in coeffs]
-
-
-def _poly_mul_mod(a, b, M):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % M
+def _lam_row(v, rows, dets, lam):
+    """[dets[j+1] <v, b_j*> / |b_j*|^2 for the rows b_j], in integers; when
+    the last row is v itself, its entry is the Gram determinant of the
+    rows."""
+    out = []
+    for j, b in enumerate(rows):
+        u = sum(x * y for x, y in zip(v, b))
+        other = out if b is v else lam[j]
+        for i in range(j):
+            u = (dets[i + 1] * u - out[i] * other[i]) // dets[i]
+        out.append(u)
     return out
 
 
-def reconstruct_element(field, per_component, roots, M, bound, den):
-    """Glue per-component residue vectors of an integral vector y by CRT
-    interpolation and return y / den as a sparse vector of field scalars,
-    reading each coefficient as its symmetric residue mod M > 2 bound;
-    None when one exceeds ``bound``, which proves the residues are not
-    those of such a y."""
-    half = M // 2
-    glued = {}
-    for k in sorted(set().union(*per_component)):
-        nums = []
-        for c in interpolate_mod(roots, [v.get(k, 0) for v in per_component],
-                                 M):
-            if c > half:
-                c -= M
-            if abs(c) > bound:
-                return None
-            nums.append(c)
-        if any(nums):
-            glued[k] = nums
-    return {k: field.from_nums(nums, den) for k, nums in glued.items()}
+def _size_reduce(v, mu, basis, dets, lam, l):
+    """v - q b_l for q the integer nearest mu_l, with ``mu``, the lam row
+    of v, updated in place."""
+    d = dets[l + 1]
+    q = (2 * mu[l] + d) // (2 * d)
+    if q:
+        v = [x - q * y for x, y in zip(v, basis[l])]
+        mu[l] -= q * d
+        for i in range(l):
+            mu[i] -= q * lam[l][i]
+    return v
 
 
-def precision_for(p: int, bound: int) -> int:
-    """The least exponent k in 1, 2, 4, ... with p^k > 2 bound."""
+def _lll(basis):
+    """Reduce the independent int rows of ``basis`` in place, with
+    delta = 3/4 and in integers only (H. Cohen, GTM 138, Algorithm 2.6.7).
+    Return (dets, lam) for the reduced rows b_i: dets[i] is the Gram
+    determinant of the first i rows, so |b_i*|^2 = dets[i+1] / dets[i],
+    and lam[k][j] = dets[j+1] mu_kj for j < k."""
+    n = len(basis)
+    dets = [1, sum(x * x for x in basis[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            row = _lam_row(basis[k], basis[:k + 1], dets, lam)
+            lam[k][:k], dets[k + 1] = row[:k], row[k]
+        basis[k] = _size_reduce(basis[k], lam[k], basis, dets, lam, k - 1)
+        m = lam[k][k - 1]
+        if 4 * dets[k + 1] * dets[k - 1] >= 3 * dets[k] ** 2 - 4 * m * m:
+            for l in range(k - 2, -1, -1):
+                basis[k] = _size_reduce(basis[k], lam[k], basis, dets, lam, l)
+            k += 1
+            continue
+        # Lovasz's condition fails: exchange b_{k-1} and b_k
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        b = (dets[k - 1] * dets[k + 1] + m * m) // dets[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (dets[k + 1] * lam[i][k - 1] - m * t) // dets[k]
+            lam[i][k - 1] = (b * t + m * lam[i][k]) // dets[k + 1]
+        dets[k] = b
+        k = max(1, k - 1)
+    return dets, lam
+
+
+def reconstruct_element(field, residues, lattice, bound, den):
+    """y / den as a sparse vector of field scalars, for the integral vector
+    y with power-basis coefficients at most ``bound`` whose residue vector
+    in the first CRT component mod p^k is ``residues``; None when the
+    candidate has a coefficient outside [-bound, bound], which proves that
+    there is no such y.  Entry k is r e_0, for r = residues[k],
+    size-reduced against the reduced basis of ``lattice``
+    (``ideal_lattice``), which subtracts the point that nearest-plane
+    rounding (Babai) finds: what is left is the one vector of the coset
+    within the bound once p^k meets ``precision_for``."""
+    basis, dets, lam = lattice.basis, lattice.dets, lattice.lam
+    out = {}
+    for k in sorted(residues):
+        r = residues[k]
+        nums, mu = [r] + [0] * (len(basis) - 1), [r * u for u in lattice.unit]
+        for l in reversed(range(len(basis))):
+            nums = _size_reduce(nums, mu, basis, dets, lam, l)
+        if any(abs(c) > bound for c in nums):
+            return None
+        out[k] = field.from_nums(nums, den)
+    return out
+
+
+def precision_for(phi: int, p: int, bound: int) -> int:
+    """The least exponent k in 1, 2, 4, ... with
+    p^k > (phi 2^((phi+1)/2) bound)^phi, compared squared in integers.
+
+    Then nearest-plane rounding recovers each y in Z^phi with coefficients
+    within ``bound`` from its coset y + P^k.  A nonzero z in P^k has
+    |N(z)| >= p^k and conjugates at most sqrt(phi) ||z||_2, and the rows of
+    an LLL-reduced basis (delta = 3/4) have |b_i*|^2 >= |b_1|^2 /
+    2^(phi-1); so |b_i*| > 2 sqrt(phi) bound >= 2 ||y||_2, and y is the one
+    point of its coset whose coefficients on the b_i* all lie in
+    (-1/2, 1/2).  For phi = 1 this is p^k > 2 bound, the symmetric
+    residue."""
+    target = (2 ** (phi + 1) * (phi * bound) ** 2) ** phi
     exp = 1
-    while p ** exp <= 2 * bound:
+    while p ** (2 * exp) <= target:
         exp *= 2
     return exp

@@ -32,6 +32,10 @@ from .scalars import CyclotomicField, field_from_descriptor
 # The most digits of an integer in a scalar string, on every Python version
 MAX_SCALAR_DIGITS = 4300
 
+# The largest dim a document may declare: its table holds dim^2 cells, and
+# D(A5), dim 3600, is the largest input in view
+MAX_DIM = 4096
+
 
 class SchemaError(Exception):
     pass
@@ -63,6 +67,7 @@ def algebra_from_json(doc, conductor=None):
         _require(key in doc, f"missing key {key!r}")
     dim = doc["dim"]
     _require(_index(dim, math.inf) and dim > 0, "dim must be a positive int")
+    _require(dim <= MAX_DIM, f"dim {dim} is above the limit {MAX_DIM}")
     try:
         source = field_from_descriptor(doc["field"])
     except ValueError as err:

@@ -2,8 +2,8 @@
 
 Every vector here is a sparse dict {index: nonzero scalar}: the
 idempotents, the traces v and the characters, a residue vector as well.
-The algebra is split mod a good prime p in every CRT component of the
-cyclotomic base field, on residue vectors (``modular.modular_split``,
+The algebra is split mod a good prime p in the first CRT component of
+the cyclotomic base field, on residue vectors (``modular.modular_split``,
 where block dimensions are traces of projections; the roots mod p behind
 ``field_roots`` come from int polynomials).  A residue vector is sparse
 like every exact vector, and its products are ``algebra.table_product``
@@ -14,12 +14,15 @@ Gamma(1) e(S) = d(S) (chi_S (x) Id)(c).  With D the common denominator
 of the structure constants, D v_j is the trace of D L_{x_j} on A e, so
 its power-basis coefficients obey a bound B known in advance
 (``_trace_bound``).  Each mod-p block is Hensel-lifted
-(e -> 3e^2 - 2e^3) to the one precision p^k > 2B, only when k > 1, and
-D v is read off the reduced table in each component.  A gluing of one
-block per component is interpolated and rejected unless its symmetric
-residues lie within B; one that passes gives e = T^-1 v exactly through
-the dual basis of chi_reg (T_jk = chi_reg(x_j x_k)), the characters
-v / (d center_dim) and the block dimension chi_reg(e).
+(e -> 3e^2 - 2e^3) to the one precision p^k of ``modular.precision_for``,
+only when k > 1, and D v is read off the reduced table.  Each D v_j is
+recovered from that component alone, by nearest-plane rounding on the
+reduced lattice P^k (``modular.reconstruct_element``), and refused unless
+its coefficients lie within B.  So each block is recovered once and no
+block is matched across components.  A recovery that passes gives
+e = T^-1 v exactly through the dual basis of chi_reg
+(T_jk = chi_reg(x_j x_k)), the characters v / (d center_dim) and the
+block dimension chi_reg(e).
 
 Such an e is screened modulo a second good prime q != p at every root of
 the cyclotomic polynomial (rejected if e e != e there; a true idempotent
@@ -32,7 +35,7 @@ off the table over the supports of its factors (``algebra.table_product``)
 and each combination of rows, the shifted rows v b - t v and the random
 candidates, formed by ``algebra.combine``.  The eigenvalues behind those
 certificates come back the same way as the idempotents: ``field_roots``
-glues D_g t for the roots t of g under a Cauchy bound.
+recovers D_g t for the roots t of g under a Cauchy bound.
 """
 
 from __future__ import annotations
@@ -45,9 +48,10 @@ from .linalg import EchelonSubspace, Poly, iterates, krylov_relation
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _mod,
                       _trim, bad_prime_reason, component_roots,
                       embedding_factor, good_primes, hensel_lift_idempotent,
-                      is_squarefree_mod, modular_split, newton_lift, norm1,
-                      precision_for, prime_search, product_mod,
-                      reconstruct_element, reduce_scalar, roots_mod_p)
+                      ideal_lattice, is_squarefree_mod, modular_split,
+                      newton_lift, norm1, precision_for, prime_search,
+                      product_mod, reconstruct_element, reduce_scalar,
+                      roots_mod_p)
 from .scalars import Cyc
 
 FALLBACK_PRIMES = 3
@@ -66,7 +70,7 @@ class WedderburnData:
     and the characters sparse forms: ``characters[s][j]`` is the trace of x_j
     on the s-th irreducible, absent when 0 (for non-split blocks: the reduced
     trace, and ``split_certified[s]`` is False).  ``precision_used`` is the
-    exponent k of the one precision p^k at which the blocks were glued.
+    exponent k of the one precision p^k at which the blocks were recovered.
     """
 
     def __init__(self, algebra, idempotents, degrees, block_dims,
@@ -140,65 +144,36 @@ def _raw_idempotents(algebra, dual, prime=None):
         f"no prime in {primes} yielded verified idempotents: {last_err}")
 
 
-def _split_components(algebra, p):
-    """The reductions of the algebra mod p, one per CRT component in the
-    order of ``component_roots``, and the modular blocks of each.  Equal
-    reduced tables and units are one F_p-algebra, split once; the split's
-    random choices depend on p only, so sharing changes no block."""
-    roots_p, _ = component_roots(algebra.field.conductor, p, 1)
-    comps = [ComponentAlgebra(algebra, w, p) for w in roots_p]
-    splits = []
-    per_comp_blocks = []
-    for comp in comps:
-        key = (comp.table, comp.unit)
-        blocks = next((bl for k, bl in splits if k == key), None)
-        if blocks is None:
-            blocks = modular_split(comp)
-            splits.append((key, blocks))
-        per_comp_blocks.append(blocks)
-    return comps, per_comp_blocks
-
-
 def _idempotents_at_prime(algebra, dual, p):
-    comps, per_comp_blocks = _split_components(algebra, p)
-    counts = {len(bl) for bl in per_comp_blocks}
-    if len(counts) != 1:
-        raise BadPrime("component block counts disagree")
-
-    invariant = lambda b: (b.degree, b.block_dim, b.center_dim)
-    sigs = [sorted(invariant(b) for b in bl) for bl in per_comp_blocks]
-    if any(s != sigs[0] for s in sigs[1:]):
-        raise BadPrime("component block invariants disagree")
-
-    glue = TraceGluing(algebra, dual, p, comps,
-                       max(b.block_dim for b in per_comp_blocks[0]))
-    used = [set() for _ in per_comp_blocks]
-    idempotents = []
-    traces = []
-    blocks = []
-    for b0 in per_comp_blocks[0]:
-        found = next(filter(None, map(glue, _gluings(
-            per_comp_blocks, b0, used, invariant))), None)
-        if found is None:
+    """The blocks of the split mod p in the first CRT component, each
+    recovered from there alone: its traces D v mod p^k
+    (``_block_traces``) go through ``reconstruct_element`` on the lattice
+    P^k, and e = ``dual(v)`` must pass the screen mod q and the exact
+    check.  A block that fails raises PrecisionExceeded."""
+    field = algebra.field
+    n = field.conductor
+    comp = ComponentAlgebra(algebra, component_roots(n, p, 1)[0][0], p)
+    blocks = modular_split(comp)
+    den, bound = _trace_bound(algebra, max(b.block_dim for b in blocks))
+    exp = precision_for(field.phi, p, bound)
+    lattice = ideal_lattice(n, p, exp)
+    if exp > 1:
+        comp = ComponentAlgebra(algebra, lattice.root, lattice.modulus)
+    rho = comp.reduce_vector(algebra.regular_character())
+    check_comps = _check_components(algebra, p)
+    idempotents, traces = [], []
+    for b in blocks:
+        v = reconstruct_element(field, _block_traces(comp, rho, den, b, exp),
+                                lattice, bound, den)
+        e = None if v is None else dual(v)
+        if e is None or not (_idempotent_mod_q(algebra, e, check_comps)
+                             and _verify_idempotent(algebra, e)):
             raise PrecisionExceeded(
-                f"block of degree {b0.degree}: no gluing at p={p} passed "
-                f"the bound {glue.bound} and the exact checks")
-        choice, e, v = found
-        for comp_idx, b in enumerate(choice):
-            used[comp_idx].add(id(b))
+                f"block of degree {b.degree}: its traces at p={p} failed "
+                f"the bound {bound} or the exact checks")
         idempotents.append(e)
         traces.append(v)
-        blocks.append(b0)
-
-    return idempotents, traces, blocks, p, glue.exp
-
-
-def _gluings(per_comp_blocks, b0, used, invariant):
-    """Candidate choices of one block per component, component 0 fixed."""
-    pools = [[b for b in blocks
-              if invariant(b) == invariant(b0) and id(b) not in used[k]]
-             for k, blocks in enumerate(per_comp_blocks[1:], 1)]
-    return itertools.product([b0], *pools)
+    return idempotents, traces, blocks, p, exp
 
 
 def _trace_bound(algebra, block_dim):
@@ -216,59 +191,18 @@ def _trace_bound(algebra, block_dim):
                   * block_dim * col)
 
 
-class TraceGluing:
-    """Gluing of mod-p blocks, one per CRT component, through their
-    regular traces at the one precision p^exp > 2 bound.  A call takes a
-    choice of blocks and returns (choice, e, v) when the glued traces v lie
-    within the bound and e = ``dual(v)`` passes the screen mod q and the
-    exact check; None otherwise."""
-
-    def __init__(self, algebra, dual, p, comps, block_dim):
-        self.algebra = algebra
-        self.dual = dual
-        self.den, self.bound = _trace_bound(algebra, block_dim)
-        self.exp = precision_for(p, self.bound)
-        self.roots, self.M = component_roots(algebra.field.conductor, p,
-                                             self.exp)
-        if self.exp > 1:
-            comps = [ComponentAlgebra(algebra, w, self.M)
-                     for w in self.roots]
-        self.comps = comps
-        chi_reg = algebra.regular_character()
-        self.rhos = [comp.reduce_vector(chi_reg) for comp in comps]
-        self.check_comps = _check_components(algebra, p)
-        self.traces = {}
-
-    def trace(self, k, block):
-        """D chi_reg(x_j e) mod p^exp for the block's idempotent e lifted in
-        component k, read off its sparse table as
-        sum_i e_i sum_m c_ji^m chi_reg(x_m); once per block and component,
-        for all the gluings it is tried in."""
-        key = (k, id(block))
-        if key not in self.traces:
-            comp, M, rho = self.comps[k], self.M, self.rhos[k]
-            e, exp = block.central_idempotent, 1
-            while exp < self.exp:
-                e = hensel_lift_idempotent(comp, e, M)
-                exp *= 2
-            self.traces[key] = _mod({
-                j: self.den * sum(x * c * rho.get(m, 0) for i, x in e.items()
-                                  for m, c in row[i].items())
-                for j, row in enumerate(comp.table)}, M)
-        return self.traces[key]
-
-    def __call__(self, choice):
-        algebra = self.algebra
-        v = reconstruct_element(
-            algebra.field, [self.trace(k, b) for k, b in enumerate(choice)],
-            self.roots, self.M, self.bound, self.den)
-        if v is None:
-            return None
-        e = self.dual(v)
-        if not (_idempotent_mod_q(algebra, e, self.check_comps)
-                and _verify_idempotent(algebra, e)):
-            return None
-        return choice, e, v
+def _block_traces(comp, rho, den, block, exp):
+    """D chi_reg(x_j e) mod M for the block's idempotent e, Hensel-lifted
+    from p to the modulus M = p^exp of ``comp``, read off its sparse table
+    as sum_i e_i sum_m c_ji^m chi_reg(x_m) with rho the reduction of
+    chi_reg."""
+    M, e, level = comp.M, block.central_idempotent, 1
+    while level < exp:
+        e = hensel_lift_idempotent(comp, e, M)
+        level *= 2
+    return _mod({j: den * sum(x * c * rho.get(m, 0) for i, x in e.items()
+                              for m, c in row[i].items())
+                 for j, row in enumerate(comp.table)}, M)
 
 
 def _verify_system(algebra, idempotents, block_dims):
@@ -434,52 +368,37 @@ def field_roots(field, coeffs):
 
     They are the simple roots of the monic squarefree part g of degree m,
     mod the first good prime p (``prime_search``, above 2 deg f, the
-    conductor and 20) at which g stays squarefree in every component.  With D_g the common denominator of the g_i,
-    y = D_g t is a root of the monic integral y^m + sum_i D_g^(m-i) g_i y^i,
-    so (Cauchy) every conjugate of y is at most
+    conductor and 20) at which g stays squarefree in the first CRT
+    component.  With D_g the common denominator of the g_i, y = D_g t is
+    a root of the monic integral y^m + sum_i D_g^(m-i) g_i y^i, so
+    (Cauchy) every conjugate of y is at most
     1 + max_i ||D_g^(m-i) g_i||_1.  Each root mod p is Newton-lifted once
-    to the precision that bound asks for, and each choice of one root per
-    component within the bound is kept if it is a root of g."""
+    to the precision that bound asks for, recovered from that component
+    alone (``reconstruct_element``), and kept if it is a root of g."""
     f = Poly(field, coeffs)
     if f.degree() < 1:
         return []
     g = (f // f.gcd(f.derivative())).monic()
     n = field.conductor
     den = _common_den(g.coeffs)
-    rng = random.Random(f.degree())
     for p in prime_search(n, max(2 * f.degree() + 1, 20), den):
-        comp_roots = _simple_roots_mod_p(field, g, p, rng)
-        if comp_roots is not None:
+        gp = _trim([reduce_scalar(c, component_roots(n, p, 1)[0][0], p)
+                    for c in g.coeffs])
+        if is_squarefree_mod(gp, p):
             break
     m = g.degree()
     bound = int(embedding_factor(n) * (1 + max(
         norm1(c, den ** (m - i)) for i, c in enumerate(g.coeffs[:m]))))
-    exp = precision_for(p, bound)
-    roots, M = component_roots(n, p, exp)
-    lifted = []
-    for w, ts in zip(roots, comp_roots):
-        gw = [reduce_scalar(c, w, M) for c in g.coeffs]
-        lifted.append([den * newton_lift(gw, t, p, M) % M for t in ts])
+    lattice = ideal_lattice(n, p, precision_for(field.phi, p, bound))
+    M = lattice.modulus
+    gw = [reduce_scalar(c, lattice.root, M) for c in g.coeffs]
     out = []
-    for choice in itertools.product(*lifted):
-        y = reconstruct_element(field, [{0: r} for r in choice], roots, M,
-                                bound, den)
-        t = None if y is None else y.get(0, field.zero)
-        if t is not None and not g(t):
+    for r in roots_mod_p(gp, p, random.Random(f.degree())):
+        y = reconstruct_element(field, _mod({0: den * newton_lift(
+            gw, r, p, M)}, M), lattice, bound, den)
+        if y is not None and not g(t := y.get(0, field.zero)):
             out.append(t)
     return sorted(out, key=Cyc.sort_key)
-
-
-def _simple_roots_mod_p(field, g, p, rng):
-    """The roots of the monic g mod p in each CRT component; None if g is
-    not squarefree mod p in some component."""
-    out = []
-    for w in component_roots(field.conductor, p, 1)[0]:
-        gw = _trim([reduce_scalar(c, w, p) for c in g.coeffs])
-        if not is_squarefree_mod(gw, p):
-            return None
-        out.append(roots_mod_p(gw, p, rng))
-    return out
 
 
 # ---------------------------------------------------------------------------

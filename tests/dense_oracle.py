@@ -14,8 +14,9 @@ formula, the Krylov loop over a carrier algebra, the dense
 multiplicativity, orthogonality and character loops, the centre products
 of a modular split formed in the whole reduced algebra, the dense
 eliminations that the sparse echelon form replaced, the dense split
-certificate, the scalars of Q(zeta_n) as tuples of rationals, and the
-trial reconstruction that bounded gluing replaced.
+certificate, the scalars of Q(zeta_n) as tuples of rationals, the
+product gluing over every CRT component that recovery from one component
+replaced, and the trial reconstruction that bounded gluing replaced.
 
 The library takes and returns every vector as a sparse dict {index:
 nonzero scalar}.  The oracle computes on dense vectors, lists of dim
@@ -581,8 +582,9 @@ def shear_matrix(field, n, entries):
 # CRT interpolation
 # ---------------------------------------------------------------------------
 #
-# The formula ``modular.interpolate_mod`` evaluated for every call before
-# its Lagrange basis was computed once per (nodes, modulus).
+# The formula ``interpolate_mod`` (in the product gluing below) evaluated
+# for every call before its Lagrange basis was computed once per (nodes,
+# modulus).
 
 
 def lagrange_interpolate(points, M):
@@ -1172,6 +1174,220 @@ class RefCyc:
 
 
 # ---------------------------------------------------------------------------
+# product gluing over every CRT component
+# ---------------------------------------------------------------------------
+#
+# The Wedderburn pipeline as it ran before each value was recovered from
+# one component: the algebra is split mod p in every CRT component (once
+# per distinct reduction), every block of the first component is glued
+# with one block of the same invariants per other component, in the order
+# of their product, and the per-component traces are interpolated at the
+# one precision p^k > 2B and read as symmetric residues within B.  Field
+# roots take one root mod p per component, in every combination.  Both
+# searches grow like m^(phi - 1).
+
+
+def split_components(algebra, p):
+    """The reductions of the algebra mod p, one per CRT component in the
+    order of ``component_roots``, and the modular blocks of each; equal
+    reduced tables and units share one split."""
+    from frobdiv.modular import (ComponentAlgebra, component_roots,
+                                 modular_split)
+    roots_p, _ = component_roots(algebra.field.conductor, p, 1)
+    comps = [ComponentAlgebra(algebra, w, p) for w in roots_p]
+    splits = []
+    per_comp_blocks = []
+    for comp in comps:
+        key = (comp.table, comp.unit)
+        blocks = next((bl for k, bl in splits if k == key), None)
+        if blocks is None:
+            blocks = modular_split(comp)
+            splits.append((key, blocks))
+        per_comp_blocks.append(blocks)
+    return comps, per_comp_blocks
+
+
+def block_invariant(b):
+    return (b.degree, b.block_dim, b.center_dim)
+
+
+def gluings(per_comp_blocks, b0, used):
+    """Candidate choices of one block per component, component 0 fixed."""
+    pools = [[b for b in blocks if block_invariant(b) == block_invariant(b0)
+              and id(b) not in used[k]]
+             for k, blocks in enumerate(per_comp_blocks[1:], 1)]
+    return itertools.product([b0], *pools)
+
+
+@functools.lru_cache(maxsize=None)
+def lagrange_basis(nodes, M):
+    """Coefficient tuples of the Lagrange polynomials
+    prod_{l != j} (x - w_l) / (w_j - w_l) over Z/M, one per node w_j."""
+    from frobdiv.modular import _poly_mul_mod
+    basis = []
+    for j, wj in enumerate(nodes):
+        num = [1]
+        denom = 1
+        for l, wl in enumerate(nodes):
+            if l != j:
+                num = _poly_mul_mod(num, [(-wl) % M, 1], M)
+                denom = denom * (wj - wl) % M
+        inv = pow(denom, -1, M)
+        basis.append(tuple(c * inv % M for c in num))
+    return tuple(basis)
+
+
+def interpolate_mod(nodes, values, M):
+    """Coefficients (deg < len(nodes)) of the polynomial over Z/M that
+    takes values[j] at nodes[j]."""
+    coeffs = [0] * len(nodes)
+    for v, poly in zip(values, lagrange_basis(tuple(nodes), M)):
+        if v:
+            for i, c in enumerate(poly):
+                coeffs[i] += v * c
+    return [c % M for c in coeffs]
+
+
+def interpolate_reconstruct(field, per_component, roots, M, bound, den):
+    """Glue per-component residue vectors of an integral vector y by CRT
+    interpolation and return y / den as a sparse vector, reading each
+    coefficient as its symmetric residue mod M > 2 bound; None when one
+    exceeds ``bound``."""
+    half = M // 2
+    glued = {}
+    for k in sorted(set().union(*per_component)):
+        nums = []
+        for c in interpolate_mod(roots, [v.get(k, 0) for v in per_component],
+                                 M):
+            if c > half:
+                c -= M
+            if abs(c) > bound:
+                return None
+            nums.append(c)
+        if any(nums):
+            glued[k] = nums
+    return {k: field.from_nums(nums, den) for k, nums in glued.items()}
+
+
+def symmetric_precision(p, bound):
+    """The least exponent k in 1, 2, 4, ... with p^k > 2 bound."""
+    exp = 1
+    while p ** exp <= 2 * bound:
+        exp *= 2
+    return exp
+
+
+def product_wedderburn(algebra, p, screened=None):
+    """(idempotents, characters, gluings tried) by the product gluing at
+    the prime p, blocks in the order of the split of the first component.
+    Each gluing within the bound is screened mod q and checked exactly;
+    ``screened``, a list, receives (e, passed the screen) for each."""
+    from frobdiv.algebra import frobenius_structure
+    from frobdiv.modular import ComponentAlgebra, component_roots
+    from frobdiv.wedderburn import (_block_traces, _check_components,
+                                    _idempotent_mod_q, _trace_bound,
+                                    _verify_idempotent)
+    field = algebra.field
+    comps, per_comp_blocks = split_components(algebra, p)
+    sigs = [sorted(map(block_invariant, bl)) for bl in per_comp_blocks]
+    assert all(s == sigs[0] for s in sigs), "component invariants disagree"
+    den, bound = _trace_bound(algebra, max(
+        b.block_dim for b in per_comp_blocks[0]))
+    exp = symmetric_precision(p, bound)
+    roots, M = component_roots(field.conductor, p, exp)
+    if exp > 1:
+        comps = [ComponentAlgebra(algebra, w, M) for w in roots]
+    chi_reg = algebra.regular_character()
+    rhos = [comp.reduce_vector(chi_reg) for comp in comps]
+    frob = frobenius_structure(algebra, chi_reg)
+    check_comps = _check_components(algebra, p)
+
+    traces = {}
+
+    def trace(k, b):
+        if (k, id(b)) not in traces:
+            traces[k, id(b)] = _block_traces(comps[k], rhos[k], den, b, exp)
+        return traces[k, id(b)]
+
+    used = [set() for _ in per_comp_blocks]
+    idempotents, characters, tried = [], [], 0
+    for b0 in per_comp_blocks[0]:
+        for choice in gluings(per_comp_blocks, b0, used):
+            tried += 1
+            v = interpolate_reconstruct(
+                field, [trace(k, b) for k, b in enumerate(choice)], roots, M,
+                bound, den)
+            if v is None:
+                continue
+            e = frob.dual_combination(v)
+            ok = _idempotent_mod_q(algebra, e, check_comps)
+            if screened is not None:
+                screened.append((e, ok))
+            if ok and _verify_idempotent(algebra, e):
+                break
+        else:
+            raise AssertionError("no gluing passed the exact checks")
+        for k, b in enumerate(choice):
+            used[k].add(id(b))
+        idempotents.append(e)
+        denom = field.from_rat(b0.degree * b0.center_dim)
+        characters.append({j: x / denom for j, x in v.items()})
+    return idempotents, characters, tried
+
+
+def simple_roots_by_component(field, g, p, rng):
+    """The roots of the monic g mod p in each CRT component; None if g is
+    not squarefree mod p in some component."""
+    from frobdiv.modular import (_trim, component_roots, is_squarefree_mod,
+                                 reduce_scalar, roots_mod_p)
+    out = []
+    for w in component_roots(field.conductor, p, 1)[0]:
+        gw = _trim([reduce_scalar(c, w, p) for c in g.coeffs])
+        if not is_squarefree_mod(gw, p):
+            return None
+        out.append(roots_mod_p(gw, p, rng))
+    return out
+
+
+def product_field_roots(field, coeffs):
+    """``wedderburn.field_roots`` by the product gluing: the prime at which
+    g is squarefree in every component, and every choice of one lifted
+    root per component interpolated at p^k > 2B."""
+    import random
+    from frobdiv.algebra import _common_den
+    from frobdiv.modular import (component_roots, embedding_factor,
+                                 newton_lift, norm1, prime_search,
+                                 reduce_scalar)
+    f = Poly(field, coeffs)
+    if f.degree() < 1:
+        return []
+    g = (f // f.gcd(f.derivative())).monic()
+    n = field.conductor
+    den = _common_den(g.coeffs)
+    rng = random.Random(f.degree())
+    for p in prime_search(n, max(2 * f.degree() + 1, 20), den):
+        comp_roots = simple_roots_by_component(field, g, p, rng)
+        if comp_roots is not None:
+            break
+    m = g.degree()
+    bound = int(embedding_factor(n) * (1 + max(
+        norm1(c, den ** (m - i)) for i, c in enumerate(g.coeffs[:m]))))
+    roots, M = component_roots(n, p, symmetric_precision(p, bound))
+    lifted = []
+    for w, ts in zip(roots, comp_roots):
+        gw = [reduce_scalar(c, w, M) for c in g.coeffs]
+        lifted.append([den * newton_lift(gw, t, p, M) % M for t in ts])
+    out = []
+    for choice in itertools.product(*lifted):
+        y = interpolate_reconstruct(field, [{0: r} for r in choice], roots, M,
+                                    bound, den)
+        t = None if y is None else y.get(0, field.zero)
+        if t is not None and not g(t):
+            out.append(t)
+    return sorted(out, key=lambda t: t.sort_key())
+
+
+# ---------------------------------------------------------------------------
 # trial reconstruction
 # ---------------------------------------------------------------------------
 #
@@ -1212,7 +1428,6 @@ def rational_reconstruct(residue, modulus):
 def trial_reconstruct_element(field, per_component, roots, M):
     """Glue per-component residue lists and rationally reconstruct a
     dense vector of field scalars; None if any coefficient fails."""
-    from frobdiv.modular import interpolate_mod
     out = []
     for residues in zip(*per_component):
         qcoeffs = []
@@ -1295,17 +1510,15 @@ def trial_wedderburn(algebra, p):
     """(idempotents, characters, precision) by trial reconstruction at the
     prime p, blocks in the order of the modular split of the first
     component, characters read off the images x_j e."""
-    from frobdiv.wedderburn import (_check_components, _gluings,
-                                    _split_components)
-    _, per_comp_blocks = _split_components(algebra, p)
-    invariant = lambda b: (b.degree, b.block_dim, b.center_dim)
+    from frobdiv.wedderburn import _check_components
+    _, per_comp_blocks = split_components(algebra, p)
     used = [set() for _ in per_comp_blocks]
     lift = idempotent_lift(algebra, p, _check_components(algebra, p))
     chi_reg = algebra.regular_character()
     field = algebra.field
     idempotents, characters, precision = [], [], 1
     for b0 in per_comp_blocks[0]:
-        for choice in _gluings(per_comp_blocks, b0, used, invariant):
+        for choice in gluings(per_comp_blocks, b0, used):
             res = lift([residue_list(b.central_idempotent, algebra.dim)
                         for b in choice])
             if res is not None:
@@ -1360,7 +1573,6 @@ def trial_field_roots(field, coeffs):
     squarefree part, prime and roots mod p."""
     import random
     from frobdiv.modular import is_prime
-    from frobdiv.wedderburn import _simple_roots_mod_p
     f = Poly(field, coeffs)
     if f.degree() < 1:
         return []
@@ -1374,7 +1586,7 @@ def trial_field_roots(field, coeffs):
         if (p % n != 1 % n or not is_prime(p)
                 or any(d % p == 0 for d in dens)):
             continue
-        comp_roots = _simple_roots_mod_p(field, g, p, rng)
+        comp_roots = simple_roots_by_component(field, g, p, rng)
         if comp_roots is not None:
             break
     return sorted(set(lift_roots(field, g, p, comp_roots)),

@@ -1,13 +1,17 @@
-"""Bounded gluing against the trial reconstruction it replaced
-(``dense_oracle.trial_wedderburn`` and ``dense_oracle.trial_field_roots``).
+"""Recovery from one component against the gluings it replaced: the
+product gluing over every CRT component (``dense_oracle.product_wedderburn``
+and ``dense_oracle.product_field_roots``) and the trial reconstruction
+before it (``dense_oracle.trial_wedderburn`` and
+``dense_oracle.trial_field_roots``).
 
 Idempotents and characters must be the same blocks at the same prime, on
 the small ladder, on relabelled kA4 and D(S3), on kC4 over Q(i) on the
 basis 1, i g, g^2, g^3 (constants that are not rational), on kS3 on the
 basis x_g / 2 (constants 1/2, so the trace denominator D is 2), and on
-M3+M2+Q on a dense unimodular basis, whose bound needs a power of p.
-Field roots must be the same on rational, Gaussian, conductor-24 and
-repeated roots.
+M3+M2+Q on a dense unimodular basis, whose bound needs a power of p; the
+product gluing also on kC_m at its own conductor (phi up to 6) and on kS3
+embedded at conductors with phi = 8, 12 and 16.  Field roots must be the
+same on rational, Gaussian, conductor-24 and repeated roots.
 """
 
 import random
@@ -17,15 +21,18 @@ import pytest
 from frobdiv import (QQ, CyclotomicField, Matrix, Rat,
                      central_primitive_idempotents, drinfeld_double,
                      field_roots, group_algebra, named_group)
+from frobdiv.groups import cyclic_group
 from frobdiv.modular import embedding_factor
+from frobdiv.serialize import algebra_from_json, algebra_to_json
 from frobdiv.wedderburn import _trace_bound
 
 from conftest import group_algebra_plain, matrix_blocks
 from dense_oracle import (change_basis_algebra, permute_algebra,
+                          product_field_roots, product_wedderburn,
                           trial_field_roots, trial_wedderburn,
                           unimodular_matrix)
 from test_exact_checks import LADDER, ladder_algebra
-from test_split_per_reduction import kc4_rescaled
+from test_split_per_reduction import blocks, kc4_rescaled
 from test_wedderburn import _from_roots
 
 
@@ -70,16 +77,39 @@ CASES["kS3-halves"] = ks3_halves
 CASES["M3+M2+Q-dense"] = dense_blocks
 
 
-def blocks(idempotents, characters):
-    return {tuple(sorted(e.items())): tuple(sorted(chi.items()))
-            for e, chi in zip(idempotents, characters)}
-
-
 @pytest.mark.parametrize("name", list(CASES))
 def test_idempotents_and_characters_match_trial(name):
     A = CASES[name]()
     data = central_primitive_idempotents(A)
     idems, chars, _ = trial_wedderburn(A, data.prime_used)
+    got = blocks(data.idempotents, data.characters)
+    assert len(got) == data.num_blocks
+    assert got == blocks(idems, chars)
+
+
+def kc(m):
+    return group_algebra(cyclic_group(m), conductor=m).algebra
+
+
+def ks3_at(n):
+    A = group_algebra(named_group("S3")).algebra
+    return algebra_from_json(algebra_to_json(A), n)[0]
+
+
+# kC14 and kC18 (phi = 6) agree too, but their product gluing tries
+# 0.5 and 1.0 million gluings
+PRODUCT_CASES = dict(CASES)
+PRODUCT_CASES.update({f"kC{m}@{m}": (lambda m=m: kc(m))
+                      for m in (3, 5, 7, 8, 9, 10, 12)})
+PRODUCT_CASES.update({f"kS3@{n}": (lambda n=n: ks3_at(n))
+                      for n in (15, 24, 36, 40, 48, 60)})
+
+
+@pytest.mark.parametrize("name", list(PRODUCT_CASES))
+def test_idempotents_and_characters_match_product_gluing(name):
+    A = PRODUCT_CASES[name]()
+    data = central_primitive_idempotents(A)
+    idems, chars, _ = product_wedderburn(A, data.prime_used)
     got = blocks(data.idempotents, data.characters)
     assert len(got) == data.num_blocks
     assert got == blocks(idems, chars)
@@ -129,6 +159,7 @@ def test_field_roots_match_trial(name):
     field, coeffs = root_cases()[name]
     roots = field_roots(field, coeffs)
     assert roots == trial_field_roots(field, coeffs)
+    assert roots == product_field_roots(field, coeffs)
     if name != "no-rational-root":
         assert roots
 

@@ -1,15 +1,19 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import frobdiv.hopf as hopf
 from frobdiv import named_group
 from frobdiv.cli import CHECKS, main
+from frobdiv.integrality import (InapplicableHypothesis,
+                                 NotASymmetricHomomorphism)
 from frobdiv.scalars import rat
-from frobdiv.serialize import algebra_to_json, canonical_dumps
+from frobdiv.serialize import MAX_DIM, algebra_to_json, canonical_dumps
 
 from conftest import delta_form, group_algebra_plain
 
@@ -411,6 +415,23 @@ def test_conductor_outside_both_embeddings_exit_2(tmp_path, group,
     assert f"conductor {conductor} is not a multiple of {source}" in err
 
 
+def test_dim_above_the_limit_exit_2(tmp_path):
+    # dim 20000 with c_0j^j = 1: a document of about 560 KB whose table
+    # would hold 4e8 cells is refused before the table is built
+    dim = 20000
+    doc = {"dim": dim, "field": {"type": "rational"},
+           "structure_constants": [[0, j, j, "1"] for j in range(dim)],
+           "unit": ["1"] + ["0"] * (dim - 1)}
+    inp = tmp_path / "huge.json"
+    inp.write_text(json.dumps(doc))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    err = assert_invalid_input(inp)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert f"dim {dim} is above the limit {MAX_DIM}" in err
+    assert (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime) < 1.0
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="no limit on the digits of an integer string")
 def test_oversized_scalar_is_not_echoed(tmp_path):
@@ -438,6 +459,41 @@ def test_scalar_over_the_digit_limit_exit_2(tmp_path, scalar):
     assert "an integer has 5001 digits, more than the limit (4300 digits)" \
         in err
     assert "sys." not in err and len(err) < 300
+
+
+@pytest.mark.parametrize("check, error", [
+    ("schneider_check", NotASymmetricHomomorphism("unit not preserved")),
+    ("class_equation_check",
+     InapplicableHypothesis("Gamma^mu(1) is not scalar")),
+], ids=["schneider-D(S3)", "class-equation-kS3"])
+def test_failed_internal_check_exit_3(tmp_path, capsys, monkeypatch, check,
+                                      error):
+    # a hypothesis the checks establish before they read it, failing inside
+    # one of them, is an internal inconsistency: exit 3, one line
+    kind = ["--as", "double"] if check == "schneider_check" else []
+    inp = build(tmp_path, "--group", "S3", *kind)
+
+    def failing(session):
+        raise error
+
+    monkeypatch.setattr(hopf, check, failing)
+    capsys.readouterr()
+    assert main(["analyze", str(inp), "--check", "all"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"internal inconsistency: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "build"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    inp = build(tmp_path, "--group", "C2")
+    out = str(tmp_path / "missing-dir" / "x.json")
+    args = ([command, str(inp)] if command == "analyze"
+            else [command, "--group", "C2"])
+    capsys.readouterr()
+    assert main([*args, "--out", out]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("cannot write output: ")
+    assert err.count("\n") == 1 and "missing-dir" in err
 
 
 def test_schneider_needs_r_matrix(tmp_path, capsys):

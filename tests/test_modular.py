@@ -1,23 +1,25 @@
 import random
+from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import frobdiv.modular as modular
 import frobdiv.wedderburn as wedderburn
 from frobdiv import CyclotomicField, QQ, Rat
 from frobdiv.modular import (
     ComponentAlgebra,
-    component_roots,
     component_units,
     factor_mod_p,
     good_primes,
     hensel_lift_idempotent,
-    interpolate_mod,
+    ideal_lattice,
     is_prime,
     is_squarefree_mod,
     lift_cyclotomic_root,
     modular_split,
+    precision_for,
     product_mod,
+    prime_search,
     reconstruct_element,
     reduce_scalar,
     root_of_unity,
@@ -25,7 +27,8 @@ from frobdiv.modular import (
 )
 
 from conftest import group_algebra_plain, matrix_algebra_2x2
-from dense_oracle import lagrange_interpolate, residue_list
+from dense_oracle import (interpolate_mod, lagrange_interpolate,
+                          residue_list)
 
 
 def test_is_prime():
@@ -204,29 +207,98 @@ def test_interpolate_mod_matches_lagrange_formula(case):
 
 
 def test_reconstruct_element_rational():
-    # single component, root 1: D e = [1, -1] with D = 2 is [1, 48] mod 49,
-    # read as symmetric residues within the bound 1
-    got = reconstruct_element(QQ, [{0: 1, 1: 48}], [1], 49, 1, 2)
+    # over Q, P^2 = 49 Z: D e = [1, -1] with D = 2 is [1, 48] mod 49, read
+    # as symmetric residues within the bound 1
+    L = ideal_lattice(1, 7, 2)
+    got = reconstruct_element(QQ, {0: 1, 1: 48}, L, 1, 2)
     assert got == {0: QQ.from_rat(Rat(1, 2)), 1: QQ.from_rat(Rat(-1, 2))}
     # 25 = -24 mod 49 lies outside the bound: not such a vector
-    assert reconstruct_element(QQ, [{0: 1, 1: 25}], [1], 49, 1, 2) is None
-    assert reconstruct_element(QQ, [{0: 1, 1: 25}], [1], 49, 24, 2) == \
+    assert reconstruct_element(QQ, {0: 1, 1: 25}, L, 1, 2) is None
+    assert reconstruct_element(QQ, {0: 1, 1: 25}, L, 24, 2) == \
         {0: QQ.from_rat(Rat(1, 2)), 1: QQ.from_rat(Rat(-12))}
 
 
 def test_reconstruct_element_gaussian():
-    # 3 - 2i at the two roots of x^2 + 1 mod 13 (5 and 8), glued back
+    # 3 - 2i from its residue at the first root of x^2 + 1 mod 13^4 alone
     K = CyclotomicField(4)
-    roots, M = component_roots(4, 13, 1)
+    assert precision_for(2, 13, 3) == 4
+    L = ideal_lattice(4, 13, 4)
     y = K.element([3, -2])
-    residues = [{0: reduce_scalar(y, w, M)} for w in roots]
-    assert reconstruct_element(K, residues, roots, M, 3, 1) == {0: y}
-    assert reconstruct_element(K, residues, roots, M, 2, 1) is None
-    # at 13^2 the same residues lifted give y / 5 back over den 5
-    roots, M = component_roots(4, 13, 2)
-    residues = [{0: reduce_scalar(y, w, M)} for w in roots]
-    assert reconstruct_element(K, residues, roots, M, 3, 5) == \
+    r = reduce_scalar(y, L.root, L.modulus)
+    assert reconstruct_element(K, {0: r}, L, 3, 1) == {0: y}
+    assert reconstruct_element(K, {0: r}, L, 2, 1) is None
+    # over the denominator 5 the same residue gives y / 5
+    assert reconstruct_element(K, {0: r}, L, 3, 5) == \
         {0: y / K.from_rat(5)}
+
+
+# conductors with phi = 1, 2, 4, 6, 8 and 10
+RECOVERY_CONDUCTORS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 15, 16, 22)
+
+
+@st.composite
+def bounded_integers(draw):
+    """(conductor, prime, bound, coefficients within the bound)."""
+    n = draw(st.sampled_from(RECOVERY_CONDUCTORS))
+    p = next(prime_search(n, draw(st.sampled_from([2, 100, 1000])), 1))
+    bound = draw(st.integers(1, 10 ** draw(st.integers(1, 12))))
+    phi = CyclotomicField(n).phi
+    nums = draw(st.lists(st.integers(-bound, bound), min_size=phi,
+                         max_size=phi))
+    return n, p, bound, nums, draw(st.integers(0, phi - 1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(bounded_integers())
+def test_reconstruct_element_recovers_bounded_integers(case):
+    # y with power-basis coefficients within B comes back exactly from
+    # y(w) mod p^k at the precision precision_for gives; one coefficient
+    # at B + 1 leaves no vector within B in the coset (its norm argument
+    # needs 2^((phi+1)/2) B >= 2B + 1), and the candidate is refused
+    n, p, bound, nums, i = case
+    K = CyclotomicField(n)
+    L = ideal_lattice(n, p, precision_for(K.phi, p, bound))
+    y = K.from_nums(nums, 1)
+    r = reduce_scalar(y, L.root, L.modulus)
+    residues = {0: r} if r else {}
+    assert reconstruct_element(K, residues, L, bound, 1) == \
+        ({0: y} if y else {})
+    assume(K.phi > 1 and bound > 1)
+    nums[i] = bound + 1
+    r = reduce_scalar(K.from_nums(nums, 1), L.root, L.modulus)
+    assert reconstruct_element(K, {0: r}, L, bound, 1) is None
+
+
+def test_ideal_lattice_is_reduced():
+    # the reduced rows span P^k, are size-reduced and satisfy Lovasz's
+    # condition; dets, lam and unit equal Gram-Schmidt in rationals
+    for n, p, exp in [(3, 7, 4), (5, 11, 8), (9, 19, 16), (11, 23, 32),
+                      (16, 17, 16)]:
+        L = ideal_lattice(n, p, exp)
+        M = p ** exp
+        assert L.modulus == M
+        assert pow(L.root, n, M) == 1
+        b = L.basis
+        phi = len(b)
+        assert all(sum(c * pow(L.root, i, M) for i, c in enumerate(v)) % M
+                   == 0 for v in b)
+        stars, norms = [], []
+        for k, v in enumerate(b):
+            star = [Fraction(x) for x in v]
+            for j in range(k):
+                mu = sum(x * y for x, y in zip(v, stars[j])) / norms[j]
+                assert abs(mu) <= Fraction(1, 2)
+                assert mu * L.dets[j + 1] == L.lam[k][j]
+                star = [x - mu * y for x, y in zip(star, stars[j])]
+            stars.append(star)
+            norms.append(sum(x * x for x in star))
+            assert L.dets[k + 1] == L.dets[k] * norms[k]
+            assert L.unit[k] == star[0] / norms[k] * L.dets[k + 1]
+        for k in range(1, phi):
+            mu = Fraction(L.lam[k][k - 1], L.dets[k])
+            assert norms[k] >= (Fraction(3, 4) - mu * mu) * norms[k - 1]
+        # index M: the Gram determinant of the rows is M^2
+        assert L.dets[phi] == M * M
 
 
 def test_both_prime_searches_follow_one_policy(monkeypatch):
@@ -239,15 +311,15 @@ def test_both_prime_searches_follow_one_policy(monkeypatch):
 
     def searches():
         tried = []
-        original = wedderburn._simple_roots_mod_p
+        original = wedderburn.is_squarefree_mod
 
-        def recording(field, g, p, rng):
+        def recording(f, p):
             tried.append(p)
-            return original(field, g, p, rng)
+            return original(f, p)
 
-        monkeypatch.setattr(wedderburn, "_simple_roots_mod_p", recording)
+        monkeypatch.setattr(wedderburn, "is_squarefree_mod", recording)
         roots = wedderburn.field_roots(K, coeffs)
-        monkeypatch.setattr(wedderburn, "_simple_roots_mod_p", original)
+        monkeypatch.setattr(wedderburn, "is_squarefree_mod", original)
         return next(modular.good_primes(A)), tried[-1], roots
 
     first, root_prime, roots = searches()

@@ -1,10 +1,10 @@
-"""One modular split per distinct reduction mod p.  Components of the
-base field whose reduced tables and units agree share one split: with
-rational structure constants, as after ``analyze --conductor``, that is one
-split per prime.  A basis vector rescaled by i gives kC4 over Q(i)
-reductions that differ, and then each component is split.  Either way the
-split takes the reductions already made to compare them, and the
-Wedderburn data equal those of splitting at every root."""
+"""One modular split per prime, of the first CRT component only.  With
+rational structure constants, as after ``analyze --conductor``, every
+component reduces to the same F_p-algebra; a basis vector rescaled by i
+gives kC4 over Q(i) reductions that differ.  Either way only the first
+component is reduced mod p and split, and the idempotents and characters
+equal those of the product gluing (``dense_oracle.product_wedderburn``),
+which splits every component."""
 
 import pytest
 
@@ -14,7 +14,7 @@ from frobdiv import (Matrix, central_primitive_idempotents, group_algebra,
                      named_group)
 from frobdiv.serialize import algebra_from_json, algebra_to_json
 
-from dense_oracle import change_basis_algebra
+from dense_oracle import change_basis_algebra, product_wedderburn
 
 
 def ks3_at_24():
@@ -36,16 +36,9 @@ def kc4_rescaled():
     return change_basis_algebra(A, P)
 
 
-def split_every_root(algebra, p):
-    roots, _ = modular.component_roots(algebra.field.conductor, p, 1)
-    comps = [modular.ComponentAlgebra(algebra, w, p) for w in roots]
-    return comps, [modular.modular_split(comp) for comp in comps]
-
-
-def fields(data):
-    return (data.idempotents, data.degrees, data.block_dims,
-            data.center_dims, data.characters, data.split_certified,
-            data.prime_used, data.precision_used)
+def blocks(idempotents, characters):
+    return {tuple(sorted(e.items())): tuple(sorted(chi.items()))
+            for e, chi in zip(idempotents, characters)}
 
 
 def counted_splits(monkeypatch):
@@ -67,32 +60,25 @@ def counted_splits(monkeypatch):
     return calls, reductions
 
 
-@pytest.mark.parametrize("make, splits_per_prime",
-                         [(ks3_at_24, 1), (kc4_rescaled, 2)],
+@pytest.mark.parametrize("make", [ks3_at_24, kc4_rescaled],
                          ids=["kS3@24", "kC4-rescaled"])
-def test_one_split_per_distinct_reduction(make, splits_per_prime,
-                                          monkeypatch):
+def test_one_split_per_prime(make, monkeypatch):
     A = make()
     n = A.field.conductor
     primes = modular.good_primes(A)
     for p in (next(primes), next(primes)):
         roots, _ = modular.component_roots(n, p, 1)
-        comps = [modular.ComponentAlgebra(A, w, p) for w in roots]
-        assert len(comps) == {24: 8, 4: 2}[n]
-        distinct = {repr((c.table, c.unit)) for c in comps}
-        assert len(distinct) == splits_per_prime
+        distinct = {repr((c.table, c.unit)) for c in
+                    (modular.ComponentAlgebra(A, w, p) for w in roots)}
+        assert (len(roots), len(distinct)) == {24: (8, 1), 4: (2, 2)}[n]
 
         calls, reductions = counted_splits(monkeypatch)
         data = central_primitive_idempotents(A, prime=p)
-        assert calls == [p] * splits_per_prime
-        # the split reads the reductions made to compare them: one per
-        # component mod p, and none again
-        assert data.precision_used == 1
-        assert reductions.count(p) == len(comps)
+        assert calls == [p]
+        # the split's reduction is the only one mod p
+        assert reductions.count(p) == 1
         monkeypatch.undo()
 
-        monkeypatch.setattr(wedderburn, "_split_components",
-                            split_every_root)
-        reference = central_primitive_idempotents(A, prime=p)
-        monkeypatch.undo()
-        assert fields(data) == fields(reference)
+        idems, chars, _ = product_wedderburn(A, p)
+        assert blocks(data.idempotents, data.characters) == \
+            blocks(idems, chars)

@@ -1,24 +1,26 @@
 """Work counts, checked without timing.  In the Wedderburn pipeline: one
-exact idempotent check per block, wrong gluings stopped by the bound or
-the check mod q, pieces with a 1-dimensional ideal never tried again, the lifted roots
-of unity computed once per (conductor, prime, exponent), and no product of
-two different idempotents.  In the integrality layer: one Casimir minimal
-polynomial per Frobenius structure, and no product in A (x) A for the
-Casimir powers.  In the Schneider check: no product in H while Psi is
-proven multiplicative on the blocks.  In the quasitriangular check: two
-products in A (x) A per generator of Light's test for the intertwining,
-not two per basis element.  In the
+exact idempotent check and one recovery per block, wrong gluings of the
+product gluing (``dense_oracle``) stopped by the bound or the check mod
+q, a block that is no idempotent over the field stopped before its exact
+check, pieces with a 1-dimensional ideal never tried again, the lifted
+roots of unity computed once per (conductor, prime, exponent), and no
+product of two different idempotents.  In the integrality layer: one
+Casimir minimal polynomial per Frobenius structure, and no product in
+A (x) A for the Casimir powers.  In the Schneider check: no product in H
+while Psi is proven multiplicative on the blocks.  In the quasitriangular
+check: two products in A (x) A per generator of Light's test for the
+intertwining, not two per basis element.  In the
 scalars: no rational operation inside a product or sum in Q(zeta_n), no
 product with an int, rational or unit operand that reaches the
 power-basis product or the coercion of operands, and no operation of Q
 or Q(zeta_n) in the associativity scan or the Casimir operator, which run
 on the integral table.
-In the lifting: each block is lifted once per component and level,
-however many gluings it is tried in, and not at all when the bound
-allows gluing at p.  In a whole analysis: no method of the dense
-``Matrix``."""
+In the lifting: each block is lifted once per level, in the first
+component only, and not at all when the bound allows recovery at p.  In
+a whole analysis: no method of the dense ``Matrix``."""
 
 import copy
+import json
 import sys
 from fractions import Fraction
 
@@ -42,7 +44,8 @@ from frobdiv.serialize import algebra_to_json, canonical_dumps, hopf_to_json
 
 from conftest import matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
-                          dense_vec, transpose, unimodular_matrix)
+                          dense_vec, product_wedderburn, transpose,
+                          unimodular_matrix)
 
 
 def kc4():
@@ -79,77 +82,95 @@ def test_one_exact_check_per_block_of_double_c4(monkeypatch):
     _one_exact_check_per_block(double_c4(), monkeypatch)
 
 
-def test_wrong_gluing_rejected_mod_q(monkeypatch):
-    A = kc4()
-    p = 13
-    comps, per_comp = wedderburn._split_components(A, p)
-    F = frobenius_structure(A, A.regular_character())
-    glued, screened, exact = [], [], []
-    original_rec = modular.reconstruct_element
-    original_screen = wedderburn._idempotent_mod_q
-    original_verify = wedderburn._verify_idempotent
+def _recording_exact_checks(monkeypatch):
+    exact = []
+    original = wedderburn._verify_idempotent
 
-    def recording_rec(*args):
-        out = original_rec(*args)
-        glued.append(out)
-        return out
-
-    def recording_screen(algebra, e, check):
-        ok = original_screen(algebra, e, check)
-        screened.append(ok)
-        return ok
-
-    def recording_verify(algebra, e):
+    def recording(algebra, e):
         exact.append(e)
-        return original_verify(algebra, e)
+        return original(algebra, e)
 
-    monkeypatch.setattr(wedderburn, "reconstruct_element", recording_rec)
-    monkeypatch.setattr(wedderburn, "_idempotent_mod_q", recording_screen)
-    monkeypatch.setattr(wedderburn, "_verify_idempotent", recording_verify)
-    glue = wedderburn.TraceGluing(A, F.dual_combination, p, comps, 1)
-    assert glue.exp == 1 and glue.bound == 1
-    b0 = per_comp[0][0]
-    right = []
-    for b1 in per_comp[1]:
-        before = (len(glued), len(screened), len(exact))
-        res = glue((b0, b1))
-        if res is None:
-            # stopped by the bound, or by the screen mod q
-            assert glued[before[0]:] == [None] or \
-                screened[before[1]:] == [False]
-            assert len(exact) == before[2]
-        else:
-            right.append(res[1])
-    # one gluing is right, and only it reaches the exact check
-    assert len(right) == 1 and exact == right
-    assert None in glued
+    monkeypatch.setattr(wedderburn, "_verify_idempotent", recording)
+    return exact
+
+
+def test_wrong_gluing_rejected_mod_q(monkeypatch):
+    # the product gluing of kC4 at p = 13 (dense_oracle) tries wrong
+    # gluings; the bound or the screen mod q stops each, and only the right
+    # ones reach the exact check
+    A = kc4()
+    exact = _recording_exact_checks(monkeypatch)
+    screened = []
+    idems, _, tried = product_wedderburn(A, 13, screened)
+    assert tried > len(idems) == 4
+    assert exact == idems
+    assert [e for e, ok in screened if ok] == idems
+    check = wedderburn._check_components(A, 13)
     for e in central_primitive_idempotents(A).idempotents:
-        assert original_screen(A, e, glue.check_comps)
+        assert wedderburn._idempotent_mod_q(A, e, check)
 
 
 def test_screen_stops_gluings_within_the_bound(monkeypatch):
-    # kA4 over Q(zeta_12): some wrong gluings have every coefficient within
-    # the bound; the screen mod q stops them before the exact check
+    # kA4 over Q(zeta_12), glued by the product gluing: some wrong gluings
+    # have every coefficient within the bound; the screen mod q stops them
+    # before the exact check
     A = group_algebra(named_group("A4"), conductor=12).algebra
-    rejected, exact = [], []
-    original_screen = wedderburn._idempotent_mod_q
-    original_verify = wedderburn._verify_idempotent
-
-    def recording_screen(algebra, e, check):
-        ok = original_screen(algebra, e, check)
-        if not ok:
-            rejected.append(e)
-        return ok
-
-    def recording_verify(algebra, e):
-        exact.append(e)
-        return original_verify(algebra, e)
-
-    monkeypatch.setattr(wedderburn, "_idempotent_mod_q", recording_screen)
-    monkeypatch.setattr(wedderburn, "_verify_idempotent", recording_verify)
-    data = central_primitive_idempotents(A)
-    assert rejected and len(exact) == data.num_blocks
+    p = central_primitive_idempotents(A).prime_used
+    exact = _recording_exact_checks(monkeypatch)
+    screened = []
+    idems, _, _ = product_wedderburn(A, p, screened)
+    rejected = [e for e, ok in screened if not ok]
+    assert rejected and exact == idems
     assert all(A.multiply(x, x) != x for x in rejected)
+
+
+def test_block_that_is_no_idempotent_over_the_field_is_rejected(
+        monkeypatch):
+    # Q[C3] = Q x Q(zeta_3): mod 7 the second factor splits into two
+    # blocks whose idempotents are not rational.  Their traces recovered
+    # from the one component exceed the bound, so p = 7 fails without an
+    # exact check of them, and the split at 11, where the factor stays a
+    # field, succeeds
+    A = group_algebra(named_group("C3"), field=QQ).algebra
+    exact = _recording_exact_checks(monkeypatch)
+    with pytest.raises(modular.PrecisionExceeded):
+        central_primitive_idempotents(A, prime=7)
+    assert len(exact) <= 1
+    data = central_primitive_idempotents(A)
+    assert data.prime_used == 11 and sorted(data.center_dims) == [1, 2]
+
+
+def _recording_recoveries(monkeypatch):
+    calls = []
+    original = wedderburn.reconstruct_element
+
+    def recording(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(wedderburn, "reconstruct_element", recording)
+    return calls
+
+
+def test_one_recovery_per_block(monkeypatch, tmp_path):
+    # each block's traces are recovered once, from the first component:
+    # D(C4) and its representation ring, 16 blocks each, and kC9 at its
+    # own conductor with its ring, 9 blocks each
+    calls = _recording_recoveries(monkeypatch)
+    G = named_group("C4")
+    H, Q = drinfeld_double(G, conductor=G.exponent)
+    S = HopfAnalysis(H, Q.R)
+    blocks = S.wedderburn.num_blocks + S.ring.wedderburn.num_blocks
+    assert blocks == 32 and len(calls) == 32
+    calls.clear()
+    table = tmp_path / "c9-table.json"
+    table.write_text(json.dumps(
+        {"table": [[(a + b) % 9 for b in range(9)] for a in range(9)]}))
+    doc = tmp_path / "c9.json"
+    assert main(["build", "--table", str(table), "--out", str(doc)]) == 0
+    assert main(["analyze", str(doc), "--check", "all",
+                 "--out", str(tmp_path / "c9-report.txt")]) == 0
+    assert len(calls) == 18
 
 
 def test_roots_of_unity_lifted_once_per_precision(monkeypatch):
@@ -469,22 +490,21 @@ def _levels(data):
 
 
 def test_double_c4_lifts_each_block_once_per_component(monkeypatch):
-    # D(C4) over Q(i): 16 one-dimensional blocks in 2 components; its
-    # representation ring (dim 16 too) is the algebra with many wrong
-    # gluings.  Each block is lifted at most once per component and level;
-    # under the bound neither needs a lift
+    # D(C4) over Q(i): 16 one-dimensional blocks in 2 components, and its
+    # representation ring (dim 16 too).  Each block is lifted once per
+    # level in the first component; under the bound neither needs a lift
     G = named_group("C4")
     H, _ = drinfeld_double(G, conductor=G.exponent)
     lifts = _counted_lifts(monkeypatch)
     data = central_primitive_idempotents(H.algebra)
-    assert len(lifts) <= data.num_blocks * H.field.phi * _levels(data)
+    assert len(lifts) == data.num_blocks * _levels(data)
     lifts.clear()
     S = HopfAnalysis(H)
     S.wedderburn = data
     ring = hopf.representation_ring(S)
     blocks = ring.wedderburn.num_blocks
     assert blocks == 16
-    assert len(lifts) <= blocks * H.field.phi * _levels(ring.wedderburn)
+    assert len(lifts) == blocks * _levels(ring.wedderburn)
 
 
 def test_double_c4_glues_at_p_without_lifting(monkeypatch):
