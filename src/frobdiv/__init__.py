@@ -21,7 +21,7 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           frobenius_divisibility_verdict, is_integral_over_Z,
                           is_integral_scalar, minimal_polynomial_over_Q,
                           relative_divisibility)
-from .linalg import Matrix, Poly
+from .linalg import Matrix
 from .modular import BadPrime, PrecisionExceeded, hensel_lift_idempotent
 from .scalars import CyclotomicField, QQ, Rat, cyclotomic_polynomial
 from .wedderburn import (WedderburnData, central_primitive_idempotents,

@@ -22,6 +22,7 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
                           frobenius_divisibility_verdict)
 from .modular import BadPrime, PrecisionExceeded, bad_prime_reason
 from .report import Report, Section, input_digest
+from .scalars import conductor_error
 from .serialize import (SchemaError, algebra_from_json, canonical_dumps,
                         hopf_from_json, hopf_to_json, is_hopf_doc, load_path,
                         vector_strings)
@@ -58,10 +59,12 @@ def main(argv=None):
     pb.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-    if args.conductor is not None and args.conductor <= 0:
-        print(f"invalid input: conductor {args.conductor} is not positive",
-              file=sys.stderr)
-        return 2
+    if args.conductor is not None:
+        reason = (f"conductor {args.conductor} is not positive"
+                  if args.conductor <= 0 else conductor_error(args.conductor))
+        if reason is not None:
+            print(f"invalid input: {reason}", file=sys.stderr)
+            return 2
     if args.command == "build":
         return cmd_build(args)
     return cmd_analyze(args)
@@ -322,8 +325,12 @@ def cmd_build(args):
     except (ValueError, OSError, InvalidGroupTable) as err:
         print(f"invalid group: {err}", file=sys.stderr)
         return 2
-    H, R = hopf_mod.group_algebra(
-        G, conductor=args.conductor or G.exponent), None
+    conductor = args.conductor or G.exponent
+    reason = conductor_error(conductor)
+    if reason is not None:
+        print(f"invalid input: {reason}", file=sys.stderr)
+        return 2
+    H, R = hopf_mod.group_algebra(G, conductor=conductor), None
     if args.build_as == "dual":
         H = hopf_mod.dual_hopf(H)
     elif args.build_as == "double":

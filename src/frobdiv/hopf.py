@@ -68,7 +68,7 @@ from .integrality import (InapplicableHypothesis,
                           is_integral_scalar, relative_divisibility,
                           verify_symmetric_homomorphism)
 from .linalg import EchelonSubspace, Matrix
-from .modular import BadPrime, component_roots, reduce_scalar
+from .modular import BadPrime, component_root, reduce_scalar
 from .scalars import CyclotomicField
 from .wedderburn import WedderburnData, central_primitive_idempotents
 
@@ -694,7 +694,7 @@ def _fusion_reading(field, W, scale):
     lifted into [0, d_s d_t] (None when a value lies outside); None when
     some e_u or scale d_u does not reduce mod p."""
     p = W.prime_used
-    w = component_roots(field.conductor, p, 1)[0][0]
+    w = component_root(field.conductor, p, 1)
     try:
         idems = [[(k, reduce_scalar(x, w, p)) for k, x in e.items()]
                  for e in W.idempotents]

@@ -72,7 +72,7 @@ def minimal_polynomial_over_Q(field, dim, unit, times):
     flat = ({i * phi + j: QQ.from_nums((a,), c.den) for i, c in vec.items()
              for j, a in enumerate(c.nums) if a}
             for vec in iterates(times, unit))
-    return krylov_relation(QQ, dim * phi, flat).coeffs
+    return krylov_relation(QQ, dim * phi, flat)
 
 
 def is_integral_over_Z(field, dim, unit, times, description="element"):

@@ -14,8 +14,10 @@ library computes with none: it is a dense view
 (``HopfAlgebraData.antipode``) kept for the tests and for
 ``perfbench/traced.py``, which times the methods it binds by name.
 Entries must support the field operations and the owning ``field`` object
-supplies zero/one.  Also hosts a generic polynomial type used for minimal
-polynomials and for the roots of ``wedderburn.field_roots``.
+supplies zero/one.  A polynomial is an ascending coefficient list, as in
+``modular`` and ``scalars``: a Krylov relation, a minimal polynomial, or
+an operand of ``poly_divmod`` and ``poly_gcd``, which form the squarefree
+part in ``wedderburn.field_roots``.
 """
 
 from __future__ import annotations
@@ -113,21 +115,19 @@ class Matrix:
             yield x
 
     def minimal_polynomial(self):
-        """Monic minimal polynomial, as the lcm of Krylov relations seeded
-        from each standard basis vector."""
+        """Monic minimal polynomial, as an ascending coefficient list: the
+        Krylov relation among I, M, M^2, ..., each power flattened to its
+        n^2 entries (column j at n j, ..., n j + n - 1)."""
         if self.rows != self.cols:
             raise ValueError("not square")
-        n = self.rows
-        field = self.field
-        result = Poly(field, [field.one])
-        for seed in range(n):
-            if result.degree() == n:
-                break
-            v = [field.zero] * n
-            v[seed] = field.one
-            result = result.lcm(krylov_relation(
-                field, n, map(sparse, iterates(self.apply, v))))
-        return result
+        n, field = self.rows, self.field
+        identity = [[field.one if i == j else field.zero for i in range(n)]
+                    for j in range(n)]
+        powers = iterates(lambda cols: [self.apply(c) for c in cols],
+                          identity)
+        return krylov_relation(field, n * n, (
+            {j * n + i: c for j, col in enumerate(cols)
+             for i, c in sparse(col).items()} for cols in powers))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
@@ -289,103 +289,42 @@ def krylov_relation(field, n, powers):
     v_k enters an ``EchelonSubspace`` with tracked column n + k set to 1;
     the stream is read up to its first dependent vector, whose residue is
     the relation.  Earlier rows are tracked in columns below n + k only, so
-    the relation has coefficient 1 at v_k: it is monic."""
+    the relation has coefficient 1 at v_k: it is monic.  It comes back
+    as an ascending coefficient list."""
     zero, one = field.zero, field.one
     space = EchelonSubspace(field, n)
     for k, vec in enumerate(powers):
         rel = space.add({**vec, n + k: one})
         if rel is not None:
-            return Poly(field, [rel.get(n + i, zero) for i in range(k + 1)])
+            return [rel.get(n + i, zero) for i in range(k + 1)]
 
 
-class Poly:
-    """Dense polynomial over a field; coefficients ascending."""
+def _trim(a):
+    """Drop the trailing zeros of the coefficient list a, in place."""
+    while a and not a[-1]:
+        a.pop()
+    return a
 
-    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field, coeffs):
-        zero = field.zero
-        cs = list(coeffs)
-        while cs and cs[-1] == zero:
-            cs.pop()
-        self.field = field
-        self.coeffs = cs
+def poly_divmod(field, a, b):
+    """Quotient and remainder of the polynomials a and b over ``field``,
+    ascending coefficient lists, b nonzero without trailing zeros; both
+    come back without trailing zeros."""
+    db = len(b) - 1
+    rem = list(a)
+    quo = [field.zero] * max(len(a) - db, 0)
+    inv = field.one / b[-1]
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = rem[k + db] * inv
+        if c:
+            for j, x in enumerate(b):
+                rem[k + j] = rem[k + j] - c * x
+    return _trim(quo), _trim(rem[:db])
 
-    def degree(self):
-        return len(self.coeffs) - 1
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        inv = self.field.one / self.coeffs[-1]
-        if inv == self.field.one:
-            return self
-        return Poly(self.field, [inv * c for c in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __mul__(self, other):
-        zero = self.field.zero
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a != zero:
-                for j, b in enumerate(other.coeffs):
-                    if b != zero:
-                        out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        zero = self.field.zero
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(self.field, []), self
-        quo = [zero] * (dq + 1)
-        inv = self.field.one / other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree()] * inv
-            quo[k] = c
-            if c != zero:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = rem[k + j] - c * b
-        return Poly(self.field, quo), Poly(self.field, rem[: other.degree()])
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def lcm(self, other):
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        g = self.gcd(other)
-        return ((self * other).divmod(g)[0]).monic()
-
-    def derivative(self):
-        return Poly(self.field,
-                    [self.field.from_rat(i) * c
-                     for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self):
-        return f"Poly({[self.field.format(c) for c in self.coeffs]})"
+def poly_gcd(field, a, b):
+    """The monic gcd of the polynomials a and b over ``field``, ascending
+    coefficient lists without trailing zeros; [] when both are 0."""
+    while b:
+        a, b = b, poly_divmod(field, a, b)[1]
+    return [c / a[-1] for c in a] if a else a

@@ -2,11 +2,13 @@
 
 The base field Q(zeta_n) is reduced at a good prime p = 1 (mod n): the
 cyclotomic polynomial splits into distinct linear factors, so the reduction
-has one F_p-component per primitive n-th root of unity mod p.  The
-Wedderburn pipeline splits the first, at the root w of ``root_of_unity``,
-and no other.  A split works on the multiplication table of the mod-p
-centre, formed once from r(r+1)/2 products in the reduced
-algebra; finding the primitive idempotents then never touches the algebra.
+has one F_p-component per primitive n-th root of unity mod p.  Only the
+first is used: every reduction, split and recovery works at its root
+w = ``component_root(n, p, k)``, the lift of ``root_of_unity`` to p^k,
+and the root of no other component is formed.  A split works on the
+multiplication table of the mod-p centre, formed once from r(r+1)/2
+products in the reduced algebra; finding the primitive idempotents then
+never touches the algebra.
 
 A residue vector, an element of a reduction mod M = p^k or of its centre,
 is a sparse dict {index: int in [1, M)}, the form of every exact vector:
@@ -40,7 +42,7 @@ import random
 from .algebra import (_common_den, _nums_den, center_conditions, combine,
                       table_product)
 # perfbench/traced.py times modular.EchelonSubspace.coords under this name
-from .linalg import EchelonSubspace, inverse_rows  # noqa: F401
+from .linalg import EchelonSubspace, _trim, inverse_rows  # noqa: F401
 from .scalars import QQ, CyclotomicField, cyclotomic_polynomial
 
 
@@ -166,11 +168,10 @@ def bad_prime_reason(algebra, p):
     }[defect]
 
 
-def good_primes(algebra, lower=None):
-    """Yield the good primes (``bad_prime_reason``) above lower, in
-    increasing order."""
-    return prime_search(algebra.field.conductor,
-                        max(2 * algebra.dim, lower or 0),
+def good_primes(algebra):
+    """Yield the good primes (``bad_prime_reason``), in increasing
+    order."""
+    return prime_search(algebra.field.conductor, 2 * algebra.dim,
                         structure_denominator(algebra))
 
 
@@ -214,13 +215,11 @@ def newton_lift(coeffs, t, p, M):
 
 
 @functools.lru_cache(maxsize=None)
-def component_roots(n: int, p: int, exp: int):
-    """The primitive n-th roots mod p^exp, one per CRT component in the
-    order of ``component_units``, and the modulus p^exp.  Computed once
-    per (n, p, exp) in a process."""
-    M = p ** exp
-    z = lift_cyclotomic_root(n, p, M)
-    return tuple(pow(z, u, M) for u in component_units(n)), M
+def component_root(n: int, p: int, exp: int) -> int:
+    """The root w of the first CRT component mod p^exp: the primitive n-th
+    root of ``lift_cyclotomic_root``, computed once per (n, p, exp) in a
+    process."""
+    return lift_cyclotomic_root(n, p, p ** exp)
 
 
 def _int_poly_eval(coeffs, x, M):
@@ -305,12 +304,6 @@ def _echelon_add(rows, v, n, p):
             rows[k] = combine_mod([(1, kept), (-kept[piv], v)], p)
     rows[piv] = v
     return None
-
-
-def _trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _poly_divmod(a, b, p):
@@ -646,17 +639,18 @@ IdealLattice = collections.namedtuple(
 @functools.lru_cache(maxsize=None)
 def ideal_lattice(n: int, p: int, exp: int):
     """The lattice P^exp = {y in Z^phi : y(w) = 0 mod M = p^exp} of the
-    prime P = (p, zeta - w) of Z[zeta_n], w the first root of
-    ``component_roots``: its basis M e_0, e_i - (w^i mod M) e_0, reduced
-    once per (n, p, exp) by ``_lll``, with ``unit``, the lam row of e_0."""
-    roots, M = component_roots(n, p, exp)
-    zeros = [0] * (len(roots) - 1)
+    prime P = (p, zeta - w) of Z[zeta_n], w = ``component_root(n, p,
+    exp)``: its basis M e_0, e_i - (w^i mod M) e_0, reduced once per
+    (n, p, exp) by ``_lll``, with ``unit``, the lam row of e_0."""
+    w, M = component_root(n, p, exp), p ** exp
+    phi = CyclotomicField(n).phi
+    zeros = [0] * (phi - 1)
     basis = [[M] + zeros]
-    for i in range(1, len(roots)):
-        basis.append([-pow(roots[0], i, M) % M] + zeros)
+    for i in range(1, phi):
+        basis.append([-pow(w, i, M) % M] + zeros)
         basis[i][i] = 1
     dets, lam = _lll(basis)
-    return IdealLattice(roots[0], M, basis, dets, lam,
+    return IdealLattice(w, M, basis, dets, lam,
                         _lam_row([1] + zeros, basis, dets, lam))
 
 

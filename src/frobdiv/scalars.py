@@ -130,9 +130,6 @@ class Cyc:
             return self.field.from_rat(other)
         return NotImplemented
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def __bool__(self):
         return any(self.nums)
 
@@ -462,9 +459,29 @@ class CyclotomicField:
 
 QQ = CyclotomicField(1)
 
+# The largest degree phi(n) of a field that an input may name.  Recovery
+# reduces lattices of dimension phi, which dominates an analysis from
+# phi = 32 on: kS3 alone takes about 40 s at conductor 105 (phi = 48).
+MAX_PHI = 48
+
+
+def conductor_error(n: int):
+    """Why an input may not name Q(zeta_n), n positive, or None; found
+    without building the field.  phi(n) >= sqrt(n / 2), so a conductor
+    above 2 MAX_PHI^2 is refused without counting its units."""
+    if n > 2 * MAX_PHI ** 2:
+        return (f"conductor {n} is above {2 * MAX_PHI ** 2}, so its "
+                f"degree phi({n}) is above the limit {MAX_PHI}")
+    phi = sum(math.gcd(u, n) == 1 for u in range(1, n + 1))
+    if phi > MAX_PHI:
+        return (f"conductor {n} has degree phi({n}) = {phi}, above the "
+                f"limit {MAX_PHI}")
+    return None
+
 
 def field_from_descriptor(desc) -> CyclotomicField:
-    """The field named by a JSON descriptor; ValueError when malformed."""
+    """The field named by a JSON descriptor; ValueError when malformed or
+    above ``MAX_PHI``."""
     kind = desc.get("type") if isinstance(desc, dict) else None
     if kind == "rational":
         return QQ
@@ -473,6 +490,9 @@ def field_from_descriptor(desc) -> CyclotomicField:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("a cyclotomic field needs a positive integer "
                              f"conductor, not {n!r}")
+        reason = conductor_error(n)
+        if reason is not None:
+            raise ValueError(reason)
         return CyclotomicField(n)
     raise ValueError(f"unknown field descriptor {desc!r}")
 
@@ -546,9 +566,6 @@ class PrimeFieldElement:
         if k < 0:
             return self.inv() ** (-k)
         return PrimeFieldElement(pow(self.residue, k, self.modulus), self.modulus)
-
-    def is_zero(self):
-        return self.residue == 0
 
     def __bool__(self):
         return self.residue != 0

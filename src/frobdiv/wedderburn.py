@@ -24,16 +24,15 @@ e = T^-1 v exactly through the dual basis of chi_reg
 (T_jk = chi_reg(x_j x_k)), the characters v / (d center_dim) and the
 block dimension chi_reg(e).
 
-Such an e is screened modulo a second good prime q != p at every root of
-the cyclotomic polynomial (rejected if e e != e there; a true idempotent
-always passes) before the exact checks: e e = e on the integral table
-(``is_idempotent``), central (at once when the table is commutative), the
-block dimension, and for the system sum 1 and orthogonality, read off the
-block dimensions.  The images x_j e are built only to certify blocks of
-degree > 1, on sparse rows in the coordinates of A, each product read
-off the table over the supports of its factors (``algebra.table_product``)
-and each combination of rows, the shifted rows v b - t v and the random
-candidates, formed by ``algebra.combine``.  The eigenvalues behind those
+Such an e goes straight to the exact checks: e e = e on the integral
+table (``is_idempotent``), central (at once when the table is
+commutative), the block dimension, and for the system sum 1 and
+orthogonality, read off the block dimensions.  The images x_j e are
+built only to certify blocks of degree > 1, on sparse rows in the
+coordinates of A, each product read off the table over the supports of
+its factors (``algebra.table_product``) and each combination of rows,
+the shifted rows v b - t v and the random candidates, formed by
+``algebra.combine``.  The eigenvalues behind those
 certificates come back the same way as the idempotents: ``field_roots``
 recovers D_g t for the roots t of g under a Cauchy bound.
 """
@@ -44,22 +43,19 @@ import itertools
 import random
 
 from .algebra import _common_den, combine, frobenius_structure, table_product
-from .linalg import EchelonSubspace, Poly, iterates, krylov_relation
+from .linalg import (EchelonSubspace, _trim, iterates, krylov_relation,
+                     poly_divmod, poly_gcd)
 from .modular import (BadPrime, ComponentAlgebra, PrecisionExceeded, _mod,
-                      _trim, bad_prime_reason, component_roots,
-                      embedding_factor, good_primes, hensel_lift_idempotent,
-                      ideal_lattice, is_squarefree_mod, modular_split,
-                      newton_lift, norm1, precision_for, prime_search,
-                      product_mod, reconstruct_element, reduce_scalar,
-                      roots_mod_p)
+                      bad_prime_reason, component_root, embedding_factor,
+                      good_primes, hensel_lift_idempotent, ideal_lattice,
+                      is_squarefree_mod, modular_split, newton_lift, norm1,
+                      precision_for, prime_search, reconstruct_element,
+                      reduce_scalar, roots_mod_p)
 from .scalars import Cyc
 
 FALLBACK_PRIMES = 3
 # Random combinations of the block basis a split certificate tries last.
 RANDOM_CANDIDATES = 12
-# The idempotent filter's prime lies above this bound, so that it rarely
-# divides a denominator of a spurious candidate.
-CHECK_PRIME_LOWER = 1 << 20
 
 
 class WedderburnData:
@@ -99,28 +95,6 @@ def _verify_idempotent(algebra, e):
     return algebra.is_idempotent(e) and algebra.is_central(e)
 
 
-def _check_components(algebra, p):
-    """The algebra mod a second good prime q != p, one reduction per root
-    of the cyclotomic polynomial mod q."""
-    q = next(q for q in good_primes(algebra, lower=CHECK_PRIME_LOWER)
-             if q != p)
-    roots, _ = component_roots(algebra.field.conductor, q, 1)
-    return [ComponentAlgebra(algebra, w, q) for w in roots]
-
-
-def _idempotent_mod_q(algebra, e, check_comps):
-    """False when e e != e in some reduction mod q, which proves e is not
-    an idempotent.  A denominator divisible by q proves nothing: True."""
-    for comp in check_comps:
-        try:
-            v = comp.reduce_vector(e)
-        except BadPrime:
-            return True
-        if product_mod(comp.table, v, v, comp.M) != v:
-            return False
-    return True
-
-
 def _raw_idempotents(algebra, dual, prime=None):
     """(idempotents, traces, blocks, prime, precision_exp): the central
     primitive idempotents over the base field, their regular traces and
@@ -148,11 +122,11 @@ def _idempotents_at_prime(algebra, dual, p):
     """The blocks of the split mod p in the first CRT component, each
     recovered from there alone: its traces D v mod p^k
     (``_block_traces``) go through ``reconstruct_element`` on the lattice
-    P^k, and e = ``dual(v)`` must pass the screen mod q and the exact
-    check.  A block that fails raises PrecisionExceeded."""
+    P^k, and e = ``dual(v)`` must pass the exact check.  A block that
+    fails raises PrecisionExceeded."""
     field = algebra.field
     n = field.conductor
-    comp = ComponentAlgebra(algebra, component_roots(n, p, 1)[0][0], p)
+    comp = ComponentAlgebra(algebra, component_root(n, p, 1), p)
     blocks = modular_split(comp)
     den, bound = _trace_bound(algebra, max(b.block_dim for b in blocks))
     exp = precision_for(field.phi, p, bound)
@@ -160,14 +134,12 @@ def _idempotents_at_prime(algebra, dual, p):
     if exp > 1:
         comp = ComponentAlgebra(algebra, lattice.root, lattice.modulus)
     rho = comp.reduce_vector(algebra.regular_character())
-    check_comps = _check_components(algebra, p)
     idempotents, traces = [], []
     for b in blocks:
         v = reconstruct_element(field, _block_traces(comp, rho, den, b, exp),
                                 lattice, bound, den)
         e = None if v is None else dual(v)
-        if e is None or not (_idempotent_mod_q(algebra, e, check_comps)
-                             and _verify_idempotent(algebra, e)):
+        if e is None or not _verify_idempotent(algebra, e):
             raise PrecisionExceeded(
                 f"block of degree {b.degree}: its traces at p={p} failed "
                 f"the bound {bound} or the exact checks")
@@ -336,7 +308,7 @@ def _eigenspaces(algebra, e, block, b):
     echelon rows v of B.  The products v b are formed once a root exists.
     e and b are sparse rows."""
     field = algebra.field
-    roots = field_roots(field, _block_minimal_polynomial(algebra, e, b).coeffs)
+    roots = field_roots(field, _block_minimal_polynomial(algebra, e, b))
     if not roots:
         return
     basis = block.basis
@@ -375,28 +347,35 @@ def field_roots(field, coeffs):
     1 + max_i ||D_g^(m-i) g_i||_1.  Each root mod p is Newton-lifted once
     to the precision that bound asks for, recovered from that component
     alone (``reconstruct_element``), and kept if it is a root of g."""
-    f = Poly(field, coeffs)
-    if f.degree() < 1:
+    f = _trim(list(coeffs))
+    if len(f) < 2:
         return []
-    g = (f // f.gcd(f.derivative())).monic()
+    f = [c / f[-1] for c in f]
+    # f / gcd(f, f'), monic as f is
+    g = poly_divmod(field, f, poly_gcd(
+        field, f, [i * c for i, c in enumerate(f)][1:]))[0]
     n = field.conductor
-    den = _common_den(g.coeffs)
-    for p in prime_search(n, max(2 * f.degree() + 1, 20), den):
-        gp = _trim([reduce_scalar(c, component_roots(n, p, 1)[0][0], p)
-                    for c in g.coeffs])
+    den = _common_den(g)
+    for p in prime_search(n, max(2 * len(f) - 1, 20), den):
+        gp = _trim([reduce_scalar(c, component_root(n, p, 1), p) for c in g])
         if is_squarefree_mod(gp, p):
             break
-    m = g.degree()
+    m = len(g) - 1
     bound = int(embedding_factor(n) * (1 + max(
-        norm1(c, den ** (m - i)) for i, c in enumerate(g.coeffs[:m]))))
+        norm1(c, den ** (m - i)) for i, c in enumerate(g[:m]))))
     lattice = ideal_lattice(n, p, precision_for(field.phi, p, bound))
     M = lattice.modulus
-    gw = [reduce_scalar(c, lattice.root, M) for c in g.coeffs]
+    gw = [reduce_scalar(c, lattice.root, M) for c in g]
     out = []
-    for r in roots_mod_p(gp, p, random.Random(f.degree())):
+    for r in roots_mod_p(gp, p, random.Random(len(f) - 1)):
         y = reconstruct_element(field, _mod({0: den * newton_lift(
             gw, r, p, M)}, M), lattice, bound, den)
-        if y is not None and not g(t := y.get(0, field.zero)):
+        if y is None:
+            continue
+        t, value = y.get(0, field.zero), field.zero
+        for c in reversed(g):
+            value = value * t + c
+        if not value:
             out.append(t)
     return sorted(out, key=Cyc.sort_key)
 

@@ -15,8 +15,9 @@ multiplicativity, orthogonality and character loops, the centre products
 of a modular split formed in the whole reduced algebra, the dense
 eliminations that the sparse echelon form replaced, the dense split
 certificate, the scalars of Q(zeta_n) as tuples of rationals, the
-product gluing over every CRT component that recovery from one component
-replaced, and the trial reconstruction that bounded gluing replaced.
+product gluing over every CRT component, with its screen mod a second
+prime, that recovery from one component replaced, and the trial
+reconstruction that bounded gluing replaced.
 
 The library takes and returns every vector as a sparse dict {index:
 nonzero scalar}.  The oracle computes on dense vectors, lists of dim
@@ -30,10 +31,10 @@ import itertools
 import math
 import re
 
-from frobdiv import (Matrix, Poly, Rat, StructureConstantAlgebra,
+from frobdiv import (Matrix, Rat, StructureConstantAlgebra,
                      VerificationReport, cyclotomic_polynomial)
 from frobdiv.hopf import HopfAlgebraData
-from frobdiv.linalg import sparse
+from frobdiv.linalg import _trim, poly_divmod, poly_gcd, sparse
 from frobdiv.modular import BadPrime
 from frobdiv.scalars import PrimeFieldElement
 
@@ -954,7 +955,7 @@ def dense_eigenspaces(algebra, block, b):
     minpoly = mat.minimal_polynomial()
     return minpoly, [
         (t, len(matrix_sub(mat, scalar_matrix(field, mat.rows, t)).kernel()))
-        for t in field_roots(field, minpoly.coeffs)]
+        for t in field_roots(field, minpoly)]
 
 
 # ---------------------------------------------------------------------------
@@ -1182,17 +1183,60 @@ class RefCyc:
 # per distinct reduction), every block of the first component is glued
 # with one block of the same invariants per other component, in the order
 # of their product, and the per-component traces are interpolated at the
-# one precision p^k > 2B and read as symmetric residues within B.  Field
-# roots take one root mod p per component, in every combination.  Both
-# searches grow like m^(phi - 1).
+# one precision p^k > 2B and read as symmetric residues within B.  Each
+# gluing within the bound is screened mod a second prime q in every
+# component before its exact check.  Field roots take one root mod p per
+# component, in every combination.  Both searches grow like m^(phi - 1).
+
+
+# The screen's prime lies above this bound, so that it rarely divides a
+# denominator of a spurious candidate.
+CHECK_PRIME_LOWER = 1 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def component_roots(n, p, exp):
+    """The primitive n-th roots mod p^exp, one per CRT component: w^u for
+    the root w of ``modular.component_root`` and u in
+    ``modular.component_units``; and the modulus p^exp."""
+    from frobdiv.modular import component_root, component_units
+    M = p ** exp
+    w = component_root(n, p, exp)
+    return tuple(pow(w, u, M) for u in component_units(n)), M
+
+
+def check_components(algebra, p):
+    """The algebra mod a second good prime q != p above
+    CHECK_PRIME_LOWER, one reduction per root of the cyclotomic
+    polynomial mod q."""
+    from frobdiv.modular import (ComponentAlgebra, prime_search,
+                                 structure_denominator)
+    q = next(q for q in prime_search(
+        algebra.field.conductor, max(2 * algebra.dim, CHECK_PRIME_LOWER),
+        structure_denominator(algebra)) if q != p)
+    roots, _ = component_roots(algebra.field.conductor, q, 1)
+    return [ComponentAlgebra(algebra, w, q) for w in roots]
+
+
+def idempotent_mod_q(algebra, e, check_comps):
+    """False when e e != e in some reduction mod q, which proves e is not
+    an idempotent.  A denominator divisible by q proves nothing: True."""
+    from frobdiv.modular import product_mod
+    for comp in check_comps:
+        try:
+            v = comp.reduce_vector(e)
+        except BadPrime:
+            return True
+        if product_mod(comp.table, v, v, comp.M) != v:
+            return False
+    return True
 
 
 def split_components(algebra, p):
     """The reductions of the algebra mod p, one per CRT component in the
     order of ``component_roots``, and the modular blocks of each; equal
     reduced tables and units share one split."""
-    from frobdiv.modular import (ComponentAlgebra, component_roots,
-                                 modular_split)
+    from frobdiv.modular import ComponentAlgebra, modular_split
     roots_p, _ = component_roots(algebra.field.conductor, p, 1)
     comps = [ComponentAlgebra(algebra, w, p) for w in roots_p]
     splits = []
@@ -1283,9 +1327,8 @@ def product_wedderburn(algebra, p, screened=None):
     Each gluing within the bound is screened mod q and checked exactly;
     ``screened``, a list, receives (e, passed the screen) for each."""
     from frobdiv.algebra import frobenius_structure
-    from frobdiv.modular import ComponentAlgebra, component_roots
-    from frobdiv.wedderburn import (_block_traces, _check_components,
-                                    _idempotent_mod_q, _trace_bound,
+    from frobdiv.modular import ComponentAlgebra
+    from frobdiv.wedderburn import (_block_traces, _trace_bound,
                                     _verify_idempotent)
     field = algebra.field
     comps, per_comp_blocks = split_components(algebra, p)
@@ -1300,7 +1343,7 @@ def product_wedderburn(algebra, p, screened=None):
     chi_reg = algebra.regular_character()
     rhos = [comp.reduce_vector(chi_reg) for comp in comps]
     frob = frobenius_structure(algebra, chi_reg)
-    check_comps = _check_components(algebra, p)
+    check_comps = check_components(algebra, p)
 
     traces = {}
 
@@ -1320,7 +1363,7 @@ def product_wedderburn(algebra, p, screened=None):
             if v is None:
                 continue
             e = frob.dual_combination(v)
-            ok = _idempotent_mod_q(algebra, e, check_comps)
+            ok = idempotent_mod_q(algebra, e, check_comps)
             if screened is not None:
                 screened.append((e, ok))
             if ok and _verify_idempotent(algebra, e):
@@ -1338,11 +1381,10 @@ def product_wedderburn(algebra, p, screened=None):
 def simple_roots_by_component(field, g, p, rng):
     """The roots of the monic g mod p in each CRT component; None if g is
     not squarefree mod p in some component."""
-    from frobdiv.modular import (_trim, component_roots, is_squarefree_mod,
-                                 reduce_scalar, roots_mod_p)
+    from frobdiv.modular import is_squarefree_mod, reduce_scalar, roots_mod_p
     out = []
     for w in component_roots(field.conductor, p, 1)[0]:
-        gw = _trim([reduce_scalar(c, w, p) for c in g.coeffs])
+        gw = _trim([reduce_scalar(c, w, p) for c in g])
         if not is_squarefree_mod(gw, p):
             return None
         out.append(roots_mod_p(gw, p, rng))
@@ -1355,34 +1397,32 @@ def product_field_roots(field, coeffs):
     root per component interpolated at p^k > 2B."""
     import random
     from frobdiv.algebra import _common_den
-    from frobdiv.modular import (component_roots, embedding_factor,
-                                 newton_lift, norm1, prime_search,
-                                 reduce_scalar)
-    f = Poly(field, coeffs)
-    if f.degree() < 1:
+    from frobdiv.modular import (embedding_factor, newton_lift, norm1,
+                                 prime_search, reduce_scalar)
+    deg, g = squarefree_part(field, coeffs)
+    if deg < 1:
         return []
-    g = (f // f.gcd(f.derivative())).monic()
     n = field.conductor
-    den = _common_den(g.coeffs)
-    rng = random.Random(f.degree())
-    for p in prime_search(n, max(2 * f.degree() + 1, 20), den):
+    den = _common_den(g)
+    rng = random.Random(deg)
+    for p in prime_search(n, max(2 * deg + 1, 20), den):
         comp_roots = simple_roots_by_component(field, g, p, rng)
         if comp_roots is not None:
             break
-    m = g.degree()
+    m = len(g) - 1
     bound = int(embedding_factor(n) * (1 + max(
-        norm1(c, den ** (m - i)) for i, c in enumerate(g.coeffs[:m]))))
+        norm1(c, den ** (m - i)) for i, c in enumerate(g[:m]))))
     roots, M = component_roots(n, p, symmetric_precision(p, bound))
     lifted = []
     for w, ts in zip(roots, comp_roots):
-        gw = [reduce_scalar(c, w, M) for c in g.coeffs]
+        gw = [reduce_scalar(c, w, M) for c in g]
         lifted.append([den * newton_lift(gw, t, p, M) % M for t in ts])
     out = []
     for choice in itertools.product(*lifted):
         y = interpolate_reconstruct(field, [{0: r} for r in choice], roots, M,
                                     bound, den)
         t = None if y is None else y.get(0, field.zero)
-        if t is not None and not g(t):
+        if t is not None and not poly_eval(field, g, t):
             out.append(t)
     return sorted(out, key=lambda t: t.sort_key())
 
@@ -1444,7 +1484,6 @@ def lift_and_reconstruct(field, p, residues, step, accept, max_exp):
     """(x, exp) for the first reconstruction x at p^exp, exp = 1, 2, 4,
     ... up to max_exp, with ``accept(x)``; None if there is none.
     ``step(residues, exp)`` lifts the per-component residues to p^exp."""
-    from frobdiv.modular import component_roots
     n = field.conductor
     exp = 1
     while exp <= max_exp:
@@ -1481,9 +1520,8 @@ def idempotent_lift(algebra, p, check_comps):
     central idempotents of the chosen blocks, one per component, and
     returns (e, exp) for the first reconstruction that passes the check
     mod q and the exact check, or None."""
-    from frobdiv.modular import (ComponentAlgebra, component_roots,
-                                 hensel_lift_idempotent)
-    from frobdiv.wedderburn import _idempotent_mod_q, _verify_idempotent
+    from frobdiv.modular import ComponentAlgebra, hensel_lift_idempotent
+    from frobdiv.wedderburn import _verify_idempotent
     field = algebra.field
 
     @functools.lru_cache(maxsize=None)
@@ -1499,7 +1537,7 @@ def idempotent_lift(algebra, p, check_comps):
     step = LiftMemo(hensel)
 
     def accept(e):
-        return (_idempotent_mod_q(algebra, e, check_comps)
+        return (idempotent_mod_q(algebra, e, check_comps)
                 and _verify_idempotent(algebra, e))
 
     return lambda idems: lift_and_reconstruct(field, p, idems, step, accept,
@@ -1510,10 +1548,9 @@ def trial_wedderburn(algebra, p):
     """(idempotents, characters, precision) by trial reconstruction at the
     prime p, blocks in the order of the modular split of the first
     component, characters read off the images x_j e."""
-    from frobdiv.wedderburn import _check_components
     _, per_comp_blocks = split_components(algebra, p)
     used = [set() for _ in per_comp_blocks]
-    lift = idempotent_lift(algebra, p, _check_components(algebra, p))
+    lift = idempotent_lift(algebra, p, check_components(algebra, p))
     chi_reg = algebra.regular_character()
     field = algebra.field
     idempotents, characters, precision = [], [], 1
@@ -1540,14 +1577,14 @@ def lift_roots(field, g, p, comp_roots):
     """The roots of g in the field among the lifts of every choice of one
     simple root mod p per component, each lifted to its first
     reconstruction and kept if it is a root of g."""
-    from frobdiv.modular import _int_poly_eval, component_roots, reduce_scalar
+    from frobdiv.modular import _int_poly_eval, reduce_scalar
 
     @functools.lru_cache(maxsize=None)
     def reductions(exp):
         roots, M = component_roots(field.conductor, p, exp)
         red = []
         for w in roots:
-            gw = [reduce_scalar(c, w, M) for c in g.coeffs]
+            gw = [reduce_scalar(c, w, M) for c in g]
             red.append((gw, [i * c % M for i, c in enumerate(gw)][1:]))
         return red, M
 
@@ -1563,7 +1600,7 @@ def lift_roots(field, g, p, comp_roots):
         res = lift_and_reconstruct(field, p, [[t] for t in choice], step,
                                    lambda x: True, TRIAL_ROOT_PRECISION_EXP)
         t = None if res is None else res[0].get(0, field.zero)
-        if t is not None and not g(t):
+        if t is not None and not poly_eval(field, g, t):
             out.append(t)
     return out
 
@@ -1573,14 +1610,13 @@ def trial_field_roots(field, coeffs):
     squarefree part, prime and roots mod p."""
     import random
     from frobdiv.modular import is_prime
-    f = Poly(field, coeffs)
-    if f.degree() < 1:
+    deg, g = squarefree_part(field, coeffs)
+    if deg < 1:
         return []
-    g = (f // f.gcd(f.derivative())).monic()
     n = field.conductor
-    dens = {c.den for c in g.coeffs} - {1}
-    rng = random.Random(f.degree())
-    p = max(2 * f.degree() + 1, n, 20)
+    dens = {c.den for c in g} - {1}
+    rng = random.Random(deg)
+    p = max(2 * deg + 1, n, 20)
     while True:
         p += 1
         if (p % n != 1 % n or not is_prime(p)
@@ -1629,48 +1665,88 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # polynomial operations that only tests call
 # ---------------------------------------------------------------------------
+#
+# A polynomial is an ascending coefficient list without trailing zeros,
+# as in the library, over a field object passed first.
 
 
 def poly_from_ints(field, ints):
-    return Poly(field, [field.from_rat(i) for i in ints])
+    return _trim([field.from_rat(i) for i in ints])
 
 
 def poly_x(field):
-    return Poly(field, [field.zero, field.one])
+    return [field.zero, field.one]
 
 
-def poly_sub(a, b):
-    zero = a.field.zero
-    n = max(len(a.coeffs), len(b.coeffs))
-    pad = lambda c: c + [zero] * (n - len(c))  # noqa: E731
-    return Poly(a.field, [x - y for x, y in zip(pad(a.coeffs),
-                                                 pad(b.coeffs))])
+def poly_monic(field, f):
+    return [c / f[-1] for c in f]
 
 
-def poly_pow_mod(f, k, modulus):
-    out = Poly(f.field, [f.field.one])
-    base = f % modulus
+def poly_mul(field, a, b):
+    """The product of two polynomials over ``field``."""
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def poly_sub(field, a, b):
+    n = max(len(a), len(b))
+    pad = lambda c: c + [field.zero] * (n - len(c))  # noqa: E731
+    return _trim([x - y for x, y in zip(pad(a), pad(b))])
+
+
+def poly_mod(field, a, m):
+    return poly_divmod(field, a, m)[1]
+
+
+def poly_derivative(field, f):
+    return _trim([i * c for i, c in enumerate(f)][1:])
+
+
+def poly_eval(field, f, t):
+    acc = field.zero
+    for c in reversed(f):
+        acc = acc * t + c
+    return acc
+
+
+def poly_pow_mod(field, f, k, modulus):
+    out = [field.one]
+    base = poly_mod(field, f, modulus)
     while k:
         if k & 1:
-            out = (out * base) % modulus
-        base = (base * base) % modulus
+            out = poly_mod(field, poly_mul(field, out, base), modulus)
+        base = poly_mod(field, poly_mul(field, base, base), modulus)
         k >>= 1
     return out
 
 
-def poly_inverse_mod(f, m):
+def poly_inverse_mod(field, f, m):
     """The inverse of f modulo m by the extended Euclidean algorithm;
     ZeroDivisionError when gcd(f, m) is not a constant."""
-    field = f.field
-    r0, r1 = m, f % m
-    t0, t1 = Poly(field, []), Poly(field, [field.one])
-    while not r1.is_zero():
-        q, rem = r0.divmod(r1)
+    r0, r1 = m, poly_mod(field, f, m)
+    t0, t1 = [], [field.one]
+    while r1:
+        q, rem = poly_divmod(field, r0, r1)
         r0, r1 = r1, rem
-        t0, t1 = t1, poly_sub(t0, q * t1)
-    if r0.degree() != 0:
+        t0, t1 = t1, poly_sub(field, t0, poly_mul(field, q, t1))
+    if len(r0) != 1:
         raise ZeroDivisionError("polynomial not invertible modulo m")
-    return (t0 * Poly(field, [field.one / r0.coeffs[0]])) % m
+    return poly_mod(field, poly_mul(field, t0, [field.one / r0[0]]), m)
+
+
+def squarefree_part(field, coeffs):
+    """(deg f, the monic f / gcd(f, f')) for the polynomial ``coeffs``."""
+    f = _trim(list(coeffs))
+    if len(f) < 2:
+        return len(f) - 1, f
+    g = poly_divmod(field, f, poly_gcd(field, f, poly_derivative(field, f)))
+    return len(f) - 1, poly_monic(field, g[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1679,66 +1755,68 @@ def poly_inverse_mod(f, m):
 #
 # ``modular.modular_split`` and its factorization as they were before F_p
 # values became plain ints: residues are ``PrimeFieldElement`` objects,
-# polynomials are ``Poly`` over ``PrimeField``, eliminations run through
-# ``EchelonSubspace``, and the block dimensions are ranks of spans formed
-# in the reduced algebra.  The random choices are drawn in the same order,
-# so the two splits can be compared block for block.
+# polynomials are lists of them, divided by ``linalg.poly_divmod`` and
+# ``linalg.poly_gcd`` over ``PrimeField`` and multiplied by ``poly_mul``,
+# eliminations run through ``EchelonSubspace``, and the block dimensions
+# are ranks of spans formed in the reduced algebra.  The random choices
+# are drawn in the same order, so the two splits can be compared block
+# for block.
 
 
 def gf_distinct_degree_factor(f, p):
+    gf = PrimeField(p)
     out = []
-    x = poly_x(f.field)
+    x = poly_x(gf)
     h = x
-    rest = f.monic()
+    rest = poly_monic(gf, f)
     d = 0
-    while rest.degree() > 0:
+    while len(rest) > 1:
         d += 1
-        if 2 * d > rest.degree():
-            out.append((rest.degree(), rest))
+        if 2 * d > len(rest) - 1:
+            out.append((len(rest) - 1, rest))
             break
-        h = poly_pow_mod(h, p, rest)
-        g = rest.gcd(poly_sub(h, x))
-        if g.degree() > 0:
+        h = poly_pow_mod(gf, h, p, rest)
+        g = poly_gcd(gf, rest, poly_sub(gf, h, x))
+        if len(g) > 1:
             out.append((d, g))
-            rest = rest.divmod(g)[0]
-            h = h % rest
+            rest = poly_divmod(gf, rest, g)[0]
+            h = poly_mod(gf, h, rest)
     return out
 
 
 def gf_equal_degree_factor(f, d, p, rng):
-    if f.degree() == d:
-        return [f.monic()]
-    field = f.field
-    one = Poly(field, [field.one])
+    gf = PrimeField(p)
+    if len(f) - 1 == d:
+        return [poly_monic(gf, f)]
     while True:
-        a = Poly(field, [field.from_rat(rng.randrange(p))
-                         for _ in range(f.degree())])
-        if a.degree() < 1:
+        a = _trim([gf.from_rat(rng.randrange(p)) for _ in range(len(f) - 1)])
+        if len(a) < 2:
             continue
-        g = f.gcd(a)
-        if not 0 < g.degree() < f.degree():
-            b = poly_pow_mod(a, (p ** d - 1) // 2, f)
-            g = f.gcd(poly_sub(b, one))
-            if not 0 < g.degree() < f.degree():
+        g = poly_gcd(gf, f, a)
+        if not 1 < len(g) < len(f):
+            b = poly_pow_mod(gf, a, (p ** d - 1) // 2, f)
+            g = poly_gcd(gf, f, poly_sub(gf, b, [gf.one]))
+            if not 1 < len(g) < len(f):
                 continue
         return (gf_equal_degree_factor(g, d, p, rng)
-                + gf_equal_degree_factor(f.divmod(g)[0].monic(), d, p, rng))
+                + gf_equal_degree_factor(poly_monic(
+                    gf, poly_divmod(gf, f, g)[0]), d, p, rng))
 
 
 def gf_factor_mod_p(f, p, rng):
     factors = []
     for d, prod in gf_distinct_degree_factor(f, p):
         factors.extend(gf_equal_degree_factor(prod, d, p, rng))
-    return sorted(factors, key=lambda g: (g.degree(),
-                                          [c.residue for c in g.coeffs]))
+    return sorted(factors, key=lambda g: (len(g), [c.residue for c in g]))
 
 
 def gf_roots_mod_p(f, p, rng):
-    x = poly_x(f.field)
-    g = f.gcd(poly_sub(poly_pow_mod(x, p, f), x))
-    if g.degree() == 0:
+    gf = PrimeField(p)
+    x = poly_x(gf)
+    g = poly_gcd(gf, f, poly_sub(gf, poly_pow_mod(gf, x, p, f), x))
+    if len(g) == 1:
         return []
-    return sorted((-fac.coeffs[0] / fac.coeffs[1]).residue
+    return sorted((-fac[0] / fac[1]).residue
                   for fac in gf_equal_degree_factor(g, 1, p, rng))
 
 
@@ -1759,19 +1837,20 @@ def _gf_try_split(cmult, e, direction, r, p, rng):
                                    for j in range(r)])
     rel = krylov_relation(gf, r, map(sparse, iterates(
         mat.apply, [gf.from_rat(x) for x in e])))
-    if rel.degree() <= 1:
+    if len(rel) <= 2:
         return None
-    if rel.gcd(rel.derivative()).degree() > 0:
+    if len(poly_gcd(gf, rel, poly_derivative(gf, rel))) > 1:
         raise BadPrime("center not semisimple mod p")
     factors = gf_factor_mod_p(rel, p, rng)
     if len(factors) <= 1:
         return None
     pieces = []
     for fi in factors:
-        cof = rel.divmod(fi)[0]
-        h = (cof * poly_inverse_mod(cof, fi)) % rel
+        cof = poly_divmod(gf, rel, fi)[0]
+        h = poly_mod(gf, poly_mul(gf, cof, poly_inverse_mod(gf, cof, fi)),
+                     rel)
         acc = [0] * len(z)
-        for c in reversed(h.coeffs):
+        for c in reversed(h):
             acc = cmult(acc, z)
             acc = [(a + c.residue * u) % p for a, u in zip(acc, e)]
         pieces.append(acc)

@@ -12,7 +12,7 @@ from frobdiv import named_group
 from frobdiv.cli import CHECKS, main
 from frobdiv.integrality import (InapplicableHypothesis,
                                  NotASymmetricHomomorphism)
-from frobdiv.scalars import rat
+from frobdiv.scalars import MAX_PHI, conductor_error, rat
 from frobdiv.serialize import MAX_DIM, algebra_to_json, canonical_dumps
 
 from conftest import delta_form, group_algebra_plain
@@ -430,6 +430,58 @@ def test_dim_above_the_limit_exit_2(tmp_path):
     assert f"dim {dim} is above the limit {MAX_DIM}" in err
     assert (after.ru_utime + after.ru_stime
             - before.ru_utime - before.ru_stime) < 1.0
+
+
+def field_bound_args(tmp_path, case):
+    """The arguments of ``frobdiv`` for one input that names a field
+    above MAX_PHI."""
+    if case.startswith("analyze"):
+        c2 = build(tmp_path, "--group", "C2")
+        return ["analyze", str(c2), "--check", "fd", "--conductor",
+                "1000000000"]
+    if case == "document":
+        inp = tmp_path / "field.json"
+        inp.write_text(json.dumps(
+            {"dim": 1, "field": {"type": "cyclotomic", "conductor": 10 ** 8},
+             "structure_constants": [[0, 0, 0, "1"]], "unit": ["1"]}))
+        return ["analyze", str(inp)]
+    if case.startswith("build --conductor"):
+        return ["build", "--group", "C2", "--conductor", "1000000000"]
+    # kC97, whose exponent 97 has phi = 96
+    tbl = tmp_path / "c97-table.json"
+    tbl.write_text(json.dumps(
+        {"table": [[(a + b) % 97 for b in range(97)] for a in range(97)]}))
+    return ["build", "--table", str(tbl)]
+
+
+@pytest.mark.parametrize("case", ["analyze --conductor 10^9", "document",
+                                  "build --conductor 10^9",
+                                  "build --table C97"])
+def test_field_above_the_limit_exit_2(tmp_path, case):
+    # refused before the field is built: one line on stderr, no traceback,
+    # and under 2 s of CPU
+    args = field_bound_args(tmp_path, case)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: conductor ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert f"limit {MAX_PHI}" in proc.stderr
+    assert (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime) < 2.0
+
+
+def test_field_bound():
+    # phi(105) = phi(210) = 48 pass; phi(106) = 52 does not, and a
+    # conductor above 2 MAX_PHI^2 is refused by its size alone
+    assert conductor_error(105) is None and conductor_error(210) is None
+    assert "phi(106) = 52" in conductor_error(106)
+    assert "phi(4608) = 1536" in conductor_error(2 * MAX_PHI ** 2)
+    assert "above 4608" in conductor_error(4609)
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

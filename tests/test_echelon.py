@@ -172,8 +172,8 @@ def test_krylov_relation(fname, mat, start):
     v = [scalar(field, a, b) for a, b in start[:n]]
     got = krylov_relation(field, n, map(sparse, iterates(M.apply, v)))
     want = dense_krylov_relation(field, iterates(M.apply, v))
-    assert got.coeffs == want
-    assert got.coeffs[-1] == field.one
+    assert got == want
+    assert got[-1] == field.one
 
 
 @pytest.mark.parametrize("fname", FIELDS)
@@ -197,5 +197,5 @@ def test_empty_and_zero_inputs(fname):
     with pytest.raises(ValueError):
         inverse_rows(field, [{}, {}])
     # a zero start vector: the relation is the constant 1
-    assert krylov_relation(field, 2, iter([{}])).coeffs == [one]
+    assert krylov_relation(field, 2, iter([{}])) == [one]
     assert dense_krylov_relation(field, iter([[zero, zero]])) == [one]

@@ -16,12 +16,14 @@ import pytest
 from frobdiv import (QQ, HopfAnalysis, Matrix, Rat, StructureConstantAlgebra,
                      drinfeld_double, dual_hopf, group_algebra, named_group)
 from frobdiv.algebra import combine
-from frobdiv.modular import (ComponentAlgebra, component_roots, factor_mod_p,
+from frobdiv.linalg import poly_gcd
+from frobdiv.modular import (ComponentAlgebra, factor_mod_p,
                              is_squarefree_mod, modular_split, roots_mod_p)
 from frobdiv.wedderburn import _verify_idempotent, central_primitive_idempotents
 
-from dense_oracle import (PrimeField, gf_factor_mod_p, gf_modular_split,
-                          gf_roots_mod_p, poly_from_ints)
+from dense_oracle import (PrimeField, component_roots, gf_factor_mod_p,
+                          gf_modular_split, gf_roots_mod_p, poly_derivative,
+                          poly_from_ints)
 from ladder import LADDER, ladder_hopf
 
 # the ladder documents, then two doubles: (group, kind, conductor)
@@ -86,10 +88,10 @@ def test_factor_and_roots_match_prime_field(p):
     gf = PrimeField(p)
     for f in squarefree_polys(p, 40, p):
         g = poly_from_ints(gf, f)
-        assert g.gcd(g.derivative()).degree() == 0
+        assert poly_gcd(gf, g, poly_derivative(gf, g)) == [gf.one]
         want = gf_factor_mod_p(g, p, random.Random(1))
         got = factor_mod_p(f, p, random.Random(1))
-        assert got == [[c.residue for c in h.coeffs] for h in want]
+        assert got == [[c.residue for c in h] for h in want]
         assert roots_mod_p(f, p, random.Random(2)) == \
             gf_roots_mod_p(g, p, random.Random(2))
 

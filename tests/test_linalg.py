@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobdiv import CyclotomicField, Matrix, QQ, Rat
-from frobdiv.linalg import inverse_rows, sparse
+from frobdiv.linalg import inverse_rows, poly_divmod, poly_gcd, sparse
 
 from dense_oracle import (PrimeField, identity_matrix, matmul, matrix_sub,
-                          poly_from_ints, poly_inverse_mod, poly_pow_mod,
-                          poly_x, scalar_matrix, zero_matrix)
+                          poly_derivative, poly_from_ints, poly_inverse_mod,
+                          poly_mul, poly_pow_mod, poly_x, scalar_matrix,
+                          zero_matrix)
 
 
 def qmat(rows):
@@ -61,17 +62,17 @@ def test_minimal_polynomial_oracles():
     # 3-cycle permutation: x^3 - 1
     perm = qmat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     mp = perm.minimal_polynomial()
-    assert mp.coeffs == [QQ.from_rat(Rat(-1)), QQ.zero, QQ.zero, QQ.one]
+    assert mp == [QQ.from_rat(Rat(-1)), QQ.zero, QQ.zero, QQ.one]
     # nilpotent: x^2
     nil = qmat([[0, 1], [0, 0]])
-    assert nil.minimal_polynomial().coeffs == [QQ.zero, QQ.zero, QQ.one]
+    assert nil.minimal_polynomial() == [QQ.zero, QQ.zero, QQ.one]
     # diagonal {1, 2}: x^2 - 3x + 2
     diag = qmat([[1, 0], [0, 2]])
-    assert diag.minimal_polynomial().coeffs == [
+    assert diag.minimal_polynomial() == [
         QQ.from_rat(Rat(2)), QQ.from_rat(Rat(-3)), QQ.one]
     # minimal polynomial annihilates the matrix (Horner)
     value = zero_matrix(QQ, 2, 2)
-    for c in reversed(diag.minimal_polynomial().coeffs):
+    for c in reversed(diag.minimal_polynomial()):
         value = matrix_sub(matmul(value, diag), scalar_matrix(QQ, 2, -c))
     assert value.entries == zero_matrix(QQ, 2, 2).entries
 
@@ -88,28 +89,32 @@ def test_poly_inverse_mod():
     f = poly_from_ints(QQ, [1, 1])
     m = poly_from_ints(QQ, [1, 0, 1])
     half = QQ.from_rat(Rat(1, 2))
-    assert poly_inverse_mod(f, m).coeffs == [half, -half]
+    assert poly_inverse_mod(QQ, f, m) == [half, -half]
     # over F_7: 3^-1 = 5, and x is a unit mod x^2 + 1 with inverse -x
     gf = PrimeField(7)
     m7 = poly_from_ints(gf, [1, 0, 1])
-    assert poly_inverse_mod(poly_from_ints(gf, [3]), m7) == \
+    assert poly_inverse_mod(gf, poly_from_ints(gf, [3]), m7) == \
         poly_from_ints(gf, [5])
-    assert poly_inverse_mod(poly_x(gf), m7) == poly_from_ints(gf, [0, 6])
+    assert poly_inverse_mod(gf, poly_x(gf), m7) == poly_from_ints(gf, [0, 6])
     # x + 1 divides x^2 - 1: no inverse
     with pytest.raises(ZeroDivisionError):
-        poly_inverse_mod(f, poly_from_ints(QQ, [-1, 0, 1]))
+        poly_inverse_mod(QQ, f, poly_from_ints(QQ, [-1, 0, 1]))
 
 
 def test_poly_ops():
     f = poly_from_ints(QQ, [-1, 0, 1])        # x^2 - 1
     g = poly_from_ints(QQ, [1, 1])            # x + 1
-    q, r = f.divmod(g)
-    assert r.is_zero() and q.coeffs == [QQ.from_rat(Rat(-1)), QQ.one]
-    assert f.gcd(g).monic() == g.monic()
-    assert f.lcm(g) == f.monic()
-    assert f.derivative().coeffs == [QQ.zero, QQ.from_rat(Rat(2))]
+    q, r = poly_divmod(QQ, f, g)
+    assert r == [] and q == [QQ.from_rat(Rat(-1)), QQ.one]
+    assert poly_gcd(QQ, f, g) == g
+    # the gcd is monic, whatever the leading coefficients
+    assert poly_gcd(QQ, poly_from_ints(QQ, [-3, 0, 3]),
+                    poly_from_ints(QQ, [2, 2])) == g
+    # the lcm f g / gcd(f, g) is f
+    assert poly_divmod(QQ, poly_mul(QQ, f, g), poly_gcd(QQ, f, g)) == (f, [])
+    assert poly_derivative(QQ, f) == [QQ.zero, QQ.from_rat(Rat(2))]
     # pow_mod: x^4 mod (x^2 - 1) = 1
-    assert poly_pow_mod(poly_x(QQ), 4, f).coeffs == [QQ.one]
+    assert poly_pow_mod(QQ, poly_x(QQ), 4, f) == [QQ.one]
 
 
 def test_cyclotomic_matrix():
@@ -121,7 +126,7 @@ def test_cyclotomic_matrix():
     assert inverse_rows(K, rows) == rows
     mp = m.minimal_polynomial()
     # eigenvalues +-1: x^2 - 1
-    assert mp.coeffs == [-K.one, K.zero, K.one]
+    assert mp == [-K.one, K.zero, K.one]
 
 
 @st.composite

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from frobdiv import (QQ, CyclotomicField, HopfAnalysis, Rat,
                      frobenius_divisibility_hopf, group_algebra, named_group)
-from frobdiv.modular import BadPrime, component_roots, reduce_scalar
+from frobdiv.modular import BadPrime, component_root, reduce_scalar
 from frobdiv.scalars import (ConductorMismatch, Cyc, cyclotomic_polynomial,
                              field_from_descriptor)
 from frobdiv.serialize import hopf_from_json, hopf_to_json
 
-from dense_oracle import PrimeField, RefCyc, rational_reconstruct
+from dense_oracle import (PrimeField, RefCyc, component_roots,
+                          rational_reconstruct)
 
 # hand table of cyclotomic polynomials, ascending coefficients
 KNOWN_PHI = {
@@ -423,7 +424,7 @@ def test_reduce_scalar_matches_reference(case):
 def test_reduce_scalar_bad_prime(n):
     K = CyclotomicField(n)
     p = _good_prime(n, 10)
-    w = component_roots(n, p, 1)[0][0]
+    w = component_root(n, p, 1)
     # the denominator p sits on the last basis vector, or on 1 for phi = 1
     coeffs = [Rat(1, 2)] * K.phi
     coeffs[-1] = Rat(3, 5 * p)

@@ -14,7 +14,8 @@ from frobdiv import (Matrix, central_primitive_idempotents, group_algebra,
                      named_group)
 from frobdiv.serialize import algebra_from_json, algebra_to_json
 
-from dense_oracle import change_basis_algebra, product_wedderburn
+from dense_oracle import (change_basis_algebra, component_roots,
+                          product_wedderburn)
 
 
 def ks3_at_24():
@@ -67,7 +68,7 @@ def test_one_split_per_prime(make, monkeypatch):
     n = A.field.conductor
     primes = modular.good_primes(A)
     for p in (next(primes), next(primes)):
-        roots, _ = modular.component_roots(n, p, 1)
+        roots, _ = component_roots(n, p, 1)
         distinct = {repr((c.table, c.unit)) for c in
                     (modular.ComponentAlgebra(A, w, p) for w in roots)}
         assert (len(roots), len(distinct)) == {24: (8, 1), 4: (2, 2)}[n]

@@ -17,12 +17,12 @@ from frobdiv.algebra import combine
 from frobdiv.hopf import (integrals, quasitriangular_verify, r_products,
                          verify_hopf)
 from frobdiv.linalg import EchelonSubspace, sparse
-from frobdiv.modular import (ComponentAlgebra, center_mod_p, component_roots,
-                             good_primes)
+from frobdiv.modular import ComponentAlgebra, center_mod_p, good_primes
 
 from conftest import matrix_blocks
 from dense_oracle import (PrimeField, change_basis_algebra,
-                          change_basis_hopf, dense_center_basis, dense_gram,
+                          change_basis_hopf, component_roots,
+                          dense_center_basis, dense_gram,
                           dense_integral, dense_inverse, dense_is_central,
                           dense_mod_p_center, dense_quasitriangular_report,
                           dense_r_products, dense_vec, permute_hopf,

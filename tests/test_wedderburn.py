@@ -4,7 +4,6 @@ import pytest
 
 from frobdiv import (
     CyclotomicField,
-    Poly,
     QQ,
     Rat,
     central_primitive_idempotents,
@@ -20,7 +19,7 @@ from frobdiv.scalars import Cyc
 from frobdiv.wedderburn import gamma_one_eigenvalue
 
 from conftest import delta_form, group_algebra_plain, matrix_algebra_2x2
-from dense_oracle import permute_algebra
+from dense_oracle import permute_algebra, poly_mul
 from identity_oracle import (casimir_square_components,
                              irreducible_characters, verify_cprid_formula)
 
@@ -230,10 +229,10 @@ def test_field_roots_gaussian():
 
 def _from_roots(field, roots):
     """Coefficients of prod (x - t) over the roots, ascending."""
-    f = Poly(field, [field.one])
+    f = [field.one]
     for t in roots:
-        f = f * Poly(field, [-t, field.one])
-    return f.coeffs
+        f = poly_mul(field, f, [-t, field.one])
+    return f
 
 
 def test_field_roots_repeated():

@@ -44,7 +44,8 @@ from frobdiv.serialize import algebra_to_json, canonical_dumps, hopf_to_json
 
 from conftest import matrix_blocks
 from dense_oracle import (carrier_minimal_polynomial, change_basis_algebra,
-                          dense_vec, product_wedderburn, transpose,
+                          check_components, component_roots, dense_vec,
+                          idempotent_mod_q, product_wedderburn, transpose,
                           unimodular_matrix)
 
 
@@ -105,9 +106,9 @@ def test_wrong_gluing_rejected_mod_q(monkeypatch):
     assert tried > len(idems) == 4
     assert exact == idems
     assert [e for e, ok in screened if ok] == idems
-    check = wedderburn._check_components(A, 13)
+    check = check_components(A, 13)
     for e in central_primitive_idempotents(A).idempotents:
-        assert wedderburn._idempotent_mod_q(A, e, check)
+        assert idempotent_mod_q(A, e, check)
 
 
 def test_screen_stops_gluings_within_the_bound(monkeypatch):
@@ -122,6 +123,35 @@ def test_screen_stops_gluings_within_the_bound(monkeypatch):
     rejected = [e for e, ok in screened if not ok]
     assert rejected and exact == idems
     assert all(A.multiply(x, x) != x for x in rejected)
+
+
+def _recording_reductions(monkeypatch):
+    """Record the modulus of every ``ComponentAlgebra`` built."""
+    moduli = []
+    original = modular.ComponentAlgebra.__init__
+
+    def recording(self, algebra, root, M):
+        moduli.append(M)
+        original(self, algebra, root, M)
+
+    monkeypatch.setattr(modular.ComponentAlgebra, "__init__", recording)
+    return moduli
+
+
+@pytest.mark.parametrize("group,count", [("C4", 2), ("S3", 4)])
+def test_at_most_two_reductions_per_split(group, count, monkeypatch):
+    # each split reduces the algebra mod its prime p, and once more mod
+    # p^k when k > 1; nothing is reduced at a second prime.  D(C4) and its
+    # representation ring recover at k = 1, D(S3) and its ring at k > 1
+    G = named_group(group)
+    H, Q = drinfeld_double(G, conductor=G.exponent)
+    moduli = _recording_reductions(monkeypatch)
+    S = HopfAnalysis(H, Q.R)
+    splits = [S.wedderburn, S.ring.wedderburn]
+    assert len(moduli) == count
+    assert sorted(moduli) == sorted(
+        M for W in splits for M in [W.prime_used]
+        + [W.prime_used ** W.precision_used] * (W.precision_used > 1))
 
 
 def test_block_that_is_no_idempotent_over_the_field_is_rejected(
@@ -184,7 +214,7 @@ def test_roots_of_unity_lifted_once_per_precision(monkeypatch):
         return original(n, p, target_modulus)
 
     monkeypatch.setattr(modular, "lift_cyclotomic_root", recording)
-    modular.component_roots.cache_clear()
+    modular.component_root.cache_clear()
     A = group_algebra(named_group("S3"), conductor=24).algebra
     data = central_primitive_idempotents(A)
     assert data.degrees == [1, 1, 2] and all(data.split_certified)
@@ -213,7 +243,7 @@ def _recording_try_split(monkeypatch):
 def test_final_pieces_never_split_again(monkeypatch):
     tried = _recording_try_split(monkeypatch)
     A = kc4()
-    for w in modular.component_roots(4, 13, 1)[0]:
+    for w in component_roots(4, 13, 1)[0]:
         blocks = modular.modular_split(modular.ComponentAlgebra(A, w, 13))
         assert [b.center_dim for b in blocks] == [1, 1, 1, 1]
     assert tried and all(d > 1 for d in tried)
