@@ -23,9 +23,9 @@ from .integrality import (EquivalenceViolation, InapplicableHypothesis,
 from .modular import BadPrime, PrecisionExceeded, bad_prime_reason
 from .report import Report, Section, input_digest
 from .scalars import conductor_error
-from .serialize import (SchemaError, algebra_from_json, canonical_dumps,
-                        hopf_from_json, hopf_to_json, is_hopf_doc, load_path,
-                        vector_strings)
+from .serialize import (MAX_DIM, SchemaError, algebra_from_json,
+                        canonical_dumps, hopf_from_json, hopf_to_json,
+                        is_hopf_doc, load_path, vector_strings)
 from .wedderburn import central_primitive_idempotents
 
 CHECKS = ("fd", "zhu", "class-equation", "schneider", "all")
@@ -318,6 +318,14 @@ def cmd_build(args):
                 raise InvalidGroupTable("table file is not a JSON object")
             if "table" not in raw:
                 raise InvalidGroupTable("table file: missing key 'table'")
+            # the document's dim, |G| or |G|^2, bounded before the check
+            n = len(raw["table"]) if isinstance(raw["table"], list) else 0
+            dim = n * n if args.build_as == "double" else n
+            if dim > MAX_DIM:
+                print(f"invalid input: the {args.build_as} of a group of "
+                      f"order {n} has dim {dim}, above the limit {MAX_DIM}",
+                      file=sys.stderr)
+                return 2
             G = group_from_table(raw["table"], name="G")
         else:
             print("build needs --group or --table", file=sys.stderr)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from itertools import permutations
 
+from .algebra import _associative_at, light_generators
+
 
 class InvalidGroupTable(ValueError):
     pass
@@ -44,36 +46,42 @@ class FiniteGroup:
 def group_from_table(table, name="group") -> FiniteGroup:
     """The group of a Cayley table: a list of n lists of n ints in
     range(n).  JSON true and false load as bools, which Python counts as
-    ints; they are refused."""
+    ints; they are refused.
+
+    The identity and the inverses are found first, in O(n^2).  Then
+    associativity is proven by Light's test on a generating set S
+    (``algebra.light_generators`` and ``_associative_at`` on the table
+    with a zero row and column appended), n^2 |S| triples; a failing one
+    is named from the row where the test fails.  On a group the search
+    finds S: each greedy step adds a g outside the subgroup H reached,
+    whose words reach H g besides H, so it takes at most log2 n <= n // 2
+    steps.  A table with an identity and inverses where it fails is not
+    associative."""
     if not isinstance(table, list) or not all(
             isinstance(row, list) and len(row) == len(table)
             and all(type(x) is int and 0 <= x < len(table) for x in row)
             for row in table):
         raise InvalidGroupTable("table is not n x n over {0..n-1}")
     n = len(table)
-    # associativity
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise InvalidGroupTable(f"not associative at ({i},{j},{k})")
-    # identity
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
+    identity = next((e for e in range(n) if all(
+        table[e][x] == x and table[x][e] == x for x in range(n))), None)
     if identity is None:
         raise InvalidGroupTable("no identity element")
-    # inverses
-    inverse = [None] * n
-    for x in range(n):
-        for y in range(n):
-            if table[x][y] == identity and table[y][x] == identity:
-                inverse[x] = y
-                break
-        if inverse[x] is None:
-            raise InvalidGroupTable(f"element {x} has no inverse")
+    inverse = [next((y for y, z in enumerate(row) if z == identity
+                     and table[y][x] == identity), None)
+               for x, row in enumerate(table)]
+    if None in inverse:
+        raise InvalidGroupTable(
+            f"element {inverse.index(None)} has no inverse")
+    index = [row + [n] for row in table] + [[n] * (n + 1)]
+    S = light_generators(index)[0] if n > 1 else [identity]
+    if S is None:
+        raise InvalidGroupTable("not associative: no generating set found")
+    for s in S:
+        if not _associative_at(index, None, s):
+            i, k = next((i, k) for i in range(n) for k in range(n)
+                        if table[table[i][s]][k] != table[i][table[s][k]])
+            raise InvalidGroupTable(f"not associative at ({i},{s},{k})")
     # exponent = lcm of element orders
     exponent = 1
     for x in range(n):
@@ -119,45 +127,26 @@ def dihedral_group_4() -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    # units {±1, ±i, ±j, ±k} encoded as (sign, axis), axis in {1,i,j,k}
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul = {}
-    axes = ["1", "i", "j", "k"]
-    rules = {("i", "j"): ("k", 1), ("j", "k"): ("i", 1), ("k", "i"): ("j", 1),
-             ("j", "i"): ("k", -1), ("k", "j"): ("i", -1), ("i", "k"): ("j", -1)}
+    # the units 1, -1, i, -i, j, -j, k, -k as quaternions a + b i + c j + d k
+    units = [tuple(sign * (k == m) for k in range(4))
+             for m in range(4) for sign in (1, -1)]
 
     def compose(x, y):
-        sx, ax = (-1 if x.startswith("-") else 1), x.lstrip("-")
-        sy, ay = (-1 if y.startswith("-") else 1), y.lstrip("-")
-        s = sx * sy
-        if ax == "1":
-            axis = ay
-        elif ay == "1":
-            axis = ax
-        elif ax == ay:
-            axis, s = "1", -s
-        else:
-            axis, extra = rules[(ax, ay)]
-            s *= extra
-        return ("-" if s < 0 else "") + axis
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    return _table_from_elements(names, compose, "Q8")
+    return _table_from_elements(units, compose, "Q8")
 
 
 def alternating_group_4() -> FiniteGroup:
-    elements = [p for p in permutations(range(4)) if _parity(p) == 1]
+    # the permutations with an even number of inversions
+    elements = [p for p in permutations(range(4)) if sum(
+        p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0]
     return _table_from_elements(elements,
                                 lambda p, q: tuple(p[q[x]] for x in range(4)),
                                 "A4")
-
-
-def _parity(p):
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
 
 
 _NAMED = {

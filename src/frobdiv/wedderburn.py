@@ -27,14 +27,14 @@ block dimension chi_reg(e).
 Such an e goes straight to the exact checks: e e = e on the integral
 table (``is_idempotent``), central (at once when the table is
 commutative), the block dimension, and for the system sum 1 and
-orthogonality, read off the block dimensions.  The images x_j e are
-built only to certify blocks of degree > 1, on sparse rows in the
-coordinates of A, each product read off the table over the supports of
-its factors (``algebra.table_product``) and each combination of rows,
-the shifted rows v b - t v and the random candidates, formed by
-``algebra.combine``.  The eigenvalues behind those
-certificates come back the same way as the idempotents: ``field_roots``
-recovers D_g t for the roots t of g under a Cauchy bound.
+orthogonality, read off the block dimensions.  A block of degree d > 1
+is certified split by two polynomials of a block element b = x e, its
+minimal polynomial and its reduced characteristic polynomial, read off
+the powers e x^k on sparse rows in the coordinates of A (each product
+by ``algebra.table_product``) and their regular traces: no eigenspace
+is formed.  The roots behind that certificate come back the same way
+as the idempotents: ``field_roots`` recovers D_g t for the roots t of g
+under a Cauchy bound.
 """
 
 from __future__ import annotations
@@ -265,68 +265,70 @@ def _multiple(form, chi):
 
 
 def certify_split_block(algebra, e, d):
-    """Certify that the simple block B = A e is a full matrix algebra over
-    the base field by exhibiting a left ideal of dimension d, where
-    d^2 = dim B.
-
-    The ideal is an eigenspace of right multiplication R_b by a block
-    element b: ker(R_b - t) is a left ideal for any t.  If B = M_m(D) with
-    dim_k(D) = s^2, then d = m s and every left ideal has a dimension
-    divisible by m s^2 = d s, so one of dimension exactly d forces D = k,
-    whatever the degree of the minimal polynomial of R_b (Ronyai, J.
-    Symbolic Comput. 9, 1990).  All of it is computed in the coordinates
-    of A, on sparse rows: each product is read off the table over the
-    supports of its factors (``algebra.table_product``).
-
-    The images x_j e are tried first: for group algebras, duals and
-    doubles their eigenvalues are roots of unity in the base field.  Then
-    the echelon basis, then random combinations.  Each candidate is built
-    only once those before it have failed.
-    """
-    images = [table_product(algebra.table, {j: algebra.field.one}, e)
-              for j in range(algebra.dim)]
-    block = EchelonSubspace(algebra.field, algebra.dim, images)
-    if block.dim != d * d:
-        return False
-    for b in _split_candidates(algebra, images, block):
-        if any(dim == d for _, dim in _eigenspaces(algebra, e, block, b)):
-            return True
-    return False
+    """Certify that the simple block B = A e of dim d^2 is a full matrix
+    algebra over the base field K by a left ideal ker(R_b - t) of
+    dimension d, for a block element b: if B = M_m(D) with dim_K D = s^2,
+    then d = m s and every left ideal has a dimension divisible by d s
+    (Ronyai, J. Symbolic Comput. 9, 1990).  That dimension is read off two
+    polynomials of b (``_split_roots``), its minimal polynomial mu and its
+    reduced characteristic polynomial P of degree d; no eigenspace is formed.
+    - P(b) = 0, so mu divides P.
+    - For y in B, chi_reg(y) = d trd(y), since e is central and L_y acts
+      on B = M_d over an algebraic closure as y on d columns.  So P has
+      the power sums p_k = chi_reg(b^k) / d (Newton's identities).
+    - The multiplicity of t in P is the total size of the Jordan blocks
+      of b at t, and in mu the size of the largest one.  So (P/mu)(t) != 0
+      exactly when t has one Jordan block, that is geometric multiplicity
+      1, that is dim ker(R_b - t) = d on B (R_b acts as b on the d rows).
+      Rank does not depend on the field, so this holds over K.
+    The candidates are those of ``_split_candidates``, each tried only
+    once those before it have failed."""
+    return any(ok for x in _split_candidates(algebra, e)
+               for _, ok in _split_roots(algebra, e, d, x))
 
 
-def _block_minimal_polynomial(algebra, e, b):
-    """The minimal polynomial of R_b on B = A e, which is that of b in B
-    (p(R_b) = R_p(b), and x p(b) = 0 on B forces p(b) = e p(b) = 0): the
-    Krylov relation among e, b, b^2, ... (sparse rows)."""
-    return krylov_relation(algebra.field, algebra.dim, iterates(
-        lambda x: table_product(algebra.table, x, b), e))
-
-
-def _eigenspaces(algebra, e, block, b):
-    """(t, dim ker(R_b - t)) for each root t of the minimal polynomial in
-    the base field, in turn: dim B less the rank of the v b - t v over the
-    echelon rows v of B.  The products v b are formed once a root exists.
-    e and b are sparse rows."""
+def _split_roots(algebra, e, d, x):
+    """(t, (P/mu)(t) != 0) for each root t in the base field of the
+    minimal polynomial mu of b = x e, in turn, with P the reduced
+    characteristic polynomial of b (``certify_split_block``); mu is the
+    Krylov relation among e, b, ..., b^d, where b^k = e x^k.  Independent
+    powers, or mu not dividing P, only a table that is not associative
+    allows: both raise PrecisionExceeded."""
     field = algebra.field
-    roots = field_roots(field, _block_minimal_polynomial(algebra, e, b))
-    if not roots:
-        return
-    basis = block.basis
-    products = [table_product(algebra.table, v, b) for v in basis]
-    if any(block.reduce(vb) for vb in products):
-        raise PrecisionExceeded("block not closed under multiplication")
-    for t in roots:
-        shifted = (combine([(1, vb), (-t, v)])
-                   for vb, v in zip(products, basis))
-        yield t, block.dim - EchelonSubspace(field, algebra.dim, shifted).dim
+    powers = list(itertools.islice(iterates(
+        lambda y: table_product(algebra.table, y, x), e), d + 1))
+    mu = krylov_relation(field, algebra.dim, powers)
+    if mu is None:
+        raise PrecisionExceeded(f"e, b, ..., b^{d} are independent")
+    # Newton's identities: P = sum_k a_k x^(d-k), a_0 = 1 and
+    # k a_k = -sum_{i=1}^k a_(k-i) p_i with p_i = chi_reg(b^i) / d
+    sums = [algebra.apply_form(algebra.regular_character(), y) / d
+            for y in powers[1:]]
+    a = [field.one]
+    for k in range(1, d + 1):
+        a.append(-sum((a[k - i] * sums[i - 1] for i in range(1, k + 1)),
+                      field.zero) / k)
+    quo, rem = poly_divmod(field, a[::-1], mu)
+    if rem:
+        raise PrecisionExceeded("the minimal polynomial of a block element "
+                                "does not divide its characteristic one")
+    for t in field_roots(field, mu):
+        yield t, bool(poly_divmod(field, quo, [-t, field.one])[1])
 
 
-def _split_candidates(algebra, images, block):
-    """The block elements b a split certificate tries, in order, as sparse
-    rows: the nonzero images x_j e, the echelon rows of the block, then
-    random combinations of them."""
-    yield from (v for v in images if v)
-    basis = block.basis
+def _split_candidates(algebra, e):
+    """The elements x whose block elements b = x e a split certificate
+    tries, in order, as sparse rows: the basis elements x_j with
+    x_j e != 0 (for group algebras, duals and doubles the eigenvalues of
+    x_j e are roots of unity in the base field), then, once all of those
+    have failed, the echelon rows of the span of the x_j e and random
+    combinations of them, which lie in the block, so that x e = x."""
+    one, images = algebra.field.one, []
+    for j in range(algebra.dim):
+        images.append(table_product(algebra.table, {j: one}, e))
+        if images[-1]:
+            yield {j: one}
+    basis = EchelonSubspace(algebra.field, algebra.dim, images).basis
     yield from basis
     rng = random.Random(1)
     for _ in range(RANDOM_CANDIDATES):
@@ -372,10 +374,8 @@ def field_roots(field, coeffs):
             gw, r, p, M)}, M), lattice, bound, den)
         if y is None:
             continue
-        t, value = y.get(0, field.zero), field.zero
-        for c in reversed(g):
-            value = value * t + c
-        if not value:
+        t = y.get(0, field.zero)
+        if not poly_divmod(field, g, [-t, field.one])[1]:
             out.append(t)
     return sorted(out, key=Cyc.sort_key)
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import frobdiv.cli as cli
 import frobdiv.hopf as hopf
 from frobdiv import named_group
 from frobdiv.cli import CHECKS, main
@@ -482,6 +483,60 @@ def test_field_bound():
     assert "phi(106) = 52" in conductor_error(106)
     assert "phi(4608) = 1536" in conductor_error(2 * MAX_PHI ** 2)
     assert "above 4608" in conductor_error(4609)
+
+
+def test_build_above_the_dim_limit_exit_2(tmp_path):
+    # D(C70) has dim 70^2 = 4900 > MAX_DIM: refused before the table is
+    # checked, with one line on stderr, no traceback and under 2 s of CPU
+    tbl = tmp_path / "c70-table.json"
+    tbl.write_text(json.dumps(
+        {"table": [[(a + b) % 70 for b in range(70)] for a in range(70)]}))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "frobdiv.cli", "build",
+                           "--table", str(tbl), "--as", "double",
+                           "--conductor", "1"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"invalid input: the double of a group of order "
+                           f"70 has dim 4900, above the limit {MAX_DIM}\n")
+    assert (after.ru_utime + after.ru_stime
+            - before.ru_utime - before.ru_stime) < 2.0
+
+
+class CyclicRow:
+    """Row a of the Cayley table of C_n, made on demand."""
+
+    def __init__(self, a, n):
+        self.a, self.n = a, n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, b):
+        return (self.a + b) % self.n
+
+
+def test_build_of_order_above_the_dim_limit_exit_2(tmp_path, monkeypatch,
+                                                   capsys):
+    # the table of C4097, whose group algebra has dim 4097 > MAX_DIM, is
+    # refused by its number of rows before ``group_from_table`` reads
+    # them; the rows are made on demand, so no 4097^2 cells are held
+    n = MAX_DIM + 1
+    monkeypatch.setattr(cli, "load_path", lambda path: {
+        "table": [CyclicRow(a, n) for a in range(n)]})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("group_from_table ran")
+
+    monkeypatch.setattr(cli, "group_from_table", unreachable)
+    assert main(["build", "--table", str(tmp_path / "c4097-table.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"invalid input: the group-algebra of a group of order {n} has dim "
+        f"{n}, above the limit {MAX_DIM}\n")
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from frobdiv import InvalidGroupTable, named_group
@@ -65,6 +67,40 @@ def test_invalid_table_rejected():
     # broken order-3 table with missing inverses)
     with pytest.raises(InvalidGroupTable):
         group_from_table([[0, 1, 2], [1, 1, 1], [2, 1, 0]])
+
+
+def test_non_associative_loop_names_a_failing_triple():
+    # a loop of order 5 (identity 0, every element its own inverse) that
+    # is no group: Light's test fails at a generator s, and the triple is
+    # read off the row where it fails
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(InvalidGroupTable, match=r"not associative at") as err:
+        group_from_table(loop)
+    i, j, k = map(int, str(err.value).split("(")[1].rstrip(")").split(","))
+    assert loop[loop[i][j]][k] != loop[i][loop[j][k]]
+
+
+def test_table_without_generating_set_is_not_a_group():
+    # identity 0, x y = 0 for all x, y != 0: every element is its own
+    # inverse, and the words in S reach only S and 0, so no set of at most
+    # n // 2 elements generates; on a group the search cannot fail
+    n = 6
+    table = [[x if y == 0 else y if x == 0 else 0 for y in range(n)]
+             for x in range(n)]
+    with pytest.raises(InvalidGroupTable, match="no generating set"):
+        group_from_table(table)
+
+
+def test_associativity_of_c300_proven_by_light():
+    # the n^3 scan took about 2 s at n = 300; Light's test on S = [1]
+    # takes n^2 reads of the table
+    n = 300
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    start = time.process_time()
+    G = group_from_table(table)
+    assert time.process_time() - start < 0.5
+    assert G.order == n and G.exponent == n and G.identity == 0
 
 
 def test_unknown_name():

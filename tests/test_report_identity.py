@@ -13,7 +13,12 @@ match byte for byte, with the same exit code.  The report of D(S4)
 the permutations of 0..3 with ``build --table``, was generated at commit
 170e31e, before coassociativity, the R-intertwining and the integrals
 were proven on Light's generating set; at about 10 s of CPU it is
-compared by a step of the CI workflow, not here.  The report of kS3 over
+compared by a step of the CI workflow, not here.  So is the report of
+kPSL(2,7) (dim 168 over Q(zeta_84), blocks of degree 3 to 8), built the
+same way from its permutations of the projective line over F_7, which
+was generated at commit 7580486, before the split certificate read the
+minimal and characteristic polynomials of one element instead of its
+eigenspaces; it takes about 45 s of CPU.  The report of kS3 over
 Q(zeta_12) on the basis ((1 + i)/2) x_g, whose table has the common
 denominator D = 2 and irrational constants, so that the integral table
 holds integral ``Cyc`` values, was generated at commit ae694ee, before

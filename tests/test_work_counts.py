@@ -4,7 +4,8 @@ product gluing (``dense_oracle``) stopped by the bound or the check mod
 q, a block that is no idempotent over the field stopped before its exact
 check, pieces with a 1-dimensional ideal never tried again, the lifted
 roots of unity computed once per (conductor, prime, exponent), and no
-product of two different idempotents.  In the integrality layer: one
+product of two different idempotents, and no echelon basis of a block
+that an image x_j e certifies split.  In the integrality layer: one
 Casimir minimal polynomial per Frobenius structure, and no product in
 A (x) A for the Casimir powers.  In the Schneider check: no product in H
 while Psi is proven multiplicative on the blocks.  In the quasitriangular
@@ -38,7 +39,7 @@ from frobdiv.algebra import (FrobeniusStructure, StructureConstantAlgebra,
                              TensorSquareAlgebra)
 from frobdiv.cli import main
 from frobdiv.hopf import HopfAlgebraData
-from frobdiv.linalg import Matrix, sparse
+from frobdiv.linalg import EchelonSubspace, Matrix, sparse
 from frobdiv.scalars import Cyc
 from frobdiv.serialize import algebra_to_json, canonical_dumps, hopf_to_json
 
@@ -359,6 +360,34 @@ def test_split_multiplies_no_two_idempotents(monkeypatch):
     assert data.num_blocks == 4 and checked
     assert all(e in checked for e in idems)
     assert not [1 for a, b, _ in calls if a != b and a in idems and b in idems]
+
+
+@pytest.mark.parametrize("group, build", [("A4", "group-algebra"),
+                                          ("S3", "double")])
+def test_split_certificate_builds_no_block_echelon(group, build,
+                                                    monkeypatch):
+    # an image x_j e certifies each block of degree > 1 of kA4 and D(S3),
+    # so the echelon basis of the block, built only once every image has
+    # failed, is never built (the Krylov relations build their own)
+    blocks, built = [], []
+    certify = wedderburn.certify_split_block
+
+    def recording_certify(algebra, e, d):
+        blocks.append(d)
+        return certify(algebra, e, d)
+
+    def recording_echelon(*args):
+        built.append(args)
+        return EchelonSubspace(*args)
+
+    monkeypatch.setattr(wedderburn, "certify_split_block", recording_certify)
+    monkeypatch.setattr(wedderburn, "EchelonSubspace", recording_echelon)
+    G = named_group(group)
+    H = (drinfeld_double(G, conductor=G.exponent, verify=False)[0]
+         if build == "double" else group_algebra(G, conductor=G.exponent))
+    data = central_primitive_idempotents(H.algebra)
+    assert blocks and all(data.split_certified)
+    assert not built
 
 
 def test_delta_of_the_integral_is_formed_once(monkeypatch):
